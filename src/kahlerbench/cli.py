@@ -582,8 +582,10 @@ def main(argv=None) -> int:
     )
     names = list(RUNNERS) if args.pipeline == "all" else [args.pipeline]
     all_rows = []
+    pipeline_seconds = {}
     t_start = time.perf_counter()
     for name in names:
+        t_pipeline = time.perf_counter()
         out_dir = out_root / name
         out_dir.mkdir(parents=True, exist_ok=True)
         rows, reports = RUNNERS[name](cfg, out_dir, cfg["seed"])
@@ -594,9 +596,11 @@ def main(argv=None) -> int:
         rows_to_csv(out_dir / "summary.csv", rows,
                     ["pipeline", "check", "status", "value", "margin", "tol", "note"])
         all_rows.extend(rows)
+        pipeline_seconds[name] = time.perf_counter() - t_pipeline
     write_json(out_root / "meta.json", {
         "pipelines": names,
         "seconds": time.perf_counter() - t_start,
+        "pipeline_seconds": pipeline_seconds,
         "argv": list(argv) if argv is not None else sys.argv[1:],
     })
 
@@ -609,6 +613,8 @@ def main(argv=None) -> int:
             detail = f"margin={r['margin']:.3e}"
         elif r["value"] is not None:
             detail = f"value={r['value']:.3e}"
+        elif r["status"] == "fail":
+            detail = r["note"]
         print(f"{r['check']:<{width}} {r['status']:<15} {detail}")
     n_fail = sum(1 for r in all_rows if r["status"] == "fail")
     n_na = sum(1 for r in all_rows if r["status"] == "not-applicable")

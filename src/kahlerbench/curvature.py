@@ -272,19 +272,38 @@ def hsc_extremes(field, point, num_directions: int = 10000,
     return hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
 
 
-def default_sweep_points(field, max_points: int = 256):
-    """Deterministic point sweep for floor estimates on either substrate."""
-    if hasattr(field, "grid"):
-        grid = field.grid
-        total = grid.num_points
-        stride = 1
-        while total // stride ** (2 * grid.n) > max_points:
-            stride *= 2
-        axes = [grid.axis_coords[::stride] for _ in range(2 * grid.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+def default_sweep_points(field):
+    """Deterministic point sweep of a chart field's trusted region."""
     per_axis = 3 if field.n > 1 else 5
     return field.geometry.sample_points(per_axis=per_axis)
+
+
+def sweep_hsc_extremes(field, points=None, max_points: int = 256,
+                       num_directions: int = 2000, refine_steps: int = 40):
+    """HSC extremes at every point of a sweep, one HscExtremes per point.
+
+    Explicit points are evaluated pointwise on either substrate.  With
+    points=None a chart field is swept at default_sweep_points, and a torus
+    field on the grid points of its stride-2^k sublattice (the smallest
+    power of two leaving at most max_points points), reading g, dg and ddg
+    from the field's grid arrays instead of interpolating them.
+    """
+    if points is None and hasattr(field, "grid"):
+        grid, n = field.grid, field.n
+        stride = 1
+        while grid.num_points // stride ** (2 * n) > max_points:
+            stride *= 2
+        sub = (slice(None, None, stride),) * (2 * n)
+        curvatures = map(KahlerCurvature.from_derivatives,
+                         field.g[sub].reshape(-1, n, n),
+                         field.dg[sub].reshape(-1, n, n, n),
+                         field.ddg[sub].reshape(-1, n, n, n, n))
+    else:
+        if points is None:
+            points = default_sweep_points(field)
+        curvatures = (curvature_tensor(field, p) for p in points)
+    for curv in curvatures:
+        yield hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
 
 
 def kappa_floor(field, points=None, num_directions: int = 2000,
@@ -292,12 +311,10 @@ def kappa_floor(field, points=None, num_directions: int = 2000,
     """Uniform negativity floor kappa_0 = min over points of -sup_eta H.
 
     Positive only when H stays negative on the whole sweep; values <= 0
-    mean downstream negativity-based bounds are not applicable.
+    mean downstream negativity-based bounds are not applicable.  With
+    points=None a torus field is swept at no more than 256 grid points,
+    read from its grid arrays g, dg and ddg rather than interpolated.
     """
-    if points is None:
-        points = default_sweep_points(field)
-    worst = -np.inf
-    for p in points:
-        ext = hsc_extremes(field, p, num_directions, refine_steps)
-        worst = max(worst, ext.h_max)
-    return float(-worst)
+    exts = sweep_hsc_extremes(field, points, num_directions=num_directions,
+                              refine_steps=refine_steps)
+    return float(-max((ext.h_max for ext in exts), default=-np.inf))

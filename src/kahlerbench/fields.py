@@ -65,10 +65,24 @@ class TorusMetricField:
         eye = np.eye(self.n, dtype=complex)
         self.g = eye + grid.complex_hessian(self.psi)
         _check_field_positivity(self.g, lambda idx: idx)
+        self._refined = {}
 
     @property
     def geometry(self) -> TorusGrid:
         return self.grid
+
+    def refined(self, pad: int) -> "TorusMetricField":
+        """This field on a pad-times finer grid (trigonometric prolongation).
+
+        Built, and checked positive, once per pad; later calls return the
+        same field.
+        """
+        fine_field = self._refined.get(pad)
+        if fine_field is None:
+            fine = TorusGrid(self.n, pad * self.grid.N)
+            fine_field = TorusMetricField(fine, self.grid.prolong(self.psi, fine))
+            self._refined[pad] = fine_field
+        return fine_field
 
     def trusted(self, point) -> bool:
         return True

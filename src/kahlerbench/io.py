@@ -149,8 +149,9 @@ def load_state(directory, omega):
     """Rebuild a continuity state saved by save_state.
 
     The matrix field g_eps is reconstructed exactly from (epsilon, v) and
-    the reference metric; diagnostics are recomputed, then cross-checked
-    against the sidecar.
+    the reference metric; diagnostics are recomputed (the dealiased Ricci
+    residual on omega's cached fine reference), then every saved one is
+    cross-checked against the sidecar, and newton_steps is restored from it.
     """
     from .solver import make_state
 
@@ -162,7 +163,11 @@ def load_state(directory, omega):
         raise ValueError(f"{directory}: expected a solution-v field, got {kind_v}")
     if grid_v.shape != omega.grid.shape:
         raise ValueError(f"{directory}: grid mismatch with reference metric")
-    state = make_state(omega, diag["epsilon"], v, f, diag["log_c_bound"])
-    if abs(state.sup_u - diag["sup_u"]) > 1e-12 * max(1.0, abs(diag["sup_u"])):
-        raise ValueError(f"{directory}: sidecar sup_u disagrees with rebuilt state")
+    state = make_state(omega, diag["epsilon"], v, f, diag["log_c_bound"],
+                       newton_steps=diag["newton_steps"])
+    for name in ("sup_u", "ricci_residual_sup", "rel_eig_min", "rel_eig_max", "s_max"):
+        saved, rebuilt = diag[name], getattr(state, name)
+        if abs(rebuilt - saved) > 1e-12 * max(1.0, abs(saved)):
+            raise ValueError(f"{directory}: sidecar {name} {saved!r} disagrees "
+                             f"with rebuilt state ({rebuilt!r})")
     return state

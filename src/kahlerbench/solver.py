@@ -270,6 +270,13 @@ def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
 def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
                f: np.ndarray, log_c: float, newton_steps: int = 0,
                refine: int = None) -> ContinuityState:
+    """Diagnose one solved state of the path from (epsilon, v).
+
+    g_eps is formed once and shared by every diagnostic.  With refine > 1
+    (the default for n <= 2) the Ricci residual is the dealiased one, whose
+    fine background omega.refined(refine) is built once per field, so the
+    states of a path and any reloaded state reuse it.
+    """
     grid = omega.grid
     g_eps = epsilon * omega.g + grid.complex_hessian(v)
     u = f + v
@@ -277,7 +284,7 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
     if refine is None:
         refine = 2 if grid.n <= 2 else 1
     if refine > 1:
-        ricci_sup = ricci_residual_dealiased(omega, epsilon, v, pad=refine)
+        ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps, pad=refine)
     else:
         ricci_sup = ricci_residual_of(g_eps, epsilon, omega)
     return ContinuityState(
@@ -352,7 +359,7 @@ def ricci_residual(state: ContinuityState, omega: TorusMetricField) -> float:
 
 
 def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
-                             v: np.ndarray, pad: int = 2) -> float:
+                             v: np.ndarray, g_eps: np.ndarray, pad: int = 2) -> float:
     """Ricci identity residual with the determinant evaluated dealiased.
 
     On the solve grid the raw residual is the spectral Hessian of the
@@ -364,10 +371,14 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     the solve grid cannot represent, so the value measures genuine
     discretization error and decays at the spectral rate under grid
     refinement.
+
+    The fine background is omega.refined(pad), built once per field and
+    shared by every state of a path; g_eps = eps*omega.g + Hess v is the
+    state's metric on the solve grid, as make_state computes it.
     """
     grid = omega.grid
-    fine = TorusGrid(grid.n, pad * grid.N)
-    omega_fine = TorusMetricField(fine, grid.prolong(omega.psi, fine))
+    omega_fine = omega.refined(pad)
+    fine = omega_fine.grid
     v_fine = grid.prolong(np.asarray(v, dtype=float), fine)
     g_eps_fine = epsilon * omega_fine.g + fine.complex_hessian(v_fine)
     det = np.linalg.det(g_eps_fine).real
@@ -375,7 +386,6 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
         raise PositivityLoss("state metric degenerate on the dealiasing grid")
     ldg = fine.restrict(np.log(det), grid)
     ric = -grid.complex_hessian(ldg)
-    g_eps = epsilon * omega.g + grid.complex_hessian(np.asarray(v, dtype=float))
     resid = ric + g_eps - epsilon * omega.g
     return float(np.max(np.abs(resid)))
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import sympy as sp
 
-from .curvature import curvature_field, curvature_tensor, hsc, hsc_extremes, kappa_floor
+from .curvature import (curvature_field, curvature_tensor, hsc, hsc_extremes, kappa_floor,
+                        sweep_hsc_extremes)
 from .errors import DimensionMismatch
 from .fields import ChartMetricField, TorusMetricField, metric_from_potential
 from .grids import ChartGeometry, TorusGrid
@@ -260,14 +261,10 @@ def rough_torus_potential(grid: TorusGrid, amplitude: float,
 
 
 def _sweep_hsc_range(metric_field, num_directions=600, refine_steps=25):
-    from .curvature import default_sweep_points
-
-    lo, hi = np.inf, -np.inf
-    for p in default_sweep_points(metric_field, max_points=64):
-        ext = hsc_extremes(metric_field, p, num_directions, refine_steps)
-        lo = min(lo, ext.h_min)
-        hi = max(hi, ext.h_max)
-    return lo, hi
+    exts = list(sweep_hsc_extremes(metric_field, max_points=64,
+                                   num_directions=num_directions,
+                                   refine_steps=refine_steps))
+    return min(e.h_min for e in exts), max(e.h_max for e in exts)
 
 
 def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:

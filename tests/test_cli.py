@@ -11,6 +11,8 @@ import pytest
 
 from kahlerbench.cli import (
     DEFAULTS,
+    RUNNERS,
+    _row,
     _apply_overrides,
     build_parser,
     load_config,
@@ -138,6 +140,8 @@ def test_solve_ma_pipeline_writes_artifacts(tmp_path):
     meta = read_json(out / "meta.json")
     assert meta["pipelines"] == ["solve-ma"]
     assert meta["seconds"] > 0.0
+    assert list(meta["pipeline_seconds"]) == ["solve-ma"]
+    assert 0.0 < meta["pipeline_seconds"]["solve-ma"] <= meta["seconds"]
 
 
 def test_verify_inequalities_is_deterministic_for_fixed_seed(tmp_path):
@@ -196,3 +200,18 @@ def test_out_directory_falls_back_to_environment(tmp_path, monkeypatch):
     rc, _, _ = run_cli(["solve-ma", "--grid", "16"])
     assert rc == 0
     assert (target / "solve-ma" / "summary.json").exists()
+
+
+def test_failure_rows_print_their_cause(tmp_path, monkeypatch):
+    note = "line search stalled at residual 3.450e-10 at eps=0.00390625"
+
+    def failing(cfg, out_dir, seed):
+        return [_row("continuity-path", "solve", "fail", note=note)], []
+
+    monkeypatch.setitem(RUNNERS, "continuity-path", failing)
+    rc, printed, _ = run_cli(["continuity-path", "--out", str(tmp_path)])
+    assert rc == 1
+    (line,) = [l for l in printed.splitlines() if l.startswith("solve ")]
+    assert line.split()[1] == "fail"
+    assert line.endswith(note)
+    assert list(read_json(tmp_path / "meta.json")["pipeline_seconds"]) == ["continuity-path"]

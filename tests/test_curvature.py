@@ -24,6 +24,7 @@ from kahlerbench.curvature import (
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.linalg import Direction
+from kahlerbench.zoo import perturbed_torus_potential
 
 
 def random_pd(n, rng, scale=0.3):
@@ -169,6 +170,28 @@ def test_kappa_floor_signs():
     grid = TorusGrid(1, 16)
     flat = TorusMetricField(grid, np.zeros(grid.shape))
     assert kappa_floor(flat, points=[[0.0, 0.0]], num_directions=10) <= 1e-12
+
+
+def _strided_grid_points(grid, stride):
+    axes = [grid.axis_coords[::stride]] * (2 * grid.n)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+@pytest.mark.parametrize("n, N, amplitude, stride", [
+    (2, 12, 0.01, 4),  # 81 of 12^4 points
+    (1, 16, 0.01, 1),  # all 256 points
+    (1, 16, 0.0, 1),   # flat torus
+])
+def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride):
+    grid = TorusGrid(n, N)
+    field = TorusMetricField(grid, perturbed_torus_potential(grid, amplitude))
+    points = _strided_grid_points(grid, stride)
+    swept = kappa_floor(field, num_directions=300, refine_steps=20)
+    pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
+    assert swept == pytest.approx(pointwise, rel=0.0, abs=1e-12)
+    if amplitude == 0.0:
+        assert abs(swept) <= 1e-12
 
 
 def test_kronecker_directions_are_deterministic_unit_gauged():

@@ -207,6 +207,7 @@ def test_state_round_trip(tmp_path, solved):
     assert rebuilt.log_c_bound == state.log_c_bound
     assert rebuilt.ricci_residual_sup == pytest.approx(state.ricci_residual_sup,
                                                        rel=1e-9)
+    assert rebuilt.newton_steps == state.newton_steps > 0
 
 
 def test_load_state_rejects_wrong_field_kind(tmp_path, solved):
@@ -236,4 +237,15 @@ def test_load_state_detects_tampered_sidecar(tmp_path, solved):
     diag["sup_u"] += 1e-6
     write_json(target / "diagnostics.json", diag)
     with pytest.raises(ValueError, match="sup_u"):
+        load_state(target, omega)
+
+
+def test_load_state_detects_tampered_ricci_residual(tmp_path, solved):
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    diag = read_json(target / "diagnostics.json")
+    diag["ricci_residual_sup"] = 2.0 * diag["ricci_residual_sup"] + 1e-6
+    write_json(target / "diagnostics.json", diag)
+    with pytest.raises(ValueError, match="ricci_residual_sup"):
         load_state(target, omega)

@@ -6,6 +6,7 @@ import pytest
 from kahlerbench.errors import DimensionMismatch, NonConvergence, PositivityLoss
 from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
+from kahlerbench.io import load_state, save_state
 from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
@@ -210,7 +211,7 @@ def test_ricci_residual_flat_is_zero():
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     state = continuity_path(omega, [0.5])[0]
     assert ricci_residual(state, omega) < 1e-12
-    assert ricci_residual_dealiased(omega, 0.5, state.v) < 1e-12
+    assert ricci_residual_dealiased(omega, 0.5, state.v, state.g_eps) < 1e-12
 
 
 def test_ricci_residual_detects_corruption():
@@ -242,7 +243,40 @@ def test_make_state_refine_selects_instrument():
         ricci_residual(state, omega), rel=1e-12)
     dealiased = make_state(omega, 1.0, state.v, state.f, state.log_c_bound, refine=2)
     assert dealiased.ricci_residual_sup == pytest.approx(
-        ricci_residual_dealiased(omega, 1.0, state.v, pad=2), rel=1e-12)
+        ricci_residual_dealiased(omega, 1.0, state.v, state.g_eps, pad=2), rel=1e-12)
+
+
+def _dealiased_from_scratch(omega, state, pad=2):
+    grid = omega.grid
+    fine = TorusGrid(grid.n, pad * grid.N)
+    omega_fine = TorusMetricField(fine, grid.prolong(omega.psi, fine))
+    g_eps_fine = state.epsilon * omega_fine.g + fine.complex_hessian(
+        grid.prolong(state.v, fine))
+    ldg = fine.restrict(np.log(np.linalg.det(g_eps_fine).real), grid)
+    g_eps = state.epsilon * omega.g + grid.complex_hessian(state.v)
+    resid = -grid.complex_hessian(ldg) + g_eps - state.epsilon * omega.g
+    return float(np.max(np.abs(resid)))
+
+
+def test_fine_reference_is_built_once_per_field(tmp_path, monkeypatch):
+    grid = TorusGrid(1, 16)
+    omega = TorusMetricField(grid, cosine_potential(grid, 0.05))
+    built = []
+    init = TorusMetricField.__init__
+
+    def counting_init(self, grid, psi):
+        built.append(grid.N)
+        init(self, grid, psi)
+
+    monkeypatch.setattr(TorusMetricField, "__init__", counting_init)
+    states = continuity_path(omega, [1.0, 0.5, 0.25], tol=1e-10)
+    save_state(tmp_path / "s", states[-1], grid)
+    loaded = load_state(tmp_path / "s", omega)
+    monkeypatch.undo()
+    assert built == [32]
+    assert omega.refined(2) is omega.refined(2)
+    for state in states + [loaded]:
+        assert state.ricci_residual_sup == _dealiased_from_scratch(omega, state)
 
 
 def test_volume_ratio_ceiling_flat_scaling():
