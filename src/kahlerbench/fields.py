@@ -22,15 +22,13 @@ round-trips literal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import sympy as sp
 
 from .errors import DimensionMismatch, PositivityLoss
-from .grids import ChartGeometry, TorusGrid
-from .linalg import HermitianMetric
+from .grids import ChartGeometry, TorusGrid, real_pair_symmetrize
 
 # Per-point positivity guard for metric fields: smallest eigenvalue must
 # exceed this multiple of the largest at the same point.
@@ -92,10 +90,6 @@ class TorusMetricField:
         return self.grid.fft(self.psi)
 
     @cached_property
-    def g_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
-
-    @cached_property
     def det_g(self) -> np.ndarray:
         return np.linalg.det(self.g).real
 
@@ -144,9 +138,6 @@ class TorusMetricField:
                     out[i, i] = out[i, i].real
         return out
 
-    def metric_at(self, point) -> HermitianMetric:
-        return HermitianMetric.from_matrix(self.metric_matrix_at(point), atol=1e-9)
-
     def dg_at(self, point) -> np.ndarray:
         p = self._point(point)[None, :]
         n, grid = self.n, self.grid
@@ -174,7 +165,7 @@ class TorusMetricField:
                 * grid.dzbar_multiplier(l)
             )
             out[i, j, k, l] = grid.eval_spectral(coeff, p)[0]
-        return out
+        return real_pair_symmetrize(out)
 
     def ricci_at(self, point) -> np.ndarray:
         from .curvature import ricci_from_derivatives
@@ -189,6 +180,11 @@ class ChartMetricField:
     The potential is a sympy expression in 2n symbols: z_1..z_n and their
     formal conjugates.  Reality of the potential is the caller's promise;
     a Hermitian-drift check on the evaluated metric catches violations.
+
+    The metric jet (g, dg, ddg) is derived once per field: each partial of
+    the potential is one sp.diff of the memoized partial one order lower,
+    and all n^2 + n^3 + n^4 entries go into one common-subexpression-
+    eliminated lambdified function, built on the first query.
     """
 
     kind = "analytic-chart"
@@ -204,23 +200,34 @@ class ChartMetricField:
             raise DimensionMismatch(
                 f"need {self.n} holomorphic and {self.n} antiholomorphic symbols"
             )
-        self._lambdas = {}
+        self._partials = {(): self.potential}
 
-    def _derivative(self, alpha, beta):
-        """Lambdified d^{|alpha|+|beta|} potential / dz^alpha dzbar^beta."""
-        key = (tuple(alpha), tuple(beta))
-        fn = self._lambdas.get(key)
-        if fn is None:
-            expr = self.potential
-            for i, a in enumerate(alpha):
-                if a:
-                    expr = sp.diff(expr, self.z[i], a)
-            for j, b in enumerate(beta):
-                if b:
-                    expr = sp.diff(expr, self.zbar[j], b)
-            fn = sp.lambdify(self.z + self.zbar, expr, modules="numpy")
-            self._lambdas[key] = fn
-        return fn
+    def _partial(self, variables: tuple) -> sp.Expr:
+        """The potential differentiated in each of `variables`, in order.
+
+        One sp.diff of the memoized partial in variables[:-1].
+        """
+        expr = self._partials.get(variables)
+        if expr is None:
+            expr = sp.diff(self._partial(variables[:-1]), variables[-1])
+            self._partials[variables] = expr
+        return expr
+
+    @cached_property
+    def _jet_fn(self):
+        """One lambdified function of (z, zbar) returning g, dg, ddg flattened."""
+        z, zb, r = self.z, self.zbar, range(self.n)
+
+        def d(hol, anti):  # partials commute: one canonical order per entry
+            return self._partial(tuple(z[i] for i in sorted(hol))
+                                 + tuple(zb[j] for j in sorted(anti)))
+
+        exprs = (
+            [d((i,), (j,)) for i, j in itertools.product(r, r)]
+            + [d((i, k), (j,)) for i, j, k in itertools.product(r, r, r)]
+            + [d((i, k), (j, l)) for i, j, k, l in itertools.product(r, r, r, r)]
+        )
+        return sp.lambdify(z + zb, exprs, modules="numpy", cse=True)
 
     def _point(self, point) -> np.ndarray:
         z = np.asarray(point, dtype=complex).reshape(-1)
@@ -230,29 +237,22 @@ class ChartMetricField:
             raise ValueError(f"point {z} outside the trusted chart region")
         return z
 
-    def _eval(self, alpha, beta, z: np.ndarray) -> complex:
-        args = tuple(z) + tuple(np.conj(z))
-        return complex(self._derivative(alpha, beta)(*args))
+    def _eval(self, z: np.ndarray):
+        """(g, dg, ddg) at a validated point, g unchecked."""
+        n = self.n
+        flat = np.asarray(self._jet_fn(*z, *np.conj(z)), dtype=complex)
+        g = flat[: n**2].reshape(n, n)
+        dg = flat[n**2 : n**2 + n**3].reshape(n, n, n)
+        ddg = flat[n**2 + n**3 :].reshape(n, n, n, n)
+        return g, dg, ddg
 
     def trusted(self, point) -> bool:
         z = np.asarray(point, dtype=complex).reshape(-1)
         return self.geometry.trusted(z)
 
-    def _unit(self, i):
-        e = [0] * self.n
-        e[i] = 1
-        return tuple(e)
-
     def metric_matrix_at(self, point) -> np.ndarray:
         z = self._point(point)
-        n = self.n
-        g = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            ei = self._unit(i)
-            for j in range(i, n):
-                val = self._eval(ei, self._unit(j), z)
-                g[i, j] = val
-                g[j, i] = np.conj(val)
+        g = self._eval(z)[0]
         scale = max(1.0, float(np.max(np.abs(g))))
         drift = float(np.max(np.abs(g - g.conj().T)))
         if drift > 1e-9 * scale:
@@ -269,33 +269,11 @@ class ChartMetricField:
             )
         return g
 
-    def metric_at(self, point) -> HermitianMetric:
-        return HermitianMetric.from_matrix(self.metric_matrix_at(point), atol=1e-9)
-
     def dg_at(self, point) -> np.ndarray:
-        z = self._point(point)
-        n = self.n
-        out = np.empty((n, n, n), dtype=complex)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[k] += 1
-            out[i, j, k] = self._eval(tuple(alpha), self._unit(j), z)
-        return out
+        return self._eval(self._point(point))[1]
 
     def ddg_at(self, point) -> np.ndarray:
-        z = self._point(point)
-        n = self.n
-        out = np.empty((n, n, n, n), dtype=complex)
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[k] += 1
-            beta = [0] * n
-            beta[j] += 1
-            beta[l] += 1
-            out[i, j, k, l] = self._eval(tuple(alpha), tuple(beta), z)
-        return out
+        return self._eval(self._point(point))[2]
 
     def ricci_at(self, point) -> np.ndarray:
         from .curvature import ricci_from_derivatives

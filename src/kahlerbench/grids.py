@@ -28,6 +28,17 @@ from .errors import DimensionMismatch
 _MAX_DIM = 3
 
 
+def real_pair_symmetrize(Q: np.ndarray) -> np.ndarray:
+    """Project Q[..., i, j, k, l] onto Q[i, j, k, l] = conj(Q[j, i, l, k]).
+
+    The fourth derivatives of a real potential have this symmetry exactly;
+    spectral round-off breaks it by an amount that grows with N, enough to
+    trip the curvature symmetry check on fine grids.
+    """
+    pair = np.conj(np.swapaxes(np.swapaxes(Q, -4, -3), -2, -1))
+    return (Q + pair) / 2.0
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid on an n-dimensional complex torus."""
@@ -157,7 +168,7 @@ class TorusGrid:
                     Fijk = Fij * self.dz_multiplier(k)
                     for l in range(n):
                         Q[..., i, j, k, l] = self.ifft(Fijk * self.dzbar_multiplier(l))
-        return Q
+        return real_pair_symmetrize(Q)
 
     def mean(self, f: np.ndarray) -> float:
         """Torus average; the trapezoid rule is exact on periodic data."""
@@ -230,10 +241,6 @@ class TorusGrid:
         spec = letters + "," + ",".join("m" + c for c in letters) + "->m"
         vals = np.einsum(spec, F, *phases, optimize=True)
         return vals / self.num_points
-
-    def eval_at(self, f: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolation of a grid field at arbitrary points."""
-        return self.eval_spectral(self.fft(f), points)
 
 
 @dataclass(frozen=True)

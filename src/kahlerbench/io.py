@@ -72,26 +72,6 @@ def load_scalar_field(path):
     return grid, data, CODE_KINDS[kind_code]
 
 
-def scalar_field_to_csv(path, grid: TorusGrid, data: np.ndarray,
-                        value_name: str = "value") -> None:
-    """Tidy CSV: one row per grid point, index and coordinate columns."""
-    data = np.asarray(data)
-    if data.shape != grid.shape:
-        raise ValueError(f"data shape {data.shape} != grid shape {grid.shape}")
-    axes = 2 * grid.n
-    idx_cols = [f"i{a}" for a in range(axes)]
-    coord_cols = []
-    for j in range(grid.n):
-        coord_cols.extend((f"x{j + 1}", f"y{j + 1}"))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(idx_cols + coord_cols + [value_name])
-        for index in np.ndindex(grid.shape):
-            coords = [grid.axis_coords[a] for a in index]
-            writer.writerow(list(index) + [f"{c:.12g}" for c in coords]
-                            + [f"{data[index]:.17g}"])
-
-
 def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -354,10 +354,6 @@ def ricci_residual_of(g_eps: np.ndarray, epsilon: float,
     return float(np.max(np.abs(resid)))
 
 
-def ricci_residual(state: ContinuityState, omega: TorusMetricField) -> float:
-    return ricci_residual_of(state.g_eps, state.epsilon, omega)
-
-
 def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
                              v: np.ndarray, g_eps: np.ndarray, pad: int = 2) -> float:
     """Ricci identity residual with the determinant evaluated dealiased.

@@ -194,6 +194,18 @@ def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride)
         assert abs(swept) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [64, 128])
+def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
+    # FFT round-off breaks ddg[i,j,k,l] = conj(ddg[j,i,l,k]) by an amount
+    # growing with N; both routes project it away before the symmetry check.
+    grid = TorusGrid(1, N)
+    field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    swept = kappa_floor(field, num_directions=300, refine_steps=20)
+    points = _strided_grid_points(grid, N // 16)  # the sweep's 256 points
+    pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
+    assert swept == pytest.approx(pointwise, rel=0.0, abs=1e-8)
+
+
 def test_kronecker_directions_are_deterministic_unit_gauged():
     a = kronecker_directions(3, 400)
     b = kronecker_directions(3, 400)

@@ -1,9 +1,12 @@
 """Metric fields from potentials: grid-sampled and closed-form charts."""
 
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from kahlerbench.curvature import curvature_tensor
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import (
     ChartMetricField,
@@ -11,7 +14,7 @@ from kahlerbench.fields import (
     metric_from_potential,
 )
 from kahlerbench.grids import ChartGeometry, TorusGrid
-from kahlerbench.linalg import HermitianMetric
+from kahlerbench.zoo import make_example
 
 
 def single_mode_potential(grid, amplitude):
@@ -41,7 +44,7 @@ def test_metric_matches_manual_hessian():
     want = 1.0 - np.pi**2 * a * np.broadcast_to(np.cos(2.0 * np.pi * x), grid.shape)
     assert np.max(np.abs(field.g[..., 0, 0] - want)) < 1e-13
     assert np.max(np.abs(field.det_g - want)) < 1e-13
-    assert np.max(np.abs(field.g_inv[..., 0, 0] - 1.0 / want)) < 1e-13
+    assert np.max(np.abs(np.linalg.inv(field.g)[..., 0, 0] - 1.0 / want)) < 1e-13
 
 
 def test_potential_mean_is_gauge():
@@ -79,9 +82,9 @@ def test_pointwise_ricci_matches_spectral_ricci():
 def test_metric_at_returns_validated_metric():
     grid = TorusGrid(1, 16)
     field = TorusMetricField(grid, single_mode_potential(grid, 0.01))
-    m = field.metric_at([0.23, 0.51])
-    assert isinstance(m, HermitianMetric)
-    assert m.entries[0, 0].real == pytest.approx(
+    m = field.metric_matrix_at([0.23, 0.51])
+    assert m.shape == (1, 1) and m[0, 0].imag == 0.0
+    assert m[0, 0].real == pytest.approx(
         1.0 - np.pi**2 * 0.01 * np.cos(2.0 * np.pi * 0.23), abs=1e-12
     )
 
@@ -179,3 +182,68 @@ def test_metric_from_potential_dispatch():
         metric_from_potential(geo, z * zb)  # symbols missing
     with pytest.raises(TypeError):
         metric_from_potential(42, None)
+
+
+# -- chart metric jet --------------------------------------------------------------
+
+
+def _exact_jet(psi, z, zb, point):
+    """g, dg, ddg by sympy differentiation straight from the potential,
+    evaluated to 30 digits at an exact point."""
+    n = len(z)
+    subs = {}
+    for i, p in enumerate(point):
+        subs[z[i]] = p
+        subs[zb[i]] = sp.conjugate(p)
+
+    @functools.cache
+    def partial(hol, anti):
+        variables = [z[i] for i in hol] + [zb[j] for j in anti]
+        return complex(sp.N(sp.diff(psi, *variables), 30, subs=subs))
+
+    def value(hol, anti):  # partials commute
+        return partial(tuple(sorted(hol)), tuple(sorted(anti)))
+
+    r = range(n)
+    g = np.array([[value((i,), (j,)) for j in r] for i in r])
+    dg = np.array([[[value((i, k), (j,)) for k in r] for j in r] for i in r])
+    ddg = np.array([[[[value((i, k), (j, l)) for l in r] for k in r]
+                     for j in r] for i in r])
+    return g, dg, ddg
+
+
+@pytest.mark.parametrize("name, params, point", [
+    ("fubini-study", dict(n=2),
+     (sp.Rational(1, 10) + sp.I / 5, sp.Rational(1, 4) - sp.I / 10)),
+    ("fermat-chart", dict(degree=5),
+     (sp.Rational(1, 10) + sp.I / 20, -sp.Rational(2, 25) + sp.I * sp.Rational(3, 25))),
+])
+def test_chart_jet_matches_exact_sympy(name, params, point):
+    field = make_example(name, **params).field
+    want = _exact_jet(field.potential, field.z, field.zbar, point)
+    z = np.array([complex(p) for p in point])
+    got = (field.metric_matrix_at(z), field.dg_at(z), field.ddg_at(z))
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_chart_lambdifies_once_per_field(monkeypatch):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    for name, params in (("fubini-study", dict(n=2)), ("poincare-disk", dict(scale=1.5))):
+        example = make_example(name, **params)
+        field = example.field
+        calls.clear()
+        for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
+            field.metric_matrix_at(z)
+            field.dg_at(z)
+            field.ddg_at(z)
+            field.ricci_at(z)
+            curvature_tensor(field, z)
+        assert len(calls) == 1

@@ -193,7 +193,7 @@ def test_eval_at_reproduces_grid_samples_and_analytic_values():
     grid = TorusGrid(1, 16)
     f = 0.5 * cosine_mode(grid, 3, axis=0)
     pts = np.array([[0.125, 0.0], [0.3141, 0.77]])
-    vals = grid.eval_at(f, pts)
+    vals = grid.eval_spectral(grid.fft(f), pts)
     want = 0.5 * np.cos(6.0 * np.pi * pts[:, 0])
     assert np.max(np.abs(vals - want)) < 1e-12
 
@@ -201,7 +201,7 @@ def test_eval_at_reproduces_grid_samples_and_analytic_values():
 def test_eval_at_validates_point_shape():
     grid = TorusGrid(1, 8)
     with pytest.raises(DimensionMismatch):
-        grid.eval_at(np.zeros(grid.shape), np.zeros((3, 5)))
+        grid.eval_spectral(grid.fft(np.zeros(grid.shape)), np.zeros((3, 5)))
 
 
 # -- chart geometry ---------------------------------------------------------------

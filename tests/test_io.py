@@ -20,7 +20,6 @@ from kahlerbench.io import (
     rows_to_csv,
     save_scalar_field,
     save_state,
-    scalar_field_to_csv,
     write_json,
     write_reports_jsonl,
 )
@@ -107,25 +106,6 @@ def test_header_layout_is_stable(tmp_path, grid, field):
 
 
 # -- CSV / JSON ---------------------------------------------------------------
-
-
-def test_scalar_field_csv_is_tidy_and_lossless(tmp_path, grid, field):
-    path = tmp_path / "field.csv"
-    scalar_field_to_csv(path, grid, field, value_name="psi")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == grid.num_points
-    assert list(rows[0]) == ["i0", "i1", "x1", "y1", "psi"]
-    for row in rows[:: 7]:
-        i, j = int(row["i0"]), int(row["i1"])
-        assert float(row["psi"]) == field[i, j]  # %.17g round trips float64
-        assert float(row["x1"]) == pytest.approx(grid.axis_coords[i], abs=1e-12)
-        assert float(row["y1"]) == pytest.approx(grid.axis_coords[j], abs=1e-12)
-
-
-def test_scalar_field_csv_rejects_bad_shape(tmp_path, grid, field):
-    with pytest.raises(ValueError, match="shape"):
-        scalar_field_to_csv(tmp_path / "bad.csv", grid, field[:2])
 
 
 def test_json_round_trip(tmp_path):
