@@ -49,15 +49,7 @@ from .integrals import (
     volume,
     wedge_integral,
 )
-from .linalg import (
-    Direction,
-    HermitianMetric,
-    SigmaVector,
-    newton_maclaurin_margin,
-    relative_eigenvalues,
-    sigma_ratios,
-    trace_s,
-)
+from .linalg import Direction
 from .solver import (
     ContinuityState,
     MAProblem,
@@ -76,7 +68,6 @@ __all__ = [
     "ContinuityState",
     "Direction",
     "DimensionMismatch",
-    "HermitianMetric",
     "HscExtremes",
     "InequalityReport",
     "KahlerCurvature",
@@ -84,7 +75,6 @@ __all__ = [
     "NonConvergence",
     "PositivityLoss",
     "SchwarzHypotheses",
-    "SigmaVector",
     "TorusGrid",
     "TorusMetricField",
     "bigness_bound_report",
@@ -106,15 +96,11 @@ __all__ = [
     "metric_from_potential",
     "mixed_determinants",
     "nef_lower_bound_check",
-    "newton_maclaurin_margin",
-    "relative_eigenvalues",
     "ricci_form",
     "ricci_term_margin",
     "royden_margin",
     "schwarz_conclusion_check",
-    "sigma_ratios",
     "solve_ma",
-    "trace_s",
     "verify_example_facts",
     "volume",
     "wedge_integral",

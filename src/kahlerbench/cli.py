@@ -87,7 +87,6 @@ DEFAULTS = {
     "tolerances": {
         "algebraic": 1e-9,
         "fd": 1e-6,
-        "solver": 1e-10,
         "ricci_residual": 1e-6,
         "integral": 1e-8,
     },

@@ -105,8 +105,7 @@ class KahlerCurvature:
 
 def curvature_tensor(field, point) -> KahlerCurvature:
     """Curvature of a metric field at a point (either substrate)."""
-    g = field.metric_matrix_at(point)
-    return KahlerCurvature.from_derivatives(g, field.dg_at(point), field.ddg_at(point))
+    return KahlerCurvature.from_derivatives(*field.jet_at(point))
 
 
 def curvature_field(field) -> np.ndarray:

@@ -5,6 +5,7 @@ A metric field knows how to produce, at any admissible point P:
     metric_matrix_at(P)   the matrix g_{i jbar}(P)
     dg_at(P)[i, j, k]     d g_{i jbar} / dz^k
     ddg_at(P)[i, j, k, l] d^2 g_{i jbar} / dz^k dzbar^l
+    jet_at(P)             the three above, (g, dg, ddg), in one query
     ricci_at(P)           the Ricci form -dd^c log det g as a matrix
 
 On the periodic torus the metric is flat + complex Hessian of a real
@@ -29,23 +30,7 @@ import sympy as sp
 
 from .errors import DimensionMismatch, PositivityLoss
 from .grids import ChartGeometry, TorusGrid, real_pair_symmetrize
-
-# Per-point positivity guard for metric fields: smallest eigenvalue must
-# exceed this multiple of the largest at the same point.
-FIELD_PD_RTOL = 1e-10
-
-
-def _check_field_positivity(g: np.ndarray, describe_point):
-    w = np.linalg.eigvalsh(g)
-    ratio = w[..., 0] - FIELD_PD_RTOL * w[..., -1]
-    worst = np.unravel_index(np.argmin(ratio), ratio.shape)
-    if ratio[worst] <= 0.0 or w[worst][..., -1] <= 0.0:
-        raise PositivityLoss(
-            f"metric loses positivity at point {describe_point(worst)}: "
-            f"eigenvalues {w[worst]}",
-            point=describe_point(worst),
-            min_eigenvalue=float(w[worst][..., 0]),
-        )
+from .linalg import positivity
 
 
 class TorusMetricField:
@@ -62,7 +47,12 @@ class TorusMetricField:
         self.psi = psi - psi.mean()  # zero-mean gauge
         eye = np.eye(self.n, dtype=complex)
         self.g = eye + grid.complex_hessian(self.psi)
-        _check_field_positivity(self.g, lambda idx: idx)
+        ok, worst, w = positivity(self.g)
+        if not ok:
+            raise PositivityLoss(
+                f"metric loses positivity at point {worst}: eigenvalues {w}",
+                point=worst, min_eigenvalue=float(w[0]),
+            )
         self._refined = {}
 
     @property
@@ -167,11 +157,14 @@ class TorusMetricField:
             out[i, j, k, l] = grid.eval_spectral(coeff, p)[0]
         return real_pair_symmetrize(out)
 
+    def jet_at(self, point):
+        """(g, dg, ddg) at a point."""
+        return self.metric_matrix_at(point), self.dg_at(point), self.ddg_at(point)
+
     def ricci_at(self, point) -> np.ndarray:
         from .curvature import ricci_from_derivatives
 
-        g = self.metric_matrix_at(point)
-        return ricci_from_derivatives(g, self.dg_at(point), self.ddg_at(point))
+        return ricci_from_derivatives(*self.jet_at(point))
 
 
 class ChartMetricField:
@@ -250,9 +243,14 @@ class ChartMetricField:
         z = np.asarray(point, dtype=complex).reshape(-1)
         return self.geometry.trusted(z)
 
-    def metric_matrix_at(self, point) -> np.ndarray:
+    def jet_at(self, point):
+        """(g, dg, ddg) at a point from one evaluation of the jet.
+
+        g is checked Hermitian (drift up to 1e-9 relative, then symmetrized)
+        and positive definite.
+        """
         z = self._point(point)
-        g = self._eval(z)[0]
+        g, dg, ddg = self._eval(z)
         scale = max(1.0, float(np.max(np.abs(g))))
         drift = float(np.max(np.abs(g - g.conj().T)))
         if drift > 1e-9 * scale:
@@ -261,13 +259,16 @@ class ChartMetricField:
                 "is the potential real?"
             )
         g = (g + g.conj().T) / 2.0
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= FIELD_PD_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
+        ok, _, w = positivity(g)
+        if not ok:
             raise PositivityLoss(
                 f"metric loses positivity at {z}: eigenvalues {w}",
                 point=tuple(z), min_eigenvalue=float(w[0]),
             )
-        return g
+        return g, dg, ddg
+
+    def metric_matrix_at(self, point) -> np.ndarray:
+        return self.jet_at(point)[0]
 
     def dg_at(self, point) -> np.ndarray:
         return self._eval(self._point(point))[1]
@@ -278,8 +279,7 @@ class ChartMetricField:
     def ricci_at(self, point) -> np.ndarray:
         from .curvature import ricci_from_derivatives
 
-        g = self.metric_matrix_at(point)
-        return ricci_from_derivatives(g, self.dg_at(point), self.ddg_at(point))
+        return ricci_from_derivatives(*self.jet_at(point))
 
 
 MetricField = TorusMetricField | ChartMetricField

@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-
-_MAX_DIM = 3
+from .linalg import MAX_DIM
 
 
 def real_pair_symmetrize(Q: np.ndarray) -> np.ndarray:
@@ -47,8 +46,8 @@ class TorusGrid:
     N: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= _MAX_DIM:
-            raise DimensionMismatch(f"complex dimension {self.n} outside 1..{_MAX_DIM}")
+        if not 1 <= self.n <= MAX_DIM:
+            raise DimensionMismatch(f"complex dimension {self.n} outside 1..{MAX_DIM}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 8, got {self.N}")
 
@@ -257,8 +256,8 @@ class ChartGeometry:
     center: tuple = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= _MAX_DIM:
-            raise DimensionMismatch(f"complex dimension {self.n} outside 1..{_MAX_DIM}")
+        if not 1 <= self.n <= MAX_DIM:
+            raise DimensionMismatch(f"complex dimension {self.n} outside 1..{MAX_DIM}")
         radii = tuple(float(r) for r in np.atleast_1d(self.radii))
         if len(radii) == 1:
             radii = radii * self.n

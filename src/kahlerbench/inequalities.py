@@ -288,9 +288,7 @@ def laplacian_identity_check(omega, omega_prime, point, fd_step: float = 0.01,
 
     n = omega.n
     point = np.asarray(point, dtype=float).reshape(-1)
-    gp = omega_prime.metric_matrix_at(point)
-    dgp = omega_prime.dg_at(point)
-    ddgp = omega_prime.ddg_at(point)
+    gp, dgp, ddgp = omega_prime.jet_at(point)
 
     d, U = np.linalg.eigh(gp)
     ric = ricci_from_derivatives(gp, dgp, ddgp)
@@ -352,9 +350,9 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
             f"HSC hypothesis fails: max H {ext.h_max:.6g} > -kappa {-hyp.kappa:.6g}",
             point=_coords_for_field(omega, point),
         )
-    g = omega.metric_matrix_at(point)
-    gp = omega_prime.metric_matrix_at(point)
-    ric_p = omega_prime.ricci_at(point)
+    g = curv.g
+    gp, dgp, ddgp = omega_prime.jet_at(point)
+    ric_p = ricci_from_derivatives(gp, dgp, ddgp)
     W = ric_p + hyp.lam * gp - hyp.mu * g
     scale = max(1.0, float(np.max(np.abs(ric_p))), float(np.max(np.abs(gp))))
     wmin = float(np.linalg.eigvalsh(W)[0])

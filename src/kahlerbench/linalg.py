@@ -1,12 +1,15 @@
-"""Pointwise Hermitian algebra for metric pairs.
+"""Pointwise Hermitian algebra for metric pairs, batched over fields.
 
 Every (1,1)-form is represented by its Hermitian coefficient matrix in a
 fixed holomorphic frame; the flat form is the identity.  All comparisons
 between two metrics g, g' reduce to the relative eigenvalues of g^{-1}g',
 their elementary symmetric functions sigma_k, and the reverse trace
-S = tr_{g'} g.  Dimensions are capped at n = 3: everything downstream
-(subset expansions of mixed determinants, explicit e_k formulas) relies on
-that cap.
+S = tr_{g'} g.  Each function takes fields of shape (..., n, n) or
+eigenvalue tuples (..., n); a single matrix or tuple is a batch of one.
+This module also holds the one positive-definiteness policy (PD_RTOL,
+positivity) that every metric field and solver candidate is held to.
+Dimensions are capped at n = 3 (MAX_DIM): everything downstream (subset
+expansions of mixed determinants, explicit e_k formulas) relies on that cap.
 """
 
 from __future__ import annotations
@@ -15,82 +18,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, PositivityLoss
 
 MAX_DIM = 3
 
-# Relative positive-definiteness threshold: smallest eigenvalue must exceed
-# this multiple of the largest.  Scale-invariant, so metrics of any overall
-# size are treated alike.
-PD_RTOL = 1e-12
-
-# Hermitian-symmetry tolerance used by field-level code when it funnels
-# computed (not user-supplied) matrices through these types.
-HERM_ATOL = 1e-12
+# Relative positive-definiteness threshold: at every point the smallest
+# eigenvalue must exceed this multiple of the largest.  Scale-invariant, so
+# metrics of any overall size are treated alike.
+PD_RTOL = 1e-10
 
 
-def _as_square_complex(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
+def positivity(g: np.ndarray):
+    """Positive-definiteness check of a Hermitian matrix or field (..., n, n).
 
-
-@dataclass(frozen=True)
-class HermitianMetric:
-    """A positive-definite Hermitian matrix of size n <= 3.
-
-    Construction validates Hermitian symmetry exactly as stored and
-    positive definiteness (smallest eigenvalue > PD_RTOL * largest).
+    Returns (ok, worst, w): whether every point passes (smallest eigenvalue
+    > PD_RTOL * largest, largest > 0), the index of the point with the
+    smallest margin (() for a single matrix), and its ascending eigenvalues.
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        n = a.shape[0]
-        if not 1 <= n <= MAX_DIM:
-            raise DimensionMismatch(f"dimension {n} outside supported range 1..{MAX_DIM}")
-        if not np.array_equal(a, a.conj().T):
-            raise ValueError("matrix is not Hermitian (entries != conj(transpose))")
-        w = np.linalg.eigvalsh(a)
-        if w[0] <= PD_RTOL * max(w[-1], 0.0) or w[-1] <= 0.0:
-            raise PositivityLoss(
-                f"matrix is not positive definite (eigenvalues {w})",
-                min_eigenvalue=float(w[0]),
-            )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMetric":
-        return cls(np.eye(n))
-
-    @classmethod
-    def from_diagonal(cls, diag) -> "HermitianMetric":
-        return cls(np.diag(np.asarray(diag, dtype=float)).astype(complex))
-
-    @classmethod
-    def from_matrix(cls, entries, atol: float = HERM_ATOL) -> "HermitianMetric":
-        """Build from a numerically Hermitian matrix, symmetrizing drift <= atol.
-
-        For matrices produced by floating-point pipelines (FFT derivatives,
-        lambdified chart formulas) whose Hermitian symmetry holds only to
-        round-off.  User-supplied data should go through the constructor,
-        which demands exact symmetry.
-        """
-        a = _as_square_complex(entries)
-        drift = np.max(np.abs(a - a.conj().T))
-        if drift > atol:
-            raise ValueError(f"Hermitian drift {drift:.3e} exceeds atol={atol:.1e}")
-        return cls((a + a.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(g)
+    ratio = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
+    worst = np.unravel_index(np.argmin(ratio), ratio.shape)
+    w_worst = w[worst]
+    ok = bool(ratio[worst] > 0.0 and w_worst[-1] > 0.0)
+    return ok, worst, w_worst
 
 
 @dataclass(frozen=True)
@@ -112,43 +63,6 @@ class Direction:
     @property
     def n(self) -> int:
         return self.eta.size
-
-
-@dataclass(frozen=True)
-class SigmaVector:
-    """Elementary symmetric functions sigma_0..sigma_n of relative eigenvalues.
-
-    sigma_0 = 1 always; all entries positive for a positive-definite pair.
-    """
-
-    n: int
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=float)
-        if s.shape != (self.n + 1,):
-            raise DimensionMismatch(f"sigma must have length n+1={self.n + 1}, got {s.shape}")
-        if abs(s[0] - 1.0) > 1e-14:
-            raise ValueError(f"sigma_0 must be 1, got {s[0]}")
-        if np.any(s <= 0.0):
-            raise ValueError(f"sigma entries must be positive, got {s}")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
-
-    @classmethod
-    def from_eigenvalues(cls, lam) -> "SigmaVector":
-        lam = np.asarray(lam, dtype=float)
-        return cls(lam.size, elementary_symmetric(lam))
-
-
-def elementary_symmetric(lam: np.ndarray) -> np.ndarray:
-    """e_0..e_n of the values in lam (monic polynomial expansion)."""
-    lam = np.asarray(lam, dtype=float)
-    coeffs = np.array([1.0])
-    for x in lam:
-        coeffs = np.convolve(coeffs, np.array([1.0, x]))
-    return coeffs
 
 
 def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
@@ -173,29 +87,12 @@ def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_pair(gA: HermitianMetric, gB: HermitianMetric) -> int:
-    if gA.n != gB.n:
-        raise DimensionMismatch(f"dimension mismatch: {gA.n} vs {gB.n}")
-    return gA.n
-
-
-def relative_eigenvalues(gA: HermitianMetric, gB: HermitianMetric) -> np.ndarray:
-    """Eigenvalues of gA^{-1} gB, ascending.  All positive for a PD pair.
-
-    Solved as the generalized Hermitian problem gB v = lambda gA v
-    (Cholesky of gA, then a standard Hermitian eigensolve).
-    """
-    _check_pair(gA, gB)
-    lam = scipy.linalg.eigh(gB.entries, gA.entries, eigvals_only=True)
-    if lam[0] <= 0.0:
-        raise PositivityLoss(
-            f"relative eigenvalues not positive: {lam}", min_eigenvalue=float(lam[0])
-        )
-    return np.asarray(lam, dtype=float)
-
-
 def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
-    """Batched relative eigenvalues for matrix fields of shape (..., n, n)."""
+    """Eigenvalues of gA^{-1} gB, ascending, for fields of shape (..., n, n).
+
+    All positive for a positive-definite pair.  Computed as the Hermitian
+    eigenvalues of L^{-1} gB L^{-*} with gA = L L^* (Cholesky).
+    """
     gA = np.asarray(gA, dtype=complex)
     gB = np.asarray(gB, dtype=complex)
     if gA.shape != gB.shape:
@@ -206,34 +103,13 @@ def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(C)
 
 
-def sigma_ratios(gA: HermitianMetric, gB: HermitianMetric) -> SigmaVector:
-    """SigmaVector of the relative eigenvalues of (gA, gB).
-
-    sigma_k equals binom(n,k) * (gB^k wedge gA^{n-k}) / gA^n pointwise, i.e.
-    the elementary symmetric functions of gA^{-1} gB.
-    """
-    lam = relative_eigenvalues(gA, gB)
-    return SigmaVector(gA.n, elementary_symmetric(lam))
-
-
-def newton_maclaurin_margin(sigma: SigmaVector, k: int) -> float:
+def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:
     """Margin of the Newton-MacLaurin chain between levels n and k.
 
-    Returns (sigma_n/sigma_0)^{1/n} - (sigma_n / (sigma_k/binom(n,k)))^{1/(n-k)},
-    which is >= 0 for sigma vectors of positive eigenvalue tuples, with
-    equality exactly at equal eigenvalues.
+    Over eigenvalue tuples (..., n) returns
+    sigma_n^{1/n} - (sigma_n / (sigma_k/binom(n,k)))^{1/(n-k)}, which is >= 0
+    for positive tuples, with equality exactly at equal eigenvalues.
     """
-    n = sigma.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
-    s = sigma.sigma
-    lhs = (s[n] / s[0]) ** (1.0 / n)
-    rhs = (s[n] / (s[k] / math.comb(n, k))) ** (1.0 / (n - k))
-    return float(lhs - rhs)
-
-
-def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized Newton-MacLaurin margin over eigenvalue tuples (..., n)."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if not 1 <= k <= n - 1:
@@ -244,17 +120,12 @@ def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:
     return lhs - rhs
 
 
-def trace_s(g: HermitianMetric, g_prime: HermitianMetric) -> float:
-    """The reverse trace S = tr_{g'} g = sum of 1/lambda_i over relative eigenvalues.
-
-    Equals sigma_{n-1}/sigma_n of the (g, g') pair.
-    """
-    _check_pair(g, g_prime)
-    return float(np.trace(np.linalg.solve(g_prime.entries, g.entries)).real)
-
-
 def trace_s_field(g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
-    """Batched reverse trace for matrix fields of shape (..., n, n)."""
+    """Reverse trace S = tr_{g'} g for fields of shape (..., n, n).
+
+    Equals the sum of 1/lambda over the relative eigenvalues lambda of
+    (g, g'), i.e. sigma_{n-1}/sigma_n.
+    """
     g = np.asarray(g, dtype=complex)
     g_prime = np.asarray(g_prime, dtype=complex)
     if g.shape != g_prime.shape:

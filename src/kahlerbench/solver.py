@@ -30,8 +30,9 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, NonConvergence, PositivityLoss
-from .fields import FIELD_PD_RTOL, TorusMetricField
+from .fields import TorusMetricField
 from .grids import TorusGrid
+from .linalg import positivity as _positivity
 from .linalg import relative_eigenvalues_field, trace_s_field
 
 LINE_SEARCH_HALVINGS = 30
@@ -63,14 +64,6 @@ class MAProblem:
     @property
     def target(self) -> np.ndarray:
         return self.datum + self.reference.log_det_g
-
-
-def _positivity(M: np.ndarray):
-    w = np.linalg.eigvalsh(M)
-    ratio = w[..., 0] - FIELD_PD_RTOL * np.maximum(w[..., -1], 0.0)
-    worst = np.unravel_index(np.argmin(ratio), ratio.shape)
-    ok = ratio[worst] > 0.0 and w[worst][-1] > 0.0
-    return ok, worst, float(w[worst][0])
 
 
 def ma_log_residual(problem: MAProblem, v: np.ndarray, M: np.ndarray = None) -> np.ndarray:
@@ -142,11 +135,11 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
     t0 = time.perf_counter()
     history = []
     M = problem.alpha + grid.complex_hessian(v)
-    ok, worst, wmin = _positivity(M)
+    ok, worst, w = _positivity(M)
     if not ok:
         raise PositivityLoss(
             f"initial candidate not positive at grid index {worst}",
-            point=worst, min_eigenvalue=wmin,
+            point=worst, min_eigenvalue=float(w[0]),
         )
     r = ma_log_residual(problem, v, M)
     res = float(np.max(np.abs(r)))
@@ -168,9 +161,9 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
         for _ in range(LINE_SEARCH_HALVINGS + 1):
             v_try = v + t * delta
             M_try = problem.alpha + grid.complex_hessian(v_try)
-            ok, pt, wmin = _positivity(M_try)
+            ok, pt, w = _positivity(M_try)
             if not ok:
-                worst_pt, worst_eig = pt, wmin
+                worst_pt, worst_eig = pt, float(w[0])
                 t *= 0.5
                 continue
             any_positive = True

@@ -64,6 +64,11 @@ def test_load_config_rejects_unknown_keys_and_bad_types(tmp_path):
     with pytest.raises(jsonschema.ValidationError):
         load_config(bad_range)
 
+    removed_key = tmp_path / "removed_key.yaml"
+    removed_key.write_text("tolerances:\n  solver: 1.0e-10\n")
+    with pytest.raises(jsonschema.ValidationError):
+        load_config(removed_key)
+
 
 def test_flag_overrides_reach_every_consumer():
     args = build_parser().parse_args(

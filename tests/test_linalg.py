@@ -1,22 +1,22 @@
-"""Pointwise Hermitian algebra: eigenvalues, sigma vectors, trace bounds."""
+"""Pointwise Hermitian algebra: positivity, eigenvalues, sigma vectors, traces.
+
+Every function is batched over (..., n, n) fields or (..., n) tuples; the
+oracles are library routines applied one point at a time.
+"""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kahlerbench.errors import DimensionMismatch, PositivityLoss
+from kahlerbench.errors import DimensionMismatch
 from kahlerbench.linalg import (
+    PD_RTOL,
     Direction,
-    HermitianMetric,
-    SigmaVector,
-    elementary_symmetric,
     elementary_symmetric_field,
-    newton_maclaurin_margin,
     newton_maclaurin_margin_field,
-    relative_eigenvalues,
+    positivity,
     relative_eigenvalues_field,
-    sigma_ratios,
     simultaneous_frame,
-    trace_s,
     trace_s_field,
 )
 
@@ -26,42 +26,35 @@ def random_pd(rng, n, scale=1.0):
     return scale * (a @ a.conj().T) + 0.1 * np.eye(n)
 
 
-# -- constructors -------------------------------------------------------------
+def eigh_oracle(gA, gB):
+    return scipy.linalg.eigh(gB, gA, eigvals_only=True)
 
 
-def test_hermitian_metric_accepts_identity():
-    m = HermitianMetric.identity(3)
-    assert m.n == 3
-    assert np.array_equal(m.entries, np.eye(3))
+# -- positivity policy ----------------------------------------------------------
 
 
-def test_hermitian_metric_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        HermitianMetric(np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_positivity_threshold_single_and_batched():
+    rng = np.random.default_rng(31)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
 
+    def with_ratio(r):
+        return U @ np.diag([r * 4.0, 2.0, 4.0]) @ U.conj().T
 
-def test_hermitian_metric_rejects_indefinite():
-    with pytest.raises(PositivityLoss):
-        HermitianMetric.from_diagonal([1.0, -2.0])
+    bad, good = with_ratio(0.5 * PD_RTOL), with_ratio(2.0 * PD_RTOL)
+    ok, worst, w = positivity(bad)
+    assert not ok and worst == ()
+    assert w[0] == pytest.approx(2.0 * PD_RTOL, rel=1e-3)
+    assert positivity(good)[0]
+    ok, _, w = positivity(np.diag([1.0, -2.0]))
+    assert not ok and w[0] == -2.0
 
-
-def test_hermitian_metric_rejects_dimension_4():
-    with pytest.raises(DimensionMismatch):
-        HermitianMetric(np.eye(4))
-
-
-def test_from_matrix_symmetrizes_roundoff():
-    a = np.array([[2.0, 0.3 + 1e-14j], [0.3, 1.0]], dtype=complex)
-    m = HermitianMetric.from_matrix(a)
-    assert np.array_equal(m.entries, m.entries.conj().T)
-    with pytest.raises(ValueError, match="drift"):
-        HermitianMetric.from_matrix(a + np.array([[0, 1e-6], [0, 0]]))
-
-
-def test_hermitian_metric_entries_read_only():
-    m = HermitianMetric.identity(2)
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0
+    field = np.broadcast_to(good, (4, 5, 3, 3)).copy()
+    assert positivity(field)[0]
+    field[2, 3] = bad
+    ok, worst, w = positivity(field)
+    assert not ok
+    assert tuple(int(i) for i in worst) == (2, 3)
+    assert np.allclose(w, np.linalg.eigvalsh(bad))
 
 
 def test_direction_rejects_zero_vector():
@@ -70,30 +63,22 @@ def test_direction_rejects_zero_vector():
     assert Direction([1.0, 0.0]).n == 2
 
 
-def test_sigma_vector_validates_normalization():
-    with pytest.raises(ValueError, match="sigma_0"):
-        SigmaVector(2, np.array([2.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="positive"):
-        SigmaVector(2, np.array([1.0, -1.0, 1.0]))
-
-
 # -- elementary symmetric functions -------------------------------------------
 
 
 def test_elementary_symmetric_frozen_values():
-    assert np.allclose(elementary_symmetric(np.array([1.0, 4.0])), [1.0, 5.0, 4.0])
-    assert np.allclose(
-        elementary_symmetric(np.array([2.0, 3.0, 4.0])), [1.0, 9.0, 26.0, 24.0]
-    )
+    assert np.allclose(elementary_symmetric_field([1.0, 4.0]), [1.0, 5.0, 4.0])
+    assert np.allclose(elementary_symmetric_field([2.0, 3.0, 4.0]), [1.0, 9.0, 26.0, 24.0])
 
 
 def test_elementary_symmetric_field_matches_scalar():
+    """e_k of each tuple against the coefficients of prod (x + lam_i)."""
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         lam = np.exp(rng.normal(size=(40, n)))
         batch = elementary_symmetric_field(lam)
         for i in range(lam.shape[0]):
-            assert np.allclose(batch[i], elementary_symmetric(lam[i]), atol=1e-12)
+            assert np.allclose(batch[i], np.poly(-lam[i]), rtol=1e-13, atol=0.0)
 
 
 def test_elementary_symmetric_field_rejects_dimension_4():
@@ -105,9 +90,7 @@ def test_elementary_symmetric_field_rejects_dimension_4():
 
 
 def test_relative_eigenvalues_diagonal_oracle():
-    lam = relative_eigenvalues(
-        HermitianMetric.identity(2), HermitianMetric.from_diagonal([2.0, 8.0])
-    )
+    lam = relative_eigenvalues_field(np.eye(2), np.diag([2.0, 8.0]))
     assert np.allclose(lam, [2.0, 8.0], atol=1e-14)
 
 
@@ -115,27 +98,21 @@ def test_relative_eigenvalues_congruence_invariant():
     rng = np.random.default_rng(3)
     gA = random_pd(rng, 3)
     gB = random_pd(rng, 3)
-    lam0 = relative_eigenvalues(
-        HermitianMetric.from_matrix(gA), HermitianMetric.from_matrix(gB)
-    )
+    lam0 = relative_eigenvalues_field(gA, gB)
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lam1 = relative_eigenvalues(
-        HermitianMetric.from_matrix(T.conj().T @ gA @ T),
-        HermitianMetric.from_matrix(T.conj().T @ gB @ T),
-    )
+    lam1 = relative_eigenvalues_field(T.conj().T @ gA @ T, T.conj().T @ gB @ T)
     assert np.allclose(lam0, lam1, rtol=1e-10)
 
 
 def test_relative_eigenvalues_field_matches_scalar():
+    """Each point against scipy's generalized Hermitian eigensolver."""
     rng = np.random.default_rng(5)
-    gA = np.stack([random_pd(rng, 2) for _ in range(6)])
-    gB = np.stack([random_pd(rng, 2) for _ in range(6)])
-    lam = relative_eigenvalues_field(gA, gB)
-    for i in range(6):
-        ref = relative_eigenvalues(
-            HermitianMetric.from_matrix(gA[i]), HermitianMetric.from_matrix(gB[i])
-        )
-        assert np.allclose(lam[i], ref, atol=1e-11)
+    for n in (1, 2, 3):
+        gA = np.stack([random_pd(rng, n) for _ in range(6)])
+        gB = np.stack([random_pd(rng, n) for _ in range(6)])
+        lam = relative_eigenvalues_field(gA, gB)
+        for i in range(6):
+            assert np.allclose(lam[i], eigh_oracle(gA[i], gB[i]), rtol=1e-12, atol=0.0)
 
 
 def test_relative_eigenvalues_field_shape_mismatch():
@@ -147,23 +124,19 @@ def test_relative_eigenvalues_field_shape_mismatch():
 
 
 def test_sigma_ratios_diagonal_oracle():
-    sv = sigma_ratios(
-        HermitianMetric.identity(2), HermitianMetric.from_diagonal([1.0, 4.0])
-    )
-    assert np.allclose(sv.sigma, [1.0, 5.0, 4.0], atol=1e-13)
+    lam = relative_eigenvalues_field(np.eye(2), np.diag([1.0, 4.0]))
+    assert np.allclose(elementary_symmetric_field(lam), [1.0, 5.0, 4.0], atol=1e-13)
 
 
 def test_newton_maclaurin_margin_frozen_value():
-    sv = SigmaVector.from_eigenvalues([1.0, 4.0])
     # sqrt(sigma_2) - sigma_2 * binom(2,1) / sigma_1 = 2 - 8/5
-    assert newton_maclaurin_margin(sv, 1) == pytest.approx(0.4, abs=1e-14)
+    assert newton_maclaurin_margin_field([1.0, 4.0], 1) == pytest.approx(0.4, abs=1e-14)
 
 
 def test_newton_maclaurin_margin_zero_at_equal_eigenvalues():
     for n, lam in ((2, [3.0, 3.0]), (3, [0.5, 0.5, 0.5])):
-        sv = SigmaVector.from_eigenvalues(lam)
         for k in range(1, n):
-            assert abs(newton_maclaurin_margin(sv, k)) < 1e-14
+            assert abs(newton_maclaurin_margin_field(lam, k)) < 1e-14
 
 
 def test_newton_maclaurin_margin_nonnegative_random_sweep():
@@ -176,49 +149,50 @@ def test_newton_maclaurin_margin_nonnegative_random_sweep():
 
 
 def test_newton_maclaurin_margin_field_matches_scalar():
+    """The batch against the margin built from np.poly's e_k, tuple by tuple."""
     rng = np.random.default_rng(23)
     lam = np.exp(rng.normal(size=(30, 3)))
     for k in (1, 2):
         batch = newton_maclaurin_margin_field(lam, k)
         for i in range(30):
-            sv = SigmaVector.from_eigenvalues(lam[i])
-            assert batch[i] == pytest.approx(newton_maclaurin_margin(sv, k), abs=1e-12)
+            e = np.poly(-lam[i])
+            want = e[3] ** (1 / 3) - (e[3] / (e[k] / 3)) ** (1 / (3 - k))
+            assert batch[i] == pytest.approx(want, abs=1e-12)
 
 
 def test_newton_maclaurin_margin_rejects_bad_level():
-    sv = SigmaVector.from_eigenvalues([1.0, 2.0])
     with pytest.raises(ValueError):
-        newton_maclaurin_margin(sv, 0)
+        newton_maclaurin_margin_field([1.0, 2.0], 0)
     with pytest.raises(ValueError):
-        newton_maclaurin_margin(sv, 2)
+        newton_maclaurin_margin_field([1.0, 2.0], 2)
 
 
 # -- reverse trace -------------------------------------------------------------
 
 
 def test_trace_s_diagonal_oracle():
-    s = trace_s(HermitianMetric.identity(2), HermitianMetric.from_diagonal([2.0, 4.0]))
+    s = trace_s_field(np.eye(2), np.diag([2.0, 4.0]))
     assert s == pytest.approx(0.75, abs=1e-14)
 
 
 def test_trace_s_equals_sigma_ratio():
     rng = np.random.default_rng(7)
-    g = HermitianMetric.from_matrix(random_pd(rng, 3))
-    gp = HermitianMetric.from_matrix(random_pd(rng, 3))
-    sv = sigma_ratios(g, gp)
-    assert trace_s(g, gp) == pytest.approx(sv.sigma[2] / sv.sigma[3], rel=1e-11)
+    g = random_pd(rng, 3)
+    gp = random_pd(rng, 3)
+    e = elementary_symmetric_field(relative_eigenvalues_field(g, gp))
+    assert trace_s_field(g, gp) == pytest.approx(e[2] / e[3], rel=1e-11)
 
 
 def test_trace_s_field_matches_scalar():
+    """S at each point against the sum of 1/lambda of scipy's eigenvalues."""
     rng = np.random.default_rng(13)
-    g = np.stack([random_pd(rng, 2) for _ in range(5)])
-    gp = np.stack([random_pd(rng, 2) for _ in range(5)])
-    batch = trace_s_field(g, gp)
-    for i in range(5):
-        ref = trace_s(
-            HermitianMetric.from_matrix(g[i]), HermitianMetric.from_matrix(gp[i])
-        )
-        assert batch[i] == pytest.approx(ref, rel=1e-12)
+    for n in (1, 2, 3):
+        g = np.stack([random_pd(rng, n) for _ in range(5)])
+        gp = np.stack([random_pd(rng, n) for _ in range(5)])
+        batch = trace_s_field(g, gp)
+        for i in range(5):
+            want = float(np.sum(1.0 / eigh_oracle(g[i], gp[i])))
+            assert batch[i] == pytest.approx(want, rel=1e-12)
 
 
 # -- simultaneous frame --------------------------------------------------------
