@@ -30,7 +30,7 @@ import sympy as sp
 
 from .errors import DimensionMismatch, PositivityLoss
 from .grids import ChartGeometry, TorusGrid, real_pair_symmetrize
-from .linalg import positivity
+from .linalg import det, positivity
 
 
 class TorusMetricField:
@@ -81,7 +81,7 @@ class TorusMetricField:
 
     @cached_property
     def det_g(self) -> np.ndarray:
-        return np.linalg.det(self.g).real
+        return det(self.g).real
 
     @cached_property
     def log_det_g(self) -> np.ndarray:

@@ -13,6 +13,13 @@ exp(2*pi*i k.x) and the multipliers
 
 act on the coefficients.  Nyquist wavenumbers are zeroed inside derivative
 multipliers so odd derivatives of real fields stay real.
+
+The complex Hessian of a real field, and the flat Laplacian, act through
+real multipliers on the half spectrum of a real-input transform (rfftn,
+last axis cut to N//2 + 1 bins): the spectrum of a real field is Hermitian
+symmetric, and so is its product with an even real multiplier, so each
+real component of the Hessian is one inverse real transform (the
+real-input FFT structure of Frigo & Johnson, Proc. IEEE 93, 2005).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import DimensionMismatch
 from .linalg import MAX_DIM
@@ -93,13 +101,40 @@ class TorusGrid:
         return np.pi * (1j * kx - ky)
 
     @cached_property
+    def hessian_multipliers(self) -> np.ndarray:
+        """Real multipliers of the complex Hessian on the rfftn half spectrum.
+
+        Shape (n*n,) + the half spectrum's shape (last axis N//2 + 1).
+
+        d2/dz^i dzbar^j multiplies by pi^2 (k_yi + i k_xi)(i k_xj - k_yj).
+        Row i*n + i holds the diagonal -pi^2 (k_xi^2 + k_yi^2); for i < j,
+        row i*n + j holds the real part -pi^2 (k_xi k_xj + k_yi k_yj) of
+        entry (i, j) and row j*n + i its imaginary part
+        pi^2 (k_yi k_xj - k_xi k_yj).
+        """
+        n, half = self.n, self.N // 2 + 1
+        k = []
+        for axis in range(2 * n):
+            ka = self._deriv_wavenumbers[:half] if axis == 2 * n - 1 else self._deriv_wavenumbers
+            shape = [1] * (2 * n)
+            shape[axis] = ka.size
+            k.append(ka.reshape(shape))
+        out = np.empty((n * n,) + self.shape[:-1] + (half,))
+        for i in range(n):
+            kxi, kyi = k[2 * i], k[2 * i + 1]
+            out[i * n + i] = -np.pi**2 * (kxi**2 + kyi**2)
+            for j in range(i + 1, n):
+                kxj, kyj = k[2 * j], k[2 * j + 1]
+                out[i * n + j] = -np.pi**2 * (kxi * kxj + kyi * kyj)
+                out[j * n + i] = np.pi**2 * (kyi * kxj - kxi * kyj)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def flat_laplacian_multiplier(self) -> np.ndarray:
-        """Multiplier of the flat complex Laplacian sum_j d2/dz^j dzbar^j."""
-        out = np.zeros(self.shape)
-        for j in range(self.n):
-            kx = self._axis_view(self._deriv_wavenumbers, 2 * j)
-            ky = self._axis_view(self._deriv_wavenumbers, 2 * j + 1)
-            out = out - np.pi**2 * (kx**2 + ky**2)
+        """Half-spectrum multiplier of the flat Laplacian sum_j d2/dz^j dzbar^j."""
+        out = self.hessian_multipliers[:: self.n + 1].sum(axis=0)
+        out.setflags(write=False)
         return out
 
     # -- transforms -------------------------------------------------------
@@ -112,6 +147,18 @@ class TorusGrid:
 
     def ifft(self, F: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(F)
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field (scipy.fft.rfftn)."""
+        f = np.asarray(f)
+        if f.shape != self.shape:
+            raise DimensionMismatch(f"field shape {f.shape} != grid shape {self.shape}")
+        return scipy.fft.rfftn(f)
+
+    def irfft(self, F: np.ndarray) -> np.ndarray:
+        """Real field(s) from half spectra over the last 2n axes; leading axes batch."""
+        return scipy.fft.irfftn(F, s=self.shape, axes=tuple(range(-2 * self.n, 0)),
+                                overwrite_x=True)
 
     def _deriv_fft(self, f: np.ndarray) -> np.ndarray:
         # The mean never survives a derivative multiplier, but removing it
@@ -127,20 +174,25 @@ class TorusGrid:
         return self.ifft(self._deriv_fft(f) * self.dzbar_multiplier(j))
 
     def complex_hessian(self, f: np.ndarray) -> np.ndarray:
-        """H[..., i, j] = d^2 f / dz^i dzbar^j; Hermitian at each point for real f."""
-        F = self._deriv_fft(f)
+        """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal.
+
+        One real-input transform of f, then one inverse real transform per
+        real component: n diagonal entries and the real and imaginary parts
+        of the n(n-1)/2 entries above the diagonal.
+        """
+        f = np.asarray(f)
+        F = self.rfft(f - np.mean(f))  # mean removed for round-off, as in _deriv_fft
+        mult = self.hessian_multipliers
         n = self.n
         H = np.empty(self.shape + (n, n), dtype=complex)
+        Hr, Hi = H.real, H.imag
         for i in range(n):
-            Fi = F * self.dz_multiplier(i)
-            for j in range(i, n):
-                Hij = self.ifft(Fi * self.dzbar_multiplier(j))
-                H[..., i, j] = Hij
-                if j != i:
-                    H[..., j, i] = np.conj(Hij)
-        # diagonal of a real field's complex Hessian is real
-        for i in range(n):
-            H[..., i, i] = H[..., i, i].real
+            Hr[..., i, i] = self.irfft(F * mult[i * n + i])
+            Hi[..., i, i] = 0.0
+            for j in range(i + 1, n):
+                Hr[..., i, j] = Hr[..., j, i] = self.irfft(F * mult[i * n + j])
+                Hi[..., i, j] = self.irfft(F * mult[j * n + i])
+                np.negative(Hi[..., i, j], out=Hi[..., j, i])
         return H
 
     def hessian_third(self, f: np.ndarray) -> np.ndarray:

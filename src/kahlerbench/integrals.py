@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
+from .linalg import det
 
 
 def _matrix_field(obj, grid):
@@ -54,7 +55,7 @@ def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             M = B.copy()
             for j in subset:
                 M[..., :, j] = A[..., :, j]
-            acc = acc + np.linalg.det(M).real
+            acc = acc + det(M).real
         out[..., r] = acc
     return out
 

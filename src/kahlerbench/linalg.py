@@ -7,7 +7,9 @@ their elementary symmetric functions sigma_k, and the reverse trace
 S = tr_{g'} g.  Each function takes fields of shape (..., n, n) or
 eigenvalue tuples (..., n); a single matrix or tuple is a batch of one.
 This module also holds the one positive-definiteness policy (PD_RTOL,
-positivity) that every metric field and solver candidate is held to.
+positivity) that every metric field and solver candidate is held to, and
+the batched det / inv / eigvalsh that the solver and the diagnostics use:
+closed forms for n <= 2, LAPACK (numpy.linalg) for n = 3.
 Dimensions are capped at n = 3 (MAX_DIM): everything downstream (subset
 expansions of mixed determinants, explicit e_k formulas) relies on that cap.
 """
@@ -29,6 +31,63 @@ MAX_DIM = 3
 PD_RTOL = 1e-10
 
 
+def _order(a: np.ndarray) -> int:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected (..., n, n) matrices, got shape {a.shape}")
+    return a.shape[-1]
+
+
+def det(a: np.ndarray) -> np.ndarray:
+    """Determinants of (..., n, n) matrices, Hermitian or not."""
+    a = np.asarray(a)
+    n = _order(a)
+    if n == 1:
+        return a[..., 0, 0].copy()
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """Inverses of nonsingular (..., n, n) matrices."""
+    a = np.asarray(a)
+    n = _order(a)
+    if n == 1:
+        return 1.0 / a
+    if n == 2:
+        r = 1.0 / det(a)
+        out = np.empty(a.shape, dtype=r.dtype)
+        out[..., 0, 0] = a[..., 1, 1] * r
+        out[..., 1, 1] = a[..., 0, 0] * r
+        out[..., 0, 1] = -a[..., 0, 1] * r
+        out[..., 1, 0] = -a[..., 1, 0] * r
+        return out
+    return np.linalg.inv(a)
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of Hermitian (..., n, n) matrices.
+
+    Reads the diagonal and the lower triangle, as numpy.linalg.eigvalsh
+    does.  For n = 2 with diagonal (a, d) and off-diagonal b, the
+    eigenvalue of larger magnitude is (tr + s sqrt((a - d)^2 + 4|b|^2))/2
+    with s the sign of the trace, a sum without cancellation, and the other
+    is det divided by it, so a small eigenvalue keeps its accuracy.
+    """
+    a = np.asarray(a)
+    n = _order(a)
+    if n == 1:
+        return a[..., :, 0].real.copy()
+    if n == 2:
+        p, q, b = a[..., 0, 0].real, a[..., 1, 1].real, np.abs(a[..., 1, 0])
+        tr = p + q
+        far = np.copysign(0.5 * (np.abs(tr) + np.hypot(p - q, 2.0 * b)), tr)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            near = np.where(far != 0.0, (p * q - b * b) / far, 0.0)
+        return np.stack([np.minimum(far, near), np.maximum(far, near)], axis=-1)
+    return np.linalg.eigvalsh(a)
+
+
 def positivity(g: np.ndarray):
     """Positive-definiteness check of a Hermitian matrix or field (..., n, n).
 
@@ -36,7 +95,7 @@ def positivity(g: np.ndarray):
     > PD_RTOL * largest, largest > 0), the index of the point with the
     smallest margin (() for a single matrix), and its ascending eigenvalues.
     """
-    w = np.linalg.eigvalsh(g)
+    w = eigvalsh(g)
     ratio = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
     worst = np.unravel_index(np.argmin(ratio), ratio.shape)
     w_worst = w[worst]
@@ -130,8 +189,7 @@ def trace_s_field(g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
     g_prime = np.asarray(g_prime, dtype=complex)
     if g.shape != g_prime.shape:
         raise DimensionMismatch(f"field shapes differ: {g.shape} vs {g_prime.shape}")
-    sol = np.linalg.solve(g_prime, g)
-    return np.einsum("...ii->...", sol).real
+    return np.einsum("...ij,...ji->...", inv(g_prime), g).real
 
 
 def simultaneous_frame(g: np.ndarray, g_prime: np.ndarray):

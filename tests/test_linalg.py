@@ -1,4 +1,4 @@
-"""Pointwise Hermitian algebra: positivity, eigenvalues, sigma vectors, traces.
+"""Pointwise Hermitian algebra: kernels, positivity, eigenvalues, sigma vectors, traces.
 
 Every function is batched over (..., n, n) fields or (..., n) tuples; the
 oracles are library routines applied one point at a time.
@@ -12,7 +12,10 @@ from kahlerbench.errors import DimensionMismatch
 from kahlerbench.linalg import (
     PD_RTOL,
     Direction,
+    det,
+    eigvalsh,
     elementary_symmetric_field,
+    inv,
     newton_maclaurin_margin_field,
     positivity,
     relative_eigenvalues_field,
@@ -28,6 +31,102 @@ def random_pd(rng, n, scale=1.0):
 
 def eigh_oracle(gA, gB):
     return scipy.linalg.eigh(gB, gA, eigvals_only=True)
+
+
+# -- batched kernels: closed forms for n <= 2, LAPACK for n = 3 -----------------
+
+KERNEL_RTOL = 1e-13
+
+
+def hermitian_with_eigenvalues(rng, lam):
+    n = len(lam)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return U @ np.diag(lam) @ U.conj().T
+
+
+def kernel_cases(rng, n):
+    """A batch (6, n, n) of Hermitian test matrices for one dimension."""
+    cases = [random_pd(rng, n), random_pd(rng, n, scale=1e4), np.eye(n, dtype=complex),
+             np.diag(rng.uniform(0.5, 2.0, n)).astype(complex),  # b = 0
+             hermitian_with_eigenvalues(rng, [-3.0, 0.25][:n]),
+             -random_pd(rng, n)]
+    return np.stack(cases)
+
+
+def assert_kernels_match_lapack(a):
+    """det, inv and eigvalsh of a (batch of) Hermitian matrices against numpy.linalg."""
+    scale = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    n = a.shape[-1]
+    assert np.all(np.abs(det(a) - np.linalg.det(a)) <= KERNEL_RTOL * scale**n)
+    w = eigvalsh(a)
+    assert w.shape == a.shape[:-1]
+    assert np.all(np.abs(w - np.linalg.eigvalsh(a)) <= KERNEL_RTOL * scale[..., None])
+    a_inv = np.linalg.inv(a)
+    inv_scale = np.max(np.abs(a_inv), axis=(-2, -1))[..., None, None]
+    assert np.all(np.abs(inv(a) - a_inv) <= KERNEL_RTOL * inv_scale)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_kernels_match_lapack_on_batches(n):
+    rng = np.random.default_rng(40 + n)
+    batch = kernel_cases(rng, n)
+    assert_kernels_match_lapack(batch)
+    field = np.stack([random_pd(rng, n) for _ in range(60)]).reshape(3, 4, 5, n, n)
+    assert_kernels_match_lapack(field)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_kernels_match_lapack_on_single_matrices(n):
+    rng = np.random.default_rng(50 + n)
+    for a in kernel_cases(rng, n):
+        assert_kernels_match_lapack(a)
+        assert det(a).shape == () and inv(a).shape == (n, n)
+
+
+def test_closed_form_eigenvalues_of_identity_and_diagonal_are_exact():
+    assert np.array_equal(eigvalsh(np.eye(2)), [1.0, 1.0])
+    assert np.array_equal(eigvalsh(np.diag([3.0, -2.0])), [-2.0, 3.0])
+    assert np.array_equal(eigvalsh(np.zeros((2, 2))), [0.0, 0.0])
+
+
+def test_closed_form_det_of_non_hermitian_2x2():
+    rng = np.random.default_rng(60)
+    a = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    scale = np.abs(a[:, 0, 0] * a[:, 1, 1]) + np.abs(a[:, 0, 1] * a[:, 1, 0])
+    assert np.all(np.abs(det(a) - np.linalg.det(a)) <= KERNEL_RTOL * scale)
+    assert np.all(np.abs(det(a.real) - np.linalg.det(a.real)) <= KERNEL_RTOL * scale)
+    assert np.all(np.abs(inv(a) @ a - np.eye(2)) <= 1e-12 * np.linalg.cond(a)[:, None, None])
+
+
+@pytest.mark.parametrize("ratio", [0.5 * PD_RTOL, 2.0 * PD_RTOL])
+def test_closed_form_positivity_at_the_threshold_matches_eigvalsh(ratio):
+    rng = np.random.default_rng(70)
+    edge = hermitian_with_eigenvalues(rng, [ratio * 4.0, 4.0])
+    field = np.stack([random_pd(rng, 2) for _ in range(20)]).reshape(4, 5, 2, 2)
+    field[1, 3] = edge
+    w = np.linalg.eigvalsh(field)
+    margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
+    oracle_worst = np.unravel_index(np.argmin(margin), margin.shape)
+    ok, worst, w_worst = positivity(field)
+    assert ok == bool(margin[oracle_worst] > 0.0) == (ratio > PD_RTOL)
+    assert tuple(int(i) for i in worst) == tuple(int(i) for i in oracle_worst) == (1, 3)
+    assert np.all(np.abs(w_worst - w[oracle_worst]) <= KERNEL_RTOL * 4.0)
+    assert positivity(edge)[0] == ok
+
+
+def test_n3_kernels_are_lapack_bit_for_bit():
+    rng = np.random.default_rng(80)
+    field = np.stack([random_pd(rng, 3) for _ in range(12)]).reshape(3, 4, 3, 3)
+    for a in (field, field[0, 0]):
+        assert np.array_equal(det(a), np.linalg.det(a))
+        assert np.array_equal(inv(a), np.linalg.inv(a))
+        assert np.array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+
+
+def test_kernels_reject_non_square_input():
+    for fn in (det, inv, eigvalsh):
+        with pytest.raises(DimensionMismatch):
+            fn(np.zeros((4, 2, 3)))
 
 
 # -- positivity policy ----------------------------------------------------------

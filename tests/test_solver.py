@@ -10,6 +10,7 @@ from kahlerbench.io import load_state, save_state
 from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
+    _flat_preconditioner,
     continuity_path,
     limit_probe,
     make_state,
@@ -63,6 +64,21 @@ def test_newton_tail_contracts_quadratically():
             assert nxt <= 10.0 * prev**2
             checked += 1
     assert checked >= 2
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N):
+    grid = TorusGrid(n, N)
+    c = 0.7
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    ks = np.meshgrid(*([k] * (2 * n)), indexing="ij", sparse=True)
+    lap = -np.pi**2 * sum(kk**2 for kk in ks)
+    mult = 1.0 / (c * lap - 1.0)
+    f = np.random.default_rng(N).standard_normal(grid.shape)
+    expected = np.fft.ifftn(np.fft.fftn(f) * mult).real
+    got = _flat_preconditioner(grid, c)(f)
+    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_zero_datum_has_zero_solution():
