@@ -43,7 +43,6 @@ from .inequalities import (
     laplacian_identity_check,
     make_report,
     max_principle_s_bound,
-    not_applicable,
     ricci_term_margin,
     royden_margin,
     schwarz_conclusion_check,
@@ -86,7 +85,6 @@ DEFAULTS = {
     "out": None,
     "tolerances": {
         "algebraic": 1e-9,
-        "fd": 1e-6,
         "ricci_residual": 1e-6,
         "integral": 1e-8,
     },
@@ -105,7 +103,6 @@ DEFAULTS = {
     },
     "verify_inequalities": {
         "trials": 20000, "royden_trials": 200, "directions": 2000,
-        "fd_step": 0.02,
     },
     "integrals": {
         "n": 2, "grid": 12, "amplitude": 0.008,
@@ -360,27 +357,16 @@ def run_verify_inequalities(cfg, out_dir, seed):
                      margin=ric_margin_min, tol=tols["algebraic"],
                      note=f"hypothesis-violating data -> {na_count} not-applicable"))
 
-    # Laplacian identity: h^2 convergence plus the Cauchy-Schwarz step
+    # Laplacian identity, exact from the two metric jets, and its
+    # Cauchy-Schwarz step
     grid = TorusGrid(2, 12)
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     omega_p = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
-    point = grid.coords((3, 5, 7, 1))
-    h0 = c["fd_step"]
-    residuals = []
-    cs_min = np.inf
-    for h in (h0, h0 / 2.0, h0 / 4.0):
-        identity, cs = laplacian_identity_check(omega, omega_p, point, fd_step=h)
-        reports.extend((identity, cs))
-        residuals.append(abs(identity.margin))
-        cs_min = min(cs_min, cs.margin)
-    ratios = [residuals[i] / max(residuals[i + 1], 1e-300) for i in range(2)]
-    rows.append(_row("verify-inequalities", "laplacian-identity-h2-rate",
-                     "pass" if min(ratios) >= 3.5 else "fail",
-                     value=min(ratios), tol=3.5,
-                     note=f"residuals {residuals[0]:.3e} -> {residuals[2]:.3e}"))
-    rows.append(_row("verify-inequalities", "third-order-cauchy-schwarz",
-                     "pass" if cs_min >= -tols["algebraic"] else "fail",
-                     margin=cs_min, tol=tols["algebraic"]))
+    identity, cs = laplacian_identity_check(omega, omega_p, grid.coords((3, 5, 7, 1)),
+                                            tol_cs=tols["algebraic"])
+    reports.extend((identity, cs))
+    rows.append(_report_row("verify-inequalities", identity))
+    rows.append(_report_row("verify-inequalities", cs))
 
     # Schwarz conclusion on the normalized polydisk (omega' = omega)
     example = make_example("poincare-polydisk", n=2, scale=2.0)
@@ -388,18 +374,18 @@ def run_verify_inequalities(cfg, out_dir, seed):
     sc_min = np.inf
     for p in example.geometry.sample_points(per_axis=2, radius_fraction=0.4):
         report = schwarz_conclusion_check(example.field, example.field, hyp, p,
-                                          fd_step=0.02, tol=tols["fd"])
+                                          tol=tols["algebraic"])
         reports.append(report)
         if report.applicable:
             sc_min = min(sc_min, report.margin)
     rows.append(_row("verify-inequalities", "schwarz-log-trace-conclusion",
-                     "pass" if sc_min >= -tols["fd"] else "fail",
-                     margin=sc_min, tol=tols["fd"],
+                     "pass" if sc_min >= -tols["algebraic"] else "fail",
+                     margin=sc_min, tol=tols["algebraic"],
                      note="normalized polydisk, omega' = omega"))
     too_strong = schwarz_conclusion_check(
         example.field, example.field,
         SchwarzHypotheses(kappa=0.6, lam=1.0, mu=0.0),
-        example.geometry.sample_points(per_axis=1)[0], fd_step=0.02,
+        example.geometry.sample_points(per_axis=1)[0],
     )
     reports.append(too_strong)
     rows.append(_row("verify-inequalities", "schwarz-hypothesis-screen",

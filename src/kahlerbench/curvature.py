@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch
 from .linalg import Direction
 
 SYMMETRY_RTOL = 1e-10

@@ -25,7 +25,7 @@ real-input FFT structure of Frigo & Johnson, Proc. IEEE 93, 2005).
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

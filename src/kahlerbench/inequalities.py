@@ -14,20 +14,20 @@ that do not apply (hypotheses fail, kappa_0 <= 0) are first-class
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import (
+    KahlerCurvature,
     constant_hsc_tensor,
     hsc_extremes_from_tensor,
     ricci_from_derivatives,
     transform_tensor,
 )
 from .errors import DimensionMismatch
-from .fields import ChartMetricField, TorusMetricField
+from .fields import TorusMetricField
 from .linalg import simultaneous_frame
 
 
@@ -185,95 +185,56 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu, S=None, tol: float = 1e-9,
                        note=f"S={float(S):.6g} lam={lam:.6g} mu={mu:.6g}")
 
 
-# -- finite-difference scalar Laplacians ------------------------------------
+# -- the trace S = tr_{omega'} omega and its derivatives ----------------------
 
 
-def _fd_complex_hessian(fun, x0: np.ndarray, h: float) -> np.ndarray:
-    """Complex Hessian d^2 f / dz^i dzbar^j of a scalar of 2n real coords.
+def _trace_jet(jet, jet_prime):
+    """S = tr(g'^-1 g) with d_k S and d_k d_lbar S, in closed form.
 
-    Central differences of order h^2.  Row/column pairing follows the
-    coordinate layout (x_1, y_1, ..., x_n, y_n).
+    Takes the metric jets (g, dg, ddg) of omega and omega' at one point.
+    With A = g'^-1 and subscripts k, lbar for d/dz^k, d/dzbar^l,
+
+        d_k S = tr(A g_k) - tr(A g'_k A g),
+        d_k d_lbar S = tr(A g_{k lbar}) - tr(A g'_lbar A g_k) - tr(A g'_k A g_lbar)
+                       - tr(A g'_{k lbar} A g)
+                       + tr(A g'_lbar A g'_k A g) + tr(A g'_k A g'_lbar A g).
+
+    Returns (S, dS, ddS) with dS[k] = d_k S and ddS[k, l] = d_k d_lbar S.
     """
-    x0 = np.asarray(x0, dtype=float)
-    m = x0.size
-    n = m // 2
-    f0 = fun(x0)
-    real_hess = np.empty((m, m))
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        real_hess[a, a] = (fun(x0 + ea) - 2.0 * f0 + fun(x0 - ea)) / h**2
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        for b in range(a + 1, m):
-            eb = np.zeros(m)
-            eb[b] = h
-            val = (fun(x0 + ea + eb) - fun(x0 + ea - eb)
-                   - fun(x0 - ea + eb) + fun(x0 - ea - eb)) / (4.0 * h**2)
-            real_hess[a, b] = val
-            real_hess[b, a] = val
-    H = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            xi, yi = 2 * i, 2 * i + 1
-            xj, yj = 2 * j, 2 * j + 1
-            H[i, j] = 0.25 * (
-                real_hess[xi, xj] + real_hess[yi, yj]
-                + 1j * (real_hess[xi, yj] - real_hess[yi, xj])
-            )
-    return H
-
-
-def _fd_complex_hessian_richardson(fun, x0, h: float) -> np.ndarray:
-    coarse = _fd_complex_hessian(fun, x0, h)
-    fine = _fd_complex_hessian(fun, x0, h / 2.0)
-    return fine + (fine - coarse) / 3.0
-
-
-def _coords_for_field(field, point) -> np.ndarray:
-    """Real-coordinate vector of a point for FD displacement."""
-    if isinstance(field, TorusMetricField):
-        return np.asarray(point, dtype=float).reshape(-1)
-    z = np.asarray(point, dtype=complex).reshape(-1)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def _field_point(field, coords: np.ndarray):
-    if isinstance(field, TorusMetricField):
-        return coords
-    return coords[0::2] + 1j * coords[1::2]
-
-
-def _trace_evaluator(omega, omega_prime):
-    """S(x) = tr_{omega'} omega as a function of real coordinates."""
-
-    def s_of(coords):
-        p = _field_point(omega, coords)
-        g = omega.metric_matrix_at(p)
-        gp = omega_prime.metric_matrix_at(p)
-        return float(np.trace(np.linalg.solve(gp, g)).real)
-
-    return s_of
+    g, dg, ddg = jet
+    gp, dgp, ddgp = jet_prime
+    A = np.linalg.inv(gp)
+    B = A @ g
+    # Gk[k] = A g_k and Gl[l] = A g_lbar, with (d_lbar g)_{i jbar} =
+    # conj(d_l g_{j ibar}); Pk and Pl are the same for g'.
+    Gk = np.einsum("ab,bck->kac", A, dg)
+    Gl = np.einsum("ab,bcl->lac", A, np.conj(np.swapaxes(dg, 0, 1)))
+    Pk = np.einsum("ab,bck->kac", A, dgp)
+    Pl = np.einsum("ab,bcl->lac", A, np.conj(np.swapaxes(dgp, 0, 1)))
+    S = float(np.trace(B).real)
+    dS = np.einsum("kaa->k", Gk) - np.einsum("kab,ba->k", Pk, B)
+    ddS = (np.einsum("ab,bakl->kl", A, ddg)
+           - np.einsum("lab,kba->kl", Pl, Gk)
+           - np.einsum("kab,lba->kl", Pk, Gl)
+           - np.einsum("ab,bckl,ca->kl", A, ddgp, B)
+           + np.einsum("lab,kbc,ca->kl", Pl, Pk, B)
+           + np.einsum("kab,lbc,ca->kl", Pk, Pl, B))
+    return S, dS, ddS
 
 
 # -- the Laplacian identity and its Cauchy-Schwarz step ----------------------
 
 
-def laplacian_identity_check(omega, omega_prime, point, fd_step: float = 0.01,
-                             tol_identity: float = None,
+def laplacian_identity_check(omega, omega_prime, point, tol_identity: float = None,
                              tol_cs: float = 1e-9) -> tuple:
     """Exact-identity and Cauchy-Schwarz reports for Delta' S at one point.
 
     Requires a flat ambient omega on a torus (the mixed-curvature term then
     vanishes; non-flat ambients are rejected).  Returns a pair of reports:
 
-    * "laplacian-trace-identity": finite-difference Delta' S against the
-      curvature/third-order expression, two-sided at tol_identity
-      (default 100 * fd_step^2, the leading FD error scale).
+    * "laplacian-trace-identity": Delta' S = tr(g'^-1 d dbar S) from the
+      two metric jets against the curvature/third-order expression,
+      two-sided at tol_identity (default 1e-10 * max(1, |rhs|)).
     * "third-order-cauchy-schwarz": the third-order sum against
       |grad' S|^2 / S.
     """
@@ -283,12 +244,10 @@ def laplacian_identity_check(omega, omega_prime, point, fd_step: float = 0.01,
         raise DimensionMismatch("fields live on different grids")
     if float(np.max(np.abs(omega.psi))) > 1e-14:
         raise ValueError("ambient metric must be flat (zero potential)")
-    if tol_identity is None:
-        tol_identity = 100.0 * fd_step**2
 
-    n = omega.n
     point = np.asarray(point, dtype=float).reshape(-1)
-    gp, dgp, ddgp = omega_prime.jet_at(point)
+    jet_prime = omega_prime.jet_at(point)
+    gp, dgp, ddgp = jet_prime
 
     d, U = np.linalg.eigh(gp)
     ric = ricci_from_derivatives(gp, dgp, ddgp)
@@ -301,21 +260,15 @@ def laplacian_identity_check(omega, omega_prime, point, fd_step: float = 0.01,
     denom = d[:, None, None] * (d[None, :, None] ** 2) * d[None, None, :]
     third_term = float((np.abs(dg_t) ** 2 / denom).sum())
     rhs = ricci_term + third_term  # ambient curvature term vanishes (flat)
+    if tol_identity is None:
+        tol_identity = 1e-10 * max(1.0, abs(rhs))
 
-    s_of = _trace_evaluator(omega, omega_prime)
-    H = _fd_complex_hessian(s_of, point, fd_step)
-    lhs = float(np.trace(np.linalg.solve(gp, H)).real)
-    identity = make_report(
-        "laplacian-trace-identity", lhs, rhs, tol_identity, point=point,
-        two_sided=True, note=f"fd_step={fd_step:g}",
-    )
+    S, dS, ddS = _trace_jet(omega.jet_at(point), jet_prime)
+    lhs = float(np.trace(np.linalg.solve(gp, ddS)).real)
+    identity = make_report("laplacian-trace-identity", lhs, rhs, tol_identity,
+                           point=point, two_sided=True)
 
-    gp_inv = np.linalg.inv(gp)
-    grad = np.array([
-        -np.trace(gp_inv @ dgp[:, :, k] @ gp_inv) for k in range(n)
-    ])
-    S = float((1.0 / d).sum())
-    grad_sq = float(np.real(np.vdot(grad, gp_inv @ grad)))
+    grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
     cs = make_report(
         "third-order-cauchy-schwarz", third_term, grad_sq / S, tol_cs,
         point=point, note=f"S={S:.6g}",
@@ -327,53 +280,50 @@ def laplacian_identity_check(omega, omega_prime, point, fd_step: float = 0.01,
 
 
 def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
-                             fd_step: float = 0.01, tol: float = 1e-6,
+                             fd_step: float = None, tol: float = 1e-9,
                              hypothesis_tol: float = 1e-8,
                              num_directions: int = 4000,
-                             refine_steps: int = 50,
-                             richardson: bool = True) -> InequalityReport:
+                             refine_steps: int = 50) -> InequalityReport:
     """Check Delta' log S >= ((n+1) kappa / (2n) + mu/n) S - lam at a point.
 
     Both hypotheses are re-verified at the point before comparing: the
     ambient HSC ceiling H <= -kappa (by extremization) and the Ricci bound
     Ric(omega') + lam omega' - mu omega >= 0 (by eigenvalue check).  If
-    either fails the report is not-applicable.
+    either fails the report is not-applicable.  The left side is exact:
+    Delta' log S = Delta' S / S - |d S|^2_{g'} / S^2 from the two metric
+    jets.  fd_step is accepted for old callers and not read.
     """
     n = omega.n
-    from .curvature import curvature_tensor
-
-    curv = curvature_tensor(omega, point)
+    jet = omega.jet_at(point)
+    curv = KahlerCurvature.from_derivatives(*jet)
     ext = hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
     if ext.h_max > -hyp.kappa + hypothesis_tol:
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"HSC hypothesis fails: max H {ext.h_max:.6g} > -kappa {-hyp.kappa:.6g}",
-            point=_coords_for_field(omega, point),
+            point=point,
         )
-    g = curv.g
-    gp, dgp, ddgp = omega_prime.jet_at(point)
-    ric_p = ricci_from_derivatives(gp, dgp, ddgp)
-    W = ric_p + hyp.lam * gp - hyp.mu * g
+    jet_prime = omega_prime.jet_at(point)
+    gp = jet_prime[0]
+    ric_p = ricci_from_derivatives(*jet_prime)
+    W = ric_p + hyp.lam * gp - hyp.mu * curv.g
     scale = max(1.0, float(np.max(np.abs(ric_p))), float(np.max(np.abs(gp))))
     wmin = float(np.linalg.eigvalsh(W)[0])
     if wmin < -hypothesis_tol * scale:
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"Ricci hypothesis fails: min eig {wmin:.3e} < 0",
-            point=_coords_for_field(omega, point),
+            point=point,
         )
 
-    s_of = _trace_evaluator(omega, omega_prime)
-    coords = _coords_for_field(omega, point)
-    log_s = lambda x: math.log(s_of(x))
-    fd = _fd_complex_hessian_richardson if richardson else _fd_complex_hessian
-    H = fd(log_s, coords, fd_step)
-    lhs = float(np.trace(np.linalg.solve(gp, H)).real)
-    S = s_of(coords)
+    S, dS, ddS = _trace_jet(jet, jet_prime)
+    lap_s = float(np.trace(np.linalg.solve(gp, ddS)).real)
+    grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
+    lhs = lap_s / S - grad_sq / S**2
     rhs = ((n + 1) * hyp.kappa / (2.0 * n) + hyp.mu / n) * S - hyp.lam
     return make_report(
         "schwarz-log-trace-conclusion", lhs, rhs, tol,
-        point=coords, note=f"S={S:.6g} h_max={ext.h_max:.6g}",
+        point=point, note=f"S={S:.6g} h_max={ext.h_max:.6g}",
     )
 
 

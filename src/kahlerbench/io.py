@@ -138,9 +138,14 @@ def load_state(directory, omega):
     directory = Path(directory)
     diag = read_json(directory / "diagnostics.json")
     grid_v, v, kind_v = load_scalar_field(directory / "v.kwb")
-    _, f, _ = load_scalar_field(directory / "f.kwb")
+    grid_f, f, kind_f = load_scalar_field(directory / "f.kwb")
     if kind_v != "solution-v":
         raise ValueError(f"{directory}: expected a solution-v field, got {kind_v}")
+    if kind_f != "datum":
+        raise ValueError(f"{directory / 'f.kwb'}: expected a datum field, got {kind_f}")
+    if grid_f.shape != grid_v.shape:
+        raise ValueError(f"{directory / 'f.kwb'}: grid {grid_f.shape} differs from "
+                         f"v.kwb's {grid_v.shape}")
     if grid_v.shape != omega.grid.shape:
         raise ValueError(f"{directory}: grid mismatch with reference metric")
     state = make_state(omega, diag["epsilon"], v, f, diag["log_c_bound"],

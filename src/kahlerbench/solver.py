@@ -24,7 +24,7 @@ field S_eps, and the top volume ratio sigma_n.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg

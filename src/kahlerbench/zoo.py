@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import sympy as sp
 
-from .curvature import (curvature_field, curvature_tensor, hsc, hsc_extremes, kappa_floor,
+from .curvature import (curvature_field, hsc, hsc_extremes, kappa_floor,
                         sweep_hsc_extremes)
 from .errors import DimensionMismatch
-from .fields import ChartMetricField, TorusMetricField, metric_from_potential
+from .fields import TorusMetricField, metric_from_potential
 from .grids import ChartGeometry, TorusGrid
 
 

@@ -5,9 +5,9 @@ Every check freezes its configuration (grids, seeds, schedules, tolerances)
 so the printed numbers are reproducible run to run.  The checks exercise:
 manufactured-solution recovery, the flat-background closed form, identity
 residuals under grid refinement, the eigenvalue-inequality sweep, the
-curvature-trace bound, the log-trace differential inequality, second-order
-convergence of the finite-difference instrument, exactness of wedge
-pairings, per-state wedge floors, and honest not-applicable reporting.
+curvature-trace bound, the log-trace differential inequality against a
+finite-difference oracle, the exact Laplacian identity and the oracle's
+second-order convergence to it, exactness of wedge pairings, per-state wedge floors, and honest not-applicable reporting.
 """
 
 import time
@@ -46,6 +46,8 @@ from kahlerbench.zoo import (
     rough_torus_potential,
     verify_example_facts,
 )
+
+from test_inequalities import fd_laplacian, real_coords, trace_function
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -201,57 +203,64 @@ def test_criterion_06_log_trace_conclusion():
     pts = rng.uniform(-0.4, 0.4, size=(100, 2, 2))
     points = pts[..., 0] + 1j * pts[..., 1]
     hyp = SchwarzHypotheses(kappa=0.5, lam=1.2, mu=0.0)
-    margins, inapplicable = [], 0
-    for p in points:
+    s_of = trace_function(omega, omega_bumped)
+    log_s = lambda x: np.log(s_of(x))
+    margins, inapplicable, fd_gap = [], 0, 0.0
+    for i, p in enumerate(points):
         report = schwarz_conclusion_check(omega, omega_bumped, hyp, p,
-                                          fd_step=0.02, num_directions=800,
-                                          refine_steps=40)
+                                          num_directions=800, refine_steps=40)
         if report.applicable:
             margins.append(report.margin)
         else:
             inapplicable += 1
+        if i % 10 == 0:
+            fd = fd_laplacian(log_s, real_coords(p), omega_bumped.metric_matrix_at(p),
+                              0.02, richardson=True)
+            fd_gap = max(fd_gap, abs(fd - report.lhs))
 
     psi1, z1, zb1 = poincare_disk_potential(1.0)
     disk = metric_from_potential(ChartGeometry(1, (1.0,), margin=0.25),
                                  psi1, z1, zb1)
     equality = schwarz_conclusion_check(
         disk, disk, SchwarzHypotheses(kappa=2.0, lam=2.0, mu=0.0),
-        np.array([0.3 + 0.1j]), fd_step=0.02)
+        np.array([0.3 + 0.1j]))
     sides = max(abs(equality.lhs), abs(equality.rhs))
 
     ok = (inapplicable == 0 and len(margins) == 100
-          and min(margins) >= -1e-6
+          and min(margins) >= -1e-6 and fd_gap <= 1e-9
           and equality.applicable and sides <= 1e-8)
     assert verdict(
         6, ok,
         f"min margin {min(margins):.3e} at 100 points (tol -1e-6), "
-        f"{inapplicable} screened out; n=1 equality |sides| <= {sides:.1e} "
-        f"(tol 1e-8)")
+        f"{inapplicable} screened out; Richardson stencil gap {fd_gap:.1e} at 10 "
+        f"points (tol 1e-9); n=1 equality |sides| <= {sides:.1e} (tol 1e-8)")
 
 
 def test_criterion_07_laplacian_identity_convergence():
-    """The finite-difference check of the Laplacian identity converges at
-    second order, and its internal Cauchy-Schwarz step never goes negative."""
+    """The exact Laplacian identity holds to round-off, a finite-difference
+    stencil converges to its Delta' S at second order, and the internal
+    Cauchy-Schwarz step never goes negative."""
     grid = TorusGrid(2, 12)
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     omega_p = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
-    min_ratio, cs_min = np.inf, np.inf
+    s_of = trace_function(omega, omega_p)
+    id_worst, min_ratio, cs_min = 0.0, np.inf, np.inf
     for idx in ((3, 5, 7, 1), (0, 2, 9, 4), (6, 6, 1, 10)):
         point = grid.coords(idx)
-        residuals = []
-        for h in (0.02, 0.01, 0.005):
-            identity, cs = laplacian_identity_check(omega, omega_p, point,
-                                                    fd_step=h)
-            residuals.append(abs(identity.margin))
-            cs_min = min(cs_min, cs.margin)
+        identity, cs = laplacian_identity_check(omega, omega_p, point)
+        id_worst = max(id_worst, abs(identity.margin) / max(1.0, abs(identity.rhs)))
+        cs_min = min(cs_min, cs.margin)
+        gp = omega_p.metric_matrix_at(point)
+        residuals = [abs(fd_laplacian(s_of, point, gp, h) - identity.lhs)
+                     for h in (0.02, 0.01, 0.005)]
         min_ratio = min(min_ratio,
                         *(residuals[i] / residuals[i + 1] for i in range(2)))
-    ok = min_ratio >= 3.5 and cs_min >= -1e-9
+    ok = id_worst <= 1e-10 and min_ratio >= 3.5 and cs_min >= -1e-9
     assert verdict(
         7, ok,
-        f"worst halving ratio {min_ratio:.2f} (>= 3.5) over 3 points x "
-        f"steps 0.02/0.01/0.005; Cauchy-Schwarz margin {cs_min:.3e} "
-        f"(tol -1e-9)")
+        f"identity residual {id_worst:.1e} x max(1, |rhs|) (tol 1e-10); worst "
+        f"stencil halving ratio {min_ratio:.2f} (>= 3.5) over 3 points x steps "
+        f"0.02/0.01/0.005; Cauchy-Schwarz margin {cs_min:.3e} (tol -1e-9)")
 
 
 def test_criterion_08_wedge_integral_exactness(perturbed_path):

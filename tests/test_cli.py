@@ -64,10 +64,13 @@ def test_load_config_rejects_unknown_keys_and_bad_types(tmp_path):
     with pytest.raises(jsonschema.ValidationError):
         load_config(bad_range)
 
-    removed_key = tmp_path / "removed_key.yaml"
-    removed_key.write_text("tolerances:\n  solver: 1.0e-10\n")
-    with pytest.raises(jsonschema.ValidationError):
-        load_config(removed_key)
+    for i, text in enumerate(("tolerances:\n  solver: 1.0e-10\n",
+                              "tolerances:\n  fd: 1.0e-6\n",
+                              "verify_inequalities:\n  fd_step: 0.02\n")):
+        removed_key = tmp_path / f"removed_key_{i}.yaml"
+        removed_key.write_text(text)
+        with pytest.raises(jsonschema.ValidationError):
+            load_config(removed_key)
 
 
 def test_flag_overrides_reach_every_consumer():
@@ -189,6 +192,8 @@ def test_not_applicable_rows_do_not_fail_the_run(tmp_path):
     statuses = {r["check"]: r["status"] for r in summary["rows"]}
     assert statuses["max-principle-torus"] == "not-applicable"
     assert statuses["max-principle-polydisk"] == "pass"
+    assert statuses["laplacian-trace-identity"] == "pass"
+    assert "laplacian-identity-h2-rate" not in statuses
     assert "fail" not in statuses.values()
 
     reports = read_reports_jsonl(out / "verify-inequalities" / "reports.jsonl")

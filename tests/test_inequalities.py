@@ -1,5 +1,11 @@
-"""Trace-inequality chain: reports, pointwise bounds, and the FD identity."""
+"""Trace-inequality chain: reports, pointwise bounds, and the Laplacian identity.
 
+The library differentiates S = tr_{omega'} omega in closed form; the
+central-difference stencil below is the independent oracle it is checked
+against.
+"""
+
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +45,49 @@ def poincare_field(n=1, scale=1.0):
 def random_pd(n, rng, scale=0.3):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.eye(n) + scale * (A @ A.conj().T)
+
+
+# -- finite-difference oracle ------------------------------------------------------
+
+
+def fd_complex_hessian(fun, x0, h):
+    """Central differences (error O(h^2)) for d^2 f / dz^i dzbar^j.
+
+    fun takes the 2n real coordinates laid out (x_1, y_1, ..., x_n, y_n).
+    """
+    E = h * np.eye(x0.size)
+    R = np.empty((x0.size, x0.size))
+    for a, b in itertools.product(range(x0.size), repeat=2):
+        if a == b:
+            R[a, a] = (fun(x0 + E[a]) - 2.0 * fun(x0) + fun(x0 - E[a])) / h**2
+        else:
+            R[a, b] = (fun(x0 + E[a] + E[b]) - fun(x0 + E[a] - E[b])
+                       - fun(x0 - E[a] + E[b]) + fun(x0 - E[a] - E[b])) / (4.0 * h**2)
+    xx, yy, xy, yx = R[0::2, 0::2], R[1::2, 1::2], R[0::2, 1::2], R[1::2, 0::2]
+    return 0.25 * (xx + yy + 1j * (xy - yx))
+
+
+def fd_laplacian(fun, x0, gp, h, richardson=False):
+    """tr(g'^-1 H) with H the stencil Hessian; Richardson-extrapolated on request."""
+    lap = lambda step: float(np.trace(np.linalg.solve(gp, fd_complex_hessian(fun, x0, step))).real)
+    return (4.0 * lap(h / 2.0) - lap(h)) / 3.0 if richardson else lap(h)
+
+
+def trace_function(omega, omega_prime):
+    """S(x) = tr_{omega'} omega at real coordinates x, from metric values only."""
+    chart = isinstance(omega, ChartMetricField)
+
+    def s_of(x):
+        p = x[0::2] + 1j * x[1::2] if chart else x
+        return float(np.trace(np.linalg.solve(omega_prime.metric_matrix_at(p),
+                                              omega.metric_matrix_at(p))).real)
+
+    return s_of
+
+
+def real_coords(point):
+    z = np.asarray(point, dtype=complex).reshape(-1)
+    return np.stack([z.real, z.imag], axis=-1).reshape(-1)
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -183,13 +232,16 @@ def torus_pair():
 def test_laplacian_identity_converges_at_second_order(torus_pair):
     omega, omega_p = torus_pair
     point = omega.grid.coords((3, 5, 7, 1))
-    errs = []
-    for h in (0.02, 0.01):
-        identity, cs = laplacian_identity_check(omega, omega_p, point, fd_step=h)
-        assert identity.status == "pass"
-        assert identity.two_sided
-        assert cs.status == "pass"
-        errs.append(abs(identity.margin))
+    identity, cs = laplacian_identity_check(omega, omega_p, point)
+    assert identity.status == "pass"
+    assert identity.two_sided
+    assert abs(identity.margin) <= 1e-10 * max(1.0, abs(identity.rhs))
+    assert identity.tol == pytest.approx(1e-10 * max(1.0, abs(identity.rhs)))
+    assert cs.status == "pass"
+    # the stencil oracle converges to the exact Delta' S at second order
+    s_of = trace_function(omega, omega_p)
+    gp = omega_p.metric_matrix_at(point)
+    errs = [abs(fd_laplacian(s_of, point, gp, h) - identity.lhs) for h in (0.02, 0.01)]
     assert errs[0] / errs[1] > 3.5
 
 
@@ -219,7 +271,7 @@ def test_schwarz_conclusion_on_negatively_curved_product():
     field = poincare_field(n=2, scale=2.0)
     hyp = SchwarzHypotheses(kappa=0.5, lam=1.0, mu=0.0)
     pts = field.geometry.sample_points(per_axis=2, radius_fraction=0.4)
-    r = schwarz_conclusion_check(field, field, hyp, pts[0], fd_step=0.02)
+    r = schwarz_conclusion_check(field, field, hyp, pts[0])
     assert r.status == "pass"
     assert r.margin >= 0.0
 
@@ -227,7 +279,7 @@ def test_schwarz_conclusion_on_negatively_curved_product():
 def test_schwarz_conclusion_equality_on_disk():
     field = poincare_field(n=1, scale=1.0)
     hyp = SchwarzHypotheses(kappa=2.0, lam=2.0, mu=0.0)
-    r = schwarz_conclusion_check(field, field, hyp, [0.2 + 0.1j], fd_step=0.02)
+    r = schwarz_conclusion_check(field, field, hyp, [0.2 + 0.1j])
     assert r.status == "pass"
     assert abs(r.margin) < 1e-7  # equality case: identical metrics, S = n
 

@@ -199,6 +199,25 @@ def test_load_state_rejects_wrong_field_kind(tmp_path, solved):
         load_state(target, omega)
 
 
+def test_load_state_rejects_foreign_datum_file(tmp_path, solved):
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    (target / "f.kwb").write_bytes((target / "u.kwb").read_bytes())
+    with pytest.raises(ValueError, match=r"f\.kwb: expected a datum field, got solution-u"):
+        load_state(target, omega)
+
+
+def test_load_state_rejects_datum_on_another_grid(tmp_path, solved):
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    coarse = TorusGrid(1, 8)
+    save_scalar_field(target / "f.kwb", coarse, np.zeros(coarse.shape), kind="datum")
+    with pytest.raises(ValueError, match=r"state/f\.kwb: grid \(8, 8\) differs"):
+        load_state(target, omega)
+
+
 def test_load_state_rejects_grid_mismatch(tmp_path, solved):
     omega, state = solved
     target = tmp_path / "state"
