@@ -9,7 +9,9 @@ with pipelines: solve-ma, continuity-path, hsc-extremes,
 verify-inequalities, integrals, all.
 
 Configuration is YAML validated against the shipped JSON schema
-(schema/config.schema.json); CLI flags override the file.  Every pipeline
+(schema/config.schema.json); CLI flags override the file, each flag sets
+its key in every config section that has it, and the merged config is
+validated again (a bad flag exits 2 with a config error).  Every pipeline
 writes reports.jsonl (one inequality report per line), summary.json,
 summary.csv, and pipeline-specific artifacts under <out>/<pipeline>/.
 Runs are deterministic for a fixed seed: report files contain no
@@ -124,18 +126,23 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def validate_config(cfg: dict) -> None:
+    """Raise jsonschema.ValidationError unless cfg matches the shipped schema."""
+    schema = json.loads(
+        resources.files("kahlerbench").joinpath("schema/config.schema.json").read_text()
+    )
+    jsonschema.validate(cfg, schema)
+
+
 def load_config(path=None) -> dict:
     """Defaults merged with an optional YAML file, schema-validated."""
     user = {}
     if path is not None:
         with open(path) as fh:
             user = yaml.safe_load(fh) or {}
-    schema = json.loads(
-        resources.files("kahlerbench").joinpath("schema/config.schema.json").read_text()
-    )
-    jsonschema.validate(user, schema)
+    validate_config(user)
     cfg = _deep_merge(DEFAULTS, user)
-    jsonschema.validate(cfg, schema)
+    validate_config(cfg)
     return cfg
 
 
@@ -362,7 +369,7 @@ def run_verify_inequalities(cfg, out_dir, seed):
     grid = TorusGrid(2, 12)
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     omega_p = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
-    identity, cs = laplacian_identity_check(omega, omega_p, grid.coords((3, 5, 7, 1)),
+    identity, cs = laplacian_identity_check(omega, omega_p, (3, 5, 7, 1),
                                             tol_cs=tols["algebraic"])
     reports.extend((identity, cs))
     rows.append(_report_row("verify-inequalities", identity))
@@ -552,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _apply_overrides(load_config(args.config), args)
+        validate_config(cfg)
     except (jsonschema.ValidationError, yaml.YAMLError) as err:
         msg = getattr(err, "message", None) or str(err)
         where = ""
@@ -560,7 +568,6 @@ def main(argv=None) -> int:
             where = "/".join(str(p) for p in err.absolute_path) + ": "
         print(f"config error: {where}{msg}", file=sys.stderr)
         return 2
-    cfg = _apply_overrides(cfg, args)
     out_root = Path(
         args.out or cfg["out"] or os.environ.get("KAHLERBENCH_OUT")
         or "kahlerbench-out"

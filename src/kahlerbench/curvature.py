@@ -17,11 +17,13 @@ Fubini-Study chart has H = +2 with Ric = (n+1) g.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from .fields import TorusMetricField
 from .linalg import Direction
 
 SYMMETRY_RTOL = 1e-10
@@ -103,7 +105,7 @@ class KahlerCurvature:
 
 
 def curvature_tensor(field, point) -> KahlerCurvature:
-    """Curvature of a metric field at a point (either substrate)."""
+    """Curvature of a metric field at a point (a grid multi-index on a torus)."""
     return KahlerCurvature.from_derivatives(*field.jet_at(point))
 
 
@@ -117,14 +119,13 @@ def ricci_form(field, points=None):
 
     Torus fields with points=None return the full grid matrix field
     (spectral -dd^c log det g).  Otherwise returns one Ricci matrix per
-    point, stacked.
+    point (grid multi-indices on a torus), stacked.
     """
     if points is None:
         if hasattr(field, "ricci"):
             return field.ricci
         raise TypeError("chart fields need explicit points for ricci_form")
-    pts = list(points)
-    return np.stack([field.ricci_at(p) for p in pts])
+    return np.stack([ricci_from_derivatives(*field.jet_at(p)) for p in points])
 
 
 # -- holomorphic sectional curvature ---------------------------------------
@@ -270,8 +271,19 @@ def hsc_extremes(field, point, num_directions: int = 10000,
     return hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
 
 
-def default_sweep_points(field):
-    """Deterministic point sweep of a chart field's trusted region."""
+def default_sweep_points(field, max_points: int = 256):
+    """Deterministic point sweep of a field.
+
+    A torus field is swept at the grid multi-indices of its stride-2^k
+    sublattice, the smallest power of two leaving at most max_points
+    points; a chart field at a lattice of its trusted region.
+    """
+    if isinstance(field, TorusMetricField):
+        grid = field.grid
+        stride = 1
+        while grid.num_points // stride ** (2 * grid.n) > max_points:
+            stride *= 2
+        return itertools.product(range(0, grid.N, stride), repeat=2 * grid.n)
     per_axis = 3 if field.n > 1 else 5
     return field.geometry.sample_points(per_axis=per_axis)
 
@@ -280,27 +292,12 @@ def sweep_hsc_extremes(field, points=None, max_points: int = 256,
                        num_directions: int = 2000, refine_steps: int = 40):
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
-    Explicit points are evaluated pointwise on either substrate.  With
-    points=None a chart field is swept at default_sweep_points, and a torus
-    field on the grid points of its stride-2^k sublattice (the smallest
-    power of two leaving at most max_points points), reading g, dg and ddg
-    from the field's grid arrays instead of interpolating them.
+    points=None sweeps default_sweep_points(field, max_points).
     """
-    if points is None and hasattr(field, "grid"):
-        grid, n = field.grid, field.n
-        stride = 1
-        while grid.num_points // stride ** (2 * n) > max_points:
-            stride *= 2
-        sub = (slice(None, None, stride),) * (2 * n)
-        curvatures = map(KahlerCurvature.from_derivatives,
-                         field.g[sub].reshape(-1, n, n),
-                         field.dg[sub].reshape(-1, n, n, n),
-                         field.ddg[sub].reshape(-1, n, n, n, n))
-    else:
-        if points is None:
-            points = default_sweep_points(field)
-        curvatures = (curvature_tensor(field, p) for p in points)
-    for curv in curvatures:
+    if points is None:
+        points = default_sweep_points(field, max_points)
+    for p in points:
+        curv = curvature_tensor(field, p)
         yield hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
 
 
@@ -310,8 +307,7 @@ def kappa_floor(field, points=None, num_directions: int = 2000,
 
     Positive only when H stays negative on the whole sweep; values <= 0
     mean downstream negativity-based bounds are not applicable.  With
-    points=None a torus field is swept at no more than 256 grid points,
-    read from its grid arrays g, dg and ddg rather than interpolated.
+    points=None a torus field is swept at no more than 256 grid points.
     """
     exts = sweep_hsc_extremes(field, points, num_directions=num_directions,
                               refine_steps=refine_steps)

@@ -1,19 +1,21 @@
 """Kähler metric fields over the two substrates.
 
-A metric field knows how to produce, at any admissible point P:
+A metric field answers one point query, jet_at(P), with the metric jet
 
-    metric_matrix_at(P)   the matrix g_{i jbar}(P)
-    dg_at(P)[i, j, k]     d g_{i jbar} / dz^k
-    ddg_at(P)[i, j, k, l] d^2 g_{i jbar} / dz^k dzbar^l
-    jet_at(P)             the three above, (g, dg, ddg), in one query
-    ricci_at(P)           the Ricci form -dd^c log det g as a matrix
+    g[i, j]          g_{i jbar}
+    dg[i, j, k]      d g_{i jbar} / dz^k
+    ddg[i, j, k, l]  d^2 g_{i jbar} / dz^k dzbar^l
+
+at P, and metric_matrix_at(P) returns g alone.
 
 On the periodic torus the metric is flat + complex Hessian of a real
-potential sampled on the grid; derivatives are spectral and arbitrary-point
-queries go through trigonometric interpolation (exact for band-limited
-potentials).  On an analytic chart the potential is a closed-form symbolic
-expression in z and zbar treated as independent variables, and every
-derivative is a lambdified exact formula.
+potential sampled on the grid.  g, dg and ddg are spectral derivatives
+over the whole grid, each computed once, and a point is a grid
+multi-index of 2n integers (taken modulo N) that reads them; real
+coordinates are not accepted.  On an analytic chart a point is n complex
+coordinates in the trusted region, the potential is a closed-form
+symbolic expression in z and zbar treated as independent variables, and
+every derivative is a lambdified exact formula.
 
 Torus potentials are stored in the zero-mean gauge: dd^c kills constants,
 so the mean is pure gauge and fixing it keeps field comparisons and file
@@ -29,7 +31,7 @@ import numpy as np
 import sympy as sp
 
 from .errors import DimensionMismatch, PositivityLoss
-from .grids import ChartGeometry, TorusGrid, real_pair_symmetrize
+from .grids import ChartGeometry, TorusGrid
 from .linalg import det, positivity
 
 
@@ -55,10 +57,6 @@ class TorusMetricField:
             )
         self._refined = {}
 
-    @property
-    def geometry(self) -> TorusGrid:
-        return self.grid
-
     def refined(self, pad: int) -> "TorusMetricField":
         """This field on a pad-times finer grid (trigonometric prolongation).
 
@@ -71,13 +69,6 @@ class TorusMetricField:
             fine_field = TorusMetricField(fine, self.grid.prolong(self.psi, fine))
             self._refined[pad] = fine_field
         return fine_field
-
-    def trusted(self, point) -> bool:
-        return True
-
-    @cached_property
-    def psi_hat(self) -> np.ndarray:
-        return self.grid.fft(self.psi)
 
     @cached_property
     def det_g(self) -> np.ndarray:
@@ -103,68 +94,15 @@ class TorusMetricField:
         H = self.grid.complex_hessian(self.log_det_g)
         return -H
 
-    # -- pointwise queries (trigonometric interpolation) -------------------
+    # -- point queries at grid indices -------------------------------------
 
-    def _point(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float).reshape(-1)
-        if p.size != 2 * self.n:
-            raise DimensionMismatch(
-                f"torus point needs {2 * self.n} real coordinates, got {p.size}"
-            )
-        return p
+    def jet_at(self, index):
+        """(g, dg, ddg) at a grid multi-index, read from the grid arrays."""
+        idx = self.grid.index(index)
+        return self.g[idx], self.dg[idx], self.ddg[idx]
 
-    def metric_matrix_at(self, point) -> np.ndarray:
-        p = self._point(point)[None, :]
-        n, grid = self.n, self.grid
-        out = np.eye(n, dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                coeff = self.psi_hat * grid.dz_multiplier(i) * grid.dzbar_multiplier(j)
-                val = grid.eval_spectral(coeff, p)[0]
-                out[i, j] += val
-                if j != i:
-                    out[j, i] += np.conj(val)
-                else:
-                    out[i, i] = out[i, i].real
-        return out
-
-    def dg_at(self, point) -> np.ndarray:
-        p = self._point(point)[None, :]
-        n, grid = self.n, self.grid
-        out = np.empty((n, n, n), dtype=complex)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            coeff = (
-                self.psi_hat
-                * grid.dz_multiplier(i)
-                * grid.dzbar_multiplier(j)
-                * grid.dz_multiplier(k)
-            )
-            out[i, j, k] = grid.eval_spectral(coeff, p)[0]
-        return out
-
-    def ddg_at(self, point) -> np.ndarray:
-        p = self._point(point)[None, :]
-        n, grid = self.n, self.grid
-        out = np.empty((n, n, n, n), dtype=complex)
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            coeff = (
-                self.psi_hat
-                * grid.dz_multiplier(i)
-                * grid.dzbar_multiplier(j)
-                * grid.dz_multiplier(k)
-                * grid.dzbar_multiplier(l)
-            )
-            out[i, j, k, l] = grid.eval_spectral(coeff, p)[0]
-        return real_pair_symmetrize(out)
-
-    def jet_at(self, point):
-        """(g, dg, ddg) at a point."""
-        return self.metric_matrix_at(point), self.dg_at(point), self.ddg_at(point)
-
-    def ricci_at(self, point) -> np.ndarray:
-        from .curvature import ricci_from_derivatives
-
-        return ricci_from_derivatives(*self.jet_at(point))
+    def metric_matrix_at(self, index) -> np.ndarray:
+        return self.g[self.grid.index(index)]
 
 
 class ChartMetricField:
@@ -222,14 +160,6 @@ class ChartMetricField:
         )
         return sp.lambdify(z + zb, exprs, modules="numpy", cse=True)
 
-    def _point(self, point) -> np.ndarray:
-        z = np.asarray(point, dtype=complex).reshape(-1)
-        if z.size != self.n:
-            raise DimensionMismatch(f"chart point needs {self.n} complex coordinates")
-        if not self.geometry.trusted(z):
-            raise ValueError(f"point {z} outside the trusted chart region")
-        return z
-
     def _eval(self, z: np.ndarray):
         """(g, dg, ddg) at a validated point, g unchecked."""
         n = self.n
@@ -239,17 +169,17 @@ class ChartMetricField:
         ddg = flat[n**2 + n**3 :].reshape(n, n, n, n)
         return g, dg, ddg
 
-    def trusted(self, point) -> bool:
-        z = np.asarray(point, dtype=complex).reshape(-1)
-        return self.geometry.trusted(z)
-
     def jet_at(self, point):
         """(g, dg, ddg) at a point from one evaluation of the jet.
 
         g is checked Hermitian (drift up to 1e-9 relative, then symmetrized)
         and positive definite.
         """
-        z = self._point(point)
+        z = np.asarray(point, dtype=complex).reshape(-1)
+        if z.size != self.n:
+            raise DimensionMismatch(f"chart point needs {self.n} complex coordinates")
+        if not self.geometry.trusted(z):
+            raise ValueError(f"point {z} outside the trusted chart region")
         g, dg, ddg = self._eval(z)
         scale = max(1.0, float(np.max(np.abs(g))))
         drift = float(np.max(np.abs(g - g.conj().T)))
@@ -269,17 +199,6 @@ class ChartMetricField:
 
     def metric_matrix_at(self, point) -> np.ndarray:
         return self.jet_at(point)[0]
-
-    def dg_at(self, point) -> np.ndarray:
-        return self._eval(self._point(point))[1]
-
-    def ddg_at(self, point) -> np.ndarray:
-        return self._eval(self._point(point))[2]
-
-    def ricci_at(self, point) -> np.ndarray:
-        from .curvature import ricci_from_derivatives
-
-        return ricci_from_derivatives(*self.jet_at(point))
 
 
 MetricField = TorusMetricField | ChartMetricField

@@ -267,14 +267,24 @@ class TorusGrid:
         out = np.fft.ifftn(np.fft.ifftshift(F[sl])).real
         return out * (coarse.N / self.N) ** (2 * self.n) + mean
 
-    # -- pointwise evaluation ---------------------------------------------
+    # -- grid points and the trigonometric interpolant ---------------------
+
+    def index(self, index) -> tuple:
+        """A grid multi-index of 2n integers, checked and taken modulo N.
+
+        Real coordinates are rejected (TypeError): torus points are grid
+        points, addressed by index.
+        """
+        idx = tuple(index)
+        if not all(isinstance(a, (int, np.integer)) for a in idx):
+            raise TypeError(f"a torus point is a grid multi-index of integers, got {index!r}")
+        if len(idx) != 2 * self.n:
+            raise DimensionMismatch(f"index length {len(idx)} != {2 * self.n}")
+        return tuple(int(a) % self.N for a in idx)
 
     def coords(self, index) -> np.ndarray:
         """Real coordinates (x1, y1, ..., xn, yn) of a grid multi-index."""
-        idx = tuple(index)
-        if len(idx) != 2 * self.n:
-            raise DimensionMismatch(f"index length {len(idx)} != {2 * self.n}")
-        return np.array([self.axis_coords[a % self.N] for a in idx])
+        return self.axis_coords[list(self.index(index))]
 
     def eval_spectral(self, F: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant with coefficients F.

@@ -225,12 +225,13 @@ def _trace_jet(jet, jet_prime):
 # -- the Laplacian identity and its Cauchy-Schwarz step ----------------------
 
 
-def laplacian_identity_check(omega, omega_prime, point, tol_identity: float = None,
+def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = None,
                              tol_cs: float = 1e-9) -> tuple:
-    """Exact-identity and Cauchy-Schwarz reports for Delta' S at one point.
+    """Exact-identity and Cauchy-Schwarz reports for Delta' S at one grid point.
 
     Requires a flat ambient omega on a torus (the mixed-curvature term then
-    vanishes; non-flat ambients are rejected).  Returns a pair of reports:
+    vanishes; non-flat ambients are rejected); index is a grid multi-index
+    and the reports carry its real coordinates.  Returns a pair of reports:
 
     * "laplacian-trace-identity": Delta' S = tr(g'^-1 d dbar S) from the
       two metric jets against the curvature/third-order expression,
@@ -245,9 +246,9 @@ def laplacian_identity_check(omega, omega_prime, point, tol_identity: float = No
     if float(np.max(np.abs(omega.psi))) > 1e-14:
         raise ValueError("ambient metric must be flat (zero potential)")
 
-    point = np.asarray(point, dtype=float).reshape(-1)
-    jet_prime = omega_prime.jet_at(point)
+    jet_prime = omega_prime.jet_at(index)
     gp, dgp, ddgp = jet_prime
+    point = omega.grid.coords(index)
 
     d, U = np.linalg.eigh(gp)
     ric = ricci_from_derivatives(gp, dgp, ddgp)
@@ -263,7 +264,7 @@ def laplacian_identity_check(omega, omega_prime, point, tol_identity: float = No
     if tol_identity is None:
         tol_identity = 1e-10 * max(1.0, abs(rhs))
 
-    S, dS, ddS = _trace_jet(omega.jet_at(point), jet_prime)
+    S, dS, ddS = _trace_jet(omega.jet_at(index), jet_prime)
     lhs = float(np.trace(np.linalg.solve(gp, ddS)).real)
     identity = make_report("laplacian-trace-identity", lhs, rhs, tol_identity,
                            point=point, two_sided=True)
@@ -291,17 +292,20 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     Ric(omega') + lam omega' - mu omega >= 0 (by eigenvalue check).  If
     either fails the report is not-applicable.  The left side is exact:
     Delta' log S = Delta' S / S - |d S|^2_{g'} / S^2 from the two metric
-    jets.  fd_step is accepted for old callers and not read.
+    jets.  On a torus the point is a grid multi-index and the report
+    carries its real coordinates.  fd_step is accepted for old callers and
+    not read.
     """
     n = omega.n
     jet = omega.jet_at(point)
+    where = omega.grid.coords(point) if isinstance(omega, TorusMetricField) else point
     curv = KahlerCurvature.from_derivatives(*jet)
     ext = hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
     if ext.h_max > -hyp.kappa + hypothesis_tol:
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"HSC hypothesis fails: max H {ext.h_max:.6g} > -kappa {-hyp.kappa:.6g}",
-            point=point,
+            point=where,
         )
     jet_prime = omega_prime.jet_at(point)
     gp = jet_prime[0]
@@ -313,7 +317,7 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"Ricci hypothesis fails: min eig {wmin:.3e} < 0",
-            point=point,
+            point=where,
         )
 
     S, dS, ddS = _trace_jet(jet, jet_prime)
@@ -323,7 +327,7 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     rhs = ((n + 1) * hyp.kappa / (2.0 * n) + hyp.mu / n) * S - hyp.lam
     return make_report(
         "schwarz-log-trace-conclusion", lhs, rhs, tol,
-        point=point, note=f"S={S:.6g} h_max={ext.h_max:.6g}",
+        point=where, note=f"S={S:.6g} h_max={ext.h_max:.6g}",
     )
 
 

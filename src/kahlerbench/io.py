@@ -63,7 +63,10 @@ def load_scalar_field(path):
         raise ValueError(f"{path}: unsupported version {version}")
     if kind_code not in CODE_KINDS:
         raise ValueError(f"{path}: unknown kind code {kind_code}")
-    grid = TorusGrid(int(n), int(N))
+    try:
+        grid = TorusGrid(int(n), int(N))
+    except ValueError as err:  # DimensionMismatch is a ValueError
+        raise type(err)(f"{path}: {err}") from err
     expect = grid.num_points * 8
     payload = blob[_HEADER.size:]
     if len(payload) != expect:

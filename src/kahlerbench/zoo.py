@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 
 from .curvature import (curvature_field, hsc, hsc_extremes, kappa_floor,
-                        sweep_hsc_extremes)
+                        ricci_from_derivatives, sweep_hsc_extremes)
 from .errors import DimensionMismatch
 from .fields import TorusMetricField, metric_from_potential
 from .grids import ChartGeometry, TorusGrid
@@ -363,6 +363,11 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
     mf = metric_from_potential(geom, psi, z, zb)
     pt = _DISK_POINT
     zpt = _to_complex(pt)
+
+    def measure_einstein_ratio(f):
+        g, dg, ddg = f.jet_at(zpt)
+        return float((ricci_from_derivatives(g, dg, ddg)[0, 0] / g[0, 0]).real)
+
     facts = (
         Fact(
             name="hsc-constant",
@@ -377,9 +382,7 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
             provenance="symbolic Ricci of the closed-form potential",
             mode="equal", tol=1e-8,
             oracle=lambda: symbolic_ricci_ratio(psi, z, zb, pt),
-            measure=lambda f: float(
-                (f.ricci_at(zpt)[0, 0] / f.metric_matrix_at(zpt)[0, 0]).real
-            ),
+            measure=measure_einstein_ratio,
             description=f"Einstein: Ric = -(2/scale) g, ratio {-2.0 / scale}",
         ),
     )
@@ -460,9 +463,8 @@ def _build_fubini_study(n: int = 2) -> Example:
     e1[0] = 1.0
 
     def measure_ricci_proportionality(f):
-        g = f.metric_matrix_at(zpt)
-        ric = f.ricci_at(zpt)
-        return float(np.max(np.abs(ric - (n + 1) * g)))
+        g, dg, ddg = f.jet_at(zpt)
+        return float(np.max(np.abs(ricci_from_derivatives(g, dg, ddg) - (n + 1) * g)))
 
     facts = (
         Fact(

@@ -247,10 +247,10 @@ def test_criterion_07_laplacian_identity_convergence():
     id_worst, min_ratio, cs_min = 0.0, np.inf, np.inf
     for idx in ((3, 5, 7, 1), (0, 2, 9, 4), (6, 6, 1, 10)):
         point = grid.coords(idx)
-        identity, cs = laplacian_identity_check(omega, omega_p, point)
+        identity, cs = laplacian_identity_check(omega, omega_p, idx)
         id_worst = max(id_worst, abs(identity.margin) / max(1.0, abs(identity.rhs)))
         cs_min = min(cs_min, cs.margin)
-        gp = omega_p.metric_matrix_at(point)
+        gp = omega_p.metric_matrix_at(idx)
         residuals = [abs(fd_laplacian(s_of, point, gp, h) - identity.lhs)
                      for h in (0.02, 0.01, 0.005)]
         min_ratio = min(min_ratio,

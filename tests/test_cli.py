@@ -4,6 +4,7 @@ determinism, and exit codes."""
 import csv
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -105,6 +106,28 @@ def test_bad_config_exits_2_with_message(tmp_path):
     assert rc == 2
     assert "config error:" in err
     assert "continuity_path/ratio" in err
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["verify-inequalities", "--trials", "1"], "verify_inequalities/trials"),
+    (["verify-inequalities", "--trials", "5"], "verify_inequalities/trials"),
+    # --eps-steps sets both schedules; either may be reported first
+    (["continuity-path", "--eps-steps", "0"], "(continuity_path|integrals)/steps"),
+    (["solve-ma", "--grid", "7"], "solve_ma/grid"),
+    (["solve-ma", "--grid", "9"], "(solve_ma|continuity_path|integrals)/grid"),
+    (["solve-ma", "--seed", "-1"], "seed"),
+])
+def test_bad_flags_exit_2_with_message(tmp_path, argv, where):
+    rc, out, err = run_cli(argv + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert re.match(f"config error: {where}: ", err)
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_smallest_trial_count_runs(tmp_path):
+    rc, _, _ = run_cli(["verify-inequalities", "--trials", "10",
+                        "--out", str(tmp_path)])
+    assert rc == 0
 
 
 def test_unparseable_yaml_exits_2(tmp_path):

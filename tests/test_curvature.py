@@ -1,5 +1,7 @@
 """Curvature tensors, holomorphic sectional curvature, and extremal sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,6 +12,7 @@ from kahlerbench.curvature import (
     curvature_field,
     curvature_from_derivatives,
     curvature_tensor,
+    default_sweep_points,
     hsc,
     hsc_extremes,
     hsc_value,
@@ -104,8 +107,7 @@ def test_ricci_form_dispatch():
     full = ricci_form(field)
     assert full.shape == grid.shape + (1, 1)
     assert np.max(np.abs(full)) < 1e-14
-    pts = [[0.1, 0.2], [0.4, 0.9]]
-    stacked = ricci_form(field, pts)
+    stacked = ricci_form(field, [(1, 3), (6, 14)])
     assert stacked.shape == (2, 1, 1)
 
     disk = polydisk_field(n=1, scale=1.0)
@@ -124,7 +126,7 @@ def test_curvature_field_matches_pointwise():
     R = curvature_field(field)
     assert R.shape == grid.shape + (1, 1, 1, 1)
     idx = (4, 11)
-    curv = curvature_tensor(field, grid.coords(idx))
+    curv = curvature_tensor(field, idx)
     assert np.max(np.abs(curv.tensor - R[idx])) < 1e-11
     assert symmetry_violation(R[idx]) < 1e-12
 
@@ -135,7 +137,7 @@ def test_curvature_field_matches_pointwise():
 def test_flat_torus_hsc_is_zero():
     grid = TorusGrid(2, 8)
     field = TorusMetricField(grid, np.zeros(grid.shape))
-    p = [0.1, 0.3, 0.6, 0.2]
+    p = (1, 2, 5, 1)
     assert abs(hsc(field, p, [1.0, 2.0j])) < 1e-13
     assert abs(hsc(field, p, Direction(np.array([1.0, 0.0])))) < 1e-13
 
@@ -169,13 +171,11 @@ def test_kappa_floor_signs():
 
     grid = TorusGrid(1, 16)
     flat = TorusMetricField(grid, np.zeros(grid.shape))
-    assert kappa_floor(flat, points=[[0.0, 0.0]], num_directions=10) <= 1e-12
+    assert kappa_floor(flat, points=[(0, 0)], num_directions=10) <= 1e-12
 
 
-def _strided_grid_points(grid, stride):
-    axes = [grid.axis_coords[::stride]] * (2 * grid.n)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+def _strided_grid_indices(grid, stride):
+    return list(itertools.product(range(0, grid.N, stride), repeat=2 * grid.n))
 
 
 @pytest.mark.parametrize("n, N, amplitude, stride", [
@@ -186,10 +186,11 @@ def _strided_grid_points(grid, stride):
 def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride):
     grid = TorusGrid(n, N)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, amplitude))
-    points = _strided_grid_points(grid, stride)
+    points = _strided_grid_indices(grid, stride)
+    assert list(default_sweep_points(field)) == points
     swept = kappa_floor(field, num_directions=300, refine_steps=20)
     pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
-    assert swept == pytest.approx(pointwise, rel=0.0, abs=1e-12)
+    assert swept == pointwise
     if amplitude == 0.0:
         assert abs(swept) <= 1e-12
 
@@ -197,13 +198,15 @@ def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride)
 @pytest.mark.parametrize("N", [64, 128])
 def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     # FFT round-off breaks ddg[i,j,k,l] = conj(ddg[j,i,l,k]) by an amount
-    # growing with N; both routes project it away before the symmetry check.
+    # growing with N; the grid's fourth derivatives project it away before
+    # the curvature symmetry check.
     grid = TorusGrid(1, N)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     swept = kappa_floor(field, num_directions=300, refine_steps=20)
-    points = _strided_grid_points(grid, N // 16)  # the sweep's 256 points
+    points = _strided_grid_indices(grid, N // 16)  # the sweep's 256 points
+    assert len(points) == 256
     pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
-    assert swept == pytest.approx(pointwise, rel=0.0, abs=1e-8)
+    assert swept == pointwise
 
 
 def test_kronecker_directions_are_deterministic_unit_gauged():

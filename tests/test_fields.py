@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kahlerbench.curvature import curvature_tensor
+from kahlerbench.curvature import curvature_tensor, ricci_form, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import (
     ChartMetricField,
@@ -33,7 +33,8 @@ def test_flat_torus_field():
     assert np.max(np.abs(field.det_g - 1.0)) == 0.0
     assert np.max(np.abs(field.log_det_g)) == 0.0
     assert np.max(np.abs(field.ricci)) < 1e-14
-    assert field.trusted([0.1, 0.2, 0.3, 0.4])
+    g, dg, ddg = field.jet_at((1, 2, 3, 4))
+    assert np.array_equal(g, np.eye(2)) and not dg.any() and not ddg.any()
 
 
 def test_metric_matches_manual_hessian():
@@ -65,28 +66,38 @@ def test_point_queries_match_grid_fields_on_lattice():
     ).copy()
     field = TorusMetricField(grid, psi)
     idx = (2, 5, 1, 7)
-    p = grid.coords(idx)
-    assert np.max(np.abs(field.metric_matrix_at(p) - field.g[idx])) < 1e-12
-    assert np.max(np.abs(field.dg_at(p) - field.dg[idx])) < 1e-12
-    assert np.max(np.abs(field.ddg_at(p) - field.ddg[idx])) < 1e-11
+    g, dg, ddg = field.jet_at(idx)
+    assert np.array_equal(g, field.g[idx])
+    assert np.array_equal(dg, field.dg[idx])
+    assert np.array_equal(ddg, field.ddg[idx])
+    assert np.array_equal(field.metric_matrix_at(np.array(idx)), field.g[idx])
+    # indices are periodic, as are grid.coords
+    wrapped = (2 + 8, 5 - 8, 1, 7 + 16)
+    assert np.array_equal(field.jet_at(wrapped)[2], ddg)
+    assert np.array_equal(grid.coords(wrapped), grid.coords(idx))
 
 
 def test_pointwise_ricci_matches_spectral_ricci():
     grid = TorusGrid(1, 32)
     field = TorusMetricField(grid, single_mode_potential(grid, 0.01))
     idx = (3, 9)
-    got = field.ricci_at(grid.coords(idx))
-    assert np.max(np.abs(got - field.ricci[idx])) < 1e-10
+    got = ricci_form(field, [idx])
+    assert got.shape == (1, 1, 1)
+    assert np.max(np.abs(got[0] - field.ricci[idx])) < 1e-10
 
 
-def test_metric_at_returns_validated_metric():
-    grid = TorusGrid(1, 16)
-    field = TorusMetricField(grid, single_mode_potential(grid, 0.01))
-    m = field.metric_matrix_at([0.23, 0.51])
-    assert m.shape == (1, 1) and m[0, 0].imag == 0.0
-    assert m[0, 0].real == pytest.approx(
-        1.0 - np.pi**2 * 0.01 * np.cos(2.0 * np.pi * 0.23), abs=1e-12
-    )
+def test_torus_point_queries_take_grid_indices_only():
+    grid = TorusGrid(2, 8)
+    field = TorusMetricField(grid, np.zeros(grid.shape))
+    for query in (field.jet_at, field.metric_matrix_at):
+        with pytest.raises(TypeError, match="multi-index"):
+            query(grid.coords((1, 2, 3, 4)))  # real coordinates
+        with pytest.raises(TypeError):
+            query([1, 2, 3.0, 4])
+        with pytest.raises(DimensionMismatch):
+            query((1, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            query((1, 2, 3, 4, 5))
 
 
 def test_large_amplitude_loses_positivity():
@@ -100,9 +111,6 @@ def test_potential_shape_is_checked():
     grid = TorusGrid(1, 16)
     with pytest.raises(DimensionMismatch):
         TorusMetricField(grid, np.zeros((8, 8)))
-    field = TorusMetricField(grid, np.zeros(grid.shape))
-    with pytest.raises(DimensionMismatch):
-        field.metric_matrix_at([0.1, 0.2, 0.3])
 
 
 # -- chart fields ----------------------------------------------------------------
@@ -117,19 +125,18 @@ def disk_field():
 
 def test_disk_metric_closed_form(disk_field):
     z = 0.3
-    g = disk_field.metric_matrix_at([z])
+    g, dg, ddg = disk_field.jet_at([z])
     assert g[0, 0] == pytest.approx(1.0 / (1.0 - z**2) ** 2, abs=1e-13)
-    dg = disk_field.dg_at([z])
+    assert np.array_equal(disk_field.metric_matrix_at([z]), g)
     assert dg[0, 0, 0] == pytest.approx(2.0 * z / (1.0 - z**2) ** 3, abs=1e-13)
-    ddg = disk_field.ddg_at([z])
     want = 2.0 / (1.0 - z**2) ** 3 + 6.0 * z**2 / (1.0 - z**2) ** 4
     assert ddg[0, 0, 0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_disk_is_einstein(disk_field):
     for z in (0.1, 0.35 + 0.2j, -0.5j):
-        ric = disk_field.ricci_at([z])
-        g = disk_field.metric_matrix_at([z])
+        g, dg, ddg = disk_field.jet_at([z])
+        ric = ricci_from_derivatives(g, dg, ddg)
         assert np.max(np.abs(ric + 2.0 * g)) < 1e-10
 
 
@@ -138,8 +145,9 @@ def test_chart_point_guards(disk_field):
         disk_field.metric_matrix_at([0.95])  # outside trusted region
     with pytest.raises(DimensionMismatch):
         disk_field.metric_matrix_at([0.1, 0.2])
-    assert disk_field.trusted([0.5])
-    assert not disk_field.trusted([0.85])
+    disk_field.jet_at([0.5])  # inside the trusted radius 0.8
+    with pytest.raises(ValueError, match="trusted"):
+        disk_field.jet_at([0.85])
 
 
 def test_chart_detects_non_real_potential():
@@ -222,7 +230,7 @@ def test_chart_jet_matches_exact_sympy(name, params, point):
     field = make_example(name, **params).field
     want = _exact_jet(field.potential, field.z, field.zbar, point)
     z = np.array([complex(p) for p in point])
-    got = (field.metric_matrix_at(z), field.dg_at(z), field.ddg_at(z))
+    got = field.jet_at(z)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -242,8 +250,7 @@ def test_chart_lambdifies_once_per_field(monkeypatch):
         calls.clear()
         for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
             field.metric_matrix_at(z)
-            field.dg_at(z)
-            field.ddg_at(z)
-            field.ricci_at(z)
+            field.jet_at(z)
+            ricci_form(field, [z])
             curvature_tensor(field, z)
         assert len(calls) == 1

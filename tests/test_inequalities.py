@@ -74,13 +74,24 @@ def fd_laplacian(fun, x0, gp, h, richardson=False):
 
 
 def trace_function(omega, omega_prime):
-    """S(x) = tr_{omega'} omega at real coordinates x, from metric values only."""
-    chart = isinstance(omega, ChartMetricField)
+    """S(x) = tr_{omega'} omega at real coordinates x, from metric values only.
+
+    Chart metrics are evaluated in closed form.  Torus metrics are known on
+    the grid only, so each entry of g is interpolated trigonometrically,
+    which is exact for band-limited potentials.
+    """
+    def metric(field):
+        if isinstance(field, ChartMetricField):
+            return lambda x: field.metric_matrix_at(x[0::2] + 1j * x[1::2])
+        grid, n = field.grid, field.n
+        spectra = [[grid.fft(field.g[..., i, j]) for j in range(n)] for i in range(n)]
+        return lambda x: np.array([[grid.eval_spectral(F, x)[0] for F in row]
+                                   for row in spectra])
+
+    g_of, gp_of = metric(omega), metric(omega_prime)
 
     def s_of(x):
-        p = x[0::2] + 1j * x[1::2] if chart else x
-        return float(np.trace(np.linalg.solve(omega_prime.metric_matrix_at(p),
-                                              omega.metric_matrix_at(p))).real)
+        return float(np.trace(np.linalg.solve(gp_of(x), g_of(x))).real)
 
     return s_of
 
@@ -231,8 +242,10 @@ def torus_pair():
 
 def test_laplacian_identity_converges_at_second_order(torus_pair):
     omega, omega_p = torus_pair
-    point = omega.grid.coords((3, 5, 7, 1))
-    identity, cs = laplacian_identity_check(omega, omega_p, point)
+    idx = (3, 5, 7, 1)
+    point = omega.grid.coords(idx)
+    identity, cs = laplacian_identity_check(omega, omega_p, idx)
+    assert identity.point == cs.point == tuple(point)
     assert identity.status == "pass"
     assert identity.two_sided
     assert abs(identity.margin) <= 1e-10 * max(1.0, abs(identity.rhs))
@@ -240,27 +253,33 @@ def test_laplacian_identity_converges_at_second_order(torus_pair):
     assert cs.status == "pass"
     # the stencil oracle converges to the exact Delta' S at second order
     s_of = trace_function(omega, omega_p)
-    gp = omega_p.metric_matrix_at(point)
+    gp = omega_p.metric_matrix_at(idx)
     errs = [abs(fd_laplacian(s_of, point, gp, h) - identity.lhs) for h in (0.02, 0.01)]
     assert errs[0] / errs[1] > 3.5
 
 
 def test_laplacian_identity_guards(torus_pair):
     omega, omega_p = torus_pair
-    point = [0.1, 0.2, 0.3, 0.4]
+    idx = (1, 2, 3, 4)
     with pytest.raises(ValueError, match="flat"):
-        laplacian_identity_check(omega_p, omega_p, point)
+        laplacian_identity_check(omega_p, omega_p, idx)
     with pytest.raises(TypeError):
         laplacian_identity_check(poincare_field(), poincare_field(), [0.1])
     other = TorusMetricField(TorusGrid(2, 8), np.zeros(TorusGrid(2, 8).shape))
     with pytest.raises(DimensionMismatch):
-        laplacian_identity_check(omega, other, point)
+        laplacian_identity_check(omega, other, idx)
+    # torus points are grid multi-indices
+    with pytest.raises(TypeError, match="multi-index"):
+        laplacian_identity_check(omega, omega_p, omega.grid.coords((1, 2, 3, 4)))
+    for bad in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(DimensionMismatch):
+            laplacian_identity_check(omega, omega_p, bad)
 
 
 def test_cauchy_schwarz_holds_across_points(torus_pair):
     omega, omega_p = torus_pair
     for idx in ((0, 0, 0, 0), (5, 2, 9, 4), (11, 11, 3, 8)):
-        _, cs = laplacian_identity_check(omega, omega_p, omega.grid.coords(idx))
+        _, cs = laplacian_identity_check(omega, omega_p, idx)
         assert cs.margin >= -1e-9
 
 
@@ -288,9 +307,10 @@ def test_schwarz_conclusion_screens_hypotheses():
     grid = TorusGrid(1, 16)
     flat = TorusMetricField(grid, np.zeros(grid.shape))
     hyp = SchwarzHypotheses(kappa=0.5, lam=1.0, mu=0.0)
-    r = schwarz_conclusion_check(flat, flat, hyp, [0.1, 0.2])
+    r = schwarz_conclusion_check(flat, flat, hyp, (2, 3))
     assert r.status == "not-applicable"
     assert "HSC hypothesis fails" in r.note
+    assert r.point == tuple(grid.coords((2, 3)))
 
     field = poincare_field(n=2, scale=2.0)
     weak = SchwarzHypotheses(kappa=0.5, lam=0.25, mu=0.0)  # needs lam >= 1

@@ -89,6 +89,13 @@ def test_load_rejects_corrupted_files(tmp_path, grid, field):
     with pytest.raises(ValueError, match="kind code"):
         load_scalar_field(kind)
 
+    # a header naming an impossible grid is reported against the file too
+    for n, N in ((0, 8), (5, 8), (1, 7)):
+        header = tmp_path / f"header_{n}_{N}.kwb"
+        header.write_bytes(struct.pack("<4sBBBI", MAGIC, 1, 0, n, N) + blob[11:])
+        with pytest.raises(ValueError, match=f"^{header}: "):
+            load_scalar_field(header)
+
     padded = tmp_path / "padded.kwb"
     padded.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(ValueError, match="payload"):
