@@ -100,12 +100,8 @@ DEFAULTS = {
     "hsc_extremes": {
         "examples": ["poincare-disk", "poincare-polydisk", "fubini-study",
                      "fermat-chart", "perturbed-torus"],
-        "directions": 2000,
-        "refine_steps": 40,
     },
-    "verify_inequalities": {
-        "trials": 20000, "royden_trials": 200, "directions": 2000,
-    },
+    "verify_inequalities": {"trials": 20000, "royden_trials": 200},
     "integrals": {
         "n": 2, "grid": 12, "amplitude": 0.008,
         "eps0": 1.0, "ratio": 0.6, "steps": 6, "tol": 1e-8,
@@ -127,11 +123,21 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise jsonschema.ValidationError unless cfg matches the shipped schema."""
+    """Raise jsonschema.ValidationError unless cfg matches the shipped schema.
+
+    One rule spans two keys, so the schema cannot state it: the integrals
+    schedule needs integrals.steps >= integrals.n + 2 states for its
+    degree-n expansion fit and cross-check.
+    """
     schema = json.loads(
         resources.files("kahlerbench").joinpath("schema/config.schema.json").read_text()
     )
     jsonschema.validate(cfg, schema)
+    c = cfg.get("integrals", {})
+    if "steps" in c and "n" in c and c["steps"] < c["n"] + 2:
+        raise jsonschema.ValidationError(
+            f"{c['steps']} is less than n + 2 = {c['n'] + 2}",
+            path=("integrals", "steps"))
 
 
 def load_config(path=None) -> dict:
@@ -268,8 +274,7 @@ def run_hsc_extremes(cfg, out_dir, seed):
         if example.field.kind == "analytic-chart":
             pts = example.geometry.sample_points(per_axis=2)
             for p in pts:
-                ext = hsc_extremes(example.field, p, c["directions"],
-                                   c["refine_steps"])
+                ext = hsc_extremes(example.field, p)
                 entry = {"example": name, "h_min": ext.h_min, "h_max": ext.h_max}
                 for i, zc in enumerate(np.asarray(p, dtype=complex)):
                     entry[f"re_z{i + 1}"] = zc.real
@@ -310,9 +315,8 @@ def run_verify_inequalities(cfg, out_dir, seed):
     min_margin = np.inf
     for _ in range(c["royden_trials"]):
         n = int(rng.integers(1, 4))
-        R = conditioned_negative_tensor(n, rng, gap=float(rng.uniform(0.2, 1.0)),
-                                        num_directions=c["directions"])
-        ext = hsc_extremes_from_tensor(R, np.eye(n), c["directions"], 50)
+        R = conditioned_negative_tensor(n, rng, gap=float(rng.uniform(0.2, 1.0)))
+        ext = hsc_extremes_from_tensor(R, np.eye(n))
         kappa = -ext.h_max
         if kappa < 0.0:
             continue
@@ -332,7 +336,7 @@ def run_verify_inequalities(cfg, out_dir, seed):
                        np.eye(1), np.eye(1), kappa_eq, tol=1e-12)
     c_model = -1.3
     R_model = constant_hsc_tensor(np.eye(2, dtype=complex), c_model)
-    ext = hsc_extremes_from_tensor(R_model, np.eye(2), 512, 30)
+    ext = hsc_extremes_from_tensor(R_model, np.eye(2))
     r2 = royden_margin(R_model, np.eye(2), np.eye(2), -ext.h_max, tol=1e-12)
     reports.extend((r1, r2))
     eq_ok = abs(r1.margin) <= 1e-12 and abs(r2.margin) <= 1e-12
@@ -401,8 +405,7 @@ def run_verify_inequalities(cfg, out_dir, seed):
 
     # max-principle ceiling: applicable on the polydisk, vacuous on the torus
     kappa0 = kappa_floor(example.field,
-                         points=example.geometry.sample_points(per_axis=2),
-                         num_directions=c["directions"])
+                         points=example.geometry.sample_points(per_axis=2))
     mp = max_principle_s_bound(kappa0, [2.0], 2, tol=tols["algebraic"])
     reports.append(mp)
     rows.append(_report_row("verify-inequalities", mp, check="max-principle-polydisk"))
@@ -461,8 +464,7 @@ def run_integrals(cfg, out_dir, seed):
                      value=sigma_err, tol=1e-10))
 
     # short continuity path: expansion fit, volume law, nef floors, bigness
-    steps = max(c["steps"], n + 2)
-    eps = [c["eps0"] * c["ratio"] ** j for j in range(steps)]
+    eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
     states = continuity_path(omega, eps, tol=1e-10)
     expansion = epsilon_expansion_check(states, omega)
     vref = volume(omega)
@@ -489,7 +491,7 @@ def run_integrals(cfg, out_dir, seed):
                      "pass" if all(r.passed for r in nef_reports) else "fail",
                      margin=min(nef_margins), tol=tols["integral"],
                      note=f"{len(nef_reports)} (state, k) rows"))
-    kappa0 = kappa_floor(omega, num_directions=400, refine_steps=20)
+    kappa0 = kappa_floor(omega)
     bigness = bigness_bound_report(kappa0, omega, states)
     reports.extend(bigness.per_state)
     reports.append(bigness.extrapolated)

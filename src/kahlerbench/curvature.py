@@ -27,6 +27,10 @@ from .fields import TorusMetricField
 from .linalg import Direction
 
 SYMMETRY_RTOL = 1e-10
+# The one extremizer policy: Kronecker scan size and projected-gradient
+# refinement steps behind every HSC extreme, screen and floor.
+HSC_DIRECTIONS = 4000
+HSC_REFINE_STEPS = 60
 
 
 def _inverse_metric_upper(g: np.ndarray) -> np.ndarray:
@@ -84,12 +88,11 @@ def symmetry_violation(R: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KahlerCurvature:
-    """Curvature data of a metric at a point: tensor, Ricci, and the metric."""
+    """Curvature data of a metric at a point: the tensor and the metric."""
 
     n: int
     g: np.ndarray
     tensor: np.ndarray
-    ricci: np.ndarray
 
     def __post_init__(self):
         scale = max(1.0, float(np.max(np.abs(self.tensor))))
@@ -99,9 +102,7 @@ class KahlerCurvature:
 
     @classmethod
     def from_derivatives(cls, g, dg, ddg) -> "KahlerCurvature":
-        R = curvature_from_derivatives(g, dg, ddg)
-        ric = ricci_from_curvature(g, R)
-        return cls(g.shape[-1], np.asarray(g), R, ric)
+        return cls(g.shape[-1], np.asarray(g), curvature_from_derivatives(g, dg, ddg))
 
 
 def curvature_tensor(field, point) -> KahlerCurvature:
@@ -240,8 +241,8 @@ class HscExtremes:
 
 
 def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray,
-                             num_directions: int = 10000,
-                             refine_steps: int = 50) -> HscExtremes:
+                             num_directions: int = HSC_DIRECTIONS,
+                             refine_steps: int = HSC_REFINE_STEPS) -> HscExtremes:
     """Extremize H over directions for one curvature tensor.
 
     Reduces to a g-orthonormal frame (where H = Q on the unit sphere),
@@ -264,8 +265,8 @@ def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray,
     return HscExtremes(h_min, h_max, T @ u_min, T @ u_max)
 
 
-def hsc_extremes(field, point, num_directions: int = 10000,
-                 refine_steps: int = 50) -> HscExtremes:
+def hsc_extremes(field, point, num_directions: int = HSC_DIRECTIONS,
+                 refine_steps: int = HSC_REFINE_STEPS) -> HscExtremes:
     """Extremal holomorphic sectional curvatures of a field at a point."""
     curv = curvature_tensor(field, point)
     return hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
@@ -288,8 +289,7 @@ def default_sweep_points(field, max_points: int = 256):
     return field.geometry.sample_points(per_axis=per_axis)
 
 
-def sweep_hsc_extremes(field, points=None, max_points: int = 256,
-                       num_directions: int = 2000, refine_steps: int = 40):
+def sweep_hsc_extremes(field, points=None, max_points: int = 256):
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
     points=None sweeps default_sweep_points(field, max_points).
@@ -298,17 +298,15 @@ def sweep_hsc_extremes(field, points=None, max_points: int = 256,
         points = default_sweep_points(field, max_points)
     for p in points:
         curv = curvature_tensor(field, p)
-        yield hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
+        yield hsc_extremes_from_tensor(curv.tensor, curv.g)
 
 
-def kappa_floor(field, points=None, num_directions: int = 2000,
-                refine_steps: int = 40) -> float:
+def kappa_floor(field, points=None) -> float:
     """Uniform negativity floor kappa_0 = min over points of -sup_eta H.
 
     Positive only when H stays negative on the whole sweep; values <= 0
     mean downstream negativity-based bounds are not applicable.  With
     points=None a torus field is swept at no more than 256 grid points.
     """
-    exts = sweep_hsc_extremes(field, points, num_directions=num_directions,
-                              refine_steps=refine_steps)
+    exts = sweep_hsc_extremes(field, points)
     return float(-max((ext.h_max for ext in exts), default=-np.inf))

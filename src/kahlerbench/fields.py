@@ -61,8 +61,10 @@ class TorusMetricField:
         """This field on a pad-times finer grid (trigonometric prolongation).
 
         Built, and checked positive, once per pad; later calls return the
-        same field.
+        same field, and pad = 1 returns this field itself.
         """
+        if pad == 1:
+            return self
         fine_field = self._refined.get(pad)
         if fine_field is None:
             fine = TorusGrid(self.n, pad * self.grid.N)

@@ -282,9 +282,7 @@ def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = No
 
 def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
                              fd_step: float = None, tol: float = 1e-9,
-                             hypothesis_tol: float = 1e-8,
-                             num_directions: int = 4000,
-                             refine_steps: int = 50) -> InequalityReport:
+                             hypothesis_tol: float = 1e-8) -> InequalityReport:
     """Check Delta' log S >= ((n+1) kappa / (2n) + mu/n) S - lam at a point.
 
     Both hypotheses are re-verified at the point before comparing: the
@@ -300,7 +298,7 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     jet = omega.jet_at(point)
     where = omega.grid.coords(point) if isinstance(omega, TorusMetricField) else point
     curv = KahlerCurvature.from_derivatives(*jet)
-    ext = hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
+    ext = hsc_extremes_from_tensor(curv.tensor, curv.g)
     if ext.h_max > -hyp.kappa + hypothesis_tol:
         return not_applicable(
             "schwarz-log-trace-conclusion",
@@ -369,9 +367,7 @@ def random_kahler_tensor(n: int, rng: np.random.Generator, scale: float = 1.0) -
 
 
 def conditioned_negative_tensor(n: int, rng: np.random.Generator,
-                                gap: float = 0.5,
-                                num_directions: int = 2000,
-                                refine_steps: int = 40) -> np.ndarray:
+                                gap: float = 0.5) -> np.ndarray:
     """Random symmetric tensor shifted so sup H < 0 (by roughly `gap`).
 
     Random tensors almost never satisfy the negativity hypothesis on their
@@ -380,5 +376,5 @@ def conditioned_negative_tensor(n: int, rng: np.random.Generator,
     """
     eye = np.eye(n, dtype=complex)
     R = random_kahler_tensor(n, rng)
-    ext = hsc_extremes_from_tensor(R, eye, num_directions, refine_steps)
+    ext = hsc_extremes_from_tensor(R, eye)
     return R - constant_hsc_tensor(eye, ext.h_max + gap)

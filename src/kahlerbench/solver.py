@@ -259,25 +259,21 @@ def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
 
 
 def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
-               f: np.ndarray, log_c: float, newton_steps: int = 0,
-               refine: int = None) -> ContinuityState:
+               f: np.ndarray, log_c: float, newton_steps: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    g_eps is formed once and shared by every diagnostic.  With refine > 1
-    (the default for n <= 2) the Ricci residual is the dealiased one, whose
-    fine background omega.refined(refine) is built once per field, so the
-    states of a path and any reloaded state reuse it.
+    g_eps is formed once and shared by every diagnostic.  The Ricci
+    residual is dealiased on a twice finer grid for n <= 2 and taken on the
+    solve grid (pad 1) for n = 3; the fine background omega.refined(pad) is
+    built once per field, so the states of a path and any reloaded state
+    reuse it.
     """
     grid = omega.grid
     g_eps = epsilon * omega.g + grid.complex_hessian(v)
     u = f + v
     lam = relative_eigenvalues_field(omega.g, g_eps)
-    if refine is None:
-        refine = 2 if grid.n <= 2 else 1
-    if refine > 1:
-        ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps, pad=refine)
-    else:
-        ricci_sup = ricci_residual_of(g_eps, epsilon, omega)
+    pad = 2 if grid.n <= 2 else 1
+    ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps, pad=pad)
     return ContinuityState(
         epsilon=float(epsilon),
         v=v, u=u, f=f, g_eps=g_eps,
@@ -329,22 +325,6 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10,
     return states
 
 
-def ricci_residual_of(g_eps: np.ndarray, epsilon: float,
-                      omega: TorusMetricField) -> float:
-    """sup-norm of Ric(omega_eps) + omega_eps - eps*omega over the grid.
-
-    Ric is the spectral -dd^c log det g_eps; the residual measures how
-    exactly the solved state satisfies the twisted Einstein identity.
-    """
-    grid = omega.grid
-    d = det(g_eps).real
-    if np.any(d <= 0.0):
-        raise PositivityLoss("state metric degenerate; Ricci residual undefined")
-    ric = -grid.complex_hessian(np.log(d))
-    resid = ric + g_eps - epsilon * omega.g
-    return float(np.max(np.abs(resid)))
-
-
 def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
                              v: np.ndarray, g_eps: np.ndarray, pad: int = 2) -> float:
     """Ricci identity residual with the determinant evaluated dealiased.
@@ -357,7 +337,7 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     Ricci Hessian is taken.  That removes the fold-back of product terms
     the solve grid cannot represent, so the value measures genuine
     discretization error and decays at the spectral rate under grid
-    refinement.
+    refinement.  At pad = 1 it is the raw residual of the solve grid.
 
     The fine background is omega.refined(pad), built once per field and
     shared by every state of a path; g_eps = eps*omega.g + Hess v is the

@@ -12,6 +12,7 @@ so they are independent of the lambdified floating pipeline they certify.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -260,10 +261,13 @@ def rough_torus_potential(grid: TorusGrid, amplitude: float,
 # -- example builders ---------------------------------------------------------
 
 
-def _sweep_hsc_range(metric_field, num_directions=600, refine_steps=25):
-    exts = list(sweep_hsc_extremes(metric_field, max_points=64,
-                                   num_directions=num_directions,
-                                   refine_steps=refine_steps))
+def _sweep_hsc_range(metric_field):
+    """(min, max) of H over a torus sweep; at n = 1 H = R / g^2 on the whole grid."""
+    if metric_field.n == 1:
+        R = curvature_field(metric_field)[..., 0, 0, 0, 0].real
+        h = R / metric_field.g[..., 0, 0].real ** 2
+        return float(h.min()), float(h.max())
+    exts = list(sweep_hsc_extremes(metric_field, max_points=64))
     return min(e.h_min for e in exts), max(e.h_max for e in exts)
 
 
@@ -301,30 +305,20 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
     grid = TorusGrid(n, resolution)
     psi = perturbed_torus_potential(grid, amplitude, modes)
     mf = TorusMetricField(grid, psi)  # PositivityLoss here if amplitude too large
-    if n == 1:
-        def measure_min(f):
-            R = curvature_field(f)[..., 0, 0, 0, 0].real
-            return float((R / f.g[..., 0, 0].real ** 2).min())
-
-        def measure_max(f):
-            R = curvature_field(f)[..., 0, 0, 0, 0].real
-            return float((R / f.g[..., 0, 0].real ** 2).max())
-    else:
-        measure_min = lambda f: _sweep_hsc_range(f)[0]
-        measure_max = lambda f: _sweep_hsc_range(f)[1]
+    hsc_range = functools.cache(_sweep_hsc_range)  # one sweep serves both sign facts
     facts = (
         Fact(
             name="hsc-attains-negative",
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="lt", tol=0.0,
-            oracle=lambda: 0.0, measure=measure_min,
+            oracle=lambda: 0.0, measure=lambda f: hsc_range(f)[0],
             description="the perturbation bends some directions negatively",
         ),
         Fact(
             name="hsc-attains-positive",
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="gt", tol=0.0,
-            oracle=lambda: 0.0, measure=measure_max,
+            oracle=lambda: 0.0, measure=lambda f: hsc_range(f)[1],
             description="...and others positively: no uniform sign on a torus",
         ),
         Fact(
@@ -423,7 +417,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
                        f"= {-2.0 / (scale * n)} for n={n}",
             mode="equal", tol=1e-6,
             oracle=lambda: symbolic_hsc(psi, z, zb, pt, diag),
-            measure=lambda f: hsc_extremes(f, zpt, 4000, 60).h_max,
+            measure=lambda f: hsc_extremes(f, zpt).h_max,
             description="the extremizer spreads evenly across the factors",
         ),
         Fact(
@@ -431,9 +425,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             provenance="product structure: sup H = -2/(scale*n) everywhere",
             mode="equal", tol=1e-6,
             oracle=lambda: 2.0 / (scale * n),
-            measure=lambda f: kappa_floor(
-                f, points=f.geometry.sample_points(per_axis=2), num_directions=2000
-            ),
+            measure=lambda f: kappa_floor(f, points=f.geometry.sample_points(per_axis=2)),
             description="uniform negativity floor kappa_0 = 2/(scale*n)",
         ),
     )

@@ -162,9 +162,8 @@ def test_criterion_05_curvature_trace_lower_bound():
     min_margin = np.inf
     trials = 0
     for _ in range(1000):
-        R = conditioned_negative_tensor(2, rng, gap=float(rng.uniform(0.2, 1.0)),
-                                        num_directions=600)
-        ext = hsc_extremes_from_tensor(R, np.eye(2), 600, 40)
+        R = conditioned_negative_tensor(2, rng, gap=float(rng.uniform(0.2, 1.0)))
+        ext = hsc_extremes_from_tensor(R, np.eye(2))
         kappa = -ext.h_max
         if kappa < 0.0:
             continue
@@ -177,7 +176,7 @@ def test_criterion_05_curvature_trace_lower_bound():
     exact_line = royden_margin(np.full((1, 1, 1, 1), -0.7, dtype=complex),
                                np.eye(1), np.eye(1), 0.7, tol=1e-12)
     model = constant_hsc_tensor(np.eye(2, dtype=complex), -1.3)
-    ext = hsc_extremes_from_tensor(model, np.eye(2), 512, 30)
+    ext = hsc_extremes_from_tensor(model, np.eye(2))
     constant_h = royden_margin(model, np.eye(2), np.eye(2), -ext.h_max,
                                tol=1e-12)
     eq_worst = max(abs(exact_line.margin), abs(constant_h.margin))
@@ -207,8 +206,7 @@ def test_criterion_06_log_trace_conclusion():
     log_s = lambda x: np.log(s_of(x))
     margins, inapplicable, fd_gap = [], 0, 0.0
     for i, p in enumerate(points):
-        report = schwarz_conclusion_check(omega, omega_bumped, hyp, p,
-                                          num_directions=800, refine_steps=40)
+        report = schwarz_conclusion_check(omega, omega_bumped, hyp, p)
         if report.applicable:
             margins.append(report.margin)
         else:
@@ -311,7 +309,7 @@ def test_criterion_10_hypothesis_honesty(perturbed_path):
     """Substrates without a negativity floor yield not-applicable reports,
     never a fabricated pass; the contained-line example reports H > 0."""
     grid, omega, states = perturbed_path
-    kappa0 = kappa_floor(omega, num_directions=400, refine_steps=20)
+    kappa0 = kappa_floor(omega)
     ceiling = max_principle_s_bound(kappa0, [2.0], grid.n)
     bigness = bigness_bound_report(kappa0, omega, states)
     statuses = {r.status for r in bigness.per_state}

@@ -67,7 +67,10 @@ def test_load_config_rejects_unknown_keys_and_bad_types(tmp_path):
 
     for i, text in enumerate(("tolerances:\n  solver: 1.0e-10\n",
                               "tolerances:\n  fd: 1.0e-6\n",
-                              "verify_inequalities:\n  fd_step: 0.02\n")):
+                              "verify_inequalities:\n  fd_step: 0.02\n",
+                              "hsc_extremes:\n  directions: 2000\n",
+                              "hsc_extremes:\n  refine_steps: 40\n",
+                              "verify_inequalities:\n  directions: 2000\n")):
         removed_key = tmp_path / f"removed_key_{i}.yaml"
         removed_key.write_text(text)
         with pytest.raises(jsonschema.ValidationError):
@@ -116,12 +119,24 @@ def test_bad_config_exits_2_with_message(tmp_path):
     (["solve-ma", "--grid", "7"], "solve_ma/grid"),
     (["solve-ma", "--grid", "9"], "(solve_ma|continuity_path|integrals)/grid"),
     (["solve-ma", "--seed", "-1"], "seed"),
+    # the integrals expansion fit needs n + 2 = 4 states at the default n = 2
+    (["integrals", "--eps-steps", "3"], "integrals/steps"),
 ])
 def test_bad_flags_exit_2_with_message(tmp_path, argv, where):
     rc, out, err = run_cli(argv + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert re.match(f"config error: {where}: ", err)
     assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_removed_extremizer_key_exits_2(tmp_path):
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text("hsc_extremes:\n  directions: 2000\n")
+    rc, _, err = run_cli(["hsc-extremes", "--config", str(cfg),
+                          "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert err.startswith("config error: hsc_extremes: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_smallest_trial_count_runs(tmp_path):

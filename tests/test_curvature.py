@@ -7,6 +7,8 @@ import pytest
 import sympy as sp
 
 from kahlerbench.curvature import (
+    HSC_DIRECTIONS,
+    HSC_REFINE_STEPS,
     KahlerCurvature,
     constant_hsc_tensor,
     curvature_field,
@@ -15,6 +17,7 @@ from kahlerbench.curvature import (
     default_sweep_points,
     hsc,
     hsc_extremes,
+    hsc_extremes_from_tensor,
     hsc_value,
     kappa_floor,
     kronecker_directions,
@@ -61,12 +64,12 @@ def test_curvature_symmetries_are_enforced():
     rng = np.random.default_rng(7)
     g = random_pd(2, rng)
     R = constant_hsc_tensor(g, -1.0)
-    KahlerCurvature(2, g, R, ricci_from_curvature(g, R))  # fine
+    KahlerCurvature(2, g, R)  # fine
     bad = R.copy()
     bad[0, 1, 1, 0] += 0.05
     assert symmetry_violation(bad) > 1e-3
     with pytest.raises(ValueError, match="symmetries"):
-        KahlerCurvature(2, g, bad, ricci_from_curvature(g, bad))
+        KahlerCurvature(2, g, bad)
 
 
 def test_transform_tensor_preserves_hsc():
@@ -152,7 +155,7 @@ def test_disk_hsc_is_minus_two_over_scale():
 
 def test_polydisk_hsc_extremes():
     field = polydisk_field(n=2, scale=2.0)
-    ext = hsc_extremes(field, [0.1, -0.05], num_directions=4000, refine_steps=60)
+    ext = hsc_extremes(field, [0.1, -0.05])
     # factor directions minimize (-2/scale), balanced diagonals halve that
     assert ext.h_min == pytest.approx(-1.0, abs=1e-6)
     assert ext.h_max == pytest.approx(-0.5, abs=1e-6)
@@ -163,15 +166,30 @@ def test_polydisk_hsc_extremes():
             field.metric_matrix_at([0.1, -0.05]), eta), abs=1e-12)
 
 
+def test_extremizer_defaults_are_the_policy_constants():
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        raw = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+        R = raw + np.swapaxes(raw, 0, 2)
+        R = R + np.swapaxes(R, 1, 3)
+        R = R + np.conj(np.swapaxes(np.swapaxes(R, 0, 1), 2, 3))
+        g = random_pd(n, rng)
+        default = hsc_extremes_from_tensor(R, g)
+        explicit = hsc_extremes_from_tensor(R, g, HSC_DIRECTIONS, HSC_REFINE_STEPS)
+        assert (default.h_min, default.h_max) == (explicit.h_min, explicit.h_max)
+        assert np.array_equal(default.eta_min, explicit.eta_min)
+        assert np.array_equal(default.eta_max, explicit.eta_max)
+
+
 def test_kappa_floor_signs():
     field = polydisk_field(n=2, scale=2.0)
     pts = [[0.0, 0.0], [0.2, 0.1j], [-0.3, 0.25]]
-    k0 = kappa_floor(field, points=pts, num_directions=1500, refine_steps=40)
+    k0 = kappa_floor(field, points=pts)
     assert k0 == pytest.approx(0.5, abs=1e-5)
 
     grid = TorusGrid(1, 16)
     flat = TorusMetricField(grid, np.zeros(grid.shape))
-    assert kappa_floor(flat, points=[(0, 0)], num_directions=10) <= 1e-12
+    assert kappa_floor(flat, points=[(0, 0)]) <= 1e-12
 
 
 def _strided_grid_indices(grid, stride):
@@ -188,8 +206,8 @@ def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, amplitude))
     points = _strided_grid_indices(grid, stride)
     assert list(default_sweep_points(field)) == points
-    swept = kappa_floor(field, num_directions=300, refine_steps=20)
-    pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
+    swept = kappa_floor(field)
+    pointwise = kappa_floor(field, points=points)
     assert swept == pointwise
     if amplitude == 0.0:
         assert abs(swept) <= 1e-12
@@ -202,10 +220,10 @@ def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     # the curvature symmetry check.
     grid = TorusGrid(1, N)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
-    swept = kappa_floor(field, num_directions=300, refine_steps=20)
+    swept = kappa_floor(field)
     points = _strided_grid_indices(grid, N // 16)  # the sweep's 256 points
     assert len(points) == 256
-    pointwise = kappa_floor(field, points=points, num_directions=300, refine_steps=20)
+    pointwise = kappa_floor(field, points=points)
     assert swept == pointwise
 
 

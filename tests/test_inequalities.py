@@ -164,7 +164,7 @@ def test_royden_margin_conditioned_sweep():
     eye = np.eye(2, dtype=complex)
     for _ in range(15):
         R = conditioned_negative_tensor(2, rng, gap=0.5)
-        kappa = -hsc_extremes_from_tensor(R, eye, 2000, 40).h_max
+        kappa = -hsc_extremes_from_tensor(R, eye).h_max
         assert kappa > 0.0
         gp = random_pd(2, rng)
         r = royden_margin(R, eye, gp, kappa)
@@ -341,5 +341,5 @@ def test_random_tensors_have_curvature_symmetries():
         assert symmetry_violation(R) < 1e-12
         C = conditioned_negative_tensor(n, rng, gap=0.5)
         assert symmetry_violation(C) < 1e-12
-        ext = hsc_extremes_from_tensor(C, np.eye(n, dtype=complex), 2000, 40)
+        ext = hsc_extremes_from_tensor(C, np.eye(n, dtype=complex))
         assert ext.h_max < -0.4

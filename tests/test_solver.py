@@ -16,11 +16,10 @@ from kahlerbench.solver import (
     make_state,
     manufactured_problem,
     ricci_residual_dealiased,
-    ricci_residual_of,
     solve_ma,
     volume_ratio_ceiling,
 )
-from kahlerbench.zoo import rough_torus_potential
+from kahlerbench.zoo import perturbed_torus_potential, rough_torus_potential
 
 
 def cosine_potential(grid, amplitude, k=1):
@@ -225,7 +224,8 @@ def test_ricci_residual_flat_is_zero():
     grid = TorusGrid(2, 8)
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     state = continuity_path(omega, [0.5])[0]
-    assert ricci_residual_of(state.g_eps, state.epsilon, omega) < 1e-12
+    assert _raw_residual(omega, state) < 1e-12
+    assert ricci_residual_dealiased(omega, 0.5, state.v, state.g_eps, pad=1) < 1e-12
     assert ricci_residual_dealiased(omega, 0.5, state.v, state.g_eps) < 1e-12
 
 
@@ -235,7 +235,7 @@ def test_ricci_residual_detects_corruption():
     state = continuity_path(omega, [1.0])[0]
     v_bad = state.v + cosine_potential(grid, 1e-3, k=3)
     g_bad = 1.0 * omega.g + grid.complex_hessian(v_bad)
-    assert ricci_residual_of(g_bad, 1.0, omega) >= 1e-4
+    assert ricci_residual_dealiased(omega, 1.0, v_bad, g_bad, pad=1) >= 1e-4
 
 
 def test_ricci_residual_refines_at_spectral_rate():
@@ -249,16 +249,29 @@ def test_ricci_residual_refines_at_spectral_rate():
     assert values[32] / values[64] > 100.0
 
 
-def test_make_state_refine_selects_instrument():
-    grid = TorusGrid(1, 32)
-    omega = TorusMetricField(grid, cosine_potential(grid, 0.05))
-    state = continuity_path(omega, [1.0], tol=1e-10)[0]
-    raw = make_state(omega, 1.0, state.v, state.f, state.log_c_bound, refine=1)
-    assert raw.ricci_residual_sup == pytest.approx(
-        ricci_residual_of(state.g_eps, state.epsilon, omega), rel=1e-12)
-    dealiased = make_state(omega, 1.0, state.v, state.f, state.log_c_bound, refine=2)
-    assert dealiased.ricci_residual_sup == pytest.approx(
-        ricci_residual_dealiased(omega, 1.0, state.v, state.g_eps, pad=2), rel=1e-12)
+def _raw_residual(omega, state):
+    """sup |Ric(omega_eps) + omega_eps - eps omega|, Ric = -dd^c log det g_eps
+    taken spectrally on the solve grid itself."""
+    grid = omega.grid
+    ric = -grid.complex_hessian(np.log(np.linalg.det(state.g_eps).real))
+    return float(np.max(np.abs(ric + state.g_eps - state.epsilon * omega.g)))
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (3, 8)])
+def test_make_state_selects_instrument_by_dimension(n, N):
+    grid = TorusGrid(n, N)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    # Any v with a positive g_eps will do.  At n = 1 a solved v keeps the
+    # residual small enough for the dealiasing to show; n = 3 skips the solve.
+    v = continuity_path(omega, [1.0], tol=1e-10)[0].v if n == 1 else 0.5 * omega.psi
+    state = make_state(omega, 1.0, v, -omega.log_det_g, 0.0)
+    raw = _raw_residual(omega, state)
+    if n <= 2:  # dealiased on the twice finer grid, a different instrument
+        assert state.ricci_residual_sup == _dealiased_from_scratch(omega, state)
+        assert abs(state.ricci_residual_sup - raw) > 1e-3 * raw
+    else:  # raw on the solve grid
+        assert state.ricci_residual_sup == pytest.approx(raw, rel=1e-12)
+    assert omega.refined(1) is omega
 
 
 def _dealiased_from_scratch(omega, state, pad=2):

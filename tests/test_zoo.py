@@ -94,6 +94,24 @@ def test_every_example_passes_its_own_facts(name):
         assert row["ok"], f"{name}: fact {row['fact']} failed ({row})"
 
 
+def test_perturbed_torus_sweeps_each_field_once(monkeypatch):
+    import kahlerbench.curvature as curvature
+
+    example = make_example("perturbed-torus", n=2, resolution=8)
+    points = list(curvature.default_sweep_points(example.field, max_points=64))
+    calls = []
+    tensor = curvature.curvature_tensor
+
+    def counting(field, point):
+        calls.append(point)
+        return tensor(field, point)
+
+    monkeypatch.setattr(curvature, "curvature_tensor", counting)
+    rows = verify_example_facts(example)
+    assert all(row["ok"] for row in rows)
+    assert calls == points  # the sign facts share one sweep
+
+
 def test_flat_torus_facts_are_exact():
     rows = verify_example_facts(make_example("flat-torus"))
     by_name = {r["fact"]: r for r in rows}
