@@ -17,9 +17,11 @@ multipliers so odd derivatives of real fields stay real.
 The complex Hessian of a real field, and the flat Laplacian, act through
 real multipliers on the half spectrum of a real-input transform (rfftn,
 last axis cut to N//2 + 1 bins): the spectrum of a real field is Hermitian
-symmetric, and so is its product with an even real multiplier, so each
-real component of the Hessian is one inverse real transform (the
-real-input FFT structure of Frigo & Johnson, Proc. IEEE 93, 2005).
+symmetric, and so is its product with an even real multiplier, so the n^2
+real components of the Hessian come from one batched inverse real
+transform (the real-input FFT structure of Frigo & Johnson, Proc. IEEE
+93, 2005).  Grid transfer (prolong/restrict) pads and crops the same half
+spectra.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def real_pair_symmetrize(Q: np.ndarray) -> np.ndarray:
     """
     pair = np.conj(np.swapaxes(np.swapaxes(Q, -4, -3), -2, -1))
     return (Q + pair) / 2.0
+
+
+def _check_nested(coarse: "TorusGrid", fine: "TorusGrid") -> None:
+    if fine.n != coarse.n or fine.N < coarse.N or fine.N % coarse.N != 0:
+        raise DimensionMismatch(
+            f"cannot transfer between {coarse.n}/{coarse.N} and {fine.n}/{fine.N}"
+        )
 
 
 @dataclass(frozen=True)
@@ -173,27 +182,40 @@ class TorusGrid:
     def dzbar(self, f: np.ndarray, j: int) -> np.ndarray:
         return self.ifft(self._deriv_fft(f) * self.dzbar_multiplier(j))
 
-    def complex_hessian(self, f: np.ndarray) -> np.ndarray:
-        """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal.
+    def hessian_components(self, f: np.ndarray) -> np.ndarray:
+        """The n*n real components of the complex Hessian of a real field.
 
-        One real-input transform of f, then one inverse real transform per
-        real component: n diagonal entries and the real and imaginary parts
-        of the n(n-1)/2 entries above the diagonal.
+        Shape (n*n,) + grid shape, rows laid out as in hessian_multipliers:
+        row i*n + i is H_ii, and for i < j row i*n + j is Re H_ij and row
+        j*n + i is Im H_ij.
         """
         f = np.asarray(f)
-        F = self.rfft(f - np.mean(f))  # mean removed for round-off, as in _deriv_fft
-        mult = self.hessian_multipliers
+        return self.hessian_of_spectrum(self.rfft(f - np.mean(f)))  # mean out for round-off
+
+    def hessian_of_spectrum(self, F: np.ndarray) -> np.ndarray:
+        """Hessian components of the real field whose half spectrum is F.
+
+        One batched inverse real transform of F times the multipliers.
+        """
+        return self.irfft(F * self.hessian_multipliers)
+
+    def hermitian(self, c: np.ndarray) -> np.ndarray:
+        """The Hermitian (..., n, n) field with components c, as in hessian_components."""
         n = self.n
-        H = np.empty(self.shape + (n, n), dtype=complex)
+        H = np.empty(c.shape[1:] + (n, n), dtype=complex)
         Hr, Hi = H.real, H.imag
         for i in range(n):
-            Hr[..., i, i] = self.irfft(F * mult[i * n + i])
+            Hr[..., i, i] = c[i * n + i]
             Hi[..., i, i] = 0.0
             for j in range(i + 1, n):
-                Hr[..., i, j] = Hr[..., j, i] = self.irfft(F * mult[i * n + j])
-                Hi[..., i, j] = self.irfft(F * mult[j * n + i])
-                np.negative(Hi[..., i, j], out=Hi[..., j, i])
+                Hr[..., i, j] = Hr[..., j, i] = c[i * n + j]
+                Hi[..., i, j] = c[j * n + i]
+                np.negative(c[j * n + i], out=Hi[..., j, i])
         return H
+
+    def complex_hessian(self, f: np.ndarray) -> np.ndarray:
+        """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
+        return self.hermitian(self.hessian_components(f))
 
     def hessian_third(self, f: np.ndarray) -> np.ndarray:
         """T[..., i, j, k] = d/dz^k of the complex Hessian entry (i, j)."""
@@ -228,44 +250,77 @@ class TorusGrid:
     def prolong(self, f: np.ndarray, fine: "TorusGrid") -> np.ndarray:
         """Trigonometric prolongation of a real field onto a finer grid.
 
-        Zero-pads the spectrum; exact for band-limited fields, and the real
-        part handles the split of Nyquist modes.  The fine grid must have
-        the same complex dimension and a resolution that is a multiple of
-        this grid's.
+        Zero-pads the half spectrum (embed_spectrum); exact for band-limited
+        fields.  The fine grid must have the same complex dimension and a
+        resolution that is a multiple of this grid's.
         """
-        if fine.n != self.n or fine.N < self.N or fine.N % self.N != 0:
-            raise DimensionMismatch(
-                f"cannot prolong {self.n}/{self.N} onto {fine.n}/{fine.N}"
-            )
-        if fine.N == self.N:
-            return np.asarray(f, dtype=float).copy()
+        _check_nested(self, fine)
         f = np.asarray(f, dtype=float)
+        if fine.N == self.N:
+            return f.copy()
         mean = np.mean(f)  # carried around the transform, not through it
-        F = np.fft.fftshift(self.fft(f - mean))
-        pad = (fine.N - self.N) // 2
-        F = np.pad(F, pad)
-        out = np.fft.ifftn(np.fft.ifftshift(F)).real
-        return out * (fine.N / self.N) ** (2 * self.n) + mean
+        return fine.irfft(self.embed_spectrum(self.rfft(f - mean), fine)) + mean
 
     def restrict(self, f: np.ndarray, coarse: "TorusGrid") -> np.ndarray:
-        """Spectral restriction onto a coarser grid (crop the spectrum).
+        """Spectral restriction onto a coarser grid (crop the half spectrum).
 
         Keeps only wavenumbers the coarse grid resolves; adjoint of
-        prolongation up to normalization.  Real fields stay real.
+        prolongation up to normalization.
         """
-        if coarse.n != self.n or coarse.N > self.N or self.N % coarse.N != 0:
-            raise DimensionMismatch(
-                f"cannot restrict {self.n}/{self.N} onto {coarse.n}/{coarse.N}"
-            )
-        if coarse.N == self.N:
-            return np.asarray(f, dtype=float).copy()
+        _check_nested(coarse, self)
         f = np.asarray(f, dtype=float)
+        if coarse.N == self.N:
+            return f.copy()
         mean = np.mean(f)
-        F = np.fft.fftshift(self.fft(f - mean))
-        crop = (self.N - coarse.N) // 2
-        sl = tuple(slice(crop, crop + coarse.N) for _ in range(2 * self.n))
-        out = np.fft.ifftn(np.fft.ifftshift(F[sl])).real
-        return out * (coarse.N / self.N) ** (2 * self.n) + mean
+        return coarse.irfft(self.crop_spectrum(self.rfft(f - mean), coarse)) + mean
+
+    def _band(self, N_other: int, nyquist_sign: int) -> np.ndarray:
+        """Indices in a resolution-N_other spectrum of this grid's FFT-order
+        wavenumbers, the Nyquist bin placed at nyquist_sign * N/2."""
+        k = self._wavenumbers.astype(int)
+        k[self.N // 2] = nyquist_sign * (self.N // 2)
+        return k % N_other
+
+    def _half_band(self, N_other: int, nyquist_sign: int, last: int) -> tuple:
+        """Open-mesh index of the bins of this grid's half spectrum, cut to
+        the first `last` bins of the last axis, in an N_other half spectrum."""
+        axes = [self._band(N_other, nyquist_sign)] * (2 * self.n - 1)
+        return np.ix_(*axes, np.arange(last))
+
+    def embed_spectrum(self, F: np.ndarray, fine: "TorusGrid") -> np.ndarray:
+        """This grid's half spectrum F zero-padded into the half spectrum of a
+        strictly finer grid, scaled so that fine.irfft gives the interpolant.
+
+        A coefficient whose wavenumber reaches the Nyquist band -N/2 in some
+        axes is split in halves between the all-(-N/2) and all-(+N/2)
+        placements of those axes; mixed placements stay zero.  This is the
+        real part of the inverse transform of the centred zero-padded full
+        spectrum.  The last axis of a half spectrum stores +N/2 only, so on
+        that plane only the all-(+N/2) half is written; the irfftn of the
+        fine grid supplies its conjugate.
+        """
+        h = self.N // 2
+        out = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
+        half = F * (0.5 * (fine.N / self.N) ** (2 * self.n))
+        out[self._half_band(fine.N, 1, h + 1)] = half
+        out[self._half_band(fine.N, -1, h)] += half[..., :h]
+        return out
+
+    def crop_spectrum(self, F: np.ndarray, coarse: "TorusGrid") -> np.ndarray:
+        """The half spectrum of a strictly coarser grid cut from this grid's
+        half spectrum F, scaled so that coarse.irfft gives the restriction.
+
+        A coarse Nyquist coefficient is the mean of the fine all-(-N/2) and
+        all-(+N/2) ones, the real part of the inverse transform of the
+        centred cropped full spectrum.  On the last axis's Nyquist plane
+        the all-(+N/2) coefficient is taken alone; the irfftn of the coarse
+        grid adds its conjugate partner.
+        """
+        h = coarse.N // 2
+        scale = (coarse.N / self.N) ** (2 * self.n)
+        out = F[coarse._half_band(self.N, 1, h + 1)] * scale
+        out[..., :h] = 0.5 * (out[..., :h] + F[coarse._half_band(self.N, -1, h)] * scale)
+        return out
 
     # -- grid points and the trigonometric interpolant ---------------------
 

@@ -150,16 +150,38 @@ def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
     """Eigenvalues of gA^{-1} gB, ascending, for fields of shape (..., n, n).
 
     All positive for a positive-definite pair.  Computed as the Hermitian
-    eigenvalues of L^{-1} gB L^{-*} with gA = L L^* (Cholesky).
+    eigenvalues (eigvalsh) of C = L^{-1} gB L^{-*} with gA = L L^*
+    (Cholesky).  For n <= 2 the factor and the whitening are closed forms:
+    L^{-1} = [[p, 0], [m, q]] with p = 1/sqrt(a00), q = 1/sqrt(a11 - |l10|^2)
+    and l10 = a10 p, m = -l10 p q.  A gA that is not positive definite
+    raises numpy.linalg.LinAlgError, as the LAPACK factorization does.
     """
     gA = np.asarray(gA, dtype=complex)
     gB = np.asarray(gB, dtype=complex)
     if gA.shape != gB.shape:
         raise DimensionMismatch(f"field shapes differ: {gA.shape} vs {gB.shape}")
-    L = np.linalg.cholesky(gA)
-    Li = np.linalg.inv(L)
-    C = Li @ gB @ np.conj(np.swapaxes(Li, -1, -2))
-    return np.linalg.eigvalsh(C)
+    n = _order(gA)
+    if n == 3:
+        L = np.linalg.cholesky(gA)
+        Li = np.linalg.inv(L)
+        return np.linalg.eigvalsh(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2)))
+    a00 = gA[..., 0, 0].real
+    if not np.all(a00 > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    p = 1.0 / np.sqrt(a00)
+    C = np.empty(gB.shape, dtype=complex)
+    C[..., 0, 0] = p * p * gB[..., 0, 0].real
+    if n == 2:
+        l10 = gA[..., 1, 0] * p
+        schur = gA[..., 1, 1].real - (l10.real**2 + l10.imag**2)
+        if not np.all(schur > 0.0):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        q = 1.0 / np.sqrt(schur)
+        m = -l10 * (p * q)
+        C[..., 1, 0] = p * (m * gB[..., 0, 0].real + q * gB[..., 1, 0])
+        C[..., 1, 1] = ((m.real**2 + m.imag**2) * gB[..., 0, 0].real
+                        + 2.0 * q * (m * gB[..., 0, 1]).real + q * q * gB[..., 1, 1].real)
+    return eigvalsh(C)
 
 
 def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:

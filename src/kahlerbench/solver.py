@@ -85,18 +85,34 @@ def _flat_preconditioner(grid: TorusGrid, c_bar: float):
     return lambda f: grid.irfft(grid.rfft(f) * mult)
 
 
+def _trace_weights(M_inv: np.ndarray) -> np.ndarray:
+    """Real weights w with tr(M_inv H) = sum_c w[c] * c-th Hessian component of H.
+
+    Components are laid out as in TorusGrid.hessian_components; the
+    weights reproduce the real part of the full trace for any M_inv.
+    """
+    n = M_inv.shape[-1]
+    w = np.empty((n * n,) + M_inv.shape[:-2])
+    for i in range(n):
+        w[i * n + i] = M_inv[..., i, i].real
+        for j in range(i + 1, n):
+            w[i * n + j] = M_inv[..., i, j].real + M_inv[..., j, i].real
+            w[j * n + i] = M_inv[..., i, j].imag - M_inv[..., j, i].imag
+    return w
+
+
 def _solve_linearized(grid: TorusGrid, M_inv: np.ndarray, rhs: np.ndarray,
                       rtol: float) -> np.ndarray:
     """Solve (Delta_M - 1) delta = rhs with a flat-Laplacian preconditioner."""
     shape = grid.shape
     size = rhs.size
-    c_bar = float(np.einsum("...ii->...", M_inv).real.mean()) / grid.n
+    w = _trace_weights(M_inv)
+    c_bar = float(w[:: grid.n + 1].sum(axis=0).mean()) / grid.n
     pre = _flat_preconditioner(grid, c_bar)
 
     def matvec(x):
         f = x.reshape(shape)
-        H = grid.complex_hessian(f)
-        lap = np.einsum("...ij,...ji->...", M_inv, H).real
+        lap = np.einsum("c...,c...->...", w, grid.hessian_components(f))
         return (lap - f).reshape(size)
 
     A = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec, dtype=float)
@@ -332,29 +348,55 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     On the solve grid the raw residual is the spectral Hessian of the
     Newton stopping residual — it reflects the solver, not the
     discretization.  Here log det(omega_eps) is instead evaluated on a
-    pad-times finer grid (trigonometric prolongation of v and the
-    background potential) and truncated back to the solve band before the
+    pad-times finer grid and truncated back to the solve band before the
     Ricci Hessian is taken.  That removes the fold-back of product terms
     the solve grid cannot represent, so the value measures genuine
     discretization error and decays at the spectral rate under grid
     refinement.  At pad = 1 it is the raw residual of the solve grid.
 
-    The fine background is omega.refined(pad), built once per field and
-    shared by every state of a path; g_eps = eps*omega.g + Hess v is the
-    state's metric on the solve grid, as make_state computes it.
+    The spectrum of the zero-mean part of v is embedded in the fine half
+    spectrum, so the fine Hessian never sees the n log eps constant that
+    v carries; the fine metric eps*omega_fine.g + Hess v is only ever
+    held as its real components.  The fine background is
+    omega.refined(pad), built once per field and shared by every state of
+    a path; g_eps = eps*omega.g + Hess v is the state's metric on the
+    solve grid, as make_state computes it.
     """
     grid = omega.grid
-    omega_fine = omega.refined(pad)
-    fine = omega_fine.grid
-    v_fine = grid.prolong(np.asarray(v, dtype=float), fine)
-    g_eps_fine = epsilon * omega_fine.g + fine.complex_hessian(v_fine)
-    d = det(g_eps_fine).real
+    if pad == 1:
+        fine, d = grid, det(g_eps).real
+    else:
+        omega_fine = omega.refined(pad)
+        fine = omega_fine.grid
+        v = np.asarray(v, dtype=float)
+        V = grid.embed_spectrum(grid.rfft(v - np.mean(v)), fine)
+        d = _det_plus_hessian(epsilon, omega_fine, fine.hessian_of_spectrum(V))
     if np.any(d <= 0.0):
         raise PositivityLoss("state metric degenerate on the dealiasing grid")
-    ldg = fine.restrict(np.log(d), grid)
-    ric = -grid.complex_hessian(ldg)
+    ldg = np.log(d)
+    spectrum = fine.rfft(ldg - np.mean(ldg))  # mean out for round-off
+    if fine is not grid:
+        spectrum = fine.crop_spectrum(spectrum, grid)
+    ric = -grid.hermitian(grid.hessian_of_spectrum(spectrum))
     resid = ric + g_eps - epsilon * omega.g
     return float(np.max(np.abs(resid)))
+
+
+def _det_plus_hessian(epsilon: float, omega: TorusMetricField, c: np.ndarray) -> np.ndarray:
+    """det(epsilon*omega.g + H) over omega's grid, H given by its Hessian components c.
+
+    Real arithmetic on the components for n <= 2; n = 3 assembles the matrices.
+    """
+    g = omega.g
+    if omega.n == 3:
+        return det(epsilon * g + omega.grid.hermitian(c)).real
+    a = epsilon * g[..., 0, 0].real + c[0]
+    if omega.n == 1:
+        return a
+    d = epsilon * g[..., 1, 1].real + c[3]
+    re = epsilon * g[..., 0, 1].real + c[1]
+    im = epsilon * g[..., 0, 1].imag + c[2]
+    return a * d - (re * re + im * im)
 
 
 @dataclass

@@ -101,6 +101,23 @@ def test_complex_hessian_matches_complex_fft_oracle(n, N):
         assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
 
 
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 12), (3, 8)])
+def test_complex_hessian_is_the_per_component_transform_bit_for_bit(n, N):
+    """The batched inverse transform against one irfftn per real component."""
+    grid = TorusGrid(n, N)
+    f = 7.0 + np.random.default_rng(N).standard_normal(grid.shape)
+    F = grid.rfft(f - np.mean(f))
+    mult = grid.hessian_multipliers
+    want = np.empty(grid.shape + (n, n), dtype=complex)
+    for i in range(n):
+        want[..., i, i] = grid.irfft(F * mult[i * n + i])
+        for j in range(i + 1, n):
+            re, im = grid.irfft(F * mult[i * n + j]), grid.irfft(F * mult[j * n + i])
+            want[..., i, j] = re + 1j * im
+            want[..., j, i] = re - 1j * im
+    assert np.array_equal(grid.complex_hessian(f), want)
+
+
 def test_laplacian_multiplier_matches_hessian_trace():
     grid = TorusGrid(2, 8)
     rng = np.random.default_rng(4)
@@ -158,16 +175,63 @@ def test_prolong_is_exact_on_band_limited_fields():
     assert np.max(np.abs(fp - np.broadcast_to(want, fine.shape))) < 1e-13
 
 
+def fft_prolong(f, N_fine):
+    """Oracle: zero-pad the centred complex spectrum, keep the real part."""
+    N, d = f.shape[0], f.ndim
+    F = np.fft.fftshift(np.fft.fftn(f - f.mean()))
+    F = np.pad(F, (N_fine - N) // 2)
+    return np.fft.ifftn(np.fft.ifftshift(F)).real * (N_fine / N) ** d + f.mean()
+
+
+def fft_restrict(f, N):
+    """Oracle: crop the centred complex spectrum, keep the real part."""
+    N_fine, d = f.shape[0], f.ndim
+    F = np.fft.fftshift(np.fft.fftn(f - f.mean()))
+    crop = (N_fine - N) // 2
+    F = F[(slice(crop, crop + N),) * d]
+    return np.fft.ifftn(np.fft.ifftshift(F)).real * (N / N_fine) ** d + f.mean()
+
+
+TRANSFER_CASES = [(1, 10, 2), (1, 12, 2), (1, 16, 2), (1, 10, 3), (1, 12, 3), (1, 16, 3),
+                  (2, 10, 2), (2, 12, 2), (2, 16, 2), (2, 10, 3)]
+
+
+def with_nyquist(grid, rng):
+    """A random field plus strong Nyquist modes in the first and last axes."""
+    n, N = grid.n, grid.N
+    nyquist = cosine_mode(grid, N // 2, axis=0) + cosine_mode(grid, N // 2, axis=2 * n - 1)
+    return rng.standard_normal(grid.shape) + 5.0 * nyquist - 3.0
+
+
+def below_nyquist(grid, rng):
+    """A random field with its Nyquist band dropped, on a constant 4."""
+    F = grid.fft(rng.standard_normal(grid.shape))
+    for axis in range(2 * grid.n):
+        sl = [slice(None)] * (2 * grid.n)
+        sl[axis] = grid.N // 2
+        F[tuple(sl)] = 0.0
+    return grid.ifft(F).real + 4.0
+
+
+@pytest.mark.parametrize("n,N,pad", TRANSFER_CASES)
+def test_half_spectrum_transfer_matches_complex_fft_oracle(n, N, pad):
+    coarse, fine = TorusGrid(n, N), TorusGrid(n, pad * N)
+    rng = np.random.default_rng(100 * n + 10 * pad + N)
+    f = with_nyquist(coarse, rng)
+    want = fft_prolong(f, fine.N)
+    assert np.max(np.abs(coarse.prolong(f, fine) - want)) <= 1e-14 * np.max(np.abs(want))
+    g = with_nyquist(fine, rng)
+    want = fft_restrict(g, coarse.N)
+    assert np.max(np.abs(fine.restrict(g, coarse) - want)) <= 1e-14 * np.max(np.abs(want))
+    h = below_nyquist(coarse, rng)  # where restrict o prolong is the identity
+    assert np.max(np.abs(fine.restrict(coarse.prolong(h, fine), coarse) - h)) < 1e-13
+
+
 def test_restrict_inverts_prolong_below_nyquist():
     rng = np.random.default_rng(21)
     coarse = TorusGrid(2, 8)
     fine = TorusGrid(2, 16)
-    F = coarse.fft(rng.standard_normal(coarse.shape))
-    for axis in range(4):  # drop the Nyquist band
-        sl = [slice(None)] * 4
-        sl[axis] = coarse.N // 2
-        F[tuple(sl)] = 0.0
-    f = coarse.ifft(F).real + 4.0
+    f = below_nyquist(coarse, rng)
     back = fine.restrict(coarse.prolong(f, fine), coarse)
     assert np.max(np.abs(back - f)) < 1e-13
 
