@@ -9,10 +9,10 @@ A metric field answers one point query, jet_at(P), with the metric jet
 at P, and metric_matrix_at(P) returns g alone.
 
 On the periodic torus the metric is flat + complex Hessian of a real
-potential sampled on the grid.  g, dg and ddg are spectral derivatives
-over the whole grid, each computed once, and a point is a grid
-multi-index of 2n integers (taken modulo N) that reads them; real
-coordinates are not accepted.  On an analytic chart a point is n complex
+potential sampled on the grid.  g comes from the spectral Hessian and
+(dg, ddg) from one call of the grid's hessian_jets, each computed once
+over the whole grid, and a point is a grid multi-index of 2n integers
+(taken modulo N) that reads them; real coordinates are not accepted.  On an analytic chart a point is n complex
 coordinates in the trusted region, the potential is a closed-form
 symbolic expression in z and zbar treated as independent variables, and
 every derivative is a lambdified exact formula.
@@ -55,22 +55,6 @@ class TorusMetricField:
                 f"metric loses positivity at point {worst}: eigenvalues {w}",
                 point=worst, min_eigenvalue=float(w[0]),
             )
-        self._refined = {}
-
-    def refined(self, pad: int) -> "TorusMetricField":
-        """This field on a pad-times finer grid (trigonometric prolongation).
-
-        Built, and checked positive, once per pad; later calls return the
-        same field, and pad = 1 returns this field itself.
-        """
-        if pad == 1:
-            return self
-        fine_field = self._refined.get(pad)
-        if fine_field is None:
-            fine = TorusGrid(self.n, pad * self.grid.N)
-            fine_field = TorusMetricField(fine, self.grid.prolong(self.psi, fine))
-            self._refined[pad] = fine_field
-        return fine_field
 
     @cached_property
     def det_g(self) -> np.ndarray:
@@ -81,14 +65,18 @@ class TorusMetricField:
         return np.log(self.det_g)
 
     @cached_property
+    def _jets(self) -> tuple:
+        return self.grid.hessian_jets(self.psi)
+
+    @property
     def dg(self) -> np.ndarray:
         """dg[..., i, j, k] = d g_{i jbar} / dz^k over the grid."""
-        return self.grid.hessian_third(self.psi)
+        return self._jets[0]
 
-    @cached_property
+    @property
     def ddg(self) -> np.ndarray:
         """ddg[..., i, j, k, l] = d^2 g_{i jbar} / dz^k dzbar^l over the grid."""
-        return self.grid.hessian_fourth(self.psi)
+        return self._jets[1]
 
     @cached_property
     def ricci(self) -> np.ndarray:

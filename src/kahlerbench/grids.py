@@ -14,18 +14,21 @@ exp(2*pi*i k.x) and the multipliers
 act on the coefficients.  Nyquist wavenumbers are zeroed inside derivative
 multipliers so odd derivatives of real fields stay real.
 
-The complex Hessian of a real field, and the flat Laplacian, act through
-real multipliers on the half spectrum of a real-input transform (rfftn,
-last axis cut to N//2 + 1 bins): the spectrum of a real field is Hermitian
-symmetric, and so is its product with an even real multiplier, so the n^2
-real components of the Hessian come from one batched inverse real
+Every derivative acts on the half spectrum of a real-input transform
+(rfftn, last axis cut to N//2 + 1 bins): the spectrum of a real field is
+Hermitian symmetric, and so is its product with a real multiplier even in
+the wavenumber, or with i times one that is odd.  So each derivative is a
+set of real fields, and all of them come from one batched inverse real
 transform (the real-input FFT structure of Frigo & Johnson, Proc. IEEE
-93, 2005).  Grid transfer (prolong/restrict) pads and crops the same half
-spectra.
+93, 2005): the n^2 real components of the complex Hessian, and the
+distinct real components of its third and fourth derivatives (the metric
+jets).  Grid transfer (prolong/restrict) pads and crops the same half
+spectra.  There is no complex-spectrum derivative route.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,17 +38,6 @@ import scipy.fft
 
 from .errors import DimensionMismatch
 from .linalg import MAX_DIM
-
-
-def real_pair_symmetrize(Q: np.ndarray) -> np.ndarray:
-    """Project Q[..., i, j, k, l] onto Q[i, j, k, l] = conj(Q[j, i, l, k]).
-
-    The fourth derivatives of a real potential have this symmetry exactly;
-    spectral round-off breaks it by an amount that grows with N, enough to
-    trip the curvature symmetry check on fine grids.
-    """
-    pair = np.conj(np.swapaxes(np.swapaxes(Q, -4, -3), -2, -1))
-    return (Q + pair) / 2.0
 
 
 def _check_nested(coarse: "TorusGrid", fine: "TorusGrid") -> None:
@@ -87,27 +79,21 @@ class TorusGrid:
         # Integer wavenumbers in FFT layout.
         return np.fft.fftfreq(self.N, d=1.0 / self.N)
 
-    @cached_property
-    def _deriv_wavenumbers(self) -> np.ndarray:
-        k = self._wavenumbers.copy()
-        k[self.N // 2] = 0.0  # Nyquist bin dropped from derivatives
-        return k
-
     def _axis_view(self, arr: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * (2 * self.n)
-        shape[axis] = self.N
+        shape[axis] = arr.size
         return arr.reshape(shape)
 
-    def dz_multiplier(self, j: int) -> np.ndarray:
-        """Spectral multiplier of d/dz^j (broadcastable to grid shape)."""
-        kx = self._axis_view(self._deriv_wavenumbers, 2 * j)
-        ky = self._axis_view(self._deriv_wavenumbers, 2 * j + 1)
-        return np.pi * (ky + 1j * kx)
-
-    def dzbar_multiplier(self, j: int) -> np.ndarray:
-        kx = self._axis_view(self._deriv_wavenumbers, 2 * j)
-        ky = self._axis_view(self._deriv_wavenumbers, 2 * j + 1)
-        return np.pi * (1j * kx - ky)
+    @cached_property
+    def _half_wavenumbers(self) -> tuple:
+        """Per-axis derivative wavenumbers of the rfftn half spectrum, each
+        broadcastable along its axis; the Nyquist bin is zeroed and the last
+        axis keeps its first N//2 + 1 bins."""
+        k = self._wavenumbers.copy()
+        k[self.N // 2] = 0.0  # Nyquist bin dropped from derivatives
+        last = 2 * self.n - 1
+        return tuple(self._axis_view(k[: self.N // 2 + 1] if axis == last else k, axis)
+                     for axis in range(2 * self.n))
 
     @cached_property
     def hessian_multipliers(self) -> np.ndarray:
@@ -121,14 +107,8 @@ class TorusGrid:
         entry (i, j) and row j*n + i its imaginary part
         pi^2 (k_yi k_xj - k_xi k_yj).
         """
-        n, half = self.n, self.N // 2 + 1
-        k = []
-        for axis in range(2 * n):
-            ka = self._deriv_wavenumbers[:half] if axis == 2 * n - 1 else self._deriv_wavenumbers
-            shape = [1] * (2 * n)
-            shape[axis] = ka.size
-            k.append(ka.reshape(shape))
-        out = np.empty((n * n,) + self.shape[:-1] + (half,))
+        n, k = self.n, self._half_wavenumbers
+        out = np.empty((n * n,) + self.shape[:-1] + (self.N // 2 + 1,))
         for i in range(n):
             kxi, kyi = k[2 * i], k[2 * i + 1]
             out[i * n + i] = -np.pi**2 * (kxi**2 + kyi**2)
@@ -148,15 +128,6 @@ class TorusGrid:
 
     # -- transforms -------------------------------------------------------
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f)
-        if f.shape != self.shape:
-            raise DimensionMismatch(f"field shape {f.shape} != grid shape {self.shape}")
-        return np.fft.fftn(f)
-
-    def ifft(self, F: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(F)
-
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field (scipy.fft.rfftn)."""
         f = np.asarray(f)
@@ -168,19 +139,6 @@ class TorusGrid:
         """Real field(s) from half spectra over the last 2n axes; leading axes batch."""
         return scipy.fft.irfftn(F, s=self.shape, axes=tuple(range(-2 * self.n, 0)),
                                 overwrite_x=True)
-
-    def _deriv_fft(self, f: np.ndarray) -> np.ndarray:
-        # The mean never survives a derivative multiplier, but removing it
-        # before the transform keeps FFT round-off proportional to the
-        # oscillating part (the potentials here ride on large constants).
-        f = np.asarray(f)
-        return self.fft(f - np.mean(f))
-
-    def dz(self, f: np.ndarray, j: int) -> np.ndarray:
-        return self.ifft(self._deriv_fft(f) * self.dz_multiplier(j))
-
-    def dzbar(self, f: np.ndarray, j: int) -> np.ndarray:
-        return self.ifft(self._deriv_fft(f) * self.dzbar_multiplier(j))
 
     def hessian_components(self, f: np.ndarray) -> np.ndarray:
         """The n*n real components of the complex Hessian of a real field.
@@ -217,31 +175,60 @@ class TorusGrid:
         """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
         return self.hermitian(self.hessian_components(f))
 
-    def hessian_third(self, f: np.ndarray) -> np.ndarray:
-        """T[..., i, j, k] = d/dz^k of the complex Hessian entry (i, j)."""
-        F = self._deriv_fft(f)
-        n = self.n
-        T = np.empty(self.shape + (n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                Fij = F * self.dz_multiplier(i) * self.dzbar_multiplier(j)
-                for k in range(n):
-                    T[..., i, j, k] = self.ifft(Fij * self.dz_multiplier(k))
-        return T
+    def hessian_jets(self, f: np.ndarray) -> tuple:
+        """(T, Q), the third and fourth derivatives of the complex Hessian of a
+        real field: T[..., i, j, k] = d/dz^k H_{i jbar} and
+        Q[..., i, j, k, l] = d^2/dz^k dzbar^l H_{i jbar}, over the grid.
 
-    def hessian_fourth(self, f: np.ndarray) -> np.ndarray:
-        """Q[..., i, j, k, l] = d^2/dz^k dzbar^l of the Hessian entry (i, j)."""
-        F = self._deriv_fft(f)
-        n = self.n
-        Q = np.empty(self.shape + (n, n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                Fij = F * self.dz_multiplier(i) * self.dzbar_multiplier(j)
-                for k in range(n):
-                    Fijk = Fij * self.dz_multiplier(k)
-                    for l in range(n):
-                        Q[..., i, j, k, l] = self.ifft(Fijk * self.dzbar_multiplier(l))
-        return real_pair_symmetrize(Q)
+        T is symmetric in (i, k); Q is symmetric in (i, k) and in (j, l), and
+        Q[i, j, k, l] = conj Q[j, i, l, k].  Only the distinct entries are
+        transformed, each as two real fields (one for a real entry of Q):
+        an entry's multiplier m is odd in the wavenumber for T, so the half
+        spectrum times i Im m gives its real part and times -i Re m its
+        imaginary part; for Q it is even, and Re m, Im m give them.  One
+        rfftn and one batched irfftn make every part, and T and Q are
+        assembled from them so that each symmetry holds exactly.
+        """
+        n, kw = self.n, self._half_wavenumbers
+        F = self.rfft(np.asarray(f) - np.mean(f))  # mean out for round-off
+        dz = [np.pi * (kw[2 * j + 1] + 1j * kw[2 * j]) for j in range(n)]
+        dzbar = [np.pi * (1j * kw[2 * j] - kw[2 * j + 1]) for j in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        T = np.empty(self.shape + (n,) * 3, dtype=complex)
+        Q = np.empty(self.shape + (n,) * 4, dtype=complex)
+        # per distinct entry: its array, its indices, the indices of its
+        # conjugate partner (none in T; None for a real entry of Q), and the
+        # d/dz and d/dzbar directions of its multiplier
+        entries = [(T, {(i, j, k), (k, j, i)}, (), (i, k), (j,))
+                   for i, k in pairs for j in range(n)]
+        for s, (i, k) in enumerate(pairs):
+            for j, l in pairs[s:]:
+                idx = {(a, b, c, d) for a, c in ((i, k), (k, i)) for b, d in ((j, l), (l, j))}
+                conj = None if (j, l) == (i, k) else [(b, a, d, c) for a, b, c, d in idx]
+                entries.append((Q, idx, conj, (i, k), (j, l)))
+        spectra = np.empty((sum(1 if e[2] is None else 2 for e in entries),) + F.shape,
+                           dtype=complex)
+        rows = iter(spectra)
+        for X, _, conj, hol, anti in entries:
+            m = math.prod([dz[a] for a in hol] + [dzbar[b] for b in anti])
+            if X is T:
+                mults = (1j * m.imag, -1j * m.real)
+            else:
+                mults = (m.real,) if conj is None else (m.real, m.imag)
+            for mult in mults:
+                np.multiply(F, mult, out=next(rows))
+        parts = iter(self.irfft(spectra))
+        del rows, spectra  # free the spectra before T and Q are written
+        for X, idx, conj, _, _ in entries:
+            re = next(parts)
+            im = 0.0 if conj is None else next(parts)
+            for e in idx:
+                X.real[(...,) + e], X.imag[(...,) + e] = re, im
+            if conj:
+                im = -im
+                for e in conj:
+                    X.real[(...,) + e], X.imag[(...,) + e] = re, im
+        return T, Q
 
     def mean(self, f: np.ndarray) -> float:
         """Torus average; the trapezoid rule is exact on periodic data."""
@@ -344,9 +331,10 @@ class TorusGrid:
     def eval_spectral(self, F: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant with coefficients F.
 
-        F is an fftn-layout coefficient array (unnormalized, as returned by
-        self.fft, possibly multiplied by spectral multipliers); points is an
-        (m, 2n) array of real coordinates.  Exact on band-limited data.
+        F is a full fftn-layout coefficient array (unnormalized, as
+        np.fft.fftn returns it); points is an (m, 2n) array of real
+        coordinates.  Exact on band-limited data.  No library route calls
+        it: torus point queries are grid indices.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != 2 * self.n:

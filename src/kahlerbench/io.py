@@ -132,8 +132,8 @@ def load_state(directory, omega):
     """Rebuild a continuity state saved by save_state.
 
     The matrix field g_eps is reconstructed exactly from (epsilon, v) and
-    the reference metric; diagnostics are recomputed (the dealiased Ricci
-    residual on omega's cached fine reference), then every saved one is
+    the reference metric; diagnostics are recomputed by make_state (the
+    same dealiased Ricci residual as the path's), then every saved one is
     cross-checked against the sidecar, and newton_steps is restored from it.
     """
     from .solver import make_state

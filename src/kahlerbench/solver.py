@@ -23,6 +23,7 @@ field S_eps, and the top volume ratio sigma_n.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -280,9 +281,7 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
 
     g_eps is formed once and shared by every diagnostic.  The Ricci
     residual is dealiased on a twice finer grid for n <= 2 and taken on the
-    solve grid (pad 1) for n = 3; the fine background omega.refined(pad) is
-    built once per field, so the states of a path and any reloaded state
-    reuse it.
+    solve grid (pad 1) for n = 3; no fine metric field is built.
     """
     grid = omega.grid
     g_eps = epsilon * omega.g + grid.complex_hessian(v)
@@ -354,23 +353,22 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     discretization error and decays at the spectral rate under grid
     refinement.  At pad = 1 it is the raw residual of the solve grid.
 
-    The spectrum of the zero-mean part of v is embedded in the fine half
-    spectrum, so the fine Hessian never sees the n log eps constant that
-    v carries; the fine metric eps*omega_fine.g + Hess v is only ever
-    held as its real components.  The fine background is
-    omega.refined(pad), built once per field and shared by every state of
-    a path; g_eps = eps*omega.g + Hess v is the state's metric on the
-    solve grid, as make_state computes it.
+    Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
+    potential, the spectrum of eps*psi + (v - mean v) is embedded in the
+    fine half spectrum and det(eps*I + H) is taken from the real Hessian
+    components H of the fine grid: no fine metric field is built, and the
+    n log eps constant that v carries never enters a fine transform.
+    g_eps = eps*omega.g + Hess v is the state's metric on the solve grid,
+    as make_state computes it.
     """
     grid = omega.grid
     if pad == 1:
         fine, d = grid, det(g_eps).real
     else:
-        omega_fine = omega.refined(pad)
-        fine = omega_fine.grid
+        fine = _fine_grid(grid, pad)
         v = np.asarray(v, dtype=float)
-        V = grid.embed_spectrum(grid.rfft(v - np.mean(v)), fine)
-        d = _det_plus_hessian(epsilon, omega_fine, fine.hessian_of_spectrum(V))
+        W = grid.embed_spectrum(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), fine)
+        d = _det_plus_hessian(epsilon, fine, fine.hessian_of_spectrum(W))
     if np.any(d <= 0.0):
         raise PositivityLoss("state metric degenerate on the dealiasing grid")
     ldg = np.log(d)
@@ -382,21 +380,24 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     return float(np.max(np.abs(resid)))
 
 
-def _det_plus_hessian(epsilon: float, omega: TorusMetricField, c: np.ndarray) -> np.ndarray:
-    """det(epsilon*omega.g + H) over omega's grid, H given by its Hessian components c.
+@functools.lru_cache(maxsize=4)
+def _fine_grid(grid: TorusGrid, pad: int) -> TorusGrid:
+    """The pad-times finer grid, one instance per coarse grid, so that its
+    cached multipliers are built once and not once per state."""
+    return TorusGrid(grid.n, pad * grid.N)
+
+
+def _det_plus_hessian(epsilon: float, grid: TorusGrid, c: np.ndarray) -> np.ndarray:
+    """det(epsilon*I + H) over grid, H given by its Hessian components c.
 
     Real arithmetic on the components for n <= 2; n = 3 assembles the matrices.
     """
-    g = omega.g
-    if omega.n == 3:
-        return det(epsilon * g + omega.grid.hermitian(c)).real
-    a = epsilon * g[..., 0, 0].real + c[0]
-    if omega.n == 1:
+    if grid.n == 3:
+        return det(epsilon * np.eye(3) + grid.hermitian(c)).real
+    a = epsilon + c[0]
+    if grid.n == 1:
         return a
-    d = epsilon * g[..., 1, 1].real + c[3]
-    re = epsilon * g[..., 0, 1].real + c[1]
-    im = epsilon * g[..., 0, 1].imag + c[2]
-    return a * d - (re * re + im * im)
+    return a * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
 
 
 @dataclass

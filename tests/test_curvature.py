@@ -215,9 +215,10 @@ def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride)
 
 @pytest.mark.parametrize("N", [64, 128])
 def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
-    # FFT round-off breaks ddg[i,j,k,l] = conj(ddg[j,i,l,k]) by an amount
-    # growing with N; the grid's fourth derivatives project it away before
-    # the curvature symmetry check.
+    # Per-entry FFT round-off would break ddg[i,j,k,l] = conj(ddg[j,i,l,k])
+    # by an amount growing with N; the grid's jets transform each distinct
+    # real component once, so the symmetry holds by construction and the
+    # curvature symmetry check passes on fine grids.
     grid = TorusGrid(1, N)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     swept = kappa_floor(field)

@@ -1,5 +1,7 @@
 """Spectral calculus on periodic grids: derivatives, transfer, evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,14 +39,18 @@ def test_coords_returns_lattice_point():
 # -- derivatives ---------------------------------------------------------------
 
 
-def test_dz_of_single_cosine_matches_analytic():
+def test_jets_of_single_cosine_match_analytic():
     grid = TorusGrid(1, 32)
     f = cosine_mode(grid, 1, axis=0)  # cos(2 pi x), independent of y
-    got = grid.dz(f, 0)
-    x = grid._axis_view(grid.axis_coords, 0)
-    want = -np.pi * np.broadcast_to(np.sin(2.0 * np.pi * x), grid.shape)
-    assert np.max(np.abs(got - want)) < 1e-13
-    assert np.max(np.abs(got.imag)) < 1e-13
+    T, Q = grid.hessian_jets(f)
+    # d/dz = (d/dx - i d/dy) / 2 and d/dzbar = (d/dx + i d/dy) / 2, so
+    # H = -pi^2 cos(2 pi x), T = pi^3 sin(2 pi x) and Q = pi^4 cos(2 pi x).
+    # The ulp noise of the sampled cosine is amplified by up to (pi N / 2)^order.
+    x = np.broadcast_to(grid._axis_view(grid.axis_coords, 0), grid.shape)
+    amp = np.pi * grid.N / 2
+    assert np.max(np.abs(T[..., 0, 0, 0] - np.pi**3 * np.sin(2.0 * np.pi * x))) < 1e-15 * amp**3
+    assert np.max(np.abs(Q[..., 0, 0, 0, 0] - np.pi**4 * np.cos(2.0 * np.pi * x))) < 1e-15 * amp**4
+    assert np.max(np.abs(T.imag)) < 1e-13
 
 
 def test_complex_hessian_of_cosine_matches_analytic():
@@ -62,7 +68,7 @@ def test_complex_hessian_is_hermitian_with_real_diagonal():
     grid = TorusGrid(2, 8)
     F = np.zeros(grid.shape, dtype=complex)
     F[1, 0, 2, 1] = rng.standard_normal() + 1j * rng.standard_normal()
-    f = (grid.ifft(F) + np.conj(grid.ifft(F))).real
+    f = (np.fft.ifftn(F) + np.conj(np.fft.ifftn(F))).real
     H = grid.complex_hessian(f)
     assert np.max(np.abs(H - np.conj(np.swapaxes(H, -1, -2)))) < 1e-14
     assert np.max(np.abs(H[..., 0, 0].imag)) == 0.0
@@ -131,25 +137,57 @@ def test_laplacian_multiplier_matches_hessian_trace():
 def test_nyquist_mode_has_zero_derivative():
     grid = TorusGrid(1, 16)
     f = cosine_mode(grid, grid.N // 2, axis=0)
-    assert np.max(np.abs(grid.dz(f, 0))) < 1e-13
+    T, Q = grid.hessian_jets(f)
+    assert np.max(np.abs(T)) < 1e-13
+    assert np.max(np.abs(Q)) < 1e-13
 
 
-def test_third_and_fourth_derivative_tensors_are_consistent():
-    grid = TorusGrid(2, 8)
-    rng = np.random.default_rng(8)
-    f = rng.standard_normal(grid.shape)
-    T = grid.hessian_third(f)
-    Q = grid.hessian_fourth(f)
-    H = grid.complex_hessian(f)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                scale = 1.0 + np.max(np.abs(T[..., i, j, k]))
-                assert np.max(np.abs(T[..., i, j, k] - grid.dz(H[..., i, j], k))) < 1e-13 * scale
-                for l in range(2):
-                    direct = grid.dzbar(T[..., i, j, k], l)
-                    scale = 1.0 + np.max(np.abs(Q[..., i, j, k, l]))
-                    assert np.max(np.abs(Q[..., i, j, k, l] - direct)) < 1e-13 * scale
+def complex_fft_jets(f):
+    """Oracle: complex fftn, the multipliers of d/dz^i d/dzbar^j d/dz^k (and
+    d/dzbar^l), one ifftn per entry, no symmetrization.  Yields (index,
+    entry) for every entry of T and of Q."""
+    N, n = f.shape[0], f.ndim // 2
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    ks = np.meshgrid(*([k] * (2 * n)), indexing="ij", sparse=True)
+    dz = [np.pi * (ks[2 * i + 1] + 1j * ks[2 * i]) for i in range(n)]
+    dzbar = [np.pi * (1j * ks[2 * j] - ks[2 * j + 1]) for j in range(n)]
+    F = np.fft.fftn(f - f.mean())
+    for i, j, k in itertools.product(range(n), repeat=3):
+        Fijk = F * dz[i] * dzbar[j] * dz[k]
+        yield (i, j, k), np.fft.ifftn(Fijk)
+        for l in range(n):
+            yield (i, j, k, l), np.fft.ifftn(Fijk * dzbar[l])
+
+
+def assert_jets_match_oracle(grid, f):
+    """hessian_jets against the oracle (1e-13 relative) and its symmetries
+    (bit for bit)."""
+    n = grid.n
+    T, Q = grid.hessian_jets(f)
+    err, scale = {3: 0.0, 4: 0.0}, {3: 0.0, 4: 0.0}  # by derivative order
+    for idx, want in complex_fft_jets(f):
+        got = (T if len(idx) == 3 else Q)[(...,) + idx]
+        err[len(idx)] = max(err[len(idx)], np.max(np.abs(got - want)))
+        scale[len(idx)] = max(scale[len(idx)], np.max(np.abs(want)))
+    assert err[3] < 1e-13 * scale[3] and err[4] < 1e-13 * scale[4], (err, scale)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        assert np.array_equal(T[..., i, j, k], T[..., k, j, i])
+        for l in range(n):
+            q = Q[..., i, j, k, l]
+            assert np.array_equal(q, Q[..., k, j, i, l])
+            assert np.array_equal(q, Q[..., i, l, k, j])
+            assert np.array_equal(q, np.conj(Q[..., j, i, l, k]))
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 256), (2, 12), (2, 16), (3, 8)])
+def test_hessian_jets_match_complex_fft_oracle(n, N):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    nyquist = cosine_mode(grid, N // 2, axis=0) + cosine_mode(grid, N // 2, axis=2 * n - 1)
+    assert_jets_match_oracle(grid, rng.standard_normal(grid.shape))
+    # on a 1e6 constant, plus Nyquist content
+    assert_jets_match_oracle(grid, 1e6 + rng.standard_normal(grid.shape) + 5.0 * nyquist)
 
 
 def test_mean_is_exact_for_periodic_data():
@@ -205,12 +243,12 @@ def with_nyquist(grid, rng):
 
 def below_nyquist(grid, rng):
     """A random field with its Nyquist band dropped, on a constant 4."""
-    F = grid.fft(rng.standard_normal(grid.shape))
+    F = np.fft.fftn(rng.standard_normal(grid.shape))
     for axis in range(2 * grid.n):
         sl = [slice(None)] * (2 * grid.n)
         sl[axis] = grid.N // 2
         F[tuple(sl)] = 0.0
-    return grid.ifft(F).real + 4.0
+    return np.fft.ifftn(F).real + 4.0
 
 
 @pytest.mark.parametrize("n,N,pad", TRANSFER_CASES)
@@ -290,7 +328,7 @@ def test_eval_at_reproduces_grid_samples_and_analytic_values():
     grid = TorusGrid(1, 16)
     f = 0.5 * cosine_mode(grid, 3, axis=0)
     pts = np.array([[0.125, 0.0], [0.3141, 0.77]])
-    vals = grid.eval_spectral(grid.fft(f), pts)
+    vals = grid.eval_spectral(np.fft.fftn(f), pts)
     want = 0.5 * np.cos(6.0 * np.pi * pts[:, 0])
     assert np.max(np.abs(vals - want)) < 1e-12
 
@@ -298,7 +336,7 @@ def test_eval_at_reproduces_grid_samples_and_analytic_values():
 def test_eval_at_validates_point_shape():
     grid = TorusGrid(1, 8)
     with pytest.raises(DimensionMismatch):
-        grid.eval_spectral(grid.fft(np.zeros(grid.shape)), np.zeros((3, 5)))
+        grid.eval_spectral(np.fft.fftn(np.zeros(grid.shape)), np.zeros((3, 5)))
 
 
 # -- chart geometry ---------------------------------------------------------------
