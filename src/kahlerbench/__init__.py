@@ -29,7 +29,7 @@ from .curvature import (
     ricci_form,
 )
 from .errors import DimensionMismatch, NonConvergence, PositivityLoss
-from .fields import ChartMetricField, TorusMetricField, metric_from_potential
+from .fields import ChartMetricField, TorusMetricField
 from .grids import ChartGeometry, TorusGrid
 from .inequalities import (
     InequalityReport,
@@ -93,7 +93,6 @@ __all__ = [
     "make_example",
     "manufactured_problem",
     "max_principle_s_bound",
-    "metric_from_potential",
     "mixed_determinants",
     "nef_lower_bound_check",
     "ricci_form",

@@ -307,6 +307,9 @@ def kappa_floor(field, points=None) -> float:
     Positive only when H stays negative on the whole sweep; values <= 0
     mean downstream negativity-based bounds are not applicable.  With
     points=None a torus field is swept at no more than 256 grid points.
+    An empty sweep certifies nothing and raises ValueError.
     """
-    exts = sweep_hsc_extremes(field, points)
-    return float(-max((ext.h_max for ext in exts), default=-np.inf))
+    h_max = [ext.h_max for ext in sweep_hsc_extremes(field, points)]
+    if not h_max:
+        raise ValueError("kappa_floor needs at least one sweep point")
+    return float(-max(h_max))

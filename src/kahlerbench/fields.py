@@ -189,23 +189,3 @@ class ChartMetricField:
 
     def metric_matrix_at(self, point) -> np.ndarray:
         return self.jet_at(point)[0]
-
-
-MetricField = TorusMetricField | ChartMetricField
-
-
-def metric_from_potential(geometry, potential, z_symbols=None, zbar_symbols=None):
-    """Build the metric field of a potential on either substrate.
-
-    Torus: `potential` is a real grid array; the metric is
-    identity + complex Hessian, checked positive at every grid point.
-    Chart: `potential` is a sympy expression and the symbol tuples name its
-    holomorphic/antiholomorphic variables.
-    """
-    if isinstance(geometry, TorusGrid):
-        return TorusMetricField(geometry, potential)
-    if isinstance(geometry, ChartGeometry):
-        if z_symbols is None or zbar_symbols is None:
-            raise ValueError("chart fields need z_symbols and zbar_symbols")
-        return ChartMetricField(geometry, potential, z_symbols, zbar_symbols)
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")

@@ -349,7 +349,8 @@ class TorusGrid:
 
 @dataclass(frozen=True)
 class ChartGeometry:
-    """A polydisk-shaped coordinate box for closed-form metrics.
+    """A polydisk-shaped coordinate box centred at the origin, for
+    closed-form metrics.
 
     Points are complex n-vectors; the trusted region keeps an interior
     margin away from the box boundary so derivative formulas stay tame.
@@ -358,7 +359,6 @@ class ChartGeometry:
     n: int
     radii: tuple
     margin: float
-    center: tuple = None
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:
@@ -372,14 +372,7 @@ class ChartGeometry:
             raise ValueError("trusted-region margin must be positive")
         if any(r <= self.margin for r in radii):
             raise ValueError("each radius must exceed the margin")
-        center = self.center
-        if center is None:
-            center = (0j,) * self.n
-        center = tuple(complex(c) for c in np.atleast_1d(center))
-        if len(center) != self.n:
-            raise DimensionMismatch(f"need {self.n} center components")
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "center", center)
 
     kind = "analytic-chart"
 
@@ -387,10 +380,7 @@ class ChartGeometry:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.size != self.n:
             raise DimensionMismatch(f"point has {z.size} components, expected {self.n}")
-        return all(
-            abs(z[i] - self.center[i]) <= self.radii[i] - self.margin
-            for i in range(self.n)
-        )
+        return all(abs(z[i]) <= self.radii[i] - self.margin for i in range(self.n))
 
     def sample_points(self, per_axis: int = 3, radius_fraction: float = 0.5) -> np.ndarray:
         """Deterministic lattice of trusted points (for sweeps and demos)."""
@@ -398,7 +388,7 @@ class ChartGeometry:
         for i in range(self.n):
             r = (self.radii[i] - self.margin) * radius_fraction
             re = np.linspace(-r, r, per_axis)
-            axes.append([self.center[i] + a + 1j * b for a in re for b in re])
+            axes.append([a + 1j * b for a in re for b in re])
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         return pts

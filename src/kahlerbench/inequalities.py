@@ -108,10 +108,10 @@ def make_report(name, lhs, rhs, tol, point=None, two_sided=False, note="") -> In
     )
 
 
-def not_applicable(name, note, point=None, tol=0.0) -> InequalityReport:
+def not_applicable(name, note, point=None) -> InequalityReport:
     nan = float("nan")
     return InequalityReport(
-        name=name, lhs=nan, rhs=nan, margin=nan, tol=float(tol),
+        name=name, lhs=nan, rhs=nan, margin=nan, tol=0.0,
         point=_point_tuple(point), applicable=False, note=note,
     )
 
@@ -131,7 +131,7 @@ def _point_tuple(point):
 # -- curvature-term bound (sharp constant (n+1)/(2n)) -----------------------
 
 
-def royden_margin(R, g, g_prime, kappa, tol: float = 1e-9, point=None) -> InequalityReport:
+def royden_margin(R, g, g_prime, kappa, tol: float = 1e-9) -> InequalityReport:
     """Check -sum_{ik} R~_{ii kk} / (d_i d_k) >= (n+1) kappa / (2n) * S^2.
 
     R is the ambient curvature tensor, g the ambient metric, g_prime the
@@ -151,17 +151,17 @@ def royden_margin(R, g, g_prime, kappa, tol: float = 1e-9, point=None) -> Inequa
     lhs = float(-(diag / np.outer(d, d)).sum())
     S = float((1.0 / d).sum())
     rhs = (n + 1) * kappa / (2.0 * n) * S**2
-    return make_report("hsc-trace-lower-bound", lhs, rhs, tol, point=point,
+    return make_report("hsc-trace-lower-bound", lhs, rhs, tol,
                        note=f"S={S:.6g} kappa={kappa:.6g}")
 
 
-def ricci_term_margin(ric_prime, g_prime, lam, mu, S=None, tol: float = 1e-9,
-                      hypothesis_tol: float = 1e-9, point=None) -> InequalityReport:
-    """Check sum_i R'_{ii} / d_i^2 >= -lam * S + (mu/n) * S^2.
+def ricci_term_margin(ric_prime, g_prime, lam, mu, tol: float = 1e-9) -> InequalityReport:
+    """Check sum_i R'_{ii} / d_i^2 >= -lam * S + (mu/n) * S^2, S = tr g'^{-1}.
 
     Inputs are expressed in an ambient-orthonormal frame (g = identity).
-    The Ricci hypothesis Ric' + lam g' - mu g >= 0 is verified first; data
-    violating it yields a not-applicable report, not a failure.
+    The Ricci hypothesis Ric' + lam g' - mu g >= 0 is verified first, to
+    1e-9 relative to the data's scale; data violating it yields a
+    not-applicable report, not a failure.
     """
     ric_prime = np.asarray(ric_prime, dtype=complex)
     g_prime = np.asarray(g_prime, dtype=complex)
@@ -170,19 +170,18 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu, S=None, tol: float = 1e-9,
         raise ValueError(f"mu must be >= 0, got {mu}")
     w = np.linalg.eigvalsh(ric_prime + lam * g_prime - mu * np.eye(n))
     scale = max(1.0, float(np.max(np.abs(ric_prime))), float(np.max(np.abs(g_prime))))
-    if w[0] < -hypothesis_tol * scale:
+    if w[0] < -1e-9 * scale:
         return not_applicable(
             "ricci-trace-lower-bound",
-            f"Ricci hypothesis fails: min eig {w[0]:.3e} < 0", point=point,
+            f"Ricci hypothesis fails: min eig {w[0]:.3e} < 0",
         )
     d, U = np.linalg.eigh(g_prime)
     ric_t = U.conj().T @ ric_prime @ U
     lhs = float((np.diag(ric_t).real / d**2).sum())
-    if S is None:
-        S = float((1.0 / d).sum())
-    rhs = -lam * float(S) + (mu / n) * float(S) ** 2
-    return make_report("ricci-trace-lower-bound", lhs, rhs, tol, point=point,
-                       note=f"S={float(S):.6g} lam={lam:.6g} mu={mu:.6g}")
+    S = float((1.0 / d).sum())
+    rhs = -lam * S + (mu / n) * S**2
+    return make_report("ricci-trace-lower-bound", lhs, rhs, tol,
+                       note=f"S={S:.6g} lam={lam:.6g} mu={mu:.6g}")
 
 
 # -- the trace S = tr_{omega'} omega and its derivatives ----------------------
@@ -225,8 +224,7 @@ def _trace_jet(jet, jet_prime):
 # -- the Laplacian identity and its Cauchy-Schwarz step ----------------------
 
 
-def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = None,
-                             tol_cs: float = 1e-9) -> tuple:
+def laplacian_identity_check(omega, omega_prime, index, tol_cs: float = 1e-9) -> tuple:
     """Exact-identity and Cauchy-Schwarz reports for Delta' S at one grid point.
 
     Requires a flat ambient omega on a torus (the mixed-curvature term then
@@ -235,7 +233,7 @@ def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = No
 
     * "laplacian-trace-identity": Delta' S = tr(g'^-1 d dbar S) from the
       two metric jets against the curvature/third-order expression,
-      two-sided at tol_identity (default 1e-10 * max(1, |rhs|)).
+      two-sided at 1e-10 * max(1, |rhs|).
     * "third-order-cauchy-schwarz": the third-order sum against
       |grad' S|^2 / S.
     """
@@ -261,13 +259,11 @@ def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = No
     denom = d[:, None, None] * (d[None, :, None] ** 2) * d[None, None, :]
     third_term = float((np.abs(dg_t) ** 2 / denom).sum())
     rhs = ricci_term + third_term  # ambient curvature term vanishes (flat)
-    if tol_identity is None:
-        tol_identity = 1e-10 * max(1.0, abs(rhs))
 
     S, dS, ddS = _trace_jet(omega.jet_at(index), jet_prime)
     lhs = float(np.trace(np.linalg.solve(gp, ddS)).real)
-    identity = make_report("laplacian-trace-identity", lhs, rhs, tol_identity,
-                           point=point, two_sided=True)
+    identity = make_report("laplacian-trace-identity", lhs, rhs,
+                           1e-10 * max(1.0, abs(rhs)), point=point, two_sided=True)
 
     grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
     cs = make_report(
@@ -281,16 +277,16 @@ def laplacian_identity_check(omega, omega_prime, index, tol_identity: float = No
 
 
 def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
-                             fd_step: float = None, tol: float = 1e-9,
-                             hypothesis_tol: float = 1e-8) -> InequalityReport:
+                             fd_step: float = None, tol: float = 1e-9) -> InequalityReport:
     """Check Delta' log S >= ((n+1) kappa / (2n) + mu/n) S - lam at a point.
 
-    Both hypotheses are re-verified at the point before comparing: the
-    ambient HSC ceiling H <= -kappa (by extremization) and the Ricci bound
-    Ric(omega') + lam omega' - mu omega >= 0 (by eigenvalue check).  If
-    either fails the report is not-applicable.  The left side is exact:
-    Delta' log S = Delta' S / S - |d S|^2_{g'} / S^2 from the two metric
-    jets.  On a torus the point is a grid multi-index and the report
+    Both hypotheses are re-verified at the point, each with a slack of
+    1e-8 (relative to the data's scale for the Ricci bound), before
+    comparing: the ambient HSC ceiling H <= -kappa (by extremization) and
+    the Ricci bound Ric(omega') + lam omega' - mu omega >= 0 (by eigenvalue
+    check).  If either fails the report is not-applicable.  The left side
+    is exact: Delta' log S = Delta' S / S - |d S|^2_{g'} / S^2 from the two
+    metric jets.  On a torus the point is a grid multi-index and the report
     carries its real coordinates.  fd_step is accepted for old callers and
     not read.
     """
@@ -299,7 +295,8 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     where = omega.grid.coords(point) if isinstance(omega, TorusMetricField) else point
     curv = KahlerCurvature.from_derivatives(*jet)
     ext = hsc_extremes_from_tensor(curv.tensor, curv.g)
-    if ext.h_max > -hyp.kappa + hypothesis_tol:
+    slack = 1e-8
+    if ext.h_max > -hyp.kappa + slack:
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"HSC hypothesis fails: max H {ext.h_max:.6g} > -kappa {-hyp.kappa:.6g}",
@@ -311,7 +308,7 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     W = ric_p + hyp.lam * gp - hyp.mu * curv.g
     scale = max(1.0, float(np.max(np.abs(ric_p))), float(np.max(np.abs(gp))))
     wmin = float(np.linalg.eigvalsh(W)[0])
-    if wmin < -hypothesis_tol * scale:
+    if wmin < -slack * scale:
         return not_applicable(
             "schwarz-log-trace-conclusion",
             f"Ricci hypothesis fails: min eig {wmin:.3e} < 0",
@@ -353,7 +350,7 @@ def max_principle_s_bound(kappa0: float, s_values, n: int,
 # -- random Kähler-symmetric tensors for trials ------------------------------
 
 
-def random_kahler_tensor(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_kahler_tensor(n: int, rng: np.random.Generator) -> np.ndarray:
     """A random tensor with the full Kähler curvature symmetry set.
 
     Gaussian entries averaged over the symmetry group: i<->k, jbar<->lbar,
@@ -363,7 +360,7 @@ def random_kahler_tensor(n: int, rng: np.random.Generator, scale: float = 1.0) -
     sym = raw + np.swapaxes(raw, 0, 2)
     sym = sym + np.swapaxes(sym, 1, 3)
     pair = np.conj(np.swapaxes(np.swapaxes(sym, 0, 1), 2, 3))
-    return scale * (sym + pair) / 8.0
+    return (sym + pair) / 8.0
 
 
 def conditioned_negative_tensor(n: int, rng: np.random.Generator,

@@ -25,6 +25,10 @@ from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
 from .linalg import det
 
+# Largest condition number of the scaled Vandermonde that an eps-expansion
+# fit accepts.
+COND_LIMIT = 1e8
+
 
 def _matrix_field(obj, grid):
     if isinstance(obj, TorusMetricField):
@@ -88,8 +92,7 @@ def volume(field: TorusMetricField) -> float:
 # -- eps-expansion of the path volume ---------------------------------------
 
 
-def fit_epsilon_expansion(epsilons, values, degree: int,
-                          cond_limit: float = 1e8):
+def fit_epsilon_expansion(epsilons, values, degree: int):
     """Least-squares polynomial fit of V(eps), guarded for conditioning.
 
     Returns (coefficients c_0..c_degree, condition number, max residual).
@@ -109,10 +112,10 @@ def fit_epsilon_expansion(epsilons, values, degree: int,
     scale = eps.max()
     V = np.vander(eps / scale, degree + 1, increasing=True)
     cond = float(np.linalg.cond(V))
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise ValueError(
             f"eps schedule too ill-conditioned for the fit "
-            f"(cond {cond:.2e} > {cond_limit:.1e}); spread the schedule"
+            f"(cond {cond:.2e} > {COND_LIMIT:.1e}); spread the schedule"
         )
     a, *_ = np.linalg.lstsq(V, vals, rcond=None)
     coeffs = a / scale ** np.arange(degree + 1)
@@ -152,13 +155,12 @@ class ExpansionReport:
         }
 
 
-def epsilon_expansion_check(path, omega: TorusMetricField,
-                            cond_limit: float = 1e8) -> ExpansionReport:
+def epsilon_expansion_check(path, omega: TorusMetricField) -> ExpansionReport:
     """Fit V(eps) over a solved path and report the expansion coefficients."""
     n = omega.n
     eps = [s.epsilon for s in path]
     vals = [omega.grid.mean(s.sigma_n_field * omega.det_g) for s in path]
-    coeffs, cond, resid = fit_epsilon_expansion(eps, vals, n, cond_limit)
+    coeffs, cond, resid = fit_epsilon_expansion(eps, vals, n)
     implied = [float(coeffs[k]) / math.comb(n, k) for k in range(n + 1)]
     return ExpansionReport(
         epsilons=[float(e) for e in eps],
@@ -197,10 +199,9 @@ class BignessReport:
         }
 
 
-def bigness_bound_report(kappa0: float, omega: TorusMetricField, path,
-                         tol: float = 1e-9,
-                         cond_limit: float = 1e8) -> BignessReport:
+def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> BignessReport:
     n = omega.n
+    tol = 1e-9
     if kappa0 <= 0.0:
         na = not_applicable(
             "bigness-volume-floor",
@@ -220,7 +221,7 @@ def bigness_bound_report(kappa0: float, omega: TorusMetricField, path,
             note=f"eps={s.epsilon:.6g}",
         ))
     if len(path) >= n + 2:
-        coeffs, _, _ = fit_epsilon_expansion(eps, vals, n, cond_limit)
+        coeffs, _, _ = fit_epsilon_expansion(eps, vals, n)
         extrapolated = make_report(
             "bigness-volume-floor-limit", float(coeffs[0]), rhs, tol,
             note="eps -> 0 extrapolation (constant term of the fit)",
@@ -233,27 +234,22 @@ def bigness_bound_report(kappa0: float, omega: TorusMetricField, path,
     return BignessReport(float(kappa0), per_state, extrapolated, applicable=True)
 
 
-def nef_lower_bound_check(path, omega: TorusMetricField, C=None,
-                          tol: float = 1e-8) -> list:
+def nef_lower_bound_check(path, omega: TorusMetricField, tol: float = 1e-8) -> list:
     """Check integral omega_eps^k wedge omega^{n-k} >= C^{k/n-1} integral omega_eps^n.
 
     C must be a certified pointwise ceiling of sigma_n = omega_eps^n/omega^n
     (sigma_n = e^u <= exp(sup u) <= C); since k/n - 1 <= 0, the MacLaurin
     step sigma_k-quotient >= sigma_n^{k/n} = sigma_n * sigma_n^{k/n-1}
-    >= sigma_n * C^{k/n-1} only holds with C above sigma_n.  By default C
-    is taken from each state's recorded ceiling exp(log_c_bound).  One
-    report per (state, k) for 1 <= k <= n; k = n is the trivial identity
-    row.
+    >= sigma_n * C^{k/n-1} only holds with C above sigma_n.  C is each
+    state's recorded ceiling exp(log_c_bound); a ceiling that underflows
+    to 0 (a log C read back from a sidecar, say) makes the state's row
+    not-applicable.  One report per (state, k) for 1 <= k <= n; k = n is
+    the trivial identity row.
     """
     n = omega.n
     reports = []
-    for j, s in enumerate(path):
-        if C is None:
-            c_state = float(np.exp(s.log_c_bound))
-        elif np.ndim(C) == 0:
-            c_state = float(C)
-        else:
-            c_state = float(C[j])
+    for s in path:
+        c_state = float(np.exp(s.log_c_bound))
         if c_state <= 0.0:
             reports.append(not_applicable(
                 "nef-wedge-lower-bound",

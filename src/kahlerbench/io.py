@@ -9,9 +9,11 @@ Binary scalar-field layout (little-endian throughout):
     bytes 7..10  grid resolution N (uint32)
     rest         float64 payload, C order, shape (N,)*(2n)
 
-The format stores real scalar fields on torus grids: potentials, solved
-u/v fields, data F.  Matrix-valued state is reconstructed from these plus
-the JSON diagnostics sidecar rather than serialized directly.
+The format stores real scalar fields on torus grids, such as potentials
+and solved potentials v.  A continuity state is saved as its v and a JSON
+diagnostics sidecar; everything else is rebuilt from v and the reference
+metric.  The kind codes of the u and datum fields that earlier state
+directories hold stay registered, so those files still load.
 """
 
 from __future__ import annotations
@@ -110,12 +112,10 @@ def rows_to_csv(path, rows, columns) -> None:
 
 
 def save_state(directory, state, grid: TorusGrid) -> None:
-    """Persist a continuity state: u/v/f fields plus a diagnostics sidecar."""
+    """Persist a continuity state: v.kwb plus a diagnostics.json sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_scalar_field(directory / "u.kwb", grid, state.u, "solution-u")
     save_scalar_field(directory / "v.kwb", grid, state.v, "solution-v")
-    save_scalar_field(directory / "f.kwb", grid, state.f, "datum")
     write_json(directory / "diagnostics.json", {
         "epsilon": state.epsilon,
         "sup_u": state.sup_u,
@@ -131,27 +131,22 @@ def save_state(directory, state, grid: TorusGrid) -> None:
 def load_state(directory, omega):
     """Rebuild a continuity state saved by save_state.
 
-    The matrix field g_eps is reconstructed exactly from (epsilon, v) and
-    the reference metric; diagnostics are recomputed by make_state (the
-    same dealiased Ricci residual as the path's), then every saved one is
-    cross-checked against the sidecar, and newton_steps is restored from it.
+    The matrix field g_eps and u = v - log det g are reconstructed exactly
+    from (epsilon, v) and the reference metric; diagnostics are recomputed
+    by make_state (the same dealiased Ricci residual as the path's), then
+    every saved one is cross-checked against the sidecar, and newton_steps
+    is restored from it.  Other files in the directory are not read.
     """
     from .solver import make_state
 
     directory = Path(directory)
     diag = read_json(directory / "diagnostics.json")
     grid_v, v, kind_v = load_scalar_field(directory / "v.kwb")
-    grid_f, f, kind_f = load_scalar_field(directory / "f.kwb")
     if kind_v != "solution-v":
         raise ValueError(f"{directory}: expected a solution-v field, got {kind_v}")
-    if kind_f != "datum":
-        raise ValueError(f"{directory / 'f.kwb'}: expected a datum field, got {kind_f}")
-    if grid_f.shape != grid_v.shape:
-        raise ValueError(f"{directory / 'f.kwb'}: grid {grid_f.shape} differs from "
-                         f"v.kwb's {grid_v.shape}")
     if grid_v.shape != omega.grid.shape:
         raise ValueError(f"{directory}: grid mismatch with reference metric")
-    state = make_state(omega, diag["epsilon"], v, f, diag["log_c_bound"],
+    state = make_state(omega, diag["epsilon"], v, diag["log_c_bound"],
                        newton_steps=diag["newton_steps"])
     for name in ("sup_u", "ricci_residual_sup", "rel_eig_min", "rel_eig_max", "s_max"):
         saved, rebuilt = diag[name], getattr(state, name)

@@ -2,22 +2,23 @@
 
 The discrete problem on a torus grid is
 
-    log det(alpha + Hess v) - v - (F + log det g_ref) = 0
+    log det(alpha + Hess v) - v - F = 0
 
 for a real potential v, where alpha is a positive coefficient form, Hess is
-the spectral complex Hessian, and g_ref carries the reference volume form.
-Newton's method linearizes to (Delta_M - 1) delta = -residual with
+the spectral complex Hessian and F is the datum.  Newton's method
+linearizes to (Delta_M - 1) delta = -residual with
 Delta_M = trace(M^{-1} Hess .), solved by a preconditioned Krylov iteration
 (Fourier-diagonal flat-Laplacian surrogate); steps are safeguarded by a
 backtracking line search that never leaves the positive cone.
 
-The continuity path solves the family
+The continuity path solves the family (alpha = eps g, F = 0)
 
-    det(eps g + Hess v_eps) = det(g) e^{v_eps + f},    f = -log det g,
+    det(eps g + Hess v_eps) = e^{v_eps},
 
 downward in eps with warm starts shifted by the known n*log(eps'/eps)
-drift, and records per-state diagnostics: sup u against the volume-ratio
-ceiling, the Ricci identity residual, relative eigenvalue range, the trace
+drift, and records per-state diagnostics: sup u for
+u = v - log det g = log sigma_n against the volume-ratio ceiling, the
+Ricci identity residual, relative eigenvalue range, the top of the trace
 field S_eps, and the top volume ratio sigma_n.
 """
 
@@ -45,7 +46,6 @@ class MAProblem:
 
     grid: TorusGrid
     alpha: np.ndarray
-    reference: TorusMetricField
     datum: np.ndarray
 
     def __post_init__(self):
@@ -59,12 +59,6 @@ class MAProblem:
             raise DimensionMismatch(
                 f"datum shape {self.datum.shape} != grid {self.grid.shape}"
             )
-        if self.reference.grid.shape != self.grid.shape:
-            raise DimensionMismatch("reference field lives on a different grid")
-
-    @property
-    def target(self) -> np.ndarray:
-        return self.datum + self.reference.log_det_g
 
 
 def ma_log_residual(problem: MAProblem, v: np.ndarray, M: np.ndarray = None) -> np.ndarray:
@@ -77,7 +71,7 @@ def ma_log_residual(problem: MAProblem, v: np.ndarray, M: np.ndarray = None) -> 
         raise PositivityLoss(
             f"candidate metric degenerate at grid index {worst}", point=worst
         )
-    return np.log(d) - v - problem.target
+    return np.log(d) - v - problem.datum
 
 
 def _flat_preconditioner(grid: TorusGrid, c_bar: float):
@@ -224,7 +218,6 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
     Sets alpha = identity and F = log det(I + Hess v*) - v*, so the solve
     must recover v* up to solver tolerance.
     """
-    reference = TorusMetricField(grid, np.zeros(grid.shape))
     eye = np.broadcast_to(np.eye(grid.n, dtype=complex),
                           grid.shape + (grid.n, grid.n)).copy()
     M = eye + grid.complex_hessian(np.asarray(v_star, dtype=float))
@@ -232,7 +225,7 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
     if np.any(d <= 0.0):
         raise PositivityLoss("manufactured potential leaves the positive cone")
     datum = np.log(d) - v_star
-    return MAProblem(grid, eye, reference, datum)
+    return MAProblem(grid, eye, datum)
 
 
 # -- continuity path ---------------------------------------------------------
@@ -240,25 +233,20 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
 
 @dataclass
 class ContinuityState:
-    """One solved state of the family det(eps g + Hess v) = det(g) e^{v+f}."""
+    """One solved state of the family det(eps g + Hess v) = e^v."""
 
     epsilon: float
     v: np.ndarray
     u: np.ndarray
-    f: np.ndarray
     g_eps: np.ndarray
     sup_u: float
     log_c_bound: float
     ricci_residual_sup: float
     rel_eig_min: float
     rel_eig_max: float
-    s_field: np.ndarray
+    s_max: float
     sigma_n_field: np.ndarray
     newton_steps: int = 0
-
-    @property
-    def s_max(self) -> float:
-        return float(self.s_field.max())
 
 
 def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
@@ -276,35 +264,33 @@ def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
 
 
 def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
-               f: np.ndarray, log_c: float, newton_steps: int = 0) -> ContinuityState:
+               log_c: float, newton_steps: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    g_eps is formed once and shared by every diagnostic.  The Ricci
-    residual is dealiased on a twice finer grid for n <= 2 and taken on the
-    solve grid (pad 1) for n = 3; no fine metric field is built.
+    g_eps is formed once and shared by every diagnostic, and
+    u = v - log det g.  The Ricci residual is that of
+    ricci_residual_dealiased; no fine metric field is built.
     """
     grid = omega.grid
     g_eps = epsilon * omega.g + grid.complex_hessian(v)
-    u = f + v
+    u = v - omega.log_det_g
     lam = relative_eigenvalues_field(omega.g, g_eps)
-    pad = 2 if grid.n <= 2 else 1
-    ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps, pad=pad)
+    ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps)
     return ContinuityState(
         epsilon=float(epsilon),
-        v=v, u=u, f=f, g_eps=g_eps,
+        v=v, u=u, g_eps=g_eps,
         sup_u=float(u.max()),
         log_c_bound=log_c,
         ricci_residual_sup=ricci_sup,
         rel_eig_min=float(lam.min()),
         rel_eig_max=float(lam.max()),
-        s_field=trace_s_field(omega.g, g_eps),
+        s_max=float(trace_s_field(omega.g, g_eps).max()),
         sigma_n_field=det(g_eps).real / omega.det_g,
         newton_steps=newton_steps,
     )
 
 
-def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10,
-                    max_steps: int = 50) -> list:
+def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> list:
     """Solve the family along a strictly decreasing positive eps schedule.
 
     Warm-starts each solve from the previous state shifted by the exact
@@ -318,7 +304,7 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10,
         raise ValueError("eps schedule must be strictly decreasing")
 
     grid = omega.grid
-    f = -omega.log_det_g
+    zero = np.zeros(grid.shape)
     log_c = volume_ratio_ceiling(omega, eps[0])
     states = []
     v_prev = None
@@ -327,31 +313,30 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10,
             v0 = np.full(grid.shape, grid.n * np.log(e))
         else:
             v0 = v_prev + grid.n * np.log(e / eps[i - 1])
-        problem = MAProblem(grid, e * omega.g, omega, f)
+        problem = MAProblem(grid, e * omega.g, zero)
         try:
-            v, info = solve_ma(problem, tol=tol, max_steps=max_steps, v0=v0,
-                               return_info=True)
+            v, info = solve_ma(problem, tol=tol, v0=v0, return_info=True)
         except (PositivityLoss, NonConvergence) as err:
             err.epsilon = e
             raise
-        states.append(make_state(omega, e, v, f, log_c,
-                                 newton_steps=info["newton_steps"]))
+        states.append(make_state(omega, e, v, log_c, newton_steps=info["newton_steps"]))
         v_prev = v
     return states
 
 
 def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
-                             v: np.ndarray, g_eps: np.ndarray, pad: int = 2) -> float:
+                             v: np.ndarray, g_eps: np.ndarray) -> float:
     """Ricci identity residual with the determinant evaluated dealiased.
 
     On the solve grid the raw residual is the spectral Hessian of the
     Newton stopping residual — it reflects the solver, not the
-    discretization.  Here log det(omega_eps) is instead evaluated on a
-    pad-times finer grid and truncated back to the solve band before the
+    discretization.  For n <= 2, log det(omega_eps) is instead evaluated on
+    a twice finer grid and truncated back to the solve band before the
     Ricci Hessian is taken.  That removes the fold-back of product terms
     the solve grid cannot represent, so the value measures genuine
     discretization error and decays at the spectral rate under grid
-    refinement.  At pad = 1 it is the raw residual of the solve grid.
+    refinement.  For n = 3 a finer grid costs 64 times the points, and the
+    value is the raw residual of the solve grid.
 
     Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
     potential, the spectrum of eps*psi + (v - mean v) is embedded in the
@@ -362,10 +347,10 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     as make_state computes it.
     """
     grid = omega.grid
-    if pad == 1:
+    if grid.n == 3:
         fine, d = grid, det(g_eps).real
     else:
-        fine = _fine_grid(grid, pad)
+        fine = _fine_grid(grid)
         v = np.asarray(v, dtype=float)
         W = grid.embed_spectrum(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), fine)
         d = _det_plus_hessian(epsilon, fine, fine.hessian_of_spectrum(W))
@@ -381,19 +366,15 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
 
 
 @functools.lru_cache(maxsize=4)
-def _fine_grid(grid: TorusGrid, pad: int) -> TorusGrid:
-    """The pad-times finer grid, one instance per coarse grid, so that its
+def _fine_grid(grid: TorusGrid) -> TorusGrid:
+    """The twice finer grid, one instance per coarse grid, so that its
     cached multipliers are built once and not once per state."""
-    return TorusGrid(grid.n, pad * grid.N)
+    return TorusGrid(grid.n, 2 * grid.N)
 
 
 def _det_plus_hessian(epsilon: float, grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """det(epsilon*I + H) over grid, H given by its Hessian components c.
-
-    Real arithmetic on the components for n <= 2; n = 3 assembles the matrices.
-    """
-    if grid.n == 3:
-        return det(epsilon * np.eye(3) + grid.hermitian(c)).real
+    """det(epsilon*I + H) over grid for n <= 2, in real arithmetic on the
+    Hessian components c of H."""
     a = epsilon + c[0]
     if grid.n == 1:
         return a

@@ -22,7 +22,7 @@ import sympy as sp
 from .curvature import (curvature_field, hsc, hsc_extremes, kappa_floor,
                         ricci_from_derivatives, sweep_hsc_extremes)
 from .errors import DimensionMismatch
-from .fields import TorusMetricField, metric_from_potential
+from .fields import ChartMetricField, TorusMetricField
 from .grids import ChartGeometry, TorusGrid
 
 
@@ -354,7 +354,7 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
         raise ValueError(f"scale must be positive, got {scale}")
     psi, z, zb = poincare_disk_potential(scale)
     geom = ChartGeometry(1, (1.0,), margin=0.25)
-    mf = metric_from_potential(geom, psi, z, zb)
+    mf = ChartMetricField(geom, psi, z, zb)
     pt = _DISK_POINT
     zpt = _to_complex(pt)
 
@@ -395,7 +395,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
         raise ValueError(f"scale must be positive, got {scale}")
     psi, z, zb = poincare_polydisk_potential(n, scale)
     geom = ChartGeometry(n, (1.0,) * n, margin=0.25)
-    mf = metric_from_potential(geom, psi, z, zb)
+    mf = ChartMetricField(geom, psi, z, zb)
     pt = _POLYDISK_POINT[:n] if n <= 2 else _POLYDISK_POINT[:2] + (sp.Rational(1, 8),)
     zpt = _to_complex(pt)
     e1 = np.zeros(n, dtype=complex)
@@ -448,7 +448,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
 def _build_fubini_study(n: int = 2) -> Example:
     psi, z, zb = fubini_study_potential(n)
     geom = ChartGeometry(n, (1.0,) * n, margin=0.2)
-    mf = metric_from_potential(geom, psi, z, zb)
+    mf = ChartMetricField(geom, psi, z, zb)
     pt = _FS_POINT[:n] if n <= 2 else _FS_POINT[:2] + (sp.Rational(1, 8),)
     zpt = _to_complex(pt)
     e1 = np.zeros(n, dtype=complex)
@@ -499,7 +499,7 @@ def _build_fermat_chart(degree: int = 5) -> Example:
         )
     psi, z, zb, alpha = fermat_graph_potential(d)
     geom = ChartGeometry(2, (0.35, 0.35), margin=0.10)
-    mf = metric_from_potential(geom, psi, z, zb)
+    mf = ChartMetricField(geom, psi, z, zb)
     beta = complex(sp.N(alpha))
     eta_line = np.array([1.0 + 0j, beta])
     origin = np.zeros(2, dtype=complex)

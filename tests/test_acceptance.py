@@ -17,7 +17,7 @@ import pytest
 import sympy as sp
 
 from kahlerbench.curvature import constant_hsc_tensor, kappa_floor
-from kahlerbench.fields import TorusMetricField, metric_from_potential
+from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import (
     SchwarzHypotheses,
@@ -195,8 +195,8 @@ def test_criterion_06_log_trace_conclusion():
     psi, z, zb = poincare_polydisk_potential(2, 2.0)
     bump = sp.Rational(1, 50) * z[0] * zb[0] * z[1] * zb[1]
     geom = ChartGeometry(2, (1.0, 1.0), margin=0.25)
-    omega = metric_from_potential(geom, psi, z, zb)
-    omega_bumped = metric_from_potential(geom, psi + bump, z, zb)
+    omega = ChartMetricField(geom, psi, z, zb)
+    omega_bumped = ChartMetricField(geom, psi + bump, z, zb)
 
     rng = np.random.default_rng(99)
     pts = rng.uniform(-0.4, 0.4, size=(100, 2, 2))
@@ -217,8 +217,7 @@ def test_criterion_06_log_trace_conclusion():
             fd_gap = max(fd_gap, abs(fd - report.lhs))
 
     psi1, z1, zb1 = poincare_disk_potential(1.0)
-    disk = metric_from_potential(ChartGeometry(1, (1.0,), margin=0.25),
-                                 psi1, z1, zb1)
+    disk = ChartMetricField(ChartGeometry(1, (1.0,), margin=0.25), psi1, z1, zb1)
     equality = schwarz_conclusion_check(
         disk, disk, SchwarzHypotheses(kappa=2.0, lam=2.0, mu=0.0),
         np.array([0.3 + 0.1j]))

@@ -192,6 +192,15 @@ def test_kappa_floor_signs():
     assert kappa_floor(flat, points=[(0, 0)]) <= 1e-12
 
 
+def test_kappa_floor_rejects_an_empty_sweep():
+    # An empty sweep would otherwise certify kappa_0 = inf.
+    field = polydisk_field(n=2, scale=2.0)
+    with pytest.raises(ValueError, match="at least one sweep point"):
+        kappa_floor(field, points=[])
+    with pytest.raises(ValueError, match="at least one sweep point"):
+        kappa_floor(field, points=field.geometry.sample_points(per_axis=0))
+
+
 def _strided_grid_indices(grid, stride):
     return list(itertools.product(range(0, grid.N, stride), repeat=2 * grid.n))
 

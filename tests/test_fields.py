@@ -8,11 +8,7 @@ import sympy as sp
 
 from kahlerbench.curvature import curvature_tensor, ricci_form, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
-from kahlerbench.fields import (
-    ChartMetricField,
-    TorusMetricField,
-    metric_from_potential,
-)
+from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import make_example
 
@@ -171,25 +167,6 @@ def test_chart_symbol_count_is_checked():
     geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
     with pytest.raises(DimensionMismatch):
         ChartMetricField(geo, z * zb, (z,), (zb,))
-
-
-# -- dispatch ----------------------------------------------------------------------
-
-
-def test_metric_from_potential_dispatch():
-    grid = TorusGrid(1, 16)
-    field = metric_from_potential(grid, np.zeros(grid.shape))
-    assert isinstance(field, TorusMetricField)
-
-    z, zb = sp.symbols("z zbar")
-    geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
-    chart = metric_from_potential(geo, z * zb, (z,), (zb,))
-    assert isinstance(chart, ChartMetricField)
-
-    with pytest.raises(ValueError):
-        metric_from_potential(geo, z * zb)  # symbols missing
-    with pytest.raises(TypeError):
-        metric_from_potential(42, None)
 
 
 # -- chart metric jet --------------------------------------------------------------

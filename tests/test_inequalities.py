@@ -213,12 +213,12 @@ def test_ricci_term_margin_hypothesis_violation_is_not_applicable():
         ricci_term_margin(ric, gp, lam=2.0, mu=-0.5)
 
 
-def test_ricci_term_margin_accepts_external_trace():
+def test_ricci_term_margin_takes_the_trace_of_g_prime_inverse():
     gp = np.diag([1.0, 4.0]).astype(complex)
     ric = -0.3 * gp
-    via_internal = ricci_term_margin(ric, gp, lam=0.3, mu=0.0)
-    via_external = ricci_term_margin(ric, gp, lam=0.3, mu=0.0, S=1.25)
-    assert via_external.rhs == pytest.approx(via_internal.rhs, abs=1e-14)
+    report = ricci_term_margin(ric, gp, lam=0.3, mu=0.0)
+    assert report.rhs == pytest.approx(-0.3 * 1.25, abs=1e-14)  # S = 1 + 1/4
+    assert "S=1.25 " in report.note
 
 
 # -- Laplacian identity ---------------------------------------------------------------

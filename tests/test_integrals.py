@@ -219,13 +219,15 @@ def test_nef_bound_flat_closed_form(flat_path):
 
 
 def test_nef_bound_explicit_ceilings(flat_path):
+    # exp(log C) underflows to 0 for a very negative recorded log C: no
+    # ceiling, so the state's row is not-applicable rather than a failure.
     omega, path = flat_path
-    reports = nef_lower_bound_check(path[:2], omega, C=2.0)
-    assert all(r.status == "pass" for r in reports)
-    per_state = nef_lower_bound_check(path[:2], omega, C=[1.0, 4.0])
-    assert all(r.status == "pass" for r in per_state)
-    bad = nef_lower_bound_check(path[:1], omega, C=-1.0)
-    assert bad[0].status == "not-applicable"
+    underflow = dataclasses.replace(path[0], log_c_bound=-1e4)
+    reports = nef_lower_bound_check([underflow, path[1]], omega)
+    assert reports[0].status == "not-applicable"
+    assert "ceiling 0 <= 0" in reports[0].note
+    assert len(reports) == 1 + omega.n
+    assert all(r.status == "pass" for r in reports[1:])
 
 
 def test_nef_bound_on_perturbed_path():

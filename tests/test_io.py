@@ -189,7 +189,6 @@ def test_state_round_trip(tmp_path, solved):
     assert rebuilt.epsilon == state.epsilon
     assert np.array_equal(rebuilt.v, state.v)
     assert np.array_equal(rebuilt.u, state.u)
-    assert np.array_equal(rebuilt.f, state.f)
     assert rebuilt.sup_u == pytest.approx(state.sup_u, rel=1e-14)
     assert rebuilt.log_c_bound == state.log_c_bound
     assert rebuilt.ricci_residual_sup == pytest.approx(state.ricci_residual_sup,
@@ -206,23 +205,25 @@ def test_load_state_rejects_wrong_field_kind(tmp_path, solved):
         load_state(target, omega)
 
 
-def test_load_state_rejects_foreign_datum_file(tmp_path, solved):
+def test_save_state_writes_v_and_the_sidecar_only(tmp_path, solved):
+    omega, state = solved
+    save_state(tmp_path / "state", state, omega.grid)
+    assert sorted(p.name for p in (tmp_path / "state").iterdir()) == [
+        "diagnostics.json", "v.kwb"]
+
+
+def test_load_state_reads_the_earlier_layout(tmp_path, solved):
+    # Earlier state directories also hold u.kwb and the datum
+    # f.kwb = -log det g; both are left unread.
     omega, state = solved
     target = tmp_path / "state"
     save_state(target, state, omega.grid)
-    (target / "f.kwb").write_bytes((target / "u.kwb").read_bytes())
-    with pytest.raises(ValueError, match=r"f\.kwb: expected a datum field, got solution-u"):
-        load_state(target, omega)
-
-
-def test_load_state_rejects_datum_on_another_grid(tmp_path, solved):
-    omega, state = solved
-    target = tmp_path / "state"
-    save_state(target, state, omega.grid)
-    coarse = TorusGrid(1, 8)
-    save_scalar_field(target / "f.kwb", coarse, np.zeros(coarse.shape), kind="datum")
-    with pytest.raises(ValueError, match=r"state/f\.kwb: grid \(8, 8\) differs"):
-        load_state(target, omega)
+    save_scalar_field(target / "u.kwb", omega.grid, state.u, kind="solution-u")
+    save_scalar_field(target / "f.kwb", omega.grid, -omega.log_det_g, kind="datum")
+    rebuilt = load_state(target, omega)  # raises if the sidecar disagrees
+    assert np.array_equal(rebuilt.v, state.v)
+    assert np.array_equal(rebuilt.u, state.u)
+    assert rebuilt.s_max == state.s_max
 
 
 def test_load_state_rejects_grid_mismatch(tmp_path, solved):
