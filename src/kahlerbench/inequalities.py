@@ -10,6 +10,14 @@ maximum-principle ceiling for S.
 Every check returns an InequalityReport rather than a bare bool; reports
 that do not apply (hypotheses fail, kappa_0 <= 0) are first-class
 "not-applicable" outcomes, never errors.
+
+Each check owns its verdict threshold; none can be loosened by a caller:
+
+* MARGIN_TOL = 1e-9: the one-sided margins of ricci_term_margin, the
+  third-order Cauchy-Schwarz step, schwarz_conclusion_check and
+  max_principle_s_bound (and the default of royden_margin).
+* IDENTITY_RTOL = 1e-10: the two-sided Laplacian identity, relative to
+  max(1, |rhs|).
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from .curvature import (
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .linalg import simultaneous_frame
+
+MARGIN_TOL = 1e-9
+IDENTITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ def _point_tuple(point):
 # -- curvature-term bound (sharp constant (n+1)/(2n)) -----------------------
 
 
-def royden_margin(R, g, g_prime, kappa, tol: float = 1e-9) -> InequalityReport:
+def royden_margin(R, g, g_prime, kappa, tol: float = MARGIN_TOL) -> InequalityReport:
     """Check -sum_{ik} R~_{ii kk} / (d_i d_k) >= (n+1) kappa / (2n) * S^2.
 
     R is the ambient curvature tensor, g the ambient metric, g_prime the
@@ -155,7 +166,7 @@ def royden_margin(R, g, g_prime, kappa, tol: float = 1e-9) -> InequalityReport:
                        note=f"S={S:.6g} kappa={kappa:.6g}")
 
 
-def ricci_term_margin(ric_prime, g_prime, lam, mu, tol: float = 1e-9) -> InequalityReport:
+def ricci_term_margin(ric_prime, g_prime, lam, mu) -> InequalityReport:
     """Check sum_i R'_{ii} / d_i^2 >= -lam * S + (mu/n) * S^2, S = tr g'^{-1}.
 
     Inputs are expressed in an ambient-orthonormal frame (g = identity).
@@ -180,7 +191,7 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu, tol: float = 1e-9) -> Inequal
     lhs = float((np.diag(ric_t).real / d**2).sum())
     S = float((1.0 / d).sum())
     rhs = -lam * S + (mu / n) * S**2
-    return make_report("ricci-trace-lower-bound", lhs, rhs, tol,
+    return make_report("ricci-trace-lower-bound", lhs, rhs, MARGIN_TOL,
                        note=f"S={S:.6g} lam={lam:.6g} mu={mu:.6g}")
 
 
@@ -224,7 +235,7 @@ def _trace_jet(jet, jet_prime):
 # -- the Laplacian identity and its Cauchy-Schwarz step ----------------------
 
 
-def laplacian_identity_check(omega, omega_prime, index, tol_cs: float = 1e-9) -> tuple:
+def laplacian_identity_check(omega, omega_prime, index) -> tuple:
     """Exact-identity and Cauchy-Schwarz reports for Delta' S at one grid point.
 
     Requires a flat ambient omega on a torus (the mixed-curvature term then
@@ -233,7 +244,7 @@ def laplacian_identity_check(omega, omega_prime, index, tol_cs: float = 1e-9) ->
 
     * "laplacian-trace-identity": Delta' S = tr(g'^-1 d dbar S) from the
       two metric jets against the curvature/third-order expression,
-      two-sided at 1e-10 * max(1, |rhs|).
+      two-sided at IDENTITY_RTOL * max(1, |rhs|).
     * "third-order-cauchy-schwarz": the third-order sum against
       |grad' S|^2 / S.
     """
@@ -263,11 +274,11 @@ def laplacian_identity_check(omega, omega_prime, index, tol_cs: float = 1e-9) ->
     S, dS, ddS = _trace_jet(omega.jet_at(index), jet_prime)
     lhs = float(np.trace(np.linalg.solve(gp, ddS)).real)
     identity = make_report("laplacian-trace-identity", lhs, rhs,
-                           1e-10 * max(1.0, abs(rhs)), point=point, two_sided=True)
+                           IDENTITY_RTOL * max(1.0, abs(rhs)), point=point, two_sided=True)
 
     grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
     cs = make_report(
-        "third-order-cauchy-schwarz", third_term, grad_sq / S, tol_cs,
+        "third-order-cauchy-schwarz", third_term, grad_sq / S, MARGIN_TOL,
         point=point, note=f"S={S:.6g}",
     )
     return identity, cs
@@ -277,7 +288,7 @@ def laplacian_identity_check(omega, omega_prime, index, tol_cs: float = 1e-9) ->
 
 
 def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
-                             fd_step: float = None, tol: float = 1e-9) -> InequalityReport:
+                             fd_step: float = None) -> InequalityReport:
     """Check Delta' log S >= ((n+1) kappa / (2n) + mu/n) S - lam at a point.
 
     Both hypotheses are re-verified at the point, each with a slack of
@@ -321,13 +332,12 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     lhs = lap_s / S - grad_sq / S**2
     rhs = ((n + 1) * hyp.kappa / (2.0 * n) + hyp.mu / n) * S - hyp.lam
     return make_report(
-        "schwarz-log-trace-conclusion", lhs, rhs, tol,
+        "schwarz-log-trace-conclusion", lhs, rhs, MARGIN_TOL,
         point=where, note=f"S={S:.6g} h_max={ext.h_max:.6g}",
     )
 
 
-def max_principle_s_bound(kappa0: float, s_values, n: int,
-                          tol: float = 1e-9) -> InequalityReport:
+def max_principle_s_bound(kappa0: float, s_values, n: int) -> InequalityReport:
     """Check sup S <= 2n / ((n+1) kappa0) over the supplied samples.
 
     kappa0 <= 0 makes the ceiling vacuous: not-applicable, never a failure.
@@ -342,7 +352,7 @@ def max_principle_s_bound(kappa0: float, s_values, n: int,
         )
     bound = 2.0 * n / ((n + 1) * kappa0)
     return make_report(
-        "max-principle-trace-ceiling", bound, float(s_values.max()), tol,
+        "max-principle-trace-ceiling", bound, float(s_values.max()), MARGIN_TOL,
         note=f"samples={s_values.size} kappa0={kappa0:.6g}",
     )
 

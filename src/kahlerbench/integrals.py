@@ -10,6 +10,11 @@ point equals sigma_k(P) * det B / binom(n, k) for the relative sigma's).
 Everything downstream -- the eps-expansion of V(eps), the bigness floor,
 the nef lower bounds -- is a statement about these normalized quantities
 and is invariant under the normalization choice.
+
+Module constants: INTEGRAL_TOL = 1e-8 is the absolute verdict threshold of
+the nef wedge floors (and of the CLI's expansion and volume-law rows),
+BIGNESS_TOL = 1e-9 that of the bigness volume floor, and COND_LIMIT = 1e8
+the largest Vandermonde condition number an eps-expansion fit accepts.
 """
 
 from __future__ import annotations
@@ -25,18 +30,9 @@ from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
 from .linalg import det
 
-# Largest condition number of the scaled Vandermonde that an eps-expansion
-# fit accepts.
+INTEGRAL_TOL = 1e-8
+BIGNESS_TOL = 1e-9
 COND_LIMIT = 1e8
-
-
-def _matrix_field(obj, grid):
-    if isinstance(obj, TorusMetricField):
-        return obj.g, obj.grid
-    arr = np.asarray(obj, dtype=complex)
-    if grid is None:
-        raise ValueError("raw matrix fields need an explicit grid")
-    return arr, grid
 
 
 def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -64,24 +60,18 @@ def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def wedge_integral(A, B, k: int, grid=None) -> float:
+def wedge_integral(A: np.ndarray, B: np.ndarray, k: int) -> float:
     """Normalized integral of A^k wedge B^{n-k} over a torus grid.
 
-    A and B may be TorusMetricField objects or raw (grid + (n, n)) arrays
-    (raw arrays need the grid passed explicitly).  Both operands must live
-    on the same grid.
+    A and B are (grid + (n, n)) metric arrays on one grid, such as two
+    fields' .g; the integral is the grid mean of the integrand.  Arrays of
+    different shapes raise DimensionMismatch.
     """
-    gA, gridA = _matrix_field(A, grid)
-    gB, gridB = _matrix_field(B, grid)
-    if gridA is not None and gridB is not None and gridA.shape != gridB.shape:
-        raise DimensionMismatch("operands live on different grids")
-    the_grid = gridA or gridB
-    n = gA.shape[-1]
+    n = np.shape(A)[-1]
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    D = mixed_determinants(gA, gB)
-    integrand = D[..., k] / math.comb(n, k)
-    return the_grid.mean(integrand)
+    D = mixed_determinants(A, B)
+    return float(np.mean(D[..., k] / math.comb(n, k)))
 
 
 def volume(field: TorusMetricField) -> float:
@@ -201,7 +191,6 @@ class BignessReport:
 
 def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> BignessReport:
     n = omega.n
-    tol = 1e-9
     if kappa0 <= 0.0:
         na = not_applicable(
             "bigness-volume-floor",
@@ -217,13 +206,13 @@ def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> Bignes
         eps.append(s.epsilon)
         vals.append(V)
         per_state.append(make_report(
-            "bigness-volume-floor", V, rhs, tol,
+            "bigness-volume-floor", V, rhs, BIGNESS_TOL,
             note=f"eps={s.epsilon:.6g}",
         ))
     if len(path) >= n + 2:
         coeffs, _, _ = fit_epsilon_expansion(eps, vals, n)
         extrapolated = make_report(
-            "bigness-volume-floor-limit", float(coeffs[0]), rhs, tol,
+            "bigness-volume-floor-limit", float(coeffs[0]), rhs, BIGNESS_TOL,
             note="eps -> 0 extrapolation (constant term of the fit)",
         )
     else:
@@ -234,7 +223,7 @@ def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> Bignes
     return BignessReport(float(kappa0), per_state, extrapolated, applicable=True)
 
 
-def nef_lower_bound_check(path, omega: TorusMetricField, tol: float = 1e-8) -> list:
+def nef_lower_bound_check(path, omega: TorusMetricField) -> list:
     """Check integral omega_eps^k wedge omega^{n-k} >= C^{k/n-1} integral omega_eps^n.
 
     C must be a certified pointwise ceiling of sigma_n = omega_eps^n/omega^n
@@ -256,12 +245,12 @@ def nef_lower_bound_check(path, omega: TorusMetricField, tol: float = 1e-8) -> l
                 f"sigma_n ceiling {c_state:.6g} <= 0 at eps={s.epsilon:.6g}",
             ))
             continue
-        top = wedge_integral(s.g_eps, omega, n, grid=omega.grid)
+        top = wedge_integral(s.g_eps, omega.g, n)
         for k in range(1, n + 1):
-            lhs = wedge_integral(s.g_eps, omega, k, grid=omega.grid)
+            lhs = wedge_integral(s.g_eps, omega.g, k)
             rhs = c_state ** (k / n - 1.0) * top
             reports.append(make_report(
-                "nef-wedge-lower-bound", lhs, rhs, tol,
+                "nef-wedge-lower-bound", lhs, rhs, INTEGRAL_TOL,
                 note=f"eps={s.epsilon:.6g} k={k} ceiling={c_state:.6g}",
             ))
     return reports

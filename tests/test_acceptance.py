@@ -270,11 +270,11 @@ def test_criterion_08_wedge_integral_exactness(perturbed_path):
     shift = grid.complex_hessian(perturbed_torus_potential(grid, 0.003))
     worst_shift = 0.0
     for k in range(n + 1):
-        base = wedge_integral(other.g, omega.g, k, grid=grid)
+        base = wedge_integral(other.g, omega.g, k)
         worst_shift = max(
             worst_shift,
-            abs(wedge_integral(other.g + shift, omega.g, k, grid=grid) - base),
-            abs(wedge_integral(other.g, omega.g + shift, k, grid=grid) - base))
+            abs(wedge_integral(other.g + shift, omega.g, k) - base),
+            abs(wedge_integral(other.g, omega.g + shift, k) - base))
 
     vref = volume(omega)
     law_err = max(abs(grid.mean(s.sigma_n_field * omega.det_g)
@@ -295,7 +295,7 @@ def test_criterion_08_wedge_integral_exactness(perturbed_path):
 def test_criterion_09_per_state_wedge_floor(perturbed_path):
     """Every (state, k) wedge integral stays above its scaled floor."""
     grid, omega, states = perturbed_path
-    reports = nef_lower_bound_check(states, omega, tol=1e-8)
+    reports = nef_lower_bound_check(states, omega)
     margins = [r.margin for r in reports if r.applicable]
     ok = len(margins) == grid.n * len(states) and min(margins) >= -1e-8
     assert verdict(

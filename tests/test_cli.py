@@ -19,6 +19,7 @@ from kahlerbench.cli import (
     load_config,
     main,
 )
+from kahlerbench.inequalities import make_report
 from kahlerbench.io import read_json, read_reports_jsonl
 
 
@@ -70,7 +71,10 @@ def test_load_config_rejects_unknown_keys_and_bad_types(tmp_path):
                               "verify_inequalities:\n  fd_step: 0.02\n",
                               "hsc_extremes:\n  directions: 2000\n",
                               "hsc_extremes:\n  refine_steps: 40\n",
-                              "verify_inequalities:\n  directions: 2000\n")):
+                              "verify_inequalities:\n  directions: 2000\n",
+                              "tolerances:\n  algebraic: 1.0\n",
+                              "integrals:\n  tol: 1.0\n",
+                              "solve_ma:\n  max_steps: 5\n")):
         removed_key = tmp_path / f"removed_key_{i}.yaml"
         removed_key.write_text(text)
         with pytest.raises(jsonschema.ValidationError):
@@ -239,6 +243,33 @@ def test_not_applicable_rows_do_not_fail_the_run(tmp_path):
     for row in reports:
         assert row["status"] in {"pass", "fail", "not-applicable"}
         json.dumps(row)  # every row stays JSON-serializable
+
+
+def test_failing_check_fails_its_aggregate_row(tmp_path, monkeypatch):
+    # The row takes its verdict from the reports: this one fails its own
+    # 1e-12 tolerance although its margin is within the checks' 1e-9.
+    def failing(ric_prime, g_prime, lam, mu):
+        return make_report("ricci-trace-lower-bound", 0.0, 1e-10, 1e-12)
+
+    monkeypatch.setattr("kahlerbench.cli.ricci_term_margin", failing)
+    rc, _, _ = run_cli(["verify-inequalities", "--trials", "10",
+                        "--out", str(tmp_path)])
+    assert rc == 1
+    rows = read_json(tmp_path / "verify-inequalities" / "summary.json")["rows"]
+    assert [r["check"] for r in rows if r["status"] == "fail"] == [
+        "ricci-trace-lower-bound"]
+
+
+def test_continuity_path_replaces_earlier_states(tmp_path):
+    for steps in ("6", "4"):
+        rc, _, _ = run_cli(["continuity-path", "--grid", "16", "--eps-steps", steps,
+                            "--out", str(tmp_path)])
+        assert rc == 0
+    pdir = tmp_path / "continuity-path"
+    assert sorted(p.name for p in (pdir / "states").iterdir()) == [
+        f"state-{i:02d}" for i in range(4)]
+    with open(pdir / "series.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
 
 
 def test_out_directory_falls_back_to_environment(tmp_path, monkeypatch):

@@ -78,14 +78,14 @@ def test_wedge_integral_flat_powers():
     flat = TorusMetricField(grid, np.zeros(grid.shape))
     eye = np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy()
     for k in range(3):
-        assert wedge_integral(flat, flat, k) == pytest.approx(1.0, abs=1e-14)
-        got = wedge_integral(0.3 * eye, flat, k, grid=grid)
+        assert wedge_integral(flat.g, flat.g, k) == pytest.approx(1.0, abs=1e-14)
+        got = wedge_integral(0.3 * eye, flat.g, k)
         assert got == pytest.approx(0.3**k, rel=1e-13)
     with pytest.raises(ValueError):
-        wedge_integral(flat, flat, 3)
+        wedge_integral(flat.g, flat.g, 3)
     with pytest.raises(DimensionMismatch):
         other = TorusMetricField(TorusGrid(2, 16), np.zeros(TorusGrid(2, 16).shape))
-        wedge_integral(flat, other, 1)
+        wedge_integral(flat.g, other.g, 1)
 
 
 def test_wedge_integral_ignores_ddc_shifts():
@@ -97,8 +97,8 @@ def test_wedge_integral_ignores_ddc_shifts():
         grid, 0.002, axis=3, k=2)
     B_shifted = TorusMetricField(grid, shift)
     for k in range(3):
-        base = wedge_integral(A, B, k)
-        moved = wedge_integral(A, B_shifted, k)
+        base = wedge_integral(A.g, B.g, k)
+        moved = wedge_integral(A.g, B_shifted.g, k)
         assert abs(base - moved) < 1e-10
 
 
