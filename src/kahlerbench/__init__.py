@@ -26,7 +26,6 @@ from .curvature import (
     hsc,
     hsc_extremes,
     kappa_floor,
-    ricci_form,
 )
 from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import ChartMetricField, TorusMetricField
@@ -95,7 +94,6 @@ __all__ = [
     "max_principle_s_bound",
     "mixed_determinants",
     "nef_lower_bound_check",
-    "ricci_form",
     "ricci_term_margin",
     "royden_margin",
     "schwarz_conclusion_check",

@@ -248,11 +248,8 @@ def run_continuity_path(cfg, out_dir, seed):
                      "pass" if probe.converging else "fail",
                      value=probe.drifts[-1] if probe.drifts else 0.0,
                      note=probe.note))
-    states_dir = out_dir / "states"
-    if states_dir.exists():  # a longer earlier run's states must not survive
-        shutil.rmtree(states_dir)
     for i, s in enumerate(states):
-        save_state(states_dir / f"state-{i:02d}", s, grid)
+        save_state(out_dir / "states" / f"state-{i:02d}", s, grid)
     rows_to_csv(out_dir / "series.csv", series, list(series[0].keys()))
     write_json(out_dir / "limit_probe.json", probe.as_dict())
     return rows, reports
@@ -562,7 +559,9 @@ def main(argv=None) -> int:
     for name in names:
         t_pipeline = time.perf_counter()
         out_dir = out_root / name
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if out_dir.exists():  # no artifact of an earlier run may survive
+            shutil.rmtree(out_dir)
+        out_dir.mkdir(parents=True)
         rows, reports = RUNNERS[name](cfg, out_dir, cfg["seed"])
         write_reports_jsonl(out_dir / "reports.jsonl", reports)
         write_json(out_dir / "summary.json", {

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .fields import TorusMetricField
-from .linalg import Direction
+from .linalg import Direction, inv
 
 SYMMETRY_RTOL = 1e-10
 # The one extremizer policy: Kronecker scan size and projected-gradient
@@ -33,25 +33,20 @@ HSC_DIRECTIONS = 4000
 HSC_REFINE_STEPS = 60
 
 
-def _inverse_metric_upper(g: np.ndarray) -> np.ndarray:
-    """Matrix G with G[p, q] = g^{p qbar} (so that g^{p qbar} g_{m qbar} = delta)."""
-    return np.conj(np.linalg.inv(g))
-
-
 def curvature_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     """Assemble R[i, j, k, l] from pointwise metric derivatives.
 
     Works on single points (shapes (n,n), (n,n,n), (n,n,n,n)) and batched
-    fields (leading grid axes).
+    fields (leading grid axes).  G[p, q] = g^{p qbar} = conj(g^-1)[p, q].
     """
-    G = _inverse_metric_upper(g)
+    G = np.conj(inv(g))
     quad = np.einsum("...pq,...iqk,...jpl->...ijkl", G, dg, np.conj(dg))
     return -ddg + quad
 
 
 def ricci_from_curvature(g: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Ricci form by tensor contraction g^{k lbar} R_{i jbar k lbar}."""
-    G = _inverse_metric_upper(g)
+    G = np.conj(inv(g))
     return np.einsum("...kl,...ijkl->...ij", G, R)
 
 
@@ -60,8 +55,7 @@ def ricci_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np
 
     Ric_{k lbar} = tr(g^{-1} (d_k g) g^{-1} (d_lbar g)) - tr(g^{-1} d_k d_lbar g).
     """
-    n = g.shape[-1]
-    gi = np.linalg.inv(g)
+    gi = inv(g)
     # (d_lbar g)_{i jbar} = conj(d_l g_{j ibar})
     dbar = np.conj(np.swapaxes(dg, -3, -2))  # dbar[i, j, l]
     first = np.einsum("...ab,...bck,...cd,...dal->...kl", gi, dg, gi, dbar)
@@ -113,20 +107,6 @@ def curvature_tensor(field, point) -> KahlerCurvature:
 def curvature_field(field) -> np.ndarray:
     """R over the whole torus grid, shape grid + (n, n, n, n)."""
     return curvature_from_derivatives(field.g, field.dg, field.ddg)
-
-
-def ricci_form(field, points=None):
-    """Ricci form of a metric field.
-
-    Torus fields with points=None return the full grid matrix field
-    (spectral -dd^c log det g).  Otherwise returns one Ricci matrix per
-    point (grid multi-indices on a torus), stacked.
-    """
-    if points is None:
-        if hasattr(field, "ricci"):
-            return field.ricci
-        raise TypeError("chart fields need explicit points for ricci_form")
-    return np.stack([ricci_from_derivatives(*field.jet_at(p)) for p in points])
 
 
 # -- holomorphic sectional curvature ---------------------------------------

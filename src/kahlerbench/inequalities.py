@@ -5,7 +5,8 @@ an exact identity for Delta' S, a Cauchy-Schwarz step on the third-order
 term, a lower bound for the mixed-curvature term in terms of the ambient
 holomorphic sectional curvature (with sharp constant (n+1)/(2n)), a lower
 bound for the Ricci term from a Ricci hypothesis, and the resulting
-maximum-principle ceiling for S.
+maximum-principle ceiling for S.  Every term is a contraction with the
+inverse comparison metric A = g'^-1 (linalg.inv); no frame is built.
 
 Every check returns an InequalityReport rather than a bare bool; reports
 that do not apply (hypotheses fail, kappa_0 <= 0) are first-class
@@ -32,11 +33,10 @@ from .curvature import (
     constant_hsc_tensor,
     hsc_extremes_from_tensor,
     ricci_from_derivatives,
-    transform_tensor,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PositivityLoss
 from .fields import TorusMetricField
-from .linalg import simultaneous_frame
+from .linalg import eigvalsh, inv, positivity
 
 MARGIN_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
@@ -143,33 +143,50 @@ def _point_tuple(point):
 
 
 def royden_margin(R, g, g_prime, kappa, tol: float = MARGIN_TOL) -> InequalityReport:
-    """Check -sum_{ik} R~_{ii kk} / (d_i d_k) >= (n+1) kappa / (2n) * S^2.
+    """Check -R(A, A) >= (n+1) kappa / (2n) * S^2 with A = g'^{-1}, S = tr(A g).
 
     R is the ambient curvature tensor, g the ambient metric, g_prime the
-    comparison metric; the frame with g = I, g_prime = diag(d) is built
-    internally.  kappa must be a certified nonnegative floor for -H(omega);
-    the bound is vacuous (and rejected) for kappa < 0.
+    comparison metric.  The unbarred slots contract the upper-index inverse
+    g'^{i jbar} = conj(A)[i, j], so the left side is
+    -Re sum R[i,j,k,l] conj(A)[i,j] conj(A)[k,l]: in a frame with g = I and
+    g' = diag(d) it is -sum_{ik} R_{ii kk} / (d_i d_k), and S = sum 1/d_i.
+    Both metrics are held to linalg.positivity; a pair that fails it raises
+    PositivityLoss.  kappa must be a certified nonnegative floor for
+    -H(omega); the bound is vacuous (and rejected) for kappa < 0.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[-1]
-    T, d = simultaneous_frame(g, g_prime)
-    # The unbarred tensor slots contract the frame unconjugated, so the
-    # T^H g T = I frame enters the contraction as conj(T).
-    Rt = transform_tensor(np.asarray(R, dtype=complex), np.conj(T))
-    diag = np.einsum("iikk->ik", Rt).real
-    lhs = float(-(diag / np.outer(d, d)).sum())
-    S = float((1.0 / d).sum())
+    pair = np.stack([np.asarray(g, dtype=complex), np.asarray(g_prime, dtype=complex)])
+    ok, worst, w = positivity(pair)
+    if not ok:
+        raise PositivityLoss(f"{('g', 'g_prime')[worst[0]]} not positive definite: "
+                             f"eigenvalues {w}", min_eigenvalue=float(w[0]))
+    n = pair.shape[-1]
+    A = inv(pair[1])
+    Ac = np.conj(A)
+    lhs = float(-np.einsum("ijkl,ij,kl->", np.asarray(R, dtype=complex), Ac, Ac).real)
+    S = float(np.einsum("ij,ji->", A, pair[0]).real)
     rhs = (n + 1) * kappa / (2.0 * n) * S**2
     return make_report("hsc-trace-lower-bound", lhs, rhs, tol,
                        note=f"S={S:.6g} kappa={kappa:.6g}")
 
 
-def ricci_term_margin(ric_prime, g_prime, lam, mu) -> InequalityReport:
-    """Check sum_i R'_{ii} / d_i^2 >= -lam * S + (mu/n) * S^2, S = tr g'^{-1}.
+def _ricci_hypothesis_note(ric_prime, g_prime, g, lam, mu, slack) -> str:
+    """Why Ric' + lam g' - mu g >= 0 fails, or "" when it holds.
 
-    Inputs are expressed in an ambient-orthonormal frame (g = identity).
+    The smallest eigenvalue may dip below zero by slack times the data's
+    scale, max(1, |Ric'|, |g'|).
+    """
+    w = float(eigvalsh(ric_prime + lam * g_prime - mu * g)[0])
+    scale = max(1.0, float(np.max(np.abs(ric_prime))), float(np.max(np.abs(g_prime))))
+    return f"Ricci hypothesis fails: min eig {w:.3e} < 0" if w < -slack * scale else ""
+
+
+def ricci_term_margin(ric_prime, g_prime, lam, mu) -> InequalityReport:
+    """Check tr(A Ric' A) >= -lam * S + (mu/n) * S^2 with A = g'^{-1}, S = tr A.
+
+    Inputs are expressed in an ambient-orthonormal frame (g = identity); in
+    an eigenframe of g' = diag(d) the left side is sum_i R'_{ii} / d_i^2.
     The Ricci hypothesis Ric' + lam g' - mu g >= 0 is verified first, to
     1e-9 relative to the data's scale; data violating it yields a
     not-applicable report, not a failure.
@@ -179,17 +196,12 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu) -> InequalityReport:
     n = g_prime.shape[-1]
     if mu < 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    w = np.linalg.eigvalsh(ric_prime + lam * g_prime - mu * np.eye(n))
-    scale = max(1.0, float(np.max(np.abs(ric_prime))), float(np.max(np.abs(g_prime))))
-    if w[0] < -1e-9 * scale:
-        return not_applicable(
-            "ricci-trace-lower-bound",
-            f"Ricci hypothesis fails: min eig {w[0]:.3e} < 0",
-        )
-    d, U = np.linalg.eigh(g_prime)
-    ric_t = U.conj().T @ ric_prime @ U
-    lhs = float((np.diag(ric_t).real / d**2).sum())
-    S = float((1.0 / d).sum())
+    note = _ricci_hypothesis_note(ric_prime, g_prime, np.eye(n), lam, mu, 1e-9)
+    if note:
+        return not_applicable("ricci-trace-lower-bound", note)
+    A = inv(g_prime)
+    lhs = float(np.trace(A @ ric_prime @ A).real)
+    S = float(np.trace(A).real)
     rhs = -lam * S + (mu / n) * S**2
     return make_report("ricci-trace-lower-bound", lhs, rhs, MARGIN_TOL,
                        note=f"S={S:.6g} lam={lam:.6g} mu={mu:.6g}")
@@ -199,7 +211,7 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu) -> InequalityReport:
 
 
 def _trace_jet(jet, jet_prime):
-    """S = tr(g'^-1 g) with d_k S and d_k d_lbar S, in closed form.
+    """S = tr(g'^-1 g), Delta' S and |d S|^2_{g'}, in closed form.
 
     Takes the metric jets (g, dg, ddg) of omega and omega' at one point.
     With A = g'^-1 and subscripts k, lbar for d/dz^k, d/dzbar^l,
@@ -209,11 +221,12 @@ def _trace_jet(jet, jet_prime):
                        - tr(A g'_{k lbar} A g)
                        + tr(A g'_lbar A g'_k A g) + tr(A g'_k A g'_lbar A g).
 
-    Returns (S, dS, ddS) with dS[k] = d_k S and ddS[k, l] = d_k d_lbar S.
+    Returns (S, Delta' S, |d S|^2_{g'}) with Delta' S = tr(A dd S) and
+    |d S|^2_{g'} = conj(dS) . A dS.
     """
     g, dg, ddg = jet
     gp, dgp, ddgp = jet_prime
-    A = np.linalg.inv(gp)
+    A = inv(gp)
     B = A @ g
     # Gk[k] = A g_k and Gl[l] = A g_lbar, with (d_lbar g)_{i jbar} =
     # conj(d_l g_{j ibar}); Pk and Pl are the same for g'.
@@ -229,7 +242,9 @@ def _trace_jet(jet, jet_prime):
            - np.einsum("ab,bckl,ca->kl", A, ddgp, B)
            + np.einsum("lab,kbc,ca->kl", Pl, Pk, B)
            + np.einsum("kab,lbc,ca->kl", Pk, Pl, B))
-    return S, dS, ddS
+    lap_s = float(np.einsum("ab,ba->", A, ddS).real)
+    grad_sq = float(np.real(np.vdot(dS, A @ dS)))
+    return S, lap_s, grad_sq
 
 
 # -- the Laplacian identity and its Cauchy-Schwarz step ----------------------
@@ -240,10 +255,14 @@ def laplacian_identity_check(omega, omega_prime, index) -> tuple:
 
     Requires a flat ambient omega on a torus (the mixed-curvature term then
     vanishes; non-flat ambients are rejected); index is a grid multi-index
-    and the reports carry its real coordinates.  Returns a pair of reports:
+    and the reports carry its real coordinates.  With A = g'^-1 the two
+    remaining terms are contractions: the Ricci term tr(A Ric' A) and the
+    third-order term
+    Re sum dg'[i,j,k] conj(dg'[I,J,K]) conj(A)[i,I] (A A)[j,J] conj(A)[k,K].
+    Returns a pair of reports:
 
-    * "laplacian-trace-identity": Delta' S = tr(g'^-1 d dbar S) from the
-      two metric jets against the curvature/third-order expression,
+    * "laplacian-trace-identity": Delta' S = tr(A d dbar S) from the
+      two metric jets against the Ricci plus third-order terms,
       two-sided at IDENTITY_RTOL * max(1, |rhs|).
     * "third-order-cauchy-schwarz": the third-order sum against
       |grad' S|^2 / S.
@@ -256,27 +275,19 @@ def laplacian_identity_check(omega, omega_prime, index) -> tuple:
         raise ValueError("ambient metric must be flat (zero potential)")
 
     jet_prime = omega_prime.jet_at(index)
-    gp, dgp, ddgp = jet_prime
+    gp, dgp, _ = jet_prime
     point = omega.grid.coords(index)
 
-    d, U = np.linalg.eigh(gp)
-    ric = ricci_from_derivatives(gp, dgp, ddgp)
-    ric_t = U.conj().T @ ric @ U
-    # Row and derivative slots are covariant holomorphic indices: both
-    # contract with conj(U) when U^H g U diagonalizes the metric.
-    dg_t = np.einsum("ijk,ia,jb,kc->abc", dgp, np.conj(U), U, np.conj(U))
-
-    ricci_term = float((np.diag(ric_t).real / d**2).sum())
-    denom = d[:, None, None] * (d[None, :, None] ** 2) * d[None, None, :]
-    third_term = float((np.abs(dg_t) ** 2 / denom).sum())
+    A = inv(gp)
+    Ac = np.conj(A)
+    ricci_term = float(np.trace(A @ ricci_from_derivatives(*jet_prime) @ A).real)
+    third_term = float(np.einsum("ijk,IJK,iI,jJ,kK->", dgp, np.conj(dgp),
+                                 Ac, A @ A, Ac).real)
     rhs = ricci_term + third_term  # ambient curvature term vanishes (flat)
 
-    S, dS, ddS = _trace_jet(omega.jet_at(index), jet_prime)
-    lhs = float(np.trace(np.linalg.solve(gp, ddS)).real)
-    identity = make_report("laplacian-trace-identity", lhs, rhs,
+    S, lap_s, grad_sq = _trace_jet(omega.jet_at(index), jet_prime)
+    identity = make_report("laplacian-trace-identity", lap_s, rhs,
                            IDENTITY_RTOL * max(1.0, abs(rhs)), point=point, two_sided=True)
-
-    grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
     cs = make_report(
         "third-order-cauchy-schwarz", third_term, grad_sq / S, MARGIN_TOL,
         point=point, note=f"S={S:.6g}",
@@ -314,21 +325,12 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
             point=where,
         )
     jet_prime = omega_prime.jet_at(point)
-    gp = jet_prime[0]
-    ric_p = ricci_from_derivatives(*jet_prime)
-    W = ric_p + hyp.lam * gp - hyp.mu * curv.g
-    scale = max(1.0, float(np.max(np.abs(ric_p))), float(np.max(np.abs(gp))))
-    wmin = float(np.linalg.eigvalsh(W)[0])
-    if wmin < -slack * scale:
-        return not_applicable(
-            "schwarz-log-trace-conclusion",
-            f"Ricci hypothesis fails: min eig {wmin:.3e} < 0",
-            point=where,
-        )
+    note = _ricci_hypothesis_note(ricci_from_derivatives(*jet_prime), jet_prime[0], curv.g,
+                                  hyp.lam, hyp.mu, slack)
+    if note:
+        return not_applicable("schwarz-log-trace-conclusion", note, point=where)
 
-    S, dS, ddS = _trace_jet(jet, jet_prime)
-    lap_s = float(np.trace(np.linalg.solve(gp, ddS)).real)
-    grad_sq = float(np.real(np.vdot(dS, np.linalg.solve(gp, dS))))
+    S, lap_s, grad_sq = _trace_jet(jet, jet_prime)
     lhs = lap_s / S - grad_sq / S**2
     rhs = ((n + 1) * hyp.kappa / (2.0 * n) + hyp.mu / n) * S - hyp.lam
     return make_report(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PositivityLoss
+from .errors import DimensionMismatch
 
 MAX_DIM = 3
 
@@ -212,24 +212,3 @@ def trace_s_field(g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
     if g.shape != g_prime.shape:
         raise DimensionMismatch(f"field shapes differ: {g.shape} vs {g_prime.shape}")
     return np.einsum("...ij,...ji->...", inv(g_prime), g).real
-
-
-def simultaneous_frame(g: np.ndarray, g_prime: np.ndarray):
-    """Frame T with T* g T = I and T* g' T = diag(d), d ascending.
-
-    Returns (T, d).  Columns of T are the frame vectors; a tensor with
-    holomorphic slots i,k and antiholomorphic slots j,l transforms by
-    contracting T into unbarred and conj(T) into barred indices.
-    """
-    g = np.asarray(g, dtype=complex)
-    g_prime = np.asarray(g_prime, dtype=complex)
-    L = np.linalg.cholesky(g)
-    Li = np.linalg.inv(L)
-    A = Li @ g_prime @ Li.conj().T
-    A = (A + A.conj().T) / 2.0
-    d, U = np.linalg.eigh(A)
-    if d[0] <= 0.0:
-        raise PositivityLoss(f"second metric not positive in frame: {d}",
-                             min_eigenvalue=float(d[0]))
-    T = Li.conj().T @ U
-    return T, np.asarray(d, dtype=float)

@@ -272,6 +272,16 @@ def test_continuity_path_replaces_earlier_states(tmp_path):
         assert len(list(csv.DictReader(fh))) == 4
 
 
+def test_run_replaces_its_pipeline_directory(tmp_path):
+    stale = tmp_path / "solve-ma" / "stale.txt"
+    stale.parent.mkdir()
+    stale.write_text("left by an earlier run")
+    rc, _, _ = run_cli(["solve-ma", "--grid", "8", "--out", str(tmp_path)])
+    assert rc == 0
+    assert not stale.exists()
+    assert (tmp_path / "solve-ma" / "summary.json").exists()
+
+
 def test_out_directory_falls_back_to_environment(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("KAHLERBENCH_OUT", str(target))

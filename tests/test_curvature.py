@@ -21,7 +21,6 @@ from kahlerbench.curvature import (
     hsc_value,
     kappa_floor,
     kronecker_directions,
-    ricci_form,
     ricci_from_curvature,
     ricci_from_derivatives,
     symmetry_violation,
@@ -104,21 +103,18 @@ def test_ricci_contraction_matches_matrix_calculus():
     assert np.max(np.abs(via_trace - via_matrix)) < 1e-11
 
 
-def test_ricci_form_dispatch():
+def test_ricci_vanishes_on_flat_torus_and_is_einstein_on_disk():
     grid = TorusGrid(1, 16)
     field = TorusMetricField(grid, np.zeros(grid.shape))
-    full = ricci_form(field)
-    assert full.shape == grid.shape + (1, 1)
-    assert np.max(np.abs(full)) < 1e-14
-    stacked = ricci_form(field, [(1, 3), (6, 14)])
-    assert stacked.shape == (2, 1, 1)
+    assert field.ricci.shape == grid.shape + (1, 1)
+    assert np.max(np.abs(field.ricci)) < 1e-14
+    for idx in ((1, 3), (6, 14)):
+        assert np.max(np.abs(ricci_from_derivatives(*field.jet_at(idx)))) < 1e-14
 
     disk = polydisk_field(n=1, scale=1.0)
-    with pytest.raises(TypeError):
-        ricci_form(disk)
-    ric = ricci_form(disk, [[0.2]])
+    ric = ricci_from_derivatives(*disk.jet_at([0.2]))
     g = disk.metric_matrix_at([0.2])
-    assert np.max(np.abs(ric[0] + 2.0 * g)) < 1e-10
+    assert np.max(np.abs(ric + 2.0 * g)) < 1e-10
 
 
 def test_curvature_field_matches_pointwise():

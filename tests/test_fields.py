@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kahlerbench.curvature import curvature_tensor, ricci_form, ricci_from_derivatives
+from kahlerbench.curvature import curvature_tensor, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -77,9 +77,9 @@ def test_pointwise_ricci_matches_spectral_ricci():
     grid = TorusGrid(1, 32)
     field = TorusMetricField(grid, single_mode_potential(grid, 0.01))
     idx = (3, 9)
-    got = ricci_form(field, [idx])
-    assert got.shape == (1, 1, 1)
-    assert np.max(np.abs(got[0] - field.ricci[idx])) < 1e-10
+    got = ricci_from_derivatives(*field.jet_at(idx))
+    assert got.shape == (1, 1)
+    assert np.max(np.abs(got - field.ricci[idx])) < 1e-10
 
 
 def test_torus_point_queries_take_grid_indices_only():
@@ -228,6 +228,6 @@ def test_chart_lambdifies_once_per_field(monkeypatch):
         for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
             field.metric_matrix_at(z)
             field.jet_at(z)
-            ricci_form(field, [z])
+            ricci_from_derivatives(*field.jet_at(z))
             curvature_tensor(field, z)
         assert len(calls) == 1

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 
 from kahlerbench.curvature import (
@@ -17,7 +18,7 @@ from kahlerbench.curvature import (
     hsc_extremes_from_tensor,
     symmetry_violation,
 )
-from kahlerbench.errors import DimensionMismatch
+from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import (
@@ -175,6 +176,64 @@ def test_royden_margin_rejects_negative_kappa():
     g = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         royden_margin(constant_hsc_tensor(g, -1.0), g, g, kappa=-0.2)
+
+
+def test_royden_margin_screens_both_metrics():
+    g = np.eye(2, dtype=complex)
+    R = constant_hsc_tensor(g, -1.0)
+    with pytest.raises(PositivityLoss, match="g_prime"):
+        royden_margin(R, g, np.diag([1.0, 1e-12]).astype(complex), kappa=1.0)
+    with pytest.raises(PositivityLoss, match="^g not"):
+        royden_margin(R, np.diag([1.0, -1.0]).astype(complex), g, kappa=1.0)
+
+
+# -- eigenframe oracle for the trace-chain contractions ---------------------------------
+
+
+def royden_frame_oracle(R, g, gp):
+    """(lhs, S) of the curvature-term bound in a frame with T^H g T = I, T^H g' T = diag(d).
+
+    The unbarred tensor slots contract the frame unconjugated, so the
+    frame enters the contraction as conj(T).
+    """
+    Li = np.linalg.inv(np.linalg.cholesky(g))
+    C = Li @ gp @ Li.conj().T
+    d, U = np.linalg.eigh((C + C.conj().T) / 2.0)
+    T = Li.conj().T @ U
+    Tc = np.conj(T)
+    Rt = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, Tc, T, Tc, T)
+    return -float((np.einsum("iikk->ik", Rt).real / np.outer(d, d)).sum()), float((1.0 / d).sum())
+
+
+def ricci_frame_oracle(ric, gp):
+    """(lhs, S) of the Ricci-term bound in an eigenframe g' = U diag(d) U^H (g = I)."""
+    d, U = np.linalg.eigh(gp)
+    ric_t = U.conj().T @ ric @ U
+    return float((np.diag(ric_t).real / d**2).sum()), float((1.0 / d).sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_chain_matches_eigenframe_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    eye = np.eye(n)
+    for _ in range(20):
+        g, gp = random_pd(n, rng), random_pd(n, rng, scale=1.5)
+        R = random_kahler_tensor(n, rng)
+        kappa = float(rng.uniform(0.1, 2.0))
+        report = royden_margin(R, g, gp, kappa)
+        lhs, S = royden_frame_oracle(R, g, gp)
+        assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+        assert report.rhs == pytest.approx((n + 1) * kappa / (2.0 * n) * S**2, rel=1e-12)
+
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ric = (raw + raw.conj().T) / 2.0
+        mu = float(rng.uniform(0.0, 0.5))
+        lam = 0.1 - float(scipy.linalg.eigh(ric - mu * eye, gp, eigvals_only=True)[0])
+        report = ricci_term_margin(ric, gp, lam, mu)
+        assert report.applicable
+        lhs, S = ricci_frame_oracle(ric, gp)
+        assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+        assert report.rhs == pytest.approx(-lam * S + mu / n * S**2, rel=1e-12, abs=1e-12)
 
 
 # -- Ricci-term lower bound -----------------------------------------------------------

@@ -19,7 +19,6 @@ from kahlerbench.linalg import (
     newton_maclaurin_margin_field,
     positivity,
     relative_eigenvalues_field,
-    simultaneous_frame,
     trace_s_field,
 )
 
@@ -322,18 +321,3 @@ def test_trace_s_field_matches_scalar():
         for i in range(5):
             want = float(np.sum(1.0 / eigh_oracle(g[i], gp[i])))
             assert batch[i] == pytest.approx(want, rel=1e-12)
-
-
-# -- simultaneous frame --------------------------------------------------------
-
-
-def test_simultaneous_frame_diagonalizes_pair():
-    rng = np.random.default_rng(29)
-    g = random_pd(rng, 3)
-    gp = random_pd(rng, 3)
-    T, d = simultaneous_frame(g, gp)
-    assert np.allclose(T.conj().T @ g @ T, np.eye(3), atol=1e-10)
-    assert np.allclose(T.conj().T @ gp @ T, np.diag(d), atol=1e-10)
-    assert np.all(np.diff(d) >= -1e-12)
-    lam = relative_eigenvalues_field(g, gp)
-    assert np.allclose(np.sort(d), np.sort(lam), rtol=1e-10)
