@@ -38,7 +38,7 @@ import jsonschema
 import numpy as np
 import yaml
 
-from .curvature import constant_hsc_tensor, hsc_extremes, kappa_floor
+from .curvature import constant_hsc_tensor, kappa_floor, sweep_hsc_extremes
 from .errors import NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
@@ -273,8 +273,7 @@ def run_hsc_extremes(cfg, out_dir, seed):
                              note=warning))
         if example.field.kind == "analytic-chart":
             pts = example.geometry.sample_points(per_axis=2)
-            for p in pts:
-                ext = hsc_extremes(example.field, p)
+            for p, ext in zip(pts, sweep_hsc_extremes(example.field, pts)):
                 entry = {"example": name, "h_min": ext.h_min, "h_max": ext.h_max}
                 for i, zc in enumerate(np.asarray(p, dtype=complex)):
                     entry[f"re_z{i + 1}"] = zc.real

@@ -27,10 +27,17 @@ from .fields import TorusMetricField
 from .linalg import Direction, inv
 
 SYMMETRY_RTOL = 1e-10
-# The one extremizer policy: Kronecker scan size and projected-gradient
-# refinement steps behind every HSC extreme, screen and floor.
+# The extremizer policy for n = 3: Kronecker scan size and projected-gradient
+# refinement steps behind every n = 3 extreme, screen and floor.  n <= 2 is
+# exact (Hopf map + secular equation) and reads neither.
 HSC_DIRECTIONS = 4000
 HSC_REFINE_STEPS = 60
+# The exact n = 2 kernel: eigenvalues of its 3 x 3 block within this
+# fraction of the form's largest entry of the top one span the (possibly
+# degenerate) top eigenspace of the hard case; and a cap on the Newton steps
+# of the secular equation, which converge in at most 7 on random forms.
+_TOP_EIGEN_RTOL = 1e-12
+_SECULAR_ITERATIONS = 100
 
 
 def curvature_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
@@ -71,13 +78,34 @@ def constant_hsc_tensor(g: np.ndarray, c: float) -> np.ndarray:
     return (c / 2.0) * (outer + swap)
 
 
+_TENSOR_AXES = (-4, -3, -2, -1)
+
+
+def _symmetry_violations(R: np.ndarray) -> np.ndarray:
+    """Per-tensor largest deviation from the Kähler symmetries, over leading axes."""
+    pair = np.conj(np.swapaxes(np.swapaxes(R, -4, -3), -2, -1))
+    return np.max([
+        np.max(np.abs(R - np.swapaxes(R, -4, -2)), axis=_TENSOR_AXES),  # i <-> k
+        np.max(np.abs(R - np.swapaxes(R, -3, -1)), axis=_TENSOR_AXES),  # jbar <-> lbar
+        np.max(np.abs(R - pair), axis=_TENSOR_AXES),                    # reality
+    ], axis=0)
+
+
 def symmetry_violation(R: np.ndarray) -> float:
     """Largest deviation from the Kähler curvature symmetries."""
-    v1 = np.max(np.abs(R - np.swapaxes(R, -4, -2)))          # i <-> k
-    v2 = np.max(np.abs(R - np.swapaxes(R, -3, -1)))          # jbar <-> lbar
-    pair = np.conj(np.swapaxes(np.swapaxes(R, -4, -3), -2, -1))
-    v3 = np.max(np.abs(R - pair))                            # reality
-    return float(max(v1, v2, v3))
+    return float(np.max(_symmetry_violations(R)))
+
+
+def _check_symmetries(R: np.ndarray) -> None:
+    """Raise ValueError at the first tensor of a stack breaking the symmetries.
+
+    A tensor fails when its violation exceeds SYMMETRY_RTOL * max(1, max|R|).
+    """
+    scale = np.maximum(1.0, np.max(np.abs(R), axis=_TENSOR_AXES))
+    v = _symmetry_violations(R)
+    bad = np.flatnonzero(v > SYMMETRY_RTOL * scale)
+    if bad.size:
+        raise ValueError(f"curvature symmetries violated by {v.reshape(-1)[bad[0]]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +117,7 @@ class KahlerCurvature:
     tensor: np.ndarray
 
     def __post_init__(self):
-        scale = max(1.0, float(np.max(np.abs(self.tensor))))
-        v = symmetry_violation(self.tensor)
-        if v > SYMMETRY_RTOL * scale:
-            raise ValueError(f"curvature symmetries violated by {v:.3e}")
+        _check_symmetries(self.tensor)
 
     @classmethod
     def from_derivatives(cls, g, dg, ddg) -> "KahlerCurvature":
@@ -136,12 +161,13 @@ def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
     met by the transposed inverse Cholesky factor.
     """
     L = np.linalg.cholesky(g)
-    return np.linalg.inv(L).T
+    return np.swapaxes(np.linalg.inv(L), -1, -2)
 
 
 def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Change of frame: unbarred slots contract T, barred slots conj(T)."""
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, T, np.conj(T), T, np.conj(T))
+    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
+                     R, T, np.conj(T), T, np.conj(T))
 
 
 def kronecker_directions(n: int, count: int) -> np.ndarray:
@@ -169,6 +195,114 @@ def kronecker_directions(n: int, count: int) -> np.ndarray:
     lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
     phase = lead / np.abs(lead)
     return vecs * np.conj(phase)
+
+
+# -- exact extremes on CP^1 ----------------------------------------------------
+
+# Row a holds sigma_a[i, j] at column 2 i + j, for (sigma_0..3) = (I, X, Y, Z).
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+
+
+def _inverse_hopf(x: np.ndarray) -> np.ndarray:
+    """A unit u in C^2 with u u* = (I + x . sigma) / 2, for unit x of shape (..., 3).
+
+    The component of larger modulus is taken real, so no division comes
+    near zero.
+    """
+    a = np.sqrt((1.0 + np.abs(x[..., 2])) / 2.0)
+    w = (x[..., 0] + 1j * x[..., 1]) / (2.0 * a)
+    north = x[..., 2] >= 0.0
+    u = np.empty(x.shape[:-1] + (2,), dtype=complex)
+    u[..., 0] = np.where(north, a, np.conj(w))
+    u[..., 1] = np.where(north, w, a)
+    return u / np.sqrt(np.sum(u.real**2 + u.imag**2, axis=-1))[..., None]
+
+
+def _secular_point(beta: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """z_i = beta_i / (delta + gap_i) at the root delta of |z| = 1, per problem.
+
+    beta, gap have shape (..., 3) with gap >= 0 and gap[..., 2] = 0 (the
+    top eigenvalue).  Newton runs on 1/|z(delta)| - 1, which is increasing
+    and concave in delta (a power mean of exponent -2 of delta + gap), from
+    delta0 = max_k |beta[k:]| - gap[k], which is left of the root (gap is
+    descending), so the iterates rise monotonically to it (Moré & Sorensen
+    1983); delta + gap vanishes only where beta does, and such terms are 0.
+    Each problem stops on its own once its step is within a few ulp, so its
+    iterates do not depend on the problems stacked with it.  With no root
+    (the hard case) the first step is not positive and z stays short of the
+    unit sphere; the caller keeps the better of this point and the
+    hard-case completion.
+    """
+    eps = np.finfo(float).eps
+    tails = np.sqrt(np.cumsum((beta * beta)[..., ::-1], axis=-1)[..., ::-1])
+    delta = np.max(tails - gap, axis=-1)
+    active = tails[..., 0] > 0.0
+    for _ in range(_SECULAR_ITERATIONS):
+        shifted = delta[..., None] + gap
+        inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
+        z = beta * inv
+        if not active.any():
+            return z
+        z2 = z * z
+        norm2 = np.sum(z2, axis=-1)
+        slope = np.sum(z2 * inv, axis=-1)
+        step = np.divide(norm2 * (np.sqrt(norm2) - 1.0), slope,
+                         out=np.zeros_like(delta), where=slope > 0.0)
+        active &= step > 4.0 * eps * delta
+        delta = np.where(active, delta + step, delta)
+    return z
+
+
+def _cp1_extremes(Rt: np.ndarray):
+    """Exact extremes of Q(u) = Rt(u, ubar, u, ubar) on the unit sphere of C^2.
+
+    Rt is a stack (..., 2, 2, 2, 2) of tensors in an orthonormal frame.
+    Through the Hopf map u u* = (I + x . sigma) / 2, Q is the quadratic
+    y^T K y with y = (1, x) on x in S^2, where K is the real symmetric form
+    of Rt in the Pauli basis: Q = c + b . x + x^T C x.  Its maximum is a
+    trust-region boundary problem (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 1983): x = (lambda - C)^-1 b / 2 with lambda >= the top
+    eigenvalue of C, from the secular equation; in the hard case (b
+    orthogonal to the top eigenspace, which may be degenerate) the
+    stationary part off that eigenspace is completed to the unit sphere
+    along a top eigenvector.  Both candidates are formed and the better one
+    kept.  The minimum is the maximum for (-C, -b), stacked with it, so one
+    batched eigh serves both.  x is mapped back to u by the inverse Hopf
+    map and h = Q(u) is evaluated from Rt, so (h, u) always agree.
+    Returns (h_min, h_max, u_min, u_max).
+    """
+    M = Rt.reshape(Rt.shape[:-4] + (4, 4))
+    X = (_PAULI @ M @ _PAULI.T).real  # Q = y^T X y / 4
+    K = (X + np.swapaxes(X, -1, -2)) / 8.0
+    scale = np.max(np.abs(K), axis=(-2, -1))[..., None, None]
+    unit = K / np.where(scale > 0.0, scale, 1.0)  # the same extremizers, O(1) entries
+    mu, V = np.linalg.eigh(unit[..., 1:, 1:])
+    beta = (unit[..., None, 0, 1:] @ V)[..., 0, :]  # V^T b / 2
+    # axis -3 (matrices) / -2 (vectors): problem 0 maximizes Q, problem 1
+    # maximizes -Q, whose eigenvalues -mu reversed keep the top one last
+    mu = np.stack([mu, -mu[..., ::-1]], axis=-2)
+    V = np.stack([V, V[..., ::-1]], axis=-3)
+    beta = np.stack([beta, -beta[..., ::-1]], axis=-2)
+    gap = mu[..., 2:] - mu
+    top = gap <= _TOP_EIGEN_RTOL
+
+    rest = np.where(top, 0.0, beta / np.where(top, 1.0, gap))
+    rest2 = np.sum(rest * rest, axis=-1)
+    hard = rest / np.sqrt(np.maximum(rest2, 1.0))[..., None]
+    hard[..., 2] = np.sqrt(np.maximum(1.0 - rest2, 0.0))
+    easy = _secular_point(beta, gap)
+    norm = np.sqrt(np.sum(easy * easy, axis=-1))[..., None]
+    easy = np.where(norm > 0.0, easy / np.where(norm > 0.0, norm, 1.0), hard)
+
+    z = np.stack([easy, hard], axis=-2)  # (..., problem, candidate, 3)
+    u = _inverse_hopf((V[..., None, :, :] @ z[..., None])[..., 0])
+    p = (u[..., :, None] * np.conj(u[..., None, :])).reshape(u.shape[:-1] + (4,))
+    h = np.sum((M[..., None, None, :, :] @ p[..., None])[..., 0] * p, axis=-1).real
+    sign = np.array([1.0, -1.0])
+    better = sign * h[..., 1] > sign * h[..., 0]
+    h = np.where(better, h[..., 1], h[..., 0])
+    u = np.where(better[..., None], u[..., 1, :], u[..., 0, :])
+    return h[..., 1], h[..., 0], u[..., 1, :], u[..., 0, :]
 
 
 def _q_value(R: np.ndarray, u: np.ndarray) -> float:
@@ -220,23 +354,38 @@ class HscExtremes:
     eta_max: np.ndarray
 
 
+def _exact_extremes(Rt: np.ndarray, T: np.ndarray) -> tuple:
+    """(h_min, h_max, eta_min, eta_max) of n <= 2 tensors in orthonormal frames.
+
+    Rt has shape (..., n, n, n, n) and T, the frames, (..., n, n).
+    """
+    if T.shape[-1] == 1:
+        h = Rt[..., 0, 0, 0, 0].real
+        return h, h, T[..., 0], T[..., 0]
+    h_min, h_max, u_min, u_max = _cp1_extremes(Rt)
+    return h_min, h_max, (T @ u_min[..., None])[..., 0], (T @ u_max[..., None])[..., 0]
+
+
 def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray,
                              num_directions: int = HSC_DIRECTIONS,
                              refine_steps: int = HSC_REFINE_STEPS) -> HscExtremes:
     """Extremize H over directions for one curvature tensor.
 
-    Reduces to a g-orthonormal frame (where H = Q on the unit sphere),
-    scans a deterministic direction sample, then refines the best minimizer
-    and maximizer by projected gradient.  Ties in the scan go to the lowest
-    sample index.
+    Reduces to a g-orthonormal frame, where H = Q on the unit sphere.
+    n <= 2 is exact: n = 1 has one direction, and n = 2 maps the unit
+    sphere of C^2 onto S^2 by the Hopf map, where Q is a quadratic whose
+    global extremes come from one 3 x 3 eigendecomposition and the secular
+    equation (_cp1_extremes).  n = 3 scans num_directions deterministic
+    directions, then refines the best minimizer and maximizer by
+    refine_steps of projected gradient; ties in the scan go to the lowest
+    sample index.  n <= 2 reads neither num_directions nor refine_steps.
     """
     n = g.shape[-1]
     T = _orthonormal_frame(g)
     Rt = transform_tensor(R, T)
-    if n == 1:
-        h = float(Rt[0, 0, 0, 0].real)
-        eta = T @ np.ones(1, dtype=complex)
-        return HscExtremes(h, h, eta, eta)
+    if n <= 2:
+        h_min, h_max, eta_min, eta_max = _exact_extremes(Rt, T)
+        return HscExtremes(float(h_min), float(h_max), eta_min, eta_max)
     dirs = kronecker_directions(n, num_directions)
     q = np.einsum("ijkl,bi,bj,bk,bl->b", Rt, dirs, np.conj(dirs), dirs, np.conj(dirs),
                   optimize=True).real
@@ -269,16 +418,38 @@ def default_sweep_points(field, max_points: int = 256):
     return field.geometry.sample_points(per_axis=per_axis)
 
 
-def sweep_hsc_extremes(field, points=None, max_points: int = 256):
+def _sweep_jets(field, points: list) -> tuple:
+    """Stacked (g, dg, ddg) at the points.
+
+    One fancy index into a torus field's grid arrays, or a chart's checked
+    point jets.
+    """
+    if isinstance(field, TorusMetricField):
+        idx = tuple(np.array([field.grid.index(p) for p in points]).T)
+        return field.g[idx], field.dg[idx], field.ddg[idx]
+    return tuple(np.stack(a) for a in zip(*(field.jet_at(p) for p in points)))
+
+
+def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
-    points=None sweeps default_sweep_points(field, max_points).
+    points=None sweeps default_sweep_points(field, max_points).  For
+    n <= 2 the sweep is one batch: the point jets are stacked, their
+    curvature assembled and checked together (the first point breaking
+    the symmetries raises), and all extremes come from one kernel call.
     """
     if points is None:
         points = default_sweep_points(field, max_points)
-    for p in points:
-        curv = curvature_tensor(field, p)
-        yield hsc_extremes_from_tensor(curv.tensor, curv.g)
+    points = list(points)
+    if field.n > 2 or not points:
+        curvs = [curvature_tensor(field, p) for p in points]
+        return [hsc_extremes_from_tensor(c.tensor, c.g) for c in curvs]
+    g, dg, ddg = _sweep_jets(field, points)
+    R = curvature_from_derivatives(g, dg, ddg)
+    _check_symmetries(R)
+    T = _orthonormal_frame(g)
+    return [HscExtremes(float(a), float(b), c, d)
+            for a, b, c, d in zip(*_exact_extremes(transform_tensor(R, T), T))]
 
 
 def kappa_floor(field, points=None) -> float:

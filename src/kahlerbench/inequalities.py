@@ -377,11 +377,13 @@ def random_kahler_tensor(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def conditioned_negative_tensor(n: int, rng: np.random.Generator,
                                 gap: float = 0.5) -> np.ndarray:
-    """Random symmetric tensor shifted so sup H < 0 (by roughly `gap`).
+    """Random symmetric tensor shifted so sup H = -gap (identity metric).
 
     Random tensors almost never satisfy the negativity hypothesis on their
     own; subtracting a multiple of the constant-HSC model tensor lowers
-    every sectional value uniformly without touching the symmetries.
+    every sectional value uniformly without touching the symmetries.  The
+    gap is exact for n <= 2, where the extremizer is; for n = 3 sup H lies
+    above -gap by whatever the scan + refinement misses of the maximum.
     """
     eye = np.eye(n, dtype=complex)
     R = random_kahler_tensor(n, rng)

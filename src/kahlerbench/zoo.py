@@ -267,7 +267,7 @@ def _sweep_hsc_range(metric_field):
         R = curvature_field(metric_field)[..., 0, 0, 0, 0].real
         h = R / metric_field.g[..., 0, 0].real ** 2
         return float(h.min()), float(h.max())
-    exts = list(sweep_hsc_extremes(metric_field, max_points=64))
+    exts = sweep_hsc_extremes(metric_field, max_points=64)
     return min(e.h_min for e in exts), max(e.h_max for e in exts)
 
 

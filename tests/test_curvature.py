@@ -10,6 +10,9 @@ from kahlerbench.curvature import (
     HSC_DIRECTIONS,
     HSC_REFINE_STEPS,
     KahlerCurvature,
+    _cp1_extremes,
+    _orthonormal_frame,
+    _refine_direction,
     constant_hsc_tensor,
     curvature_field,
     curvature_from_derivatives,
@@ -23,11 +26,13 @@ from kahlerbench.curvature import (
     kronecker_directions,
     ricci_from_curvature,
     ricci_from_derivatives,
+    sweep_hsc_extremes,
     symmetry_violation,
     transform_tensor,
 )
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
+from kahlerbench.inequalities import conditioned_negative_tensor
 from kahlerbench.linalg import Direction
 from kahlerbench.zoo import perturbed_torus_potential
 
@@ -171,10 +176,136 @@ def test_extremizer_defaults_are_the_policy_constants():
         R = R + np.conj(np.swapaxes(np.swapaxes(R, 0, 1), 2, 3))
         g = random_pd(n, rng)
         default = hsc_extremes_from_tensor(R, g)
-        explicit = hsc_extremes_from_tensor(R, g, HSC_DIRECTIONS, HSC_REFINE_STEPS)
-        assert (default.h_min, default.h_max) == (explicit.h_min, explicit.h_max)
-        assert np.array_equal(default.eta_min, explicit.eta_min)
-        assert np.array_equal(default.eta_max, explicit.eta_max)
+        budgets = [(HSC_DIRECTIONS, HSC_REFINE_STEPS)] + [(2000, 40)] * (n == 2)
+        for budget in budgets:  # n = 2 is exact and reads no budget
+            explicit = hsc_extremes_from_tensor(R, g, *budget)
+            assert (default.h_min, default.h_max) == (explicit.h_min, explicit.h_max)
+            assert np.array_equal(default.eta_min, explicit.eta_min)
+            assert np.array_equal(default.eta_max, explicit.eta_max)
+
+
+# -- exact n = 2 extremes -------------------------------------------------------------
+
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def tensor_from_hopf_form(K):
+    """A Kähler-symmetric tensor with Q(u) = y^T K y, y = (1, x) the Hopf image of u.
+
+    sum R[i,j,k,l] P[i,j] P[k,l] = sum K[a,b] tr(sigma_a P) tr(sigma_b P) for
+    P = u u*, and averaging over the symmetry group leaves Q unchanged.
+    """
+    R = np.einsum("ab,aji,blk->ijkl", K, PAULI, PAULI)
+    R = (R + np.swapaxes(R, 0, 2)) / 2.0
+    R = (R + np.swapaxes(R, 1, 3)) / 2.0
+    return (R + np.conj(np.swapaxes(np.swapaxes(R, 0, 1), 2, 3))) / 2.0
+
+
+def kronecker_route(R, g):
+    """The scan + refinement extremes (n = 3's route) of an n = 2 tensor."""
+    T = _orthonormal_frame(g)
+    Rt = transform_tensor(R, T)
+    dirs = kronecker_directions(2, HSC_DIRECTIONS)
+    q = np.einsum("ijkl,bi,bj,bk,bl->b", Rt, dirs, np.conj(dirs), dirs, np.conj(dirs),
+                  optimize=True).real
+    h_max = _refine_direction(Rt, dirs[int(np.argmax(q))], +1.0, HSC_REFINE_STEPS)[1]
+    h_min = _refine_direction(Rt, dirs[int(np.argmin(q))], -1.0, HSC_REFINE_STEPS)[1]
+    return h_min, h_max
+
+
+def batched_hsc(R, g, etas):
+    """H of every tensor (m, ...) at every direction (d, 2): shape (m, d)."""
+    ce = np.conj(etas)
+    q = np.einsum("mijkl,di,dj,dk,dl->md", R, etas, ce, etas, ce, optimize=True).real
+    return q / np.einsum("mij,di,dj->md", g, etas, ce).real ** 2
+
+
+def test_n2_extremes_are_global_and_attained():
+    rng = np.random.default_rng(2015)
+    m = 600
+    R = np.stack([conditioned_negative_tensor(2, rng, gap=float(rng.uniform(0.2, 1.0)))
+                  for _ in range(m)])
+    g = np.stack([random_pd(2, rng) for _ in range(m)])
+    exts = [hsc_extremes_from_tensor(R[i], g[i]) for i in range(m)]
+    h_min = np.array([e.h_min for e in exts])
+    h_max = np.array([e.h_max for e in exts])
+    scale = np.maximum(1.0, np.maximum(np.abs(h_min), np.abs(h_max)))
+
+    etas = rng.standard_normal((4096, 2)) + 1j * rng.standard_normal((4096, 2))
+    sampled = batched_hsc(R, g, etas)
+    assert np.all(sampled.max(axis=1) <= h_max + 1e-12 * scale)
+    assert np.all(sampled.min(axis=1) >= h_min - 1e-12 * scale)
+
+    at_min = np.array([hsc_value(R[i], g[i], e.eta_min) for i, e in enumerate(exts)])
+    at_max = np.array([hsc_value(R[i], g[i], e.eta_max) for i, e in enumerate(exts)])
+    assert np.all(np.abs(at_min - h_min) <= 1e-12 * scale)
+    assert np.all(np.abs(at_max - h_max) <= 1e-12 * scale)
+
+    for i in range(m):
+        k_min, k_max = kronecker_route(R[i], g[i])
+        assert h_max[i] >= k_max - 1e-14 * scale[i]
+        assert h_min[i] <= k_min + 1e-14 * scale[i]
+
+
+def test_n2_hard_cases_are_exact():
+    rng = np.random.default_rng(8)
+    for g in (np.eye(2, dtype=complex), random_pd(2, rng)):
+        # constant H: b = 0 and C = 0, every direction is extremal
+        for c in (-1.3, 0.4):
+            ext = hsc_extremes_from_tensor(constant_hsc_tensor(g, c), g)
+            assert abs(ext.h_min - c) <= 1e-14 * abs(c)
+            assert abs(ext.h_max - c) <= 1e-14 * abs(c)
+    for s in (2.0, 0.7):
+        # polydisk: C has a double top eigenvalue with b orthogonal to it
+        R = np.zeros((2,) * 4, dtype=complex)
+        R[0, 0, 0, 0] = R[1, 1, 1, 1] = -2.0 / s
+        ext = hsc_extremes_from_tensor(R, np.eye(2))
+        assert ext.h_min == pytest.approx(-2.0 / s, abs=1e-14)
+        assert ext.h_max == pytest.approx(-1.0 / s, abs=1e-14)
+        assert hsc_value(R, np.eye(2), ext.eta_max) == pytest.approx(-1.0 / s, abs=1e-14)
+    # C = diag(-1, 0, 0): a double top eigenvalue, with b inside that
+    # eigenspace (not the hard case) along whichever vector eigh lists first
+    for b in (np.array([0.0, 1e-3, 0.0]), np.array([0.0, 0.0, 1e-3])):
+        K = np.zeros((4, 4))
+        K[0, 0] = 0.2
+        K[1:, 1:] = np.diag([-1.0, 0.0, 0.0])
+        K[0, 1:] = K[1:, 0] = b / 2.0
+        ext = hsc_extremes_from_tensor(tensor_from_hopf_form(K), np.eye(2))
+        assert ext.h_max == pytest.approx(0.201, abs=1e-14)
+        assert ext.h_min == pytest.approx(-0.8 - 1e-6 / 4.0, abs=1e-14)
+
+
+def test_n2_extremes_find_the_higher_of_two_near_equal_maxima():
+    # Q = -1 + eps x.e + x^T C x on S^2 has local maxima at x = +e and -e,
+    # 2 eps apart.  The scan + refinement route starts from the best of its
+    # Kronecker directions, which lies in the basin of -e, and so
+    # reports -1 - eps.
+    eps = 1e-5
+    e = np.ones(3) / np.sqrt(3.0)
+    a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    K = np.zeros((4, 4))
+    K[0, 0] = -1.0
+    K[0, 1:] = K[1:, 0] = eps / 2.0 * e
+    K[1:, 1:] = -(np.eye(3) - np.outer(e, e)) - np.outer(a, a)
+    R = tensor_from_hopf_form(K)
+    g = np.eye(2)
+    assert kronecker_route(R, g)[1] < -1.0 + eps - 1e-6  # the wrong basin
+    ext = hsc_extremes_from_tensor(R, g)
+    assert ext.h_max == pytest.approx(-1.0 + eps, abs=1e-14)
+    assert hsc_value(R, g, ext.eta_max) == pytest.approx(-1.0 + eps, abs=1e-14)
+    # the minimum is a hard case: b is orthogonal to the bottom eigenvector a
+    assert ext.h_min == pytest.approx(-3.0 - eps**2 / 8.0, abs=1e-14)
+
+
+def test_stacked_kernel_equals_per_tensor_calls_bitwise():
+    rng = np.random.default_rng(21)
+    Rt = np.stack([conditioned_negative_tensor(2, rng) for _ in range(40)])
+    Rt[0] = constant_hsc_tensor(np.eye(2, dtype=complex), -0.9)  # a hard case
+    stacked = _cp1_extremes(Rt.reshape((5, 8) + Rt.shape[1:]))
+    for i in range(40):
+        single = _cp1_extremes(Rt[i])
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got.reshape((40,) + got.shape[2:])[i], want)
 
 
 def test_kappa_floor_signs():
@@ -231,6 +362,40 @@ def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     assert len(points) == 256
     pointwise = kappa_floor(field, points=points)
     assert swept == pointwise
+
+
+@pytest.mark.parametrize("case", ["torus-2-12", "polydisk"])
+def test_batched_sweep_matches_pointwise_extremes(case):
+    if case == "polydisk":
+        field = polydisk_field(n=2, scale=1.5)
+        points = list(field.geometry.sample_points(per_axis=3))
+    else:
+        grid = TorusGrid(2, 12)
+        field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+        points = list(default_sweep_points(field))
+    swept = sweep_hsc_extremes(field, points)
+    assert len(swept) == len(points) > 1
+    for p, ext in zip(points, swept):
+        single = hsc_extremes(field, p)
+        scale = max(1.0, abs(single.h_min), abs(single.h_max))
+        assert abs(ext.h_min - single.h_min) <= 1e-14 * scale
+        assert abs(ext.h_max - single.h_max) <= 1e-14 * scale
+        assert abs(hsc(field, p, ext.eta_max) - ext.h_max) <= 1e-12 * scale
+
+
+def test_batched_sweep_rejects_the_first_corrupted_jet():
+    grid = TorusGrid(2, 8)
+    field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    points = list(default_sweep_points(field))
+    first, later = points[5], points[9]
+    field.ddg[first][0, 1, 1, 0] += 0.05  # breaks i <-> k at this index only
+    field.ddg[later][0, 1, 1, 0] += 0.5
+    with pytest.raises(ValueError, match="symmetries") as pointwise:
+        curvature_tensor(field, first)
+    with pytest.raises(ValueError, match="symmetries") as swept:
+        kappa_floor(field)
+    assert str(swept.value) == str(pointwise.value)
+    sweep_hsc_extremes(field, points[:5])  # the points before it still pass
 
 
 def test_kronecker_directions_are_deterministic_unit_gauged():

@@ -100,16 +100,16 @@ def test_perturbed_torus_sweeps_each_field_once(monkeypatch):
     example = make_example("perturbed-torus", n=2, resolution=8)
     points = list(curvature.default_sweep_points(example.field, max_points=64))
     calls = []
-    tensor = curvature.curvature_tensor
+    jets = curvature._sweep_jets
 
-    def counting(field, point):
-        calls.append(point)
-        return tensor(field, point)
+    def counting(field, sweep):
+        calls.append(list(sweep))
+        return jets(field, sweep)
 
-    monkeypatch.setattr(curvature, "curvature_tensor", counting)
+    monkeypatch.setattr(curvature, "_sweep_jets", counting)
     rows = verify_example_facts(example)
     assert all(row["ok"] for row in rows)
-    assert calls == points  # the sign facts share one sweep
+    assert calls == [points]  # the sign facts share one batched sweep
 
 
 def test_flat_torus_facts_are_exact():
