@@ -51,12 +51,6 @@ def curvature_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -
     return -ddg + quad
 
 
-def ricci_from_curvature(g: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Ricci form by tensor contraction g^{k lbar} R_{i jbar k lbar}."""
-    G = np.conj(inv(g))
-    return np.einsum("...kl,...ijkl->...ij", G, R)
-
-
 def ricci_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     """Ricci form -dd^c log det g via matrix calculus (no curvature tensor).
 
@@ -89,11 +83,6 @@ def _symmetry_violations(R: np.ndarray) -> np.ndarray:
         np.max(np.abs(R - np.swapaxes(R, -3, -1)), axis=_TENSOR_AXES),  # jbar <-> lbar
         np.max(np.abs(R - pair), axis=_TENSOR_AXES),                    # reality
     ], axis=0)
-
-
-def symmetry_violation(R: np.ndarray) -> float:
-    """Largest deviation from the Kähler curvature symmetries."""
-    return float(np.max(_symmetry_violations(R)))
 
 
 def _check_symmetries(R: np.ndarray) -> None:
@@ -421,13 +410,13 @@ def default_sweep_points(field, max_points: int = 256):
 def _sweep_jets(field, points: list) -> tuple:
     """Stacked (g, dg, ddg) at the points.
 
-    One fancy index into a torus field's grid arrays, or a chart's checked
-    point jets.
+    One fancy index into a torus field's grid arrays, or one checked batch
+    query of a chart.
     """
     if isinstance(field, TorusMetricField):
         idx = tuple(np.array([field.grid.index(p) for p in points]).T)
         return field.g[idx], field.dg[idx], field.ddg[idx]
-    return tuple(np.stack(a) for a in zip(*(field.jet_at(p) for p in points)))
+    return field.jet_at(np.array(points, dtype=complex))
 
 
 def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:

@@ -12,10 +12,13 @@ On the periodic torus the metric is flat + complex Hessian of a real
 potential sampled on the grid.  g comes from the spectral Hessian and
 (dg, ddg) from one call of the grid's hessian_jets, each computed once
 over the whole grid, and a point is a grid multi-index of 2n integers
-(taken modulo N) that reads them; real coordinates are not accepted.  On an analytic chart a point is n complex
-coordinates in the trusted region, the potential is a closed-form
-symbolic expression in z and zbar treated as independent variables, and
-every derivative is a lambdified exact formula.
+(taken modulo N) that reads them; real coordinates are not accepted.
+
+On an analytic chart a point is n complex coordinates in the trusted
+region (or a stack of them, answered in one batch), and the potential is
+a sum of terms ell(|F|^2) with F holomorphic: the jet comes from F's
+holomorphic 2-jet and ell's first four derivatives, derived symbolically
+once per field and lambdified into one function of z.
 
 Torus potentials are stored in the zero-mean gauge: dd^c kills constants,
 so the mean is pure gauge and fixing it keeps field comparisons and file
@@ -25,10 +28,11 @@ round-trips literal.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import sympy as sp
+from sympy.utilities.iterables import multiset_partitions
 
 from .errors import DimensionMismatch, PositivityLoss
 from .grids import ChartGeometry, TorusGrid
@@ -96,96 +100,129 @@ class TorusMetricField:
 
 
 class ChartMetricField:
-    """Metric from a closed-form potential on an analytic chart.
+    """Metric with potential psi = sum_t ell_t(|F_t|^2) on an analytic chart.
 
-    The potential is a sympy expression in 2n symbols: z_1..z_n and their
-    formal conjugates.  Reality of the potential is the caller's promise;
-    a Hermitian-drift check on the evaluated metric catches violations.
-
-    The metric jet (g, dg, ddg) is derived once per field: each partial of
-    the potential is one sp.diff of the memoized partial one order lower,
-    and all n^2 + n^3 + n^4 entries go into one common-subexpression-
-    eliminated lambdified function, built on the first query.
+    A term (ell, F) is a function ell of one real variable with real
+    coefficients (c*x, log(1 + x), -s*log(1 - x); a sympy Lambda or an
+    expression in one free symbol) and a tuple F of holomorphic sympy
+    expressions in z, built from z, real constants and I.  The jet needs
+    only F's holomorphic 2-jet and ell^(1..4) (_faa_di_bruno); both are
+    differentiated once, in __init__, into one lambdified function of z,
+    which is handed F and each term's x = |F|^2 as common subexpressions.
     """
 
     kind = "analytic-chart"
 
-    def __init__(self, geometry: ChartGeometry, potential: sp.Expr,
-                 z_symbols, zbar_symbols):
+    def __init__(self, geometry: ChartGeometry, terms, z_symbols):
         self.geometry = geometry
         self.n = geometry.n
-        self.potential = sp.sympify(potential)
         self.z = tuple(z_symbols)
-        self.zbar = tuple(zbar_symbols)
-        if len(self.z) != self.n or len(self.zbar) != self.n:
-            raise DimensionMismatch(
-                f"need {self.n} holomorphic and {self.n} antiholomorphic symbols"
-            )
-        self._partials = {(): self.potential}
+        if len(self.z) != self.n:
+            raise DimensionMismatch(f"need {self.n} holomorphic symbols, got {len(self.z)}")
+        self.zbar = tuple(sp.Symbol(f"{s.name}bar") for s in self.z)
+        self.terms = tuple((ell if isinstance(ell, sp.Lambda)
+                            else sp.Lambda(tuple(sp.sympify(ell).free_symbols), ell),
+                            tuple(sp.sympify(F))) for ell, F in terms)
+        self._width = max(len(F) for _, F in self.terms)
+        jets, shared, ell_values, derivatives = [], [], [], {}
+        for ell, F in self.terms:
+            if len(ell.variables) != 1 or ell.expr.has(sp.I):
+                raise ValueError(f"term function {ell} needs one variable, real coefficients")
+            if not set().union(*(f.free_symbols for f in F)) <= set(self.z):
+                raise ValueError(f"term {F} is not holomorphic in {self.z}")
+            values, x = [sp.Dummy("f") for _ in F], sp.Dummy("x")
+            shared += [*zip(values, F), (x, sp.Add(*(sp.Abs(v) ** 2 for v in values)))]
+            for v, f in zip(values, F):  # F_a, F_a,i, F_a,ik: _faa_di_bruno's slots
+                d1 = [sp.diff(f, zk) for zk in self.z]
+                jets += [v, *d1, *(sp.diff(d, zk) for d in d1 for zk in self.z)]
+            # zero components pad every term to the widest F
+            jets += [sp.S.Zero] * ((1 + self.n + self.n**2) * (self._width - len(F)))
+            if ell not in derivatives:  # in ell's own variable, once per function
+                derivatives[ell] = [ell.expr]
+                for _ in range(4):
+                    derivatives[ell].append(sp.diff(derivatives[ell][-1], *ell.variables))
+            ell_values += [d.xreplace({ell.variables[0]: x}) for d in derivatives[ell][1:]]
+        self._lambdified = sp.lambdify(self.z, jets + ell_values, modules="numpy",
+                                       cse=lambda exprs: (shared, exprs), docstring_limit=0)
 
-    def _partial(self, variables: tuple) -> sp.Expr:
-        """The potential differentiated in each of `variables`, in order.
-
-        One sp.diff of the memoized partial in variables[:-1].
-        """
-        expr = self._partials.get(variables)
-        if expr is None:
-            expr = sp.diff(self._partial(variables[:-1]), variables[-1])
-            self._partials[variables] = expr
-        return expr
-
-    @cached_property
-    def _jet_fn(self):
-        """One lambdified function of (z, zbar) returning g, dg, ddg flattened."""
-        z, zb, r = self.z, self.zbar, range(self.n)
-
-        def d(hol, anti):  # partials commute: one canonical order per entry
-            return self._partial(tuple(z[i] for i in sorted(hol))
-                                 + tuple(zb[j] for j in sorted(anti)))
-
-        exprs = (
-            [d((i,), (j,)) for i, j in itertools.product(r, r)]
-            + [d((i, k), (j,)) for i, j, k in itertools.product(r, r, r)]
-            + [d((i, k), (j, l)) for i, j, k, l in itertools.product(r, r, r, r)]
-        )
-        return sp.lambdify(z + zb, exprs, modules="numpy", cse=True)
+    @property
+    def potential(self) -> sp.Expr:
+        """psi in z and zbar; conj(F_a) is F_a with z -> zbar and I -> -I."""
+        conj = dict(zip(self.z, self.zbar)) | {sp.I: -sp.I}
+        return sp.Add(*(ell(sp.Add(*(f * f.xreplace(conj) for f in F)))
+                        for ell, F in self.terms))
 
     def _eval(self, z: np.ndarray):
-        """(g, dg, ddg) at a validated point, g unchecked."""
-        n = self.n
-        flat = np.asarray(self._jet_fn(*z, *np.conj(z)), dtype=complex)
-        g = flat[: n**2].reshape(n, n)
-        dg = flat[n**2 : n**2 + n**3].reshape(n, n, n)
-        ddg = flat[n**2 + n**3 :].reshape(n, n, n, n)
-        return g, dg, ddg
+        """(g, dg, ddg) at points z of shape (..., n), g unchecked.
+
+        The lambdified function runs on each point's Python scalars, so a
+        point's jet does not depend on the batch around it (numpy's scalar
+        and array arithmetic round differently); the rest is batched.
+        """
+        z = np.asarray(z, dtype=complex)
+        lead, n, T, K = z.shape[:-1], self.n, len(self.terms), 1 + self.n + self.n**2
+        flat = np.array([self._lambdified(*p) for p in z.reshape(-1, n).tolist()], dtype=complex)
+        V = flat[:, :-4 * T].reshape(-1, T, self._width, K)
+        gram = np.sum(V[..., :, None] * V.conj()[..., None, :], axis=-3)  # <F_s, F_s'>
+        x = np.concatenate([gram.reshape(-1, T, K * K), np.ones((len(V), T, 1))], axis=-1)
+        blocks, order, starts = _faa_di_bruno(n)
+        b = np.take(x, blocks, axis=-1)
+        ell = np.take(flat[:, -4 * T:].real.reshape(-1, T, 4), order, axis=-1)
+        monomials = b[..., 0, :] * b[..., 1, :] * b[..., 2, :] * b[..., 3, :] * ell
+        jet = np.add.reduceat(monomials, starts, axis=-1).sum(axis=1)
+        g = jet[:, :n**2].reshape(lead + (n, n))
+        # the Hermitian part; it removes only rounding, as numpy's fused
+        # complex products are not conjugate-symmetric bit for bit
+        g = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+        return (g, jet[:, n**2:n**2 + n**3].reshape(lead + (n, n, n)),
+                jet[:, n**2 + n**3:].reshape(lead + (n, n, n, n)))
 
     def jet_at(self, point):
-        """(g, dg, ddg) at a point from one evaluation of the jet.
-
-        g is checked Hermitian (drift up to 1e-9 relative, then symmetrized)
-        and positive definite.
-        """
-        z = np.asarray(point, dtype=complex).reshape(-1)
-        if z.size != self.n:
+        """(g, dg, ddg) at a trusted point, or stacked over points (..., n);
+        g is checked positive definite."""
+        z = np.asarray(point, dtype=complex)
+        if z.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"chart point needs {self.n} complex coordinates")
         if not self.geometry.trusted(z):
             raise ValueError(f"point {z} outside the trusted chart region")
         g, dg, ddg = self._eval(z)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        drift = float(np.max(np.abs(g - g.conj().T)))
-        if drift > 1e-9 * scale:
-            raise ValueError(
-                f"metric not Hermitian at {z} (drift {drift:.2e}); "
-                "is the potential real?"
-            )
-        g = (g + g.conj().T) / 2.0
-        ok, _, w = positivity(g)
+        ok, worst, w = positivity(g)
         if not ok:
             raise PositivityLoss(
-                f"metric loses positivity at {z}: eigenvalues {w}",
-                point=tuple(z), min_eigenvalue=float(w[0]),
+                f"metric loses positivity at {z[worst]}: eigenvalues {w}",
+                point=tuple(z[worst]), min_eigenvalue=float(w[0]),
             )
         return g, dg, ddg
 
     def metric_matrix_at(self, point) -> np.ndarray:
         return self.jet_at(point)[0]
+
+
+@cache
+def _faa_di_bruno(n: int):
+    """Gather tables of the chart jet (g, dg, ddg), flattened.
+
+    Entry (i, j[, k[, l]]) differentiates ell(x) in z_i, zbar_j, z_k,
+    zbar_l.  By Faa di Bruno it is a sum over the set partitions of these
+    positions of monomials: ell^(#blocks)(x) times, per block, x
+    differentiated in the block's positions, which is <F_I, F_J> =
+    sum_a F_a,I conj(F_a,J) for the block's holomorphic indices I and
+    barred indices J.  With the slots s = (), (i,), (i, k) of F, F_i, F_ik,
+    blocks[:, m] holds monomial m's flat Gram indices s_I * K + s_J (K*K,
+    an appended 1, pads to 4 blocks), order[m] its number of blocks less
+    one, and starts[e] the first monomial of entry e.
+    """
+    r = range(n)
+    slots = [()] + [(i,) for i in r] + [(i, k) for i in r for k in r]
+    slot = {s: m for m, s in enumerate(slots)}
+    K = len(slots)
+    blocks, order, starts = [], [], []
+    for entry in (e for m in (2, 3, 4) for e in itertools.product(r, repeat=m)):
+        starts.append(len(order))
+        for partition in multiset_partitions(list(range(len(entry)))):
+            order.append(len(partition) - 1)
+            flat = [slot[tuple(sorted(entry[q] for q in block if q % 2 == 0))] * K
+                    + slot[tuple(sorted(entry[q] for q in block if q % 2 == 1))]
+                    for block in partition]
+            blocks.append(flat + [K * K] * (4 - len(flat)))
+    return np.array(blocks).T, np.array(order), np.array(starts)

@@ -377,10 +377,11 @@ class ChartGeometry:
     kind = "analytic-chart"
 
     def trusted(self, z) -> bool:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.size != self.n:
-            raise DimensionMismatch(f"point has {z.size} components, expected {self.n}")
-        return all(abs(z[i]) <= self.radii[i] - self.margin for i in range(self.n))
+        """Whether the point z, or every point of a stack (..., n), is trusted."""
+        z = np.asarray(z, dtype=complex)
+        if z.shape[-1:] != (self.n,):
+            raise DimensionMismatch(f"point has shape {z.shape}, expected (..., {self.n})")
+        return bool(np.all(np.abs(z) <= np.subtract(self.radii, self.margin)))
 
     def sample_points(self, per_axis: int = 3, radius_fraction: float = 0.5) -> np.ndarray:
         """Deterministic lattice of trusted points (for sweeps and demos)."""

@@ -94,15 +94,6 @@ def write_reports_jsonl(path, reports) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_reports_jsonl(path) -> list:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
-
-
 def rows_to_csv(path, rows, columns) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")

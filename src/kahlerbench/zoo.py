@@ -13,6 +13,7 @@ so they are independent of the lambdified floating pipeline they certify.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -94,100 +95,82 @@ def verify_example_facts(example: Example) -> list:
 # -- symbolic oracles ---------------------------------------------------------
 
 
+def _at_point(z_syms, zbar_syms, point):
+    """expr -> its exact value a + b*I at a point of exact sympy numbers."""
+    pt = [sp.sympify(p) for p in point]
+    subs = dict(zip(z_syms, pt)) | dict(zip(zbar_syms, map(sp.conjugate, pt)))
+    return lambda expr: sp.expand(expr.subs(subs))
+
+
 def symbolic_hsc(potential, z_syms, zbar_syms, point, eta) -> float:
     """Holomorphic sectional curvature from exact symbolic differentiation.
 
     point entries should be exact sympy numbers for a fully exact oracle;
-    eta is a numeric direction.  Independent of the floating field pipeline.
+    eta is a numeric direction.  Independent of the floating field pipeline;
+    g's first derivatives are taken once, and each entry is evaluated once.
     """
-    z = tuple(z_syms)
-    zb = tuple(zbar_syms)
-    n = len(z)
-    g = sp.Matrix(n, n, lambda i, j: sp.diff(potential, z[i], zb[j]))
-    G = g.inv().T  # matrix of g^{p qbar}
-    pt = [sp.sympify(p) for p in point]
-    subs = {}
-    for i in range(n):
-        subs[z[i]] = pt[i]
-        subs[zb[i]] = sp.conjugate(pt[i])
+    z, zb, at = z_syms, zbar_syms, _at_point(z_syms, zbar_syms, point)
+    r = range(len(z))
+    g = [[sp.diff(potential, z[i], zb[j]) for j in r] for i in r]
+    dg = [[[sp.diff(g[i][j], z[k]) for k in r] for j in r] for i in r]
+    g0 = sp.Matrix([[at(e) for e in row] for row in g])
+    G = g0.inv().T.applyfunc(sp.expand)  # matrix of g^{p qbar} at the point
+    dg0 = [[[at(e) for e in row] for row in plane] for plane in dg]
+    dgb0 = [[[at(sp.diff(e, zb[l])) for l in r] for e in row] for row in g]
     eta = [sp.sympify(complex(e)) for e in eta]
     etab = [sp.conjugate(e) for e in eta]
-
     q = sp.Integer(0)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    Rijkl = -sp.diff(g[i, j], z[k], zb[l])
-                    for p in range(n):
-                        for qq in range(n):
-                            Rijkl += (G[p, qq]
-                                      * sp.diff(g[i, qq], z[k])
-                                      * sp.diff(g[p, j], zb[l]))
-                    q += Rijkl.subs(subs) * eta[i] * etab[j] * eta[k] * etab[l]
-    norm2 = sp.Integer(0)
-    for i in range(n):
-        for j in range(n):
-            norm2 += g[i, j].subs(subs) * eta[i] * etab[j]
-    val = sp.N(q / norm2**2, 30)
-    return float(sp.re(val))
+    for i, j, k, l in itertools.product(r, repeat=4):
+        Rijkl = -at(sp.diff(dg[i][j][k], zb[l])) + sum(
+            G[p, qq] * dg0[i][qq][k] * dgb0[p][j][l] for p, qq in itertools.product(r, r))
+        q += sp.expand(Rijkl) * eta[i] * etab[j] * eta[k] * etab[l]
+    norm2 = sum(g0[i, j] * eta[i] * etab[j] for i, j in itertools.product(r, r))
+    return float(sp.re(sp.N(q / norm2**2, 30)))
 
 
 def symbolic_ricci_ratio(potential, z_syms, zbar_syms, point) -> float:
     """Ric_{1 1bar} / g_{1 1bar} at a point, in exact arithmetic."""
-    z = tuple(z_syms)
-    zb = tuple(zbar_syms)
-    n = len(z)
+    z, zb, n = z_syms, zbar_syms, len(z_syms)
     g = sp.Matrix(n, n, lambda i, j: sp.diff(potential, z[i], zb[j]))
     ric11 = -sp.diff(sp.log(g.det()), z[0], zb[0])
-    pt = [sp.sympify(p) for p in point]
-    subs = {}
-    for i in range(n):
-        subs[z[i]] = pt[i]
-        subs[zb[i]] = sp.conjugate(pt[i])
-    val = sp.N((ric11 / g[0, 0]).subs(subs), 30)
+    val = sp.N(_at_point(z, zb, point)(ric11 / g[0, 0]), 30)
     return float(sp.re(val))
 
 
-# -- chart potentials ---------------------------------------------------------
+# -- chart terms ---------------------------------------------------------------
+
+# The variable of every term function ell: a chart potential is a sum of
+# terms ell(|F|^2) with F a tuple of holomorphic expressions.
+_X = sp.Symbol("x")
 
 
 def chart_symbols(n: int):
-    z = sp.symbols(f"z1:{n + 1}")
-    zb = sp.symbols(f"zb1:{n + 1}")
-    return z, zb
+    return sp.symbols(f"z1:{n + 1}")
 
 
-def poincare_disk_potential(scale: float):
-    z, zb = chart_symbols(1)
+def poincare_polydisk_terms(n: int, scale: float):
+    """(terms, z) of -scale * sum_i log(1 - |z_i|^2); n = 1 is the disk."""
+    z = chart_symbols(n)
     s = sp.Rational(scale) if float(scale).is_integer() else sp.Float(scale)
-    return -s * sp.log(1 - z[0] * zb[0]), z, zb
+    return [(-s * sp.log(1 - _X), (zi,)) for zi in z], z
 
 
-def poincare_polydisk_potential(n: int, scale: float):
-    z, zb = chart_symbols(n)
-    s = sp.Rational(scale) if float(scale).is_integer() else sp.Float(scale)
-    psi = -s * sum(sp.log(1 - z[i] * zb[i]) for i in range(n))
-    return psi, z, zb
+def fubini_study_terms(n: int):
+    """(terms, z) of log(1 + |z|^2)."""
+    z = chart_symbols(n)
+    return [(sp.log(1 + _X), z)], z
 
 
-def fubini_study_potential(n: int):
-    z, zb = chart_symbols(n)
-    psi = sp.log(1 + sum(z[i] * zb[i] for i in range(n)))
-    return psi, z, zb
-
-
-def fermat_graph_potential(degree: int):
+def fermat_graph_terms(degree: int):
     """Induced projective-space potential on a graph chart of the degree-d
     Fermat hypersurface in 3-space, centered where a standard projective
-    line through the surface passes."""
-    z, zb = chart_symbols(2)
+    line through the surface passes: log(1 + |z|^2 + |h|^2) for the graph
+    h = alpha (1 + z1^d + z2^d)^(1/d).  Returns (terms, z, alpha)."""
+    z = chart_symbols(2)
     d = int(degree)
     alpha = sp.exp(sp.I * sp.pi / d)
     h = alpha * (1 + z[0] ** d + z[1] ** d) ** sp.Rational(1, d)
-    hb = sp.conjugate(alpha) * (1 + zb[0] ** d + zb[1] ** d) ** sp.Rational(1, d)
-    psi = sp.log(1 + h * hb + z[0] * zb[0] + z[1] * zb[1])
-    return psi, z, zb, alpha
+    return [(sp.log(1 + _X), (z[0], z[1], h))], z, alpha
 
 
 # -- torus potentials ---------------------------------------------------------
@@ -352,9 +335,8 @@ def _to_complex(pt) -> np.ndarray:
 def _build_poincare_disk(scale: float = 1.0) -> Example:
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    psi, z, zb = poincare_disk_potential(scale)
     geom = ChartGeometry(1, (1.0,), margin=0.25)
-    mf = ChartMetricField(geom, psi, z, zb)
+    mf = ChartMetricField(geom, *poincare_polydisk_terms(1, scale))
     pt = _DISK_POINT
     zpt = _to_complex(pt)
 
@@ -367,7 +349,7 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
             name="hsc-constant",
             provenance="symbolic differentiation of the closed-form potential",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(psi, z, zb, pt, [1.0]),
+            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, [1.0]),
             measure=lambda f: hsc(f, zpt, np.array([1.0 + 0j])),
             description=f"H is constant -2/scale = {-2.0 / scale}",
         ),
@@ -375,7 +357,7 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
             name="einstein-ratio",
             provenance="symbolic Ricci of the closed-form potential",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_ricci_ratio(psi, z, zb, pt),
+            oracle=lambda: symbolic_ricci_ratio(mf.potential, mf.z, mf.zbar, pt),
             measure=measure_einstein_ratio,
             description=f"Einstein: Ric = -(2/scale) g, ratio {-2.0 / scale}",
         ),
@@ -393,9 +375,8 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
 def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    psi, z, zb = poincare_polydisk_potential(n, scale)
     geom = ChartGeometry(n, (1.0,) * n, margin=0.25)
-    mf = ChartMetricField(geom, psi, z, zb)
+    mf = ChartMetricField(geom, *poincare_polydisk_terms(n, scale))
     pt = _POLYDISK_POINT[:n] if n <= 2 else _POLYDISK_POINT[:2] + (sp.Rational(1, 8),)
     zpt = _to_complex(pt)
     e1 = np.zeros(n, dtype=complex)
@@ -406,7 +387,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             name="hsc-factor-direction",
             provenance="symbolic differentiation of the closed-form potential",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(psi, z, zb, pt, e1),
+            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, e1),
             measure=lambda f: hsc(f, zpt, e1),
             description=f"factor directions see the disk value -2/scale = {-2.0 / scale}",
         ),
@@ -416,7 +397,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
                        "maximized at equal weights with value -1/(s n/... ) "
                        f"= {-2.0 / (scale * n)} for n={n}",
             mode="equal", tol=1e-6,
-            oracle=lambda: symbolic_hsc(psi, z, zb, pt, diag),
+            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, diag),
             measure=lambda f: hsc_extremes(f, zpt).h_max,
             description="the extremizer spreads evenly across the factors",
         ),
@@ -446,9 +427,8 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
 
 
 def _build_fubini_study(n: int = 2) -> Example:
-    psi, z, zb = fubini_study_potential(n)
     geom = ChartGeometry(n, (1.0,) * n, margin=0.2)
-    mf = ChartMetricField(geom, psi, z, zb)
+    mf = ChartMetricField(geom, *fubini_study_terms(n))
     pt = _FS_POINT[:n] if n <= 2 else _FS_POINT[:2] + (sp.Rational(1, 8),)
     zpt = _to_complex(pt)
     e1 = np.zeros(n, dtype=complex)
@@ -463,7 +443,7 @@ def _build_fubini_study(n: int = 2) -> Example:
             name="hsc-constant",
             provenance="symbolic differentiation of the closed-form potential",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(psi, z, zb, pt, e1),
+            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, e1),
             measure=lambda f: hsc(f, zpt, e1),
             description="H is constant +2 in this normalization",
         ),
@@ -497,9 +477,9 @@ def _build_fermat_chart(degree: int = 5) -> Example:
             "on the surface for degree >= n+3 = 5 in the generic-count sense; "
             "the chart is still valid but the line fact loses its meaning",
         )
-    psi, z, zb, alpha = fermat_graph_potential(d)
+    terms, z, alpha = fermat_graph_terms(d)
     geom = ChartGeometry(2, (0.35, 0.35), margin=0.10)
-    mf = ChartMetricField(geom, psi, z, zb)
+    mf = ChartMetricField(geom, terms, z)
     beta = complex(sp.N(alpha))
     eta_line = np.array([1.0 + 0j, beta])
     origin = np.zeros(2, dtype=complex)

@@ -41,8 +41,7 @@ from kahlerbench.zoo import (
     _TORUS_MODES,
     make_example,
     perturbed_torus_potential,
-    poincare_disk_potential,
-    poincare_polydisk_potential,
+    poincare_polydisk_terms,
     rough_torus_potential,
     verify_example_facts,
 )
@@ -192,11 +191,11 @@ def test_criterion_06_log_trace_conclusion():
     """The log-trace differential inequality holds at 100 interior chart
     points with a bumped comparison metric; the one-dimensional constant
     curvature case degenerates to 0 >= 0."""
-    psi, z, zb = poincare_polydisk_potential(2, 2.0)
-    bump = sp.Rational(1, 50) * z[0] * zb[0] * z[1] * zb[1]
+    terms, z = poincare_polydisk_terms(2, 2.0)
+    bump = (sp.Rational(1, 50) * sp.Symbol("x"), (z[0] * z[1],))  # |z1 z2|^2 / 50
     geom = ChartGeometry(2, (1.0, 1.0), margin=0.25)
-    omega = ChartMetricField(geom, psi, z, zb)
-    omega_bumped = ChartMetricField(geom, psi + bump, z, zb)
+    omega = ChartMetricField(geom, terms, z)
+    omega_bumped = ChartMetricField(geom, terms + [bump], z)
 
     rng = np.random.default_rng(99)
     pts = rng.uniform(-0.4, 0.4, size=(100, 2, 2))
@@ -216,8 +215,8 @@ def test_criterion_06_log_trace_conclusion():
                               0.02, richardson=True)
             fd_gap = max(fd_gap, abs(fd - report.lhs))
 
-    psi1, z1, zb1 = poincare_disk_potential(1.0)
-    disk = ChartMetricField(ChartGeometry(1, (1.0,), margin=0.25), psi1, z1, zb1)
+    disk = ChartMetricField(ChartGeometry(1, (1.0,), margin=0.25),
+                            *poincare_polydisk_terms(1, 1.0))
     equality = schwarz_conclusion_check(
         disk, disk, SchwarzHypotheses(kappa=2.0, lam=2.0, mu=0.0),
         np.array([0.3 + 0.1j]))

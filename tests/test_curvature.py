@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from kahlerbench.curvature import (
     HSC_DIRECTIONS,
@@ -13,6 +12,7 @@ from kahlerbench.curvature import (
     _cp1_extremes,
     _orthonormal_frame,
     _refine_direction,
+    _symmetry_violations,
     constant_hsc_tensor,
     curvature_field,
     curvature_from_derivatives,
@@ -24,17 +24,15 @@ from kahlerbench.curvature import (
     hsc_value,
     kappa_floor,
     kronecker_directions,
-    ricci_from_curvature,
     ricci_from_derivatives,
     sweep_hsc_extremes,
-    symmetry_violation,
     transform_tensor,
 )
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import conditioned_negative_tensor
-from kahlerbench.linalg import Direction
-from kahlerbench.zoo import perturbed_torus_potential
+from kahlerbench.linalg import Direction, inv
+from kahlerbench.zoo import make_example, perturbed_torus_potential, poincare_polydisk_terms
 
 
 def random_pd(n, rng, scale=0.3):
@@ -43,11 +41,18 @@ def random_pd(n, rng, scale=0.3):
 
 
 def polydisk_field(n=2, scale=2.0):
-    zs = sp.symbols(f"z1:{n + 1}")
-    zbs = sp.symbols(f"z1:{n + 1}bar")
-    potential = -scale * sum(sp.log(1 - zs[i] * zbs[i]) for i in range(n))
     geo = ChartGeometry(n=n, radii=(1.0,) * n, margin=0.2)
-    return ChartMetricField(geo, potential, zs, zbs)
+    return ChartMetricField(geo, *poincare_polydisk_terms(n, scale))
+
+
+def symmetry_violation(R):
+    """Largest deviation from the Kähler curvature symmetries."""
+    return float(np.max(_symmetry_violations(R)))
+
+
+def ricci_from_curvature(g, R):
+    """Ricci form by tensor contraction g^{k lbar} R_{i jbar k lbar}."""
+    return np.einsum("...kl,...ijkl->...ij", np.conj(inv(g)), R)
 
 
 # -- model tensors -----------------------------------------------------------------
@@ -408,3 +413,56 @@ def test_kronecker_directions_are_deterministic_unit_gauged():
     assert np.max(np.abs(lead.imag)) < 1e-12
     assert np.min(lead.real) > 0.0
     assert np.array_equal(kronecker_directions(1, 17), np.ones((1, 1)))
+
+
+# -- Gauss equation on a Fubini-Study pullback ----------------------------------
+
+
+def fermat_gauss_hsc(z, X, d=5):
+    """H(X) on the degree-d Fermat graph chart from the Gauss equation.
+
+    The chart maps z to w = (z1, z2, h) with h = alpha (1 + z1^d + z2^d)^(1/d)
+    in the affine chart of CP^3 whose potential log(1 + |w|^2) has H = 2,
+    and the induced metric has H(X) = 2 - |II(X, X)|^2 / |X|^4
+    (Kobayashi-Nomizu II, ch. IX).  II(X, X) is the normal part of
+    D^2w(X, X) + Gamma(Dw X, Dw X) in the ambient metric, with the FS
+    Christoffel symbols Gamma^c_ab = -(conj(w_a) delta_cb + conj(w_b)
+    delta_ca) / (1 + |w|^2).  h's derivatives are written out by hand.
+    """
+    z, X = np.asarray(z, dtype=complex), np.asarray(X, dtype=complex)
+    alpha = np.exp(1j * np.pi / d)
+    u = 1.0 + z[0] ** d + z[1] ** d
+    w = np.array([z[0], z[1], alpha * u ** (1.0 / d)])
+    J = np.zeros((3, 2), dtype=complex)  # J[a, i] = d w_a / dz_i
+    J[0, 0] = J[1, 1] = 1.0
+    J[2] = alpha * z ** (d - 1) * u ** (1.0 / d - 1.0)
+    hess = alpha * ((d - 1) * np.diag(z ** (d - 2)) * u ** (1.0 / d - 1.0)
+                    + (1 - d) * np.outer(z ** (d - 1), z ** (d - 1)) * u ** (1.0 / d - 2.0))
+    rho = 1.0 + np.vdot(w, w).real
+    G = np.eye(3) / rho - np.outer(np.conj(w), w) / rho**2  # G[a, b] = g_{a bbar}
+    v = J @ X
+    V = np.array([0.0, 0.0, X @ hess @ X]) - 2.0 * np.vdot(w, v) * v / rho
+    g = J.T @ G @ np.conj(J)  # the induced metric g_{i jbar}
+    c = np.linalg.solve(g.T, V @ G @ np.conj(J))  # tangent part J c of V
+    normal = V - J @ c
+    ii2 = (normal @ G @ np.conj(normal)).real
+    x2 = (X @ g @ np.conj(X)).real
+    return 2.0 - ii2 / x2**2
+
+
+def test_fermat_hsc_matches_the_gauss_equation():
+    example = make_example("fermat-chart", degree=5)
+    field = example.field
+    rng = np.random.default_rng(11)
+    reach = 0.24  # the trusted polydisk has radius 0.25 per axis
+    for _ in range(60):
+        z = reach * np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+        X = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        want = fermat_gauss_hsc(z, X)
+        got = hsc(field, z, X)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert want <= 2.0 and got <= 2.0 + 1e-12
+    line = np.array(example.spec.metadata["line_direction"])
+    origin = np.zeros(2, dtype=complex)
+    assert abs(fermat_gauss_hsc(origin, line) - 2.0) <= 1e-12
+    assert abs(hsc(field, origin, line) - 2.0) <= 1e-12

@@ -10,7 +10,7 @@ from kahlerbench.curvature import curvature_tensor, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
-from kahlerbench.zoo import make_example
+from kahlerbench.zoo import make_example, poincare_polydisk_terms
 
 
 def single_mode_potential(grid, amplitude):
@@ -111,12 +111,29 @@ def test_potential_shape_is_checked():
 
 # -- chart fields ----------------------------------------------------------------
 
+X = sp.Symbol("x")  # the variable of the term functions
+
 
 @pytest.fixture
 def disk_field():
-    z, zb = sp.symbols("z zbar")
+    z = sp.Symbol("z")
     geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
-    return ChartMetricField(geo, -sp.log(1 - z * zb), (z,), (zb,))
+    return ChartMetricField(geo, [(-sp.log(1 - X), (z,))], (z,))
+
+
+def bumped_polydisk():
+    """Criterion 06's comparison metric: the scale-2 bidisk plus |z1 z2|^2 / 50."""
+    terms, z = poincare_polydisk_terms(2, 2.0)
+    bump = (sp.Rational(1, 50) * X, (z[0] * z[1],))
+    return ChartMetricField(ChartGeometry(2, (1.0, 1.0), margin=0.25), terms + [bump], z)
+
+
+def chart_fields():
+    """The four gallery charts and criterion 06's bumped bidisk."""
+    gallery = [make_example(name, **params).field for name, params in (
+        ("poincare-disk", dict(scale=1.5)), ("poincare-polydisk", dict(n=2, scale=2.0)),
+        ("fubini-study", dict(n=2)), ("fermat-chart", dict(degree=5)))]
+    return gallery + [bumped_polydisk()]
 
 
 def test_disk_metric_closed_form(disk_field):
@@ -144,29 +161,44 @@ def test_chart_point_guards(disk_field):
     disk_field.jet_at([0.5])  # inside the trusted radius 0.8
     with pytest.raises(ValueError, match="trusted"):
         disk_field.jet_at([0.85])
-
-
-def test_chart_detects_non_real_potential():
-    z, zb = sp.symbols("z zbar")
-    geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
-    field = ChartMetricField(geo, z**2 * zb, (z,), (zb,))
-    with pytest.raises(ValueError, match="Hermitian"):
-        field.metric_matrix_at([0.4j])
+    with pytest.raises(ValueError, match="trusted"):
+        disk_field.jet_at([[0.5], [0.85]])  # one bad point fails a batch
 
 
 def test_chart_detects_positivity_loss():
-    z, zb = sp.symbols("z zbar")
+    z = sp.Symbol("z")
     geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
-    field = ChartMetricField(geo, -z * zb, (z,), (zb,))
+    field = ChartMetricField(geo, [(-X, (z,))], (z,))
     with pytest.raises(PositivityLoss):
         field.metric_matrix_at([0.1])
 
 
 def test_chart_symbol_count_is_checked():
-    z, zb, w = sp.symbols("z zbar w")
+    z = sp.Symbol("z")
     geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
     with pytest.raises(DimensionMismatch):
-        ChartMetricField(geo, z * zb, (z,), (zb,))
+        ChartMetricField(geo, [(X, (z,))], (z,))
+
+
+def test_chart_terms_are_checked():
+    z, w = sp.symbols("z w")
+    geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
+    with pytest.raises(ValueError, match="holomorphic"):
+        ChartMetricField(geo, [(X, (z * w,))], (z,))
+    with pytest.raises(ValueError, match="one variable"):
+        ChartMetricField(geo, [(w * X, (z,))], (z,))
+    with pytest.raises(ValueError, match="real coefficients"):
+        ChartMetricField(geo, [(sp.I * X, (z,))], (z,))
+
+
+def test_chart_potential_is_the_sum_of_its_terms():
+    z = sp.symbols("z1:3")
+    geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
+    h = sp.exp(sp.I * sp.pi / 3) * (1 + z[0] ** 3) ** sp.Rational(1, 3)
+    field = ChartMetricField(geo, [(sp.Lambda(X, sp.log(1 + X)), (z[1], h))], z)
+    zb = field.zbar
+    hb = sp.exp(-sp.I * sp.pi / 3) * (1 + zb[0] ** 3) ** sp.Rational(1, 3)
+    assert sp.simplify(field.potential - sp.log(1 + z[1] * zb[1] + h * hb)) == 0
 
 
 # -- chart metric jet --------------------------------------------------------------
@@ -197,19 +229,49 @@ def _exact_jet(psi, z, zb, point):
     return g, dg, ddg
 
 
+def assert_jet_matches_exact(field, point):
+    want = _exact_jet(field.potential, field.z, field.zbar, point)
+    got = field.jet_at(np.array([complex(p) for p in point]))
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 @pytest.mark.parametrize("name, params, point", [
     ("fubini-study", dict(n=2),
      (sp.Rational(1, 10) + sp.I / 5, sp.Rational(1, 4) - sp.I / 10)),
     ("fermat-chart", dict(degree=5),
      (sp.Rational(1, 10) + sp.I / 20, -sp.Rational(2, 25) + sp.I * sp.Rational(3, 25))),
+    ("poincare-disk", dict(scale=1.5), (sp.Rational(3, 10) - sp.I / 5,)),
+    ("poincare-polydisk", dict(n=2, scale=2.0),
+     (sp.Rational(1, 5) + sp.I / 10, -sp.Rational(1, 10) + sp.I / 5)),
 ])
 def test_chart_jet_matches_exact_sympy(name, params, point):
-    field = make_example(name, **params).field
-    want = _exact_jet(field.potential, field.z, field.zbar, point)
-    z = np.array([complex(p) for p in point])
-    got = field.jet_at(z)
-    for a, b in zip(got, want):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert_jet_matches_exact(make_example(name, **params).field, point)
+
+
+def test_bumped_polydisk_jet_matches_exact_sympy():
+    point = (sp.Rational(3, 10) + sp.I / 10, -sp.Rational(1, 5) + sp.I * sp.Rational(3, 10))
+    assert_jet_matches_exact(bumped_polydisk(), point)
+
+
+def test_chart_metric_is_hermitian_bit_for_bit():
+    for field in chart_fields():
+        points = field.geometry.sample_points(per_axis=3, radius_fraction=0.6)
+        g = field.jet_at(points)[0]
+        assert np.array_equal(g, np.conj(np.swapaxes(g, -1, -2)))
+        g = field.metric_matrix_at(points[-1])
+        assert np.array_equal(g, g.conj().T)
+
+
+def test_chart_batch_matches_single_points_bit_for_bit():
+    for field in chart_fields():
+        points = field.geometry.sample_points(per_axis=2, radius_fraction=0.6)
+        points = points[: len(points) // 2 * 2].reshape(2, -1, field.n)
+        batch = field.jet_at(points)
+        assert batch[0].shape == points.shape[:2] + (field.n, field.n)
+        for idx in np.ndindex(points.shape[:2]):
+            for a, b in zip(batch, field.jet_at(points[idx])):
+                assert np.array_equal(a[idx], b)
 
 
 def test_chart_lambdifies_once_per_field(monkeypatch):
@@ -222,9 +284,9 @@ def test_chart_lambdifies_once_per_field(monkeypatch):
 
     monkeypatch.setattr(sp, "lambdify", counting)
     for name, params in (("fubini-study", dict(n=2)), ("poincare-disk", dict(scale=1.5))):
+        calls.clear()  # count from construction through the queries
         example = make_example(name, **params)
         field = example.field
-        calls.clear()
         for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
             field.metric_matrix_at(z)
             field.jet_at(z)

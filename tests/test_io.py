@@ -16,7 +16,6 @@ from kahlerbench.io import (
     load_scalar_field,
     load_state,
     read_json,
-    read_reports_jsonl,
     rows_to_csv,
     save_scalar_field,
     save_state,
@@ -24,6 +23,10 @@ from kahlerbench.io import (
     write_reports_jsonl,
 )
 from kahlerbench.solver import continuity_path
+
+
+def read_reports_jsonl(path) -> list:
+    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
 @pytest.fixture()

@@ -5,17 +5,16 @@ import pytest
 import sympy as sp
 
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
-from kahlerbench.fields import TorusMetricField
-from kahlerbench.grids import TorusGrid
+from kahlerbench.fields import ChartMetricField, TorusMetricField
+from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import (
     Fact,
     chart_symbols,
-    fubini_study_potential,
+    fubini_study_terms,
     list_examples,
     make_example,
     perturbed_torus_potential,
-    poincare_disk_potential,
-    poincare_polydisk_potential,
+    poincare_polydisk_terms,
     rough_torus_potential,
     symbolic_hsc,
     symbolic_ricci_ratio,
@@ -191,24 +190,32 @@ def test_rough_potential_rejects_nonpositive_sharpness():
 # -- symbolic oracles ---------------------------------------------------------
 
 
+def chart_potential(terms, z):
+    """(psi, z, zbar) of a chart field built from gallery terms."""
+    field = ChartMetricField(ChartGeometry(len(z), (1.0,), margin=0.2), terms, z)
+    return field.potential, field.z, field.zbar
+
+
 def test_chart_symbols_are_distinct():
-    z, zb = chart_symbols(3)
-    assert len(z) == len(zb) == 3
+    z = chart_symbols(3)
+    psi, z_field, zb = chart_potential(*poincare_polydisk_terms(3, 1.0))
+    assert z_field == z and len(zb) == 3
     assert len(set(z) | set(zb)) == 6
+    assert psi.free_symbols == set(z) | set(zb)
 
 
 def test_symbolic_hsc_closed_forms():
     pt = (sp.Rational(3, 10) + sp.I * sp.Rational(1, 10),)
-    psi, z, zb = poincare_disk_potential(2.0)
+    psi, z, zb = chart_potential(*poincare_polydisk_terms(1, 2.0))
     assert symbolic_hsc(psi, z, zb, pt, [1.0]) == pytest.approx(-1.0, abs=1e-12)
 
-    psi, z, zb = fubini_study_potential(1)
+    psi, z, zb = chart_potential(*fubini_study_terms(1))
     assert symbolic_hsc(psi, z, zb, pt, [1.0]) == pytest.approx(2.0, abs=1e-12)
 
     # the -2/n extremum needs equal *metric* weights across the factors,
     # i.e. eta_i proportional to 1 - |z_i|^2, not equal coefficients
     pt2 = (sp.Rational(1, 5), -sp.Rational(1, 10) + sp.I * sp.Rational(1, 5))
-    psi, z, zb = poincare_polydisk_potential(2, 1.0)
+    psi, z, zb = chart_potential(*poincare_polydisk_terms(2, 1.0))
     balanced = np.array([1.0 - 0.04, 1.0 - 0.05])
     assert symbolic_hsc(psi, z, zb, pt2, balanced) == pytest.approx(-1.0,
                                                                     abs=1e-12)
@@ -216,8 +223,8 @@ def test_symbolic_hsc_closed_forms():
 
 def test_symbolic_ricci_ratio_matches_einstein_constants():
     pt = (sp.Rational(1, 4) - sp.I * sp.Rational(1, 8),)
-    psi, z, zb = poincare_disk_potential(1.0)
+    psi, z, zb = chart_potential(*poincare_polydisk_terms(1, 1.0))
     assert symbolic_ricci_ratio(psi, z, zb, pt) == pytest.approx(-2.0, abs=1e-12)
 
-    psi, z, zb = fubini_study_potential(1)
+    psi, z, zb = chart_potential(*fubini_study_terms(1))
     assert symbolic_ricci_ratio(psi, z, zb, pt) == pytest.approx(2.0, abs=1e-12)
