@@ -203,6 +203,8 @@ def run_solve_ma(cfg, out_dir, seed):
     write_json(out_dir / "newton.json", {
         "residual_history": info["residual_history"],
         "newton_steps": info["newton_steps"],
+        "forcing": info["forcing"],
+        "krylov_matvecs": info["krylov_matvecs"],
     })
     return rows, reports
 
@@ -236,6 +238,7 @@ def run_continuity_path(cfg, out_dir, seed):
             "ricci_residual": s.ricci_residual_sup,
             "rel_eig_min": s.rel_eig_min, "rel_eig_max": s.rel_eig_max,
             "s_max": s.s_max, "newton_steps": s.newton_steps,
+            "krylov_matvecs": s.krylov_matvecs,
         })
     rows.append(_reports_row("continuity-path", "sup-u-ceiling", reports[0::2], 1e-8,
                              f"{len(states)} states, eps {eps[0]:.3g}..{eps[-1]:.3g}"))

@@ -116,6 +116,7 @@ def save_state(directory, state, grid: TorusGrid) -> None:
         "rel_eig_max": state.rel_eig_max,
         "s_max": state.s_max,
         "newton_steps": state.newton_steps,
+        "krylov_matvecs": state.krylov_matvecs,
     })
 
 
@@ -126,7 +127,8 @@ def load_state(directory, omega):
     from (epsilon, v) and the reference metric; diagnostics are recomputed
     by make_state (the same dealiased Ricci residual as the path's), then
     every saved one is cross-checked against the sidecar, and newton_steps
-    is restored from it.  Other files in the directory are not read.
+    and krylov_matvecs are restored from it (0 for a sidecar written before
+    krylov_matvecs was recorded).  Other files in the directory are not read.
     """
     from .solver import make_state
 
@@ -138,7 +140,8 @@ def load_state(directory, omega):
     if grid_v.shape != omega.grid.shape:
         raise ValueError(f"{directory}: grid mismatch with reference metric")
     state = make_state(omega, diag["epsilon"], v, diag["log_c_bound"],
-                       newton_steps=diag["newton_steps"])
+                       newton_steps=diag["newton_steps"],
+                       krylov_matvecs=diag.get("krylov_matvecs", 0))
     for name in ("sup_u", "ricci_residual_sup", "rel_eig_min", "rel_eig_max", "s_max"):
         saved, rebuilt = diag[name], getattr(state, name)
         if abs(rebuilt - saved) > 1e-12 * max(1.0, abs(saved)):

@@ -7,9 +7,12 @@ The discrete problem on a torus grid is
 for a real potential v, where alpha is a positive coefficient form, Hess is
 the spectral complex Hessian and F is the datum.  Newton's method
 linearizes to (Delta_M - 1) delta = -residual with
-Delta_M = trace(M^{-1} Hess .), solved by a preconditioned Krylov iteration
-(Fourier-diagonal flat-Laplacian surrogate); steps are safeguarded by a
-backtracking line search that never leaves the positive cone.
+Delta_M = trace(M^{-1} Hess .), solved by BiCGSTAB with a trace-scaled
+flat preconditioner: with s = tr(M^{-1})/n, Delta_M - 1 is close to
+s (Delta - 1/s) for the flat Laplacian Delta, so f -> (Delta - sigma)^{-1}(f/s),
+sigma = mean(1/s), undoes the pointwise variation of tr M^{-1} and costs one
+Fourier-diagonal solve.  Steps are safeguarded by a backtracking line search
+that never leaves the positive cone.
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -74,10 +77,18 @@ def ma_log_residual(problem: MAProblem, v: np.ndarray, M: np.ndarray = None) -> 
     return np.log(d) - v - problem.datum
 
 
-def _flat_preconditioner(grid: TorusGrid, c_bar: float):
-    """f -> (c_bar * flat Laplacian - 1)^{-1} f, diagonal on the half spectrum."""
-    mult = 1.0 / (c_bar * grid.flat_laplacian_multiplier - 1.0)
-    return lambda f: grid.irfft(grid.rfft(f) * mult)
+def _flat_preconditioner(grid: TorusGrid, s: np.ndarray):
+    """f -> (Delta - sigma)^{-1} (f / s), sigma = mean(1/s), for a positive field s.
+
+    Delta is the flat Laplacian, diagonal on the half spectrum.  With
+    s = tr(M^{-1})/n this inverts s (Delta - 1/s), the flat part of
+    Delta_M - 1 with its pointwise trace kept (a diagonal scaling in front of
+    a constant-coefficient solve, Concus & Golub 1973); for constant s it is
+    (s Delta - 1)^{-1} exactly.
+    """
+    inv_s = 1.0 / s
+    mult = 1.0 / (grid.flat_laplacian_multiplier - float(inv_s.mean()))
+    return lambda f: grid.irfft(grid.rfft(f * inv_s) * mult)
 
 
 def _trace_weights(M_inv: np.ndarray) -> np.ndarray:
@@ -97,15 +108,22 @@ def _trace_weights(M_inv: np.ndarray) -> np.ndarray:
 
 
 def _solve_linearized(grid: TorusGrid, M_inv: np.ndarray, rhs: np.ndarray,
-                      rtol: float) -> np.ndarray:
-    """Solve (Delta_M - 1) delta = rhs with a flat-Laplacian preconditioner."""
+                      rtol: float) -> tuple:
+    """Solve (Delta_M - 1) delta = rhs by BiCGSTAB, right-preconditioned by
+    _flat_preconditioner with s = tr(M_inv)/n.
+
+    Returns (delta, matvecs), matvecs the number of applications of
+    Delta_M - 1.
+    """
     shape = grid.shape
     size = rhs.size
     w = _trace_weights(M_inv)
-    c_bar = float(w[:: grid.n + 1].sum(axis=0).mean()) / grid.n
-    pre = _flat_preconditioner(grid, c_bar)
+    pre = _flat_preconditioner(grid, w[:: grid.n + 1].sum(axis=0) / grid.n)
+    matvecs = 0
 
     def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
         f = x.reshape(shape)
         lap = np.einsum("c...,c...->...", w, grid.hessian_components(f))
         return (lap - f).reshape(size)
@@ -123,18 +141,20 @@ def _solve_linearized(grid: TorusGrid, M_inv: np.ndarray, rhs: np.ndarray,
             raise NonConvergence(
                 f"Krylov solve failed (info={info}, rel residual {achieved:.2e})"
             )
-    return delta.reshape(shape)
+    return delta.reshape(shape), matvecs
 
 
 def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
              v0: np.ndarray = None, return_info: bool = False):
     """Newton solve of the Monge-Ampère problem to sup-norm tolerance.
 
-    Returns the potential v (and an info dict with the residual history if
-    return_info is set).  Raises PositivityLoss if the initial candidate
-    leaves the positive cone, NonConvergence if the residual cannot be
-    brought below tol.  The returned v is re-verified by an independent
-    forward evaluation after the iteration.
+    Returns the potential v, and with return_info also an info dict: the
+    residual history, and per Newton step (aligned with residual_history[1:])
+    the Krylov forcing rtol and the number of Krylov matvecs.  Raises
+    PositivityLoss if the initial candidate leaves the positive cone,
+    NonConvergence if the residual cannot be brought below tol.  The
+    returned v is re-verified by an independent forward evaluation after
+    the iteration.
     """
     grid = problem.grid
     v = np.zeros(grid.shape) if v0 is None else np.array(v0, dtype=float)
@@ -142,7 +162,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
         raise DimensionMismatch(f"v0 shape {v.shape} != grid {grid.shape}")
 
     t0 = time.perf_counter()
-    history = []
+    history, forcing, matvecs = [], [], []
     M = problem.alpha + grid.complex_hessian(v)
     ok, worst, w = _positivity(M)
     if not ok:
@@ -163,7 +183,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
             )
         M_inv = inv(M)
         rtol = max(1e-10, min(1e-4, 0.1 * res))
-        delta = _solve_linearized(grid, M_inv, -r, rtol)
+        delta, step_matvecs = _solve_linearized(grid, M_inv, -r, rtol)
 
         t, accepted, any_positive = 1.0, False, False
         worst_pt, worst_eig = None, None
@@ -194,6 +214,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
             )
         steps += 1
         history.append(res)
+        forcing.append(rtol)
+        matvecs.append(step_matvecs)
 
     final = float(np.max(np.abs(ma_log_residual(problem, v))))
     if final > tol:
@@ -206,6 +228,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
             "residual_history": history,
             "final_residual": final,
             "newton_steps": steps,
+            "forcing": forcing,
+            "krylov_matvecs": matvecs,
             "seconds": time.perf_counter() - t0,
         }
         return v, info
@@ -247,6 +271,7 @@ class ContinuityState:
     s_max: float
     sigma_n_field: np.ndarray
     newton_steps: int = 0
+    krylov_matvecs: int = 0
 
 
 def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
@@ -264,7 +289,8 @@ def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
 
 
 def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
-               log_c: float, newton_steps: int = 0) -> ContinuityState:
+               log_c: float, newton_steps: int = 0,
+               krylov_matvecs: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
     g_eps is formed once and shared by every diagnostic, and
@@ -287,6 +313,7 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
         s_max=float(trace_s_field(omega.g, g_eps).max()),
         sigma_n_field=det(g_eps).real / omega.det_g,
         newton_steps=newton_steps,
+        krylov_matvecs=krylov_matvecs,
     )
 
 
@@ -319,7 +346,8 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
         except (PositivityLoss, NonConvergence) as err:
             err.epsilon = e
             raise
-        states.append(make_state(omega, e, v, log_c, newton_steps=info["newton_steps"]))
+        states.append(make_state(omega, e, v, log_c, newton_steps=info["newton_steps"],
+                                 krylov_matvecs=sum(info["krylov_matvecs"])))
         v_prev = v
     return states
 

@@ -186,6 +186,8 @@ def test_solve_ma_pipeline_writes_artifacts(tmp_path):
 
     newton = read_json(pdir / "newton.json")
     assert newton["newton_steps"] == len(newton["residual_history"]) - 1
+    assert len(newton["forcing"]) == len(newton["krylov_matvecs"]) == newton["newton_steps"]
+    assert all(m >= 1 for m in newton["krylov_matvecs"])
 
     meta = read_json(out / "meta.json")
     assert meta["pipelines"] == ["solve-ma"]
@@ -270,7 +272,10 @@ def test_continuity_path_replaces_earlier_states(tmp_path):
     assert sorted(p.name for p in (pdir / "states").iterdir()) == [
         f"state-{i:02d}" for i in range(4)]
     with open(pdir / "series.csv", newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 4
+        series = list(csv.DictReader(fh))
+    assert len(series) == 4
+    # the flat torus's warm starts are exact: no Newton step, no matvec
+    assert all(r["newton_steps"] == r["krylov_matvecs"] == "0" for r in series)
 
 
 def test_run_replaces_its_pipeline_directory(tmp_path):

@@ -142,10 +142,20 @@ def test_nyquist_mode_has_zero_derivative():
     assert np.max(np.abs(Q)) < 1e-13
 
 
+def jet_orbit_representatives(n):
+    """One index per orbit of the jet symmetries: T[i, j, k] with i <= k, and
+    Q[i, j, k, l] with i <= k, j <= l and (i, k) <= (j, l), the orbits of
+    the (i, k) and (j, l) swaps and of Q[i, j, k, l] = conj Q[j, i, l, k]."""
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
+    T = [(i, j, k) for i, k in pairs for j in range(n)]
+    Q = [(i, j, k, l) for s, (i, k) in enumerate(pairs) for j, l in pairs[s:]]
+    return T, Q
+
+
 def complex_fft_jets(f):
     """Oracle: complex fftn, the multipliers of d/dz^i d/dzbar^j d/dz^k (and
     d/dzbar^l), one ifftn per entry, no symmetrization.  Yields (index,
-    entry) for every entry of T and of Q."""
+    entry) for the orbit representatives of T and of Q."""
     N, n = f.shape[0], f.ndim // 2
     k = np.fft.fftfreq(N, d=1.0 / N)
     k[N // 2] = 0.0
@@ -153,16 +163,30 @@ def complex_fft_jets(f):
     dz = [np.pi * (ks[2 * i + 1] + 1j * ks[2 * i]) for i in range(n)]
     dzbar = [np.pi * (1j * ks[2 * j] - ks[2 * j + 1]) for j in range(n)]
     F = np.fft.fftn(f - f.mean())
-    for i, j, k in itertools.product(range(n), repeat=3):
-        Fijk = F * dz[i] * dzbar[j] * dz[k]
-        yield (i, j, k), np.fft.ifftn(Fijk)
-        for l in range(n):
-            yield (i, j, k, l), np.fft.ifftn(Fijk * dzbar[l])
+    T, Q = jet_orbit_representatives(n)
+    for i, j, k in T:
+        yield (i, j, k), np.fft.ifftn(F * dz[i] * dzbar[j] * dz[k])
+    for i, j, k, l in Q:
+        yield (i, j, k, l), np.fft.ifftn(F * dz[i] * dzbar[j] * dz[k] * dzbar[l])
+
+
+def test_jet_orbit_representatives_cover_every_entry():
+    for n in (1, 2, 3):
+        T, Q = jet_orbit_representatives(n)
+        assert {e for i, j, k in T for e in ((i, j, k), (k, j, i))} == set(
+            itertools.product(range(n), repeat=3))
+        orbits = set()
+        for i, j, k, l in Q:
+            same = {(a, b, c, d) for a, c in ((i, k), (k, i)) for b, d in ((j, l), (l, j))}
+            orbits |= same | {(b, a, d, c) for a, b, c, d in same}
+        assert orbits == set(itertools.product(range(n), repeat=4))
+    assert [len(r) for r in jet_orbit_representatives(3)] == [18, 21]
 
 
 def assert_jets_match_oracle(grid, f):
     """hessian_jets against the oracle (1e-13 relative) and its symmetries
-    (bit for bit)."""
+    (bit for bit); the symmetries carry the oracle's check of each orbit
+    representative to every entry of its orbit."""
     n = grid.n
     T, Q = grid.hessian_jets(f)
     err, scale = {3: 0.0, 4: 0.0}, {3: 0.0, 4: 0.0}  # by derivative order

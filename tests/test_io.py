@@ -197,6 +197,7 @@ def test_state_round_trip(tmp_path, solved):
     assert rebuilt.ricci_residual_sup == pytest.approx(state.ricci_residual_sup,
                                                        rel=1e-9)
     assert rebuilt.newton_steps == state.newton_steps > 0
+    assert rebuilt.krylov_matvecs == state.krylov_matvecs >= state.newton_steps
 
 
 def test_load_state_rejects_wrong_field_kind(tmp_path, solved):
@@ -217,16 +218,22 @@ def test_save_state_writes_v_and_the_sidecar_only(tmp_path, solved):
 
 def test_load_state_reads_the_earlier_layout(tmp_path, solved):
     # Earlier state directories also hold u.kwb and the datum
-    # f.kwb = -log det g; both are left unread.
+    # f.kwb = -log det g; both are left unread.  Their sidecars have no
+    # krylov_matvecs, which loads as 0.
     omega, state = solved
     target = tmp_path / "state"
     save_state(target, state, omega.grid)
     save_scalar_field(target / "u.kwb", omega.grid, state.u, kind="solution-u")
     save_scalar_field(target / "f.kwb", omega.grid, -omega.log_det_g, kind="datum")
+    diag = read_json(target / "diagnostics.json")
+    del diag["krylov_matvecs"]
+    write_json(target / "diagnostics.json", diag)
     rebuilt = load_state(target, omega)  # raises if the sidecar disagrees
     assert np.array_equal(rebuilt.v, state.v)
     assert np.array_equal(rebuilt.u, state.u)
     assert rebuilt.s_max == state.s_max
+    assert rebuilt.newton_steps == state.newton_steps
+    assert rebuilt.krylov_matvecs == 0
 
 
 def test_load_state_rejects_grid_mismatch(tmp_path, solved):

@@ -14,6 +14,7 @@ from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
     _flat_preconditioner,
+    _solve_linearized,
     _trace_weights,
     continuity_path,
     limit_probe,
@@ -29,6 +30,20 @@ from kahlerbench.zoo import perturbed_torus_potential, rough_torus_potential
 def cosine_potential(grid, amplitude, k=1):
     x = grid._axis_view(grid.axis_coords, 0)
     return amplitude * np.broadcast_to(np.cos(2.0 * np.pi * k * x), grid.shape).copy()
+
+
+def seeded_cosine_potential(grid, seed, modes=6, kmax=2, hessian_sup=0.6):
+    """Sum of seeded cosine modes, scaled so sup |Hess f|_F = hessian_sup."""
+    rng = np.random.default_rng(seed)
+    x = np.meshgrid(*([grid.axis_coords] * (2 * grid.n)), indexing="ij", sparse=True)
+    f = np.zeros(grid.shape)
+    for _ in range(modes):
+        k = np.zeros(2 * grid.n, dtype=int)
+        while not k.any():
+            k = rng.integers(-kmax, kmax + 1, size=2 * grid.n)
+        phase, weight = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.3, 1.0)
+        f = f + weight * np.cos(2.0 * np.pi * sum(kk * xx for kk, xx in zip(k, x)) + phase)
+    return f * (hessian_sup / np.max(np.linalg.norm(grid.complex_hessian(f), axis=(-2, -1))))
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +69,10 @@ def test_manufactured_solution_is_recovered():
     assert info["newton_steps"] >= 3
     hist = info["residual_history"]
     assert all(b < a for a, b in zip(hist, hist[1:]))
+    # one forcing and one matvec count per Newton step
+    assert info["forcing"] == [max(1e-10, min(1e-4, 0.1 * r)) for r in hist[:-1]]
+    assert len(info["krylov_matvecs"]) == info["newton_steps"]
+    assert all(m >= 1 for m in info["krylov_matvecs"])
 
 
 def test_newton_tail_contracts_quadratically():
@@ -69,19 +88,54 @@ def test_newton_tail_contracts_quadratically():
     assert checked >= 2
 
 
-@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N):
-    grid = TorusGrid(n, N)
-    c = 0.7
+def flat_laplacian_full_spectrum(n, N):
+    """-pi^2 |k|^2 on the complex fftn spectrum, Nyquist zeroed."""
     k = np.fft.fftfreq(N, d=1.0 / N)
     k[N // 2] = 0.0
     ks = np.meshgrid(*([k] * (2 * n)), indexing="ij", sparse=True)
-    lap = -np.pi**2 * sum(kk**2 for kk in ks)
-    mult = 1.0 / (c * lap - 1.0)
-    f = np.random.default_rng(N).standard_normal(grid.shape)
-    expected = np.fft.ifftn(np.fft.fftn(f) * mult).real
-    got = _flat_preconditioner(grid, c)(f)
+    return -np.pi**2 * sum(kk**2 for kk in ks)
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N):
+    """(Delta - sigma)^{-1} (f / s), sigma = mean(1/s), for a random positive s."""
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(N)
+    s = rng.uniform(0.3, 3.0, grid.shape)
+    f = rng.standard_normal(grid.shape)
+    mult = 1.0 / (flat_laplacian_full_spectrum(n, N) - np.mean(1.0 / s))
+    expected = np.fft.ifftn(np.fft.fftn(f / s) * mult).real
+    got = _flat_preconditioner(grid, s)(f)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+def test_preconditioner_inverts_a_constant_trace_operator(n, N):
+    """For M^{-1} = c I the preconditioned operator is the identity: BiCGSTAB
+    stops after its first matvec, with the exact solution of c Delta - 1."""
+    grid = TorusGrid(n, N)
+    c = 0.7
+    M_inv = np.broadcast_to(c * np.eye(n, dtype=complex), grid.shape + (n, n))
+    rhs = np.random.default_rng(N + n).standard_normal(grid.shape)
+    delta, matvecs = _solve_linearized(grid, M_inv, rhs, rtol=1e-10)
+    assert matvecs == 1
+    lhs = np.fft.ifftn(np.fft.fftn(delta) * (c * flat_laplacian_full_spectrum(n, N) - 1.0))
+    assert np.max(np.abs(lhs.real - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+# Krylov matvecs of these seeded manufactured solves (tol 1e-10) under the
+# former grid-mean preconditioner (c_bar Delta - 1)^{-1}, c_bar = mean tr(M^{-1})/n:
+# (2, 16) seeds 1-3: 37, 36, 54; (1, 256) seeds 1-3: 62, 43, 44.
+@pytest.mark.parametrize("n,N,seed,former,bound", [
+    (2, 16, 1, 37, 0.8), (2, 16, 2, 36, 0.8), (2, 16, 3, 54, 0.8),
+    (1, 256, 1, 62, 0.5), (1, 256, 2, 43, 0.5), (1, 256, 3, 44, 0.5),
+])
+def test_trace_scaled_preconditioner_cuts_krylov_matvecs(n, N, seed, former, bound):
+    grid = TorusGrid(n, N)
+    v_star = seeded_cosine_potential(grid, seed)
+    v, info = solve_ma(manufactured_problem(grid, v_star), tol=1e-10, return_info=True)
+    assert np.max(np.abs(v - v_star)) < 1e-12
+    assert sum(info["krylov_matvecs"]) <= bound * former
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
