@@ -22,8 +22,12 @@ set of real fields, and all of them come from one batched inverse real
 transform (the real-input FFT structure of Frigo & Johnson, Proc. IEEE
 93, 2005): the n^2 real components of the complex Hessian, and the
 distinct real components of its third and fourth derivatives (the metric
-jets).  Grid transfer (prolong/restrict) pads and crops the same half
-spectra.  There is no complex-spectrum derivative route.
+jets).  There is no complex-spectrum derivative route.  Grid transfer
+(prolong/restrict) and the dealiased residual's fine transforms pass
+through the band block of the coarser grid, pruned to the lines that can
+hold its bins (Markel, IEEE Trans. Audio Electroacoust. 19, 1971) and
+streamed over slabs of SLAB_POINTS fine points; they keep the axis order
+and scaling of irfftn and rfftn, so each value they keep is the full one.
 """
 
 from __future__ import annotations
@@ -38,6 +42,16 @@ import scipy.fft
 
 from .errors import DimensionMismatch
 from .linalg import MAX_DIM
+
+
+SLAB_POINTS = 2**14  # fine points per slab of the streamed band transforms
+
+
+def _band_ifft(X: np.ndarray, axis: int, bins: np.ndarray) -> np.ndarray:
+    """Unscaled inverse FFT along axis of the band X placed at bins, zeros between."""
+    Z = np.zeros(X.shape[:axis] + (bins[-1] + 1,) + X.shape[axis + 1:], dtype=complex)
+    Z[(slice(None),) * axis + (bins,)] = X
+    return scipy.fft.ifft(Z, axis=axis, norm="forward", overwrite_x=True)
 
 
 def _check_nested(coarse: "TorusGrid", fine: "TorusGrid") -> None:
@@ -91,6 +105,9 @@ class TorusGrid:
         axis keeps its first N//2 + 1 bins."""
         k = self._wavenumbers.copy()
         k[self.N // 2] = 0.0  # Nyquist bin dropped from derivatives
+        return self._on_half_axes(k)
+
+    def _on_half_axes(self, k: np.ndarray) -> tuple:
         last = 2 * self.n - 1
         return tuple(self._axis_view(k[: self.N // 2 + 1] if axis == last else k, axis)
                      for axis in range(2 * self.n))
@@ -107,8 +124,12 @@ class TorusGrid:
         entry (i, j) and row j*n + i its imaginary part
         pi^2 (k_yi k_xj - k_xi k_yj).
         """
-        n, k = self.n, self._half_wavenumbers
-        out = np.empty((n * n,) + self.shape[:-1] + (self.N // 2 + 1,))
+        return self._hessian_multipliers(self._half_wavenumbers)
+
+    def _hessian_multipliers(self, k: tuple) -> np.ndarray:
+        """The Hessian multipliers at per-axis wavenumbers k (broadcastable)."""
+        n = self.n
+        out = np.empty((n * n,) + np.broadcast_shapes(*(a.shape for a in k)))
         for i in range(n):
             kxi, kyi = k[2 * i], k[2 * i + 1]
             out[i * n + i] = -np.pi**2 * (kxi**2 + kyi**2)
@@ -234,10 +255,12 @@ class TorusGrid:
         """Torus average; the trapezoid rule is exact on periodic data."""
         return float(np.mean(np.asarray(f).real))
 
+    # -- the band: grid transfer and the dealiased residual -----------------
+
     def prolong(self, f: np.ndarray, fine: "TorusGrid") -> np.ndarray:
         """Trigonometric prolongation of a real field onto a finer grid.
 
-        Zero-pads the half spectrum (embed_spectrum); exact for band-limited
+        Zero-pads the half spectrum through the band; exact for band-limited
         fields.  The fine grid must have the same complex dimension and a
         resolution that is a multiple of this grid's.
         """
@@ -246,7 +269,7 @@ class TorusGrid:
         if fine.N == self.N:
             return f.copy()
         mean = np.mean(f)  # carried around the transform, not through it
-        return fine.irfft(self.embed_spectrum(self.rfft(f - mean), fine)) + mean
+        return self._prolonged(self.rfft(f - mean), fine.N) + mean
 
     def restrict(self, f: np.ndarray, coarse: "TorusGrid") -> np.ndarray:
         """Spectral restriction onto a coarser grid (crop the half spectrum).
@@ -259,54 +282,77 @@ class TorusGrid:
         if coarse.N == self.N:
             return f.copy()
         mean = np.mean(f)
-        return coarse.irfft(self.crop_spectrum(self.rfft(f - mean), coarse)) + mean
+        return coarse.irfft(coarse.restricted_spectrum(f - mean)) + mean
 
-    def _band(self, N_other: int, nyquist_sign: int) -> np.ndarray:
-        """Indices in a resolution-N_other spectrum of this grid's FFT-order
-        wavenumbers, the Nyquist bin placed at nyquist_sign * N/2."""
-        k = self._wavenumbers.astype(int)
-        k[self.N // 2] = nyquist_sign * (self.N // 2)
-        return k % N_other
+    def prolonged_hessian(self, F: np.ndarray, combine) -> np.ndarray:
+        """combine(c) on the twice finer grid, c the Hessian components (as in
+        hessian_components) of the interpolant with half spectrum F; combine
+        maps each slab of c, shape (n*n, rows, 2N, ...), to that slab of one
+        real field, so no fine component field is built."""
+        return self._prolonged(F, 2 * self.N, self._band_multipliers, combine)
 
-    def _half_band(self, N_other: int, nyquist_sign: int, last: int) -> tuple:
-        """Open-mesh index of the bins of this grid's half spectrum, cut to
-        the first `last` bins of the last axis, in an N_other half spectrum."""
-        axes = [self._band(N_other, nyquist_sign)] * (2 * self.n - 1)
-        return np.ix_(*axes, np.arange(last))
-
-    def embed_spectrum(self, F: np.ndarray, fine: "TorusGrid") -> np.ndarray:
-        """This grid's half spectrum F zero-padded into the half spectrum of a
-        strictly finer grid, scaled so that fine.irfft gives the interpolant.
-
-        A coefficient whose wavenumber reaches the Nyquist band -N/2 in some
-        axes is split in halves between the all-(-N/2) and all-(+N/2)
-        placements of those axes; mixed placements stay zero.  This is the
-        real part of the inverse transform of the centred zero-padded full
-        spectrum.  The last axis of a half spectrum stores +N/2 only, so on
-        that plane only the all-(+N/2) half is written; the irfftn of the
-        fine grid supplies its conjugate.
-        """
+    @cached_property
+    def _band_multipliers(self) -> np.ndarray:
+        """hessian_multipliers at the band bins, where the finer grid has no Nyquist bin."""
         h = self.N // 2
-        out = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
-        half = F * (0.5 * (fine.N / self.N) ** (2 * self.n))
-        out[self._half_band(fine.N, 1, h + 1)] = half
-        out[self._half_band(fine.N, -1, h)] += half[..., :h]
+        return self._hessian_multipliers(self._on_half_axes(np.r_[0:h + 1, -h:0].astype(float)))
+
+    @cached_property
+    def _band_index(self) -> tuple:
+        """(plus, minus): open-mesh indices of this grid's half spectrum in
+        its band block, the bins of a finer half spectrum that it reaches
+        (wavenumbers 0..N/2, -N/2..-1 on the first 2n - 1 axes, 0..N/2 on
+        the last).  plus places the Nyquist bin at +N/2; minus places it at
+        -N/2 and cuts the last axis before it, which stores +N/2 only.
+        Padding splits a coefficient at the Nyquist wavenumber in some axes
+        in halves between these two placements and cropping averages them,
+        the real part of the centred complex pad and crop."""
+        h = self.N // 2
+        minus = self._wavenumbers.astype(int) % (self.N + 1)
+        plus = np.where(minus == h + 1, h, minus)
+        axes = 2 * self.n - 1
+        return np.ix_(*[plus] * axes, np.arange(h + 1)), np.ix_(*[minus] * axes, np.arange(h))
+
+    def _prolonged(self, F: np.ndarray, M: int, multipliers=1.0, combine=None) -> np.ndarray:
+        """combine of the resolution-M real field(s) of the band block of F
+        times multipliers (one field per row of them): the first axis is
+        transformed whole, the others in slabs of its rows."""
+        h, d = self.N // 2, 2 * self.n
+        plus, minus = self._band_index
+        B = np.zeros((self.N + 1,) * (d - 1) + (h + 1,), dtype=complex)
+        B[plus] = half = F * (0.5 * (M / self.N) ** d)
+        B[minus] += half[..., :h]
+        B = B * multipliers
+        lead, bins = B.ndim - d, np.r_[0:h + 1, M - h:M]  # the band's bins of M
+        X = _band_ifft(B, lead, bins)
+        out = np.empty((M,) * d)
+        rows = max(1, SLAB_POINTS // M ** (d - 1))
+        for r in range(0, M, rows):
+            Y = X[(slice(None),) * lead + (slice(r, r + rows),)]
+            for axis in range(lead + 1, B.ndim - 1):
+                Y = _band_ifft(Y, axis, bins)
+            Y = scipy.fft.irfft(Y, n=M, axis=-1, norm="forward") * (1.0 / M**d)
+            out[r:r + rows] = combine(Y) if combine else Y
         return out
 
-    def crop_spectrum(self, F: np.ndarray, coarse: "TorusGrid") -> np.ndarray:
-        """The half spectrum of a strictly coarser grid cut from this grid's
-        half spectrum F, scaled so that coarse.irfft gives the restriction.
-
-        A coarse Nyquist coefficient is the mean of the fine all-(-N/2) and
-        all-(+N/2) ones, the real part of the inverse transform of the
-        centred cropped full spectrum.  On the last axis's Nyquist plane
-        the all-(+N/2) coefficient is taken alone; the irfftn of the coarse
-        grid adds its conjugate partner.
-        """
-        h = coarse.N // 2
-        scale = (coarse.N / self.N) ** (2 * self.n)
-        out = F[coarse._half_band(self.N, 1, h + 1)] * scale
-        out[..., :h] = 0.5 * (out[..., :h] + F[coarse._half_band(self.N, -1, h)] * scale)
+    def restricted_spectrum(self, f: np.ndarray) -> np.ndarray:
+        """This grid's half spectrum of the restriction of a finer real field
+        f: the last axis first, then the others, slabs of the last of them."""
+        h, M, s = self.N // 2, f.shape[0], 2 * self.n - 2
+        bins = np.r_[0:h + 1, M - h:M]
+        Y = np.empty((self.N + 1,) * s + (M, h + 1), dtype=complex)
+        rows = max(1, SLAB_POINTS // M ** (s + 1))
+        for r in range(0, M, rows):
+            slab = (slice(None),) * s + (slice(r, r + rows),)
+            Z = scipy.fft.rfft(f[slab], axis=-1)[..., : h + 1]
+            for axis in range(s):
+                Z = np.take(scipy.fft.fft(Z, axis=axis), bins, axis=axis)
+            Y[slab] = Z
+        B = np.take(scipy.fft.fft(Y, axis=s, overwrite_x=True), bins, axis=s)
+        plus, minus = self._band_index
+        scale = (self.N / M) ** (2 * self.n)
+        out = B[plus] * scale
+        out[..., :h] = 0.5 * (out[..., :h] + B[minus] * scale)
         return out
 
     # -- grid points and the trigonometric interpolant ---------------------

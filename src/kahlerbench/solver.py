@@ -27,7 +27,6 @@ field S_eps, and the top volume ratio sigma_n.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -189,6 +188,11 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
         worst_pt, worst_eig = None, None
         for _ in range(LINE_SEARCH_HALVINGS + 1):
             v_try = v + t * delta
+            if np.array_equal(v_try, v):
+                # a shorter step rounds to v as well: the search has stalled,
+                # and v, its trial, is positive
+                any_positive = True
+                break
             M_try = problem.alpha + grid.complex_hessian(v_try)
             ok, pt, w = _positivity(M_try)
             if not ok:
@@ -360,53 +364,39 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     Newton stopping residual — it reflects the solver, not the
     discretization.  For n <= 2, log det(omega_eps) is instead evaluated on
     a twice finer grid and truncated back to the solve band before the
-    Ricci Hessian is taken.  That removes the fold-back of product terms
-    the solve grid cannot represent, so the value measures genuine
-    discretization error and decays at the spectral rate under grid
-    refinement.  For n = 3 a finer grid costs 64 times the points, and the
-    value is the raw residual of the solve grid.
+    Ricci Hessian is taken (the padding rule of Orszag, J. Atmos. Sci. 28,
+    1971).  That removes the fold-back of product terms the solve grid
+    cannot represent, so the value measures genuine discretization error
+    and decays at the spectral rate under grid refinement.  For n = 3 a
+    finer grid costs 64 times the points, and the value is the raw
+    residual of the solve grid.
 
     Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
-    potential, the spectrum of eps*psi + (v - mean v) is embedded in the
-    fine half spectrum and det(eps*I + H) is taken from the real Hessian
-    components H of the fine grid: no fine metric field is built, and the
-    n log eps constant that v carries never enters a fine transform.
-    g_eps = eps*omega.g + Hess v is the state's metric on the solve grid,
-    as make_state computes it.
+    potential, det(eps*I + H) is streamed from the fine Hessian components
+    H of eps*psi + (v - mean v) (TorusGrid.prolonged_hessian) and log det is
+    cropped back (restricted_spectrum), both pruned to the solve band: det
+    is the one fine field built, and no n log eps constant enters a fine
+    transform.  g_eps = eps*omega.g + Hess v is the state's metric.
     """
     grid = omega.grid
     if grid.n == 3:
-        fine, d = grid, det(g_eps).real
+        d = det(g_eps).real
     else:
-        fine = _fine_grid(grid)
         v = np.asarray(v, dtype=float)
-        W = grid.embed_spectrum(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), fine)
-        d = _det_plus_hessian(epsilon, fine, fine.hessian_of_spectrum(W))
+
+        def det_plus(c):  # det(eps*I + H) on a slab of the components c of H
+            a = epsilon + c[0]
+            return a if grid.n == 1 else a * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
+
+        d = grid.prolonged_hessian(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), det_plus)
     if np.any(d <= 0.0):
         raise PositivityLoss("state metric degenerate on the dealiasing grid")
-    ldg = np.log(d)
-    spectrum = fine.rfft(ldg - np.mean(ldg))  # mean out for round-off
-    if fine is not grid:
-        spectrum = fine.crop_spectrum(spectrum, grid)
+    ldg = np.log(d, out=d)
+    ldg -= np.mean(ldg)  # mean out, over the whole grid, for round-off
+    spectrum = grid.rfft(ldg) if grid.n == 3 else grid.restricted_spectrum(ldg)
     ric = -grid.hermitian(grid.hessian_of_spectrum(spectrum))
     resid = ric + g_eps - epsilon * omega.g
     return float(np.max(np.abs(resid)))
-
-
-@functools.lru_cache(maxsize=4)
-def _fine_grid(grid: TorusGrid) -> TorusGrid:
-    """The twice finer grid, one instance per coarse grid, so that its
-    cached multipliers are built once and not once per state."""
-    return TorusGrid(grid.n, 2 * grid.N)
-
-
-def _det_plus_hessian(epsilon: float, grid: TorusGrid, c: np.ndarray) -> np.ndarray:
-    """det(epsilon*I + H) over grid for n <= 2, in real arithmetic on the
-    Hessian components c of H."""
-    a = epsilon + c[0]
-    if grid.n == 1:
-        return a
-    return a * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
 
 
 @dataclass

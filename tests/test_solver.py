@@ -1,5 +1,6 @@
 """Monge-Ampère solves, the shrinking-coefficient path, and its diagnostics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,27 @@ def test_path_failures_name_the_epsilon():
     assert err.value.epsilon == 1.0
 
 
+def test_stalled_line_search_stops_once_the_step_rounds_away(monkeypatch):
+    grid = TorusGrid(1, 64)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    calls = []
+    hessian = TorusGrid.complex_hessian
+
+    def counting(self, f):
+        calls.append(1)
+        return hessian(self, f)
+
+    monkeypatch.setattr(TorusGrid, "complex_hessian", counting)
+    with pytest.raises(NonConvergence, match="line search stalled at residual") as err:
+        continuity_path(omega, [2.0**-k for k in range(12)], tol=1e-10)
+    # the same stall as with every trial evaluated
+    assert err.value.epsilon == 2.0**-6
+    assert err.value.residual == 3.6121772239994243e-10
+    assert err.value.steps == 5
+    # evaluating all LINE_SEARCH_HALVINGS + 1 trials made 80 calls
+    assert len(calls) <= 80 - 25
+
+
 def test_deep_path_diagnostics(deep_path):
     omega, states = deep_path
     log_c = volume_ratio_ceiling(omega, 1.0)
@@ -392,6 +414,95 @@ def _dealiased_from_scratch(omega, state, pad=2):
     ldg = _ld_resample(np.log(d), grid.N)
     resid = -_ld_hessian(ldg) + _ld_hessian(v)  # Ric(g_eps) + g_eps - eps*g
     return float(np.max(np.abs(resid)))
+
+
+def _half_band(grid, N_other, nyquist_sign, last):
+    """Open-mesh index of grid's half-spectrum bins, cut to the first `last`
+    bins of the last axis, in an N_other half spectrum, the Nyquist bin
+    placed at nyquist_sign * N/2."""
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(int)
+    k[grid.N // 2] = nyquist_sign * (grid.N // 2)
+    return np.ix_(*[k % N_other] * (2 * grid.n - 1), np.arange(last))
+
+
+def _embed_spectrum(grid, F, fine):
+    """grid's half spectrum F zero-padded into fine's, scaled for fine.irfft;
+    a Nyquist coefficient is split in halves between the all-(-N/2) and
+    all-(+N/2) placements, and the last axis stores +N/2 only."""
+    h = grid.N // 2
+    out = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
+    half = F * (0.5 * (fine.N / grid.N) ** (2 * grid.n))
+    out[_half_band(grid, fine.N, 1, h + 1)] = half
+    out[_half_band(grid, fine.N, -1, h)] += half[..., :h]
+    return out
+
+
+def _crop_spectrum(fine, F, coarse):
+    """coarse's half spectrum cut from fine's half spectrum F, scaled for
+    coarse.irfft; a Nyquist coefficient is the mean of its two placements,
+    and the last axis takes +N/2 alone."""
+    h = coarse.N // 2
+    scale = (coarse.N / fine.N) ** (2 * coarse.n)
+    out = F[_half_band(coarse, fine.N, 1, h + 1)] * scale
+    out[..., :h] = 0.5 * (out[..., :h] + F[_half_band(coarse, fine.N, -1, h)] * scale)
+    return out
+
+
+def _full_grid_dealiased(omega, epsilon, v, g_eps):
+    """The dealiased residual the unpruned way, in float64: embed the half
+    spectrum of eps*psi + (v - mean v) in the twice finer grid's, n*n full
+    fine component fields by one irfftn, det(eps*I + H), log, a full fine
+    rfftn, and crop back.  n <= 2."""
+    grid = omega.grid
+    fine = TorusGrid(grid.n, 2 * grid.N)
+    W = _embed_spectrum(grid, grid.rfft(epsilon * omega.psi + (v - np.mean(v))), fine)
+    c = fine.hessian_of_spectrum(W)
+    d = epsilon + c[0]
+    if grid.n == 2:
+        d = d * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
+    ldg = np.log(d)
+    spectrum = _crop_spectrum(fine, fine.rfft(ldg - np.mean(ldg)), grid)
+    ric = -grid.hermitian(grid.hessian_of_spectrum(spectrum))
+    return float(np.max(np.abs(ric + g_eps - epsilon * omega.g)))
+
+
+def _band_route_cases():
+    grid = TorusGrid(2, 12)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    yield omega, continuity_path(omega, [2.0**-k for k in range(8)], tol=1e-10)
+    grid = TorusGrid(1, 64)
+    omega = TorusMetricField(grid, rough_torus_potential(grid, 0.002, sharpness=0.25))
+    yield omega, continuity_path(omega, [2.0**-k for k in range(5)], tol=1e-10)
+    grid = TorusGrid(2, 16)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    yield omega, continuity_path(omega, [1.0], tol=1e-10)
+
+
+def test_band_residual_matches_full_grid_route():
+    # The band transforms keep irfftn's and rfftn's axis order and scaling:
+    # all 14 values here measured equal bit for bit (residuals 1.6e-12 to 5.9e-7).
+    for omega, states in _band_route_cases():
+        for s in states:
+            want = _full_grid_dealiased(omega, s.epsilon, s.v, s.g_eps)
+            got = ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)
+            assert s.ricci_residual_sup == got
+            assert abs(got - want) <= 1e-5 * want, (omega.grid, s.epsilon, got, want)
+
+
+def test_band_residual_working_set():
+    # the full fine-grid route peaks at 23.8 MB here: n*n fine component
+    # fields, their spectra and a full fine log-det spectrum
+    grid = TorusGrid(2, 12)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    s = continuity_path(omega, [1.0], tol=1e-10)[0]
+    ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)  # build the cached tables
+    tracemalloc.start()
+    try:
+        ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_path_save_and_load_build_no_fine_field(tmp_path, monkeypatch):
