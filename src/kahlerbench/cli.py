@@ -350,7 +350,7 @@ def run_verify_inequalities(cfg, out_dir, seed):
         gp = np.diag(d).astype(complex)
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ric = (raw + raw.conj().T) / 2.0
-        gen = np.linalg.eigvalsh(np.linalg.solve(gp, ric))
+        gen = relative_eigenvalues_field(gp, ric)
         lam = max(0.0, float(-gen.min())) + 0.1
         ricci.append(ricci_term_margin(ric, gp, lam, 0.0))
     bad = ricci_term_margin(-3.0 * np.eye(2), np.eye(2), 1.0, 0.0)

@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .fields import TorusMetricField
-from .linalg import Direction, inv
+from .linalg import Direction, inv, inverse_cholesky
 
 SYMMETRY_RTOL = 1e-10
-# The extremizer policy for n = 3: Kronecker scan size and projected-gradient
-# refinement steps behind every n = 3 extreme, screen and floor.  n <= 2 is
-# exact (Hopf map + secular equation) and reads neither.
-HSC_DIRECTIONS = 4000
-HSC_REFINE_STEPS = 60
+# The n = 3 extremizer policy (n <= 2 is exact): pencil lines, best lines
+# (and at most as many lattice peaks) polished, and Newton steps per polish.
+HSC_PENCIL_LINES = 400
+HSC_PENCIL_STARTS = 2
+HSC_REFINE_STEPS = 20
 # The exact n = 2 kernel: eigenvalues of its 3 x 3 block within this
 # fraction of the form's largest entry of the top one span the (possibly
 # degenerate) top eigenspace of the hard case; and a cap on the Newton steps
@@ -142,48 +142,14 @@ def hsc(field, point, eta) -> float:
     return hsc_value(curv.tensor, curv.g, eta)
 
 
-def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Columns t_a with sum_{ij} g_ij (t_a)_i conj((t_b)_j) = delta_ab.
-
-    The unbarred metric slot contracts the direction unconjugated
-    (hsc_value convention), so the frame condition is T^t g conj(T) = I,
-    met by the transposed inverse Cholesky factor.
-    """
-    L = np.linalg.cholesky(g)
-    return np.swapaxes(np.linalg.inv(L), -1, -2)
-
-
 def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Change of frame: unbarred slots contract T, barred slots conj(T)."""
-    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
-                     R, T, np.conj(T), T, np.conj(T))
-
-
-def kronecker_directions(n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere of C^n.
-
-    A Kronecker lattice with generalized golden-ratio increments is mapped
-    through the Gaussian quantile and normalized; each direction is gauged
-    so its largest component is real positive (H only sees eta up to phase).
-    """
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    d = 2 * n
-    # root of x^(d+1) = x + 1
-    phi = 2.0
-    for _ in range(64):
-        phi = (1.0 + phi) ** (1.0 / (d + 1))
-    alphas = phi ** -np.arange(1, d + 1)
-    idx = np.arange(1, count + 1)[:, None]
-    u = np.mod(0.5 + idx * alphas[None, :], 1.0)
-    gauss = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    vecs = gauss[:, :n] + 1j * gauss[:, n:]
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0.0] = 1.0
-    vecs = vecs / norms[:, None]
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
-    phase = lead / np.abs(lead)
-    return vecs * np.conj(phase)
+    """Change of frame: unbarred slots contract T, barred slots conj(T);
+    T (..., n, m) with m < n restricts R to the span of its columns."""
+    Tc = np.conj(T)
+    R = np.einsum("...ijkl,...ia->...ajkl", R, T)
+    R = np.einsum("...ajkl,...jb->...abkl", R, Tc)
+    R = np.einsum("...abkl,...kc->...abcl", R, T)
+    return np.einsum("...abcl,...ld->...abcd", R, Tc)
 
 
 # -- exact extremes on CP^1 ----------------------------------------------------
@@ -298,39 +264,73 @@ def _q_value(R: np.ndarray, u: np.ndarray) -> float:
     return float(np.einsum("ijkl,i,j,k,l", R, u, np.conj(u), u, np.conj(u)).real)
 
 
-def _q_gradient(R: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return 2.0 * np.einsum("imkl,i,k,l->m", R, u, u, np.conj(u))
-
-
 def _refine_direction(R: np.ndarray, u: np.ndarray, sign: float, steps: int) -> tuple:
-    """Projected-gradient ascent of sign*Q on the unit sphere.
-
-    Adaptive step: halve on non-improvement (retrying within the same
-    step), grow modestly on success.
-    """
+    """Newton ascent of sign*Q on the unit sphere from u: at most steps steps,
+    each kept only while it improves sign*Q by more than rounding (inside a
+    basin about 3 reach rounding).  In a unitary frame F = (u, E), S = R in F,
+    H(F (1, c)) = q + 4 Re(s.c) + 4 c^T A conj(c) + 2 Re(c^T B c) - 2 q |c|^2
+    + O(c^3) with q = S_0000, s_a = S_a000, A_ab = S_ab00, B_ab = S_a0b0; it is
+    stationary where (2 conj(A) - q) c + conj(B) conj(c) = -conj(s), solved
+    with its conjugate by least squares, as it may be degenerate."""
+    n = u.size
     u = u / np.linalg.norm(u)
     val = _q_value(R, u)
-    alpha = 0.5
     for _ in range(steps):
-        grad = sign * _q_gradient(R, u)
-        tangent = grad - np.real(np.vdot(u, grad)) * u
-        gnorm = np.linalg.norm(tangent)
-        if gnorm < 1e-16 * max(1.0, abs(val)):
+        F = np.linalg.qr(np.column_stack([u, np.eye(n)]))[0]
+        S = transform_tensor(R, F)
+        q, s, A, B = S[0, 0, 0, 0].real, S[1:, 0, 0, 0], S[1:, 1:, 0, 0], S[1:, 0, 1:, 0]
+        Ac = 2.0 * np.conj(A) - q * np.eye(n - 1)
+        M = np.concatenate([np.hstack([Ac, np.conj(B)]), np.hstack([B, np.conj(Ac)])])
+        c = np.linalg.lstsq(M, -np.concatenate([np.conj(s), s]), rcond=None)[0][: n - 1]
+        x = F @ np.concatenate([[1.0], c])
+        x /= np.linalg.norm(x)
+        xval = _q_value(R, x)
+        if not sign * (xval - val) > 4.0 * np.finfo(float).eps * max(1.0, abs(val)):
             break
-        improved = False
-        while alpha > 1e-16:
-            trial = u + alpha * tangent
-            trial = trial / np.linalg.norm(trial)
-            tval = _q_value(R, trial)
-            if sign * (tval - val) > 0.0:
-                u, val = trial, tval
-                alpha = min(alpha * 1.5, 1e3)
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
+        u, val = x, xval
     return u, val
+
+
+# -- n = 3: exact extremes on a pencil of lines through e_1 --------------------
+
+
+@cache
+def _pencil(count: int) -> tuple:
+    """Bases (count, 3, 2) of the lines through e_1 and (0, v), v the inverse
+    Hopf image of a Fibonacci lattice point of S^2, and each line's six
+    nearest lattice neighbours."""
+    k = np.arange(count) + 0.5
+    z, phi = 1.0 - 2.0 * k / count, np.pi * (3.0 - np.sqrt(5.0)) * k
+    x = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], -1)
+    P = np.zeros((count, 3, 2), dtype=complex)
+    P[:, 0, 0] = 1.0
+    P[:, 1:, 1] = _inverse_hopf(x)
+    return P, np.array([np.argsort(x @ xj)[-7:-1] for xj in x])  # no count^2 temporary
+
+
+def _pencil_extremes(Rt: np.ndarray) -> tuple:
+    """(h_min, h_max, u_min, u_max) of n = 3 tensors in orthonormal frames.
+
+    Every point of CP^2 lies on a line (a CP^1) through e_1.  Per tensor,
+    one _cp1_extremes call gives the exact extremes of every _pencil line;
+    the best lines and lattice peaks (other basins) start polishes, and the
+    best polish is kept.  One tensor at a time, so memory stays bounded.
+    """
+    pencil, neighbours = _pencil(HSC_PENCIL_LINES)
+    out = []
+    for R in Rt.reshape((-1,) + Rt.shape[-4:]):
+        lines = _cp1_extremes(transform_tensor(R, pencil))
+        for k, sign in enumerate((-1.0, 1.0)):
+            f = sign * lines[k]
+            order = np.argsort(-f, kind="stable")
+            rest = order[HSC_PENCIL_STARTS:]
+            peaks = rest[f[rest] > np.max(f[neighbours[rest]], axis=1)]
+            starts = np.concatenate([order[:HSC_PENCIL_STARTS], peaks[:HSC_PENCIL_STARTS]])
+            polished = (_refine_direction(R, pencil[j] @ lines[k + 2][j], sign,
+                                          HSC_REFINE_STEPS) for j in starts)
+            out.append(max(polished, key=lambda p: sign * p[1]))
+    u, h = (np.reshape(a, Rt.shape[:-4] + (2,) + np.shape(a[0])) for a in zip(*out))
+    return h[..., 0], h[..., 1], u[..., 0, :], u[..., 1, :]
 
 
 @dataclass(frozen=True)
@@ -343,51 +343,42 @@ class HscExtremes:
     eta_max: np.ndarray
 
 
-def _exact_extremes(Rt: np.ndarray, T: np.ndarray) -> tuple:
-    """(h_min, h_max, eta_min, eta_max) of n <= 2 tensors in orthonormal frames.
+def _extremes(R: np.ndarray, g: np.ndarray) -> list:
+    """One HscExtremes per tensor of a stack R (m, n, n, n, n) with metrics g.
 
-    Rt has shape (..., n, n, n, n) and T, the frames, (..., n, n).
+    In the frames T = inverse_cholesky(g)^t, which meet T^t g conj(T) = I
+    (hsc_value contracts the unbarred slot unconjugated), H is Q on the unit
+    sphere: one direction, _cp1_extremes or _pencil_extremes at n = 1, 2, 3.
     """
-    if T.shape[-1] == 1:
-        h = Rt[..., 0, 0, 0, 0].real
-        return h, h, T[..., 0], T[..., 0]
-    h_min, h_max, u_min, u_max = _cp1_extremes(Rt)
-    return h_min, h_max, (T @ u_min[..., None])[..., 0], (T @ u_max[..., None])[..., 0]
+    T = np.swapaxes(inverse_cholesky(g), -1, -2)
+    Rt, n = transform_tensor(R, T), T.shape[-1]
+    if n == 1:
+        h_min = h_max = Rt[:, 0, 0, 0, 0].real
+        u_min = u_max = np.ones((len(T), 1))
+    else:
+        h_min, h_max, u_min, u_max = (_cp1_extremes if n == 2 else _pencil_extremes)(Rt)
+    etas = (T @ u_min[..., None])[..., 0], (T @ u_max[..., None])[..., 0]
+    return [HscExtremes(float(a), float(b), c, d) for a, b, c, d in zip(h_min, h_max, *etas)]
 
 
-def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray,
-                             num_directions: int = HSC_DIRECTIONS,
-                             refine_steps: int = HSC_REFINE_STEPS) -> HscExtremes:
-    """Extremize H over directions for one curvature tensor.
+def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray, num_directions: int = None,
+                             refine_steps: int = None) -> HscExtremes:
+    """Extremize H over directions for one curvature tensor, a batch of one.
 
-    Reduces to a g-orthonormal frame, where H = Q on the unit sphere.
-    n <= 2 is exact: n = 1 has one direction, and n = 2 maps the unit
-    sphere of C^2 onto S^2 by the Hopf map, where Q is a quadratic whose
-    global extremes come from one 3 x 3 eigendecomposition and the secular
-    equation (_cp1_extremes).  n = 3 scans num_directions deterministic
-    directions, then refines the best minimizer and maximizer by
-    refine_steps of projected gradient; ties in the scan go to the lowest
-    sample index.  n <= 2 reads neither num_directions nor refine_steps.
-    """
-    n = g.shape[-1]
-    T = _orthonormal_frame(g)
-    Rt = transform_tensor(R, T)
-    if n <= 2:
-        h_min, h_max, eta_min, eta_max = _exact_extremes(Rt, T)
-        return HscExtremes(float(h_min), float(h_max), eta_min, eta_max)
-    dirs = kronecker_directions(n, num_directions)
-    q = np.einsum("ijkl,bi,bj,bk,bl->b", Rt, dirs, np.conj(dirs), dirs, np.conj(dirs),
-                  optimize=True).real
-    u_max, h_max = _refine_direction(Rt, dirs[int(np.argmax(q))], +1.0, refine_steps)
-    u_min, h_min = _refine_direction(Rt, dirs[int(np.argmin(q))], -1.0, refine_steps)
-    return HscExtremes(h_min, h_max, T @ u_min, T @ u_max)
+    In a g-orthonormal frame H = Q on the unit sphere.  n = 1 has one
+    direction; n = 2 is exact, Q being a quadratic on S^2 through the Hopf
+    map (_cp1_extremes); n = 3 polishes the best of these exact extremes on
+    the lines of a pencil (_pencil_extremes): exact per line, but a scan
+    over lines, not a certificate.  num_directions and refine_steps are not
+    read."""
+    return _extremes(np.asarray(R)[None], np.asarray(g)[None])[0]
 
 
-def hsc_extremes(field, point, num_directions: int = HSC_DIRECTIONS,
-                 refine_steps: int = HSC_REFINE_STEPS) -> HscExtremes:
-    """Extremal holomorphic sectional curvatures of a field at a point."""
-    curv = curvature_tensor(field, point)
-    return hsc_extremes_from_tensor(curv.tensor, curv.g, num_directions, refine_steps)
+def hsc_extremes(field, point, num_directions: int = None,
+                 refine_steps: int = None) -> HscExtremes:
+    """HSC extremes of a field at a point: a sweep of one point (the budget
+    arguments are accepted for old callers and not read)."""
+    return sweep_hsc_extremes(field, [point])[0]
 
 
 def default_sweep_points(field, max_points: int = 256):
@@ -422,23 +413,20 @@ def _sweep_jets(field, points: list) -> tuple:
 def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
-    points=None sweeps default_sweep_points(field, max_points).  For
-    n <= 2 the sweep is one batch: the point jets are stacked, their
-    curvature assembled and checked together (the first point breaking
-    the symmetries raises), and all extremes come from one kernel call.
+    points=None sweeps default_sweep_points(field, max_points).  The sweep
+    is one batch: the point jets are stacked, their curvature assembled and
+    checked together (the first point breaking the symmetries raises), and
+    all extremes come from one kernel call.
     """
     if points is None:
         points = default_sweep_points(field, max_points)
     points = list(points)
-    if field.n > 2 or not points:
-        curvs = [curvature_tensor(field, p) for p in points]
-        return [hsc_extremes_from_tensor(c.tensor, c.g) for c in curvs]
+    if not points:
+        return []
     g, dg, ddg = _sweep_jets(field, points)
     R = curvature_from_derivatives(g, dg, ddg)
     _check_symmetries(R)
-    T = _orthonormal_frame(g)
-    return [HscExtremes(float(a), float(b), c, d)
-            for a, b, c, d in zip(*_exact_extremes(transform_tensor(R, T), T))]
+    return _extremes(R, g)
 
 
 def kappa_floor(field, points=None) -> float:

@@ -382,8 +382,8 @@ def conditioned_negative_tensor(n: int, rng: np.random.Generator,
     Random tensors almost never satisfy the negativity hypothesis on their
     own; subtracting a multiple of the constant-HSC model tensor lowers
     every sectional value uniformly without touching the symmetries.  The
-    gap is exact for n <= 2, where the extremizer is; for n = 3 sup H lies
-    above -gap by whatever the scan + refinement misses of the maximum.
+    gap is exact for n <= 2; at n = 3 (exact per pencil line, but a scan over
+    lines) sup H exceeds -gap by what the extremizer misses of the maximum.
     """
     eye = np.eye(n, dtype=complex)
     R = random_kahler_tensor(n, rng)

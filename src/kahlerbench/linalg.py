@@ -146,38 +146,47 @@ def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def inverse_cholesky(g: np.ndarray) -> np.ndarray:
+    """L^{-1} for g = L L^* (Cholesky) over (..., n, n); numpy.linalg.LinAlgError
+    if g is not positive definite.  For n <= 2 the closed form [[p, 0], [m, q]],
+    p = 1/sqrt(g00), l10 = g10 p, q = 1/sqrt(g11 - |l10|^2), m = -l10 p q."""
+    g = np.asarray(g, dtype=complex)
+    n = _order(g)
+    if n == 3:
+        return np.linalg.inv(np.linalg.cholesky(g))
+    a00 = g[..., 0, 0].real
+    if not np.all(a00 > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    Li = np.zeros(g.shape, dtype=complex)
+    Li[..., 0, 0] = p = 1.0 / np.sqrt(a00)
+    if n == 2:
+        l10 = g[..., 1, 0] * p
+        schur = g[..., 1, 1].real - (l10.real**2 + l10.imag**2)
+        if not np.all(schur > 0.0):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        Li[..., 1, 1] = q = 1.0 / np.sqrt(schur)
+        Li[..., 1, 0] = -l10 * (p * q)
+    return Li
+
+
 def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
     """Eigenvalues of gA^{-1} gB, ascending, for fields of shape (..., n, n).
 
-    All positive for a positive-definite pair.  Computed as the Hermitian
-    eigenvalues (eigvalsh) of C = L^{-1} gB L^{-*} with gA = L L^*
-    (Cholesky).  For n <= 2 the factor and the whitening are closed forms:
-    L^{-1} = [[p, 0], [m, q]] with p = 1/sqrt(a00), q = 1/sqrt(a11 - |l10|^2)
-    and l10 = a10 p, m = -l10 p q.  A gA that is not positive definite
-    raises numpy.linalg.LinAlgError, as the LAPACK factorization does.
+    All positive for a positive-definite pair.  The Hermitian eigenvalues
+    of C = L^{-1} gB L^{-*} with L^{-1} = inverse_cholesky(gA); for n <= 2
+    C is formed entry by entry from L^{-1} = [[p, 0], [m, q]].
     """
-    gA = np.asarray(gA, dtype=complex)
     gB = np.asarray(gB, dtype=complex)
-    if gA.shape != gB.shape:
-        raise DimensionMismatch(f"field shapes differ: {gA.shape} vs {gB.shape}")
-    n = _order(gA)
-    if n == 3:
-        L = np.linalg.cholesky(gA)
-        Li = np.linalg.inv(L)
+    if np.shape(gA) != gB.shape:
+        raise DimensionMismatch(f"field shapes differ: {np.shape(gA)} vs {gB.shape}")
+    Li = inverse_cholesky(gA)
+    if gB.shape[-1] == 3:
         return np.linalg.eigvalsh(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2)))
-    a00 = gA[..., 0, 0].real
-    if not np.all(a00 > 0.0):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    p = 1.0 / np.sqrt(a00)
+    p = Li[..., 0, 0].real
     C = np.empty(gB.shape, dtype=complex)
     C[..., 0, 0] = p * p * gB[..., 0, 0].real
-    if n == 2:
-        l10 = gA[..., 1, 0] * p
-        schur = gA[..., 1, 1].real - (l10.real**2 + l10.imag**2)
-        if not np.all(schur > 0.0):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        q = 1.0 / np.sqrt(schur)
-        m = -l10 * (p * q)
+    if gB.shape[-1] == 2:
+        m, q = Li[..., 1, 0], Li[..., 1, 1].real
         C[..., 1, 0] = p * (m * gB[..., 0, 0].real + q * gB[..., 1, 0])
         C[..., 1, 1] = ((m.real**2 + m.imag**2) * gB[..., 0, 0].real
                         + 2.0 * q * (m * gB[..., 0, 1]).real + q * q * gB[..., 1, 1].real)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -381,7 +380,9 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
     zpt = _to_complex(pt)
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
-    diag = np.ones(n, dtype=complex) / math.sqrt(n)
+    # equal weights: g is diagonal with g_ii = s / (1 - |z_i|^2)^2
+    diag = (1.0 - np.abs(zpt) ** 2).astype(complex)
+    diag /= np.linalg.norm(diag)
     facts = (
         Fact(
             name="hsc-factor-direction",
@@ -393,9 +394,9 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
         ),
         Fact(
             name="hsc-max-diagonal",
-            provenance="product structure: H(eta) = -(2/s) sum t_i^2 over weights, "
-                       "maximized at equal weights with value -1/(s n/... ) "
-                       f"= {-2.0 / (scale * n)} for n={n}",
+            provenance="product structure: H(eta) = -(2/s) sum t_i^2 with weights "
+                       "t_i = |eta_i|^2_g / |eta|^2_g, sum t_i = 1; maximal at equal "
+                       f"weights: -2/(s n) = {-2.0 / (scale * n)} for n={n}",
             mode="equal", tol=1e-6,
             oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, diag),
             measure=lambda f: hsc_extremes(f, zpt).h_max,

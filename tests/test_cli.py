@@ -248,6 +248,18 @@ def test_not_applicable_rows_do_not_fail_the_run(tmp_path):
         json.dumps(row)  # every row stays JSON-serializable
 
 
+def test_ricci_trials_meet_their_own_hypothesis(tmp_path):
+    # Each trial's lam comes from the relative eigenvalues of (g', Ric'), so
+    # Ric' + lam g' > 0 holds and only the deliberately violating report is
+    # not applicable; none is screened out.
+    rc, _, _ = run_cli(["verify-inequalities", "--trials", "10000", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "verify-inequalities" / "reports.jsonl").read_text().splitlines()
+    ricci = [r for r in map(json.loads, lines) if r["name"] == "ricci-trace-lower-bound"]
+    assert len(ricci) == 51
+    assert [r["status"] for r in ricci].count("not-applicable") == 1
+
+
 def test_failing_check_fails_its_aggregate_row(tmp_path, monkeypatch):
     # The row takes its verdict from the reports: this one fails its own
     # 1e-12 tolerance although its margin is within the checks' 1e-9.

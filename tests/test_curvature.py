@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from kahlerbench.curvature import (
-    HSC_DIRECTIONS,
+    HSC_PENCIL_LINES,
     HSC_REFINE_STEPS,
     KahlerCurvature,
     _cp1_extremes,
-    _orthonormal_frame,
+    _inverse_hopf,
+    _pencil,
     _refine_direction,
     _symmetry_violations,
     constant_hsc_tensor,
@@ -23,16 +24,16 @@ from kahlerbench.curvature import (
     hsc_extremes_from_tensor,
     hsc_value,
     kappa_floor,
-    kronecker_directions,
     ricci_from_derivatives,
     sweep_hsc_extremes,
     transform_tensor,
 )
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
-from kahlerbench.inequalities import conditioned_negative_tensor
-from kahlerbench.linalg import Direction, inv
-from kahlerbench.zoo import make_example, perturbed_torus_potential, poincare_polydisk_terms
+from kahlerbench.inequalities import conditioned_negative_tensor, random_kahler_tensor
+from kahlerbench.linalg import Direction, inv, inverse_cholesky
+from kahlerbench.zoo import (make_example, perturbed_torus_potential, poincare_polydisk_terms,
+                             verify_example_facts)
 
 
 def random_pd(n, rng, scale=0.3):
@@ -43,6 +44,11 @@ def random_pd(n, rng, scale=0.3):
 def polydisk_field(n=2, scale=2.0):
     geo = ChartGeometry(n=n, radii=(1.0,) * n, margin=0.2)
     return ChartMetricField(geo, *poincare_polydisk_terms(n, scale))
+
+
+def orthonormal_frame(g):
+    """The extremizer's frame: columns t_a with T^t g conj(T) = I."""
+    return np.swapaxes(inverse_cholesky(g), -1, -2)
 
 
 def symmetry_violation(R):
@@ -174,19 +180,24 @@ def test_polydisk_hsc_extremes():
 
 def test_extremizer_defaults_are_the_policy_constants():
     rng = np.random.default_rng(5)
-    for n in (2, 3):
-        raw = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-        R = raw + np.swapaxes(raw, 0, 2)
-        R = R + np.swapaxes(R, 1, 3)
-        R = R + np.conj(np.swapaxes(np.swapaxes(R, 0, 1), 2, 3))
+    for n in (1, 2, 3):
+        R = random_kahler_tensor(n, rng)
         g = random_pd(n, rng)
         default = hsc_extremes_from_tensor(R, g)
-        budgets = [(HSC_DIRECTIONS, HSC_REFINE_STEPS)] + [(2000, 40)] * (n == 2)
-        for budget in budgets:  # n = 2 is exact and reads no budget
+        for budget in [(2000, 40), (HSC_PENCIL_LINES, HSC_REFINE_STEPS)]:  # not read
             explicit = hsc_extremes_from_tensor(R, g, *budget)
             assert (default.h_min, default.h_max) == (explicit.h_min, explicit.h_max)
             assert np.array_equal(default.eta_min, explicit.eta_min)
             assert np.array_equal(default.eta_max, explicit.eta_max)
+    # n = 3 scans HSC_PENCIL_LINES lines and polishes the best of them
+    pencil = _pencil(HSC_PENCIL_LINES)[0]
+    assert pencil.shape == (HSC_PENCIL_LINES, 3, 2)
+    Rt = transform_tensor(R, orthonormal_frame(g))
+    h_lo, h_hi, u_lo, u_hi = _cp1_extremes(transform_tensor(Rt, pencil))
+    best = int(np.argmax(h_hi))
+    assert h_hi[best] < default.h_max
+    assert default.h_max >= _refine_direction(Rt, pencil[best] @ u_hi[best], +1.0,
+                                              HSC_REFINE_STEPS)[1]
 
 
 # -- exact n = 2 extremes -------------------------------------------------------------
@@ -206,16 +217,19 @@ def tensor_from_hopf_form(K):
     return (R + np.conj(np.swapaxes(np.swapaxes(R, 0, 1), 2, 3))) / 2.0
 
 
-def kronecker_route(R, g):
-    """The scan + refinement extremes (n = 3's route) of an n = 2 tensor."""
-    T = _orthonormal_frame(g)
-    Rt = transform_tensor(R, T)
-    dirs = kronecker_directions(2, HSC_DIRECTIONS)
-    q = np.einsum("ijkl,bi,bj,bk,bl->b", Rt, dirs, np.conj(dirs), dirs, np.conj(dirs),
-                  optimize=True).real
-    h_max = _refine_direction(Rt, dirs[int(np.argmax(q))], +1.0, HSC_REFINE_STEPS)[1]
-    h_min = _refine_direction(Rt, dirs[int(np.argmin(q))], -1.0, HSC_REFINE_STEPS)[1]
+def scan_route(Rt, etas):
+    """Scan + refinement extremes of a tensor in an orthonormal frame: the
+    best and worst of the unit directions etas, each polished by
+    _refine_direction (the route n = 2 took before it was exact)."""
+    q = batched_hsc(Rt[None], np.eye(Rt.shape[0])[None], etas)[0]
+    h_max = _refine_direction(Rt, etas[int(np.argmax(q))], +1.0, HSC_REFINE_STEPS)[1]
+    h_min = _refine_direction(Rt, etas[int(np.argmin(q))], -1.0, HSC_REFINE_STEPS)[1]
     return h_min, h_max
+
+
+def random_directions(rng, count, n):
+    etas = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return etas / np.linalg.norm(etas, axis=1)[:, None]
 
 
 def batched_hsc(R, g, etas):
@@ -246,8 +260,10 @@ def test_n2_extremes_are_global_and_attained():
     assert np.all(np.abs(at_min - h_min) <= 1e-12 * scale)
     assert np.all(np.abs(at_max - h_max) <= 1e-12 * scale)
 
+    unit = random_directions(rng, 4000, 2)
     for i in range(m):
-        k_min, k_max = kronecker_route(R[i], g[i])
+        T = orthonormal_frame(g[i])
+        k_min, k_max = scan_route(transform_tensor(R[i], T), unit)
         assert h_max[i] >= k_max - 1e-14 * scale[i]
         assert h_min[i] <= k_min + 1e-14 * scale[i]
 
@@ -282,9 +298,7 @@ def test_n2_hard_cases_are_exact():
 
 def test_n2_extremes_find_the_higher_of_two_near_equal_maxima():
     # Q = -1 + eps x.e + x^T C x on S^2 has local maxima at x = +e and -e,
-    # 2 eps apart.  The scan + refinement route starts from the best of its
-    # Kronecker directions, which lies in the basin of -e, and so
-    # reports -1 - eps.
+    # 2 eps apart: refinement that starts in the basin of -e ends at -1 - eps.
     eps = 1e-5
     e = np.ones(3) / np.sqrt(3.0)
     a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -294,7 +308,10 @@ def test_n2_extremes_find_the_higher_of_two_near_equal_maxima():
     K[1:, 1:] = -(np.eye(3) - np.outer(e, e)) - np.outer(a, a)
     R = tensor_from_hopf_form(K)
     g = np.eye(2)
-    assert kronecker_route(R, g)[1] < -1.0 + eps - 1e-6  # the wrong basin
+    near = -e + 0.2 * a
+    wrong = _refine_direction(R, _inverse_hopf(near / np.linalg.norm(near)), +1.0,
+                              HSC_REFINE_STEPS)[1]
+    assert wrong == pytest.approx(-1.0 - eps, abs=1e-14)
     ext = hsc_extremes_from_tensor(R, g)
     assert ext.h_max == pytest.approx(-1.0 + eps, abs=1e-14)
     assert hsc_value(R, g, ext.eta_max) == pytest.approx(-1.0 + eps, abs=1e-14)
@@ -311,6 +328,105 @@ def test_stacked_kernel_equals_per_tensor_calls_bitwise():
         single = _cp1_extremes(Rt[i])
         for got, want in zip(stacked, single):
             assert np.array_equal(got.reshape((40,) + got.shape[2:])[i], want)
+
+
+# -- n = 3 pencil extremes ------------------------------------------------------------
+
+
+def reference_pencil(rng, lines=1000):
+    """Lines through e_3 on a randomly rotated Fibonacci lattice of S^2.
+
+    Returns frames (lines, 3, 2), columns e_3 and (v, 0) with v the inverse
+    Hopf image of a lattice point x, and the six nearest lattice points of
+    each (lines, 6).
+    """
+    k = np.arange(lines) + 0.5
+    z = 1.0 - 2.0 * k / lines
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    x = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], 1)
+    x = x @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    P = np.zeros((lines, 3, 2), dtype=complex)
+    P[:, 2, 0] = 1.0
+    P[:, :2, 1] = _inverse_hopf(x)
+    return P, np.argsort(-x @ x.T, axis=1)[:, 1:7]
+
+
+def reference_extremes(R, pencil, rng, directions=4096):
+    """Test-only (h_min, h_max) of an n = 3 tensor in an orthonormal frame.
+
+    Polishes (_refine_direction) start from the two best lines of a denser
+    pencil through e_3 (extremes exact on each line), from every other line
+    whose extreme is at least each neighbour's, and from the best of
+    seeded random directions.
+    """
+    frames, neighbours = pencil
+    lines = _cp1_extremes(transform_tensor(R, frames))
+    etas = random_directions(rng, directions, 3)
+    p = (etas[:, :, None] * np.conj(etas[:, None, :])).reshape(-1, 9)
+    q = np.sum((p @ R.reshape(9, 9)) * p, axis=-1).real
+    found = []
+    for sign, h, u in ((-1.0, lines[0], lines[2]), (1.0, lines[1], lines[3])):
+        f = sign * h
+        peaks = np.all(f[:, None] >= f[neighbours], axis=1)
+        peaks[np.argsort(-f)[:2]] = True
+        starts = [frames[j] @ u[j] for j in np.flatnonzero(peaks)]
+        starts.append(etas[int(np.argmax(sign * q))])
+        found.append(sign * max(sign * _refine_direction(R, s, sign, HSC_REFINE_STEPS)[1]
+                                for s in starts))
+    return tuple(found)
+
+
+def test_n3_extremes_match_a_denser_reference():
+    rng = np.random.default_rng(2026)
+    pencil = reference_pencil(rng)
+    eye = np.eye(3, dtype=complex)
+    for _ in range(150):
+        R = random_kahler_tensor(3, rng)
+        scale = np.max(np.abs(R))
+        ext = hsc_extremes_from_tensor(R, eye)
+        ref_min, ref_max = reference_extremes(R, pencil, rng)
+        assert ext.h_max >= ref_max - 1e-12 * scale
+        assert ext.h_min <= ref_min + 1e-12 * scale
+        assert abs(hsc_value(R, eye, ext.eta_max) - ext.h_max) <= 1e-12 * scale
+        assert abs(hsc_value(R, eye, ext.eta_min) - ext.h_min) <= 1e-12 * scale
+
+
+def test_conditioned_n3_tensors_have_the_stated_gap():
+    rng = np.random.default_rng(2027)
+    pencil = reference_pencil(rng)
+    for _ in range(150):
+        gap = float(rng.uniform(0.2, 1.0))
+        R = conditioned_negative_tensor(3, rng, gap=gap)
+        sup_h = reference_extremes(R, pencil, rng)[1]
+        assert abs(sup_h + gap) <= 1e-12 * np.max(np.abs(R))
+
+
+def test_n3_chart_sweeps_match_closed_forms():
+    s = 1.5
+    polydisk = make_example("poincare-polydisk", n=3, scale=s)
+    assert all(row["ok"] for row in verify_example_facts(polydisk))
+    fubini_study = make_example("fubini-study", n=3).field
+    for field, (h_min, h_max) in ((polydisk.field, (-2.0 / s, -2.0 / (3.0 * s))),
+                                  (fubini_study, (2.0, 2.0))):
+        points = list(field.geometry.sample_points(per_axis=2))[::8]
+        swept = sweep_hsc_extremes(field, points)
+        assert len(swept) == len(points) == 8
+        for p, ext in zip(points, swept):
+            assert ext.h_min == pytest.approx(h_min, abs=1e-12)
+            assert ext.h_max == pytest.approx(h_max, abs=1e-12)
+            assert hsc(field, p, ext.eta_min) == pytest.approx(h_min, abs=1e-12)
+            assert hsc(field, p, ext.eta_max) == pytest.approx(h_max, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_extremes_are_a_sweep_of_one_point(n):
+    field = polydisk_field(n=n, scale=1.5)
+    p = [0.1 + 0.2j, -0.05j, 0.3][:n]
+    single = hsc_extremes(field, p)
+    swept = sweep_hsc_extremes(field, [p])[0]
+    assert (single.h_min, single.h_max) == (swept.h_min, swept.h_max)
+    assert np.array_equal(single.eta_min, swept.eta_min)
+    assert np.array_equal(single.eta_max, swept.eta_max)
 
 
 def test_kappa_floor_signs():
@@ -369,11 +485,14 @@ def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     assert swept == pointwise
 
 
-@pytest.mark.parametrize("case", ["torus-2-12", "polydisk"])
+@pytest.mark.parametrize("case", ["torus-2-12", "polydisk", "polydisk-3"])
 def test_batched_sweep_matches_pointwise_extremes(case):
     if case == "polydisk":
         field = polydisk_field(n=2, scale=1.5)
         points = list(field.geometry.sample_points(per_axis=3))
+    elif case == "polydisk-3":
+        field = polydisk_field(n=3, scale=1.5)
+        points = list(field.geometry.sample_points(per_axis=2))[::7]
     else:
         grid = TorusGrid(2, 12)
         field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
@@ -401,18 +520,6 @@ def test_batched_sweep_rejects_the_first_corrupted_jet():
         kappa_floor(field)
     assert str(swept.value) == str(pointwise.value)
     sweep_hsc_extremes(field, points[:5])  # the points before it still pass
-
-
-def test_kronecker_directions_are_deterministic_unit_gauged():
-    a = kronecker_directions(3, 400)
-    b = kronecker_directions(3, 400)
-    assert np.array_equal(a, b)
-    assert a.shape == (400, 3)
-    assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) < 1e-12
-    lead = np.take_along_axis(a, np.argmax(np.abs(a), axis=1)[:, None], axis=1)
-    assert np.max(np.abs(lead.imag)) < 1e-12
-    assert np.min(lead.real) > 0.0
-    assert np.array_equal(kronecker_directions(1, 17), np.ones((1, 1)))
 
 
 # -- Gauss equation on a Fubini-Study pullback ----------------------------------
