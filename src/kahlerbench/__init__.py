@@ -47,6 +47,7 @@ from .integrals import (
     nef_lower_bound_check,
     volume,
     wedge_integral,
+    wedge_integrals,
 )
 from .linalg import Direction
 from .solver import (
@@ -101,4 +102,5 @@ __all__ = [
     "verify_example_facts",
     "volume",
     "wedge_integral",
+    "wedge_integrals",
 ]

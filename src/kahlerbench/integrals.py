@@ -60,18 +60,25 @@ def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def wedge_integral(A: np.ndarray, B: np.ndarray, k: int) -> float:
-    """Normalized integral of A^k wedge B^{n-k} over a torus grid.
+def wedge_integrals(A: np.ndarray, B: np.ndarray) -> tuple:
+    """Normalized integrals W_k of A^k wedge B^{n-k} over a torus grid, k = 0..n.
 
     A and B are (grid + (n, n)) metric arrays on one grid, such as two
-    fields' .g; the integral is the grid mean of the integrand.  Arrays of
-    different shapes raise DimensionMismatch.
+    fields' .g; each integral is the grid mean of its integrand, and all
+    n + 1 come from one mixed_determinants pass.  Arrays of different
+    shapes raise DimensionMismatch.
     """
+    D = mixed_determinants(A, B)
+    n = D.shape[-1] - 1
+    return tuple(float(np.mean(D[..., k] / math.comb(n, k))) for k in range(n + 1))
+
+
+def wedge_integral(A: np.ndarray, B: np.ndarray, k: int) -> float:
+    """W_k of wedge_integrals(A, B): the normalized integral of A^k wedge B^{n-k}."""
     n = np.shape(A)[-1]
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    D = mixed_determinants(A, B)
-    return float(np.mean(D[..., k] / math.comb(n, k)))
+    return wedge_integrals(A, B)[k]
 
 
 def volume(field: TorusMetricField) -> float:
@@ -146,10 +153,10 @@ class ExpansionReport:
 
 
 def epsilon_expansion_check(path, omega: TorusMetricField) -> ExpansionReport:
-    """Fit V(eps) over a solved path and report the expansion coefficients."""
+    """Fit V(eps), each state's W_n, over a solved path and report the coefficients."""
     n = omega.n
     eps = [s.epsilon for s in path]
-    vals = [omega.grid.mean(s.sigma_n_field * omega.det_g) for s in path]
+    vals = [s.wedge_integrals[n] for s in path]
     coeffs, cond, resid = fit_epsilon_expansion(eps, vals, n)
     implied = [float(coeffs[k]) / math.comb(n, k) for k in range(n + 1)]
     return ExpansionReport(
@@ -202,7 +209,7 @@ def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> Bignes
     per_state = []
     eps, vals = [], []
     for s in path:
-        V = omega.grid.mean(s.sigma_n_field * omega.det_g)
+        V = s.wedge_integrals[n]
         eps.append(s.epsilon)
         vals.append(V)
         per_state.append(make_report(
@@ -232,8 +239,8 @@ def nef_lower_bound_check(path, omega: TorusMetricField) -> list:
     >= sigma_n * C^{k/n-1} only holds with C above sigma_n.  C is each
     state's recorded ceiling exp(log_c_bound); a ceiling that underflows
     to 0 (a log C read back from a sidecar, say) makes the state's row
-    not-applicable.  One report per (state, k) for 1 <= k <= n; k = n is
-    the trivial identity row.
+    not-applicable.  One report per (state, k) for 1 <= k <= n, read from
+    the state's wedge_integrals; k = n is the trivial identity row.
     """
     n = omega.n
     reports = []
@@ -245,10 +252,10 @@ def nef_lower_bound_check(path, omega: TorusMetricField) -> list:
                 f"sigma_n ceiling {c_state:.6g} <= 0 at eps={s.epsilon:.6g}",
             ))
             continue
-        top = wedge_integral(s.g_eps, omega.g, n)
+        W = s.wedge_integrals
         for k in range(1, n + 1):
-            lhs = wedge_integral(s.g_eps, omega.g, k)
-            rhs = c_state ** (k / n - 1.0) * top
+            lhs = W[k]
+            rhs = c_state ** (k / n - 1.0) * W[n]
             reports.append(make_report(
                 "nef-wedge-lower-bound", lhs, rhs, INTEGRAL_TOL,
                 note=f"eps={s.epsilon:.6g} k={k} ceiling={c_state:.6g}",

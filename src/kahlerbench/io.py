@@ -123,12 +123,12 @@ def save_state(directory, state, grid: TorusGrid) -> None:
 def load_state(directory, omega):
     """Rebuild a continuity state saved by save_state.
 
-    The matrix field g_eps and u = v - log det g are reconstructed exactly
-    from (epsilon, v) and the reference metric; diagnostics are recomputed
-    by make_state (the same dealiased Ricci residual as the path's), then
-    every saved one is cross-checked against the sidecar, and newton_steps
-    and krylov_matvecs are restored from it (0 for a sidecar written before
-    krylov_matvecs was recorded).  Other files in the directory are not read.
+    Diagnostics and wedge integrals are recomputed from (epsilon, v) and
+    the reference metric by make_state (the same dealiased Ricci residual
+    as the path's), every saved diagnostic is cross-checked against the
+    sidecar, and newton_steps and krylov_matvecs are restored from it (0
+    for a sidecar written before krylov_matvecs was recorded).  Other
+    files in the directory are not read.
     """
     from .solver import make_state
 

@@ -19,10 +19,10 @@ The continuity path solves the family (alpha = eps g, F = 0)
     det(eps g + Hess v_eps) = e^{v_eps},
 
 downward in eps with warm starts shifted by the known n*log(eps'/eps)
-drift, and records per-state diagnostics: sup u for
+drift.  A state is its eps and v with scalar diagnostics: sup u for
 u = v - log det g = log sigma_n against the volume-ratio ceiling, the
 Ricci identity residual, relative eigenvalue range, the top of the trace
-field S_eps, and the top volume ratio sigma_n.
+field S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import scipy.sparse.linalg
 from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
+from .integrals import wedge_integrals
 from .linalg import det, inv, relative_eigenvalues_field, trace_s_field
 from .linalg import positivity as _positivity
 
@@ -261,19 +262,17 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
 
 @dataclass
 class ContinuityState:
-    """One solved state of the family det(eps g + Hess v) = e^v."""
+    """A solved state of det(eps g + Hess v) = e^v: v, scalars, W_k for k = 0..n."""
 
     epsilon: float
     v: np.ndarray
-    u: np.ndarray
-    g_eps: np.ndarray
     sup_u: float
     log_c_bound: float
     ricci_residual_sup: float
     rel_eig_min: float
     rel_eig_max: float
     s_max: float
-    sigma_n_field: np.ndarray
+    wedge_integrals: tuple
     newton_steps: int = 0
     krylov_matvecs: int = 0
 
@@ -297,25 +296,22 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
                krylov_matvecs: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    g_eps is formed once and shared by every diagnostic, and
-    u = v - log det g.  The Ricci residual is that of
+    g_eps is formed once, shared by every diagnostic and not kept; sup u
+    is taken from u = v - log det g.  The Ricci residual is that of
     ricci_residual_dealiased; no fine metric field is built.
     """
-    grid = omega.grid
-    g_eps = epsilon * omega.g + grid.complex_hessian(v)
-    u = v - omega.log_det_g
+    g_eps = epsilon * omega.g + omega.grid.complex_hessian(v)
     lam = relative_eigenvalues_field(omega.g, g_eps)
-    ricci_sup = ricci_residual_dealiased(omega, epsilon, v, g_eps)
     return ContinuityState(
         epsilon=float(epsilon),
-        v=v, u=u, g_eps=g_eps,
-        sup_u=float(u.max()),
+        v=v,
+        sup_u=float((v - omega.log_det_g).max()),
         log_c_bound=log_c,
-        ricci_residual_sup=ricci_sup,
+        ricci_residual_sup=ricci_residual_dealiased(omega, epsilon, v, g_eps),
         rel_eig_min=float(lam.min()),
         rel_eig_max=float(lam.max()),
         s_max=float(trace_s_field(omega.g, g_eps).max()),
-        sigma_n_field=det(g_eps).real / omega.det_g,
+        wedge_integrals=wedge_integrals(g_eps, omega.g),
         newton_steps=newton_steps,
         krylov_matvecs=krylov_matvecs,
     )
@@ -405,7 +401,9 @@ class LimitProbeReport:
 
     On a torus the family collapses (u ~ n log eps, volume eps^n -> 0);
     bounded, shrinking drifts certify the normalized limit, while the raw
-    u's diverge.  A single-state path has nothing to compare: empty report.
+    u's diverge.  The drifts are taken from v - n log eps: u - v = -log det g
+    does not depend on eps and cancels in every difference.  A single-state
+    path has nothing to compare: empty report.
     """
 
     epsilons: list
@@ -427,8 +425,8 @@ def limit_probe(path) -> LimitProbeReport:
     if len(path) < 2:
         return LimitProbeReport(eps, [], converging=False,
                                 note="single-state path: no drift to measure")
-    n = path[0].g_eps.shape[-1]
-    ws = [s.u - n * np.log(s.epsilon) for s in path]
+    n = path[0].v.ndim // 2
+    ws = [s.v - n * np.log(s.epsilon) for s in path]
     drifts = [float(np.max(np.abs(b - a))) for a, b in zip(ws, ws[1:])]
     # "converging" = drifts stop growing and the tail drift is small in
     # absolute terms; loose by design, this is a probe rather than a proof.

@@ -244,11 +244,7 @@ def rough_torus_potential(grid: TorusGrid, amplitude: float,
 
 
 def _sweep_hsc_range(metric_field):
-    """(min, max) of H over a torus sweep; at n = 1 H = R / g^2 on the whole grid."""
-    if metric_field.n == 1:
-        R = curvature_field(metric_field)[..., 0, 0, 0, 0].real
-        h = R / metric_field.g[..., 0, 0].real ** 2
-        return float(h.min()), float(h.max())
+    """(min, max) of H over a torus sweep of at most 64 grid points."""
     exts = sweep_hsc_extremes(metric_field, max_points=64)
     return min(e.h_min for e in exts), max(e.h_max for e in exts)
 

@@ -91,8 +91,8 @@ def test_criterion_02_flat_background_closed_form():
         grid = TorusGrid(n, N)
         omega = TorusMetricField(grid, np.zeros(grid.shape))
         states = continuity_path(omega, [0.5**j for j in range(10)], tol=1e-12)
-        drifts.append(max(float(np.max(np.abs(s.u - n * np.log(s.epsilon))))
-                          for s in states))
+        drifts.append(max(float(np.max(np.abs(
+            s.v - omega.log_det_g - n * np.log(s.epsilon)))) for s in states))
         ceilings.append(max(s.sup_u - s.log_c_bound for s in states))
     ok = max(drifts) <= 1e-10 and max(ceilings) <= 1e-12
     assert verdict(
@@ -276,7 +276,8 @@ def test_criterion_08_wedge_integral_exactness(perturbed_path):
             abs(wedge_integral(other.g, omega.g + shift, k) - base))
 
     vref = volume(omega)
-    law_err = max(abs(grid.mean(s.sigma_n_field * omega.det_g)
+    law_err = max(abs(grid.mean(np.linalg.det(s.epsilon * omega.g
+                                              + grid.complex_hessian(s.v)))
                       - s.epsilon**n * vref) for s in states)
     expansion = epsilon_expansion_check(states, omega)
     low = max(abs(c) for c in expansion.coefficients[:n])

@@ -154,7 +154,9 @@ def test_expansion_on_flat_path(flat_path):
 
 def test_expansion_detects_injected_constant(flat_path):
     omega, path = flat_path
-    shifted = [dataclasses.replace(s, sigma_n_field=s.sigma_n_field + 0.01)
+    # sigma_n + 0.01 adds 0.01 * volume(omega) = 0.01 to W_n
+    shifted = [dataclasses.replace(s, wedge_integrals=(*s.wedge_integrals[:-1],
+                                                       s.wedge_integrals[-1] + 0.01))
                for s in path]
     report = epsilon_expansion_check(shifted, omega)
     assert report.coefficients[0] == pytest.approx(0.01, abs=1e-8)
@@ -177,7 +179,9 @@ def test_bigness_synthetic_equality(flat_path):
     omega, path = flat_path
     kappa0 = 0.8
     c = ((omega.n + 1) * kappa0 / 2.0) ** omega.n
-    pinned = [dataclasses.replace(s, sigma_n_field=np.full_like(s.sigma_n_field, c))
+    # sigma_n = c everywhere gives W_n = c * volume(omega)
+    pinned = [dataclasses.replace(s, wedge_integrals=(*s.wedge_integrals[:-1],
+                                                      c * volume(omega)))
               for s in path]
     rep = bigness_bound_report(kappa0, omega, pinned)
     assert rep.applicable

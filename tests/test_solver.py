@@ -1,7 +1,7 @@
 """Monge-Ampère solves, the shrinking-coefficient path, and its diagnostics."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import scipy.fft
 from kahlerbench.errors import DimensionMismatch, NonConvergence, PositivityLoss
 from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
+from kahlerbench.integrals import wedge_integral
 from kahlerbench.io import load_state, save_state
 from kahlerbench.solver import (
     MAProblem,
@@ -45,6 +46,11 @@ def seeded_cosine_potential(grid, seed, modes=6, kmax=2, hessian_sup=0.6):
         phase, weight = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.3, 1.0)
         f = f + weight * np.cos(2.0 * np.pi * sum(kk * xx for kk, xx in zip(k, x)) + phase)
     return f * (hessian_sup / np.max(np.linalg.norm(grid.complex_hessian(f), axis=(-2, -1))))
+
+
+def _g_eps(omega, state):
+    """A state's metric eps*g + Hess v, rebuilt from v as make_state forms it."""
+    return state.epsilon * omega.g + omega.grid.complex_hessian(state.v)
 
 
 @pytest.fixture(scope="module")
@@ -205,14 +211,36 @@ def test_flat_path_is_exact():
     assert volume_ratio_ceiling(omega, 1.0) == 0.0
     for e, s in zip(eps, states):
         assert s.newton_steps == 0  # the warm start is already exact
-        assert np.max(np.abs(s.u - 2.0 * np.log(e))) < 1e-12
+        assert np.max(np.abs(s.v - omega.log_det_g - 2.0 * np.log(e))) < 1e-12
         assert s.sup_u == pytest.approx(2.0 * np.log(e), abs=1e-12)
         assert s.sup_u <= s.log_c_bound + 1e-8
         assert s.ricci_residual_sup < 1e-12
         assert s.rel_eig_min == pytest.approx(e, abs=1e-12)
         assert s.rel_eig_max == pytest.approx(e, abs=1e-12)
         assert s.s_max == pytest.approx(2.0 / e, rel=1e-12)
-        assert np.max(np.abs(s.sigma_n_field - e**2)) < 1e-12
+        sigma_n = np.linalg.det(_g_eps(omega, s)).real / omega.det_g
+        assert np.max(np.abs(sigma_n - e**2)) < 1e-12
+        # omega_eps = eps * omega, so W_k = eps^k
+        assert len(s.wedge_integrals) == 3
+        assert max(abs(w - e**k) for k, w in enumerate(s.wedge_integrals)) <= 1e-15
+
+
+def test_state_wedge_integrals_are_the_wedge_pass():
+    grid = TorusGrid(2, 8)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    for s in continuity_path(omega, [1.0, 0.5, 0.25], tol=1e-10):
+        g_eps = _g_eps(omega, s)
+        assert s.wedge_integrals == tuple(wedge_integral(g_eps, omega.g, k)
+                                          for k in range(grid.n + 1))
+
+
+def test_state_keeps_v_as_its_only_array():
+    grid = TorusGrid(1, 16)
+    omega = TorusMetricField(grid, cosine_potential(grid, 0.05))
+    (state,) = continuity_path(omega, [0.5], tol=1e-10)
+    arrays = [f.name for f in fields(state)
+              if isinstance(getattr(state, f.name), np.ndarray)]
+    assert arrays == ["v"]
 
 
 def test_schedule_validation():
@@ -264,8 +292,8 @@ def test_deep_path_diagnostics(deep_path):
         assert s.sup_u <= log_c + 1e-8
         assert 0.0 < s.rel_eig_min <= s.rel_eig_max
         # discrete volume identity: integral of omega_eps^n = integral e^u omega^n
-        vol_eps = float(np.mean(np.linalg.det(s.g_eps).real))
-        vol_u = float(np.mean(np.exp(s.u) * omega.det_g))
+        vol_eps = float(np.mean(np.linalg.det(_g_eps(omega, s)).real))
+        vol_u = float(np.mean(np.exp(s.v - omega.log_det_g) * omega.det_g))
         assert abs(vol_eps - vol_u) / vol_eps < 1e-10
         if s.epsilon >= 2.0**-4:
             assert s.ricci_residual_sup <= 1e-6
@@ -291,7 +319,7 @@ def test_path_is_deterministic():
     a = continuity_path(omega, [1.0, 0.5], tol=1e-10)
     b = continuity_path(omega, [1.0, 0.5], tol=1e-10)
     for s, t in zip(a, b):
-        assert np.max(np.abs(s.u - t.u)) <= 1e-14
+        assert np.max(np.abs(s.v - t.v)) <= 1e-14  # and so u = v - log det g
         assert s.ricci_residual_sup == t.ricci_residual_sup
 
 
@@ -312,7 +340,7 @@ def test_ricci_residual_flat_is_zero():
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     state = continuity_path(omega, [0.5])[0]
     assert _raw_residual(omega, state) < 1e-12
-    assert ricci_residual_dealiased(omega, 0.5, state.v, state.g_eps) < 1e-12
+    assert ricci_residual_dealiased(omega, 0.5, state.v, _g_eps(omega, state)) < 1e-12
 
 
 def test_ricci_residual_detects_corruption():
@@ -321,7 +349,7 @@ def test_ricci_residual_detects_corruption():
     state = continuity_path(omega, [1.0])[0]
     v_bad = state.v + cosine_potential(grid, 1e-3, k=3)
     g_bad = 1.0 * omega.g + grid.complex_hessian(v_bad)
-    assert _raw_residual(omega, replace(state, v=v_bad, g_eps=g_bad)) >= 1e-4
+    assert _raw_residual(omega, replace(state, v=v_bad)) >= 1e-4
     assert ricci_residual_dealiased(omega, 1.0, v_bad, g_bad) >= 1e-4
 
 
@@ -339,9 +367,9 @@ def test_ricci_residual_refines_at_spectral_rate():
 def _raw_residual(omega, state):
     """sup |Ric(omega_eps) + omega_eps - eps omega|, Ric = -dd^c log det g_eps
     taken spectrally on the solve grid itself."""
-    grid = omega.grid
-    ric = -grid.complex_hessian(np.log(np.linalg.det(state.g_eps).real))
-    return float(np.max(np.abs(ric + state.g_eps - state.epsilon * omega.g)))
+    g_eps = _g_eps(omega, state)
+    ric = -omega.grid.complex_hessian(np.log(np.linalg.det(g_eps).real))
+    return float(np.max(np.abs(ric + g_eps - state.epsilon * omega.g)))
 
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 8), (3, 8)])
@@ -483,8 +511,9 @@ def test_band_residual_matches_full_grid_route():
     # all 14 values here measured equal bit for bit (residuals 1.6e-12 to 5.9e-7).
     for omega, states in _band_route_cases():
         for s in states:
-            want = _full_grid_dealiased(omega, s.epsilon, s.v, s.g_eps)
-            got = ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)
+            g_eps = _g_eps(omega, s)
+            want = _full_grid_dealiased(omega, s.epsilon, s.v, g_eps)
+            got = ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)
             assert s.ricci_residual_sup == got
             assert abs(got - want) <= 1e-5 * want, (omega.grid, s.epsilon, got, want)
 
@@ -495,10 +524,11 @@ def test_band_residual_working_set():
     grid = TorusGrid(2, 12)
     omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     s = continuity_path(omega, [1.0], tol=1e-10)[0]
-    ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)  # build the cached tables
+    g_eps = _g_eps(omega, s)
+    ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)  # build the cached tables
     tracemalloc.start()
     try:
-        ricci_residual_dealiased(omega, s.epsilon, s.v, s.g_eps)
+        ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
