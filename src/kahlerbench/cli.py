@@ -12,14 +12,22 @@ Configuration is YAML validated against the shipped JSON schema
 (schema/config.schema.json); CLI flags override the file, each flag sets
 its key in every config section that has it, and the merged config is
 validated again (a bad flag exits 2 with a config error).  Check
-tolerances are not configurable: each check owns its threshold as a module
-constant (listed in the inequalities and integrals docstrings, and
-RICCI_RESIDUAL_TOL below for the path's Ricci residual).  Every pipeline
+tolerances are not configurable: each threshold is a module constant,
+stated once in the report that applies it (listed in the inequalities and
+integrals docstrings, and the three constants below).  Every pipeline
 writes reports.jsonl (one inequality report per line), summary.json,
 summary.csv, and pipeline-specific artifacts under <out>/<pipeline>/.
 Runs are deterministic for a fixed seed: report files contain no
-timestamps (timings live in meta.json only).  Exit status is 0 exactly
-when no enabled check fails; not-applicable rows never fail a run.
+timestamps (timings live in meta.json only).
+
+Every summary row takes its status from its reports (_row): fail if any
+applicable report fails, not-applicable if none applies, pass otherwise.
+Rows with no number to compare keep their own verdict: the
+continuity-path solve failure, normalized-limit-drift, the zoo fact rows
+(zoo.verify_fact decides them) and schwarz-hypothesis-screen (which
+passes when its report is not-applicable).  An example's warning row has
+no report and so reads not-applicable.  Exit status is 0 exactly when no
+row fails; not-applicable rows never fail a run.
 """
 
 from __future__ import annotations
@@ -88,8 +96,13 @@ from .zoo import (
     verify_example_facts,
 )
 
-# Threshold of the dealiased Ricci identity residual of every path state.
+# Thresholds of the CLI's own checks: the dealiased Ricci identity residual
+# of every path state, the equality cases of the Newton-MacLaurin chain and
+# of the HSC trace bound, and the algebraic identities of the integrals
+# pipeline (dd^c-shift invariance, sigma against mixed determinants).
 RICCI_RESIDUAL_TOL = 1e-6
+EQUALITY_TOL = 1e-12
+ALGEBRAIC_TOL = 1e-10
 
 DEFAULTS = {
     "seed": 7,
@@ -154,29 +167,24 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def _row(pipeline, check, status, value=None, margin=None, tol=None, note=""):
-    return {
-        "pipeline": pipeline, "check": check, "status": status,
-        "value": None if value is None else float(value),
-        "margin": None if margin is None else float(margin),
-        "tol": None if tol is None else float(tol),
-        "note": note,
-    }
+def _row(pipeline, check, reports, note=""):
+    """One summary row for a check, taken from the reports behind it.
 
-
-def _report_row(pipeline, report, check=None):
-    d = report.as_dict()
-    return _row(pipeline, check or d["name"], d["status"],
-                value=d["lhs"], margin=d["margin"], tol=d["tol"], note=d["note"])
-
-
-def _reports_row(pipeline, check, reports, tol, note):
-    """One row for a batch of reports: it passes when every report passes,
-    and its margin is the least margin of the applicable ones."""
-    return _row(pipeline, check,
-                "pass" if all(r.passed for r in reports) else "fail",
-                margin=min((r.margin for r in reports if r.applicable), default=np.inf),
-                tol=tol, note=note)
+    The status is fail if any applicable report fails, not-applicable if no
+    report applies (or there is none), and pass otherwise.  value, margin
+    and tol are the lhs, margin and tol of the worst applicable report: a
+    failing one if any fails, else the one with the least slack; all three
+    are None when no report applies.  A row that keeps its own verdict
+    overrides status (and value, tol) with a dict union.
+    """
+    worst = min((r for r in reports if r.applicable),
+                key=lambda r: (r.status == "pass", r.slack), default=None)
+    value = margin = tol = None
+    if worst is not None:
+        value, margin, tol = (float(x) for x in (worst.lhs, worst.margin, worst.tol))
+    return {"pipeline": pipeline, "check": check,
+            "status": "not-applicable" if worst is None else worst.status,
+            "value": value, "margin": margin, "tol": tol, "note": note}
 
 
 # --------------------------------------------------------------------------
@@ -192,12 +200,12 @@ def run_solve_ma(cfg, out_dir, seed):
     v, info = solve_ma(problem, tol=c["tol"], return_info=True)
     err = float(np.max(np.abs(v - v_star)))
     reports = [
-        make_report("manufactured-residual", c["tol"], info["final_residual"], 0.0,
-                    note=f"newton_steps={info['newton_steps']}"),
-        make_report("manufactured-recovery", 1e3 * c["tol"], err, 0.0,
-                    note="sup |v - v*| against 1000x solver tol"),
+        make_report("manufactured-residual", info["final_residual"], 0.0, c["tol"],
+                    two_sided=True, note=f"newton_steps={info['newton_steps']}"),
+        make_report("manufactured-recovery", err, 0.0, 1e3 * c["tol"],
+                    two_sided=True, note="sup |v - v*| against 1000x solver tol"),
     ]
-    rows = [_report_row("solve-ma", r) for r in reports]
+    rows = [_row("solve-ma", r.name, [r], r.note) for r in reports]
     save_scalar_field(out_dir / "v.kwb", grid, v, "solution-v")
     save_scalar_field(out_dir / "v_star.kwb", grid, v_star, "potential")
     write_json(out_dir / "newton.json", {
@@ -223,39 +231,34 @@ def run_continuity_path(cfg, out_dir, seed):
     except (NonConvergence, PositivityLoss) as err:
         e_at = getattr(err, "epsilon", None)
         note = f"{err}" + (f" at eps={e_at:.6g}" if e_at is not None else "")
-        return [_row("continuity-path", "solve", "fail", note=note)], []
+        return [_row("continuity-path", "solve", [], note) | {"status": "fail"}], []
 
-    reports, rows, series = [], [], []
-    for s in states:
-        ceiling = make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, 1e-8,
-                              note=f"eps={s.epsilon:.6g}")
-        ricci = make_report("ricci-identity-residual", RICCI_RESIDUAL_TOL,
-                            s.ricci_residual_sup, 0.0,
-                            note=f"eps={s.epsilon:.6g}")
-        reports.extend((ceiling, ricci))
-        series.append({
-            "epsilon": s.epsilon, "sup_u": s.sup_u, "log_c_bound": s.log_c_bound,
-            "ricci_residual": s.ricci_residual_sup,
-            "rel_eig_min": s.rel_eig_min, "rel_eig_max": s.rel_eig_max,
-            "s_max": s.s_max, "newton_steps": s.newton_steps,
-            "krylov_matvecs": s.krylov_matvecs,
-        })
-    rows.append(_reports_row("continuity-path", "sup-u-ceiling", reports[0::2], 1e-8,
-                             f"{len(states)} states, eps {eps[0]:.3g}..{eps[-1]:.3g}"))
-    rows.append(_row("continuity-path", "ricci-identity-residual",
-                     "pass" if all(r.passed for r in reports[1::2]) else "fail",
-                     value=max(s.ricci_residual_sup for s in states),
-                     tol=RICCI_RESIDUAL_TOL, note="sup over states"))
+    ceilings = [make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, 1e-8,
+                            note=f"eps={s.epsilon:.6g}") for s in states]
+    residuals = [make_report("ricci-identity-residual", s.ricci_residual_sup, 0.0,
+                             RICCI_RESIDUAL_TOL, two_sided=True,
+                             note=f"eps={s.epsilon:.6g}") for s in states]
+    series = [{
+        "epsilon": s.epsilon, "sup_u": s.sup_u, "log_c_bound": s.log_c_bound,
+        "ricci_residual": s.ricci_residual_sup,
+        "rel_eig_min": s.rel_eig_min, "rel_eig_max": s.rel_eig_max,
+        "s_max": s.s_max, "newton_steps": s.newton_steps,
+        "krylov_matvecs": s.krylov_matvecs,
+    } for s in states]
     probe = limit_probe(states)
-    rows.append(_row("continuity-path", "normalized-limit-drift",
-                     "pass" if probe.converging else "fail",
-                     value=probe.drifts[-1] if probe.drifts else 0.0,
-                     note=probe.note))
+    rows = [
+        _row("continuity-path", "sup-u-ceiling", ceilings,
+             f"{len(states)} states, eps {eps[0]:.3g}..{eps[-1]:.3g}"),
+        _row("continuity-path", "ricci-identity-residual", residuals, "worst state"),
+        _row("continuity-path", "normalized-limit-drift", [], probe.note) | {
+            "status": "pass" if probe.converging else "fail",
+            "value": float(probe.drifts[-1]) if probe.drifts else 0.0},
+    ]
     for i, s in enumerate(states):
         save_state(out_dir / "states" / f"state-{i:02d}", s, grid)
     rows_to_csv(out_dir / "series.csv", series, list(series[0].keys()))
     write_json(out_dir / "limit_probe.json", probe.as_dict())
-    return rows, reports
+    return rows, ceilings + residuals
 
 
 _EXAMPLE_CLI_PARAMS = {"poincare-polydisk": {"scale": 2.0}}
@@ -267,13 +270,12 @@ def run_hsc_extremes(cfg, out_dir, seed):
     for name in c["examples"]:
         example = make_example(name, **_EXAMPLE_CLI_PARAMS.get(name, {}))
         for fact in verify_example_facts(example):
-            rows.append(_row("hsc-extremes", f"{name}:{fact['fact']}",
-                             "pass" if fact["ok"] else "fail",
-                             value=fact["measured"], tol=fact["tol"],
-                             note=f"oracle={fact['oracle']:.9g} [{fact['provenance']}]"))
-        for warning in example.spec.warnings:
-            rows.append(_row("hsc-extremes", f"{name}:warning", "not-applicable",
-                             note=warning))
+            rows.append(_row("hsc-extremes", f"{name}:{fact['fact']}", [],
+                             f"oracle={fact['oracle']:.9g} [{fact['provenance']}]") | {
+                "status": "pass" if fact["ok"] else "fail",
+                "value": float(fact["measured"]), "tol": float(fact["tol"])})
+        rows.extend(_row("hsc-extremes", f"{name}:warning", [], warning)
+                    for warning in example.spec.warnings)
         if example.field.kind == "analytic-chart":
             pts = example.geometry.sample_points(per_axis=2)
             for p, ext in zip(pts, sweep_hsc_extremes(example.field, pts)):
@@ -299,18 +301,18 @@ def run_verify_inequalities(cfg, out_dir, seed):
         lam = np.exp(rng.normal(0.0, 1.0, size=(c["trials"] // 2, n)))
         for k in range(1, n):
             worst = min(worst, float(newton_maclaurin_margin_field(lam, k).min()))
-    rows.append(_row("verify-inequalities", "newton-maclaurin-sweep",
-                     "pass" if worst >= -MARGIN_TOL else "fail",
-                     margin=worst, tol=MARGIN_TOL,
-                     note=f"{c['trials']} eigenvalue tuples, n in {{2,3}}"))
     base = np.exp(rng.normal(0.0, 0.5, size=(c["trials"] // 10, 1)))
     spread = 1e-9 * rng.standard_normal((c["trials"] // 10, 2))
     lam_eq = base * (1.0 + spread)
     eq_worst = float(np.max(np.abs(newton_maclaurin_margin_field(lam_eq, 1))))
-    rows.append(_row("verify-inequalities", "newton-maclaurin-equality",
-                     "pass" if eq_worst <= 1e-12 else "fail",
-                     value=eq_worst, tol=1e-12,
-                     note="near-equal eigenvalues collapse the chain"))
+    chain = [
+        make_report("newton-maclaurin-sweep", worst, 0.0, MARGIN_TOL,
+                    note=f"{c['trials']} eigenvalue tuples, n in {{2,3}}"),
+        make_report("newton-maclaurin-equality", eq_worst, 0.0, EQUALITY_TOL,
+                    two_sided=True, note="near-equal eigenvalues collapse the chain"),
+    ]
+    reports.extend(chain)
+    rows.extend(_row("verify-inequalities", r.name, [r], r.note) for r in chain)
 
     # curvature-term bound on conditioned random tensors
     royden = []
@@ -321,23 +323,21 @@ def run_verify_inequalities(cfg, out_dir, seed):
         d = np.exp(rng.normal(0.0, 0.7, n))
         royden.append(royden_margin(R, np.eye(n), np.diag(d).astype(complex), kappa))
     reports.extend(royden)
-    rows.append(_reports_row("verify-inequalities", "hsc-trace-lower-bound", royden,
-                             MARGIN_TOL, f"{c['royden_trials']} conditioned random tensors"))
+    rows.append(_row("verify-inequalities", "hsc-trace-lower-bound", royden,
+                     f"{c['royden_trials']} conditioned random tensors"))
 
-    # equality cases
+    # equality cases: the bound holds with equality, to either side
     kappa_eq = 0.7
     r1 = royden_margin(np.full((1, 1, 1, 1), -kappa_eq, dtype=complex),
-                       np.eye(1), np.eye(1), kappa_eq, tol=1e-12)
-    c_model = -1.3
-    R_model = constant_hsc_tensor(np.eye(2, dtype=complex), c_model)
+                       np.eye(1), np.eye(1), kappa_eq)
+    R_model = constant_hsc_tensor(np.eye(2, dtype=complex), -1.3)
     ext = hsc_extremes_from_tensor(R_model, np.eye(2))
-    r2 = royden_margin(R_model, np.eye(2), np.eye(2), -ext.h_max, tol=1e-12)
-    reports.extend((r1, r2))
-    eq_ok = abs(r1.margin) <= 1e-12 and abs(r2.margin) <= 1e-12
-    rows.append(_row("verify-inequalities", "hsc-trace-equality-cases",
-                     "pass" if eq_ok else "fail",
-                     value=max(abs(r1.margin), abs(r2.margin)), tol=1e-12,
-                     note="exact-kappa line and constant-H model"))
+    r2 = royden_margin(R_model, np.eye(2), np.eye(2), -ext.h_max)
+    equality = [make_report("hsc-trace-equality-cases", r.lhs, r.rhs, EQUALITY_TOL,
+                            two_sided=True, note=r.note) for r in (r1, r2)]
+    reports.extend(equality)
+    rows.append(_row("verify-inequalities", "hsc-trace-equality-cases", equality,
+                     "exact-kappa line and constant-H model"))
 
     # Ricci-term bound with hypothesis-satisfying and violating data
     ricci = []
@@ -352,8 +352,8 @@ def run_verify_inequalities(cfg, out_dir, seed):
         ricci.append(ricci_term_margin(ric, gp, lam, 0.0))
     bad = ricci_term_margin(-3.0 * np.eye(2), np.eye(2), 1.0, 0.0)
     reports.extend(ricci + [bad])
-    rows.append(_reports_row(
-        "verify-inequalities", "ricci-trace-lower-bound", ricci, MARGIN_TOL,
+    rows.append(_row(
+        "verify-inequalities", "ricci-trace-lower-bound", ricci,
         f"hypothesis-violating data -> {int(not bad.applicable)} not-applicable"))
 
     # Laplacian identity, exact from the two metric jets, and its
@@ -363,8 +363,7 @@ def run_verify_inequalities(cfg, out_dir, seed):
     omega_p = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
     identity, cs = laplacian_identity_check(omega, omega_p, (3, 5, 7, 1))
     reports.extend((identity, cs))
-    rows.append(_report_row("verify-inequalities", identity))
-    rows.append(_report_row("verify-inequalities", cs))
+    rows.extend(_row("verify-inequalities", r.name, [r], r.note) for r in (identity, cs))
 
     # Schwarz conclusion on the normalized polydisk (omega' = omega)
     example = make_example("poincare-polydisk", n=2, scale=2.0)
@@ -372,38 +371,35 @@ def run_verify_inequalities(cfg, out_dir, seed):
     schwarz = [schwarz_conclusion_check(example.field, example.field, hyp, p)
                for p in example.geometry.sample_points(per_axis=2, radius_fraction=0.4)]
     reports.extend(schwarz)
-    rows.append(_reports_row("verify-inequalities", "schwarz-log-trace-conclusion",
-                             schwarz, MARGIN_TOL, "normalized polydisk, omega' = omega"))
+    rows.append(_row("verify-inequalities", "schwarz-log-trace-conclusion",
+                     schwarz, "normalized polydisk, omega' = omega"))
     too_strong = schwarz_conclusion_check(
         example.field, example.field,
         SchwarzHypotheses(kappa=0.6, lam=1.0, mu=0.0),
         example.geometry.sample_points(per_axis=1)[0],
     )
     reports.append(too_strong)
-    rows.append(_row("verify-inequalities", "schwarz-hypothesis-screen",
-                     "pass" if not too_strong.applicable else "fail",
-                     note="overclaimed kappa must be screened out as not-applicable"))
+    rows.append(_row("verify-inequalities", "schwarz-hypothesis-screen", [],
+                     "overclaimed kappa must be screened out as not-applicable")
+                | {"status": "pass" if not too_strong.applicable else "fail"})
 
     # max-principle ceiling: applicable on the polydisk, vacuous on the torus
     kappa0 = kappa_floor(example.field,
                          points=example.geometry.sample_points(per_axis=2))
     mp = max_principle_s_bound(kappa0, [2.0], 2)
-    reports.append(mp)
-    rows.append(_report_row("verify-inequalities", mp, check="max-principle-polydisk"))
     torus_field = TorusMetricField(TorusGrid(1, 16),
                                    perturbed_torus_potential(TorusGrid(1, 16), 0.01))
-    kappa0_torus = kappa_floor(torus_field)
-    mp_torus = max_principle_s_bound(kappa0_torus, [1.0], 1)
-    reports.append(mp_torus)
-    rows.append(_report_row("verify-inequalities", mp_torus,
-                            check="max-principle-torus"))
+    mp_torus = max_principle_s_bound(kappa_floor(torus_field), [1.0], 1)
+    reports.extend((mp, mp_torus))
+    rows.append(_row("verify-inequalities", "max-principle-polydisk", [mp], mp.note))
+    rows.append(_row("verify-inequalities", "max-principle-torus", [mp_torus], mp_torus.note))
     return rows, reports
 
 
 def run_integrals(cfg, out_dir, seed):
     c = cfg["integrals"]
     rng = np.random.default_rng(seed)
-    rows, reports = [], []
+    rows = []
     n, N = c["n"], c["grid"]
     grid = TorusGrid(n, N)
     omega = TorusMetricField(grid, perturbed_torus_potential(grid, c["amplitude"]))
@@ -418,61 +414,55 @@ def run_integrals(cfg, out_dir, seed):
     base = wedge_integrals(A_field.g, omega.g)
     shifted = (wedge_integrals(A_field.g + shift, omega.g)
                + wedge_integrals(A_field.g, omega.g + shift))
-    worst_shift = max(abs(w - b) for w, b in zip(shifted, base + base))
-    rows.append(_row("integrals", "ddc-shift-invariance",
-                     "pass" if worst_shift <= 1e-10 else "fail",
-                     value=worst_shift, tol=1e-10,
-                     note="both slots, k = 0..n"))
+    shift_reports = [make_report("ddc-shift-invariance", w, b, ALGEBRAIC_TOL, two_sided=True)
+                     for w, b in zip(shifted, base + base)]
+    rows.append(_row("integrals", "ddc-shift-invariance", shift_reports,
+                     "both slots, k = 0..n"))
 
     # pointwise sigma consistency: mixed determinants vs relative eigenvalues
-    flat_idx = rng.integers(0, N, size=(5, 2 * n))
-    sigma_err = 0.0
-    for idx in flat_idx:
+    sigma_reports = []
+    for idx in rng.integers(0, N, size=(5, 2 * n)):
         ga = omega.g[tuple(idx)]
         gb = A_field.g[tuple(idx)]
         D = mixed_determinants(gb, ga)
         lam = relative_eigenvalues_field(ga[None], gb[None])[0]
         e = elementary_symmetric_field(lam[None])[0]
-        sigma_err = max(sigma_err, float(np.max(np.abs(
-            D / np.linalg.det(ga).real - e
-        ))))
-    rows.append(_row("integrals", "sigma-mixed-determinant-consistency",
-                     "pass" if sigma_err <= 1e-10 else "fail",
-                     value=sigma_err, tol=1e-10))
+        sigma_reports.extend(
+            make_report("sigma-mixed-determinant-consistency", d, e_k, ALGEBRAIC_TOL,
+                        two_sided=True, note=f"k={k}")
+            for k, (d, e_k) in enumerate(zip(D / np.linalg.det(ga).real, e)))
+    rows.append(_row("integrals", "sigma-mixed-determinant-consistency", sigma_reports))
 
     # short continuity path: expansion fit, volume law, nef floors, bigness
     eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
     states = continuity_path(omega, eps, tol=1e-10)
     expansion = epsilon_expansion_check(states, omega)
     vref = volume(omega)
-    low_order = max(abs(v) for v in expansion.coefficients[:n])
-    rows.append(_row("integrals", "expansion-low-coefficients-vanish",
-                     "pass" if low_order <= INTEGRAL_TOL else "fail",
-                     value=low_order, tol=INTEGRAL_TOL,
-                     note="class of the eps-independent piece is zero here"))
-    top_err = abs(expansion.coefficients[n] - vref)
-    rows.append(_row("integrals", "expansion-top-coefficient-volume",
-                     "pass" if top_err <= INTEGRAL_TOL else "fail",
-                     value=top_err, tol=INTEGRAL_TOL,
-                     note=f"reference volume {vref:.12g}"))
-    law_err = max(abs(s.wedge_integrals[n] - s.epsilon ** n * vref) for s in states)
-    rows.append(_row("integrals", "volume-power-law",
-                     "pass" if law_err <= INTEGRAL_TOL else "fail",
-                     value=law_err, tol=INTEGRAL_TOL,
-                     note="V(eps) = eps^n * V(omega) exactly in class"))
+    coeffs = expansion.coefficients
+    low = [make_report("expansion-low-coefficients-vanish", coeffs[k], 0.0, INTEGRAL_TOL,
+                       two_sided=True, note=f"c_{k}") for k in range(n)]
+    top = make_report("expansion-top-coefficient-volume", coeffs[n], vref, INTEGRAL_TOL,
+                      two_sided=True, note=f"c_{n}")
+    law = [make_report("volume-power-law", s.wedge_integrals[n], s.epsilon ** n * vref,
+                       INTEGRAL_TOL, two_sided=True, note=f"eps={s.epsilon:.6g}")
+           for s in states]
+    rows.append(_row("integrals", "expansion-low-coefficients-vanish", low,
+                     "class of the eps-independent piece is zero here"))
+    rows.append(_row("integrals", "expansion-top-coefficient-volume", [top],
+                     f"reference volume {vref:.12g}"))
+    rows.append(_row("integrals", "volume-power-law", law,
+                     "V(eps) = eps^n * V(omega) exactly in class"))
     nef_reports = nef_lower_bound_check(states, omega)
-    reports.extend(nef_reports)
-    rows.append(_reports_row("integrals", "nef-wedge-lower-bound", nef_reports,
-                             INTEGRAL_TOL, f"{len(nef_reports)} (state, k) rows"))
+    rows.append(_row("integrals", "nef-wedge-lower-bound", nef_reports,
+                     f"{len(nef_reports)} (state, k) rows"))
     kappa0 = kappa_floor(omega)
     bigness = bigness_bound_report(kappa0, omega, states)
-    reports.extend(bigness.per_state)
-    reports.append(bigness.extrapolated)
-    rows.append(_row("integrals", "bigness-volume-floor",
-                     "pass" if all(r.passed for r in bigness.per_state) else "fail",
-                     value=kappa0,
-                     note="not-applicable on a torus (kappa0 <= 0)"
-                     if not bigness.applicable else "floor active"))
+    # a floor that does not apply is one report, shared by states and limit
+    floor = (bigness.per_state + [bigness.extrapolated] if bigness.applicable
+             else bigness.per_state)
+    rows.append(_row("integrals", "bigness-volume-floor", floor,
+                     f"kappa0={kappa0:.6g}; the floor needs kappa0 > 0"))
+    reports = shift_reports + sigma_reports + low + [top] + law + nef_reports + floor
     write_json(out_dir / "expansion.json", expansion.as_dict())
     return rows, reports
 

@@ -14,9 +14,9 @@ that do not apply (hypotheses fail, kappa_0 <= 0) are first-class
 
 Each check owns its verdict threshold; none can be loosened by a caller:
 
-* MARGIN_TOL = 1e-9: the one-sided margins of ricci_term_margin, the
-  third-order Cauchy-Schwarz step, schwarz_conclusion_check and
-  max_principle_s_bound (and the default of royden_margin).
+* MARGIN_TOL = 1e-9: the one-sided margins of royden_margin,
+  ricci_term_margin, the third-order Cauchy-Schwarz step,
+  schwarz_conclusion_check and max_principle_s_bound.
 * IDENTITY_RTOL = 1e-10: the two-sided Laplacian identity, relative to
   max(1, |rhs|).
 """
@@ -65,8 +65,9 @@ class InequalityReport:
     """Outcome of one pointwise or global check.
 
     margin = lhs - rhs; an applicable one-sided check passes iff
-    margin >= -tol, a two-sided (identity) check also needs margin <= tol.
-    Non-applicable reports carry NaN numerics and never fail a run.
+    margin >= -tol, a two-sided (identity) check also needs margin <= tol,
+    that is iff its slack is >= 0.  status is the only verdict:
+    non-applicable reports carry NaN numerics and never fail a run.
     """
 
     name: str
@@ -80,19 +81,15 @@ class InequalityReport:
     note: str = ""
 
     @property
-    def passed(self) -> bool:
-        if not self.applicable:
-            return True
-        ok = self.margin >= -self.tol
-        if self.two_sided:
-            ok = ok and self.margin <= self.tol
-        return bool(ok)
+    def slack(self) -> float:
+        """Distance inside the threshold; negative (or NaN) when the check fails."""
+        return self.tol - (abs(self.margin) if self.two_sided else -self.margin)
 
     @property
     def status(self) -> str:
         if not self.applicable:
             return "not-applicable"
-        return "pass" if self.passed else "fail"
+        return "pass" if self.slack >= 0.0 else "fail"
 
     def as_dict(self) -> dict:
         def _f(x):
@@ -142,7 +139,7 @@ def _point_tuple(point):
 # -- curvature-term bound (sharp constant (n+1)/(2n)) -----------------------
 
 
-def royden_margin(R, g, g_prime, kappa, tol: float = MARGIN_TOL) -> InequalityReport:
+def royden_margin(R, g, g_prime, kappa) -> InequalityReport:
     """Check -R(A, A) >= (n+1) kappa / (2n) * S^2 with A = g'^{-1}, S = tr(A g).
 
     R is the ambient curvature tensor, g the ambient metric, g_prime the
@@ -167,7 +164,7 @@ def royden_margin(R, g, g_prime, kappa, tol: float = MARGIN_TOL) -> InequalityRe
     lhs = float(-np.einsum("ijkl,ij,kl->", np.asarray(R, dtype=complex), Ac, Ac).real)
     S = float(np.einsum("ij,ji->", A, pair[0]).real)
     rhs = (n + 1) * kappa / (2.0 * n) * S**2
-    return make_report("hsc-trace-lower-bound", lhs, rhs, tol,
+    return make_report("hsc-trace-lower-bound", lhs, rhs, MARGIN_TOL,
                        note=f"S={S:.6g} kappa={kappa:.6g}")
 
 

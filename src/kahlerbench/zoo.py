@@ -219,27 +219,6 @@ def perturbed_torus_potential(grid: TorusGrid, amplitude: float,
     return amplitude * psi
 
 
-def rough_torus_potential(grid: TorusGrid, amplitude: float,
-                          sharpness: float = 0.35) -> np.ndarray:
-    """Analytic potential with a slowly decaying (geometric) spectrum.
-
-    Sums 1/(1 + sharpness - cos 2 pi t) over every real axis, so the
-    Fourier coefficients fall off like rho^|k| with rho approaching 1 as
-    sharpness -> 0.  Unlike the band-limited cosine recipe, this is never
-    exactly resolved by a finite grid, which makes it the right substrate
-    for grid-refinement studies: the aliasing error is tunably large.
-    Mean-removed so the zero-mean potential gauge is respected.
-    """
-    if sharpness <= 0.0:
-        raise ValueError("sharpness must be positive")
-    psi = np.zeros(grid.shape)
-    for axis in range(2 * grid.n):
-        t = grid._axis_view(grid.axis_coords, axis)
-        psi = psi + 1.0 / (1.0 + sharpness - np.cos(2.0 * np.pi * t))
-    psi = amplitude * psi
-    return psi - psi.mean()
-
-
 # -- example builders ---------------------------------------------------------
 
 

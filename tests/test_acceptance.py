@@ -42,11 +42,11 @@ from kahlerbench.zoo import (
     make_example,
     perturbed_torus_potential,
     poincare_polydisk_terms,
-    rough_torus_potential,
     verify_example_facts,
 )
 
 from test_inequalities import fd_laplacian, real_coords, trace_function
+from test_solver import rough_torus_potential
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -168,16 +168,15 @@ def test_criterion_05_curvature_trace_lower_bound():
             continue
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g_prime = np.eye(2) + 0.3 * A @ A.conj().T
-        report = royden_margin(R, np.eye(2), g_prime, kappa, tol=1e-9)
+        report = royden_margin(R, np.eye(2), g_prime, kappa)
         min_margin = min(min_margin, report.margin)
         trials += 1
 
     exact_line = royden_margin(np.full((1, 1, 1, 1), -0.7, dtype=complex),
-                               np.eye(1), np.eye(1), 0.7, tol=1e-12)
+                               np.eye(1), np.eye(1), 0.7)
     model = constant_hsc_tensor(np.eye(2, dtype=complex), -1.3)
     ext = hsc_extremes_from_tensor(model, np.eye(2))
-    constant_h = royden_margin(model, np.eye(2), np.eye(2), -ext.h_max,
-                               tol=1e-12)
+    constant_h = royden_margin(model, np.eye(2), np.eye(2), -ext.h_max)
     eq_worst = max(abs(exact_line.margin), abs(constant_h.margin))
 
     ok = trials == 1000 and min_margin >= -1e-9 and eq_worst <= 1e-12

@@ -12,6 +12,7 @@ import pytest
 
 from kahlerbench.cli import (
     DEFAULTS,
+    EQUALITY_TOL,
     RUNNERS,
     _row,
     _apply_overrides,
@@ -19,7 +20,8 @@ from kahlerbench.cli import (
     load_config,
     main,
 )
-from kahlerbench.inequalities import make_report
+from kahlerbench.inequalities import make_report, not_applicable, royden_margin
+from kahlerbench.integrals import BIGNESS_TOL, BignessReport
 from kahlerbench.io import read_json
 
 
@@ -275,6 +277,69 @@ def test_failing_check_fails_its_aggregate_row(tmp_path, monkeypatch):
         "ricci-trace-lower-bound"]
 
 
+def test_row_takes_its_status_from_its_reports():
+    ok = make_report("c", 1.0, 0.0, 1e-9)
+    bad = make_report("c", 0.0, 1.0, 1e-9)
+    na = not_applicable("c", "hypothesis absent")
+    assert _row("p", "c", [ok, na])["status"] == "pass"
+    assert _row("p", "c", [na, ok, bad])["status"] == "fail"
+    assert _row("p", "c", [na, na])["status"] == "not-applicable"
+    assert _row("p", "c", [])["status"] == "not-applicable"
+    assert _row("p", "c", [na])["value"] is None
+    # the row shows the numbers of its worst applicable report
+    row = _row("p", "c", [ok, bad, na], "note")
+    assert (row["value"], row["margin"], row["tol"], row["note"]) == (0.0, -1.0, 1e-9, "note")
+    near = make_report("c", 0.5e-8, 0.0, 1e-8, two_sided=True)
+    far = make_report("c", -0.9e-8, 0.0, 1e-8, two_sided=True)
+    assert _row("p", "c", [near, far])["margin"] == -0.9e-8
+
+
+def test_bigness_row_reads_not_applicable_on_a_torus(tmp_path):
+    # kappa_0 <= 0 on a torus, so no report of the volume floor applies: the
+    # row says so, and the one not-applicable report is written once.
+    rc, _, _ = run_cli(["integrals", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = read_json(tmp_path / "integrals" / "summary.json")["rows"]
+    (row,) = [r for r in rows if r["check"] == "bigness-volume-floor"]
+    assert row["status"] == "not-applicable" and row["value"] is None
+    lines = (tmp_path / "integrals" / "reports.jsonl").read_text().splitlines()
+    floor = [r for r in map(json.loads, lines) if r["name"].startswith("bigness")]
+    assert [r["status"] for r in floor] == ["not-applicable"]
+
+
+def test_failing_bigness_limit_fails_the_row_and_the_run(tmp_path, monkeypatch):
+    def floor_with_failing_limit(kappa0, omega, states):
+        per_state = [make_report("bigness-volume-floor", 1.0, 0.5, BIGNESS_TOL)
+                     for _ in states]
+        limit = make_report("bigness-volume-floor-limit", 0.4, 0.5, BIGNESS_TOL)
+        return BignessReport(0.5, per_state, limit, applicable=True)
+
+    monkeypatch.setattr("kahlerbench.cli.bigness_bound_report", floor_with_failing_limit)
+    rc, _, _ = run_cli(["integrals", "--out", str(tmp_path)])
+    assert rc == 1
+    rows = read_json(tmp_path / "integrals" / "summary.json")["rows"]
+    assert [r["check"] for r in rows if r["status"] == "fail"] == ["bigness-volume-floor"]
+    lines = (tmp_path / "integrals" / "reports.jsonl").read_text().splitlines()
+    assert [r["name"] for r in map(json.loads, lines) if r["status"] == "fail"] == [
+        "bigness-volume-floor-limit"]
+
+
+def test_equality_cases_fail_on_either_side(tmp_path, monkeypatch):
+    # Raising each lhs by 2e-12 keeps every one-sided bound but moves the
+    # equality cases past EQUALITY_TOL on the passing side.
+    def raised(R, g, g_prime, kappa):
+        r = royden_margin(R, g, g_prime, kappa)
+        return make_report(r.name, r.lhs + 2e-12, r.rhs, r.tol, note=r.note)
+
+    monkeypatch.setattr("kahlerbench.cli.royden_margin", raised)
+    rc, _, _ = run_cli(["verify-inequalities", "--trials", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    rows = read_json(tmp_path / "verify-inequalities" / "summary.json")["rows"]
+    (row,) = [r for r in rows if r["status"] == "fail"]
+    assert row["check"] == "hsc-trace-equality-cases"
+    assert row["margin"] > EQUALITY_TOL
+
+
 def test_continuity_path_replaces_earlier_states(tmp_path):
     for steps in ("6", "4"):
         rc, _, _ = run_cli(["continuity-path", "--grid", "16", "--eps-steps", steps,
@@ -313,7 +378,7 @@ def test_failure_rows_print_their_cause(tmp_path, monkeypatch):
     note = "line search stalled at residual 3.450e-10 at eps=0.00390625"
 
     def failing(cfg, out_dir, seed):
-        return [_row("continuity-path", "solve", "fail", note=note)], []
+        return [_row("continuity-path", "solve", [], note) | {"status": "fail"}], []
 
     monkeypatch.setitem(RUNNERS, "continuity-path", failing)
     rc, printed, _ = run_cli(["continuity-path", "--out", str(tmp_path)])

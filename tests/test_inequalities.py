@@ -109,16 +109,19 @@ def real_coords(point):
 def test_report_margin_and_status():
     r = make_report("demo", 2.0, 1.5, 0.1)
     assert r.margin == pytest.approx(0.5)
-    assert r.passed and r.status == "pass"
+    assert r.status == "pass" and r.slack == pytest.approx(0.6)
     assert make_report("demo", 1.0, 1.5, 0.1).status == "fail"
     # two-sided checks fail on either side
-    assert make_report("id", 1.0, 1.0, 1e-9, two_sided=True).passed
-    assert not make_report("id", 2.0, 1.0, 1e-9, two_sided=True).passed
+    assert make_report("id", 1.0, 1.0, 1e-9, two_sided=True).status == "pass"
+    assert make_report("id", 2.0, 1.0, 1e-9, two_sided=True).status == "fail"
+    assert make_report("id", 0.0, 1.0, 1e-9, two_sided=True).status == "fail"
+    # a NaN in an applicable check is a failure, never a pass
+    assert make_report("demo", float("nan"), 0.0, 1.0).status == "fail"
 
 
 def test_not_applicable_reports_never_fail():
     r = not_applicable("demo", "hypothesis absent")
-    assert r.passed and r.status == "not-applicable"
+    assert r.status == "not-applicable"
     assert math.isnan(r.margin)
     d = r.as_dict()
     assert d["margin"] is None and d["status"] == "not-applicable"
@@ -147,7 +150,7 @@ def test_hypotheses_validate_signs():
 def test_royden_margin_equality_n1():
     g = np.array([[2.5]], dtype=complex)
     R = constant_hsc_tensor(g, -0.7)
-    r = royden_margin(R, g, g, kappa=0.7, tol=1e-12)
+    r = royden_margin(R, g, g, kappa=0.7)
     assert r.status == "pass"
     assert r.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +160,7 @@ def test_royden_margin_equality_constant_hsc():
     for n in (2, 3):
         g = random_pd(n, rng)
         R = constant_hsc_tensor(g, -1.3)
-        r = royden_margin(R, g, g, kappa=1.3, tol=1e-11)
+        r = royden_margin(R, g, g, kappa=1.3)
         assert r.margin == pytest.approx(0.0, abs=1e-11)
 
 

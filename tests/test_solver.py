@@ -26,12 +26,51 @@ from kahlerbench.solver import (
     solve_ma,
     volume_ratio_ceiling,
 )
-from kahlerbench.zoo import perturbed_torus_potential, rough_torus_potential
+from kahlerbench.zoo import perturbed_torus_potential
 
 
 def cosine_potential(grid, amplitude, k=1):
     x = grid._axis_view(grid.axis_coords, 0)
     return amplitude * np.broadcast_to(np.cos(2.0 * np.pi * k * x), grid.shape).copy()
+
+
+def rough_torus_potential(grid, amplitude, sharpness=0.35):
+    """Analytic potential with a slowly decaying (geometric) spectrum.
+
+    Sums 1/(1 + sharpness - cos 2 pi t) over every real axis, so the
+    Fourier coefficients fall off like rho^|k| with rho approaching 1 as
+    sharpness -> 0.  Unlike a band-limited cosine recipe, no finite grid
+    resolves it exactly, which makes it the substrate for grid-refinement
+    studies: the aliasing error is tunably large.  Mean-removed, as the
+    zero-mean potential gauge requires.
+    """
+    if sharpness <= 0.0:
+        raise ValueError("sharpness must be positive")
+    psi = np.zeros(grid.shape)
+    for axis in range(2 * grid.n):
+        t = grid._axis_view(grid.axis_coords, axis)
+        psi = psi + 1.0 / (1.0 + sharpness - np.cos(2.0 * np.pi * t))
+    psi = amplitude * psi
+    return psi - psi.mean()
+
+
+def test_rough_potential_has_geometric_fourier_decay():
+    # 1/(1 + delta - cos 2 pi t) has coefficients ~ rho^|k| with
+    # rho = 1 + delta - sqrt((1 + delta)^2 - 1); delta = 1/4 gives rho = 1/2.
+    grid = TorusGrid(1, 32)
+    psi = rough_torus_potential(grid, 1.0, sharpness=0.25)
+    assert abs(psi.mean()) < 1e-14
+    coeffs = np.abs(np.fft.rfft(psi[:, 0]) / grid.N)
+    ratios = coeffs[2:8] / coeffs[1:7]
+    assert ratios == pytest.approx(np.full(6, 0.5), abs=1e-5)
+
+
+def test_rough_potential_rejects_nonpositive_sharpness():
+    grid = TorusGrid(1, 16)
+    with pytest.raises(ValueError, match="sharpness"):
+        rough_torus_potential(grid, 0.01, sharpness=0.0)
+    with pytest.raises(ValueError, match="sharpness"):
+        rough_torus_potential(grid, 0.01, sharpness=-0.3)
 
 
 def seeded_cosine_potential(grid, seed, modes=6, kmax=2, hessian_sup=0.6):

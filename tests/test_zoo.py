@@ -15,7 +15,6 @@ from kahlerbench.zoo import (
     make_example,
     perturbed_torus_potential,
     poincare_polydisk_terms,
-    rough_torus_potential,
     symbolic_hsc,
     symbolic_ricci_ratio,
     verify_example_facts,
@@ -166,25 +165,6 @@ def test_perturbed_potential_is_deterministic_and_scales_linearly():
     c = perturbed_torus_potential(grid, 0.02)
     assert np.array_equal(a, b)
     assert np.allclose(c, 2.0 * a, rtol=0.0, atol=1e-15)
-
-
-def test_rough_potential_has_geometric_fourier_decay():
-    # 1/(1 + delta - cos 2 pi t) has coefficients ~ rho^|k| with
-    # rho = 1 + delta - sqrt((1 + delta)^2 - 1); delta = 1/4 gives rho = 1/2.
-    grid = TorusGrid(1, 32)
-    psi = rough_torus_potential(grid, 1.0, sharpness=0.25)
-    assert abs(psi.mean()) < 1e-14
-    coeffs = np.abs(np.fft.rfft(psi[:, 0]) / grid.N)
-    ratios = coeffs[2:8] / coeffs[1:7]
-    assert ratios == pytest.approx(np.full(6, 0.5), abs=1e-5)
-
-
-def test_rough_potential_rejects_nonpositive_sharpness():
-    grid = TorusGrid(1, 16)
-    with pytest.raises(ValueError, match="sharpness"):
-        rough_torus_potential(grid, 0.01, sharpness=0.0)
-    with pytest.raises(ValueError, match="sharpness"):
-        rough_torus_potential(grid, 0.01, sharpness=-0.3)
 
 
 # -- symbolic oracles ---------------------------------------------------------
