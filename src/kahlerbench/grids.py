@@ -207,49 +207,56 @@ class TorusGrid:
         an entry's multiplier m is odd in the wavenumber for T, so the half
         spectrum times i Im m gives its real part and times -i Re m its
         imaginary part; for Q it is even, and Re m, Im m give them.  One
-        rfftn and one batched irfftn make every part, and T and Q are
-        assembled from them so that each symmetry holds exactly.
+        rfftn and one batched irfftn make every part, plus a last part that
+        is zero, the imaginary part of a real entry.  T and Q are then
+        gathered from the parts, point-major, by one table of (real,
+        imaginary) part rows per entry, so that each symmetry holds exactly;
+        the imaginary parts of Q's conjugate partners change sign.
         """
         n, kw = self.n, self._half_wavenumbers
         F = self.rfft(np.asarray(f) - np.mean(f))  # mean out for round-off
         dz = [np.pi * (kw[2 * j + 1] + 1j * kw[2 * j]) for j in range(n)]
         dzbar = [np.pi * (1j * kw[2 * j] - kw[2 * j + 1]) for j in range(n)]
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        T = np.empty(self.shape + (n,) * 3, dtype=complex)
-        Q = np.empty(self.shape + (n,) * 4, dtype=complex)
-        # per distinct entry: its array, its indices, the indices of its
-        # conjugate partner (none in T; None for a real entry of Q), and the
-        # d/dz and d/dzbar directions of its multiplier
-        entries = [(T, {(i, j, k), (k, j, i)}, (), (i, k), (j,))
+        # per distinct entry: its indices, the indices of its conjugate
+        # partner (none in T; None for a real entry of Q), and the d/dz and
+        # d/dzbar directions of its multiplier
+        entries = [({(i, j, k), (k, j, i)}, (), (i, k), (j,))
                    for i, k in pairs for j in range(n)]
         for s, (i, k) in enumerate(pairs):
             for j, l in pairs[s:]:
                 idx = {(a, b, c, d) for a, c in ((i, k), (k, i)) for b, d in ((j, l), (l, j))}
                 conj = None if (j, l) == (i, k) else [(b, a, d, c) for a, b, c, d in idx]
-                entries.append((Q, idx, conj, (i, k), (j, l)))
-        spectra = np.empty((sum(1 if e[2] is None else 2 for e in entries),) + F.shape,
-                           dtype=complex)
-        rows = iter(spectra)
-        for X, _, conj, hol, anti in entries:
+                entries.append((idx, conj, (i, k), (j, l)))
+        zero = sum(1 if e[1] is None else 2 for e in entries)
+        spectra = np.empty((zero + 1,) + F.shape, dtype=complex)
+        spectra[zero] = 0.0
+        table = {3: np.empty((n,) * 3 + (2,), dtype=np.intp),
+                 4: np.empty((n,) * 4 + (2,), dtype=np.intp)}
+        sign = np.ones((n,) * 4 + (2,))
+        row = 0
+        for idx, conj, hol, anti in entries:
             m = math.prod([dz[a] for a in hol] + [dzbar[b] for b in anti])
-            if X is T:
+            if len(anti) == 1:  # an entry of T
                 mults = (1j * m.imag, -1j * m.real)
             else:
                 mults = (m.real,) if conj is None else (m.real, m.imag)
-            for mult in mults:
-                np.multiply(F, mult, out=next(rows))
-        parts = iter(self.irfft(spectra))
-        del rows, spectra  # free the spectra before T and Q are written
-        for X, idx, conj, _, _ in entries:
-            re = next(parts)
-            im = 0.0 if conj is None else next(parts)
+            for r, mult in enumerate(mults):
+                np.multiply(F, mult, out=spectra[row + r])
+            re_im = (row, row + 1 if len(mults) == 2 else zero)
             for e in idx:
-                X.real[(...,) + e], X.imag[(...,) + e] = re, im
-            if conj:
-                im = -im
-                for e in conj:
-                    X.real[(...,) + e], X.imag[(...,) + e] = re, im
-        return T, Q
+                table[len(e)][e] = re_im
+            for e in conj or ():
+                table[4][e] = re_im
+                sign[e + (1,)] = -1.0
+            row += len(mults)
+        parts = self.irfft(spectra)
+        del spectra  # free the spectra before T and Q are gathered
+        parts = np.moveaxis(parts, 0, -1)
+        T = np.take(parts, table[3], axis=-1).view(complex)[..., 0]
+        Q = np.take(parts, table[4], axis=-1)
+        Q *= sign
+        return T, Q.view(complex)[..., 0]
 
     def mean(self, f: np.ndarray) -> float:
         """Torus average; the trapezoid rule is exact on periodic data."""
