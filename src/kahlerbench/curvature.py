@@ -32,11 +32,17 @@ SYMMETRY_RTOL = 1e-10
 HSC_PENCIL_LINES = 400
 HSC_PENCIL_STARTS = 2
 HSC_REFINE_STEPS = 20
-# The exact n = 2 kernel: eigenvalues of its 3 x 3 block within this
-# fraction of the form's largest entry of the top one span the (possibly
-# degenerate) top eigenspace of the hard case; and a cap on the Newton steps
-# of the secular equation, which converge in at most 7 on random forms.
+# The exact n = 2 kernel, in units of its form's largest entry.  Eigenvalues
+# of the 3 x 3 block within _TOP_EIGEN_RTOL of the top one span the
+# (possibly degenerate) top eigenspace of the hard case.  A linear part b/2
+# of norm at most _FLAT_RTOL is rounding, and the problem a hard case:
+# zeroing it moves Q by at most twice that, a few ulp.  A secular Newton
+# step s <= _SECULAR_RTOL * delta is the last (1.5 s^2 / delta, the distance
+# left, is then about eps * delta), and _SECULAR_ITERATIONS caps the steps,
+# which take at most about 10 on random and near-constant forms.
 _TOP_EIGEN_RTOL = 1e-12
+_FLAT_RTOL = 4.0 * np.finfo(float).eps
+_SECULAR_RTOL = np.sqrt(np.finfo(float).eps)
 _SECULAR_ITERATIONS = 100
 
 
@@ -44,11 +50,23 @@ def curvature_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -
     """Assemble R[i, j, k, l] from pointwise metric derivatives.
 
     Works on single points (shapes (n,n), (n,n,n), (n,n,n,n)) and batched
-    fields (leading grid axes).  G[p, q] = g^{p qbar} = conj(g^-1)[p, q].
+    fields (leading grid axes) of positive definite g.
     """
-    G = np.conj(inv(g))
-    quad = np.einsum("...pq,...iqk,...jpl->...ijkl", G, dg, np.conj(dg))
-    return -ddg + quad
+    return _assemble(_frames(g), dg, ddg)
+
+
+def _assemble(T: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """R from the frames T = _frames(g): G[p, q] = g^{p qbar} = conj(g^-1)[p, q]
+    is T conj(T^t), so a sweep that needs the frames factors g once."""
+    G = T @ np.conj(np.swapaxes(T, -1, -2))
+    return np.einsum("...pq,...iqk,...jpl->...ijkl", G, dg, np.conj(dg)) - ddg
+
+
+def _frames(g: np.ndarray) -> np.ndarray:
+    """T = inverse_cholesky(g)^t over (..., n, n): T^t g conj(T) = I, the frames in
+    which H is Q on the unit sphere (hsc_value contracts the unbarred slot
+    unconjugated), and conj(g^-1) = T conj(T^t)."""
+    return np.swapaxes(inverse_cholesky(g), -1, -2)
 
 
 def ricci_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
@@ -75,14 +93,23 @@ def constant_hsc_tensor(g: np.ndarray, c: float) -> np.ndarray:
 _TENSOR_AXES = (-4, -3, -2, -1)
 
 
+@cache
+def _symmetry_partners(n: int) -> np.ndarray:
+    """Flat indices (3, n^4): the partner of entry (i, j, k, l) under i <-> k,
+    jbar <-> lbar and reality, (k, j, i, l), (i, l, k, j) and (j, i, l, k)."""
+    idx = np.arange(n**4).reshape((n,) * 4)
+    return np.stack([idx.transpose(2, 1, 0, 3), idx.transpose(0, 3, 2, 1),
+                     idx.transpose(1, 0, 3, 2)]).reshape(3, -1)
+
+
 def _symmetry_violations(R: np.ndarray) -> np.ndarray:
-    """Per-tensor largest deviation from the Kähler symmetries, over leading axes."""
-    pair = np.conj(np.swapaxes(np.swapaxes(R, -4, -3), -2, -1))
-    return np.max([
-        np.max(np.abs(R - np.swapaxes(R, -4, -2)), axis=_TENSOR_AXES),  # i <-> k
-        np.max(np.abs(R - np.swapaxes(R, -3, -1)), axis=_TENSOR_AXES),  # jbar <-> lbar
-        np.max(np.abs(R - pair), axis=_TENSOR_AXES),                    # reality
-    ], axis=0)
+    """Per-tensor largest deviation from the Kähler symmetries, over leading axes:
+    |R - partner| for the first two, |R - conj(partner)| for reality."""
+    n = R.shape[-1]
+    flat = R.reshape(R.shape[:-4] + (n**4,))
+    partners = flat[..., _symmetry_partners(n)]
+    np.conjugate(partners[..., 2, :], out=partners[..., 2, :])
+    return np.abs(flat[..., None, :] - partners).max(axis=(-2, -1))
 
 
 def _check_symmetries(R: np.ndarray) -> None:
@@ -90,7 +117,7 @@ def _check_symmetries(R: np.ndarray) -> None:
 
     A tensor fails when its violation exceeds SYMMETRY_RTOL * max(1, max|R|).
     """
-    scale = np.maximum(1.0, np.max(np.abs(R), axis=_TENSOR_AXES))
+    scale = np.maximum(1.0, np.abs(R).max(axis=_TENSOR_AXES))
     v = _symmetry_violations(R)
     bad = np.flatnonzero(v > SYMMETRY_RTOL * scale)
     if bad.size:
@@ -144,12 +171,16 @@ def hsc(field, point, eta) -> float:
 
 def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Change of frame: unbarred slots contract T, barred slots conj(T);
-    T (..., n, m) with m < n restricts R to the span of its columns."""
-    Tc = np.conj(T)
-    R = np.einsum("...ijkl,...ia->...ajkl", R, T)
-    R = np.einsum("...ajkl,...jb->...abkl", R, Tc)
-    R = np.einsum("...abkl,...kc->...abcl", R, T)
-    return np.einsum("...abcl,...ld->...abcd", R, Tc)
+    T (..., n, m) with m < n restricts R to the span of its columns.
+
+    R is read as the (n^2, n^2) matrix of its slot pairs (i, j), (k, l),
+    which changes by A^t R A with A[(i, j), (a, b)] = T[i, a] conj(T[j, b]).
+    """
+    n, m = T.shape[-2:]
+    A = (T[..., :, None, :, None] * np.conj(T)[..., None, :, None, :]).reshape(
+        T.shape[:-2] + (n * n, m * m))
+    Rt = np.swapaxes(A, -1, -2) @ R.reshape(R.shape[:-4] + (n * n, n * n)) @ A
+    return Rt.reshape(Rt.shape[:-2] + (m,) * 4)
 
 
 # -- exact extremes on CP^1 ----------------------------------------------------
@@ -158,53 +189,99 @@ def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
+def _real_hopf_map() -> np.ndarray:
+    """W (16, 16) with K = Re(m @ W) for m = Rt flattened to 16 entries.
+
+    K is the real symmetric form (X + X^T) / 8 of X = Re(P M P^T), P =
+    _PAULI and M = Rt as a 4 x 4 matrix; W's rows are K of the real and
+    imaginary unit matrices, so one matrix product maps a stack of tensors.
+    It is built with einsum, not matmul: a first matrix product allocates
+    BLAS work buffers (about 0.5 MB resident), which importing the package
+    should not do for programs that never multiply matrices.
+    """
+    def form(M):
+        X = np.einsum("ab,kbc,dc->kad", _PAULI, M, _PAULI).real
+        return ((X + np.swapaxes(X, -1, -2)) / 8.0).reshape(16, 16)
+
+    E = np.eye(16).reshape(16, 4, 4)
+    return form(E) - 1j * form(1j * E)
+
+
+_HOPF_FORM = _real_hopf_map()
+# sigma_1..3 and I flattened, real and imaginary parts interleaved: real
+# products, viewed as complex after
+_SIGMA_RI, _IDENTITY_RI = _PAULI[1:].view(float), _PAULI[0].view(float)
+_SIGNS = np.array([[1.0], [-1.0]])  # of Q in the two problems of _cp1_extremes
+_PROBLEMS = np.array([[0, 1, 2], [2, 1, 0]])
+_E3 = np.array([0.0, 0.0, 1.0])
+_TINY = np.finfo(float).tiny
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i over the last axis, for stacks of short vectors
+    (numpy.vecdot would need numpy 2; the package supports numpy >= 1.24)."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _inverse_hopf(x: np.ndarray) -> np.ndarray:
     """A unit u in C^2 with u u* = (I + x . sigma) / 2, for unit x of shape (..., 3).
 
-    The component of larger modulus is taken real, so no division comes
-    near zero.
+    u is the normalized column of I + x . sigma whose real diagonal entry
+    1 + |x_3| is the larger, so its norm is at least 1 and no division
+    comes near zero.
     """
-    a = np.sqrt((1.0 + np.abs(x[..., 2])) / 2.0)
-    w = (x[..., 0] + 1j * x[..., 1]) / (2.0 * a)
-    north = x[..., 2] >= 0.0
-    u = np.empty(x.shape[:-1] + (2,), dtype=complex)
-    u[..., 0] = np.where(north, a, np.conj(w))
-    u[..., 1] = np.where(north, w, a)
-    return u / np.sqrt(np.sum(u.real**2 + u.imag**2, axis=-1))[..., None]
+    P = (x @ _SIGMA_RI + _IDENTITY_RI).view(complex)  # I + x . sigma, flattened
+    u = np.where(x[..., 2:] >= 0.0, P[..., 0::2], P[..., 1::2])
+    return u / np.sqrt(_dot(u, np.conj(u)).real)[..., None]
 
 
-def _secular_point(beta: np.ndarray, gap: np.ndarray) -> np.ndarray:
+def _secular_point(beta: np.ndarray, gap: np.ndarray, rest2: np.ndarray) -> np.ndarray:
     """z_i = beta_i / (delta + gap_i) at the root delta of |z| = 1, per problem.
 
     beta, gap have shape (..., 3) with gap >= 0 and gap[..., 2] = 0 (the
-    top eigenvalue).  Newton runs on 1/|z(delta)| - 1, which is increasing
-    and concave in delta (a power mean of exponent -2 of delta + gap), from
-    delta0 = max_k |beta[k:]| - gap[k], which is left of the root (gap is
-    descending), so the iterates rise monotonically to it (Moré & Sorensen
-    1983); delta + gap vanishes only where beta does, and such terms are 0.
-    Each problem stops on its own once its step is within a few ulp, so its
-    iterates do not depend on the problems stacked with it.  With no root
-    (the hard case) the first step is not positive and z stays short of the
-    unit sphere; the caller keeps the better of this point and the
-    hard-case completion.
+    top eigenvalue); rest2 is |z(0)|^2 without the top eigenspace's terms,
+    the hard case's stationary part.  Newton runs on 1/|z(delta)| - 1,
+    which is increasing and concave in delta (a power mean of exponent -2
+    of delta + gap), so a Newton step from any delta > 0 lands left of the
+    root (Moré & Sorensen 1983).  delta is kept at least lo = max_k
+    |beta[k:]| - gap[k], which is left of the root (gap is descending), so
+    after the first step the iterates rise monotonically to it.  The first
+    step starts from the root of |beta_3|^2 / delta^2 + rest2 = 1, which
+    holds the other terms at delta = 0: near the hard case, where Newton
+    from lo creeps along the knee of 1/|z|, it is right to a few digits.
+    lo + gap_k >= |beta_k| keeps |z_k| <= 1.  A problem with |beta| <=
+    _FLAT_RTOL (beta = 0 to rounding) is replaced by beta = e_3, whose
+    point e_3 is the hard-case completion beta = 0 gets (a stack of only
+    such problems returns e_3 at once).  The curvature of 1/|z| is at most
+    3/delta times its slope, so a step s leaves at most 1.5 s^2 / delta to
+    go: a problem stops once |s| <= _SECULAR_RTOL * delta, with s taken,
+    and its iterates do not depend on the problems stacked with it.  With
+    no root (the hard case) delta stays at lo and z short of the unit
+    sphere; the caller keeps the better of this point and the hard-case
+    completion.
     """
-    eps = np.finfo(float).eps
-    tails = np.sqrt(np.cumsum((beta * beta)[..., ::-1], axis=-1)[..., ::-1])
-    delta = np.max(tails - gap, axis=-1)
-    active = tails[..., 0] > 0.0
+    active = _dot(beta, beta) > _FLAT_RTOL**2
+    if not active.any():
+        return np.tile(_E3, beta.shape[:-1] + (1,))
+    beta = np.where(active[..., None], beta, _E3)
+    tails = np.sqrt((beta * beta)[..., ::-1].cumsum(axis=-1)[..., ::-1])
+    lo = np.maximum((tails - gap).max(axis=-1), _TINY)
+    # the near-hard-case root (none if rest2 >= 1), kept within [lo, |beta|]:
+    # |z(|beta|)| <= 1, so |beta| is not left of the root
+    room = np.maximum(1.0 - rest2, 0.0)
+    near_hard = np.divide(np.abs(beta[..., 2]), np.sqrt(room), out=np.zeros(lo.shape),
+                          where=room > 0.0)
+    delta = np.minimum(np.maximum(near_hard, lo), tails[..., 0])
     for _ in range(_SECULAR_ITERATIONS):
         shifted = delta[..., None] + gap
-        inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0)
-        z = beta * inv
+        z = beta / shifted
         if not active.any():
-            return z
-        z2 = z * z
-        norm2 = np.sum(z2, axis=-1)
-        slope = np.sum(z2 * inv, axis=-1)
-        step = np.divide(norm2 * (np.sqrt(norm2) - 1.0), slope,
-                         out=np.zeros_like(delta), where=slope > 0.0)
-        active &= step > 4.0 * eps * delta
-        delta = np.where(active, delta + step, delta)
+            break
+        norm2 = _dot(z, z)
+        step = norm2 * (np.sqrt(norm2) - 1.0) / _dot(z, z / shifted) * active
+        moved = np.maximum(delta + step, lo)
+        active = np.abs(moved - delta) > _SECULAR_RTOL * delta
+        delta = moved
     return z
 
 
@@ -214,47 +291,43 @@ def _cp1_extremes(Rt: np.ndarray):
     Rt is a stack (..., 2, 2, 2, 2) of tensors in an orthonormal frame.
     Through the Hopf map u u* = (I + x . sigma) / 2, Q is the quadratic
     y^T K y with y = (1, x) on x in S^2, where K is the real symmetric form
-    of Rt in the Pauli basis: Q = c + b . x + x^T C x.  Its maximum is a
-    trust-region boundary problem (Moré & Sorensen, SIAM J. Sci. Stat.
-    Comput. 4, 1983): x = (lambda - C)^-1 b / 2 with lambda >= the top
-    eigenvalue of C, from the secular equation; in the hard case (b
-    orthogonal to the top eigenspace, which may be degenerate) the
-    stationary part off that eigenspace is completed to the unit sphere
-    along a top eigenvector.  Both candidates are formed and the better one
-    kept.  The minimum is the maximum for (-C, -b), stacked with it, so one
-    batched eigh serves both.  x is mapped back to u by the inverse Hopf
-    map and h = Q(u) is evaluated from Rt, so (h, u) always agree.
-    Returns (h_min, h_max, u_min, u_max).
+    of Rt in the Pauli basis (one product with _HOPF_FORM): Q = c + b . x +
+    x^T C x.  Its maximum is a trust-region boundary problem (Moré &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983): x = (lambda - C)^-1 b / 2
+    with lambda >= the top eigenvalue of C, from the secular equation; in
+    the hard case (b orthogonal to the top eigenspace, which may be
+    degenerate) the stationary part off that eigenspace is completed to the
+    unit sphere along a top eigenvector.  Both candidates are formed and
+    the better one kept.  The minimum is the maximum for (-C, -b), stacked
+    with it, so one batched eigh serves both.  x is mapped back to u by the
+    inverse Hopf map and h = Q(u) is evaluated from Rt, so (h, u) always
+    agree.  Returns (h_min, h_max, u_min, u_max).
     """
-    M = Rt.reshape(Rt.shape[:-4] + (4, 4))
-    X = (_PAULI @ M @ _PAULI.T).real  # Q = y^T X y / 4
-    K = (X + np.swapaxes(X, -1, -2)) / 8.0
-    scale = np.max(np.abs(K), axis=(-2, -1))[..., None, None]
-    unit = K / np.where(scale > 0.0, scale, 1.0)  # the same extremizers, O(1) entries
-    mu, V = np.linalg.eigh(unit[..., 1:, 1:])
-    beta = (unit[..., None, 0, 1:] @ V)[..., 0, :]  # V^T b / 2
-    # axis -3 (matrices) / -2 (vectors): problem 0 maximizes Q, problem 1
-    # maximizes -Q, whose eigenvalues -mu reversed keep the top one last
-    mu = np.stack([mu, -mu[..., ::-1]], axis=-2)
-    V = np.stack([V, V[..., ::-1]], axis=-3)
-    beta = np.stack([beta, -beta[..., ::-1]], axis=-2)
+    lead = Rt.shape[:-4]
+    # a product per tensor: one over the flattened stack would round differently
+    K = (Rt.reshape(lead + (1, 16)) @ _HOPF_FORM).real
+    unit = (K / np.maximum(np.abs(K).max(axis=-1), _TINY)[..., None]).reshape(lead + (4, 4))
+    mu, V = np.linalg.eigh(unit[..., 1:, 1:])  # the same extremizers, O(1) entries
+    # axis -2: problem 0 maximizes Q, problem 1 maximizes -Q, whose
+    # eigenvalues -mu, reversed by _PROBLEMS, keep the top one last
+    Vt = np.swapaxes(V, -1, -2)[..., _PROBLEMS, :]  # rows: eigenvectors per problem
+    beta = (Vt @ unit[..., None, 1:, :1])[..., 0] * _SIGNS  # V^T b / 2
+    mu = mu[..., _PROBLEMS] * _SIGNS
     gap = mu[..., 2:] - mu
-    top = gap <= _TOP_EIGEN_RTOL
 
-    rest = np.where(top, 0.0, beta / np.where(top, 1.0, gap))
-    rest2 = np.sum(rest * rest, axis=-1)
-    hard = rest / np.sqrt(np.maximum(rest2, 1.0))[..., None]
-    hard[..., 2] = np.sqrt(np.maximum(1.0 - rest2, 0.0))
-    easy = _secular_point(beta, gap)
-    norm = np.sqrt(np.sum(easy * easy, axis=-1))[..., None]
-    easy = np.where(norm > 0.0, easy / np.where(norm > 0.0, norm, 1.0), hard)
+    z = np.empty(beta.shape[:-1] + (2, 3))  # (..., problem, candidate: easy, hard, 3)
+    rest = np.divide(beta, gap, out=np.zeros(beta.shape), where=gap > _TOP_EIGEN_RTOL)
+    rest2 = _dot(rest, rest)
+    np.divide(rest, np.sqrt(np.maximum(rest2, 1.0))[..., None], out=z[..., 1, :])
+    z[..., 1, 2] = np.sqrt(np.maximum(1.0 - rest2, 0.0))
+    easy = _secular_point(beta, gap, rest2)
+    np.divide(easy, np.sqrt(_dot(easy, easy))[..., None], out=z[..., 0, :])
 
-    z = np.stack([easy, hard], axis=-2)  # (..., problem, candidate, 3)
-    u = _inverse_hopf((V[..., None, :, :] @ z[..., None])[..., 0])
+    u = _inverse_hopf(z @ Vt)
     p = (u[..., :, None] * np.conj(u[..., None, :])).reshape(u.shape[:-1] + (4,))
-    h = np.sum((M[..., None, None, :, :] @ p[..., None])[..., 0] * p, axis=-1).real
-    sign = np.array([1.0, -1.0])
-    better = sign * h[..., 1] > sign * h[..., 0]
+    h = (p[..., None, :] @ Rt.reshape(lead + (1, 1, 4, 4)) @ p[..., None]).real[..., 0, 0]
+    signed = h * _SIGNS
+    better = signed[..., 1] > signed[..., 0]
     h = np.where(better, h[..., 1], h[..., 0])
     u = np.where(better[..., None], u[..., 1, :], u[..., 0, :])
     return h[..., 1], h[..., 0], u[..., 1, :], u[..., 0, :]
@@ -343,14 +416,12 @@ class HscExtremes:
     eta_max: np.ndarray
 
 
-def _extremes(R: np.ndarray, g: np.ndarray) -> list:
-    """One HscExtremes per tensor of a stack R (m, n, n, n, n) with metrics g.
+def _extremes(R: np.ndarray, T: np.ndarray) -> list:
+    """One HscExtremes per tensor of a stack R (m, n, n, n, n) with frames T = _frames(g).
 
-    In the frames T = inverse_cholesky(g)^t, which meet T^t g conj(T) = I
-    (hsc_value contracts the unbarred slot unconjugated), H is Q on the unit
-    sphere: one direction, _cp1_extremes or _pencil_extremes at n = 1, 2, 3.
+    In these frames H is Q on the unit sphere: one direction,
+    _cp1_extremes or _pencil_extremes at n = 1, 2, 3.
     """
-    T = np.swapaxes(inverse_cholesky(g), -1, -2)
     Rt, n = transform_tensor(R, T), T.shape[-1]
     if n == 1:
         h_min = h_max = Rt[:, 0, 0, 0, 0].real
@@ -371,7 +442,7 @@ def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray, num_directions: int =
     the lines of a pencil (_pencil_extremes): exact per line, but a scan
     over lines, not a certificate.  num_directions and refine_steps are not
     read."""
-    return _extremes(np.asarray(R)[None], np.asarray(g)[None])[0]
+    return _extremes(np.asarray(R)[None], _frames(np.asarray(g)[None]))[0]
 
 
 def hsc_extremes(field, point, num_directions: int = None,
@@ -414,9 +485,10 @@ def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
     points=None sweeps default_sweep_points(field, max_points).  The sweep
-    is one batch: the point jets are stacked, their curvature assembled and
-    checked together (the first point breaking the symmetries raises), and
-    all extremes come from one kernel call.
+    is one batch: the point jets are stacked, one factorization of the
+    metrics gives the frames and the inverse metric of the assembly, the
+    curvature is checked together (the first point breaking the symmetries
+    raises), and all extremes come from one kernel call.
     """
     if points is None:
         points = default_sweep_points(field, max_points)
@@ -424,9 +496,10 @@ def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
     if not points:
         return []
     g, dg, ddg = _sweep_jets(field, points)
-    R = curvature_from_derivatives(g, dg, ddg)
+    T = _frames(g)
+    R = _assemble(T, dg, ddg)
     _check_symmetries(R)
-    return _extremes(R, g)
+    return _extremes(R, T)
 
 
 def kappa_floor(field, points=None) -> float:

@@ -16,9 +16,11 @@ over the whole grid, and a point is a grid multi-index of 2n integers
 
 On an analytic chart a point is n complex coordinates in the trusted
 region (or a stack of them, answered in one batch), and the potential is
-a sum of terms ell(|F|^2) with F holomorphic: the jet comes from F's
-holomorphic 2-jet and ell's first four derivatives, derived symbolically
-once per field and lambdified into one function of z.
+a sum of terms c * ell(|F|^2) with F holomorphic and c a real number:
+the jet comes from F's holomorphic 2-jet and ell's first four
+derivatives, derived symbolically and lambdified into one function of z
+once per term shape (ell, F) in a process, with each field's
+coefficients c bound at evaluation.
 
 Torus potentials are stored in the zero-mean gauge: dd^c kills constants,
 so the mean is pure gauge and fixing it keeps field comparisons and file
@@ -106,9 +108,12 @@ class ChartMetricField:
     coefficients (c*x, log(1 + x), -s*log(1 - x); a sympy Lambda or an
     expression in one free symbol) and a tuple F of holomorphic sympy
     expressions in z, built from z, real constants and I.  The jet needs
-    only F's holomorphic 2-jet and ell^(1..4) (_faa_di_bruno); both are
-    differentiated once, in __init__, into one lambdified function of z,
-    which is handed F and each term's x = |F|^2 as common subexpressions.
+    only F's holomorphic 2-jet and ell^(1..4) (_faa_di_bruno).  Each ell
+    is split into its numeric coefficient c times a coefficient-free ell0
+    (sympy's as_coeff_Mul); F's jet and ell0^(1..4) come from the one
+    lambdified function of z of the term shapes (ell0, F), derived once per
+    shape in a process (_chart_jet), and _eval multiplies each term's
+    ell0^(1..4) by its c.
     """
 
     kind = "analytic-chart"
@@ -123,27 +128,17 @@ class ChartMetricField:
         self.terms = tuple((ell if isinstance(ell, sp.Lambda)
                             else sp.Lambda(tuple(sp.sympify(ell).free_symbols), ell),
                             tuple(sp.sympify(F))) for ell, F in terms)
-        self._width = max(len(F) for _, F in self.terms)
-        jets, shared, ell_values, derivatives = [], [], [], {}
+        shapes, coefficients = [], []
         for ell, F in self.terms:
             if len(ell.variables) != 1 or ell.expr.has(sp.I):
                 raise ValueError(f"term function {ell} needs one variable, real coefficients")
             if not set().union(*(f.free_symbols for f in F)) <= set(self.z):
                 raise ValueError(f"term {F} is not holomorphic in {self.z}")
-            values, x = [sp.Dummy("f") for _ in F], sp.Dummy("x")
-            shared += [*zip(values, F), (x, sp.Add(*(sp.Abs(v) ** 2 for v in values)))]
-            for v, f in zip(values, F):  # F_a, F_a,i, F_a,ik: _faa_di_bruno's slots
-                d1 = [sp.diff(f, zk) for zk in self.z]
-                jets += [v, *d1, *(sp.diff(d, zk) for d in d1 for zk in self.z)]
-            # zero components pad every term to the widest F
-            jets += [sp.S.Zero] * ((1 + self.n + self.n**2) * (self._width - len(F)))
-            if ell not in derivatives:  # in ell's own variable, once per function
-                derivatives[ell] = [ell.expr]
-                for _ in range(4):
-                    derivatives[ell].append(sp.diff(derivatives[ell][-1], *ell.variables))
-            ell_values += [d.xreplace({ell.variables[0]: x}) for d in derivatives[ell][1:]]
-        self._lambdified = sp.lambdify(self.z, jets + ell_values, modules="numpy",
-                                       cse=lambda exprs: (shared, exprs), docstring_limit=0)
+            c, ell0 = ell.expr.as_coeff_Mul()
+            shapes.append((sp.Lambda(ell.variables, ell0), F))
+            coefficients.append(float(c))
+        self._coefficients = np.array(coefficients)[:, None]
+        self._width, self._lambdified = _chart_jet(tuple(shapes), self.z)
 
     @property
     def potential(self) -> sp.Expr:
@@ -163,12 +158,11 @@ class ChartMetricField:
         lead, n, T, K = z.shape[:-1], self.n, len(self.terms), 1 + self.n + self.n**2
         flat = np.array([self._lambdified(*p) for p in z.reshape(-1, n).tolist()], dtype=complex)
         V = flat[:, :-4 * T].reshape(-1, T, self._width, K)
-        gram = np.sum(V[..., :, None] * V.conj()[..., None, :], axis=-3)  # <F_s, F_s'>
-        x = np.concatenate([gram.reshape(-1, T, K * K), np.ones((len(V), T, 1))], axis=-1)
-        blocks, order, starts = _faa_di_bruno(n)
-        b = np.take(x, blocks, axis=-1)
-        ell = np.take(flat[:, -4 * T:].real.reshape(-1, T, 4), order, axis=-1)
-        monomials = b[..., 0, :] * b[..., 1, :] * b[..., 2, :] * b[..., 3, :] * ell
+        gram = np.swapaxes(V, -1, -2) @ V.conj()  # <F_s, F_s'>
+        ell = flat[:, -4 * T:].real.reshape(-1, T, 4) * self._coefficients
+        x = np.concatenate([gram.reshape(-1, T, K * K), np.ones((len(V), T, 1)), ell], axis=-1)
+        table, starts = _faa_di_bruno(n)
+        monomials = np.multiply.reduce(np.take(x, table, axis=-1), axis=-2)
         jet = np.add.reduceat(monomials, starts, axis=-1).sum(axis=1)
         g = jet[:, :n**2].reshape(lead + (n, n))
         # the Hermitian part; it removes only rounding, as numpy's fused
@@ -199,6 +193,38 @@ class ChartMetricField:
 
 
 @cache
+def _chart_jet(shapes: tuple, z: tuple):
+    """(width, f) for a chart of terms c * ell0(|F|^2), keyed by the shapes (ell0, F).
+
+    f is the one lambdified function of z giving F's holomorphic 2-jet,
+    zero-padded per term to the widest F (width), and ell0^(1..4) at each
+    term's x = |F|^2, with F and x handed over as common subexpressions;
+    the coefficients c are bound by the field, so fields differing only in
+    them share f.
+    """
+    jets, shared, ell_values, derivatives = [], [], [], {}
+    width = max(len(F) for _, F in shapes)
+    for ell, F in shapes:
+        values, x = [sp.Dummy("f") for _ in F], sp.Dummy("x")
+        shared += [*zip(values, F), (x, sp.Add(*(sp.Abs(v) ** 2 for v in values)))]
+        for v, f in zip(values, F):  # F_a, F_a,i, F_a,ik: _faa_di_bruno's slots
+            d1 = [sp.diff(f, zk) for zk in z]
+            d2 = {}
+            for i, k in itertools.combinations_with_replacement(range(len(z)), 2):
+                d2[i, k] = d2[k, i] = sp.diff(d1[i], z[k])  # partials commute
+            jets += [v, *d1, *(d2[i, k] for i in range(len(z)) for k in range(len(z)))]
+        # zero components pad every term to the widest F
+        jets += [sp.S.Zero] * ((1 + len(z) + len(z) ** 2) * (width - len(F)))
+        if ell not in derivatives:  # in ell's own variable, once per function
+            derivatives[ell] = [ell.expr]
+            for _ in range(4):
+                derivatives[ell].append(sp.diff(derivatives[ell][-1], *ell.variables))
+        ell_values += [d.xreplace({ell.variables[0]: x}) for d in derivatives[ell][1:]]
+    return width, sp.lambdify(z, jets + ell_values, modules="numpy",
+                              cse=lambda exprs: (shared, exprs), docstring_limit=0)
+
+
+@cache
 def _faa_di_bruno(n: int):
     """Gather tables of the chart jet (g, dg, ddg), flattened.
 
@@ -208,21 +234,21 @@ def _faa_di_bruno(n: int):
     differentiated in the block's positions, which is <F_I, F_J> =
     sum_a F_a,I conj(F_a,J) for the block's holomorphic indices I and
     barred indices J.  With the slots s = (), (i,), (i, k) of F, F_i, F_ik,
-    blocks[:, m] holds monomial m's flat Gram indices s_I * K + s_J (K*K,
-    an appended 1, pads to 4 blocks), order[m] its number of blocks less
-    one, and starts[e] the first monomial of entry e.
+    the factors are gathered from x = (Gram matrix flattened, 1,
+    ell^(1..4)): table[:4, m] holds monomial m's flat Gram indices s_I * K
+    + s_J (K*K, the 1, pads to 4 blocks), table[4, m] the index of
+    ell^(#blocks), and starts[e] the first monomial of entry e.
     """
     r = range(n)
     slots = [()] + [(i,) for i in r] + [(i, k) for i in r for k in r]
     slot = {s: m for m, s in enumerate(slots)}
     K = len(slots)
-    blocks, order, starts = [], [], []
+    table, starts = [], []
     for entry in (e for m in (2, 3, 4) for e in itertools.product(r, repeat=m)):
-        starts.append(len(order))
+        starts.append(len(table))
         for partition in multiset_partitions(list(range(len(entry)))):
-            order.append(len(partition) - 1)
             flat = [slot[tuple(sorted(entry[q] for q in block if q % 2 == 0))] * K
                     + slot[tuple(sorted(entry[q] for q in block if q % 2 == 1))]
                     for block in partition]
-            blocks.append(flat + [K * K] * (4 - len(flat)))
-    return np.array(blocks).T, np.array(order), np.array(starts)
+            table.append(flat + [K * K] * (4 - len(flat)) + [K * K + len(partition)])
+    return np.array(table).T, np.array(starts)

@@ -426,6 +426,7 @@ class ChartGeometry:
         if any(r <= self.margin for r in radii):
             raise ValueError("each radius must exceed the margin")
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "_reach", np.subtract(radii, self.margin))
 
     kind = "analytic-chart"
 
@@ -434,7 +435,7 @@ class ChartGeometry:
         z = np.asarray(z, dtype=complex)
         if z.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"point has shape {z.shape}, expected (..., {self.n})")
-        return bool(np.all(np.abs(z) <= np.subtract(self.radii, self.margin)))
+        return bool((np.abs(z) <= self._reach).all())
 
     def sample_points(self, per_axis: int = 3, radius_fraction: float = 0.5) -> np.ndarray:
         """Deterministic lattice of trusted points (for sweeps and demos)."""

@@ -97,7 +97,7 @@ def positivity(g: np.ndarray):
     """
     w = eigvalsh(g)
     ratio = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
-    worst = np.unravel_index(np.argmin(ratio), ratio.shape)
+    worst = np.unravel_index(ratio.argmin(), ratio.shape)
     w_worst = w[worst]
     ok = bool(ratio[worst] > 0.0 and w_worst[-1] > 0.0)
     return ok, worst, w_worst
@@ -155,14 +155,14 @@ def inverse_cholesky(g: np.ndarray) -> np.ndarray:
     if n == 3:
         return np.linalg.inv(np.linalg.cholesky(g))
     a00 = g[..., 0, 0].real
-    if not np.all(a00 > 0.0):
+    if not (a00 > 0.0).all():
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     Li = np.zeros(g.shape, dtype=complex)
     Li[..., 0, 0] = p = 1.0 / np.sqrt(a00)
     if n == 2:
         l10 = g[..., 1, 0] * p
         schur = g[..., 1, 1].real - (l10.real**2 + l10.imag**2)
-        if not np.all(schur > 0.0):
+        if not (schur > 0.0).all():
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         Li[..., 1, 1] = q = 1.0 / np.sqrt(schur)
         Li[..., 1, 0] = -l10 * (p * q)

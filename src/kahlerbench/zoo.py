@@ -302,8 +302,12 @@ _FS_POINT = (sp.Rational(1, 10) + sp.I * sp.Rational(1, 5),
              sp.Rational(1, 4) - sp.I * sp.Rational(1, 10))
 
 
-def _to_complex(pt) -> np.ndarray:
-    return np.array([complex(sp.N(p)) for p in pt])
+@functools.cache
+def _to_complex(pt: tuple) -> np.ndarray:
+    """Exact sympy numbers as a read-only complex array, evaluated once each."""
+    z = np.array([complex(sp.N(p)) for p in pt])
+    z.setflags(write=False)
+    return z
 
 
 def _build_poincare_disk(scale: float = 1.0) -> Example:
@@ -456,7 +460,7 @@ def _build_fermat_chart(degree: int = 5) -> Example:
     terms, z, alpha = fermat_graph_terms(d)
     geom = ChartGeometry(2, (0.35, 0.35), margin=0.10)
     mf = ChartMetricField(geom, terms, z)
-    beta = complex(sp.N(alpha))
+    beta = _to_complex((alpha,))[0]
     eta_line = np.array([1.0 + 0j, beta])
     origin = np.zeros(2, dtype=complex)
     facts = (
@@ -469,6 +473,16 @@ def _build_fermat_chart(degree: int = 5) -> Example:
             oracle=lambda: 2.0,
             measure=lambda f: hsc(f, origin, eta_line),
             description="H along the contained-line direction is >= 2 > 0",
+        ),
+        Fact(
+            name="hsc-at-most-projective",
+            provenance="Gauss equation: a complex submanifold of projective "
+                       "space has H(eta) = 2 - |II(eta, eta)|^2 / |eta|^4, the "
+                       "ambient Fubini-Study value less a square",
+            mode="le", tol=1e-9,
+            oracle=lambda: 2.0,
+            measure=lambda f: max(e.h_max for e in sweep_hsc_extremes(f)),
+            description="sup H over the chart's 81 sample points is <= 2",
         ),
     )
     spec = ExampleSpec(

@@ -319,15 +319,38 @@ def test_n2_extremes_find_the_higher_of_two_near_equal_maxima():
     assert ext.h_min == pytest.approx(-3.0 - eps**2 / 8.0, abs=1e-14)
 
 
+def near_constant_tensors(rng, g, perturbations=(0.0, 1e-12, 1e-8, 1e-4)):
+    """Model tensors of constant H = c for the metric g, plus eps times a
+    random Kähler tensor for each eps: the (near-)hard cases of the kernel,
+    where the secular root sits at or next to the top eigenvalue."""
+    return [constant_hsc_tensor(g, c) + eps * random_kahler_tensor(2, rng)
+            for c in (-1.3, 0.7) for eps in perturbations]
+
+
+def test_n2_extremes_of_near_constant_tensors_match_scan_and_refine():
+    rng = np.random.default_rng(34)
+    unit = random_directions(rng, 4000, 2)
+    for _ in range(6):
+        g = random_pd(2, rng)
+        T = orthonormal_frame(g)
+        for R in near_constant_tensors(rng, g):
+            ext = hsc_extremes_from_tensor(R, g)
+            ref_min, ref_max = scan_route(transform_tensor(R, T), unit)
+            scale = np.max(np.abs(R))
+            assert abs(ext.h_max - ref_max) <= 1e-12 * scale
+            assert abs(ext.h_min - ref_min) <= 1e-12 * scale
+
+
 def test_stacked_kernel_equals_per_tensor_calls_bitwise():
     rng = np.random.default_rng(21)
-    Rt = np.stack([conditioned_negative_tensor(2, rng) for _ in range(40)])
+    Rt = np.stack([conditioned_negative_tensor(2, rng) for _ in range(40)]
+                  + near_constant_tensors(rng, np.eye(2, dtype=complex)))
     Rt[0] = constant_hsc_tensor(np.eye(2, dtype=complex), -0.9)  # a hard case
-    stacked = _cp1_extremes(Rt.reshape((5, 8) + Rt.shape[1:]))
-    for i in range(40):
+    stacked = _cp1_extremes(Rt.reshape((6, 8) + Rt.shape[1:]))
+    for i in range(48):
         single = _cp1_extremes(Rt[i])
         for got, want in zip(stacked, single):
-            assert np.array_equal(got.reshape((40,) + got.shape[2:])[i], want)
+            assert np.array_equal(got.reshape((48,) + got.shape[2:])[i], want)
 
 
 # -- n = 3 pencil extremes ------------------------------------------------------------
@@ -573,3 +596,15 @@ def test_fermat_hsc_matches_the_gauss_equation():
     origin = np.zeros(2, dtype=complex)
     assert abs(fermat_gauss_hsc(origin, line) - 2.0) <= 1e-12
     assert abs(hsc(field, origin, line) - 2.0) <= 1e-12
+
+
+def test_fermat_sup_hsc_fact_reads_the_gauss_equation_at_its_sweep():
+    example = make_example("fermat-chart", degree=5)
+    points = list(default_sweep_points(example.field))
+    swept = sweep_hsc_extremes(example.field, points)
+    assert len(swept) == 81
+    for z, ext in zip(points, swept):
+        assert abs(fermat_gauss_hsc(z, ext.eta_max) - ext.h_max) <= 1e-12
+    row, = (r for r in verify_example_facts(example) if r["fact"] == "hsc-at-most-projective")
+    assert row["ok"] and (row["mode"], row["oracle"], row["tol"]) == ("le", 2.0, 1e-9)
+    assert row["measured"] == max(ext.h_max for ext in swept)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from kahlerbench.curvature import curvature_tensor, ricci_from_derivatives
+from kahlerbench.curvature import curvature_tensor, hsc, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
-from kahlerbench.fields import ChartMetricField, TorusMetricField
+from kahlerbench.fields import ChartMetricField, TorusMetricField, _chart_jet
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
 
@@ -274,7 +274,7 @@ def test_chart_batch_matches_single_points_bit_for_bit():
                 assert np.array_equal(a[idx], b)
 
 
-def test_chart_lambdifies_once_per_field(monkeypatch):
+def test_chart_lambdifies_once_per_term_shape(monkeypatch):
     calls = []
     lambdify = sp.lambdify
 
@@ -283,13 +283,54 @@ def test_chart_lambdifies_once_per_field(monkeypatch):
         return lambdify(*args, **kwargs)
 
     monkeypatch.setattr(sp, "lambdify", counting)
-    for name, params in (("fubini-study", dict(n=2)), ("poincare-disk", dict(scale=1.5))):
-        calls.clear()  # count from construction through the queries
-        example = make_example(name, **params)
-        field = example.field
-        for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
-            field.metric_matrix_at(z)
-            field.jet_at(z)
-            ricci_from_derivatives(*field.jet_at(z))
-            curvature_tensor(field, z)
-        assert len(calls) == 1
+    _chart_jet.cache_clear()
+    # the first field of a shape derives it, a field of that shape at
+    # another scale (or the same field again) derives nothing
+    for name, runs in (("fubini-study", [dict(n=2), dict(n=2)]),
+                       ("poincare-disk", [dict(scale=1.5), dict(scale=2.7)]),
+                       ("poincare-polydisk", [dict(n=2, scale=0.5), dict(n=2, scale=1.3)])):
+        for want, params in zip((1, 0), runs):
+            calls.clear()  # count from construction through the queries
+            example = make_example(name, **params)
+            field = example.field
+            for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
+                field.metric_matrix_at(z)
+                field.jet_at(z)
+                ricci_from_derivatives(*field.jet_at(z))
+                curvature_tensor(field, z)
+            assert len(calls) == want, (name, params)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scaled_charts_share_one_derivation_and_match_closed_forms(n):
+    _chart_jet.cache_clear()
+    e1 = np.eye(n)[0]
+    for scale in (0.5, 1.3, 2.7):
+        field = (make_example("poincare-disk", scale=scale) if n == 1 else
+                 make_example("poincare-polydisk", n=n, scale=scale)).field
+        points = field.geometry.sample_points(per_axis=3, radius_fraction=0.7)
+        g = field.jet_at(points)[0]
+        want = np.zeros(g.shape)
+        want[..., range(n), range(n)] = scale / (1.0 - np.abs(points) ** 2) ** 2
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(want)
+        for z in points:
+            assert abs(hsc(field, z, e1) + 2.0 / scale) <= 1e-12 * 2.0 / scale
+    assert _chart_jet.cache_info().misses == 1  # one shape, one derivation
+
+
+def _within_ulps(a, b, ulps):
+    """Whether complex arrays a and b agree to ulps units in the last place of b."""
+    return all(np.all(np.abs(x - y) <= ulps * np.spacing(np.abs(y)))
+               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def test_cold_and_warm_chart_derivations_give_the_same_jets():
+    for name, params in (("fermat-chart", dict(degree=5)), ("fubini-study", dict(n=2)),
+                         ("poincare-polydisk", dict(n=2, scale=1.7))):
+        make_example(name, **params)  # the shape is in the memo
+        warm = make_example(name, **params).field
+        _chart_jet.cache_clear()
+        cold = make_example(name, **params).field
+        points = cold.geometry.sample_points(per_axis=3, radius_fraction=0.7)
+        for a, b in zip(warm.jet_at(points), cold.jet_at(points)):
+            assert _within_ulps(a, b, 2)
