@@ -23,11 +23,15 @@ timestamps (timings live in meta.json only).
 Every summary row takes its status from its reports (_row): fail if any
 applicable report fails, not-applicable if none applies, pass otherwise.
 Rows with no number to compare keep their own verdict: the
-continuity-path solve failure, normalized-limit-drift, the zoo fact rows
+continuity-path solve failure, normalized-limit-drift (not-applicable on
+a one-state path, which has no drift), the zoo fact rows
 (zoo.verify_fact decides them) and schwarz-hypothesis-screen (which
 passes when its report is not-applicable).  An example's warning row has
 no report and so reads not-applicable.  Exit status is 0 exactly when no
 row fails; not-applicable rows never fail a run.
+
+verify-inequalities makes one call per check, or one per dimension for
+its random trials: every pointwise check takes a stack of points.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ import jsonschema
 import numpy as np
 import yaml
 
-from .curvature import constant_hsc_tensor, kappa_floor, sweep_hsc_extremes
+from .curvature import (constant_hsc_tensor, hsc_extremes_from_tensor, kappa_floor,
+                        sweep_hsc_extremes)
 from .errors import NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
@@ -54,7 +59,6 @@ from .inequalities import (
     MARGIN_TOL,
     SchwarzHypotheses,
     conditioned_negative_tensor,
-    hsc_extremes_from_tensor,
     laplacian_identity_check,
     make_report,
     max_principle_s_bound,
@@ -250,9 +254,9 @@ def run_continuity_path(cfg, out_dir, seed):
         _row("continuity-path", "sup-u-ceiling", ceilings,
              f"{len(states)} states, eps {eps[0]:.3g}..{eps[-1]:.3g}"),
         _row("continuity-path", "ricci-identity-residual", residuals, "worst state"),
-        _row("continuity-path", "normalized-limit-drift", [], probe.note) | {
+        _row("continuity-path", "normalized-limit-drift", [], probe.note) | ({
             "status": "pass" if probe.converging else "fail",
-            "value": float(probe.drifts[-1]) if probe.drifts else 0.0},
+            "value": probe.drifts[-1]} if probe.drifts else {}),
     ]
     for i, s in enumerate(states):
         save_state(out_dir / "states" / f"state-{i:02d}", s, grid)
@@ -314,14 +318,14 @@ def run_verify_inequalities(cfg, out_dir, seed):
     reports.extend(chain)
     rows.extend(_row("verify-inequalities", r.name, [r], r.note) for r in chain)
 
-    # curvature-term bound on conditioned random tensors
+    # curvature-term bound on conditioned random tensors, one stack per dimension
+    dims = rng.integers(1, 4, size=c["royden_trials"])
     royden = []
-    for _ in range(c["royden_trials"]):
-        n = int(rng.integers(1, 4))
-        kappa = float(rng.uniform(0.2, 1.0))
+    for n in np.unique(dims):
+        kappa = rng.uniform(0.2, 1.0, np.count_nonzero(dims == n))
         R = conditioned_negative_tensor(n, rng, gap=kappa)  # sup H = -kappa
-        d = np.exp(rng.normal(0.0, 0.7, n))
-        royden.append(royden_margin(R, np.eye(n), np.diag(d).astype(complex), kappa))
+        d = np.exp(rng.normal(0.0, 0.7, (kappa.size, n)))
+        royden += royden_margin(R, np.eye(n), d[..., None] * np.eye(n), kappa)
     reports.extend(royden)
     rows.append(_row("verify-inequalities", "hsc-trace-lower-bound", royden,
                      f"{c['royden_trials']} conditioned random tensors"))
@@ -340,16 +344,15 @@ def run_verify_inequalities(cfg, out_dir, seed):
                      "exact-kappa line and constant-H model"))
 
     # Ricci-term bound with hypothesis-satisfying and violating data
+    dims = rng.integers(1, 4, size=max(1, c["royden_trials"] // 2))
     ricci = []
-    for _ in range(max(1, c["royden_trials"] // 2)):
-        n = int(rng.integers(1, 4))
-        d = np.exp(rng.normal(0.0, 0.7, n))
-        gp = np.diag(d).astype(complex)
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ric = (raw + raw.conj().T) / 2.0
-        gen = relative_eigenvalues_field(gp, ric)
-        lam = max(0.0, float(-gen.min())) + 0.1
-        ricci.append(ricci_term_margin(ric, gp, lam, 0.0))
+    for n in np.unique(dims):
+        m = np.count_nonzero(dims == n)
+        gp = np.exp(rng.normal(0.0, 0.7, (m, n)))[..., None] * np.eye(n)
+        raw = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        ric = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
+        lam = np.maximum(0.0, -relative_eigenvalues_field(gp, ric)[..., 0]) + 0.1
+        ricci += ricci_term_margin(ric, gp, lam, 0.0)
     bad = ricci_term_margin(-3.0 * np.eye(2), np.eye(2), 1.0, 0.0)
     reports.extend(ricci + [bad])
     rows.append(_row(
@@ -368,16 +371,14 @@ def run_verify_inequalities(cfg, out_dir, seed):
     # Schwarz conclusion on the normalized polydisk (omega' = omega)
     example = make_example("poincare-polydisk", n=2, scale=2.0)
     hyp = SchwarzHypotheses(kappa=0.5, lam=1.0, mu=0.0)
-    schwarz = [schwarz_conclusion_check(example.field, example.field, hyp, p)
-               for p in example.geometry.sample_points(per_axis=2, radius_fraction=0.4)]
+    points = example.geometry.sample_points(per_axis=2, radius_fraction=0.4)
+    schwarz = schwarz_conclusion_check(example.field, example.field, hyp, points)
     reports.extend(schwarz)
     rows.append(_row("verify-inequalities", "schwarz-log-trace-conclusion",
                      schwarz, "normalized polydisk, omega' = omega"))
-    too_strong = schwarz_conclusion_check(
-        example.field, example.field,
-        SchwarzHypotheses(kappa=0.6, lam=1.0, mu=0.0),
-        example.geometry.sample_points(per_axis=1)[0],
-    )
+    too_strong = schwarz_conclusion_check(example.field, example.field,
+                                          SchwarzHypotheses(kappa=0.6, lam=1.0, mu=0.0),
+                                          example.geometry.sample_points(per_axis=1)[0])
     reports.append(too_strong)
     rows.append(_row("verify-inequalities", "schwarz-hypothesis-screen", [],
                      "overclaimed kappa must be screened out as not-applicable")
@@ -420,17 +421,13 @@ def run_integrals(cfg, out_dir, seed):
                      "both slots, k = 0..n"))
 
     # pointwise sigma consistency: mixed determinants vs relative eigenvalues
-    sigma_reports = []
-    for idx in rng.integers(0, N, size=(5, 2 * n)):
-        ga = omega.g[tuple(idx)]
-        gb = A_field.g[tuple(idx)]
-        D = mixed_determinants(gb, ga)
-        lam = relative_eigenvalues_field(ga[None], gb[None])[0]
-        e = elementary_symmetric_field(lam[None])[0]
-        sigma_reports.extend(
-            make_report("sigma-mixed-determinant-consistency", d, e_k, ALGEBRAIC_TOL,
-                        two_sided=True, note=f"k={k}")
-            for k, (d, e_k) in enumerate(zip(D / np.linalg.det(ga).real, e)))
+    idx = tuple(rng.integers(0, N, size=(5, 2 * n)).T)
+    ga, gb = omega.g[idx], A_field.g[idx]
+    D = mixed_determinants(gb, ga) / np.linalg.det(ga).real[:, None]
+    e = elementary_symmetric_field(relative_eigenvalues_field(ga, gb))
+    sigma_reports = [make_report("sigma-mixed-determinant-consistency", d, e_k, ALGEBRAIC_TOL,
+                                 two_sided=True, note=f"k={k}")
+                     for D_p, e_p in zip(D, e) for k, (d, e_k) in enumerate(zip(D_p, e_p))]
     rows.append(_row("integrals", "sigma-mixed-determinant-consistency", sigma_reports))
 
     # short continuity path: expansion fit, volume law, nef floors, bigness

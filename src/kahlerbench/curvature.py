@@ -135,14 +135,11 @@ class KahlerCurvature:
     def __post_init__(self):
         _check_symmetries(self.tensor)
 
-    @classmethod
-    def from_derivatives(cls, g, dg, ddg) -> "KahlerCurvature":
-        return cls(g.shape[-1], np.asarray(g), curvature_from_derivatives(g, dg, ddg))
-
 
 def curvature_tensor(field, point) -> KahlerCurvature:
     """Curvature of a metric field at a point (a grid multi-index on a torus)."""
-    return KahlerCurvature.from_derivatives(*field.jet_at(point))
+    g, dg, ddg = field.jet_at(point)
+    return KahlerCurvature(g.shape[-1], g, curvature_from_derivatives(g, dg, ddg))
 
 
 def curvature_field(field) -> np.ndarray:
@@ -462,7 +459,7 @@ def default_sweep_points(field, max_points: int = 256):
     if isinstance(field, TorusMetricField):
         grid = field.grid
         stride = 1
-        while grid.num_points // stride ** (2 * grid.n) > max_points:
+        while len(range(0, grid.N, stride)) ** (2 * grid.n) > max_points:
             stride *= 2
         return itertools.product(range(0, grid.N, stride), repeat=2 * grid.n)
     per_axis = 3 if field.n > 1 else 5
@@ -481,25 +478,24 @@ def _sweep_jets(field, points: list) -> tuple:
     return field.jet_at(np.array(points, dtype=complex))
 
 
-def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
-    """HSC extremes at every point of a sweep, one HscExtremes per point.
-
-    points=None sweeps default_sweep_points(field, max_points).  The sweep
-    is one batch: the point jets are stacked, one factorization of the
-    metrics gives the frames and the inverse metric of the assembly, the
-    curvature is checked together (the first point breaking the symmetries
-    raises), and all extremes come from one kernel call.
-    """
-    if points is None:
-        points = default_sweep_points(field, max_points)
-    points = list(points)
-    if not points:
-        return []
-    g, dg, ddg = _sweep_jets(field, points)
+def _jet_extremes(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> list:
+    """One HscExtremes per point of stacked jets (m, ...): one factorization of
+    the metrics gives the frames and the assembly's inverse metric, the first
+    point breaking the symmetries raises, and one kernel call extremizes all."""
     T = _frames(g)
     R = _assemble(T, dg, ddg)
     _check_symmetries(R)
     return _extremes(R, T)
+
+
+def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
+    """HSC extremes at every point of a sweep, one HscExtremes per point.
+
+    points=None sweeps default_sweep_points(field, max_points).  The sweep
+    is one batch: the point jets are stacked and go through _jet_extremes.
+    """
+    points = list(default_sweep_points(field, max_points) if points is None else points)
+    return _jet_extremes(*_sweep_jets(field, points)) if points else []
 
 
 def kappa_floor(field, points=None) -> float:

@@ -8,6 +8,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
+import numpy as np
 import pytest
 
 from kahlerbench.cli import (
@@ -266,7 +267,8 @@ def test_failing_check_fails_its_aggregate_row(tmp_path, monkeypatch):
     # The row takes its verdict from the reports: this one fails its own
     # 1e-12 tolerance although its margin is within the checks' 1e-9.
     def failing(ric_prime, g_prime, lam, mu):
-        return make_report("ricci-trace-lower-bound", 0.0, 1e-10, 1e-12)
+        report = make_report("ricci-trace-lower-bound", 0.0, 1e-10, 1e-12)
+        return report if np.ndim(g_prime) == 2 else [report] * len(g_prime)
 
     monkeypatch.setattr("kahlerbench.cli.ricci_term_margin", failing)
     rc, _, _ = run_cli(["verify-inequalities", "--trials", "10",
@@ -328,8 +330,9 @@ def test_equality_cases_fail_on_either_side(tmp_path, monkeypatch):
     # Raising each lhs by 2e-12 keeps every one-sided bound but moves the
     # equality cases past EQUALITY_TOL on the passing side.
     def raised(R, g, g_prime, kappa):
-        r = royden_margin(R, g, g_prime, kappa)
-        return make_report(r.name, r.lhs + 2e-12, r.rhs, r.tol, note=r.note)
+        reports = royden_margin(R, g, g_prime, kappa)
+        bump = lambda r: make_report(r.name, r.lhs + 2e-12, r.rhs, r.tol, note=r.note)
+        return [bump(r) for r in reports] if isinstance(reports, list) else bump(reports)
 
     monkeypatch.setattr("kahlerbench.cli.royden_margin", raised)
     rc, _, _ = run_cli(["verify-inequalities", "--trials", "10", "--out", str(tmp_path)])
@@ -338,6 +341,20 @@ def test_equality_cases_fail_on_either_side(tmp_path, monkeypatch):
     (row,) = [r for r in rows if r["status"] == "fail"]
     assert row["check"] == "hsc-trace-equality-cases"
     assert row["margin"] > EQUALITY_TOL
+
+
+def test_one_state_path_has_no_drift_to_judge(tmp_path):
+    # A one-state path is allowed by the schema; with no drift to measure the
+    # drift row reads not-applicable, and the run passes.
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("continuity_path: {steps: 1}\n")
+    rc, _, _ = run_cli(["continuity-path", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = read_json(tmp_path / "continuity-path" / "summary.json")["rows"]
+    (row,) = [r for r in rows if r["check"] == "normalized-limit-drift"]
+    assert row["status"] == "not-applicable" and row["value"] is None
+    assert row["note"] == "single-state path: no drift to measure"
+    assert all(r["status"] == "pass" for r in rows if r is not row)
 
 
 def test_continuity_path_replaces_earlier_states(tmp_path):

@@ -493,6 +493,20 @@ def test_torus_kappa_floor_grid_sweep_matches_pointwise(n, N, amplitude, stride)
         assert abs(swept) <= 1e-12
 
 
+@pytest.mark.parametrize("n, N, max_points, count", [
+    (2, 10, 64, 16),    # stride 8 on 10 points per axis: 2^4; stride 4 would give 3^4 = 81
+    (1, 10, 16, 9),     # stride 4: 3^2; stride 2 would give 5^2 = 25
+    (2, 12, 256, 81),   # path-collapse's sweep, stride 4
+    (1, 32, 64, 64),    # the zoo's sweep, stride 4
+])
+def test_default_sweep_stays_within_its_cap(n, N, max_points, count):
+    grid = TorusGrid(n, N)
+    field = TorusMetricField(grid, np.zeros(grid.shape))
+    points = list(default_sweep_points(field, max_points))
+    assert len(points) == count <= max_points
+    assert len(set(points)) == count
+
+
 @pytest.mark.parametrize("N", [64, 128])
 def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     # Per-entry FFT round-off would break ddg[i,j,k,l] = conj(ddg[j,i,l,k])

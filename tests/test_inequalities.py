@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
 
 from kahlerbench.curvature import (
+    _sweep_jets,
     _symmetry_violations,
     constant_hsc_tensor,
     hsc_extremes_from_tensor,
@@ -21,7 +23,10 @@ from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import (
+    IDENTITY_RTOL,
+    MARGIN_TOL,
     SchwarzHypotheses,
+    _trace_jet,
     conditioned_negative_tensor,
     laplacian_identity_check,
     make_report,
@@ -32,7 +37,7 @@ from kahlerbench.inequalities import (
     royden_margin,
     schwarz_conclusion_check,
 )
-from kahlerbench.zoo import poincare_polydisk_terms
+from kahlerbench.zoo import _TORUS_MODES, perturbed_torus_potential, poincare_polydisk_terms
 
 
 def poincare_field(n=1, scale=1.0):
@@ -324,10 +329,6 @@ def test_laplacian_identity_converges_at_second_order(torus_pair):
 def test_laplacian_identity_guards(torus_pair):
     omega, omega_p = torus_pair
     idx = (1, 2, 3, 4)
-    with pytest.raises(ValueError, match="flat"):
-        laplacian_identity_check(omega_p, omega_p, idx)
-    with pytest.raises(TypeError):
-        laplacian_identity_check(poincare_field(), poincare_field(), [0.1])
     other = TorusMetricField(TorusGrid(2, 8), np.zeros(TorusGrid(2, 8).shape))
     with pytest.raises(DimensionMismatch):
         laplacian_identity_check(omega, other, idx)
@@ -344,6 +345,145 @@ def test_cauchy_schwarz_holds_across_points(torus_pair):
     for idx in ((0, 0, 0, 0), (5, 2, 9, 4), (11, 11, 3, 8)):
         _, cs = laplacian_identity_check(omega, omega_p, idx)
         assert cs.margin >= -1e-9
+
+
+@pytest.fixture(scope="module")
+def curved_torus_pair():
+    grid = TorusGrid(2, 12)
+    shifted = [(m, ph + 0.9, w) for (m, ph, w) in _TORUS_MODES[2]]
+    return (TorusMetricField(grid, perturbed_torus_potential(grid, 0.008)),
+            TorusMetricField(grid, perturbed_torus_potential(grid, 0.006, modes=shifted)))
+
+
+@pytest.fixture(scope="module")
+def chart_pair():
+    """Criterion 06's pair: the scale-2 bidisk and its |z1 z2|^2 / 50 bump."""
+    terms, z = poincare_polydisk_terms(2, 2.0)
+    bump = (sp.Rational(1, 50) * sp.Symbol("x"), (z[0] * z[1],))
+    geom = ChartGeometry(2, (1.0, 1.0), margin=0.25)
+    return ChartMetricField(geom, terms, z), ChartMetricField(geom, terms + [bump], z)
+
+
+def chart_points(rng, count):
+    pts = rng.uniform(-0.4, 0.4, size=(count, 2, 2))
+    return pts[..., 0] + 1j * pts[..., 1]
+
+
+def assert_identity_holds(pairs):
+    for identity, cs in pairs:
+        assert identity.status == "pass" and identity.two_sided
+        assert identity.tol == IDENTITY_RTOL * max(1.0, abs(identity.rhs))
+        assert cs.status == "pass" and cs.tol == MARGIN_TOL
+
+
+def test_laplacian_identity_holds_on_a_curved_torus_pair(curved_torus_pair):
+    # Both metrics curved: all three Chern-Lu terms are live.
+    omega, omega_p = curved_torus_pair
+    indices = np.random.default_rng(5).integers(0, 12, size=(40, 4))
+    pairs = laplacian_identity_check(omega, omega_p, indices)
+    assert len(pairs) == 40
+    assert_identity_holds(pairs)
+    assert [identity.point for identity, _ in pairs] == [
+        tuple(omega.grid.coords(idx)) for idx in indices]
+
+
+def test_laplacian_identity_holds_on_a_chart_pair(chart_pair):
+    omega, omega_p = chart_pair
+    points = chart_points(np.random.default_rng(6), 30)
+    pairs = laplacian_identity_check(omega, omega_p, points)
+    assert len(pairs) == 30
+    assert_identity_holds(pairs)
+    # the stencil oracle of criterion 06 sees the same Delta' S
+    s_of = trace_function(omega, omega_p)
+    gp = omega_p.metric_matrix_at(points[0])
+    fd = fd_laplacian(s_of, real_coords(points[0]), gp, 0.02, richardson=True)
+    assert abs(fd - pairs[0][0].lhs) <= 1e-8
+
+
+# -- a single point is a batch of one ---------------------------------------------------
+
+
+def assert_same_report(batched, single):
+    assert (batched.name, batched.status, batched.point) == (
+        single.name, single.status, single.point)
+    for a, b in ((batched.lhs, single.lhs), (batched.rhs, single.rhs),
+                 (batched.margin, single.margin)):
+        assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_royden_margin_stack_is_its_points(n):
+    rng = np.random.default_rng(60 + n)
+    kappa = rng.uniform(0.2, 1.0, 6)
+    R = conditioned_negative_tensor(n, rng, gap=kappa)
+    g = np.stack([random_pd(n, rng) for _ in kappa])
+    gp = np.stack([random_pd(n, rng, scale=1.5) for _ in kappa])
+    stack = royden_margin(R, g, gp, kappa)
+    assert len(stack) == 6
+    for i, report in enumerate(stack):
+        assert_same_report(report, royden_margin(R[i], g[i], gp[i], kappa[i]))
+    # one ambient metric broadcasts over the stack
+    shared = royden_margin(R, np.eye(n), gp, kappa)
+    for i, report in enumerate(shared):
+        assert_same_report(report, royden_margin(R[i], np.eye(n), gp[i], kappa[i]))
+
+
+def test_conditioned_tensor_stack_has_the_stated_gaps():
+    gap = np.array([[0.2, 0.5], [0.7, 1.0]])
+    R = conditioned_negative_tensor(2, np.random.default_rng(8), gap=gap)
+    assert R.shape == (2, 2, 2, 2, 2, 2)
+    for idx in np.ndindex(gap.shape):
+        h_max = hsc_extremes_from_tensor(R[idx], np.eye(2)).h_max
+        assert h_max == pytest.approx(-gap[idx], abs=1e-12)
+
+
+def test_ricci_term_margin_stack_is_its_points():
+    rng = np.random.default_rng(70)
+    gp = np.stack([random_pd(2, rng) for _ in range(5)])
+    raw = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    ric = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
+    lam = np.array([3.0, 3.0, 0.0, 3.0, 3.0])  # the third violates the hypothesis
+    stack = ricci_term_margin(ric, gp, lam, 0.1)
+    assert [r.status for r in stack].count("not-applicable") >= 1
+    for i, report in enumerate(stack):
+        assert_same_report(report, ricci_term_margin(ric[i], gp[i], lam[i], 0.1))
+
+
+def test_trace_jet_stack_is_its_points(curved_torus_pair, chart_pair):
+    indices = np.random.default_rng(9).integers(0, 12, size=(8, 4))
+    points = chart_points(np.random.default_rng(10), 5)
+    for (omega, omega_p), stack in ((curved_torus_pair, indices), (chart_pair, points)):
+        batched = _trace_jet(_sweep_jets(omega, stack), _sweep_jets(omega_p, stack))
+        for i, p in enumerate(stack):
+            single = _trace_jet(omega.jet_at(p), omega_p.jet_at(p))
+            for a, b in zip(batched, single):
+                assert abs(a[i] - b) <= 1e-14 * max(1.0, abs(b))
+
+
+def test_laplacian_identity_stack_is_its_points(curved_torus_pair, chart_pair):
+    indices = np.random.default_rng(11).integers(0, 12, size=(6, 4))
+    points = chart_points(np.random.default_rng(12), 4)
+    for (omega, omega_p), stack in ((curved_torus_pair, indices), (chart_pair, points)):
+        for pair, p in zip(laplacian_identity_check(omega, omega_p, stack), stack):
+            for batched, single in zip(pair, laplacian_identity_check(omega, omega_p, p)):
+                assert_same_report(batched, single)
+
+
+def test_schwarz_conclusion_stack_is_its_points(chart_pair):
+    omega, omega_bumped = chart_pair
+    points = chart_points(np.random.default_rng(13), 6)
+    for hyp in (SchwarzHypotheses(kappa=0.5, lam=1.2, mu=0.0),
+                SchwarzHypotheses(kappa=0.6, lam=1.2, mu=0.0)):  # screened out
+        stack = schwarz_conclusion_check(omega, omega_bumped, hyp, points)
+        assert len(stack) == 6
+        for report, p in zip(stack, points):
+            assert_same_report(report, schwarz_conclusion_check(omega, omega_bumped, hyp, p))
+    grid = TorusGrid(1, 16)
+    flat = TorusMetricField(grid, np.zeros(grid.shape))
+    hyp = SchwarzHypotheses(kappa=0.5, lam=1.0, mu=0.0)
+    indices = [(2, 3), (0, 0), (15, 7)]
+    for report, idx in zip(schwarz_conclusion_check(flat, flat, hyp, indices), indices):
+        assert_same_report(report, schwarz_conclusion_check(flat, flat, hyp, idx))
 
 
 # -- assembled conclusion --------------------------------------------------------------
