@@ -41,7 +41,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DimensionMismatch
-from .linalg import MAX_DIM
+from .linalg import MAX_DIM, hermitian
 
 
 SLAB_POINTS = 2**14  # fine points per slab of the streamed band transforms
@@ -164,9 +164,9 @@ class TorusGrid:
     def hessian_components(self, f: np.ndarray) -> np.ndarray:
         """The n*n real components of the complex Hessian of a real field.
 
-        Shape (n*n,) + grid shape, rows laid out as in hessian_multipliers:
-        row i*n + i is H_ii, and for i < j row i*n + j is Re H_ij and row
-        j*n + i is Im H_ij.
+        Shape (n*n,) + grid shape, in linalg's component layout (rows as in
+        hessian_multipliers): row i*n + i is H_ii, and for i < j row i*n + j
+        is Re H_ij and row j*n + i is Im H_ij.
         """
         f = np.asarray(f)
         return self.hessian_of_spectrum(self.rfft(f - np.mean(f)))  # mean out for round-off
@@ -178,23 +178,9 @@ class TorusGrid:
         """
         return self.irfft(F * self.hessian_multipliers)
 
-    def hermitian(self, c: np.ndarray) -> np.ndarray:
-        """The Hermitian (..., n, n) field with components c, as in hessian_components."""
-        n = self.n
-        H = np.empty(c.shape[1:] + (n, n), dtype=complex)
-        Hr, Hi = H.real, H.imag
-        for i in range(n):
-            Hr[..., i, i] = c[i * n + i]
-            Hi[..., i, i] = 0.0
-            for j in range(i + 1, n):
-                Hr[..., i, j] = Hr[..., j, i] = c[i * n + j]
-                Hi[..., i, j] = c[j * n + i]
-                np.negative(c[j * n + i], out=Hi[..., j, i])
-        return H
-
     def complex_hessian(self, f: np.ndarray) -> np.ndarray:
         """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
-        return self.hermitian(self.hessian_components(f))
+        return hermitian(self.hessian_components(f))
 
     def hessian_jets(self, f: np.ndarray) -> tuple:
         """(T, Q), the third and fourth derivatives of the complex Hessian of a

@@ -202,11 +202,16 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu):
 
     Inputs are expressed in an ambient-orthonormal frame (g = identity); in
     an eigenframe of g' = diag(d) the left side is sum_i R'_{ii} / d_i^2.
-    The Ricci hypothesis Ric' + lam g' - mu g >= 0 is verified first, to
-    RICCI_HYPOTHESIS_RTOL; data violating it yields a not-applicable
-    report, not a failure.
+    g' is held to linalg.positivity, as in royden_margin; one that fails it
+    raises PositivityLoss.  The Ricci hypothesis Ric' + lam g' - mu g >= 0
+    is verified next, to RICCI_HYPOTHESIS_RTOL; data violating it yields a
+    not-applicable report, not a failure.
     """
     ric_prime, g_prime = np.asarray(ric_prime, dtype=complex), np.asarray(g_prime, dtype=complex)
+    ok, _, w = positivity(g_prime)
+    if not ok:
+        raise PositivityLoss(f"g_prime not positive definite: eigenvalues {w}",
+                             min_eigenvalue=float(w[0]))
     n = g_prime.shape[-1]
     screen = _ricci_hypothesis(ric_prime, g_prime, np.eye(n), lam, mu)
     A = inv(g_prime)

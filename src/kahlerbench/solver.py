@@ -16,7 +16,13 @@ rtol = max(1e-10, min(0.5, |r|_inf)), which keeps the Newton tail
 q-quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 Steps are safeguarded by a backtracking line search that never leaves the
 positive cone, and every iterate is volume-normalized: shifted by the one
-constant that makes mean det(alpha + Hess v) = mean e^{v+F}.
+constant that makes mean det(alpha + Hess v) = mean e^{v+F}.  The Newton
+loop runs on real components: alpha and each candidate M = alpha + Hess v
+are (n*n, ...) fields in linalg's component layout (the rows of
+TorusGrid.hessian_components), and det M, the positivity check and the
+trace weights of M^{-1} are linalg's closed forms on them, so no step or
+line-search trial inverts a Hermitian matrix, and at n <= 2 none assembles
+one (at n = 3 the positivity check does, for LAPACK's eigenvalues).
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -24,10 +30,13 @@ The continuity path solves the family (alpha = eps g, F = 0)
 
 downward in eps, each state warm-started from the previous one in the
 eps-scaled gauge: w = v - n*log(eps) is O(eps), so the previous w is scaled
-by eps'/eps.  A state is its eps and v with scalar diagnostics: sup u for
-u = v - log det g = log sigma_n against the volume-ratio ceiling, the
-Ricci identity residual, relative eigenvalue range, the top of the trace
-field S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.
+by eps'/eps.  It solves first and diagnoses after: only once every state
+has converged does make_state turn each (eps, v) into a state, its eps and
+v with scalar diagnostics: sup u for u = v - log det g = log sigma_n
+against the volume-ratio ceiling, the Ricci identity residual, relative
+eigenvalue range, the top of the trace field S_eps, and the wedge
+integrals of omega_eps^k wedge omega^{n-k}.  A path that fails diagnoses
+nothing.  The diagnostics form the Hermitian g_eps.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
 from .integrals import wedge_integrals
-from .linalg import det, inv, relative_eigenvalues_field, trace_s_field
-from .linalg import positivity as _positivity
+from .linalg import (component_det, components, det, hermitian, relative_eigenvalues_field,
+                     trace_s_field, trace_weights)
+from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
 
@@ -70,8 +80,9 @@ class MAProblem:
 
 
 def _positive_det(M: np.ndarray) -> np.ndarray:
-    """det M over the grid; PositivityLoss where it is not positive."""
-    d = det(M).real
+    """det M over the grid, M given by its components; PositivityLoss where it
+    is not positive."""
+    d = component_det(M)
     if np.any(d <= 0.0):
         worst = np.unravel_index(np.argmin(d), d.shape)
         raise PositivityLoss(
@@ -80,15 +91,15 @@ def _positive_det(M: np.ndarray) -> np.ndarray:
     return d
 
 
-def ma_log_residual(problem: MAProblem, v: np.ndarray, M: np.ndarray = None) -> np.ndarray:
+def ma_log_residual(problem: MAProblem, v: np.ndarray) -> np.ndarray:
     """Forward evaluation of the log-form operator at v."""
-    if M is None:
-        M = problem.alpha + problem.grid.complex_hessian(v)
+    M = components(problem.alpha) + problem.grid.hessian_components(v)
     return np.log(_positive_det(M)) - v - problem.datum
 
 
 def _volume_normalized(problem: MAProblem, v: np.ndarray, M: np.ndarray) -> tuple:
-    """(v + c, r - c), r the residual at v and c = log(mean det M / mean e^(v+F)).
+    """(v + c, r - c), r the residual at v and c = log(mean det M / mean e^(v+F)),
+    M = alpha + Hess v given by its components.
 
     mean det(alpha + Hess v) does not depend on v (it is the discrete
     cohomology volume), so c sets the one constant the equation fixes: after
@@ -116,33 +127,17 @@ def _flat_preconditioner(grid: TorusGrid, s: np.ndarray):
     return lambda f: grid.irfft(grid.rfft(f * inv_s) * mult)
 
 
-def _trace_weights(M_inv: np.ndarray) -> np.ndarray:
-    """Real weights w with tr(M_inv H) = sum_c w[c] * c-th Hessian component of H.
-
-    Components are laid out as in TorusGrid.hessian_components; the
-    weights reproduce the real part of the full trace for any M_inv.
-    """
-    n = M_inv.shape[-1]
-    w = np.empty((n * n,) + M_inv.shape[:-2])
-    for i in range(n):
-        w[i * n + i] = M_inv[..., i, i].real
-        for j in range(i + 1, n):
-            w[i * n + j] = M_inv[..., i, j].real + M_inv[..., j, i].real
-            w[j * n + i] = M_inv[..., i, j].imag - M_inv[..., j, i].imag
-    return w
-
-
-def _solve_linearized(grid: TorusGrid, M_inv: np.ndarray, rhs: np.ndarray,
+def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
                       rtol: float) -> tuple:
     """Solve (Delta_M - 1) delta = rhs by BiCGSTAB, right-preconditioned by
-    _flat_preconditioner with s = tr(M_inv)/n.
+    _flat_preconditioner with s = tr(M^{-1})/n.
 
-    Returns (delta, matvecs), matvecs the number of applications of
-    Delta_M - 1.
+    w are the trace weights of M (linalg.trace_weights), so that
+    Delta_M f = sum_k w[k] * (Hessian component k of f).  Returns
+    (delta, matvecs), matvecs the number of applications of Delta_M - 1.
     """
     shape = grid.shape
     size = rhs.size
-    w = _trace_weights(M_inv)
     pre = _flat_preconditioner(grid, w[:: grid.n + 1].sum(axis=0) / grid.n)
     matvecs = 0
 
@@ -177,7 +172,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
     rtol = max(1e-10, min(0.5, res)), res the sup-norm residual, and every
     iterate (v0 and each line-search trial) is volume-normalized by
     _volume_normalized, so the returned v satisfies the discrete volume
-    identity to rounding.
+    identity to rounding.  alpha and each candidate M = alpha + Hess v are
+    carried as real components (linalg's layout).
 
     Returns the potential v, and with return_info also an info dict: the
     residual history, and per Newton step (aligned with residual_history[1:])
@@ -194,7 +190,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
 
     t0 = time.perf_counter()
     history, forcing, matvecs = [], [], []
-    M = problem.alpha + grid.complex_hessian(v)
+    alpha = components(problem.alpha)
+    M = alpha + grid.hessian_components(v)
     ok, worst, w = _positivity(M)
     if not ok:
         raise PositivityLoss(
@@ -212,9 +209,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
                 f"Newton stalled at residual {res:.3e} after {steps} steps",
                 residual=res, steps=steps,
             )
-        M_inv = inv(M)
         rtol = max(1e-10, min(0.5, res))
-        delta, step_matvecs = _solve_linearized(grid, M_inv, -r, rtol)
+        delta, step_matvecs = _solve_linearized(grid, trace_weights(M), -r, rtol)
 
         t, accepted, any_positive = 1.0, False, False
         worst_pt, worst_eig = None, None
@@ -225,7 +221,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
                 # and v, its trial, is positive
                 any_positive = True
                 break
-            M_try = problem.alpha + grid.complex_hessian(v_try)
+            M_try = alpha + grid.hessian_components(v_try)
             ok, pt, w = _positivity(M_try)
             if not ok:
                 worst_pt, worst_eig = pt, float(w[0])
@@ -276,7 +272,9 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
     """Problem whose exact solution is the supplied potential (flat data).
 
     Sets alpha = identity and F = log det(I + Hess v*) - v*, so the solve
-    must recover v* up to solver tolerance.
+    must recover v* up to solver tolerance.  F is formed on the Hermitian
+    field with linalg.det, a route apart from the solver's component
+    kernels, so a fault in those shows as a wrong solution.
     """
     eye = np.broadcast_to(np.eye(grid.n, dtype=complex),
                           grid.shape + (grid.n, grid.n)).copy()
@@ -349,13 +347,17 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
 
 
 def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> list:
-    """Solve the family along a strictly decreasing positive eps schedule.
+    """Solve the family along a strictly decreasing positive eps schedule,
+    then diagnose every state.
 
     Warm-starts each solve in the eps-scaled gauge: from
     n log eps + (v_prev - n log eps_prev) * eps / eps_prev, since
     w = v - n log eps is about eps * phi for a fixed phi; the first state
-    starts from n log eps.  Solver failures propagate annotated with the
-    offending eps; already-computed states are not returned partially.
+    starts from n log eps.  Each solve keeps only (eps, v, Newton steps,
+    matvecs); make_state runs once per state after the last one has
+    converged, so a path that fails diagnoses nothing.  Failures, of a solve
+    or of a state's diagnosis, propagate annotated with the offending eps;
+    no states are returned partially.
     """
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
@@ -365,8 +367,7 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
 
     grid = omega.grid
     zero = np.zeros(grid.shape)
-    log_c = volume_ratio_ceiling(omega, eps[0])
-    states = []
+    solved = []
     w_prev, e_prev = zero, eps[0]  # w = v - n log eps of the previous state
     for e in eps:
         v0 = grid.n * np.log(e) + w_prev * (e / e_prev)
@@ -376,9 +377,18 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
         except (PositivityLoss, NonConvergence) as err:
             err.epsilon = e
             raise
-        states.append(make_state(omega, e, v, log_c, newton_steps=info["newton_steps"],
-                                 krylov_matvecs=sum(info["krylov_matvecs"])))
+        solved.append((e, v, info["newton_steps"], sum(info["krylov_matvecs"])))
         w_prev, e_prev = v - grid.n * np.log(e), e
+
+    log_c = volume_ratio_ceiling(omega, eps[0])
+    states = []
+    for e, v, steps, matvecs in solved:
+        try:
+            states.append(make_state(omega, e, v, log_c, newton_steps=steps,
+                                     krylov_matvecs=matvecs))
+        except PositivityLoss as err:
+            err.epsilon = e
+            raise
     return states
 
 
@@ -411,8 +421,8 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
         v = np.asarray(v, dtype=float)
 
         def det_plus(c):  # det(eps*I + H) on a slab of the components c of H
-            a = epsilon + c[0]
-            return a if grid.n == 1 else a * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
+            c[:: grid.n + 1] += epsilon
+            return component_det(c)
 
         d = grid.prolonged_hessian(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), det_plus)
     if np.any(d <= 0.0):
@@ -420,7 +430,7 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     ldg = np.log(d, out=d)
     ldg -= np.mean(ldg)  # mean out, over the whole grid, for round-off
     spectrum = grid.rfft(ldg) if grid.n == 3 else grid.restricted_spectrum(ldg)
-    ric = -grid.hermitian(grid.hessian_of_spectrum(spectrum))
+    ric = -hermitian(grid.hessian_of_spectrum(spectrum))
     resid = ric + g_eps - epsilon * omega.g
     return float(np.max(np.abs(resid)))
 

@@ -37,6 +37,7 @@ from kahlerbench.inequalities import (
     royden_margin,
     schwarz_conclusion_check,
 )
+from kahlerbench.linalg import PD_RTOL
 from kahlerbench.zoo import _TORUS_MODES, perturbed_torus_potential, poincare_polydisk_terms
 
 
@@ -287,6 +288,17 @@ def test_ricci_term_margin_takes_the_trace_of_g_prime_inverse():
     report = ricci_term_margin(ric, gp, lam=0.3, mu=0.0)
     assert report.rhs == pytest.approx(-0.3 * 1.25, abs=1e-14)  # S = 1 + 1/4
     assert "S=1.25 " in report.note
+
+
+def test_ricci_term_margin_holds_g_prime_to_positivity():
+    # Ric' + g' >= 0 holds here, so before this check the pair passed with S = -1
+    with pytest.raises(PositivityLoss, match="^g_prime not"):
+        ricci_term_margin(np.eye(2), np.diag([1.0, -0.5]), 1.0, 0.0)
+    rng = np.random.default_rng(41)
+    gp = np.stack([random_pd(2, rng) for _ in range(4)])
+    gp[2] = np.diag([1.0, 0.5 * PD_RTOL])
+    with pytest.raises(PositivityLoss, match="^g_prime not"):
+        ricci_term_margin(-0.5 * gp, gp, 1.0, 0.0)
 
 
 # -- Laplacian identity ---------------------------------------------------------------

@@ -12,14 +12,19 @@ from kahlerbench.errors import DimensionMismatch
 from kahlerbench.linalg import (
     PD_RTOL,
     Direction,
+    component_det,
+    component_positivity,
+    components,
     det,
     eigvalsh,
+    hermitian,
     elementary_symmetric_field,
     inv,
     newton_maclaurin_margin_field,
     positivity,
     relative_eigenvalues_field,
     trace_s_field,
+    trace_weights,
 )
 
 
@@ -153,6 +158,87 @@ def test_positivity_threshold_single_and_batched():
     assert not ok
     assert tuple(int(i) for i in worst) == (2, 3)
     assert np.allclose(w, np.linalg.eigvalsh(bad))
+
+
+# -- the component layout and its kernels ----------------------------------------
+
+
+def hermitian_field(rng, shape, n, lam_range=None):
+    """Hermitian (..., n, n) field; with lam_range = (lo, hi), eigenvalues drawn
+    from it with random signs, so every point is conditioned within hi/lo."""
+    A = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    if lam_range is None:
+        return (A + np.conj(np.swapaxes(A, -1, -2))) / 2.0
+    U = np.linalg.qr(A)[0]
+    lam = rng.uniform(*lam_range, shape + (n,)) * rng.choice([-1.0, 1.0], shape + (n,))
+    return (U * lam[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_components_round_trip(n):
+    rng = np.random.default_rng(90 + n)
+    a = hermitian_field(rng, (4, 5), n)
+    c = components(a)
+    assert c.shape == (n * n, 4, 5) and c.dtype == float
+    assert np.array_equal(hermitian(c), a)
+    assert np.array_equal(components(a[2, 3]), c[:, 2, 3])
+    with pytest.raises(DimensionMismatch):
+        hermitian(np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_det_and_weights_match_lapack(n):
+    """det and the cofactor inverse, as trace weights, of random Hermitian
+    fields (definite and indefinite, conditioned within 4) against numpy.linalg."""
+    rng = np.random.default_rng(100 + n)
+    a = hermitian_field(rng, (6, 7), n, lam_range=(0.5, 2.0))
+    c = components(a)
+    assert np.all(np.abs(component_det(c) - np.linalg.det(a).real) <= KERNEL_RTOL * 2.0**n)
+    a_inv = np.linalg.inv(a)
+    want = components(a_inv)
+    off = np.ones(n * n, dtype=bool)
+    off[:: n + 1] = False
+    want[off] *= 2.0  # tr(M^{-1} H) counts each off-diagonal entry twice
+    inv_scale = np.max(np.abs(a_inv), axis=(-2, -1))
+    w = trace_weights(c)
+    assert np.all(np.abs(w - want) <= 2.0 * KERNEL_RTOL * inv_scale)
+    # one matrix is a batch of one
+    assert np.array_equal(component_det(c[:, 1, 2]), component_det(c)[1, 2])
+    assert np.array_equal(trace_weights(c[:, 1, 2]), w[:, 1, 2])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ratio", [PD_RTOL * (1.0 - 1e-4), PD_RTOL * (1.0 + 1e-4)])
+def test_component_positivity_at_the_threshold_matches_the_eigenvalue_ratio(n, ratio):
+    rng = np.random.default_rng(110 + n)
+    field = np.stack([random_pd(rng, n) for _ in range(20)]).reshape(4, 5, n, n)
+    field[1, 3] = hermitian_with_eigenvalues(rng, [ratio * 4.0] + [2.0] * (n - 2) + [4.0])
+    w = np.linalg.eigvalsh(field)
+    oracle = bool(np.all(w[..., 0] > PD_RTOL * w[..., -1]))
+    assert oracle == (ratio > PD_RTOL)
+    ok, worst, w_worst = component_positivity(components(field))
+    assert ok == oracle
+    assert tuple(int(i) for i in worst) == (1, 3)
+    assert np.all(np.abs(w_worst - w[1, 3]) <= KERNEL_RTOL * 4.0)
+    assert positivity(field)[0] == ok
+    assert component_positivity(components(field[1, 3]))[0] == ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_positivity_matches_eigenvalues_on_random_fields(n):
+    rng = np.random.default_rng(120 + n)
+    definite = np.stack([random_pd(rng, n) for _ in range(30)]).reshape(5, 6, n, n)
+    ok, worst, w_worst = component_positivity(components(definite))
+    assert ok
+    assert np.all(np.abs(w_worst - np.linalg.eigvalsh(definite[worst])) <= KERNEL_RTOL * 1e2)
+    indefinite = hermitian_field(rng, (5, 6), n)
+    w = np.linalg.eigvalsh(indefinite)
+    assert not np.all(w[..., 0] > PD_RTOL * w[..., -1])
+    ok, worst, w_worst = component_positivity(components(indefinite))
+    assert not ok
+    # the reported point fails the policy, and its eigenvalues are reported
+    assert not w[worst][0] > PD_RTOL * w[worst][-1]
+    assert np.all(np.abs(w_worst - w[worst]) <= KERNEL_RTOL * 1e2)
 
 
 def test_direction_rejects_zero_vector():

@@ -12,12 +12,13 @@ from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
 from kahlerbench.integrals import wedge_integral
 from kahlerbench.io import load_state, save_state
+from kahlerbench.linalg import components, hermitian, trace_weights
+from kahlerbench import solver
 from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
     _flat_preconditioner,
     _solve_linearized,
-    _trace_weights,
     continuity_path,
     limit_probe,
     make_state,
@@ -121,6 +122,34 @@ def test_manufactured_solution_is_recovered():
     assert all(m >= 1 for m in info["krylov_matvecs"])
 
 
+def test_manufactured_n3_solution_is_recovered():
+    # every component of M is live (seeded modes on all six axes), so the
+    # n = 3 closed forms (det, the cofactor weights) are exercised whole
+    grid = TorusGrid(3, 8)
+    v_star = seeded_cosine_potential(grid, 1, modes=6, kmax=1)
+    v, info = solve_ma(manufactured_problem(grid, v_star), tol=1e-10, return_info=True)
+    assert np.max(np.abs(v - v_star)) < 1e-11
+    assert info["newton_steps"] >= 3
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+def test_newton_loop_assembles_no_hermitian_field(n, N, monkeypatch):
+    # every step and trial stays on real components: nothing assembles a
+    # Hermitian (..., n, n) field or inverts one
+    grid = TorusGrid(n, N)
+    problem = manufactured_problem(grid, seeded_cosine_potential(grid, 2, hessian_sup=0.3))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Newton loop assembled or inverted a Hermitian field")
+
+    for target in ("kahlerbench.linalg.hermitian", "kahlerbench.grids.hermitian",
+                   "kahlerbench.solver.hermitian", "numpy.linalg.inv"):
+        monkeypatch.setattr(target, refused)
+    monkeypatch.setattr(TorusGrid, "complex_hessian", refused)
+    _, info = solve_ma(problem, tol=1e-10, return_info=True)
+    assert info["newton_steps"] >= 2
+
+
 def test_newton_tail_contracts_quadratically():
     grid = TorusGrid(1, 32)
     problem = manufactured_problem(grid, cosine_potential(grid, 0.08))
@@ -157,13 +186,14 @@ def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N):
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
 def test_preconditioner_inverts_a_constant_trace_operator(n, N):
-    """For M^{-1} = c I the preconditioned operator is the identity: BiCGSTAB
-    stops after its first matvec, with the exact solution of c Delta - 1."""
+    """For M = I/c the preconditioned operator is the identity: BiCGSTAB
+    stops after its first matvec, with the exact solution of c Delta - 1.
+    The operator gets M's trace weights, as the Newton loop passes them."""
     grid = TorusGrid(n, N)
     c = 0.7
-    M_inv = np.broadcast_to(c * np.eye(n, dtype=complex), grid.shape + (n, n))
+    M = np.broadcast_to(np.eye(n, dtype=complex) / c, grid.shape + (n, n))
     rhs = np.random.default_rng(N + n).standard_normal(grid.shape)
-    delta, matvecs = _solve_linearized(grid, M_inv, rhs, rtol=1e-10)
+    delta, matvecs = _solve_linearized(grid, trace_weights(components(M)), rhs, rtol=1e-10)
     assert matvecs == 1
     lhs = np.fft.ifftn(np.fft.fftn(delta) * (c * flat_laplacian_full_spectrum(n, N) - 1.0))
     assert np.max(np.abs(lhs.real - rhs)) < 1e-12 * np.max(np.abs(rhs))
@@ -201,14 +231,17 @@ def test_residual_scaled_forcing_cuts_krylov_matvecs(n, N, seed, former):
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
 def test_trace_weights_reproduce_the_full_trace(n, N):
-    """sum_c w[c] * (Hessian component c) against Re tr(M_inv H), for any M_inv."""
+    """sum_k w[k] * (Hessian component k of f), w the cofactor weights of a
+    random positive Hermitian field M, against Re tr(M^{-1} H) with M^{-1}
+    from numpy.linalg.inv."""
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(N + n)
-    M_inv = (rng.standard_normal(grid.shape + (n, n))
-             + 1j * rng.standard_normal(grid.shape + (n, n)))
+    A = (rng.standard_normal(grid.shape + (n, n))
+         + 1j * rng.standard_normal(grid.shape + (n, n)))
+    M = A @ np.conj(np.swapaxes(A, -1, -2)) + np.eye(n)
     f = rng.standard_normal(grid.shape)
-    want = np.einsum("...ij,...ji->...", M_inv, grid.complex_hessian(f)).real
-    got = np.einsum("c...,c...->...", _trace_weights(M_inv), grid.hessian_components(f))
+    want = np.einsum("...ij,...ji->...", np.linalg.inv(M), grid.complex_hessian(f)).real
+    got = np.einsum("c...,c...->...", trace_weights(components(M)), grid.hessian_components(f))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -321,22 +354,83 @@ def test_path_failures_name_the_epsilon():
 def test_stalled_line_search_stops_once_the_step_rounds_away(monkeypatch):
     grid = TorusGrid(1, 64)
     omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
-    calls = []
-    hessian = TorusGrid.complex_hessian
+    calls, krylov = [], []
+    hessian, linearized = TorusGrid.hessian_components, solver._solve_linearized
 
     def counting(self, f):
-        calls.append(1)
+        if not krylov:  # the Krylov matvecs make Hessian transforms of their own
+            calls.append(1)
         return hessian(self, f)
 
-    monkeypatch.setattr(TorusGrid, "complex_hessian", counting)
+    def in_krylov(*args, **kwargs):
+        krylov.append(1)
+        try:
+            return linearized(*args, **kwargs)
+        finally:
+            krylov.pop()
+
+    monkeypatch.setattr(TorusGrid, "hessian_components", counting)
+    monkeypatch.setattr(solver, "_solve_linearized", in_krylov)
     with pytest.raises(NonConvergence, match="line search stalled at residual") as err:
         continuity_path(omega, [2.0**-k for k in range(12)], tol=1e-10)
     # the same stall as with every trial evaluated
     assert err.value.epsilon == 2.0**-6
     assert err.value.residual == 3.5185018017625663e-10
     assert err.value.steps == 2
-    # evaluating all LINE_SEARCH_HALVINGS + 1 trials made 68 calls
-    assert len(calls) <= 55
+    # the Hessian transforms of the solves' candidates (the first, each
+    # line-search trial, the final check): 31 here, and evaluating all
+    # LINE_SEARCH_HALVINGS + 1 trials made 61
+    assert len(calls) <= 48
+
+
+def test_failing_path_diagnoses_nothing(monkeypatch):
+    grid = TorusGrid(1, 64)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    diagnosed = []
+    diagnose = solver.make_state
+
+    def counting(*args, **kwargs):
+        diagnosed.append(args[1])
+        return diagnose(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "make_state", counting)
+    with pytest.raises(NonConvergence) as err:
+        continuity_path(omega, [2.0**-k for k in range(8)], tol=1e-10)
+    assert err.value.epsilon == 2.0**-6  # after six converged states
+    assert diagnosed == []
+
+
+def test_path_states_are_their_make_state_calls():
+    grid = TorusGrid(2, 8)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    eps = [1.0, 0.5, 0.25]
+    states = continuity_path(omega, eps, tol=1e-10)
+    log_c = volume_ratio_ceiling(omega, eps[0])
+    for s in states:
+        want = make_state(omega, s.epsilon, s.v, log_c, newton_steps=s.newton_steps,
+                          krylov_matvecs=s.krylov_matvecs)
+        for f in fields(ContinuityState):
+            got, expected = getattr(s, f.name), getattr(want, f.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, expected)
+            else:
+                assert got == expected, f.name
+
+
+def test_diagnosis_failures_name_the_epsilon(monkeypatch):
+    grid = TorusGrid(1, 16)
+    omega = TorusMetricField(grid, cosine_potential(grid, 0.05))
+    dealiased = solver.ricci_residual_dealiased
+
+    def degenerate_at_half(omega, epsilon, v, g_eps):
+        if epsilon == 0.5:
+            raise PositivityLoss("state metric degenerate on the dealiasing grid")
+        return dealiased(omega, epsilon, v, g_eps)
+
+    monkeypatch.setattr(solver, "ricci_residual_dealiased", degenerate_at_half)
+    with pytest.raises(PositivityLoss, match="dealiasing grid") as err:
+        continuity_path(omega, [1.0, 0.5, 0.25], tol=1e-10)
+    assert err.value.epsilon == 0.5
 
 
 def test_deep_path_diagnostics(deep_path):
@@ -574,7 +668,7 @@ def _full_grid_dealiased(omega, epsilon, v, g_eps):
         d = d * (epsilon + c[3]) - (c[1] * c[1] + c[2] * c[2])
     ldg = np.log(d)
     spectrum = _crop_spectrum(fine, fine.rfft(ldg - np.mean(ldg)), grid)
-    ric = -grid.hermitian(grid.hessian_of_spectrum(spectrum))
+    ric = -hermitian(grid.hessian_of_spectrum(spectrum))
     return float(np.max(np.abs(ric + g_eps - epsilon * omega.g)))
 
 
