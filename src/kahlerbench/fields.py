@@ -104,16 +104,18 @@ class TorusMetricField:
 class ChartMetricField:
     """Metric with potential psi = sum_t ell_t(|F_t|^2) on an analytic chart.
 
-    A term (ell, F) is a function ell of one real variable with real
-    coefficients (c*x, log(1 + x), -s*log(1 - x); a sympy Lambda or an
-    expression in one free symbol) and a tuple F of holomorphic sympy
-    expressions in z, built from z, real constants and I.  The jet needs
-    only F's holomorphic 2-jet and ell^(1..4) (_faa_di_bruno).  Each ell
-    is split into its numeric coefficient c times a coefficient-free ell0
-    (sympy's as_coeff_Mul); F's jet and ell0^(1..4) come from the one
-    lambdified function of z of the term shapes (ell0, F), derived once per
-    shape in a process (_chart_jet), and _eval multiplies each term's
-    ell0^(1..4) by its c.
+    A term (ell, F), or (scale, ell, F), is a function ell of one real
+    variable with real coefficients (c*x, log(1 + x), -log(1 - x); a sympy
+    Lambda or an expression in one free symbol), a tuple F of holomorphic
+    sympy expressions in z, built from z, real constants and I, and an
+    optional real number scale multiplying ell.  The jet needs only F's
+    holomorphic 2-jet and ell^(1..4) (_faa_di_bruno).  Each ell is split
+    into its numeric coefficient times a coefficient-free ell0 (sympy's
+    as_coeff_Mul, once per ell in a process), and c is that coefficient
+    times the scale; F's jet and ell0^(1..4) come from the one lambdified
+    function of z of the term shapes (ell0, F), derived once per shape in
+    a process (_chart_jet), and _eval multiplies each term's ell0^(1..4)
+    by its c.
     """
 
     kind = "analytic-chart"
@@ -125,27 +127,25 @@ class ChartMetricField:
         if len(self.z) != self.n:
             raise DimensionMismatch(f"need {self.n} holomorphic symbols, got {len(self.z)}")
         self.zbar = tuple(sp.Symbol(f"{s.name}bar") for s in self.z)
-        self.terms = tuple((ell if isinstance(ell, sp.Lambda)
-                            else sp.Lambda(tuple(sp.sympify(ell).free_symbols), ell),
-                            tuple(sp.sympify(F))) for ell, F in terms)
-        shapes, coefficients = [], []
-        for ell, F in self.terms:
-            if len(ell.variables) != 1 or ell.expr.has(sp.I):
-                raise ValueError(f"term function {ell} needs one variable, real coefficients")
+        split = []  # (c, ell0, F) per term
+        for *scale, ell, F in terms:
+            c, ell0 = _split_term_function(ell)
+            F = tuple(sp.sympify(F))
             if not set().union(*(f.free_symbols for f in F)) <= set(self.z):
                 raise ValueError(f"term {F} is not holomorphic in {self.z}")
-            c, ell0 = ell.expr.as_coeff_Mul()
-            shapes.append((sp.Lambda(ell.variables, ell0), F))
-            coefficients.append(float(c))
-        self._coefficients = np.array(coefficients)[:, None]
-        self._width, self._lambdified = _chart_jet(tuple(shapes), self.z)
+            split.append((c * float(*scale) if scale else c, ell0, F))
+        self.terms = tuple(split)
+        self._coefficients = np.array([c for c, _, _ in split])[:, None]
+        self._width, self._lambdified = _chart_jet(tuple((ell0, F) for _, ell0, F in split),
+                                                   self.z)
 
     @property
     def potential(self) -> sp.Expr:
-        """psi in z and zbar; conj(F_a) is F_a with z -> zbar and I -> -I."""
+        """psi in z and zbar, each c at its exact binary value; conj(F_a) is
+        F_a with z -> zbar and I -> -I."""
         conj = dict(zip(self.z, self.zbar)) | {sp.I: -sp.I}
-        return sp.Add(*(ell(sp.Add(*(f * f.xreplace(conj) for f in F)))
-                        for ell, F in self.terms))
+        return sp.Add(*(sp.Rational(c) * ell0(sp.Add(*(f * f.xreplace(conj) for f in F)))
+                        for c, ell0, F in self.terms))
 
     def _eval(self, z: np.ndarray):
         """(g, dg, ddg) at points z of shape (..., n), g unchecked.
@@ -190,6 +190,18 @@ class ChartMetricField:
 
     def metric_matrix_at(self, point) -> np.ndarray:
         return self.jet_at(point)[0]
+
+
+@cache
+def _split_term_function(ell):
+    """(c, ell0): a term function as its numeric coefficient c, a float,
+    times the coefficient-free Lambda ell0."""
+    if not isinstance(ell, sp.Lambda):
+        ell = sp.Lambda(tuple(sp.sympify(ell).free_symbols), ell)
+    if len(ell.variables) != 1 or ell.expr.has(sp.I):
+        raise ValueError(f"term function {ell} needs one variable, real coefficients")
+    c, ell0 = ell.expr.as_coeff_Mul()
+    return float(c), sp.Lambda(ell.variables, ell0)
 
 
 @cache

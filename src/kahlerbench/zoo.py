@@ -1,19 +1,21 @@
 """Example gallery: substrates with independently known curvature facts.
 
 Every example bundles a geometry, a metric field, and a list of Facts.
-A Fact stores an oracle recipe (a callable that re-derives the reference
-value, symbolically where possible) next to a measurement recipe (what the
-numerical machinery reports), a comparison mode, and a tolerance; nothing
-is compared against hard-coded numbers hidden in test bodies.
+A Fact stores its oracle, the reference value, next to a measurement
+recipe (what the numerical machinery reports), a comparison mode, and a
+tolerance; nothing is compared against hard-coded numbers hidden in test
+bodies.
 
-Chart oracles run in exact sympy arithmetic on the closed-form potential,
-so they are independent of the lambdified floating pipeline they certify.
+Every oracle is a closed form the mathematics gives: the disk's H = -2/s
+and Einstein ratio -2/s, the polydisk's range [-2/s, -2/(s n)], Fubini-Study's
+H = +2.  The program measures curvature by one route, the metric jet; the
+tests hold these closed forms to an exact sympy differentiation of each
+chart's potential at the fact's point and direction.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,6 +32,7 @@ from .grids import ChartGeometry, TorusGrid
 class Fact:
     """A checkable statement about an example.
 
+    oracle is the reference value, a closed form named by provenance;
     mode: 'equal' (|measured - oracle| <= tol), 'ge', 'le', 'gt', 'lt'
     (one-sided, tol as slack for the weak ones, ignored for strict ones).
     """
@@ -38,7 +41,7 @@ class Fact:
     provenance: str
     mode: str
     tol: float
-    oracle: object   # () -> float
+    oracle: float
     measure: object  # (field) -> float
     description: str = ""
 
@@ -62,7 +65,7 @@ class Example:
 
 
 def verify_fact(fact: Fact, metric_field) -> dict:
-    reference = float(fact.oracle())
+    reference = float(fact.oracle)
     measured = float(fact.measure(metric_field))
     if fact.mode == "equal":
         ok = abs(measured - reference) <= fact.tol
@@ -91,58 +94,17 @@ def verify_example_facts(example: Example) -> list:
     return [verify_fact(f, example.field) for f in example.spec.facts]
 
 
-# -- symbolic oracles ---------------------------------------------------------
-
-
-def _at_point(z_syms, zbar_syms, point):
-    """expr -> its exact value a + b*I at a point of exact sympy numbers."""
-    pt = [sp.sympify(p) for p in point]
-    subs = dict(zip(z_syms, pt)) | dict(zip(zbar_syms, map(sp.conjugate, pt)))
-    return lambda expr: sp.expand(expr.subs(subs))
-
-
-def symbolic_hsc(potential, z_syms, zbar_syms, point, eta) -> float:
-    """Holomorphic sectional curvature from exact symbolic differentiation.
-
-    point entries should be exact sympy numbers for a fully exact oracle;
-    eta is a numeric direction.  Independent of the floating field pipeline;
-    g's first derivatives are taken once, and each entry is evaluated once.
-    """
-    z, zb, at = z_syms, zbar_syms, _at_point(z_syms, zbar_syms, point)
-    r = range(len(z))
-    g = [[sp.diff(potential, z[i], zb[j]) for j in r] for i in r]
-    dg = [[[sp.diff(g[i][j], z[k]) for k in r] for j in r] for i in r]
-    g0 = sp.Matrix([[at(e) for e in row] for row in g])
-    G = g0.inv().T.applyfunc(sp.expand)  # matrix of g^{p qbar} at the point
-    dg0 = [[[at(e) for e in row] for row in plane] for plane in dg]
-    dgb0 = [[[at(sp.diff(e, zb[l])) for l in r] for e in row] for row in g]
-    eta = [sp.sympify(complex(e)) for e in eta]
-    etab = [sp.conjugate(e) for e in eta]
-    q = sp.Integer(0)
-    for i, j, k, l in itertools.product(r, repeat=4):
-        Rijkl = -at(sp.diff(dg[i][j][k], zb[l])) + sum(
-            G[p, qq] * dg0[i][qq][k] * dgb0[p][j][l] for p, qq in itertools.product(r, r))
-        q += sp.expand(Rijkl) * eta[i] * etab[j] * eta[k] * etab[l]
-    norm2 = sum(g0[i, j] * eta[i] * etab[j] for i, j in itertools.product(r, r))
-    return float(sp.re(sp.N(q / norm2**2, 30)))
-
-
-def symbolic_ricci_ratio(potential, z_syms, zbar_syms, point) -> float:
-    """Ric_{1 1bar} / g_{1 1bar} at a point, in exact arithmetic."""
-    z, zb, n = z_syms, zbar_syms, len(z_syms)
-    g = sp.Matrix(n, n, lambda i, j: sp.diff(potential, z[i], zb[j]))
-    ric11 = -sp.diff(sp.log(g.det()), z[0], zb[0])
-    val = sp.N(_at_point(z, zb, point)(ric11 / g[0, 0]), 30)
-    return float(sp.re(val))
-
-
 # -- chart terms ---------------------------------------------------------------
 
 # The variable of every term function ell: a chart potential is a sum of
-# terms ell(|F|^2) with F a tuple of holomorphic expressions.
+# terms c * ell(|F|^2) with F a tuple of holomorphic expressions.
 _X = sp.Symbol("x")
+# the disk's coefficient-free term function, built once; each scale s
+# attaches to it as the number -s
+_DISK_ELL = sp.log(1 - _X)
 
 
+@functools.cache
 def chart_symbols(n: int):
     return sp.symbols(f"z1:{n + 1}")
 
@@ -150,8 +112,7 @@ def chart_symbols(n: int):
 def poincare_polydisk_terms(n: int, scale: float):
     """(terms, z) of -scale * sum_i log(1 - |z_i|^2); n = 1 is the disk."""
     z = chart_symbols(n)
-    s = sp.Rational(scale) if float(scale).is_integer() else sp.Float(scale)
-    return [(-s * sp.log(1 - _X), (zi,)) for zi in z], z
+    return [(-float(scale), _DISK_ELL, (zi,)) for zi in z], z
 
 
 def fubini_study_terms(n: int):
@@ -164,12 +125,11 @@ def fermat_graph_terms(degree: int):
     """Induced projective-space potential on a graph chart of the degree-d
     Fermat hypersurface in 3-space, centered where a standard projective
     line through the surface passes: log(1 + |z|^2 + |h|^2) for the graph
-    h = alpha (1 + z1^d + z2^d)^(1/d).  Returns (terms, z, alpha)."""
+    h = exp(i pi / d) (1 + z1^d + z2^d)^(1/d).  Returns (terms, z)."""
     z = chart_symbols(2)
     d = int(degree)
-    alpha = sp.exp(sp.I * sp.pi / d)
-    h = alpha * (1 + z[0] ** d + z[1] ** d) ** sp.Rational(1, d)
-    return [(sp.log(1 + _X), (z[0], z[1], h))], z, alpha
+    h = sp.exp(sp.I * sp.pi / d) * (1 + z[0] ** d + z[1] ** d) ** sp.Rational(1, d)
+    return [(sp.log(1 + _X), (z[0], z[1], h))], z
 
 
 # -- torus potentials ---------------------------------------------------------
@@ -236,7 +196,7 @@ def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
             name="curvature-vanishes",
             provenance="flat metric: constant coefficients, all derivatives zero",
             mode="equal", tol=1e-12,
-            oracle=lambda: 0.0,
+            oracle=0.0,
             measure=lambda f: float(np.max(np.abs(curvature_field(f)))),
             description="full curvature tensor is identically zero",
         ),
@@ -244,7 +204,7 @@ def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
             name="volume-unit",
             provenance="normalization: flat torus has unit volume by construction",
             mode="equal", tol=1e-14,
-            oracle=lambda: 1.0,
+            oracle=1.0,
             measure=lambda f: float(f.grid.mean(f.det_g)),
         ),
     )
@@ -268,21 +228,21 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
             name="hsc-attains-negative",
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="lt", tol=0.0,
-            oracle=lambda: 0.0, measure=lambda f: hsc_range(f)[0],
+            oracle=0.0, measure=lambda f: hsc_range(f)[0],
             description="the perturbation bends some directions negatively",
         ),
         Fact(
             name="hsc-attains-positive",
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="gt", tol=0.0,
-            oracle=lambda: 0.0, measure=lambda f: hsc_range(f)[1],
+            oracle=0.0, measure=lambda f: hsc_range(f)[1],
             description="...and others positively: no uniform sign on a torus",
         ),
         Fact(
             name="volume-unit",
             provenance="dd^c-exactness: perturbation wedge powers integrate to zero",
             mode="equal", tol=1e-12,
-            oracle=lambda: 1.0,
+            oracle=1.0,
             measure=lambda f: float(f.grid.mean(f.det_g)),
         ),
     )
@@ -295,19 +255,10 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
     return Example(grid, mf, spec)
 
 
-_DISK_POINT = (sp.Rational(3, 10) + sp.I * sp.Rational(1, 10),)
-_POLYDISK_POINT = (sp.Rational(1, 5) + sp.I * sp.Rational(1, 10),
-                   -sp.Rational(1, 10) + sp.I * sp.Rational(1, 5))
-_FS_POINT = (sp.Rational(1, 10) + sp.I * sp.Rational(1, 5),
-             sp.Rational(1, 4) - sp.I * sp.Rational(1, 10))
-
-
-@functools.cache
-def _to_complex(pt: tuple) -> np.ndarray:
-    """Exact sympy numbers as a read-only complex array, evaluated once each."""
-    z = np.array([complex(sp.N(p)) for p in pt])
-    z.setflags(write=False)
-    return z
+# the sample points of the chart facts; n = 3 takes the third coordinate
+_DISK_POINT = (0.3 + 0.1j,)
+_POLYDISK_POINT = (0.2 + 0.1j, -0.1 + 0.2j, 0.125)
+_FS_POINT = (0.1 + 0.2j, 0.25 - 0.1j, 0.125)
 
 
 def _build_poincare_disk(scale: float = 1.0) -> Example:
@@ -315,8 +266,7 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
         raise ValueError(f"scale must be positive, got {scale}")
     geom = ChartGeometry(1, (1.0,), margin=0.25)
     mf = ChartMetricField(geom, *poincare_polydisk_terms(1, scale))
-    pt = _DISK_POINT
-    zpt = _to_complex(pt)
+    zpt = np.array(_DISK_POINT)
 
     def measure_einstein_ratio(f):
         g, dg, ddg = f.jet_at(zpt)
@@ -325,17 +275,18 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
     facts = (
         Fact(
             name="hsc-constant",
-            provenance="symbolic differentiation of the closed-form potential",
+            provenance="closed form: the disk metric -s log(1 - |z|^2) has "
+                       "constant H = -2/s",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, [1.0]),
+            oracle=-2.0 / scale,
             measure=lambda f: hsc(f, zpt, np.array([1.0 + 0j])),
             description=f"H is constant -2/scale = {-2.0 / scale}",
         ),
         Fact(
             name="einstein-ratio",
-            provenance="symbolic Ricci of the closed-form potential",
+            provenance="closed form: the disk metric is Einstein, Ric = -(2/s) g",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_ricci_ratio(mf.potential, mf.z, mf.zbar, pt),
+            oracle=-2.0 / scale,
             measure=measure_einstein_ratio,
             description=f"Einstein: Ric = -(2/scale) g, ratio {-2.0 / scale}",
         ),
@@ -345,7 +296,6 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
         params={"scale": scale},
         description="hyperbolic disk metric -scale*log(1-|z|^2)",
         facts=facts,
-        metadata={"hsc_constant": -2.0 / scale, "einstein_constant": -2.0 / scale},
     )
     return Example(geom, mf, spec)
 
@@ -355,19 +305,15 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
         raise ValueError(f"scale must be positive, got {scale}")
     geom = ChartGeometry(n, (1.0,) * n, margin=0.25)
     mf = ChartMetricField(geom, *poincare_polydisk_terms(n, scale))
-    pt = _POLYDISK_POINT[:n] if n <= 2 else _POLYDISK_POINT[:2] + (sp.Rational(1, 8),)
-    zpt = _to_complex(pt)
+    zpt = np.array(_POLYDISK_POINT[:n])
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
-    # equal weights: g is diagonal with g_ii = s / (1 - |z_i|^2)^2
-    diag = (1.0 - np.abs(zpt) ** 2).astype(complex)
-    diag /= np.linalg.norm(diag)
     facts = (
         Fact(
             name="hsc-factor-direction",
-            provenance="symbolic differentiation of the closed-form potential",
+            provenance="closed form: a factor direction sees its disk's H = -2/s",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, e1),
+            oracle=-2.0 / scale,
             measure=lambda f: hsc(f, zpt, e1),
             description=f"factor directions see the disk value -2/scale = {-2.0 / scale}",
         ),
@@ -377,7 +323,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
                        "t_i = |eta_i|^2_g / |eta|^2_g, sum t_i = 1; maximal at equal "
                        f"weights: -2/(s n) = {-2.0 / (scale * n)} for n={n}",
             mode="equal", tol=1e-6,
-            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, diag),
+            oracle=-2.0 / (scale * n),
             measure=lambda f: hsc_extremes(f, zpt).h_max,
             description="the extremizer spreads evenly across the factors",
         ),
@@ -385,7 +331,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             name="kappa-floor-positive",
             provenance="product structure: sup H = -2/(scale*n) everywhere",
             mode="equal", tol=1e-6,
-            oracle=lambda: 2.0 / (scale * n),
+            oracle=2.0 / (scale * n),
             measure=lambda f: kappa_floor(f, points=f.geometry.sample_points(per_axis=2)),
             description="uniform negativity floor kappa_0 = 2/(scale*n)",
         ),
@@ -400,7 +346,6 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             "hsc_min": -2.0 / scale,
             "hsc_max": -2.0 / (scale * n),
             "kappa_floor": 2.0 / (scale * n),
-            "einstein_constant": -2.0 / scale,
         },
     )
     return Example(geom, mf, spec)
@@ -409,8 +354,7 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
 def _build_fubini_study(n: int = 2) -> Example:
     geom = ChartGeometry(n, (1.0,) * n, margin=0.2)
     mf = ChartMetricField(geom, *fubini_study_terms(n))
-    pt = _FS_POINT[:n] if n <= 2 else _FS_POINT[:2] + (sp.Rational(1, 8),)
-    zpt = _to_complex(pt)
+    zpt = np.array(_FS_POINT[:n])
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
 
@@ -421,17 +365,18 @@ def _build_fubini_study(n: int = 2) -> Example:
     facts = (
         Fact(
             name="hsc-constant",
-            provenance="symbolic differentiation of the closed-form potential",
+            provenance="closed form: the projective metric log(1 + |z|^2) has "
+                       "constant H = 2",
             mode="equal", tol=1e-8,
-            oracle=lambda: symbolic_hsc(mf.potential, mf.z, mf.zbar, pt, e1),
+            oracle=2.0,
             measure=lambda f: hsc(f, zpt, e1),
             description="H is constant +2 in this normalization",
         ),
         Fact(
             name="ricci-proportional",
-            provenance="symbolic: Ric = (n+1) g for the projective metric",
+            provenance="closed form: Ric = (n+1) g for the projective metric",
             mode="equal", tol=1e-8,
-            oracle=lambda: 0.0,
+            oracle=0.0,
             measure=measure_ricci_proportionality,
             description="max |Ric - (n+1) g| at the sample point",
         ),
@@ -441,7 +386,6 @@ def _build_fubini_study(n: int = 2) -> Example:
         params={"n": n},
         description="projective-space metric on an affine chart",
         facts=facts,
-        metadata={"hsc_constant": 2.0, "einstein_constant": n + 1},
     )
     return Example(geom, mf, spec)
 
@@ -457,10 +401,9 @@ def _build_fermat_chart(degree: int = 5) -> Example:
             "on the surface for degree >= n+3 = 5 in the generic-count sense; "
             "the chart is still valid but the line fact loses its meaning",
         )
-    terms, z, alpha = fermat_graph_terms(d)
     geom = ChartGeometry(2, (0.35, 0.35), margin=0.10)
-    mf = ChartMetricField(geom, terms, z)
-    beta = _to_complex((alpha,))[0]
+    mf = ChartMetricField(geom, *fermat_graph_terms(d))
+    beta = np.exp(1j * np.pi / d)
     eta_line = np.array([1.0 + 0j, beta])
     origin = np.zeros(2, dtype=complex)
     facts = (
@@ -470,7 +413,7 @@ def _build_fermat_chart(degree: int = 5) -> Example:
                        "projective-line metric (H = 2 exactly); curvature does "
                        "not decrease from submanifold to ambient direction",
             mode="ge", tol=1e-6,
-            oracle=lambda: 2.0,
+            oracle=2.0,
             measure=lambda f: hsc(f, origin, eta_line),
             description="H along the contained-line direction is >= 2 > 0",
         ),
@@ -480,7 +423,7 @@ def _build_fermat_chart(degree: int = 5) -> Example:
                        "space has H(eta) = 2 - |II(eta, eta)|^2 / |eta|^4, the "
                        "ambient Fubini-Study value less a square",
             mode="le", tol=1e-9,
-            oracle=lambda: 2.0,
+            oracle=2.0,
             measure=lambda f: max(e.h_max for e in sweep_hsc_extremes(f)),
             description="sup H over the chart's 81 sample points is <= 2",
         ),
@@ -493,7 +436,7 @@ def _build_fermat_chart(degree: int = 5) -> Example:
                     "and forces positive H along its direction",
         facts=facts,
         warnings=warnings,
-        metadata={"line_direction": (1.0, beta), "base_point": (0.0, 0.0)},
+        metadata={"line_direction": (1.0, beta)},
     )
     return Example(geom, mf, spec)
 

@@ -1,7 +1,5 @@
 """Metric fields from potentials: grid-sampled and closed-form charts."""
 
-import functools
-
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,6 +9,8 @@ from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField, _chart_jet
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
+
+from exact_chart import exact_jet
 
 
 def single_mode_potential(grid, amplitude):
@@ -201,36 +201,25 @@ def test_chart_potential_is_the_sum_of_its_terms():
     assert sp.simplify(field.potential - sp.log(1 + z[1] * zb[1] + h * hb)) == 0
 
 
+def test_a_scaled_term_is_its_scaled_term_function():
+    z = sp.symbols("z1:3")
+    geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
+    bump = (sp.Rational(1, 50) * X, (z[0] * z[1],))
+    scaled = ChartMetricField(geo, [(-1.7, sp.log(1 - X), (z[0],)),
+                                    (2.5, -sp.log(1 - X), (z[1],)), bump], z)
+    folded = ChartMetricField(geo, [(-1.7 * sp.log(1 - X), (z[0],)),
+                                    (-2.5 * sp.log(1 - X), (z[1],)), bump], z)
+    assert sp.simplify(scaled.potential - folded.potential) == 0
+    points = geo.sample_points(per_axis=3, radius_fraction=0.6)
+    for a, b in zip(scaled.jet_at(points), folded.jet_at(points)):
+        assert np.array_equal(a, b)
+
+
 # -- chart metric jet --------------------------------------------------------------
 
 
-def _exact_jet(psi, z, zb, point):
-    """g, dg, ddg by sympy differentiation straight from the potential,
-    evaluated to 30 digits at an exact point."""
-    n = len(z)
-    subs = {}
-    for i, p in enumerate(point):
-        subs[z[i]] = p
-        subs[zb[i]] = sp.conjugate(p)
-
-    @functools.cache
-    def partial(hol, anti):
-        variables = [z[i] for i in hol] + [zb[j] for j in anti]
-        return complex(sp.N(sp.diff(psi, *variables), 30, subs=subs))
-
-    def value(hol, anti):  # partials commute
-        return partial(tuple(sorted(hol)), tuple(sorted(anti)))
-
-    r = range(n)
-    g = np.array([[value((i,), (j,)) for j in r] for i in r])
-    dg = np.array([[[value((i, k), (j,)) for k in r] for j in r] for i in r])
-    ddg = np.array([[[[value((i, k), (j, l)) for l in r] for k in r]
-                     for j in r] for i in r])
-    return g, dg, ddg
-
-
 def assert_jet_matches_exact(field, point):
-    want = _exact_jet(field.potential, field.z, field.zbar, point)
+    want = exact_jet(field, point)
     got = field.jet_at(np.array([complex(p) for p in point]))
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

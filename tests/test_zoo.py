@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from kahlerbench import zoo
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -15,17 +16,17 @@ from kahlerbench.zoo import (
     make_example,
     perturbed_torus_potential,
     poincare_polydisk_terms,
-    symbolic_hsc,
-    symbolic_ricci_ratio,
     verify_example_facts,
     verify_fact,
 )
+
+from exact_chart import exact_hsc, exact_ricci_ratio
 
 
 def make_fact(mode, oracle, measured, tol=0.0):
     return Fact(
         name="synthetic", provenance="test", mode=mode, tol=tol,
-        oracle=lambda: oracle, measure=lambda f: measured,
+        oracle=oracle, measure=lambda f: measured,
     )
 
 
@@ -167,44 +168,89 @@ def test_perturbed_potential_is_deterministic_and_scales_linearly():
     assert np.allclose(c, 2.0 * a, rtol=0.0, atol=1e-15)
 
 
-# -- symbolic oracles ---------------------------------------------------------
+# -- closed-form oracles against the exact route ----------------------------
 
 
-def chart_potential(terms, z):
-    """(psi, z, zbar) of a chart field built from gallery terms."""
-    field = ChartMetricField(ChartGeometry(len(z), (1.0,), margin=0.2), terms, z)
-    return field.potential, field.z, field.zbar
+def chart_field(terms, z):
+    """A chart field built from gallery terms, for the exact route."""
+    return ChartMetricField(ChartGeometry(len(z), (1.0,), margin=0.2), terms, z)
 
 
 def test_chart_symbols_are_distinct():
     z = chart_symbols(3)
-    psi, z_field, zb = chart_potential(*poincare_polydisk_terms(3, 1.0))
-    assert z_field == z and len(zb) == 3
-    assert len(set(z) | set(zb)) == 6
-    assert psi.free_symbols == set(z) | set(zb)
+    field = chart_field(*poincare_polydisk_terms(3, 1.0))
+    assert field.z == z and len(field.zbar) == 3
+    assert len(set(z) | set(field.zbar)) == 6
+    assert field.potential.free_symbols == set(z) | set(field.zbar)
 
 
 def test_symbolic_hsc_closed_forms():
     pt = (sp.Rational(3, 10) + sp.I * sp.Rational(1, 10),)
-    psi, z, zb = chart_potential(*poincare_polydisk_terms(1, 2.0))
-    assert symbolic_hsc(psi, z, zb, pt, [1.0]) == pytest.approx(-1.0, abs=1e-12)
+    field = chart_field(*poincare_polydisk_terms(1, 2.0))
+    assert exact_hsc(field, pt, [1.0]) == pytest.approx(-1.0, abs=1e-12)
 
-    psi, z, zb = chart_potential(*fubini_study_terms(1))
-    assert symbolic_hsc(psi, z, zb, pt, [1.0]) == pytest.approx(2.0, abs=1e-12)
+    field = chart_field(*fubini_study_terms(1))
+    assert exact_hsc(field, pt, [1.0]) == pytest.approx(2.0, abs=1e-12)
 
     # the -2/n extremum needs equal *metric* weights across the factors,
     # i.e. eta_i proportional to 1 - |z_i|^2, not equal coefficients
     pt2 = (sp.Rational(1, 5), -sp.Rational(1, 10) + sp.I * sp.Rational(1, 5))
-    psi, z, zb = chart_potential(*poincare_polydisk_terms(2, 1.0))
+    field = chart_field(*poincare_polydisk_terms(2, 1.0))
     balanced = np.array([1.0 - 0.04, 1.0 - 0.05])
-    assert symbolic_hsc(psi, z, zb, pt2, balanced) == pytest.approx(-1.0,
-                                                                    abs=1e-12)
+    assert exact_hsc(field, pt2, balanced) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_symbolic_ricci_ratio_matches_einstein_constants():
     pt = (sp.Rational(1, 4) - sp.I * sp.Rational(1, 8),)
-    psi, z, zb = chart_potential(*poincare_polydisk_terms(1, 1.0))
-    assert symbolic_ricci_ratio(psi, z, zb, pt) == pytest.approx(-2.0, abs=1e-12)
+    field = chart_field(*poincare_polydisk_terms(1, 1.0))
+    assert exact_ricci_ratio(field, pt) == pytest.approx(-2.0, abs=1e-12)
 
-    psi, z, zb = chart_potential(*fubini_study_terms(1))
-    assert symbolic_ricci_ratio(psi, z, zb, pt) == pytest.approx(2.0, abs=1e-12)
+    field = chart_field(*fubini_study_terms(1))
+    assert exact_ricci_ratio(field, pt) == pytest.approx(2.0, abs=1e-12)
+
+
+def _hsc_along(direction):
+    """The exact H at a point along direction(point)."""
+    return lambda field, z: exact_hsc(field, z, direction(z))
+
+
+def _first_axis(z):
+    return np.eye(len(z))[0]
+
+
+def _balanced(z):
+    """The polydisk's equal-weight direction: eta_i proportional to 1 - |z_i|^2."""
+    return 1.0 - np.abs(z) ** 2
+
+
+# each chart example's fact point, and per fact the exact quantity its
+# closed-form oracle stands for
+CLOSED_FORM_FACTS = {
+    "poincare-disk": (zoo._DISK_POINT, {"hsc-constant": _hsc_along(_first_axis),
+                                        "einstein-ratio": exact_ricci_ratio}),
+    "poincare-polydisk": (zoo._POLYDISK_POINT,
+                          {"hsc-factor-direction": _hsc_along(_first_axis),
+                           "hsc-max-diagonal": _hsc_along(_balanced)}),
+    "fubini-study": (zoo._FS_POINT, {"hsc-constant": _hsc_along(_first_axis)}),
+}
+
+
+@pytest.mark.parametrize("name, params", [
+    ("poincare-disk", dict(scale=1.0)),            # the CLI's parameters
+    ("poincare-disk", dict(scale=0.7)),
+    ("poincare-polydisk", dict(n=2, scale=2.0)),   # the CLI's parameters
+    ("poincare-polydisk", dict(n=2, scale=1.3)),
+    ("poincare-polydisk", dict(n=3, scale=0.8)),
+    ("fubini-study", dict(n=2)),                   # the CLI's parameters
+    ("fubini-study", dict(n=3)),
+], ids=["disk-s1", "disk-s0.7", "polydisk-n2-s2", "polydisk-n2-s1.3", "polydisk-n3-s0.8",
+        "fubini-study-n2", "fubini-study-n3"])
+def test_closed_form_oracles_equal_the_exact_route(name, params):
+    example = make_example(name, **params)
+    base, exact = CLOSED_FORM_FACTS[name]
+    point = np.array(base[:example.field.n])
+    oracles = {fact.name: fact.oracle for fact in example.spec.facts}
+    for fact, value in exact.items():
+        assert abs(oracles[fact] - value(example.field, point)) <= 1e-12, fact
+    rows = verify_example_facts(example)
+    assert all(row["ok"] for row in rows), rows
