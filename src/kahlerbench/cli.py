@@ -423,7 +423,8 @@ def run_integrals(cfg, out_dir, seed):
     # pointwise sigma consistency: mixed determinants vs relative eigenvalues
     idx = tuple(rng.integers(0, N, size=(5, 2 * n)).T)
     ga, gb = omega.g[idx], A_field.g[idx]
-    D = mixed_determinants(gb, ga) / np.linalg.det(ga).real[:, None]
+    D = mixed_determinants(gb, ga)
+    D = D / D[:, :1]  # D_0 = det ga
     e = elementary_symmetric_field(relative_eigenvalues_field(ga, gb))
     sigma_reports = [make_report("sigma-mixed-determinant-consistency", d, e_k, ALGEBRAIC_TOL,
                                  two_sided=True, note=f"k={k}")

@@ -23,6 +23,7 @@ from functools import cache
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .linalg import Direction, inv, inverse_cholesky
 
@@ -74,7 +75,11 @@ def ricci_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np
 
     Ric_{k lbar} = tr(g^{-1} (d_k g) g^{-1} (d_lbar g)) - tr(g^{-1} d_k d_lbar g).
     """
-    gi = inv(g)
+    return _ricci(inv(g), dg, ddg)
+
+
+def _ricci(gi: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """ricci_from_derivatives(g, dg, ddg) for gi = g^{-1}, already inverted."""
     # (d_lbar g)_{i jbar} = conj(d_l g_{j ibar})
     dbar = np.conj(np.swapaxes(dg, -3, -2))  # dbar[i, j, l]
     first = np.einsum("...ab,...bck,...cd,...dal->...kl", gi, dg, gi, dbar)
@@ -159,11 +164,13 @@ def hsc_value(R: np.ndarray, g: np.ndarray, eta: np.ndarray) -> float:
 
 
 def hsc(field, point, eta) -> float:
-    """Holomorphic sectional curvature of a field at a point and direction."""
-    if isinstance(eta, Direction):
-        eta = eta.eta
+    """Holomorphic sectional curvature of a field at a point and direction
+    (a Direction or its entries, checked as one, of length the field's n)."""
+    eta = eta if isinstance(eta, Direction) else Direction(eta)
+    if eta.n != field.n:
+        raise DimensionMismatch(f"direction length {eta.n} != field dimension {field.n}")
     curv = curvature_tensor(field, point)
-    return hsc_value(curv.tensor, curv.g, eta)
+    return hsc_value(curv.tensor, curv.g, eta.eta)
 
 
 def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from sympy.utilities.iterables import multiset_partitions
 
 from .errors import DimensionMismatch, PositivityLoss
 from .grids import ChartGeometry, TorusGrid
-from .linalg import det, positivity
+from .linalg import component_det, component_positivity, hermitian, positivity
 
 
 class TorusMetricField:
@@ -53,18 +53,16 @@ class TorusMetricField:
         self.grid = grid
         self.n = grid.n
         self.psi = psi - psi.mean()  # zero-mean gauge
-        eye = np.eye(self.n, dtype=complex)
-        self.g = eye + grid.complex_hessian(self.psi)
-        ok, worst, w = positivity(self.g)
+        c = grid.hessian_components(self.psi)  # of g, once the identity is added
+        c[:: self.n + 1] += 1.0
+        ok, worst, w = component_positivity(c)
         if not ok:
             raise PositivityLoss(
                 f"metric loses positivity at point {worst}: eigenvalues {w}",
                 point=worst, min_eigenvalue=float(w[0]),
             )
-
-    @cached_property
-    def det_g(self) -> np.ndarray:
-        return det(self.g).real
+        self.g = hermitian(c)
+        self.det_g = component_det(c)
 
     @cached_property
     def log_det_g(self) -> np.ndarray:

@@ -6,9 +6,10 @@ its third-order term, a lower bound for the mixed-curvature term in terms
 of the ambient holomorphic sectional curvature (with sharp constant
 (n+1)/(2n)), a lower bound for the Ricci term from a Ricci hypothesis, and
 the resulting maximum-principle ceiling for S.  Every term is a
-contraction with the inverse comparison metric A = g'^-1 (linalg.inv); no
-frame is built.  Every pointwise check takes a stack: tensors and metrics
-(..., n, n) broadcast with kappa or lam, and field points stack as grid
+contraction with the inverse comparison metric A = g'^-1 (linalg's
+cofactor inverse, taken once per check); no frame is built.  Every
+pointwise check takes a stack: tensors and metrics (..., n, n)
+broadcast with kappa or lam, and field points stack as grid
 multi-indices or chart points (jets from curvature._sweep_jets).  One
 point is a batch of one and returns one report (a pair for the identity),
 a stack a list in stack order.
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (_extremes, _frames, _jet_extremes, _sweep_jets, constant_hsc_tensor,
-                        curvature_from_derivatives, ricci_from_derivatives)
+from .curvature import (_extremes, _frames, _jet_extremes, _ricci, _sweep_jets,
+                        constant_hsc_tensor, curvature_from_derivatives)
 from .errors import DimensionMismatch, PositivityLoss
 from .fields import TorusMetricField
-from .linalg import eigvalsh, inv, positivity
+from .linalg import component_inverse, component_positivity, components, eigvalsh, hermitian, inv
 
 MARGIN_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
@@ -167,11 +168,12 @@ def royden_margin(R, g, g_prime, kappa):
     """
     pair = np.array([g, g_prime] if np.shape(g) == np.shape(g_prime)
                     else np.broadcast_arrays(g, g_prime), dtype=complex)
-    ok, worst, w = positivity(pair)
+    c = components(pair)
+    ok, worst, w = component_positivity(c)
     if not ok:
         raise PositivityLoss(f"{('g', 'g_prime')[worst[0]]} not positive definite: "
                              f"eigenvalues {w}", min_eigenvalue=float(w[0]))
-    n, A = pair.shape[-1], inv(pair[1])
+    n, A = pair.shape[-1], hermitian(component_inverse(c[:, 1]))
     curvature = np.einsum("...ijkl,...ji,...lk->...", R, A, A).real  # conj(A)[i, j] = A[j, i]
     S = np.einsum("...ij,...ji->...", A, pair[0]).real
 
@@ -208,13 +210,13 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu):
     not-applicable report, not a failure.
     """
     ric_prime, g_prime = np.asarray(ric_prime, dtype=complex), np.asarray(g_prime, dtype=complex)
-    ok, _, w = positivity(g_prime)
+    c = components(g_prime)
+    ok, _, w = component_positivity(c)
     if not ok:
         raise PositivityLoss(f"g_prime not positive definite: eigenvalues {w}",
                              min_eigenvalue=float(w[0]))
-    n = g_prime.shape[-1]
+    n, A = g_prime.shape[-1], hermitian(component_inverse(c))
     screen = _ricci_hypothesis(ric_prime, g_prime, np.eye(n), lam, mu)
-    A = inv(g_prime)
 
     def report(lhs, s, la, m, *hypothesis):
         if m < 0.0:
@@ -232,11 +234,11 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu):
 # -- the trace S = tr_{omega'} omega and its derivatives ----------------------
 
 
-def _trace_jet(jet, jet_prime):
+def _trace_jet(jet, jet_prime, A):
     """S = tr(g'^-1 g), Delta' S and |d S|^2_{g'}, in closed form.
 
     Takes the metric jets (g, dg, ddg) of omega and omega', at one point or
-    stacked over leading axes.  With A = g'^-1 and subscripts k, lbar for
+    stacked over leading axes, and A = g'^-1.  With subscripts k, lbar for
     d/dz^k, d/dzbar^l,
 
         d_k S = tr(A g_k) - tr(A g'_k A g),
@@ -249,7 +251,6 @@ def _trace_jet(jet, jet_prime):
     """
     g, dg, ddg = jet
     gp, dgp, ddgp = jet_prime
-    A = inv(gp)
     B = A @ g
     # Gk[k] = A g_k and Gl[l] = A g_lbar, with (d_lbar g)_{i jbar} =
     # conj(d_l g_{j ibar}); Pk and Pl are the same for g'.
@@ -295,16 +296,17 @@ def laplacian_identity_check(omega, omega_prime, index):
       |grad' S|^2 / S.
     """
     single, where, jet, jet_prime = _pair_jets(omega, omega_prime, index)
-    (g, dg, _), (gp, dgp, _) = jet, jet_prime
-    Ac = np.conj(inv(gp))
+    (g, dg, _), (gp, dgp, ddgp) = jet, jet_prime
+    A = inv(gp)  # g'^-1, shared by every term and the trace jet
+    Ac = np.conj(A)
     D = (np.einsum("...ab,...kbi->...aik", np.conj(inv(g)), dg)
          - np.einsum("...ab,...kbi->...aik", Ac, dgp))
-    ricci_prime = ricci_from_derivatives(*jet_prime)
+    ricci_prime = _ricci(A, dgp, ddgp)
     ricci = np.einsum("...il,...kj,...kl,...ij->...", Ac, Ac, ricci_prime, g)
     curvature = np.einsum("...ij,...kl,...ijkl->...", Ac, Ac, curvature_from_derivatives(*jet))
     third = np.einsum("...ij,...kl,...ab,...aik,...bjl->...", Ac, Ac, g, D, np.conj(D)).real
     rhs = (ricci - curvature).real + third
-    S, lap_s, grad_sq = _trace_jet(jet, jet_prime)
+    S, lap_s, grad_sq = _trace_jet(jet, jet_prime, A)
     pairs = [(make_report("laplacian-trace-identity", lap, r, IDENTITY_RTOL * max(1.0, abs(r)),
                           point=p, two_sided=True),
               make_report("third-order-cauchy-schwarz", t, grad / s, MARGIN_TOL, point=p,
@@ -331,9 +333,9 @@ def schwarz_conclusion_check(omega, omega_prime, hyp: SchwarzHypotheses, point,
     """
     n = omega.n
     single, where, jet, jet_prime = _pair_jets(omega, omega_prime, point)
-    screen = _ricci_hypothesis(ricci_from_derivatives(*jet_prime), jet_prime[0], jet[0],
-                               hyp.lam, hyp.mu)
-    S, lap_s, grad_sq = _trace_jet(jet, jet_prime)
+    A = inv(jet_prime[0])  # g'^-1, shared by the Ricci screen and the trace jet
+    screen = _ricci_hypothesis(_ricci(A, *jet_prime[1:]), jet_prime[0], jet[0], hyp.lam, hyp.mu)
+    S, lap_s, grad_sq = _trace_jet(jet, jet_prime, A)
     lhs = lap_s / S - grad_sq / S**2
     rhs = ((n + 1) * hyp.kappa / (2.0 * n) + hyp.mu / n) * S - hyp.lam
     reports = []

@@ -4,9 +4,9 @@ Integrals are normalized so the flat torus has unit volume:
 
     integral(A^k wedge B^{n-k}) := grid mean of D_k(A; B) / binom(n, k)
 
-where D_k is the mixed-determinant coefficient pairing k columns of A with
-n-k columns of B (so A = B gives det A for every k, and the integrand at a
-point equals sigma_k(P) * det B / binom(n, k) for the relative sigma's).
+where D_k is the coefficient of t^k in det(t A + B), in closed form from
+the determinants and adjugates of A and B (so A = B gives det A for every
+k, and the integrand equals sigma_k(P) * det B / binom(n, k)).
 Everything downstream -- the eps-expansion of V(eps), the bigness floor,
 the nef lower bounds -- is a statement about these normalized quantities
 and is invariant under the normalization choice.
@@ -19,7 +19,6 @@ the largest Vandermonde condition number an eps-expansion fit accepts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
-from .linalg import det
+from .linalg import adjugate, component_det, components, trace_pairing
 
 INTEGRAL_TOL = 1e-8
 BIGNESS_TOL = 1e-9
@@ -36,28 +35,15 @@ COND_LIMIT = 1e8
 
 
 def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All mixed coefficients D_k(A; B), k = 0..n, batched over leading axes.
-
-    D_k sums det over the binom(n, k) column subsets drawn from A; it is
-    the coefficient of t^k in det(t A + B).  Supported for n <= 3.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes differ: {A.shape} vs {B.shape}")
-    n = A.shape[-1]
-    if A.shape[-2] != n or n > 3:
-        raise DimensionMismatch(f"expected (..., n, n) with n <= 3, got {A.shape}")
-    out = np.zeros(A.shape[:-2] + (n + 1,), dtype=float)
-    for r in range(n + 1):
-        acc = 0.0
-        for subset in itertools.combinations(range(n), r):
-            M = B.copy()
-            for j in subset:
-                M[..., :, j] = A[..., :, j]
-            acc = acc + det(M).real
-        out[..., r] = acc
-    return out
+    """All mixed coefficients D_k(A; B), k = 0..n, the coefficients of t^k in
+    det(t A + B), of Hermitian (..., n, n) fields, batched over leading axes:
+    for n <= 3, det B, tr(adj B A), tr(adj A B) and det A, cut to n + 1."""
+    if np.shape(A) != np.shape(B):
+        raise DimensionMismatch(f"shapes differ: {np.shape(A)} vs {np.shape(B)}")
+    a, b = components(A), components(B)
+    pairs = [(b, a), (a, b)][: math.isqrt(len(a)) - 1]  # tr(adj B A), tr(adj A B)
+    traces = [trace_pairing(adjugate(p), q) for p, q in pairs]
+    return np.stack([component_det(b), *traces, component_det(a)], axis=-1)
 
 
 def wedge_integrals(A: np.ndarray, B: np.ndarray) -> tuple:

@@ -6,28 +6,26 @@ between two metrics g, g' reduce to the relative eigenvalues of g^{-1}g',
 their elementary symmetric functions sigma_k, and the reverse trace
 S = tr_{g'} g.  Each function takes fields of shape (..., n, n) or
 eigenvalue tuples (..., n); a single matrix or tuple is a batch of one.
-The batched det / inv / eigvalsh that the diagnostics use are closed forms
-for n <= 2 and LAPACK (numpy.linalg) for n = 3.
-
-This module also owns the real component layout of a Hermitian field,
-(n*n, ...) with row i*n + i its diagonal entry i and, for i < j, rows
-i*n + j and j*n + i the real and imaginary parts of entry (i, j) (the
-layout of TorusGrid.hessian_components), with `components` and
-`hermitian` converting between the two, and the component kernels the
-Monge-Ampere solver runs on: component_det, and trace_weights, the
-cofactor inverse as the real weights of tr(M^{-1} H), both closed forms
-through n = 3.  The one positive-definiteness policy (PD_RTOL) is
-component_positivity; positivity applies it to a Hermitian field.  At
-n <= 2 it reads only the trace and the determinant, and eigenvalues are
-taken at the worst point alone, for the report.
-Dimensions are capped at n = 3 (MAX_DIM): everything downstream (subset
-expansions of mixed determinants, explicit e_k formulas) relies on that cap.
+Determinants, inverses and traces have one implementation: closed-form
+kernels through n = 3 (component_det; adjugate, which component_inverse,
+trace_weights and integrals' mixed_determinants read; trace_pairing) on the
+real components (n*n, ...) of a Hermitian field, with row i*n + i its
+diagonal entry i and, for i < j, rows i*n + j and j*n + i the real and
+imaginary parts of entry (i, j) (TorusGrid.hessian_components' layout).
+`components` and `hermitian` convert; det, inv and trace_s_field adapt the
+kernels to Hermitian (..., n, n) fields.  The one positive-definiteness
+policy (PD_RTOL) is component_positivity; positivity applies it to a
+Hermitian field.  At n <= 2 it reads only the trace and the determinant,
+and eigenvalues are taken at the worst point alone, for the report.
+Dimensions are capped at n = 3 (MAX_DIM), which the closed forms rely on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,31 +46,13 @@ def _order(a: np.ndarray) -> int:
 
 
 def det(a: np.ndarray) -> np.ndarray:
-    """Determinants of (..., n, n) matrices, Hermitian or not."""
-    a = np.asarray(a)
-    n = _order(a)
-    if n == 1:
-        return a[..., 0, 0].copy()
-    if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return np.linalg.det(a)
+    """Determinants (a real field) of Hermitian (..., n, n) matrices."""
+    return component_det(components(a))
 
 
 def inv(a: np.ndarray) -> np.ndarray:
-    """Inverses of nonsingular (..., n, n) matrices."""
-    a = np.asarray(a)
-    n = _order(a)
-    if n == 1:
-        return 1.0 / a
-    if n == 2:
-        r = 1.0 / det(a)
-        out = np.empty(a.shape, dtype=r.dtype)
-        out[..., 0, 0] = a[..., 1, 1] * r
-        out[..., 1, 1] = a[..., 0, 0] * r
-        out[..., 0, 1] = -a[..., 0, 1] * r
-        out[..., 1, 0] = -a[..., 1, 0] * r
-        return out
-    return np.linalg.inv(a)
+    """Inverses of nonsingular Hermitian (..., n, n) matrices."""
+    return hermitian(component_inverse(components(a)))
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -121,6 +101,25 @@ def _component_order(c: np.ndarray) -> int:
     return n
 
 
+@cache
+def _selection(n: int) -> tuple:
+    """Signed selection tables, components = to @ floats and floats = components
+    @ from, for the floats (Re, Im per entry) of a Hermitian n x n matrix: exact
+    for finite entries, as each product picks one entry; NaN for a whole matrix
+    with a non-finite entry."""
+    to, frm = np.zeros((2, n * n, 2 * n * n))
+    for i, j in itertools.product(range(n), repeat=2):
+        re, lo, hi = 2 * (i * n + j), min(i, j), max(i, j)
+        frm[lo * n + hi, re] = 1.0
+        if i != j:
+            frm[hi * n + lo, re + 1] = 1.0 if i < j else -1.0
+        if i >= j:  # components read the diagonal and the lower triangle
+            to[lo * n + hi, re] = 1.0
+        if i > j:
+            to[hi * n + lo, re + 1] = -1.0
+    return to, frm
+
+
 def components(a: np.ndarray) -> np.ndarray:
     """The real components (n*n, ...) of Hermitian (..., n, n) matrices.
 
@@ -128,32 +127,18 @@ def components(a: np.ndarray) -> np.ndarray:
     i*n + i is Re a_ii, and for i < j row i*n + j is Re a_ji and row
     j*n + i is -Im a_ji, the real and imaginary parts of a_ij.
     """
-    a = np.asarray(a)
+    a = np.ascontiguousarray(a, dtype=complex)
     n = _order(a)
-    re, im = a.real, a.imag
-    c = np.empty((n * n,) + a.shape[:-2])
-    for i in range(n):
-        c[i * n + i] = re[..., i, i]
-        for j in range(i + 1, n):
-            c[i * n + j] = re[..., j, i]
-            c[j * n + i] = -im[..., j, i]
-    return c
+    c = _selection(n)[0] @ a.reshape(-1, n * n).view(float).T
+    return c.reshape((n * n,) + a.shape[:-2])
 
 
 def hermitian(c: np.ndarray) -> np.ndarray:
     """The Hermitian (..., n, n) field with components c (n*n, ...)."""
-    c = np.asarray(c)
+    c = np.asarray(c, dtype=float)
     n = _component_order(c)
-    H = np.empty(c.shape[1:] + (n, n), dtype=complex)
-    Hr, Hi = H.real, H.imag
-    for i in range(n):
-        Hr[..., i, i] = c[i * n + i]
-        Hi[..., i, i] = 0.0
-        for j in range(i + 1, n):
-            Hr[..., i, j] = Hr[..., j, i] = c[i * n + j]
-            Hi[..., i, j] = c[j * n + i]
-            np.negative(c[j * n + i], out=Hi[..., j, i])
-    return H
+    H = c.reshape(n * n, -1).T @ _selection(n)[1]
+    return H.view(complex).reshape(c.shape[1:] + (n, n))
 
 
 def component_det(c: np.ndarray) -> np.ndarray:
@@ -172,38 +157,54 @@ def component_det(c: np.ndarray) -> np.ndarray:
             - d * (x1 * x1 + y1 * y1) + 2.0 * re_triple)
 
 
-def trace_weights(c: np.ndarray) -> np.ndarray:
-    """Real weights w (n*n, ...) with sum_k w[k] h[k] = tr(M^{-1} H).
-
-    M is the Hermitian field with components c, H any Hermitian field, with
-    components h.  M^{-1} = adj M / det M by cofactors; w holds the
-    components of M^{-1}, doubled off the diagonal, since tr(M^{-1} H) sums
-    M^{-1}_ij H_ji over both triangles.
-    """
-    c = np.asarray(c)
+def adjugate(c: np.ndarray) -> np.ndarray:
+    """Components (n*n, ...) of adj M, M the Hermitian field with components c:
+    the cofactor matrix, Hermitian again, with M adj M = det M I."""
+    c = np.asarray(c, dtype=float)
     n = _component_order(c)
-    r = 1.0 / component_det(c)
-    w = np.empty(c.shape)
     if n == 1:
-        w[0] = r
-    elif n == 2:
-        w[0], w[3] = c[3] * r, c[0] * r
-        r2 = -2.0 * r
-        w[1], w[2] = c[1] * r2, c[2] * r2
-    else:
-        a, b, dd = c[0], c[4], c[8]
-        x1, y1, x2, y2, x3, y3 = c[1], c[3], c[2], c[6], c[5], c[7]
-        w[0] = (b * dd - (x3 * x3 + y3 * y3)) * r
-        w[4] = (a * dd - (x2 * x2 + y2 * y2)) * r
-        w[8] = (a * b - (x1 * x1 + y1 * y1)) * r
-        r2 = 2.0 * r
-        w[1] = (x2 * x3 + y2 * y3 - dd * x1) * r2  # adj01 = M02 conj(M12) - d M01
-        w[3] = (y2 * x3 - x2 * y3 - dd * y1) * r2
-        w[2] = (x1 * x3 - y1 * y3 - b * x2) * r2  # adj02 = M01 M12 - b M02
-        w[6] = (x1 * y3 + y1 * x3 - b * y2) * r2
-        w[5] = (x1 * x2 + y1 * y2 - a * x3) * r2  # adj12 = M02 conj(M01) - a M12
-        w[7] = (x1 * y2 - x2 * y1 - a * y3) * r2
+        return np.ones(c.shape)
+    if n == 2:  # [[a, z], [conj z, d]] -> [[d, -z], [-conj z, a]]
+        adj = -c
+        adj[0], adj[3] = c[3], c[0]
+        return adj
+    a, b, d = c[0], c[4], c[8]  # named as in component_det
+    x1, y1, x2, y2, x3, y3 = c[1], c[3], c[2], c[6], c[5], c[7]
+    adj = np.empty(c.shape)
+    adj[0] = b * d - (x3 * x3 + y3 * y3)
+    adj[4] = a * d - (x2 * x2 + y2 * y2)
+    adj[8] = a * b - (x1 * x1 + y1 * y1)
+    adj[1] = x2 * x3 + y2 * y3 - d * x1  # adj01 = M02 conj(M12) - d M01
+    adj[3] = y2 * x3 - x2 * y3 - d * y1
+    adj[2] = x1 * x3 - y1 * y3 - b * x2  # adj02 = M01 M12 - b M02
+    adj[6] = x1 * y3 + y1 * x3 - b * y2
+    adj[5] = x1 * x2 + y1 * y2 - a * x3  # adj12 = M02 conj(M01) - a M12
+    adj[7] = x1 * y2 - x2 * y1 - a * y3
+    return adj
+
+
+def component_inverse(c: np.ndarray) -> np.ndarray:
+    """Components of M^{-1} = adj M / det M, M the Hermitian field with components c."""
+    return adjugate(c) / component_det(c)
+
+
+def _doubled(p: np.ndarray) -> np.ndarray:
+    """p (n*n, ...) with its off-diagonal rows doubled: the weights w with
+    sum_k w[k] q[k] = tr(P Q), as tr(P Q) sums P_ij Q_ji over both triangles."""
+    w, d = p * 2.0, _component_order(p) + 1
+    w[::d] = p[::d]
     return w
+
+
+def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tr(P Q) of Hermitian fields P, Q given by their components (n*n, ...)."""
+    return np.einsum("k...,k...->...", _doubled(np.asarray(p, dtype=float)), q)
+
+
+def trace_weights(c: np.ndarray) -> np.ndarray:
+    """Real weights w (n*n, ...) with sum_k w[k] h[k] = tr(M^{-1} H), M the
+    Hermitian field with components c and H any, with components h."""
+    return _doubled(component_inverse(c))
 
 
 def component_positivity(c: np.ndarray):
@@ -286,11 +287,17 @@ def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
 def inverse_cholesky(g: np.ndarray) -> np.ndarray:
     """L^{-1} for g = L L^* (Cholesky) over (..., n, n); numpy.linalg.LinAlgError
     if g is not positive definite.  For n <= 2 the closed form [[p, 0], [m, q]],
-    p = 1/sqrt(g00), l10 = g10 p, q = 1/sqrt(g11 - |l10|^2), m = -l10 p q."""
+    p = 1/sqrt(g00), l10 = g10 p, q = 1/sqrt(g11 - |l10|^2), m = -l10 p q; for
+    n = 3 LAPACK's L, inverted by forward substitution."""
     g = np.asarray(g, dtype=complex)
     n = _order(g)
     if n == 3:
-        return np.linalg.inv(np.linalg.cholesky(g))
+        L, Li = np.linalg.cholesky(g), np.zeros(g.shape, dtype=complex)
+        for i in range(3):
+            Li[..., i, i] = 1.0 / L[..., i, i].real
+            for j in range(i):
+                Li[..., i, j] = -(L[..., i, j:i] * Li[..., j:i, j]).sum(-1) * Li[..., i, i]
+        return Li
     a00 = g[..., 0, 0].real
     if not (a00 > 0.0).all():
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -353,8 +360,6 @@ def trace_s_field(g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
     Equals the sum of 1/lambda over the relative eigenvalues lambda of
     (g, g'), i.e. sigma_{n-1}/sigma_n.
     """
-    g = np.asarray(g, dtype=complex)
-    g_prime = np.asarray(g_prime, dtype=complex)
-    if g.shape != g_prime.shape:
-        raise DimensionMismatch(f"field shapes differ: {g.shape} vs {g_prime.shape}")
-    return np.einsum("...ij,...ji->...", inv(g_prime), g).real
+    if np.shape(g) != np.shape(g_prime):
+        raise DimensionMismatch(f"field shapes differ: {np.shape(g)} vs {np.shape(g_prime)}")
+    return trace_pairing(component_inverse(components(g_prime)), components(g))

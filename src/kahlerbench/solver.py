@@ -36,7 +36,8 @@ v with scalar diagnostics: sup u for u = v - log det g = log sigma_n
 against the volume-ratio ceiling, the Ricci identity residual, relative
 eigenvalue range, the top of the trace field S_eps, and the wedge
 integrals of omega_eps^k wedge omega^{n-k}.  A path that fails diagnoses
-nothing.  The diagnostics form the Hermitian g_eps.
+nothing.  The diagnostics form the Hermitian g_eps, with linalg's
+component closed forms behind every det, trace and mixed determinant.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
 from .integrals import wedge_integrals
-from .linalg import (component_det, components, det, hermitian, relative_eigenvalues_field,
+from .linalg import (component_det, components, hermitian, relative_eigenvalues_field,
                      trace_s_field, trace_weights)
 from .linalg import component_positivity as _positivity
 
@@ -272,18 +273,17 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
     """Problem whose exact solution is the supplied potential (flat data).
 
     Sets alpha = identity and F = log det(I + Hess v*) - v*, so the solve
-    must recover v* up to solver tolerance.  F is formed on the Hermitian
-    field with linalg.det, a route apart from the solver's component
-    kernels, so a fault in those shows as a wrong solution.
+    must recover v* up to solver tolerance.  det is the solver's own
+    component_det, so a test that must catch a fault in the kernels forms F
+    by another route.
     """
-    eye = np.broadcast_to(np.eye(grid.n, dtype=complex),
-                          grid.shape + (grid.n, grid.n)).copy()
-    M = eye + grid.complex_hessian(np.asarray(v_star, dtype=float))
-    d = det(M).real
+    M = grid.hessian_components(v_star)
+    M[:: grid.n + 1] += 1.0
+    d = component_det(M)
     if np.any(d <= 0.0):
         raise PositivityLoss("manufactured potential leaves the positive cone")
-    datum = np.log(d) - v_star
-    return MAProblem(grid, eye, datum)
+    eye = np.broadcast_to(np.eye(grid.n), grid.shape + (grid.n, grid.n))
+    return MAProblem(grid, eye, np.log(d) - v_star)
 
 
 # -- continuity path ---------------------------------------------------------
@@ -309,11 +309,12 @@ class ContinuityState:
 def volume_ratio_ceiling(omega: TorusMetricField, eps0: float) -> float:
     """log C with C = sup det(eps0 g + Hess log det g) / det g.
 
-    The path invariant sup u_eps <= log C holds for every eps < eps0.
+    The path invariant sup u_eps <= log C holds for every eps < eps0.  The
+    matrix is eps0 I + Hess(eps0 psi + log det g), psi omega's potential.
     """
-    grid = omega.grid
-    H = grid.complex_hessian(omega.log_det_g)
-    ratio = det(eps0 * omega.g + H).real / omega.det_g
+    M = omega.grid.hessian_components(eps0 * omega.psi + omega.log_det_g)
+    M[:: omega.n + 1] += eps0
+    ratio = component_det(M) / omega.det_g
     top = float(ratio.max())
     if top <= 0.0:
         raise PositivityLoss("volume-ratio ceiling degenerate: sup ratio <= 0")
@@ -412,19 +413,18 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     H of eps*psi + (v - mean v) (TorusGrid.prolonged_hessian) and log det is
     cropped back (restricted_spectrum), both pruned to the solve band: det
     is the one fine field built, and no n log eps constant enters a fine
-    transform.  g_eps = eps*omega.g + Hess v is the state's metric.
+    transform (at n = 3, H on the solve grid).  g_eps = eps*omega.g + Hess v
+    is the state's metric.
     """
-    grid = omega.grid
-    if grid.n == 3:
-        d = det(g_eps).real
-    else:
-        v = np.asarray(v, dtype=float)
+    grid, v = omega.grid, np.asarray(v, dtype=float)
 
-        def det_plus(c):  # det(eps*I + H) on a slab of the components c of H
-            c[:: grid.n + 1] += epsilon
-            return component_det(c)
+    def det_plus(c):  # det(eps*I + H) on (a slab of) the components c of H
+        c[:: grid.n + 1] += epsilon
+        return component_det(c)
 
-        d = grid.prolonged_hessian(grid.rfft(epsilon * omega.psi + (v - np.mean(v))), det_plus)
+    potential = epsilon * omega.psi + (v - np.mean(v))
+    d = (det_plus(grid.hessian_components(potential)) if grid.n == 3
+         else grid.prolonged_hessian(grid.rfft(potential), det_plus))
     if np.any(d <= 0.0):
         raise PositivityLoss("state metric degenerate on the dealiasing grid")
     ldg = np.log(d, out=d)

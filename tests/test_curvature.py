@@ -28,6 +28,7 @@ from kahlerbench.curvature import (
     sweep_hsc_extremes,
     transform_tensor,
 )
+from kahlerbench.errors import DimensionMismatch
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import conditioned_negative_tensor, random_kahler_tensor
@@ -176,6 +177,17 @@ def test_polydisk_hsc_extremes():
         assert got == pytest.approx(hsc_value(
             curvature_tensor(field, [0.1, -0.05]).tensor,
             field.metric_matrix_at([0.1, -0.05]), eta), abs=1e-12)
+
+
+def test_hsc_checks_its_direction():
+    # a length-1 direction on an n = 2 field would broadcast to (1, 1)
+    field = polydisk_field(n=2, scale=2.0)
+    with pytest.raises(DimensionMismatch):
+        hsc(field, [0.1, 0.2j], [1.0])
+    with pytest.raises(DimensionMismatch):
+        hsc(field, [0.1, 0.2j], [1.0, 0.0, 0.5j])
+    with pytest.raises(ValueError, match="nonzero"):
+        hsc(field, [0.1, 0.2j], [0.0, 0.0])
 
 
 def test_extremizer_defaults_are_the_policy_constants():

@@ -37,7 +37,7 @@ from kahlerbench.inequalities import (
     royden_margin,
     schwarz_conclusion_check,
 )
-from kahlerbench.linalg import PD_RTOL
+from kahlerbench.linalg import PD_RTOL, inv
 from kahlerbench.zoo import _TORUS_MODES, perturbed_torus_potential, poincare_polydisk_terms
 
 
@@ -465,9 +465,10 @@ def test_trace_jet_stack_is_its_points(curved_torus_pair, chart_pair):
     indices = np.random.default_rng(9).integers(0, 12, size=(8, 4))
     points = chart_points(np.random.default_rng(10), 5)
     for (omega, omega_p), stack in ((curved_torus_pair, indices), (chart_pair, points)):
-        batched = _trace_jet(_sweep_jets(omega, stack), _sweep_jets(omega_p, stack))
+        jet_p = _sweep_jets(omega_p, stack)
+        batched = _trace_jet(_sweep_jets(omega, stack), jet_p, inv(jet_p[0]))
         for i, p in enumerate(stack):
-            single = _trace_jet(omega.jet_at(p), omega_p.jet_at(p))
+            single = _trace_jet(omega.jet_at(p), omega_p.jet_at(p), inv(omega_p.jet_at(p)[0]))
             for a, b in zip(batched, single):
                 assert abs(a[i] - b) <= 1e-14 * max(1.0, abs(b))
 

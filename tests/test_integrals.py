@@ -50,6 +50,23 @@ def test_mixed_determinants_generate_char_poly():
             assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_mixed_determinants_n3_with_singular_a(rank):
+    # adj A enters D_2 = tr(adj A B) without any division by det A = 0
+    rng = np.random.default_rng(14 + rank)
+    X = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
+    Y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A, B = X @ X.conj().T, np.eye(3) + 0.2 * (Y @ Y.conj().T)
+    D = mixed_determinants(A, B)
+    scale = np.abs(np.linalg.eigvalsh(A)).max() + np.abs(np.linalg.eigvalsh(B)).max()
+    assert abs(D[3]) <= 1e-13 * scale**3
+    if rank == 1:
+        assert abs(D[2]) <= 1e-13 * scale**3  # adj A = 0
+    for t in (0.0, 0.7, 2.3):
+        want = np.linalg.det(t * A + B).real
+        assert sum(D[k] * t**k for k in range(4)) == pytest.approx(want, rel=1e-12)
+
+
 def test_mixed_determinants_guards():
     with pytest.raises(DimensionMismatch):
         mixed_determinants(np.eye(2), np.eye(3))

@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg
 
 from kahlerbench.errors import DimensionMismatch
+from kahlerbench.integrals import mixed_determinants, wedge_integrals
 from kahlerbench.linalg import (
     PD_RTOL,
     Direction,
+    adjugate,
     component_det,
     component_positivity,
     components,
@@ -23,6 +25,7 @@ from kahlerbench.linalg import (
     newton_maclaurin_margin_field,
     positivity,
     relative_eigenvalues_field,
+    trace_pairing,
     trace_s_field,
     trace_weights,
 )
@@ -37,7 +40,7 @@ def eigh_oracle(gA, gB):
     return scipy.linalg.eigh(gB, gA, eigvals_only=True)
 
 
-# -- batched kernels: closed forms for n <= 2, LAPACK for n = 3 -----------------
+# -- batched kernels: det and inv are the component closed forms ------------------
 
 KERNEL_RTOL = 1e-13
 
@@ -52,7 +55,7 @@ def kernel_cases(rng, n):
     """A batch (6, n, n) of Hermitian test matrices for one dimension."""
     cases = [random_pd(rng, n), random_pd(rng, n, scale=1e4), np.eye(n, dtype=complex),
              np.diag(rng.uniform(0.5, 2.0, n)).astype(complex),  # b = 0
-             hermitian_with_eigenvalues(rng, [-3.0, 0.25][:n]),
+             hermitian_with_eigenvalues(rng, [-3.0, 0.25, 1.5][:n]),
              -random_pd(rng, n)]
     return np.stack(cases)
 
@@ -70,7 +73,7 @@ def assert_kernels_match_lapack(a):
     assert np.all(np.abs(inv(a) - a_inv) <= KERNEL_RTOL * inv_scale)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_kernels_match_lapack_on_batches(n):
     rng = np.random.default_rng(40 + n)
     batch = kernel_cases(rng, n)
@@ -79,7 +82,7 @@ def test_closed_form_kernels_match_lapack_on_batches(n):
     assert_kernels_match_lapack(field)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_kernels_match_lapack_on_single_matrices(n):
     rng = np.random.default_rng(50 + n)
     for a in kernel_cases(rng, n):
@@ -91,15 +94,6 @@ def test_closed_form_eigenvalues_of_identity_and_diagonal_are_exact():
     assert np.array_equal(eigvalsh(np.eye(2)), [1.0, 1.0])
     assert np.array_equal(eigvalsh(np.diag([3.0, -2.0])), [-2.0, 3.0])
     assert np.array_equal(eigvalsh(np.zeros((2, 2))), [0.0, 0.0])
-
-
-def test_closed_form_det_of_non_hermitian_2x2():
-    rng = np.random.default_rng(60)
-    a = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
-    scale = np.abs(a[:, 0, 0] * a[:, 1, 1]) + np.abs(a[:, 0, 1] * a[:, 1, 0])
-    assert np.all(np.abs(det(a) - np.linalg.det(a)) <= KERNEL_RTOL * scale)
-    assert np.all(np.abs(det(a.real) - np.linalg.det(a.real)) <= KERNEL_RTOL * scale)
-    assert np.all(np.abs(inv(a) @ a - np.eye(2)) <= 1e-12 * np.linalg.cond(a)[:, None, None])
 
 
 @pytest.mark.parametrize("ratio", [0.5 * PD_RTOL, 2.0 * PD_RTOL])
@@ -118,13 +112,23 @@ def test_closed_form_positivity_at_the_threshold_matches_eigvalsh(ratio):
     assert positivity(edge)[0] == ok
 
 
-def test_n3_kernels_are_lapack_bit_for_bit():
-    rng = np.random.default_rng(80)
-    field = np.stack([random_pd(rng, 3) for _ in range(12)]).reshape(3, 4, 3, 3)
-    for a in (field, field[0, 0]):
-        assert np.array_equal(det(a), np.linalg.det(a))
-        assert np.array_equal(inv(a), np.linalg.inv(a))
-        assert np.array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_inverse_and_mixed_determinants_call_no_lapack(n, monkeypatch):
+    rng = np.random.default_rng(130 + n)
+    a = np.stack([random_pd(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
+    b = np.stack([random_pd(rng, n) for _ in range(6)]).reshape(2, 3, n, n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a numpy.linalg det or inv was called")
+
+    for target in ("numpy.linalg.det", "numpy.linalg.inv"):
+        monkeypatch.setattr(target, refused)
+    for x, y in ((a, b), (a[1, 2], b[1, 2])):
+        det(x)
+        inv(x)
+        trace_s_field(x, y)
+        mixed_determinants(x, y)
+    wedge_integrals(a, b)
 
 
 def test_kernels_reject_non_square_input():
@@ -205,6 +209,22 @@ def test_component_det_and_weights_match_lapack(n):
     # one matrix is a batch of one
     assert np.array_equal(component_det(c[:, 1, 2]), component_det(c)[1, 2])
     assert np.array_equal(trace_weights(c[:, 1, 2]), w[:, 1, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjugate_is_the_cofactor_matrix_and_trace_pairing_the_trace(n):
+    """M adj M = det M I, for a singular M too, and tr(P Q) on components."""
+    rng = np.random.default_rng(140 + n)
+    a = hermitian_field(rng, (4, 5), n, lam_range=(0.5, 2.0))
+    b = hermitian_field(rng, (4, 5), n)
+    a[0, 0] = hermitian_with_eigenvalues(rng, [0.0, 1.5, -0.75][:n])
+    adj = hermitian(adjugate(components(a)))
+    want = np.linalg.det(a).real[..., None, None] * np.eye(n)
+    assert np.all(np.abs(a @ adj - want) <= KERNEL_RTOL * 2.0**n)
+    assert np.all(np.abs(adj[0, 0] @ a[0, 0]) <= KERNEL_RTOL * 2.0**n)
+    tr = np.einsum("...ij,...ji->...", a, b).real
+    assert np.all(np.abs(trace_pairing(components(a), components(b)) - tr)
+                  <= KERNEL_RTOL * np.abs(b).max())
 
 
 @pytest.mark.parametrize("n", [2, 3])
