@@ -18,9 +18,8 @@ On an analytic chart a point is n complex coordinates in the trusted
 region (or a stack of them, answered in one batch), and the potential is
 a sum of terms c * ell(|F|^2) with F holomorphic and c a real number:
 the jet comes from F's holomorphic 2-jet and ell's first four
-derivatives, derived symbolically and lambdified into one function of z
-once per term shape (ell, F) in a process, with each field's
-coefficients c bound at evaluation.
+derivatives, in closed forms read once per component of F in a process,
+with each field's coefficients c bound at evaluation.
 
 Torus potentials are stored in the zero-mean gauge: dd^c kills constants,
 so the mean is pure gauge and fixing it keeps field comparisons and file
@@ -30,6 +29,7 @@ round-trips literal.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -110,10 +110,9 @@ class ChartMetricField:
     holomorphic 2-jet and ell^(1..4) (_faa_di_bruno).  Each ell is split
     into its numeric coefficient times a coefficient-free ell0 (sympy's
     as_coeff_Mul, once per ell in a process), and c is that coefficient
-    times the scale; F's jet and ell0^(1..4) come from the one lambdified
-    function of z of the term shapes (ell0, F), derived once per shape in
-    a process (_chart_jet), and _eval multiplies each term's ell0^(1..4)
-    by its c.
+    times the scale.  ell0 is x, log(1 + x) or log(1 - x) (_ELL0), and each
+    component of F a number times a rational power of a polynomial, read
+    once per component in a process (_component); other terms raise ValueError.
     """
 
     kind = "analytic-chart"
@@ -134,28 +133,45 @@ class ChartMetricField:
             split.append((c * float(*scale) if scale else c, ell0, F))
         self.terms = tuple(split)
         self._coefficients = np.array([c for c, _, _ in split])[:, None]
-        self._width, self._lambdified = _chart_jet(tuple((ell0, F) for _, ell0, F in split),
-                                                   self.z)
+        # a point's row: each term's [F_a, F_a,i, F_a,ik] padded to the widest F, then ell0^(1..4)
+        width, K = max(len(F) for _, _, F in split), 1 + self.n + self.n**2
+        self._row, self._monomials, self._chains, self._ells = [], [], [], []
+        for _, ell0, F in split:
+            self._ells.append((len(self._row), K * len(F), _ELL0[ell0]))
+            for constants, monomials, chain in (_component(f, self.z) for f in F):
+                self._monomials += [(len(self._row) + s, c, e) for s, c, e in monomials]
+                self._chains += [(len(self._row), chain)] if chain else []
+                self._row += constants
+            self._row += [0] * K * (width - len(F))
 
     @property
     def potential(self) -> sp.Expr:
         """psi in z and zbar, each c at its exact binary value; conj(F_a) is
         F_a with z -> zbar and I -> -I."""
         conj = dict(zip(self.z, self.zbar)) | {sp.I: -sp.I}
-        return sp.Add(*(sp.Rational(c) * ell0(sp.Add(*(f * f.xreplace(conj) for f in F)))
+        return sp.Add(*(sp.Rational(c) * ell0.subs(_X, sum(f * f.xreplace(conj) for f in F))
                         for c, ell0, F in self.terms))
 
     def _eval(self, z: np.ndarray):
         """(g, dg, ddg) at points z of shape (..., n), g unchecked.
 
-        The lambdified function runs on each point's Python scalars, so a
-        point's jet does not depend on the batch around it (numpy's scalar
-        and array arithmetic round differently); the rest is batched.
+        F's 2-jets (zero-padded to the widest F) and ell0^(1..4) at x = |F|^2 (numpy's abs,
+        as in lambdify) run on Python scalars per point, so a jet does not depend on its batch.
         """
         z = np.asarray(z, dtype=complex)
         lead, n, T, K = z.shape[:-1], self.n, len(self.terms), 1 + self.n + self.n**2
-        flat = np.array([self._lambdified(*p) for p in z.reshape(-1, n).tolist()], dtype=complex)
-        V = flat[:, :-4 * T].reshape(-1, T, self._width, K)
+        rows = []
+        for p in z.reshape(-1, n).tolist():
+            row = self._row.copy()
+            for s, c, e in self._monomials:
+                row[s] += c * math.prod(map(pow, p, e))
+            for s, chain in self._chains:
+                row[s:s + K] = chain(row[s:s + K])
+            for s, m, ell in self._ells:
+                row += ell(sum([float(np.abs(f)) ** 2 for f in row[s:s + m:K]]))
+            rows.append(row)
+        flat = np.array(rows, dtype=complex)
+        V = flat[:, :-4 * T].reshape(len(flat), T, -1, K)
         gram = np.swapaxes(V, -1, -2) @ V.conj()  # <F_s, F_s'>
         ell = flat[:, -4 * T:].real.reshape(-1, T, 4) * self._coefficients
         x = np.concatenate([gram.reshape(-1, T, K * K), np.ones((len(V), T, 1)), ell], axis=-1)
@@ -190,48 +206,52 @@ class ChartMetricField:
         return self.jet_at(point)[0]
 
 
+_X = sp.Symbol("x")
+_ELL0 = {_X: lambda x: (1.0, 0.0, 0.0, 0.0),  # ell0^(1..4)(x) of the coefficient-free ell0(x)
+         sp.log(1 + _X): lambda x: (1 / (u := 1 + x), -1 / u**2, 2 / u**3, -6 / u**4),
+         sp.log(1 - _X): lambda x: (-1 / (u := 1 - x), -1 / u**2, -2 / u**3, -6 / u**4)}
+
+
 @cache
 def _split_term_function(ell):
     """(c, ell0): a term function as its numeric coefficient c, a float,
-    times the coefficient-free Lambda ell0."""
+    times a coefficient-free ell0, an expression in _X keying _ELL0."""
     if not isinstance(ell, sp.Lambda):
         ell = sp.Lambda(tuple(sp.sympify(ell).free_symbols), ell)
     if len(ell.variables) != 1 or ell.expr.has(sp.I):
         raise ValueError(f"term function {ell} needs one variable, real coefficients")
-    c, ell0 = ell.expr.as_coeff_Mul()
-    return float(c), sp.Lambda(ell.variables, ell0)
+    c, ell0 = ell.expr.xreplace({ell.variables[0]: _X}).as_coeff_Mul()
+    if ell0 not in _ELL0:
+        raise ValueError(f"term function {ell} is not a number times x, log(1 + x) or log(1 - x)")
+    return float(c), ell0
 
 
 @cache
-def _chart_jet(shapes: tuple, z: tuple):
-    """(width, f) for a chart of terms c * ell0(|F|^2), keyed by the shapes (ell0, F).
+def _component(f, z: tuple):
+    """(constants, monomials, chain) of F = beta * P^p, P a polynomial in z, p
+    rational (P = F for a polynomial): [P, P_i, P_ik] at a point is constants
+    plus monomials (slot, c, exponents); chain maps it to [F, F_i, F_ik] (None
+    if P = F) by F_i = beta p P^(p-1) P_i, F_ik = beta p [(p-1) P^(p-2) P_i P_k + P^(p-1) P_ik]."""
+    beta, rest = f.as_independent(*z, as_Add=False)
+    P, p = (f, sp.S.One) if f.is_polynomial(*z) else rest.as_base_exp()
+    if not (P.is_polynomial(*z) and p.is_Rational):
+        raise ValueError(f"term component {f} is not a number times a power of a polynomial")
+    r, t = range(len(z)), dict(sp.Poly(P, *z).terms())
+    partial = lambda t, i: {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in t.items() if e[i]}
+    tables = [t] + [partial(t, i) for i in r] + [partial(partial(t, i), k) for i in r for k in r]
+    live = [any(map(any, t)) for t in tables]  # constant tables are valued here, once
+    constants = [0 if v else complex(sum(t.values())) for v, t in zip(live, tables)]
+    monomials = [(s, complex(c), e) for s, t in enumerate(tables) if live[s] for e, c in t.items()]
+    if p == 1:
+        return constants, monomials, None
+    b0, b1, b2, e0, e1, e2 = map(complex, (beta, beta * p, beta * p * (p - 1), p, p - 1, p - 2))
 
-    f is the one lambdified function of z giving F's holomorphic 2-jet,
-    zero-padded per term to the widest F (width), and ell0^(1..4) at each
-    term's x = |F|^2, with F and x handed over as common subexpressions;
-    the coefficients c are bound by the field, so fields differing only in
-    them share f.
-    """
-    jets, shared, ell_values, derivatives = [], [], [], {}
-    width = max(len(F) for _, F in shapes)
-    for ell, F in shapes:
-        values, x = [sp.Dummy("f") for _ in F], sp.Dummy("x")
-        shared += [*zip(values, F), (x, sp.Add(*(sp.Abs(v) ** 2 for v in values)))]
-        for v, f in zip(values, F):  # F_a, F_a,i, F_a,ik: _faa_di_bruno's slots
-            d1 = [sp.diff(f, zk) for zk in z]
-            d2 = {}
-            for i, k in itertools.combinations_with_replacement(range(len(z)), 2):
-                d2[i, k] = d2[k, i] = sp.diff(d1[i], z[k])  # partials commute
-            jets += [v, *d1, *(d2[i, k] for i in range(len(z)) for k in range(len(z)))]
-        # zero components pad every term to the widest F
-        jets += [sp.S.Zero] * ((1 + len(z) + len(z) ** 2) * (width - len(F)))
-        if ell not in derivatives:  # in ell's own variable, once per function
-            derivatives[ell] = [ell.expr]
-            for _ in range(4):
-                derivatives[ell].append(sp.diff(derivatives[ell][-1], *ell.variables))
-        ell_values += [d.xreplace({ell.variables[0]: x}) for d in derivatives[ell][1:]]
-    return width, sp.lambdify(z, jets + ell_values, modules="numpy",
-                              cse=lambda exprs: (shared, exprs), docstring_limit=0)
+    def chain(v):
+        P, *d = v
+        q1, q2 = b1 * P ** e1, b2 * P ** e2
+        return ([b0 * P ** e0] + [q1 * d[i] for i in r]
+                + [q2 * d[i] * d[k] + q1 * d[len(r) + len(r) * i + k] for i in r for k in r])
+    return constants, monomials, chain
 
 
 @cache

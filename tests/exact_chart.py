@@ -1,7 +1,7 @@
 """The tests' one exact reference for chart metrics: sympy differentiation
 of a chart field's potential, taken at an exact point to 30 digits.
 
-It shares nothing with the program's jet route (term shapes, lambdified
+It shares nothing with the program's jet route (term shapes, closed-form
 jets, Faa di Bruno gathers, the curvature module): the jet comes straight
 from the potential, and the curvature contractions below are written out
 on their own.  A float coordinate is taken at its binary value, so the

@@ -1,12 +1,14 @@
 """Metric fields from potentials: grid-sampled and closed-form charts."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from kahlerbench.curvature import curvature_tensor, hsc, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
-from kahlerbench.fields import ChartMetricField, TorusMetricField, _chart_jet
+from kahlerbench.fields import ChartMetricField, TorusMetricField, _component
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
 
@@ -191,12 +193,30 @@ def test_chart_terms_are_checked():
         ChartMetricField(geo, [(sp.I * X, (z,))], (z,))
 
 
-def test_chart_potential_is_the_sum_of_its_terms():
+@pytest.mark.parametrize("ell, F, named", [
+    (X**2, "z", "x**2"), (sp.exp(X), "z", "exp(x)"),
+    (X, "exp(z)", "exp(z)"), (X, "z + sin(z)", "z + sin(z)"),
+])
+def test_terms_outside_the_closed_form_class_are_rejected(ell, F, named):
+    z = sp.Symbol("z")
+    geo = ChartGeometry(n=1, radii=(1.0,), margin=0.2)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ChartMetricField(geo, [(ell, (sp.sympify(F, locals={"z": z}),))], (z,))
+
+
+def cube_graph_field():
+    """log(1 + |z2|^2 + |h|^2) with the one-coordinate degree-3 graph
+    h = exp(i pi / 3) (1 + z1^3)^(1/3)."""
     z = sp.symbols("z1:3")
-    geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
     h = sp.exp(sp.I * sp.pi / 3) * (1 + z[0] ** 3) ** sp.Rational(1, 3)
-    field = ChartMetricField(geo, [(sp.Lambda(X, sp.log(1 + X)), (z[1], h))], z)
-    zb = field.zbar
+    geo = ChartGeometry(n=2, radii=(1.0, 1.0), margin=0.2)
+    return ChartMetricField(geo, [(sp.Lambda(X, sp.log(1 + X)), (z[1], h))], z)
+
+
+def test_chart_potential_is_the_sum_of_its_terms():
+    field = cube_graph_field()
+    z, zb = field.z, field.zbar
+    h = sp.exp(sp.I * sp.pi / 3) * (1 + z[0] ** 3) ** sp.Rational(1, 3)
     hb = sp.exp(-sp.I * sp.pi / 3) * (1 + zb[0] ** 3) ** sp.Rational(1, 3)
     assert sp.simplify(field.potential - sp.log(1 + z[1] * zb[1] + h * hb)) == 0
 
@@ -243,6 +263,12 @@ def test_bumped_polydisk_jet_matches_exact_sympy():
     assert_jet_matches_exact(bumped_polydisk(), point)
 
 
+def test_cube_graph_jet_matches_exact_sympy():
+    """A rational power of a polynomial in a subset of the coordinates."""
+    point = (sp.Rational(1, 5) + sp.I / 10, -sp.Rational(3, 10) + sp.I / 5)
+    assert_jet_matches_exact(cube_graph_field(), point)
+
+
 def test_chart_metric_is_hermitian_bit_for_bit():
     for field in chart_fields():
         points = field.geometry.sample_points(per_axis=3, radius_fraction=0.6)
@@ -263,36 +289,35 @@ def test_chart_batch_matches_single_points_bit_for_bit():
                 assert np.array_equal(a[idx], b)
 
 
-def test_chart_lambdifies_once_per_term_shape(monkeypatch):
+def test_charts_build_and_query_without_sympy_derivation(monkeypatch):
     calls = []
-    lambdify = sp.lambdify
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sp, "lambdify", counting)
-    _chart_jet.cache_clear()
-    # the first field of a shape derives it, a field of that shape at
-    # another scale (or the same field again) derives nothing
-    for name, runs in (("fubini-study", [dict(n=2), dict(n=2)]),
-                       ("poincare-disk", [dict(scale=1.5), dict(scale=2.7)]),
-                       ("poincare-polydisk", [dict(n=2, scale=0.5), dict(n=2, scale=1.3)])):
-        for want, params in zip((1, 0), runs):
-            calls.clear()  # count from construction through the queries
-            example = make_example(name, **params)
-            field = example.field
-            for z in example.geometry.sample_points(per_axis=3, radius_fraction=0.5)[:3]:
-                field.metric_matrix_at(z)
-                field.jet_at(z)
-                ricci_from_derivatives(*field.jet_at(z))
-                curvature_tensor(field, z)
-            assert len(calls) == want, (name, params)
+    for name in ("diff", "lambdify"):
+        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    _component.cache_clear()  # every component is read afresh
+    z = sp.symbols("z1:3")
+    readme = ChartMetricField(ChartGeometry(2, (1.0, 1.0), margin=0.2),
+                              [(sp.log(1 + X), z)], z)  # the README's Fubini-Study field
+    for field in chart_fields() + [readme]:
+        points = field.geometry.sample_points(per_axis=3, radius_fraction=0.5)
+        field.jet_at(points)
+        for p in points[:3]:
+            field.metric_matrix_at(p)
+            ricci_from_derivatives(*field.jet_at(p))
+            curvature_tensor(field, p)
+            hsc(field, p, np.eye(field.n)[0])
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_scaled_charts_share_one_derivation_and_match_closed_forms(n):
-    _chart_jet.cache_clear()
+    _component.cache_clear()
     e1 = np.eye(n)[0]
     for scale in (0.5, 1.3, 2.7):
         field = (make_example("poincare-disk", scale=scale) if n == 1 else
@@ -304,13 +329,7 @@ def test_scaled_charts_share_one_derivation_and_match_closed_forms(n):
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(want)
         for z in points:
             assert abs(hsc(field, z, e1) + 2.0 / scale) <= 1e-12 * 2.0 / scale
-    assert _chart_jet.cache_info().misses == 1  # one shape, one derivation
-
-
-def _within_ulps(a, b, ulps):
-    """Whether complex arrays a and b agree to ulps units in the last place of b."""
-    return all(np.all(np.abs(x - y) <= ulps * np.spacing(np.abs(y)))
-               for x, y in ((a.real, b.real), (a.imag, b.imag)))
+    assert _component.cache_info().misses == n  # one reading per component
 
 
 def test_cold_and_warm_chart_derivations_give_the_same_jets():
@@ -318,8 +337,8 @@ def test_cold_and_warm_chart_derivations_give_the_same_jets():
                          ("poincare-polydisk", dict(n=2, scale=1.7))):
         make_example(name, **params)  # the shape is in the memo
         warm = make_example(name, **params).field
-        _chart_jet.cache_clear()
+        _component.cache_clear()
         cold = make_example(name, **params).field
         points = cold.geometry.sample_points(per_axis=3, radius_fraction=0.7)
         for a, b in zip(warm.jet_at(points), cold.jet_at(points)):
-            assert _within_ulps(a, b, 2)
+            assert np.array_equal(a, b)
