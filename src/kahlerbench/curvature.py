@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .linalg import Direction, inv, inverse_cholesky
+
+# numpy.linalg.eigh's batched kernel without its wrapper, whose error-state
+# context costs a single-point query more than the LAPACK call does
+_eigh = partial(np.linalg._umath_linalg.eigh_lo, signature="d->dd")
 
 SYMMETRY_RTOL = 1e-10
 # The n = 3 extremizer policy (n <= 2 is exact): pencil lines, best lines
@@ -59,15 +63,16 @@ def curvature_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -
 def _assemble(T: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     """R from the frames T = _frames(g): G[p, q] = g^{p qbar} = conj(g^-1)[p, q]
     is T conj(T^t), so a sweep that needs the frames factors g once."""
-    G = T @ np.conj(np.swapaxes(T, -1, -2))
-    return np.einsum("...pq,...iqk,...jpl->...ijkl", G, dg, np.conj(dg)) - ddg
+    # R[i, j, k, l] = sum_p D[i, p, k] conj(dg[j, p, l]), D[i, p, k] = sum_q G[p, q] dg[i, q, k]
+    D = ((T @ T.swapaxes(-1, -2).conj())[..., None, :, :] @ dg).swapaxes(-1, -2)
+    return D[..., :, None, :, :] @ dg.conj()[..., None, :, :, :] - ddg
 
 
 def _frames(g: np.ndarray) -> np.ndarray:
     """T = inverse_cholesky(g)^t over (..., n, n): T^t g conj(T) = I, the frames in
     which H is Q on the unit sphere (hsc_value contracts the unbarred slot
     unconjugated), and conj(g^-1) = T conj(T^t)."""
-    return np.swapaxes(inverse_cholesky(g), -1, -2)
+    return inverse_cholesky(g).swapaxes(-1, -2)
 
 
 def ricci_from_derivatives(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
@@ -112,7 +117,7 @@ def _symmetry_violations(R: np.ndarray) -> np.ndarray:
     |R - partner| for the first two, |R - conj(partner)| for reality."""
     n = R.shape[-1]
     flat = R.reshape(R.shape[:-4] + (n**4,))
-    partners = flat[..., _symmetry_partners(n)]
+    partners = flat.take(_symmetry_partners(n), axis=-1)
     np.conjugate(partners[..., 2, :], out=partners[..., 2, :])
     return np.abs(flat[..., None, :] - partners).max(axis=(-2, -1))
 
@@ -181,9 +186,9 @@ def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
     which changes by A^t R A with A[(i, j), (a, b)] = T[i, a] conj(T[j, b]).
     """
     n, m = T.shape[-2:]
-    A = (T[..., :, None, :, None] * np.conj(T)[..., None, :, None, :]).reshape(
+    A = (T[..., :, None, :, None] * T.conj()[..., None, :, None, :]).reshape(
         T.shape[:-2] + (n * n, m * m))
-    Rt = np.swapaxes(A, -1, -2) @ R.reshape(R.shape[:-4] + (n * n, n * n)) @ A
+    Rt = A.swapaxes(-1, -2) @ R.reshape(R.shape[:-4] + (n * n, n * n)) @ A
     return Rt.reshape(Rt.shape[:-2] + (m,) * 4)
 
 
@@ -194,7 +199,7 @@ _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
 def _real_hopf_map() -> np.ndarray:
-    """W (16, 16) with K = Re(m @ W) for m = Rt flattened to 16 entries.
+    """W (32, 16) with K = m @ W for m = Rt flattened to 16 entries, as floats.
 
     K is the real symmetric form (X + X^T) / 8 of X = Re(P M P^T), P =
     _PAULI and M = Rt as a 4 x 4 matrix; W's rows are K of the real and
@@ -208,23 +213,23 @@ def _real_hopf_map() -> np.ndarray:
         return ((X + np.swapaxes(X, -1, -2)) / 8.0).reshape(16, 16)
 
     E = np.eye(16).reshape(16, 4, 4)
-    return form(E) - 1j * form(1j * E)
+    return np.stack([form(E), form(1j * E)], axis=1).reshape(32, 16)
 
 
 _HOPF_FORM = _real_hopf_map()
-# sigma_1..3 and I flattened, real and imaginary parts interleaved: real
-# products, viewed as complex after
-_SIGMA_RI, _IDENTITY_RI = _PAULI[1:].view(float), _PAULI[0].view(float)
-_SIGNS = np.array([[1.0], [-1.0]])  # of Q in the two problems of _cp1_extremes
+# I + x . sigma for x = (x_1, x_2, x_3) is x @ _HOPF_COLUMNS[1:] + _HOPF_COLUMNS[0]:
+# floats, real and imaginary parts interleaved, column 0 of the matrix first
+_HOPF_COLUMNS = np.ascontiguousarray(_PAULI[:, [0, 2, 1, 3]]).view(float)
+_SIGNS = np.array([1.0, -1.0])  # of Q in the two problems of _cp1_extremes
+_SIGN_ROWS = _SIGNS[:, None]
 _PROBLEMS = np.array([[0, 1, 2], [2, 1, 0]])
 _E3 = np.array([0.0, 0.0, 1.0])
 _TINY = np.finfo(float).tiny
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a_i b_i over the last axis, for stacks of short vectors
-    (numpy.vecdot would need numpy 2; the package supports numpy >= 1.24)."""
-    return np.einsum("...i,...i->...", a, b)
+# sum_i a_i b_i over the last axis, for stacks of short real vectors: the
+# numpy.vecdot gufunc (numpy >= 2), else einsum (the package supports numpy >= 1.24)
+_dot = getattr(np, "vecdot", partial(np.einsum, "...i,...i->..."))
 
 
 def _inverse_hopf(x: np.ndarray) -> np.ndarray:
@@ -234,47 +239,45 @@ def _inverse_hopf(x: np.ndarray) -> np.ndarray:
     1 + |x_3| is the larger, so its norm is at least 1 and no division
     comes near zero.
     """
-    P = (x @ _SIGMA_RI + _IDENTITY_RI).view(complex)  # I + x . sigma, flattened
-    u = np.where(x[..., 2:] >= 0.0, P[..., 0::2], P[..., 1::2])
-    return u / np.sqrt(_dot(u, np.conj(u)).real)[..., None]
+    P = (x @ _HOPF_COLUMNS[1:] + _HOPF_COLUMNS[0]).reshape(x.shape[:-1] + (2, 4))
+    u = np.where(x[..., 2:] >= 0.0, P[..., 0, :], P[..., 1, :])
+    return (u / np.sqrt(_dot(u, u))[..., None]).view(complex)
 
 
-def _secular_point(beta: np.ndarray, gap: np.ndarray, rest2: np.ndarray) -> np.ndarray:
+def _secular_point(beta: np.ndarray, gap: np.ndarray, root: np.ndarray) -> np.ndarray:
     """z_i = beta_i / (delta + gap_i) at the root delta of |z| = 1, per problem.
 
-    beta, gap have shape (..., 3) with gap >= 0 and gap[..., 2] = 0 (the
-    top eigenvalue); rest2 is |z(0)|^2 without the top eigenspace's terms,
-    the hard case's stationary part.  Newton runs on 1/|z(delta)| - 1,
-    which is increasing and concave in delta (a power mean of exponent -2
-    of delta + gap), so a Newton step from any delta > 0 lands left of the
-    root (Moré & Sorensen 1983).  delta is kept at least lo = max_k
-    |beta[k:]| - gap[k], which is left of the root (gap is descending), so
-    after the first step the iterates rise monotonically to it.  The first
-    step starts from the root of |beta_3|^2 / delta^2 + rest2 = 1, which
-    holds the other terms at delta = 0: near the hard case, where Newton
-    from lo creeps along the knee of 1/|z|, it is right to a few digits.
-    lo + gap_k >= |beta_k| keeps |z_k| <= 1.  A problem with |beta| <=
-    _FLAT_RTOL (beta = 0 to rounding) is replaced by beta = e_3, whose
-    point e_3 is the hard-case completion beta = 0 gets (a stack of only
-    such problems returns e_3 at once).  The curvature of 1/|z| is at most
-    3/delta times its slope, so a step s leaves at most 1.5 s^2 / delta to
-    go: a problem stops once |s| <= _SECULAR_RTOL * delta, with s taken,
-    and its iterates do not depend on the problems stacked with it.  With
-    no root (the hard case) delta stays at lo and z short of the unit
-    sphere; the caller keeps the better of this point and the hard-case
-    completion.
+    beta, gap have shape (..., 3) with gap >= 0 and gap[..., 2] = 0 (the top
+    eigenvalue); root is sqrt(max(1 - rest2, 0)) for rest2 = |z(0)|^2
+    without the top eigenspace's terms, the hard case's stationary part.
+    Newton runs on 1/|z(delta)| - 1, which is increasing and concave in
+    delta (a power mean of exponent -2 of delta + gap), so a Newton step
+    from any delta > 0 lands left of the root (Moré & Sorensen 1983).  delta
+    is kept at least lo = max_k |beta[k:]| - gap[k], which is left of the
+    root (gap is descending), so after the first step the iterates rise
+    monotonically to it.  The first step starts from the root of |beta_3|^2
+    / delta^2 + rest2 = 1, which holds the other terms at delta = 0: near
+    the hard case, where Newton from lo creeps along the knee of 1/|z|, it
+    is right to a few digits.  lo + gap_k >= |beta_k| keeps |z_k| <= 1.  A
+    problem with |beta| <= _FLAT_RTOL (beta = 0 to rounding) is replaced by
+    beta = e_3, whose point e_3 is the hard-case completion beta = 0 gets (a
+    stack of only such problems returns e_3 at once).  The curvature of
+    1/|z| is at most 3/delta times its slope, so a step s leaves at most 1.5
+    s^2 / delta to go: a problem stops once |s| <= _SECULAR_RTOL * delta,
+    with s taken, and its iterates do not depend on the problems stacked
+    with it.  With no root (the hard case) delta stays at lo and z short of
+    the unit sphere; the caller keeps the better of this point and the
+    hard-case completion.
     """
     active = _dot(beta, beta) > _FLAT_RTOL**2
     if not active.any():
-        return np.tile(_E3, beta.shape[:-1] + (1,))
+        return _E3 + np.zeros(beta.shape)
     beta = np.where(active[..., None], beta, _E3)
     tails = np.sqrt((beta * beta)[..., ::-1].cumsum(axis=-1)[..., ::-1])
     lo = np.maximum((tails - gap).max(axis=-1), _TINY)
     # the near-hard-case root (none if rest2 >= 1), kept within [lo, |beta|]:
     # |z(|beta|)| <= 1, so |beta| is not left of the root
-    room = np.maximum(1.0 - rest2, 0.0)
-    near_hard = np.divide(np.abs(beta[..., 2]), np.sqrt(room), out=np.zeros(lo.shape),
-                          where=room > 0.0)
+    near_hard = np.divide(np.abs(beta[..., 2]), root, out=np.zeros(lo.shape), where=root > 0.0)
     delta = np.minimum(np.maximum(near_hard, lo), tails[..., 0])
     for _ in range(_SECULAR_ITERATIONS):
         shifted = delta[..., None] + gap
@@ -301,39 +304,40 @@ def _cp1_extremes(Rt: np.ndarray):
     with lambda >= the top eigenvalue of C, from the secular equation; in
     the hard case (b orthogonal to the top eigenspace, which may be
     degenerate) the stationary part off that eigenspace is completed to the
-    unit sphere along a top eigenvector.  Both candidates are formed and
-    the better one kept.  The minimum is the maximum for (-C, -b), stacked
-    with it, so one batched eigh serves both.  x is mapped back to u by the
-    inverse Hopf map and h = Q(u) is evaluated from Rt, so (h, u) always
-    agree.  Returns (h_min, h_max, u_min, u_max).
+    unit sphere along a top eigenvector.  Both candidates are formed, Q is
+    evaluated at each in C's eigenbasis, z = V^T x, as c + 2 beta . z +
+    sum mu z^2 (beta = V^T b / 2, mu the eigenvalues), and the better one
+    kept.  The minimum is the maximum for (-C, -b), stacked with it, so one
+    batched eigh serves both.  The kept x is mapped back to u by the inverse
+    Hopf map.  Returns (h_min, h_max, u_min, u_max).
     """
     lead = Rt.shape[:-4]
     # a product per tensor: one over the flattened stack would round differently
-    K = (Rt.reshape(lead + (1, 16)) @ _HOPF_FORM).real
-    unit = (K / np.maximum(np.abs(K).max(axis=-1), _TINY)[..., None]).reshape(lead + (4, 4))
-    mu, V = np.linalg.eigh(unit[..., 1:, 1:])  # the same extremizers, O(1) entries
-    # axis -2: problem 0 maximizes Q, problem 1 maximizes -Q, whose
+    K = Rt.reshape(lead + (1, 16)).view(float) @ _HOPF_FORM
+    scale = np.maximum(np.maximum.reduce(np.abs(K), axis=-1), _TINY)
+    unit = (K / scale[..., None]).reshape(lead + (4, 4))  # the same extremizers, O(1) entries
+    mu, V = _eigh(unit[..., 1:, 1:])
+    # axis -3: problem 0 maximizes Q, problem 1 maximizes -Q, whose
     # eigenvalues -mu, reversed by _PROBLEMS, keep the top one last
-    Vt = np.swapaxes(V, -1, -2)[..., _PROBLEMS, :]  # rows: eigenvectors per problem
-    beta = (Vt @ unit[..., None, 1:, :1])[..., 0] * _SIGNS  # V^T b / 2
-    mu = mu[..., _PROBLEMS] * _SIGNS
+    Vt = V.swapaxes(-1, -2)[..., _PROBLEMS, :]  # rows: eigenvectors per problem
+    mu = mu[..., _PROBLEMS] * _SIGN_ROWS
+    beta = (Vt @ unit[..., None, 1:, :1])[..., 0] * _SIGN_ROWS  # V^T b / 2
     gap = mu[..., 2:] - mu
 
-    z = np.empty(beta.shape[:-1] + (2, 3))  # (..., problem, candidate: easy, hard, 3)
+    # candidates z (..., problem, easy | hard, 3) in the eigenbasis: the secular
+    # point, and the hard case's stationary part off the top eigenspace
+    # completed along e_3
     rest = np.divide(beta, gap, out=np.zeros(beta.shape), where=gap > _TOP_EIGEN_RTOL)
-    rest2 = _dot(rest, rest)
-    np.divide(rest, np.sqrt(np.maximum(rest2, 1.0))[..., None], out=z[..., 1, :])
-    z[..., 1, 2] = np.sqrt(np.maximum(1.0 - rest2, 0.0))
-    easy = _secular_point(beta, gap, rest2)
-    np.divide(easy, np.sqrt(_dot(easy, easy))[..., None], out=z[..., 0, :])
-
-    u = _inverse_hopf(z @ Vt)
-    p = (u[..., :, None] * np.conj(u[..., None, :])).reshape(u.shape[:-1] + (4,))
-    h = (p[..., None, :] @ Rt.reshape(lead + (1, 1, 4, 4)) @ p[..., None]).real[..., 0, 0]
-    signed = h * _SIGNS
-    better = signed[..., 1] > signed[..., 0]
-    h = np.where(better, h[..., 1], h[..., 0])
-    u = np.where(better[..., None], u[..., 1, :], u[..., 0, :])
+    root = np.sqrt(np.maximum(1.0 - _dot(rest, rest), 0.0))
+    z = np.empty(beta.shape[:-1] + (2, 3))
+    z[..., 0, :] = _secular_point(beta, gap, root)
+    z[..., 1, :] = rest
+    z[..., 1, 2] = root
+    z /= np.sqrt(_dot(z, z))[..., None]
+    q = _dot(z, 2.0 * beta[..., None, :] + mu[..., None, :] * z)  # Q - c, per problem signed
+    h = np.maximum.reduce(q, axis=-1) * (scale * _SIGNS) + K[..., 0, :1]
+    z = np.where((q[..., 1] > q[..., 0])[..., None], z[..., 1, :], z[..., 0, :])
+    u = _inverse_hopf((z[..., None, :] @ Vt)[..., 0, :])
     return h[..., 1], h[..., 0], u[..., 1, :], u[..., 0, :]
 
 
@@ -433,7 +437,7 @@ def _extremes(R: np.ndarray, T: np.ndarray) -> list:
     else:
         h_min, h_max, u_min, u_max = (_cp1_extremes if n == 2 else _pencil_extremes)(Rt)
     etas = (T @ u_min[..., None])[..., 0], (T @ u_max[..., None])[..., 0]
-    return [HscExtremes(float(a), float(b), c, d) for a, b, c, d in zip(h_min, h_max, *etas)]
+    return [HscExtremes(*e) for e in zip(h_min.tolist(), h_max.tolist(), *etas)]
 
 
 def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray, num_directions: int = None,

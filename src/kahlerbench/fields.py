@@ -34,7 +34,6 @@ from functools import cache, cached_property
 
 import numpy as np
 import sympy as sp
-from sympy.utilities.iterables import multiset_partitions
 
 from .errors import DimensionMismatch, PositivityLoss
 from .grids import ChartGeometry, TorusGrid
@@ -132,17 +131,22 @@ class ChartMetricField:
                 raise ValueError(f"term {F} is not holomorphic in {self.z}")
             split.append((c * float(*scale) if scale else c, ell0, F))
         self.terms = tuple(split)
-        self._coefficients = np.array([c for c, _, _ in split])[:, None]
-        # a point's row: each term's [F_a, F_a,i, F_a,ik] padded to the widest F, then ell0^(1..4)
+        # a point's row: each term's [F_a, F_a,i, F_a,ik] padded to the widest F, then
+        # each term's (1, c ell0^(1..4))
         width, K = max(len(F) for _, _, F in split), 1 + self.n + self.n**2
         self._row, self._monomials, self._chains, self._ells = [], [], [], []
-        for _, ell0, F in split:
-            self._ells.append((len(self._row), K * len(F), _ELL0[ell0]))
-            for constants, monomials, chain in (_component(f, self.z) for f in F):
+        live = []  # per term, whether each Gram entry <F_s, F_s'> can be nonzero
+        for c, ell0, F in split:
+            self._ells.append((len(self._row), K * len(F), c, _ELL0[ell0]))
+            gram = np.zeros((K, K), dtype=bool)
+            for constants, monomials, chain, nonzero in (_component(f, self.z) for f in F):
                 self._monomials += [(len(self._row) + s, c, e) for s, c, e in monomials]
                 self._chains += [(len(self._row), chain)] if chain else []
                 self._row += constants
+                gram |= np.outer(nonzero, nonzero)
             self._row += [0] * K * (width - len(F))
+            live.append(tuple(gram.flat))
+        self._gather = _term_tables(self.n, tuple(live))
 
     @property
     def potential(self) -> sp.Expr:
@@ -155,8 +159,8 @@ class ChartMetricField:
     def _eval(self, z: np.ndarray):
         """(g, dg, ddg) at points z of shape (..., n), g unchecked.
 
-        F's 2-jets (zero-padded to the widest F) and ell0^(1..4) at x = |F|^2 (numpy's abs,
-        as in lambdify) run on Python scalars per point, so a jet does not depend on its batch.
+        F's 2-jets (zero-padded to the widest F) and ell0^(1..4) at x = |F|^2 run on Python
+        scalars per point, so a jet does not depend on its batch.
         """
         z = np.asarray(z, dtype=complex)
         lead, n, T, K = z.shape[:-1], self.n, len(self.terms), 1 + self.n + self.n**2
@@ -167,21 +171,19 @@ class ChartMetricField:
                 row[s] += c * math.prod(map(pow, p, e))
             for s, chain in self._chains:
                 row[s:s + K] = chain(row[s:s + K])
-            for s, m, ell in self._ells:
-                row += ell(sum([float(np.abs(f)) ** 2 for f in row[s:s + m:K]]))
+            for s, m, c, ell in self._ells:
+                row += [1.0] + [c * d for d in ell(sum([abs(f) ** 2 for f in row[s:s + m:K]]))]
             rows.append(row)
         flat = np.array(rows, dtype=complex)
-        V = flat[:, :-4 * T].reshape(len(flat), T, -1, K)
-        gram = np.swapaxes(V, -1, -2) @ V.conj()  # <F_s, F_s'>
-        ell = flat[:, -4 * T:].real.reshape(-1, T, 4) * self._coefficients
-        x = np.concatenate([gram.reshape(-1, T, K * K), np.ones((len(V), T, 1)), ell], axis=-1)
-        table, starts = _faa_di_bruno(n)
-        monomials = np.multiply.reduce(np.take(x, table, axis=-1), axis=-2)
-        jet = np.add.reduceat(monomials, starts, axis=-1).sum(axis=1)
+        V = flat[:, :-5 * T].reshape(len(flat), T, -1, K)
+        gram = V.swapaxes(-1, -2) @ V.conj()  # <F_s, F_s'>
+        x = np.concatenate([gram.reshape(len(flat), -1), flat[:, -5 * T:]], axis=-1)
+        table, starts = self._gather
+        jet = np.add.reduceat(np.multiply.reduce(x.take(table, axis=-1), axis=1), starts, axis=-1)
         g = jet[:, :n**2].reshape(lead + (n, n))
         # the Hermitian part; it removes only rounding, as numpy's fused
         # complex products are not conjugate-symmetric bit for bit
-        g = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+        g = (g + g.swapaxes(-1, -2).conj()) / 2.0
         return (g, jet[:, n**2:n**2 + n**3].reshape(lead + (n, n, n)),
                 jet[:, n**2 + n**3:].reshape(lead + (n, n, n, n)))
 
@@ -228,10 +230,11 @@ def _split_term_function(ell):
 
 @cache
 def _component(f, z: tuple):
-    """(constants, monomials, chain) of F = beta * P^p, P a polynomial in z, p
-    rational (P = F for a polynomial): [P, P_i, P_ik] at a point is constants
+    """(constants, monomials, chain, nonzero) of F = beta * P^p, P a polynomial in
+    z, p rational (P = F for a polynomial): [P, P_i, P_ik] at a point is constants
     plus monomials (slot, c, exponents); chain maps it to [F, F_i, F_ik] (None
-    if P = F) by F_i = beta p P^(p-1) P_i, F_ik = beta p [(p-1) P^(p-2) P_i P_k + P^(p-1) P_ik]."""
+    if P = F) by F_i = beta p P^(p-1) P_i, F_ik = beta p [(p-1) P^(p-2) P_i P_k + P^(p-1) P_ik];
+    nonzero[s] is False where slot s of [F, F_i, F_ik] is 0 at every point."""
     beta, rest = f.as_independent(*z, as_Add=False)
     P, p = (f, sp.S.One) if f.is_polynomial(*z) else rest.as_base_exp()
     if not (P.is_polynomial(*z) and p.is_Rational):
@@ -242,8 +245,12 @@ def _component(f, z: tuple):
     live = [any(map(any, t)) for t in tables]  # constant tables are valued here, once
     constants = [0 if v else complex(sum(t.values())) for v, t in zip(live, tables)]
     monomials = [(s, complex(c), e) for s, t in enumerate(tables) if live[s] for e, c in t.items()]
+    nonzero = [v or c != 0 for v, c in zip(live, constants)]
     if p == 1:
-        return constants, monomials, None
+        return constants, monomials, None, nonzero
+    d = nonzero[1:1 + len(r)]  # F_i needs P_i, and F_ik P_i and P_k or P_ik
+    nonzero = [True] + d + [d[i] and d[k] or nonzero[1 + len(r) * (1 + i) + k]
+                            for i in r for k in r]
     b0, b1, b2, e0, e1, e2 = map(complex, (beta, beta * p, beta * p * (p - 1), p, p - 1, p - 2))
 
     def chain(v):
@@ -251,7 +258,17 @@ def _component(f, z: tuple):
         q1, q2 = b1 * P ** e1, b2 * P ** e2
         return ([b0 * P ** e0] + [q1 * d[i] for i in r]
                 + [q2 * d[i] * d[k] + q1 * d[len(r) + len(r) * i + k] for i in r for k in r])
-    return constants, monomials, chain
+    return constants, monomials, chain, nonzero
+
+
+@cache
+def _set_partitions(m: int) -> list:
+    """The set partitions of range(m), lists of blocks, in the lexicographic order
+    of their restricted growth strings s (q in block s[q]), as sympy lists them."""
+    strings = [s for s in itertools.product(range(m), repeat=m)
+               if all(s[q] <= max(s[:q], default=-1) + 1 for q in range(m))]
+    return [[[q for q in range(m) if s[q] == b] for b in range(max(s, default=-1) + 1)]
+            for s in strings]
 
 
 @cache
@@ -276,9 +293,28 @@ def _faa_di_bruno(n: int):
     table, starts = [], []
     for entry in (e for m in (2, 3, 4) for e in itertools.product(r, repeat=m)):
         starts.append(len(table))
-        for partition in multiset_partitions(list(range(len(entry)))):
+        for partition in _set_partitions(len(entry)):
             flat = [slot[tuple(sorted(entry[q] for q in block if q % 2 == 0))] * K
                     + slot[tuple(sorted(entry[q] for q in block if q % 2 == 1))]
                     for block in partition]
             table.append(flat + [K * K] * (4 - len(flat)) + [K * K + len(partition)])
     return np.array(table).T, np.array(starts)
+
+
+@cache
+def _term_tables(n: int, live: tuple):
+    """_faa_di_bruno(n) for a sum of terms, gathering from x = (each term's Gram
+    matrix flattened, then each term's (1, c ell0^(1..4))), each entry's monomials
+    of all terms adjacent for one reduceat.  Monomials with a Gram entry <F_s, F_s'>
+    of term t that is 0 everywhere (live[t][s * K + s'] False) are dropped; an
+    entry left with none keeps its first, which reads 0."""
+    table, starts = _faa_di_bruno(n)
+    T, K2 = len(live), (1 + n + n * n) ** 2
+    keep = (np.array(live)[:, np.minimum(table[:4], K2 - 1)] | (table[:4] >= K2)).all(axis=1)
+    keep[0, starts[~np.logical_or.reduceat(keep.any(axis=0), starts)]] = True
+    entry = np.repeat(np.arange(len(starts)), np.diff(starts, append=table.shape[1]))
+    shift = lambda t: np.where(table < K2, table + t * K2, table + (T - 1) * K2 + 5 * t)
+    columns = np.concatenate([shift(t)[:, k] for t, k in enumerate(keep)], axis=1)
+    entries = np.concatenate([entry[k] for k in keep])
+    order = np.argsort(entries, kind="stable")
+    return columns[:, order], np.searchsorted(entries[order], np.arange(len(starts)))

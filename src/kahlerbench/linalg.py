@@ -76,11 +76,11 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
 def _eigvalsh2(p, q, b):
     """Ascending eigenvalues (..., 2) of [[p, b], [b, q]], b = |off-diagonal|."""
     tr = p + q
-    far = np.copysign(0.5 * (np.abs(tr) + np.hypot(p - q, 2.0 * b)), tr)
-    w = np.zeros(np.shape(far) + (2,))
-    near = np.divide(p * q - b * b, far, out=w[..., 0], where=far != 0.0)
-    np.maximum(far, near, out=w[..., 1])
+    far = np.copysign(0.5 * (abs(tr) + np.hypot(p - q, 2.0 * b)), tr)
+    near = (p * q - b * b) / (far + (far == 0.0))  # far = 0 only where p = q = b = 0
+    w = np.empty(far.shape + (2,))
     np.minimum(far, near, out=w[..., 0])
+    np.maximum(far, near, out=w[..., 1])
     return w
 
 
@@ -287,8 +287,9 @@ def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
 def inverse_cholesky(g: np.ndarray) -> np.ndarray:
     """L^{-1} for g = L L^* (Cholesky) over (..., n, n); numpy.linalg.LinAlgError
     if g is not positive definite.  For n <= 2 the closed form [[p, 0], [m, q]],
-    p = 1/sqrt(g00), l10 = g10 p, q = 1/sqrt(g11 - |l10|^2), m = -l10 p q; for
-    n = 3 LAPACK's L, inverted by forward substitution."""
+    a = g00, d = det g: p = 1/sqrt(a), q = a / sqrt(a d) = 1/sqrt(d/a), the Schur
+    complement's, m = -g10 / sqrt(a d); for n = 3 LAPACK's L, inverted by
+    forward substitution."""
     g = np.asarray(g, dtype=complex)
     n = _order(g)
     if n == 3:
@@ -298,18 +299,16 @@ def inverse_cholesky(g: np.ndarray) -> np.ndarray:
             for j in range(i):
                 Li[..., i, j] = -(L[..., i, j:i] * Li[..., j:i, j]).sum(-1) * Li[..., i, i]
         return Li
-    a00 = g[..., 0, 0].real
-    if not (a00 > 0.0).all():
+    a, g10 = g[..., 0, 0].real, g[..., n - 1, 0]
+    d = a * g[..., 1, 1].real - (g10 * g10.conj()).real if n == 2 else a
+    if not (np.minimum(a, d) > 0.0).all():
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     Li = np.zeros(g.shape, dtype=complex)
-    Li[..., 0, 0] = p = 1.0 / np.sqrt(a00)
+    Li[..., 0, 0] = 1.0 / np.sqrt(a)
     if n == 2:
-        l10 = g[..., 1, 0] * p
-        schur = g[..., 1, 1].real - (l10.real**2 + l10.imag**2)
-        if not (schur > 0.0).all():
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        Li[..., 1, 1] = q = 1.0 / np.sqrt(schur)
-        Li[..., 1, 0] = -l10 * (p * q)
+        root = np.sqrt(a * d)
+        Li[..., 1, 1] = a / root
+        Li[..., 1, 0] = -g10 / root
     return Li
 
 

@@ -464,6 +464,34 @@ def test_point_extremes_are_a_sweep_of_one_point(n):
     assert np.array_equal(single.eta_max, swept.eta_max)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("poincare-disk", {}), ("poincare-polydisk", {"n": 2}), ("fubini-study", {"n": 2}),
+    ("fermat-chart", {}), ("poincare-polydisk", {"n": 3}), ("fubini-study", {"n": 3}),
+    ("perturbed-torus", {}),
+], ids=["disk", "bidisk", "fubini-study-2", "fermat", "polydisk-3", "fubini-study-3", "torus-2-8"])
+def test_point_extremes_equal_their_element_of_a_sweep(name, params):
+    # a single point is a batch of one: its extremes are bit for bit those of
+    # the same point inside a 32-point sweep
+    rng = np.random.default_rng(30)
+    if name == "perturbed-torus":
+        grid = TorusGrid(2, 8)
+        field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+        points = [tuple(p) for p in rng.integers(0, grid.N, size=(32, 2 * grid.n))]
+    else:
+        field = make_example(name, **params).field
+        reach = np.subtract(field.geometry.radii, field.geometry.margin)
+        shape = (32, field.n)
+        points = 0.6 * reach * np.sqrt(rng.uniform(size=shape)) * np.exp(
+            2j * np.pi * rng.uniform(size=shape))
+    swept = sweep_hsc_extremes(field, points)
+    assert len(swept) == 32
+    for p, ext in zip(points, swept):
+        single = hsc_extremes(field, p)
+        assert (single.h_min, single.h_max) == (ext.h_min, ext.h_max)
+        assert np.array_equal(single.eta_min, ext.eta_min)
+        assert np.array_equal(single.eta_max, ext.eta_max)
+
+
 def test_kappa_floor_signs():
     field = polydisk_field(n=2, scale=2.0)
     pts = [[0.0, 0.0], [0.2, 0.1j], [-0.3, 0.25]]

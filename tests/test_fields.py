@@ -1,14 +1,16 @@
 """Metric fields from potentials: grid-sampled and closed-form charts."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.utilities.iterables import multiset_partitions
 
 from kahlerbench.curvature import curvature_tensor, hsc, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
-from kahlerbench.fields import ChartMetricField, TorusMetricField, _component
+from kahlerbench.fields import ChartMetricField, TorusMetricField, _component, _faa_di_bruno
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
 
@@ -276,6 +278,31 @@ def test_chart_metric_is_hermitian_bit_for_bit():
         assert np.array_equal(g, np.conj(np.swapaxes(g, -1, -2)))
         g = field.metric_matrix_at(points[-1])
         assert np.array_equal(g, g.conj().T)
+
+
+def reference_faa_di_bruno(n):
+    """_faa_di_bruno's gather tables from sympy's multiset_partitions, which
+    lists the set partitions of range(m) in the order the tables keep."""
+    r = range(n)
+    slots = [()] + [(i,) for i in r] + [(i, k) for i in r for k in r]
+    slot, K = {s: m for m, s in enumerate(slots)}, len(slots)
+    table, starts = [], []
+    for entry in (e for m in (2, 3, 4) for e in itertools.product(r, repeat=m)):
+        starts.append(len(table))
+        for partition in multiset_partitions(list(range(len(entry)))):
+            flat = [slot[tuple(sorted(entry[q] for q in block if q % 2 == 0))] * K
+                    + slot[tuple(sorted(entry[q] for q in block if q % 2 == 1))]
+                    for block in partition]
+            table.append(flat + [K * K] * (4 - len(flat)) + [K * K + len(partition)])
+    return np.array(table).T, np.array(starts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_faa_di_bruno_tables_match_the_sympy_partition_reference(n):
+    table, starts = _faa_di_bruno(n)
+    want_table, want_starts = reference_faa_di_bruno(n)
+    assert table.shape == want_table.shape and np.array_equal(table, want_table)
+    assert starts.shape == want_starts.shape and np.array_equal(starts, want_starts)
 
 
 def test_chart_batch_matches_single_points_bit_for_bit():
