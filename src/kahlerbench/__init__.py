@@ -19,10 +19,8 @@ unit torus is the identity and the torus has volume one.
 
 from .curvature import (
     HscExtremes,
-    KahlerCurvature,
     constant_hsc_tensor,
     curvature_field,
-    curvature_tensor,
     hsc,
     hsc_extremes,
     kappa_floor,
@@ -70,7 +68,6 @@ __all__ = [
     "DimensionMismatch",
     "HscExtremes",
     "InequalityReport",
-    "KahlerCurvature",
     "MAProblem",
     "NonConvergence",
     "PositivityLoss",
@@ -81,7 +78,6 @@ __all__ = [
     "constant_hsc_tensor",
     "continuity_path",
     "curvature_field",
-    "curvature_tensor",
     "epsilon_expansion_check",
     "fit_epsilon_expansion",
     "hsc",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -261,7 +262,7 @@ def run_continuity_path(cfg, out_dir, seed):
     for i, s in enumerate(states):
         save_state(out_dir / "states" / f"state-{i:02d}", s, grid)
     rows_to_csv(out_dir / "series.csv", series, list(series[0].keys()))
-    write_json(out_dir / "limit_probe.json", probe.as_dict())
+    write_json(out_dir / "limit_probe.json", dataclasses.asdict(probe))
     return rows, ceilings + residuals
 
 
@@ -461,7 +462,7 @@ def run_integrals(cfg, out_dir, seed):
     rows.append(_row("integrals", "bigness-volume-floor", floor,
                      f"kappa0={kappa0:.6g}; the floor needs kappa0 > 0"))
     reports = shift_reports + sigma_reports + low + [top] + law + nef_reports + floor
-    write_json(out_dir / "expansion.json", expansion.as_dict())
+    write_json(out_dir / "expansion.json", dataclasses.asdict(expansion))
     return rows, reports
 
 

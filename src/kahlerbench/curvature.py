@@ -134,24 +134,6 @@ def _check_symmetries(R: np.ndarray) -> None:
         raise ValueError(f"curvature symmetries violated by {v.reshape(-1)[bad[0]]:.3e}")
 
 
-@dataclass(frozen=True)
-class KahlerCurvature:
-    """Curvature data of a metric at a point: the tensor and the metric."""
-
-    n: int
-    g: np.ndarray
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        _check_symmetries(self.tensor)
-
-
-def curvature_tensor(field, point) -> KahlerCurvature:
-    """Curvature of a metric field at a point (a grid multi-index on a torus)."""
-    g, dg, ddg = field.jet_at(point)
-    return KahlerCurvature(g.shape[-1], g, curvature_from_derivatives(g, dg, ddg))
-
-
 def curvature_field(field) -> np.ndarray:
     """R over the whole torus grid, shape grid + (n, n, n, n)."""
     return curvature_from_derivatives(field.g, field.dg, field.ddg)
@@ -170,12 +152,15 @@ def hsc_value(R: np.ndarray, g: np.ndarray, eta: np.ndarray) -> float:
 
 def hsc(field, point, eta) -> float:
     """Holomorphic sectional curvature of a field at a point and direction
-    (a Direction or its entries, checked as one, of length the field's n)."""
+    (a Direction or its entries, checked as one, of length the field's n);
+    a tensor breaking the Kähler symmetries raises ValueError."""
     eta = eta if isinstance(eta, Direction) else Direction(eta)
     if eta.n != field.n:
         raise DimensionMismatch(f"direction length {eta.n} != field dimension {field.n}")
-    curv = curvature_tensor(field, point)
-    return hsc_value(curv.tensor, curv.g, eta.eta)
+    g, dg, ddg = field.jet_at(point)
+    R = curvature_from_derivatives(g, dg, ddg)
+    _check_symmetries(R)
+    return hsc_value(R, g, eta.eta)
 
 
 def transform_tensor(R: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -477,18 +462,6 @@ def default_sweep_points(field, max_points: int = 256):
     return field.geometry.sample_points(per_axis=per_axis)
 
 
-def _sweep_jets(field, points: list) -> tuple:
-    """Stacked (g, dg, ddg) at the points.
-
-    One fancy index into a torus field's grid arrays, or one checked batch
-    query of a chart.
-    """
-    if isinstance(field, TorusMetricField):
-        idx = tuple(np.array([field.grid.index(p) for p in points]).T)
-        return field.g[idx], field.dg[idx], field.ddg[idx]
-    return field.jet_at(np.array(points, dtype=complex))
-
-
 def _jet_extremes(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> list:
     """One HscExtremes per point of stacked jets (m, ...): one factorization of
     the metrics gives the frames and the assembly's inverse metric, the first
@@ -503,10 +476,11 @@ def sweep_hsc_extremes(field, points=None, max_points: int = 256) -> list:
     """HSC extremes at every point of a sweep, one HscExtremes per point.
 
     points=None sweeps default_sweep_points(field, max_points).  The sweep
-    is one batch: the point jets are stacked and go through _jet_extremes.
+    is one batch: one jet_at query of the stacked points (grid
+    multi-indices on a torus, chart points on a chart) through _jet_extremes.
     """
     points = list(default_sweep_points(field, max_points) if points is None else points)
-    return _jet_extremes(*_sweep_jets(field, points)) if points else []
+    return _jet_extremes(*field.jet_at(points)) if points else []
 
 
 def kappa_floor(field, points=None) -> float:

@@ -12,7 +12,8 @@ On the periodic torus the metric is flat + complex Hessian of a real
 potential sampled on the grid.  g comes from the spectral Hessian and
 (dg, ddg) from one call of the grid's hessian_jets, each computed once
 over the whole grid, and a point is a grid multi-index of 2n integers
-(taken modulo N) that reads them; real coordinates are not accepted.
+(taken modulo N), or a stack of them (..., 2n), that reads them; real
+coordinates are not accepted.
 
 On an analytic chart a point is n complex coordinates in the trusted
 region (or a stack of them, answered in one batch), and the potential is
@@ -81,16 +82,11 @@ class TorusMetricField:
         """ddg[..., i, j, k, l] = d^2 g_{i jbar} / dz^k dzbar^l over the grid."""
         return self._jets[1]
 
-    @cached_property
-    def ricci(self) -> np.ndarray:
-        """Ricci form -dd^c log det g as a Hermitian matrix field."""
-        H = self.grid.complex_hessian(self.log_det_g)
-        return -H
-
     # -- point queries at grid indices -------------------------------------
 
     def jet_at(self, index):
-        """(g, dg, ddg) at a grid multi-index, read from the grid arrays."""
+        """(g, dg, ddg) at a grid multi-index, or stacked over a stack of them
+        (..., 2n), read from the grid arrays."""
         idx = self.grid.index(index)
         return self.g[idx], self.dg[idx], self.ddg[idx]
 

@@ -351,21 +351,23 @@ class TorusGrid:
     # -- grid points and the trigonometric interpolant ---------------------
 
     def index(self, index) -> tuple:
-        """A grid multi-index of 2n integers, checked and taken modulo N.
+        """A grid multi-index of 2n integers, or a stack of them (..., 2n),
+        checked and taken modulo N: the 2n integer arrays, of the stack's
+        shape, that read it from a grid array.
 
         Real coordinates are rejected (TypeError): torus points are grid
         points, addressed by index.
         """
-        idx = tuple(index)
-        if not all(isinstance(a, (int, np.integer)) for a in idx):
+        idx = np.asarray(index)
+        if not np.issubdtype(idx.dtype, np.integer):
             raise TypeError(f"a torus point is a grid multi-index of integers, got {index!r}")
-        if len(idx) != 2 * self.n:
-            raise DimensionMismatch(f"index length {len(idx)} != {2 * self.n}")
-        return tuple(int(a) % self.N for a in idx)
+        if idx.shape[-1:] != (2 * self.n,):
+            raise DimensionMismatch(f"index has shape {idx.shape}, expected (..., {2 * self.n})")
+        return tuple(np.moveaxis(idx % self.N, -1, 0))
 
     def coords(self, index) -> np.ndarray:
-        """Real coordinates (x1, y1, ..., xn, yn) of a grid multi-index."""
-        return self.axis_coords[list(self.index(index))]
+        """Real coordinates (x1, y1, ..., xn, yn) of grid multi-indices, (..., 2n)."""
+        return self.axis_coords[np.stack(self.index(index), axis=-1)]
 
     def eval_spectral(self, F: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant with coefficients F.

@@ -10,7 +10,7 @@ contraction with the inverse comparison metric A = g'^-1 (linalg's
 cofactor inverse, taken once per check); no frame is built.  Every
 pointwise check takes a stack: tensors and metrics (..., n, n)
 broadcast with kappa or lam, and field points stack as grid
-multi-indices or chart points (jets from curvature._sweep_jets).  One
+multi-indices or chart points (jets from one jet_at query per field).  One
 point is a batch of one and returns one report (a pair for the identity),
 a stack a list in stack order.
 
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (_extremes, _frames, _jet_extremes, _ricci, _sweep_jets,
-                        constant_hsc_tensor, curvature_from_derivatives)
+from .curvature import (_extremes, _frames, _jet_extremes, _ricci, constant_hsc_tensor,
+                        curvature_from_derivatives)
 from .errors import DimensionMismatch, PositivityLoss
 from .fields import TorusMetricField
 from .linalg import component_inverse, component_positivity, components, eigvalsh, hermitian, inv
@@ -143,12 +143,12 @@ def _pair_jets(omega, omega_prime, point) -> tuple:
     """(single, where, jet, jet_prime) at a stack of points, one point being a stack
     of one; where holds the reports' points, real coordinates on a torus."""
     single = np.ndim(point) == 1
-    points = where = [point] if single else list(point)
+    points = where = [point] if single else point
     if isinstance(omega, TorusMetricField):
         if omega.grid.shape != omega_prime.grid.shape:
             raise DimensionMismatch("fields live on different grids")
-        where = [omega.grid.coords(p) for p in points]
-    return single, where, _sweep_jets(omega, points), _sweep_jets(omega_prime, points)
+        where = omega.grid.coords(points)
+    return single, where, omega.jet_at(points), omega_prime.jet_at(points)
 
 
 # -- curvature-term bound (sharp constant (n+1)/(2n)) -----------------------

@@ -125,18 +125,6 @@ class ExpansionReport:
     reference_volume: float
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "epsilons": self.epsilons,
-            "values": self.values,
-            "coefficients": self.coefficients,
-            "implied_class_integrals": self.implied_class_integrals,
-            "condition_number": self.condition_number,
-            "fit_residual": self.fit_residual,
-            "reference_volume": self.reference_volume,
-            "note": self.note,
-        }
-
 
 def epsilon_expansion_check(path, omega: TorusMetricField) -> ExpansionReport:
     """Fit V(eps), each state's W_n, over a solved path and report the coefficients."""
@@ -172,14 +160,6 @@ class BignessReport:
     per_state: list
     extrapolated: InequalityReport
     applicable: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "kappa0": self.kappa0,
-            "per_state": [r.as_dict() for r in self.per_state],
-            "extrapolated": self.extrapolated.as_dict(),
-            "applicable": self.applicable,
-        }
 
 
 def bigness_bound_report(kappa0: float, omega: TorusMetricField, path) -> BignessReport:

@@ -57,6 +57,7 @@ from .linalg import (component_det, components, hermitian, relative_eigenvalues_
 from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
+MAX_NEWTON_STEPS = 50
 
 
 @dataclass
@@ -165,8 +166,8 @@ def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
     return delta.reshape(shape), matvecs
 
 
-def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
-             v0: np.ndarray = None, return_info: bool = False):
+def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
+             return_info: bool = False):
     """Newton solve of the Monge-Ampère problem to sup-norm tolerance.
 
     Each step solves the linearization to the Krylov forcing
@@ -180,9 +181,9 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
     residual history, and per Newton step (aligned with residual_history[1:])
     the Krylov forcing rtol and the number of Krylov matvecs.  Raises
     PositivityLoss if the initial candidate leaves the positive cone,
-    NonConvergence if the residual cannot be brought below tol.  The
-    returned v is re-verified by an independent forward evaluation after
-    the iteration.
+    NonConvergence if the residual cannot be brought below tol in
+    MAX_NEWTON_STEPS steps.  The returned v is re-verified by an
+    independent forward evaluation after the iteration.
     """
     grid = problem.grid
     v = np.zeros(grid.shape) if v0 is None else np.array(v0, dtype=float)
@@ -205,7 +206,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, max_steps: int = 50,
 
     steps = 0
     while res > tol:
-        if steps >= max_steps:
+        if steps >= MAX_NEWTON_STEPS:
             raise NonConvergence(
                 f"Newton stalled at residual {res:.3e} after {steps} steps",
                 residual=res, steps=steps,
@@ -450,14 +451,6 @@ class LimitProbeReport:
     drifts: list
     converging: bool
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilons": [float(e) for e in self.epsilons],
-            "drifts": [float(d) for d in self.drifts],
-            "converging": self.converging,
-            "note": self.note,
-        }
 
 
 def limit_probe(path) -> LimitProbeReport:

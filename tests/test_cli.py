@@ -199,6 +199,60 @@ def test_solve_ma_pipeline_writes_artifacts(tmp_path):
     assert 0.0 < meta["pipeline_seconds"]["solve-ma"] <= meta["seconds"]
 
 
+# Every row of `kahlerbench all --trials 400`, in order: a change to a row's
+# check or status updates this list and says why.
+ALL_ROWS = [
+    ("solve-ma", "manufactured-residual", "pass"),
+    ("solve-ma", "manufactured-recovery", "pass"),
+    ("continuity-path", "sup-u-ceiling", "pass"),
+    ("continuity-path", "ricci-identity-residual", "pass"),
+    ("continuity-path", "normalized-limit-drift", "pass"),
+    ("hsc-extremes", "poincare-disk:hsc-constant", "pass"),
+    ("hsc-extremes", "poincare-disk:einstein-ratio", "pass"),
+    ("hsc-extremes", "poincare-polydisk:hsc-factor-direction", "pass"),
+    ("hsc-extremes", "poincare-polydisk:hsc-max-diagonal", "pass"),
+    ("hsc-extremes", "poincare-polydisk:kappa-floor-positive", "pass"),
+    ("hsc-extremes", "fubini-study:hsc-constant", "pass"),
+    ("hsc-extremes", "fubini-study:ricci-proportional", "pass"),
+    ("hsc-extremes", "fermat-chart:line-direction-hsc-at-least-projective", "pass"),
+    ("hsc-extremes", "fermat-chart:hsc-at-most-projective", "pass"),
+    ("hsc-extremes", "perturbed-torus:hsc-attains-negative", "pass"),
+    ("hsc-extremes", "perturbed-torus:hsc-attains-positive", "pass"),
+    ("hsc-extremes", "perturbed-torus:volume-unit", "pass"),
+    ("verify-inequalities", "newton-maclaurin-sweep", "pass"),
+    ("verify-inequalities", "newton-maclaurin-equality", "pass"),
+    ("verify-inequalities", "hsc-trace-lower-bound", "pass"),
+    ("verify-inequalities", "hsc-trace-equality-cases", "pass"),
+    ("verify-inequalities", "ricci-trace-lower-bound", "pass"),
+    ("verify-inequalities", "laplacian-trace-identity", "pass"),
+    ("verify-inequalities", "third-order-cauchy-schwarz", "pass"),
+    ("verify-inequalities", "schwarz-log-trace-conclusion", "pass"),
+    ("verify-inequalities", "schwarz-hypothesis-screen", "pass"),
+    ("verify-inequalities", "max-principle-polydisk", "pass"),
+    ("verify-inequalities", "max-principle-torus", "not-applicable"),
+    ("integrals", "ddc-shift-invariance", "pass"),
+    ("integrals", "sigma-mixed-determinant-consistency", "pass"),
+    ("integrals", "expansion-low-coefficients-vanish", "pass"),
+    ("integrals", "expansion-top-coefficient-volume", "pass"),
+    ("integrals", "volume-power-law", "pass"),
+    ("integrals", "nef-wedge-lower-bound", "pass"),
+    ("integrals", "bigness-volume-floor", "not-applicable"),
+]
+
+
+def test_all_pipelines_keep_their_rows(tmp_path):
+    rc, _, _ = run_cli(["all", "--trials", "400", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [(r["pipeline"], r["check"], r["status"])
+            for name in read_json(tmp_path / "meta.json")["pipelines"]
+            for r in read_json(tmp_path / name / "summary.json")["rows"]]
+    assert rows == ALL_ROWS
+    assert set(read_json(tmp_path / "integrals" / "expansion.json")) >= {
+        "coefficients", "condition_number", "note"}
+    assert set(read_json(tmp_path / "continuity-path" / "limit_probe.json")) == {
+        "epsilons", "drifts", "converging", "note"}
+
+
 def test_verify_inequalities_is_deterministic_for_fixed_seed(tmp_path):
     outs = []
     for label in ("a", "b"):

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from sympy.utilities.iterables import multiset_partitions
 
-from kahlerbench.curvature import curvature_tensor, hsc, ricci_from_derivatives
+from kahlerbench.curvature import hsc, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField, _component, _faa_di_bruno
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -32,7 +32,7 @@ def test_flat_torus_field():
     assert np.max(np.abs(field.g - eye)) == 0.0
     assert np.max(np.abs(field.det_g - 1.0)) == 0.0
     assert np.max(np.abs(field.log_det_g)) == 0.0
-    assert np.max(np.abs(field.ricci)) < 1e-14
+    assert np.max(np.abs(grid.complex_hessian(field.log_det_g))) < 1e-14  # Ricci
     g, dg, ddg = field.jet_at((1, 2, 3, 4))
     assert np.array_equal(g, np.eye(2)) and not dg.any() and not ddg.any()
 
@@ -83,7 +83,8 @@ def test_pointwise_ricci_matches_spectral_ricci():
     idx = (3, 9)
     got = ricci_from_derivatives(*field.jet_at(idx))
     assert got.shape == (1, 1)
-    assert np.max(np.abs(got - field.ricci[idx])) < 1e-10
+    spectral = -grid.complex_hessian(field.log_det_g)  # -dd^c log det g on the grid
+    assert np.max(np.abs(got - spectral[idx])) < 1e-10
 
 
 def test_torus_point_queries_take_grid_indices_only():
@@ -98,6 +99,27 @@ def test_torus_point_queries_take_grid_indices_only():
             query((1, 2, 3))
         with pytest.raises(DimensionMismatch):
             query((1, 2, 3, 4, 5))
+        with pytest.raises(TypeError, match="multi-index"):
+            query(grid.coords([(1, 2, 3, 4), (0, 0, 0, 1)]))  # a stack of real coordinates
+        with pytest.raises(DimensionMismatch):
+            query(np.zeros((3, 5), dtype=int))  # a stack with the wrong last axis
+
+
+def test_torus_point_queries_take_stacks():
+    grid = TorusGrid(2, 8)
+    field = TorusMetricField(grid, single_mode_potential(grid, 0.004))
+    stack = np.random.default_rng(2).integers(-8, 16, size=(3, 5, 4))  # wraps modulo N
+    g, dg, ddg = field.jet_at(stack)
+    assert (g.shape, dg.shape, ddg.shape) == ((3, 5, 2, 2), (3, 5, 2, 2, 2), (3, 5) + (2,) * 4)
+    assert np.array_equal(field.metric_matrix_at(stack), g)
+    assert grid.coords(stack).shape == (3, 5, 4)
+    assert field.jet_at(np.zeros((0, 4), dtype=int))[0].shape == (0, 2, 2)
+    for k in np.ndindex(3, 5):
+        single = field.jet_at(tuple(int(a) for a in stack[k]))
+        assert all(np.array_equal(a[k], b) for a, b in zip((g, dg, ddg), single))
+        wrapped = tuple(int(a) % 8 for a in stack[k])
+        assert np.array_equal(single[0], field.g[wrapped])
+        assert np.array_equal(grid.coords(stack)[k], np.array(wrapped) / 8)
 
 
 def test_large_amplitude_loses_positivity():
@@ -337,7 +359,6 @@ def test_charts_build_and_query_without_sympy_derivation(monkeypatch):
         for p in points[:3]:
             field.metric_matrix_at(p)
             ricci_from_derivatives(*field.jet_at(p))
-            curvature_tensor(field, p)
             hsc(field, p, np.eye(field.n)[0])
     assert calls == []
 

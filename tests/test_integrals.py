@@ -166,7 +166,7 @@ def test_expansion_on_flat_path(flat_path):
     assert report.implied_class_integrals[-1] == pytest.approx(1.0, abs=1e-10)
     assert report.reference_volume == 1.0
     assert report.fit_residual < 1e-12
-    assert set(report.as_dict()) >= {"coefficients", "condition_number", "note"}
+    assert set(dataclasses.asdict(report)) >= {"coefficients", "condition_number", "note"}
 
 
 def test_expansion_detects_injected_constant(flat_path):
@@ -189,7 +189,7 @@ def test_bigness_report_not_applicable_without_floor(flat_path):
         assert not rep.applicable
         assert rep.per_state[0].status == "not-applicable"
         assert rep.extrapolated.status == "not-applicable"
-        assert rep.as_dict()["kappa0"] == kappa0
+        assert rep.kappa0 == kappa0
 
 
 def test_bigness_synthetic_equality(flat_path):

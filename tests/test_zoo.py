@@ -99,13 +99,13 @@ def test_perturbed_torus_sweeps_each_field_once(monkeypatch):
     example = make_example("perturbed-torus", n=2, resolution=8)
     points = list(curvature.default_sweep_points(example.field, max_points=64))
     calls = []
-    jets = curvature._sweep_jets
+    jet_at = TorusMetricField.jet_at
 
-    def counting(field, sweep):
-        calls.append(list(sweep))
-        return jets(field, sweep)
+    def counting(field, index):
+        calls.append(list(index))
+        return jet_at(field, index)
 
-    monkeypatch.setattr(curvature, "_sweep_jets", counting)
+    monkeypatch.setattr(TorusMetricField, "jet_at", counting)
     rows = verify_example_facts(example)
     assert all(row["ok"] for row in rows)
     assert calls == [points]  # the sign facts share one batched sweep
