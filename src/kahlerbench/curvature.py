@@ -153,10 +153,13 @@ def hsc_value(R: np.ndarray, g: np.ndarray, eta: np.ndarray) -> float:
 def hsc(field, point, eta) -> float:
     """Holomorphic sectional curvature of a field at a point and direction
     (a Direction or its entries, checked as one, of length the field's n);
-    a tensor breaking the Kähler symmetries raises ValueError."""
+    a tensor breaking the Kähler symmetries raises ValueError.  A stack of
+    points raises DimensionMismatch: sweeps go through sweep_hsc_extremes."""
     eta = eta if isinstance(eta, Direction) else Direction(eta)
     if eta.n != field.n:
         raise DimensionMismatch(f"direction length {eta.n} != field dimension {field.n}")
+    if np.ndim(point) != 1:
+        raise DimensionMismatch(f"hsc takes one point, got a stack of shape {np.shape(point)}")
     g, dg, ddg = field.jet_at(point)
     R = curvature_from_derivatives(g, dg, ddg)
     _check_symmetries(R)

@@ -9,11 +9,14 @@ A metric field answers one point query, jet_at(P), with the metric jet
 at P, and metric_matrix_at(P) returns g alone.
 
 On the periodic torus the metric is flat + complex Hessian of a real
-potential sampled on the grid.  g comes from the spectral Hessian and
-(dg, ddg) from one call of the grid's hessian_jets, each computed once
-over the whole grid, and a point is a grid multi-index of 2n integers
-(taken modulo N), or a stack of them (..., 2n), that reads them; real
-coordinates are not accepted.
+potential sampled on the grid.  A point is a grid multi-index of 2n
+integers (taken modulo N), or a stack of them (..., 2n); real coordinates
+are not accepted.  g comes from the spectral Hessian over the whole grid.
+(dg, ddg) at a point of stride s = gcd(N, its 2n indices) come from the
+grid's hessian_jets on the stride-s sublattice, one call per distinct
+stride of a stack; stride 1 reads the full-grid jets, computed once and
+kept on the field.  So a sweep of a sublattice never builds the full-grid
+jets, and a point's jets do not depend on its batch.
 
 On an analytic chart a point is n complex coordinates in the trusted
 region (or a stack of them, answered in one batch), and the potential is
@@ -86,9 +89,21 @@ class TorusMetricField:
 
     def jet_at(self, index):
         """(g, dg, ddg) at a grid multi-index, or stacked over a stack of them
-        (..., 2n), read from the grid arrays."""
+        (..., 2n).  g is read from the grid array; dg and ddg at a point of
+        stride s = gcd(N, its 2n indices) from the jets of the stride-s
+        sublattice (the grid's hessian_jets), one call per distinct stride
+        of the stack, stride 1 reading the full jets dg and ddg.  So a
+        point's jets depend on the field and the point only."""
         idx = self.grid.index(index)
-        return self.g[idx], self.dg[idx], self.ddg[idx]
+        strides = np.gcd.reduce(np.stack(idx), axis=0, initial=self.grid.N)
+        dg = np.empty(strides.shape + (self.n,) * 3, dtype=complex)
+        ddg = np.empty(strides.shape + (self.n,) * 4, dtype=complex)
+        for s in np.unique(strides).tolist():
+            at = strides == s
+            T, Q = self._jets if s == 1 else self.grid.hessian_jets(self.psi, s)
+            sub = tuple(i[at] // s for i in idx)
+            dg[at], ddg[at] = T[sub], Q[sub]
+        return self.g[idx], dg, ddg
 
     def metric_matrix_at(self, index) -> np.ndarray:
         return self.g[self.grid.index(index)]
@@ -191,6 +206,8 @@ class ChartMetricField:
             raise DimensionMismatch(f"chart point needs {self.n} complex coordinates")
         if not self.geometry.trusted(z):
             raise ValueError(f"point {z} outside the trusted chart region")
+        if not z.size:  # an empty stack: empty jets, as on a torus
+            return tuple(np.zeros(z.shape[:-1] + (self.n,) * m, dtype=complex) for m in (2, 3, 4))
         g, dg, ddg = self._eval(z)
         ok, worst, w = positivity(g)
         if not ok:

@@ -182,10 +182,27 @@ class TorusGrid:
         """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
         return hermitian(self.hessian_components(f))
 
-    def hessian_jets(self, f: np.ndarray) -> tuple:
+    def _fold(self, P: np.ndarray, stride: int) -> np.ndarray:
+        """The (N/stride)^2n half spectrum (scaled as irfftn's) of irfftn(P) at
+        stride stride.  irfftn keeps the real part of P's field with the bins
+        0 < k < N/2 of the last axis doubled: that field's aliases summed
+        (bin k onto k mod N/stride), their Hermitian part cut to its half."""
+        N, d, M = self.N, 2 * self.n, self.N // stride
+        A = P.reshape((stride, M) * (d - 1) + (N // 2 + 1,)).sum(axis=tuple(range(0, 2 * d - 2, 2)))
+        Z = np.zeros(A.shape[:-1] + (N,), dtype=complex)
+        Z[..., : N // 2 + 1] = A
+        Z[..., 1 : N // 2] *= 2.0
+        Z = Z.reshape(A.shape[:-1] + (stride, M)).sum(axis=-2)
+        minus = np.ix_(*[-np.arange(M) % M] * d)
+        return (Z + Z[minus].conj())[..., : M // 2 + 1] * (0.5 / stride**d)
+
+    def hessian_jets(self, f: np.ndarray, stride: int = 1) -> tuple:
         """(T, Q), the third and fourth derivatives of the complex Hessian of a
         real field: T[..., i, j, k] = d/dz^k H_{i jbar} and
-        Q[..., i, j, k, l] = d^2/dz^k dzbar^l H_{i jbar}, over the grid.
+        Q[..., i, j, k, l] = d^2/dz^k dzbar^l H_{i jbar}, over the grid, or
+        over its sublattice of a stride s dividing N: T and Q then have the
+        leading shape (N/s,) * 2n, position m holding the jets at grid
+        index s * m.
 
         T is symmetric in (i, k); Q is symmetric in (i, k) and in (j, l), and
         Q[i, j, k, l] = conj Q[j, i, l, k].  Only the distinct entries are
@@ -197,9 +214,14 @@ class TorusGrid:
         is zero, the imaginary part of a real entry.  T and Q are then
         gathered from the parts, point-major, by one table of (real,
         imaginary) part rows per entry, so that each symmetry holds exactly;
-        the imaginary parts of Q's conjugate partners change sign.
+        the imaginary parts of Q's conjugate partners change sign.  At a
+        stride s > 1 each part's half spectrum is folded onto the
+        sublattice's (_fold) as it is made, and the batched irfftn is the
+        sublattice's, so no part is transformed over the whole grid.
         """
-        n, kw = self.n, self._half_wavenumbers
+        if stride < 1 or self.N % stride:
+            raise ValueError(f"stride {stride} does not divide the resolution {self.N}")
+        n, kw, M = self.n, self._half_wavenumbers, self.N // stride
         F = self.rfft(np.asarray(f) - np.mean(f))  # mean out for round-off
         dz = [np.pi * (kw[2 * j + 1] + 1j * kw[2 * j]) for j in range(n)]
         dzbar = [np.pi * (1j * kw[2 * j] - kw[2 * j + 1]) for j in range(n)]
@@ -215,7 +237,7 @@ class TorusGrid:
                 conj = None if (j, l) == (i, k) else [(b, a, d, c) for a, b, c, d in idx]
                 entries.append((idx, conj, (i, k), (j, l)))
         zero = sum(1 if e[1] is None else 2 for e in entries)
-        spectra = np.empty((zero + 1,) + F.shape, dtype=complex)
+        spectra = np.empty((zero + 1,) + (M,) * (2 * n - 1) + (M // 2 + 1,), dtype=complex)
         spectra[zero] = 0.0
         table = {3: np.empty((n,) * 3 + (2,), dtype=np.intp),
                  4: np.empty((n,) * 4 + (2,), dtype=np.intp)}
@@ -228,7 +250,10 @@ class TorusGrid:
             else:
                 mults = (m.real,) if conj is None else (m.real, m.imag)
             for r, mult in enumerate(mults):
-                np.multiply(F, mult, out=spectra[row + r])
+                if stride == 1:
+                    np.multiply(F, mult, out=spectra[row + r])
+                else:
+                    spectra[row + r] = self._fold(F * mult, stride)
             re_im = (row, row + 1 if len(mults) == 2 else zero)
             for e in idx:
                 table[len(e)][e] = re_im
@@ -236,7 +261,8 @@ class TorusGrid:
                 table[4][e] = re_im
                 sign[e + (1,)] = -1.0
             row += len(mults)
-        parts = self.irfft(spectra)
+        parts = scipy.fft.irfftn(spectra, s=(M,) * (2 * n), axes=tuple(range(-2 * n, 0)),
+                                 overwrite_x=True)
         del spectra  # free the spectra before T and Q are gathered
         parts = np.moveaxis(parts, 0, -1)
         T = np.take(parts, table[3], axis=-1).view(complex)[..., 0]

@@ -1,6 +1,7 @@
 """Curvature tensors, holomorphic sectional curvature, and extremal sweeps."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kahlerbench.curvature import (
     _check_symmetries,
     _cp1_extremes,
     _inverse_hopf,
+    _jet_extremes,
     _pencil,
     _refine_direction,
     _symmetry_violations,
@@ -188,6 +190,18 @@ def test_hsc_checks_its_direction():
         hsc(field, [0.1, 0.2j], [1.0, 0.0, 0.5j])
     with pytest.raises(ValueError, match="nonzero"):
         hsc(field, [0.1, 0.2j], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("substrate", ["torus", "chart"])
+def test_hsc_rejects_a_stack_of_points(substrate):
+    # a point stack has its own route, sweep_hsc_extremes
+    if substrate == "torus":
+        field, stack = TorusMetricField(TorusGrid(1, 16), np.zeros((16, 16))), [(1, 2), (3, 4)]
+    else:
+        field, stack = make_example("poincare-disk").field, [[0.1], [0.2j]]
+    with pytest.raises(DimensionMismatch, match=r"stack of shape \(2, "):
+        hsc(field, stack, [1.0])
+    assert len(sweep_hsc_extremes(field, stack)) == 2
 
 
 def test_extremizer_defaults_are_the_policy_constants():
@@ -584,13 +598,40 @@ def test_batched_sweep_matches_pointwise_extremes(case):
         assert abs(hsc(field, p, ext.eta_max) - ext.h_max) <= 1e-12 * scale
 
 
-def test_batched_sweep_rejects_the_first_corrupted_jet():
+def test_n3_torus_kappa_floor_reads_its_sublattices_only():
+    # the default sweep of a (3, 8) torus is its 64 points of stride 4 (and
+    # the origin, of stride 8): two sublattice folds, not the full-grid T
+    # and Q (727 MiB traced), give kappa_0 as the full jets do
+    grid = TorusGrid(3, 8)
+    field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    tracemalloc.start()
+    try:
+        swept = kappa_floor(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    idx = grid.index(list(default_sweep_points(field)))
+    full = -max(e.h_max for e in _jet_extremes(field.g[idx], field.dg[idx], field.ddg[idx]))
+    assert swept == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_batched_sweep_rejects_the_first_corrupted_jet(monkeypatch):
     grid = TorusGrid(2, 8)
     field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     points = list(default_sweep_points(field))
     first, later = points[5], points[9]
-    field.ddg[first][0, 1, 1, 0] += 0.05  # breaks i <-> k at this index only
-    field.ddg[later][0, 1, 1, 0] += 0.5
+    hessian_jets = TorusGrid.hessian_jets
+
+    def corrupted(self, f, stride=1):
+        # the jets the sweep reads, from any sublattice holding the point
+        T, Q = hessian_jets(self, f, stride)
+        for point, bump in ((first, 0.05), (later, 0.5)):
+            if not any(a % stride for a in point):
+                Q[tuple(a // stride for a in point)][0, 1, 1, 0] += bump  # breaks i <-> k here only
+        return T, Q
+
+    monkeypatch.setattr(TorusGrid, "hessian_jets", corrupted)
     with pytest.raises(ValueError, match="symmetries") as pointwise:
         hsc(field, first, [1.0, 0.0])
     with pytest.raises(ValueError, match="symmetries") as swept:

@@ -8,10 +8,12 @@ import pytest
 import sympy as sp
 from sympy.utilities.iterables import multiset_partitions
 
-from kahlerbench.curvature import hsc, ricci_from_derivatives
+from kahlerbench.curvature import hsc, kappa_floor, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField, _component, _faa_di_bruno
 from kahlerbench.grids import ChartGeometry, TorusGrid
+from kahlerbench.inequalities import (SchwarzHypotheses, laplacian_identity_check,
+                                      schwarz_conclusion_check)
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
 
 from exact_chart import exact_jet
@@ -120,6 +122,55 @@ def test_torus_point_queries_take_stacks():
         wrapped = tuple(int(a) % 8 for a in stack[k])
         assert np.array_equal(single[0], field.g[wrapped])
         assert np.array_equal(grid.coords(stack)[k], np.array(wrapped) / 8)
+
+
+def test_torus_jets_come_from_each_points_sublattice(monkeypatch):
+    # a point of stride s = gcd(N, its indices) reads the jets of the stride-s
+    # sublattice: one fold per distinct stride of a stack, stride 1 the full
+    # jets, and a point's jets are those of the point queried alone
+    grid = TorusGrid(2, 12)
+    field = TorusMetricField(grid, single_mode_potential(grid, 0.004) + 0.001 * np.cos(
+        2.0 * np.pi * grid._axis_view(grid.axis_coords, 3)))
+    strides = []
+    hessian_jets = TorusGrid.hessian_jets
+
+    def counting(self, f, stride=1):
+        strides.append(stride)
+        return hessian_jets(self, f, stride)
+
+    monkeypatch.setattr(TorusGrid, "hessian_jets", counting)
+    kappa_floor(field)  # 80 points of stride 4 and the origin, of stride 12
+    assert strides == [4, 12] and "_jets" not in vars(field)
+    stack = np.array([(0, 4, 8, 4), (1, 2, 3, 4), (6, 0, 6, 3), (2, 4, 6, 8), (0, 0, 0, 0),
+                      (3, 9, 0, 6), (12, 24, -12, 0), (5, 7, 11, 1)])
+    strides.clear()
+    g, dg, ddg = field.jet_at(stack)
+    assert strides == [1, 2, 3, 4, 12]
+    T, Q = field.dg, field.ddg
+    for k, p in enumerate(stack):
+        single = field.jet_at(tuple(int(a) for a in p))
+        assert all(np.array_equal(a[k], b) for a, b in zip((g, dg, ddg), single))
+        at = tuple(p % 12)
+        if np.gcd.reduce(p, initial=12) == 1:
+            assert np.array_equal(dg[k], T[at]) and np.array_equal(ddg[k], Q[at])
+        assert np.max(np.abs(dg[k] - T[at])) < 1e-13 * np.max(np.abs(T))
+        assert np.max(np.abs(ddg[k] - Q[at])) < 1e-13 * np.max(np.abs(Q))
+
+
+@pytest.mark.parametrize("substrate", ["torus", "chart"])
+def test_an_empty_stack_has_empty_jets(substrate):
+    if substrate == "torus":
+        field = TorusMetricField(TorusGrid(2, 8), np.zeros((8,) * 4))
+        empty = np.zeros((0, 4), dtype=int)  # no indices: its stride would be N
+    else:
+        field = make_example("poincare-polydisk", n=2).field
+        empty = np.zeros((0, 2), dtype=complex)
+    g, dg, ddg = field.jet_at(empty)
+    assert (g.shape, dg.shape, ddg.shape) == ((0, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2, 2))
+    assert field.jet_at(empty.reshape(0, 3, empty.shape[-1]))[2].shape == (0, 3) + (2,) * 4
+    assert laplacian_identity_check(field, field, empty) == []
+    assert schwarz_conclusion_check(field, field, SchwarzHypotheses(kappa=0.5, lam=1.0),
+                                    empty) == []
 
 
 def test_large_amplitude_loses_positivity():

@@ -183,14 +183,17 @@ def test_jet_orbit_representatives_cover_every_entry():
     assert [len(r) for r in jet_orbit_representatives(3)] == [18, 21]
 
 
-def assert_jets_match_oracle(grid, f):
-    """hessian_jets against the oracle (1e-13 relative) and its symmetries
-    (bit for bit); the symmetries carry the oracle's check of each orbit
-    representative to every entry of its orbit."""
+def assert_jets_match_oracle(grid, f, stride=1):
+    """hessian_jets (on the stride's sublattice) against the oracle (1e-13
+    relative) and its symmetries (bit for bit); the symmetries carry the
+    oracle's check of each orbit representative to every entry of its orbit."""
     n = grid.n
-    T, Q = grid.hessian_jets(f)
+    T, Q = grid.hessian_jets(f, stride)
+    assert T.shape[:2 * n] == Q.shape[:2 * n] == (grid.N // stride,) * (2 * n)
+    sublattice = (slice(None, None, stride),) * (2 * n)
     err, scale = {3: 0.0, 4: 0.0}, {3: 0.0, 4: 0.0}  # by derivative order
     for idx, want in complex_fft_jets(f):
+        want = want[sublattice]
         got = (T if len(idx) == 3 else Q)[(...,) + idx]
         err[len(idx)] = max(err[len(idx)], np.max(np.abs(got - want)))
         scale[len(idx)] = max(scale[len(idx)], np.max(np.abs(want)))
@@ -212,6 +215,29 @@ def test_hessian_jets_match_complex_fft_oracle(n, N):
     assert_jets_match_oracle(grid, rng.standard_normal(grid.shape))
     # on a 1e6 constant, plus Nyquist content
     assert_jets_match_oracle(grid, 1e6 + rng.standard_normal(grid.shape) + 5.0 * nyquist)
+
+
+@pytest.mark.parametrize("n,N,stride", [(1, 64, 4), (2, 12, 3), (2, 12, 4), (3, 8, 4)])
+def test_strided_hessian_jets_match_complex_fft_oracle(n, N, stride):
+    # the folded spectra give the jets at the sublattice points as the full
+    # transforms do
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(10 * n + N + stride)
+    nyquist = cosine_mode(grid, N // 2, axis=0) + cosine_mode(grid, N // 2, axis=2 * n - 1)
+    assert_jets_match_oracle(grid, rng.standard_normal(grid.shape), stride)
+    assert_jets_match_oracle(grid, 1e6 + rng.standard_normal(grid.shape) + 5.0 * nyquist, stride)
+
+
+def test_hessian_jets_take_a_stride_dividing_the_resolution():
+    grid = TorusGrid(2, 12)
+    f = np.random.default_rng(3).standard_normal(grid.shape)
+    for stride in (0, 5, 24):
+        with pytest.raises(ValueError, match="does not divide"):
+            grid.hessian_jets(f, stride)
+    T, Q = grid.hessian_jets(f, 12)  # the origin alone
+    assert T.shape == (1,) * 4 + (2,) * 3 and Q.shape == (1,) * 4 + (2,) * 4
+    full = grid.hessian_jets(f)
+    assert np.max(np.abs(Q[0, 0, 0, 0] - full[1][0, 0, 0, 0])) < 1e-13 * np.max(np.abs(full[1]))
 
 
 def test_mean_is_exact_for_periodic_data():
