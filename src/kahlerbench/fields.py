@@ -13,10 +13,10 @@ potential sampled on the grid.  A point is a grid multi-index of 2n
 integers (taken modulo N), or a stack of them (..., 2n); real coordinates
 are not accepted.  g comes from the spectral Hessian over the whole grid.
 (dg, ddg) at a point of stride s = gcd(N, its 2n indices) come from the
-grid's hessian_jets on the stride-s sublattice, one call per distinct
-stride of a stack; stride 1 reads the full-grid jets, computed once and
-kept on the field.  So a sweep of a sublattice never builds the full-grid
-jets, and a point's jets do not depend on its batch.
+grid's hessian_jets on the stride-s sublattice, computed once per stride
+and kept on the field; stride 1 is the full-grid jets.  So a sweep of a
+sublattice never builds the full-grid jets, a repeated sweep folds
+nothing, and a point's jets do not depend on its batch.
 
 On an analytic chart a point is n complex coordinates in the trusted
 region (or a stack of them, answered in one batch), and the potential is
@@ -66,24 +66,28 @@ class TorusMetricField:
             )
         self.g = hermitian(c)
         self.det_g = component_det(c)
+        self._folds = {}  # stride -> (T, Q) on its sublattice
 
     @cached_property
     def log_det_g(self) -> np.ndarray:
         return np.log(self.det_g)
 
-    @cached_property
-    def _jets(self) -> tuple:
-        return self.grid.hessian_jets(self.psi)
+    def _jets(self, stride: int) -> tuple:
+        """The grid's hessian_jets of psi on the stride-s sublattice, made
+        once per stride and kept on the field."""
+        if stride not in self._folds:
+            self._folds[stride] = self.grid.hessian_jets(self.psi, stride)
+        return self._folds[stride]
 
     @property
     def dg(self) -> np.ndarray:
         """dg[..., i, j, k] = d g_{i jbar} / dz^k over the grid."""
-        return self._jets[0]
+        return self._jets(1)[0]
 
     @property
     def ddg(self) -> np.ndarray:
         """ddg[..., i, j, k, l] = d^2 g_{i jbar} / dz^k dzbar^l over the grid."""
-        return self._jets[1]
+        return self._jets(1)[1]
 
     # -- point queries at grid indices -------------------------------------
 
@@ -91,16 +95,16 @@ class TorusMetricField:
         """(g, dg, ddg) at a grid multi-index, or stacked over a stack of them
         (..., 2n).  g is read from the grid array; dg and ddg at a point of
         stride s = gcd(N, its 2n indices) from the jets of the stride-s
-        sublattice (the grid's hessian_jets), one call per distinct stride
-        of the stack, stride 1 reading the full jets dg and ddg.  So a
-        point's jets depend on the field and the point only."""
+        sublattice (the grid's hessian_jets), made once per distinct stride
+        and kept on the field, stride 1 being the full jets dg and ddg.  So
+        a point's jets depend on the field and the point only."""
         idx = self.grid.index(index)
         strides = np.gcd.reduce(np.stack(idx), axis=0, initial=self.grid.N)
         dg = np.empty(strides.shape + (self.n,) * 3, dtype=complex)
         ddg = np.empty(strides.shape + (self.n,) * 4, dtype=complex)
         for s in np.unique(strides).tolist():
             at = strides == s
-            T, Q = self._jets if s == 1 else self.grid.hessian_jets(self.psi, s)
+            T, Q = self._jets(s)
             sub = tuple(i[at] // s for i in idx)
             dg[at], ddg[at] = T[sub], Q[sub]
         return self.g[idx], dg, ddg

@@ -28,20 +28,25 @@ The continuity path solves the family (alpha = eps g, F = 0)
 
     det(eps g + Hess v_eps) = e^{v_eps},
 
-downward in eps, each state warm-started from the previous one in the
-eps-scaled gauge: w = v - n*log(eps) is O(eps), so the previous w is scaled
-by eps'/eps.  It solves first and diagnoses after: only once every state
-has converged does make_state turn each (eps, v) into a state, its eps and
-v with scalar diagnostics: sup u for u = v - log det g = log sigma_n
-against the volume-ratio ceiling, the Ricci identity residual, relative
-eigenvalue range, the top of the trace field S_eps, and the wedge
-integrals of omega_eps^k wedge omega^{n-k}.  A path that fails diagnoses
-nothing.  The diagnostics form the Hermitian g_eps, with linalg's
-component closed forms behind every det, trace and mixed determinant.
+downward in eps, each state started from the path's own eps-series: with
+v = n log eps + eps (u - psi), omega_eps / eps = I + Hess u and
+u = sum_k eps^k u_k, one Fourier-diagonal solve per order (path_series), so
+Newton only verifies and polishes.  As eps -> 0, u tends to a constant:
+omega_eps / eps tends to the flat metric, Yau's solution on a torus (Comm.
+Pure Appl. Math. 31, 1978).  It solves first and diagnoses after: only
+once every state has converged does make_state turn each (eps, v) into a
+state, its eps and v with scalar diagnostics: the sup of
+v - log det g = log sigma_n against the volume-ratio ceiling, the Ricci
+identity residual, relative eigenvalue range, the top of the trace field
+S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.  A path
+that fails diagnoses nothing.  The diagnostics form the Hermitian g_eps,
+with linalg's component closed forms behind every det, trace and mixed
+determinant.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -58,6 +63,7 @@ from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
 MAX_NEWTON_STEPS = 50
+MAX_SERIES_ORDER = 16
 
 
 @dataclass
@@ -348,18 +354,104 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
     )
 
 
+class _Series:
+    """A power series in eps with no constant term: coef(m), m >= 1, makes
+    its coefficient of eps^m on demand.  + and - act termwise, a number
+    scales it, and * is the Cauchy product, so linalg's component closed
+    forms build series from series.  A factor of a product keeps each
+    coefficient once made, as the product reads it again at every higher
+    order; coefficient m of a product reads its factors' below m only."""
+
+    def __init__(self, coef):
+        self._coef, self._kept = coef, None
+
+    def coef(self, m):
+        if self._kept is None:
+            return self._coef(m)
+        if m not in self._kept:
+            self._kept[m] = self._coef(m)
+        return self._kept[m]
+
+    def __add__(self, other):
+        return _Series(lambda m: self.coef(m) + other.coef(m))
+
+    def __sub__(self, other):
+        return _Series(lambda m: self.coef(m) - other.coef(m))
+
+    def __rmul__(self, scale):
+        return _Series(lambda m: scale * self.coef(m))
+
+    def __mul__(self, other):
+        for factor in (self, other):
+            if factor._kept is None:
+                factor._kept = {}
+        return _Series(lambda m: sum(self.coef(i) * other.coef(m - i) for i in range(1, m)))
+
+
+def path_series(omega: TorusMetricField, epsilon: float, tol: float) -> list:
+    """The coefficients u_0..u_K of u = sum_k eps^k u_k, the potential of the
+    rescaled path metric omega_eps / eps = I + Hess u, for eps <= epsilon.
+
+    With v = n log eps + eps (u - psi) the path equation becomes
+    log det(I + Hess u) = eps (u - psi), and order k of it reads
+    Delta u_k = u_{k-1} - [k = 1] psi - N_k, where N_k is order k of
+    log det(I + H) less tr H_k, H = sum_j eps^j H_j and H_j = Hess u_j.
+    det(I + H) = 1 + tr H + the principal minors of H of orders 2..n, each
+    component_det on series, whose order k reads H_1..H_{k-1} only; the log
+    follows from L_k = P_k - (1/k) sum_{j<k} j L_j P_{k-j}, P_k order k of
+    det(I + H) - 1.  Delta is Fourier-diagonal, and zero on the modes Hess
+    kills: the constant and every mode whose wavenumber is Nyquist or zero
+    on each axis.  The solvability of order k + 1 fixes u_k on all of them
+    (u_0 is psi's part there); u_K keeps them zero.  K is the first order
+    whose term epsilon^(K+1) sup|u_K| in v is below tol / 10 (the start's
+    residual is the next order's right-hand side, up to twice that term),
+    and at most MAX_SERIES_ORDER.  A term that does not shrink below the
+    one before says that epsilon lies outside the series' radius (about
+    pi^2, the first flat eigenvalue): the series then ends before that
+    earlier term, at order 0 when it is the first.
+    """
+    grid, n = omega.grid, omega.n
+    lap = grid.flat_laplacian_multiplier
+    null = lap == 0.0
+    inverse = np.divide(1.0, lap, out=np.zeros(lap.shape), where=~null)
+    H = [[] for _ in range(n * n)]  # H[r][j - 1]: component r of H_j
+    leaves = [_Series(lambda m, h=h: h[m - 1]) for h in H]
+    minors = [component_det([leaves[i * n + j] for i in S for j in S])
+              for m in range(2, n + 1) for S in itertools.combinations(range(n), m)]
+    P, L, u, last = [], [], [np.zeros(grid.shape)], None
+    for k in range(1, MAX_SERIES_ORDER + 1):
+        p = sum(minor.coef(k) for minor in minors)  # P_k less tr H_k
+        log_k = p - sum(j * L[j - 1] * P[k - j - 1] for j in range(1, k)) / k
+        rhs = grid.rfft(u[-1] - log_k - (omega.psi if k == 1 else 0.0))
+        u[-1] = u[-1] - grid.irfft(rhs * null)  # solvability of order k
+        rhs *= inverse
+        h = grid.hessian_of_spectrum(rhs)
+        u.append(grid.irfft(rhs))
+        term = epsilon**k * float(np.abs(u[-1]).max())
+        if k > 1 and term >= last:  # outside the radius at epsilon
+            return u[:-2]
+        if epsilon * term < 0.1 * tol:
+            break
+        last = term
+        trace = h[:: n + 1].sum(axis=0)
+        P.append(p + trace)
+        L.append(log_k + trace)
+        for r in range(n * n):
+            H[r].append(h[r])
+    return u
+
+
 def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> list:
     """Solve the family along a strictly decreasing positive eps schedule,
     then diagnose every state.
 
-    Warm-starts each solve in the eps-scaled gauge: from
-    n log eps + (v_prev - n log eps_prev) * eps / eps_prev, since
-    w = v - n log eps is about eps * phi for a fixed phi; the first state
-    starts from n log eps.  Each solve keeps only (eps, v, Newton steps,
-    matvecs); make_state runs once per state after the last one has
-    converged, so a path that fails diagnoses nothing.  Failures, of a solve
-    or of a state's diagnosis, propagate annotated with the offending eps;
-    no states are returned partially.
+    Starts each solve from the path's eps-series, built once:
+    v0 = n log eps + eps (u_K(eps) - psi) with u_K = sum_k eps^k u_k from
+    path_series, so Newton verifies and polishes.  Each solve keeps only
+    (eps, v, Newton steps, matvecs); make_state runs once per state after
+    the last one has converged, so a path that fails diagnoses nothing.
+    Failures, of a solve or of a state's diagnosis, propagate annotated with
+    the offending eps; no states are returned partially.
     """
     eps = [float(e) for e in epsilons]
     if not eps or any(e <= 0.0 for e in eps):
@@ -369,10 +461,13 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
 
     grid = omega.grid
     zero = np.zeros(grid.shape)
+    series = path_series(omega, eps[0], tol)
     solved = []
-    w_prev, e_prev = zero, eps[0]  # w = v - n log eps of the previous state
     for e in eps:
-        v0 = grid.n * np.log(e) + w_prev * (e / e_prev)
+        u = series[-1]
+        for c in reversed(series[:-1]):
+            u = c + e * u
+        v0 = grid.n * np.log(e) + e * (u - omega.psi)
         problem = MAProblem(grid, e * omega.g, zero)
         try:
             v, info = solve_ma(problem, tol=tol, v0=v0, return_info=True)
@@ -380,7 +475,6 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
             err.epsilon = e
             raise
         solved.append((e, v, info["newton_steps"], sum(info["krylov_matvecs"])))
-        w_prev, e_prev = v - grid.n * np.log(e), e
 
     log_c = volume_ratio_ceiling(omega, eps[0])
     states = []

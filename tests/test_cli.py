@@ -422,7 +422,7 @@ def test_continuity_path_replaces_earlier_states(tmp_path):
     with open(pdir / "series.csv", newline="") as fh:
         series = list(csv.DictReader(fh))
     assert len(series) == 4
-    # the flat torus's warm starts are exact: no Newton step, no matvec
+    # the flat torus's series starts are exact: no Newton step, no matvec
     assert all(r["newton_steps"] == r["krylov_matvecs"] == "0" for r in series)
 
 
