@@ -18,14 +18,16 @@ Every derivative acts on the half spectrum of a real-input transform
 (rfftn, last axis cut to N//2 + 1 bins): the spectrum of a real field is
 Hermitian symmetric, and so is its product with a real multiplier even in
 the wavenumber, or with i times one that is odd.  So each derivative is a
-set of real fields, and all of them come from one batched inverse real
-transform (the real-input FFT structure of Frigo & Johnson, Proc. IEEE
-93, 2005): the n^2 real components of the complex Hessian, and the
-distinct real components of its third and fourth derivatives (the metric
-jets).  There is no complex-spectrum derivative route.  Grid transfer
-(prolong/restrict) and the dealiased residual's fine transforms pass
-through the band block of the coarser grid, pruned to the lines that can
-hold its bins (Markel, IEEE Trans. Audio Electroacoust. 19, 1971) and
+set of real fields, each one inverse real transform (the real-input FFT
+structure of Frigo & Johnson, Proc. IEEE 93, 2005).  The n^2 real
+components of the complex Hessian are transformed one row at a time
+(hessian_rows), so a caller that reduces over them, like the solver's
+Krylov matvec, never holds all n^2; the distinct real components of its
+third and fourth derivatives (the metric jets) come from one batched
+inverse transform.  There is no complex-spectrum derivative route.  Grid
+transfer (prolong/restrict) and the dealiased residual's fine transforms
+pass through the band block of the coarser grid, pruned to the lines that
+can hold its bins (Markel, IEEE Trans. Audio Electroacoust. 19, 1971) and
 streamed over slabs of SLAB_POINTS fine points; they keep the axis order
 and scaling of irfftn and rfftn, so each value they keep is the full one.
 """
@@ -41,10 +43,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DimensionMismatch
-from .linalg import MAX_DIM, hermitian
-
-
-SLAB_POINTS = 2**14  # fine points per slab of the streamed band transforms
+from .linalg import MAX_DIM, SLAB_POINTS, hermitian
 
 
 def _band_ifft(X: np.ndarray, axis: int, bins: np.ndarray) -> np.ndarray:
@@ -174,9 +173,25 @@ class TorusGrid:
     def hessian_of_spectrum(self, F: np.ndarray) -> np.ndarray:
         """Hessian components of the real field whose half spectrum is F.
 
-        One batched inverse real transform of F times the multipliers.
+        The rows of hessian_rows(F), each written into one preallocated
+        (n*n,) + grid shape output (at n = 1 the one row is the output, not
+        copied); bit for bit the rows of one batched inverse transform of F
+        times the multipliers.
         """
-        return self.irfft(F * self.hessian_multipliers)
+        rows = self.hessian_rows(F)
+        if self.n == 1:
+            return next(rows)[None]
+        out = np.empty((self.n * self.n,) + self.shape)
+        for r, row in enumerate(rows):
+            out[r] = row
+        return out
+
+    def hessian_rows(self, F: np.ndarray):
+        """The Hessian components of the real field whose half spectrum is F,
+        one row at a time in hessian_multipliers' order: each is one inverse
+        real transform of F times its multiplier row."""
+        for m in self.hessian_multipliers:
+            yield self.irfft(F * m)
 
     def complex_hessian(self, f: np.ndarray) -> np.ndarray:
         """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
@@ -300,8 +315,7 @@ class TorusGrid:
         f = np.asarray(f, dtype=float)
         if coarse.N == self.N:
             return f.copy()
-        mean = np.mean(f)
-        return coarse.irfft(coarse.restricted_spectrum(f - mean)) + mean
+        return coarse.irfft(coarse.restricted_spectrum(f)) + np.mean(f)
 
     def prolonged_hessian(self, F: np.ndarray, combine) -> np.ndarray:
         """combine(c) on the twice finer grid, c the Hessian components (as in
@@ -356,14 +370,16 @@ class TorusGrid:
 
     def restricted_spectrum(self, f: np.ndarray) -> np.ndarray:
         """This grid's half spectrum of the restriction of a finer real field
-        f: the last axis first, then the others, slabs of the last of them."""
+        f less its mean (taken out of each slab, for round-off): the last
+        axis first, then the others, slabs of the last of them."""
         h, M, s = self.N // 2, f.shape[0], 2 * self.n - 2
         bins = np.r_[0:h + 1, M - h:M]
+        mean = np.mean(f)
         Y = np.empty((self.N + 1,) * s + (M, h + 1), dtype=complex)
         rows = max(1, SLAB_POINTS // M ** (s + 1))
         for r in range(0, M, rows):
             slab = (slice(None),) * s + (slice(r, r + rows),)
-            Z = scipy.fft.rfft(f[slab], axis=-1)[..., : h + 1]
+            Z = scipy.fft.rfft(f[slab] - mean, axis=-1)[..., : h + 1]
             for axis in range(s):
                 Z = np.take(scipy.fft.fft(Z, axis=axis), bins, axis=axis)
             Y[slab] = Z

@@ -38,6 +38,8 @@ MAX_DIM = 3
 # metrics of any overall size are treated alike.
 PD_RTOL = 1e-10
 
+SLAB_POINTS = 2**14  # points per slab of a field streamed through a transform or LAPACK
+
 
 def _order(a: np.ndarray) -> int:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -218,12 +220,18 @@ def component_positivity(c: np.ndarray):
     r = PD_RTOL, it is det (1 + r)^2 - r tr^2 = (l_min - r l_max)(l_max - r l_min)
     where tr > 0 and -inf elsewhere, so no eigenvalue is taken but the worst
     point's.  For n = 3 it is l_min - r max(l_max, 0), the eigenvalues by
-    LAPACK on the assembled Hermitian field.
+    LAPACK on Hermitian matrices assembled one slab of SLAB_POINTS points at
+    a time (a matrix's eigenvalues do not depend on its batch), so no
+    complex field is built.
     """
     c = np.asarray(c, dtype=float)
     n = _component_order(c)
     if n == 3:
-        w = np.linalg.eigvalsh(hermitian(c))
+        flat = c.reshape(n * n, -1)
+        w = np.empty((flat.shape[1], n))
+        for s in range(0, flat.shape[1], SLAB_POINTS):
+            w[s:s + SLAB_POINTS] = np.linalg.eigvalsh(hermitian(flat[:, s:s + SLAB_POINTS]))
+        w = w.reshape(c.shape[1:] + (n,))
         margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
         worst = np.unravel_index(margin.argmin(), margin.shape)
         w_worst = w[worst]

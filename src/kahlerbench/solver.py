@@ -17,12 +17,15 @@ q-quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 Steps are safeguarded by a backtracking line search that never leaves the
 positive cone, and every iterate is volume-normalized: shifted by the one
 constant that makes mean det(alpha + Hess v) = mean e^{v+F}.  The Newton
-loop runs on real components: alpha and each candidate M = alpha + Hess v
-are (n*n, ...) fields in linalg's component layout (the rows of
-TorusGrid.hessian_components), and det M, the positivity check and the
-trace weights of M^{-1} are linalg's closed forms on them, so no step or
-line-search trial inverts a Hermitian matrix, and at n <= 2 none assembles
-one (at n = 3 the positivity check does, for LAPACK's eigenvalues).
+loop runs on real components: alpha (held so by MAProblem) and each
+candidate M = alpha + Hess v are (n*n, ...) fields in linalg's component
+layout (the rows of TorusGrid.hessian_components), and det M, the
+positivity check and the trace weights of M^{-1} are linalg's closed forms
+on them, so no step or line-search trial inverts a Hermitian matrix, and at
+n <= 2 none assembles one (at n = 3 the positivity check does, a slab of
+points at a time, for LAPACK's eigenvalues).  The Krylov matvec adds up
+sum_k w_k Hess_k f one Hessian row at a time (TorusGrid.hessian_rows), so
+no n*n-row Hessian of a Krylov vector is built.
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -68,18 +71,26 @@ MAX_SERIES_ORDER = 16
 
 @dataclass
 class MAProblem:
-    """One Monge-Ampère problem instance on a torus grid."""
+    """One Monge-Ampère problem instance on a torus grid.
+
+    alpha is held once, as its n*n real components (n*n,) + grid shape in
+    linalg's layout, which the Newton loop reads as they are.  It is given
+    either so or as a Hermitian (..., n, n) field, converted once here.
+    """
 
     grid: TorusGrid
     alpha: np.ndarray
     datum: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n
-        want = self.grid.shape + (n, n)
-        self.alpha = np.asarray(self.alpha, dtype=complex)
-        if self.alpha.shape != want:
-            raise DimensionMismatch(f"alpha shape {self.alpha.shape} != {want}")
+        n, shape = self.grid.n, self.grid.shape
+        alpha = np.asarray(self.alpha)
+        if alpha.shape == shape + (n, n):
+            alpha = components(alpha)
+        elif alpha.shape != (n * n,) + shape:
+            raise DimensionMismatch(f"alpha shape {alpha.shape} is neither "
+                                    f"{shape + (n, n)} nor {(n * n,) + shape}")
+        self.alpha = np.asarray(alpha, dtype=float)
         self.datum = np.asarray(self.datum, dtype=float)
         if self.datum.shape != self.grid.shape:
             raise DimensionMismatch(
@@ -101,7 +112,8 @@ def _positive_det(M: np.ndarray) -> np.ndarray:
 
 def ma_log_residual(problem: MAProblem, v: np.ndarray) -> np.ndarray:
     """Forward evaluation of the log-form operator at v."""
-    M = components(problem.alpha) + problem.grid.hessian_components(v)
+    M = problem.grid.hessian_components(v)
+    M += problem.alpha
     return np.log(_positive_det(M)) - v - problem.datum
 
 
@@ -141,7 +153,9 @@ def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
     _flat_preconditioner with s = tr(M^{-1})/n.
 
     w are the trace weights of M (linalg.trace_weights), so that
-    Delta_M f = sum_k w[k] * (Hessian component k of f).  Returns
+    Delta_M f = sum_k w[k] * (Hessian component k of f), added up one
+    Hessian row at a time in k's order (TorusGrid.hessian_rows), bit for bit
+    einsum's sum over the rows of hessian_components(f).  Returns
     (delta, matvecs), matvecs the number of applications of Delta_M - 1.
     """
     shape = grid.shape
@@ -153,8 +167,15 @@ def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
         nonlocal matvecs
         matvecs += 1
         f = x.reshape(shape)
-        lap = np.einsum("c...,c...->...", w, grid.hessian_components(f))
-        return (lap - f).reshape(size)
+        # the spectrum hessian_components takes, mean out for round-off
+        rows = zip(w, grid.hessian_rows(grid.rfft(f - np.mean(f))))
+        wk, lap = next(rows)
+        lap *= wk
+        for wk, row in rows:
+            row *= wk
+            lap += row
+        lap -= f
+        return lap.reshape(size)
 
     A = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec, dtype=float)
     P = scipy.sparse.linalg.LinearOperator(
@@ -180,8 +201,9 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
     rtol = max(1e-10, min(0.5, res)), res the sup-norm residual, and every
     iterate (v0 and each line-search trial) is volume-normalized by
     _volume_normalized, so the returned v satisfies the discrete volume
-    identity to rounding.  alpha and each candidate M = alpha + Hess v are
-    carried as real components (linalg's layout).
+    identity to rounding.  alpha is read as the problem holds it, as real
+    components (linalg's layout), and each candidate M = alpha + Hess v is
+    carried so too; no complex alpha or second copy of it is made.
 
     Returns the potential v, and with return_info also an info dict: the
     residual history, and per Newton step (aligned with residual_history[1:])
@@ -198,8 +220,9 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
 
     t0 = time.perf_counter()
     history, forcing, matvecs = [], [], []
-    alpha = components(problem.alpha)
-    M = alpha + grid.hessian_components(v)
+    alpha = problem.alpha
+    M = grid.hessian_components(v)
+    M += alpha
     ok, worst, w = _positivity(M)
     if not ok:
         raise PositivityLoss(
@@ -229,7 +252,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
                 # and v, its trial, is positive
                 any_positive = True
                 break
-            M_try = alpha + grid.hessian_components(v_try)
+            M_try = grid.hessian_components(v_try)
+            M_try += alpha
             ok, pt, w = _positivity(M_try)
             if not ok:
                 worst_pt, worst_eig = pt, float(w[0])
@@ -279,17 +303,18 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
 def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
     """Problem whose exact solution is the supplied potential (flat data).
 
-    Sets alpha = identity and F = log det(I + Hess v*) - v*, so the solve
-    must recover v* up to solver tolerance.  det is the solver's own
-    component_det, so a test that must catch a fault in the kernels forms F
-    by another route.
+    Sets alpha = identity, held as a read-only broadcast of its components,
+    and F = log det(I + Hess v*) - v*, so the solve must recover v* up to
+    solver tolerance.  det is the solver's own component_det, so a test that
+    must catch a fault in the kernels forms F by another route.
     """
+    n = grid.n
     M = grid.hessian_components(v_star)
-    M[:: grid.n + 1] += 1.0
+    M[:: n + 1] += 1.0
     d = component_det(M)
     if np.any(d <= 0.0):
         raise PositivityLoss("manufactured potential leaves the positive cone")
-    eye = np.broadcast_to(np.eye(grid.n), grid.shape + (grid.n, grid.n))
+    eye = np.broadcast_to(np.eye(n).reshape((n * n,) + (1,) * (2 * n)), (n * n,) + grid.shape)
     return MAProblem(grid, eye, np.log(d) - v_star)
 
 
@@ -461,6 +486,7 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
 
     grid = omega.grid
     zero = np.zeros(grid.shape)
+    g = components(omega.g)  # each alpha = eps g is made from these
     series = path_series(omega, eps[0], tol)
     solved = []
     for e in eps:
@@ -468,7 +494,7 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
         for c in reversed(series[:-1]):
             u = c + e * u
         v0 = grid.n * np.log(e) + e * (u - omega.psi)
-        problem = MAProblem(grid, e * omega.g, zero)
+        problem = MAProblem(grid, e * g, zero)
         try:
             v, info = solve_ma(problem, tol=tol, v0=v0, return_info=True)
         except (PositivityLoss, NonConvergence) as err:
@@ -504,27 +530,30 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     residual of the solve grid.
 
     Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
-    potential, det(eps*I + H) is streamed from the fine Hessian components
-    H of eps*psi + (v - mean v) (TorusGrid.prolonged_hessian) and log det is
-    cropped back (restricted_spectrum), both pruned to the solve band: det
-    is the one fine field built, and no n log eps constant enters a fine
-    transform (at n = 3, H on the solve grid).  g_eps = eps*omega.g + Hess v
-    is the state's metric.
+    potential, log det(eps*I + H) is streamed from the fine Hessian
+    components H of eps*psi + (v - mean v) (TorusGrid.prolonged_hessian),
+    det, its positivity test and log slab by slab, and cropped back less its
+    mean (restricted_spectrum), both pruned to the solve band: log det is
+    the one fine field built, written once, and no n log eps constant enters
+    a fine transform (at n = 3, H on the solve grid).  g_eps =
+    eps*omega.g + Hess v is the state's metric.
     """
     grid, v = omega.grid, np.asarray(v, dtype=float)
 
-    def det_plus(c):  # det(eps*I + H) on (a slab of) the components c of H
+    def log_det_plus(c):  # log det(eps*I + H) on (a slab of) the components c of H
         c[:: grid.n + 1] += epsilon
-        return component_det(c)
+        d = component_det(c)
+        if np.any(d <= 0.0):
+            raise PositivityLoss("state metric degenerate on the dealiasing grid")
+        return np.log(d, out=d)
 
     potential = epsilon * omega.psi + (v - np.mean(v))
-    d = (det_plus(grid.hessian_components(potential)) if grid.n == 3
-         else grid.prolonged_hessian(grid.rfft(potential), det_plus))
-    if np.any(d <= 0.0):
-        raise PositivityLoss("state metric degenerate on the dealiasing grid")
-    ldg = np.log(d, out=d)
-    ldg -= np.mean(ldg)  # mean out, over the whole grid, for round-off
-    spectrum = grid.rfft(ldg) if grid.n == 3 else grid.restricted_spectrum(ldg)
+    if grid.n == 3:
+        ldg = log_det_plus(grid.hessian_components(potential))
+        spectrum = grid.rfft(ldg - np.mean(ldg))  # mean out for round-off
+    else:
+        spectrum = grid.restricted_spectrum(
+            grid.prolonged_hessian(grid.rfft(potential), log_det_plus))
     ric = -hermitian(grid.hessian_of_spectrum(spectrum))
     resid = ric + g_eps - epsilon * omega.g
     return float(np.max(np.abs(resid)))

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from kahlerbench.errors import DimensionMismatch
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -122,6 +123,23 @@ def test_complex_hessian_is_the_per_component_transform_bit_for_bit(n, N):
             want[..., i, j] = re + 1j * im
             want[..., j, i] = re - 1j * im
     assert np.array_equal(grid.complex_hessian(f), want)
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 256), (2, 12), (2, 16), (3, 8)])
+def test_hessian_rows_are_the_batched_transform_bit_for_bit(n, N):
+    """The row stream against one batched irfftn of F times every multiplier row."""
+    grid = TorusGrid(n, N)
+    f = 7.0 + np.random.default_rng(N + n).standard_normal(grid.shape)
+    F = grid.rfft(f - np.mean(f))
+    want = scipy.fft.irfftn(F * grid.hessian_multipliers, s=grid.shape,
+                            axes=tuple(range(-2 * n, 0)))
+    got = grid.hessian_of_spectrum(F)
+    assert got.shape == want.shape == (n * n,) + grid.shape
+    assert got.tobytes() == want.tobytes()
+    assert grid.hessian_components(f).tobytes() == want.tobytes()
+    rows = list(grid.hessian_rows(F))
+    assert len(rows) == n * n
+    assert all(row.tobytes() == w.tobytes() for row, w in zip(rows, want))
 
 
 def test_laplacian_multiplier_matches_hessian_trace():

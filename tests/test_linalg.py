@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kahlerbench import linalg
 from kahlerbench.errors import DimensionMismatch
 from kahlerbench.integrals import mixed_determinants, wedge_integrals
 from kahlerbench.linalg import (
@@ -242,6 +243,24 @@ def test_component_positivity_at_the_threshold_matches_the_eigenvalue_ratio(n, r
     assert np.all(np.abs(w_worst - w[1, 3]) <= KERNEL_RTOL * 4.0)
     assert positivity(field)[0] == ok
     assert component_positivity(components(field[1, 3]))[0] == ok
+
+
+def test_n3_positivity_in_slabs_is_the_whole_field_bit_for_bit(monkeypatch):
+    # 77 points in slabs of 10, the last one partial, against one LAPACK
+    # call on the whole assembled field
+    rng = np.random.default_rng(130)
+    definite = np.stack([random_pd(rng, 3) for _ in range(77)]).reshape(7, 11, 3, 3)
+    monkeypatch.setattr(linalg, "SLAB_POINTS", 10)
+    for field in (definite, hermitian_field(rng, (7, 11), 3)):
+        w = np.linalg.eigvalsh(hermitian(components(field)))
+        margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
+        worst = np.unravel_index(margin.argmin(), margin.shape)
+        ok, got, w_worst = component_positivity(components(field))
+        assert got == worst
+        assert w_worst.tobytes() == w[worst].tobytes()
+        assert ok == bool(margin[worst] > 0.0 and w[worst][-1] > 0.0)
+    assert component_positivity(components(definite))[0]
+    assert not ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

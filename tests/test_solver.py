@@ -6,6 +6,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse.linalg
 
 from kahlerbench.errors import DimensionMismatch, NonConvergence, PositivityLoss
 from kahlerbench.fields import TorusMetricField
@@ -259,6 +260,62 @@ def test_trace_weights_reproduce_the_full_trace(n, N):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+def test_krylov_operator_is_the_einsum_bit_for_bit(n, N, monkeypatch):
+    # the matvec adds the weighted Hessian rows one at a time; it must equal
+    # the weighted sum over the whole component stack, bit for bit
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(140 + n)
+    M = grid.hessian_components(seeded_cosine_potential(grid, n))
+    M[:: n + 1] += 1.0
+    w = trace_weights(M)
+    operators = []
+
+    def capture(A, b, **kwargs):
+        operators.append(A)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", capture)
+    _solve_linearized(grid, w, rng.standard_normal(grid.shape), 0.5)
+    f = 3.0 + rng.standard_normal(grid.shape)
+    want = np.einsum("c...,c...->...", w, grid.hessian_components(f)) - f
+    assert operators[0].matvec(f.reshape(-1)).tobytes() == want.reshape(-1).tobytes()
+
+
+def test_problem_holds_alpha_as_components():
+    grid = TorusGrid(2, 8)
+    g = TorusMetricField(grid, seeded_cosine_potential(grid, 3, hessian_sup=0.3)).g
+    zero = np.zeros(grid.shape)
+    problem = MAProblem(grid, g, zero)
+    assert problem.alpha.shape == (4,) + grid.shape
+    assert problem.alpha.dtype == np.float64
+    assert np.array_equal(problem.alpha, components(g))
+    # given as components, alpha is kept as it is
+    assert MAProblem(grid, problem.alpha, zero).alpha is problem.alpha
+    eye = manufactured_problem(grid, seeded_cosine_potential(grid, 3)).alpha
+    assert np.array_equal(eye, components(np.broadcast_to(np.eye(2), grid.shape + (2, 2))))
+    for shape in [grid.shape + (2, 3), grid.shape + (1, 1), (3,) + grid.shape,
+                  (4,) + grid.shape[1:], (4,) + grid.shape + (1,)]:
+        with pytest.raises(DimensionMismatch):
+            MAProblem(grid, np.zeros(shape), zero)
+
+
+def test_manufactured_solve_working_set():
+    # in field-sizes (doubles over the grid): batched n*n-row Hessians of
+    # every Krylov vector and a complex alpha with its components copy
+    # peaked at 36.2 here
+    grid = TorusGrid(2, 16)
+    problem = manufactured_problem(grid, seeded_cosine_potential(grid, 1))
+    solve_ma(problem)  # build the cached multipliers
+    tracemalloc.start()
+    try:
+        solve_ma(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 8 * grid.num_points, peak / (8 * grid.num_points)
+
+
 def test_zero_datum_has_zero_solution():
     grid = TorusGrid(1, 16)
     eye = np.broadcast_to(np.eye(1, dtype=complex), grid.shape + (1, 1)).copy()
@@ -444,6 +501,17 @@ def test_path_states_are_their_make_state_calls():
                 assert np.array_equal(got, expected)
             else:
                 assert got == expected, f.name
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+def test_dealiased_residual_rejects_a_degenerate_state(n, N):
+    # eps*I + Hess v is indefinite: the slab that holds the first nonpositive
+    # det raises, on the fine grid (n <= 2) or the solve grid (n = 3)
+    grid = TorusGrid(n, N)
+    omega = TorusMetricField(grid, np.zeros(grid.shape))
+    v = cosine_potential(grid, 0.1)
+    with pytest.raises(PositivityLoss, match="dealiasing grid"):
+        ricci_residual_dealiased(omega, 0.01, v, 0.01 * omega.g + grid.complex_hessian(v))
 
 
 def test_diagnosis_failures_name_the_epsilon(monkeypatch):
