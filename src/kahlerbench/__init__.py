@@ -20,7 +20,6 @@ unit torus is the identity and the torus has volume one.
 from .curvature import (
     HscExtremes,
     constant_hsc_tensor,
-    curvature_field,
     hsc,
     hsc_extremes,
     kappa_floor,
@@ -77,7 +76,6 @@ __all__ = [
     "bigness_bound_report",
     "constant_hsc_tensor",
     "continuity_path",
-    "curvature_field",
     "epsilon_expansion_check",
     "fit_epsilon_expansion",
     "hsc",

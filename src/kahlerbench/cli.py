@@ -12,11 +12,12 @@ Configuration is YAML validated against the shipped JSON schema
 (schema/config.schema.json); CLI flags override the file, each flag sets
 its key in every config section that has it, and the merged config is
 validated again (a bad flag exits 2 with a config error).  Check
-tolerances are not configurable: each threshold is a module constant,
-stated once in the report that applies it (listed in the inequalities and
-integrals docstrings, and the three constants below).  Every pipeline
-writes reports.jsonl (one inequality report per line), summary.json,
-summary.csv, and pipeline-specific artifacts under <out>/<pipeline>/.
+tolerances are not configurable, nor is the Newton tolerance of the
+solves: each threshold is a module constant, stated once in the report
+that applies it (listed in the inequalities and integrals docstrings, and
+the five constants below).  Every pipeline writes
+reports.jsonl (one inequality report per line), summary.json, summary.csv,
+and pipeline-specific artifacts under <out>/<pipeline>/.
 Runs are deterministic for a fixed seed: report files contain no
 timestamps (timings live in meta.json only).
 
@@ -54,7 +55,7 @@ import yaml
 from .curvature import (constant_hsc_tensor, hsc_extremes_from_tensor, kappa_floor,
                         sweep_hsc_extremes)
 from .errors import NonConvergence, PositivityLoss
-from .fields import TorusMetricField
+from .fields import ChartMetricField, TorusMetricField
 from .grids import TorusGrid
 from .inequalities import (
     MARGIN_TOL,
@@ -101,10 +102,14 @@ from .zoo import (
     verify_example_facts,
 )
 
-# Thresholds of the CLI's own checks: the dealiased Ricci identity residual
-# of every path state, the equality cases of the Newton-MacLaurin chain and
-# of the HSC trace bound, and the algebraic identities of the integrals
+# Thresholds of the CLI's own checks: the Newton tolerance of every solve,
+# held by the manufactured residual (and 1e3 times it by the recovery); the
+# slack of each path state's sup u under log C and its dealiased Ricci
+# identity residual; the equality cases of the Newton-MacLaurin chain and of
+# the HSC trace bound, and the algebraic identities of the integrals
 # pipeline (dd^c-shift invariance, sigma against mixed determinants).
+SOLVER_TOL = 1e-10
+SUP_U_TOL = 1e-8
 RICCI_RESIDUAL_TOL = 1e-6
 EQUALITY_TOL = 1e-12
 ALGEBRAIC_TOL = 1e-10
@@ -112,10 +117,10 @@ ALGEBRAIC_TOL = 1e-10
 DEFAULTS = {
     "seed": 7,
     "out": None,
-    "solve_ma": {"n": 1, "grid": 32, "amplitude": 0.01, "tol": 1e-10},
+    "solve_ma": {"n": 1, "grid": 32, "amplitude": 0.01},
     "continuity_path": {
         "example": "flat-torus", "n": 1, "grid": 64, "amplitude": 0.01,
-        "eps0": 1.0, "ratio": 0.5, "steps": 11, "tol": 1e-10,
+        "eps0": 1.0, "ratio": 0.5, "steps": 11,
     },
     "hsc_extremes": {
         "examples": ["poincare-disk", "poincare-polydisk", "fubini-study",
@@ -202,12 +207,12 @@ def run_solve_ma(cfg, out_dir, seed):
     grid = TorusGrid(c["n"], c["grid"])
     v_star = perturbed_torus_potential(grid, c["amplitude"])
     problem = manufactured_problem(grid, v_star)
-    v, info = solve_ma(problem, tol=c["tol"], return_info=True)
+    v, info = solve_ma(problem, tol=SOLVER_TOL, return_info=True)
     err = float(np.max(np.abs(v - v_star)))
     reports = [
-        make_report("manufactured-residual", info["final_residual"], 0.0, c["tol"],
+        make_report("manufactured-residual", info["final_residual"], 0.0, SOLVER_TOL,
                     two_sided=True, note=f"newton_steps={info['newton_steps']}"),
-        make_report("manufactured-recovery", err, 0.0, 1e3 * c["tol"],
+        make_report("manufactured-recovery", err, 0.0, 1e3 * SOLVER_TOL,
                     two_sided=True, note="sup |v - v*| against 1000x solver tol"),
     ]
     rows = [_row("solve-ma", r.name, [r], r.note) for r in reports]
@@ -232,13 +237,13 @@ def run_continuity_path(cfg, out_dir, seed):
     omega = TorusMetricField(grid, psi)
     eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
     try:
-        states = continuity_path(omega, eps, tol=c["tol"])
+        states = continuity_path(omega, eps, tol=SOLVER_TOL)
     except (NonConvergence, PositivityLoss) as err:
         e_at = getattr(err, "epsilon", None)
         note = f"{err}" + (f" at eps={e_at:.6g}" if e_at is not None else "")
         return [_row("continuity-path", "solve", [], note) | {"status": "fail"}], []
 
-    ceilings = [make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, 1e-8,
+    ceilings = [make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, SUP_U_TOL,
                             note=f"eps={s.epsilon:.6g}") for s in states]
     residuals = [make_report("ricci-identity-residual", s.ricci_residual_sup, 0.0,
                              RICCI_RESIDUAL_TOL, two_sided=True,
@@ -280,9 +285,9 @@ def run_hsc_extremes(cfg, out_dir, seed):
                 "status": "pass" if fact["ok"] else "fail",
                 "value": float(fact["measured"]), "tol": float(fact["tol"])})
         rows.extend(_row("hsc-extremes", f"{name}:warning", [], warning)
-                    for warning in example.spec.warnings)
-        if example.field.kind == "analytic-chart":
-            pts = example.geometry.sample_points(per_axis=2)
+                    for warning in example.warnings)
+        if isinstance(example.field, ChartMetricField):
+            pts = example.field.geometry.sample_points(per_axis=2)
             for p, ext in zip(pts, sweep_hsc_extremes(example.field, pts)):
                 entry = {"example": name, "h_min": ext.h_min, "h_max": ext.h_max}
                 for i, zc in enumerate(np.asarray(p, dtype=complex)):
@@ -370,24 +375,23 @@ def run_verify_inequalities(cfg, out_dir, seed):
     rows.extend(_row("verify-inequalities", r.name, [r], r.note) for r in (identity, cs))
 
     # Schwarz conclusion on the normalized polydisk (omega' = omega)
-    example = make_example("poincare-polydisk", n=2, scale=2.0)
+    polydisk = make_example("poincare-polydisk", n=2, scale=2.0).field
     hyp = SchwarzHypotheses(kappa=0.5, lam=1.0, mu=0.0)
-    points = example.geometry.sample_points(per_axis=2, radius_fraction=0.4)
-    schwarz = schwarz_conclusion_check(example.field, example.field, hyp, points)
+    points = polydisk.geometry.sample_points(per_axis=2, radius_fraction=0.4)
+    schwarz = schwarz_conclusion_check(polydisk, polydisk, hyp, points)
     reports.extend(schwarz)
     rows.append(_row("verify-inequalities", "schwarz-log-trace-conclusion",
                      schwarz, "normalized polydisk, omega' = omega"))
-    too_strong = schwarz_conclusion_check(example.field, example.field,
+    too_strong = schwarz_conclusion_check(polydisk, polydisk,
                                           SchwarzHypotheses(kappa=0.6, lam=1.0, mu=0.0),
-                                          example.geometry.sample_points(per_axis=1)[0])
+                                          polydisk.geometry.sample_points(per_axis=1)[0])
     reports.append(too_strong)
     rows.append(_row("verify-inequalities", "schwarz-hypothesis-screen", [],
                      "overclaimed kappa must be screened out as not-applicable")
                 | {"status": "pass" if not too_strong.applicable else "fail"})
 
     # max-principle ceiling: applicable on the polydisk, vacuous on the torus
-    kappa0 = kappa_floor(example.field,
-                         points=example.geometry.sample_points(per_axis=2))
+    kappa0 = kappa_floor(polydisk, points=polydisk.geometry.sample_points(per_axis=2))
     mp = max_principle_s_bound(kappa0, [2.0], 2)
     torus_field = TorusMetricField(TorusGrid(1, 16),
                                    perturbed_torus_potential(TorusGrid(1, 16), 0.01))
@@ -434,7 +438,7 @@ def run_integrals(cfg, out_dir, seed):
 
     # short continuity path: expansion fit, volume law, nef floors, bigness
     eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
-    states = continuity_path(omega, eps, tol=1e-10)
+    states = continuity_path(omega, eps, tol=SOLVER_TOL)
     expansion = epsilon_expansion_check(states, omega)
     vref = volume(omega)
     coeffs = expansion.coefficients

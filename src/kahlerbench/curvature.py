@@ -134,11 +134,6 @@ def _check_symmetries(R: np.ndarray) -> None:
         raise ValueError(f"curvature symmetries violated by {v.reshape(-1)[bad[0]]:.3e}")
 
 
-def curvature_field(field) -> np.ndarray:
-    """R over the whole torus grid, shape grid + (n, n, n, n)."""
-    return curvature_from_derivatives(field.g, field.dg, field.ddg)
-
-
 # -- holomorphic sectional curvature ---------------------------------------
 
 

@@ -6,7 +6,9 @@ A metric field answers one point query, jet_at(P), with the metric jet
     dg[i, j, k]      d g_{i jbar} / dz^k
     ddg[i, j, k, l]  d^2 g_{i jbar} / dz^k dzbar^l
 
-at P, and metric_matrix_at(P) returns g alone.
+at P, and metric_matrix_at(P) returns g alone.  jet_at is the one jet
+route on both substrates, and a field's substrate is field.grid (torus)
+or field.geometry (chart).
 
 On the periodic torus the metric is flat + complex Hessian of a real
 potential sampled on the grid.  A point is a grid multi-index of 2n
@@ -47,8 +49,6 @@ from .linalg import component_det, component_positivity, hermitian, positivity
 class TorusMetricField:
     """g = identity + complex Hessian of a real periodic potential."""
 
-    kind = "periodic-torus"
-
     def __init__(self, grid: TorusGrid, psi: np.ndarray):
         psi = np.asarray(psi, dtype=float)
         if psi.shape != grid.shape:
@@ -79,16 +79,6 @@ class TorusMetricField:
             self._folds[stride] = self.grid.hessian_jets(self.psi, stride)
         return self._folds[stride]
 
-    @property
-    def dg(self) -> np.ndarray:
-        """dg[..., i, j, k] = d g_{i jbar} / dz^k over the grid."""
-        return self._jets(1)[0]
-
-    @property
-    def ddg(self) -> np.ndarray:
-        """ddg[..., i, j, k, l] = d^2 g_{i jbar} / dz^k dzbar^l over the grid."""
-        return self._jets(1)[1]
-
     # -- point queries at grid indices -------------------------------------
 
     def jet_at(self, index):
@@ -96,8 +86,8 @@ class TorusMetricField:
         (..., 2n).  g is read from the grid array; dg and ddg at a point of
         stride s = gcd(N, its 2n indices) from the jets of the stride-s
         sublattice (the grid's hessian_jets), made once per distinct stride
-        and kept on the field, stride 1 being the full jets dg and ddg.  So
-        a point's jets depend on the field and the point only."""
+        and kept on the field, stride 1 being the full-grid jets.  So a
+        point's jets depend on the field and the point only."""
         idx = self.grid.index(index)
         strides = np.gcd.reduce(np.stack(idx), axis=0, initial=self.grid.N)
         dg = np.empty(strides.shape + (self.n,) * 3, dtype=complex)
@@ -128,8 +118,6 @@ class ChartMetricField:
     component of F a number times a rational power of a polynomial, read
     once per component in a process (_component); other terms raise ValueError.
     """
-
-    kind = "analytic-chart"
 
     def __init__(self, geometry: ChartGeometry, terms, z_symbols):
         self.geometry = geometry

@@ -73,8 +73,6 @@ class TorusGrid:
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 8, got {self.N}")
 
-    kind = "periodic-torus"
-
     @property
     def shape(self) -> tuple:
         return (self.N,) * (2 * self.n)
@@ -457,8 +455,6 @@ class ChartGeometry:
             raise ValueError("each radius must exceed the margin")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "_reach", np.subtract(radii, self.margin))
-
-    kind = "analytic-chart"
 
     def trusted(self, z) -> bool:
         """Whether the point z, or every point of a stack (..., n), is trusted."""

@@ -1,10 +1,10 @@
 """Example gallery: substrates with independently known curvature facts.
 
-Every example bundles a geometry, a metric field, and a list of Facts.
-A Fact stores its oracle, the reference value, next to a measurement
-recipe (what the numerical machinery reports), a comparison mode, and a
-tolerance; nothing is compared against hard-coded numbers hidden in test
-bodies.
+Every example bundles a metric field (its substrate is field.grid or
+field.geometry), a tuple of Facts and a tuple of warnings.  A Fact stores
+its oracle, the reference value, next to a measurement recipe (what the
+numerical machinery reports), a comparison mode, and a tolerance; nothing
+is compared against hard-coded numbers hidden in test bodies.
 
 Every oracle is a closed form the mathematics gives: the disk's H = -2/s
 and Einstein ratio -2/s, the polydisk's range [-2/s, -2/(s n)], Fubini-Study's
@@ -16,12 +16,12 @@ chart's potential at the fact's point and direction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .curvature import (curvature_field, hsc, hsc_extremes, kappa_floor,
+from .curvature import (curvature_from_derivatives, hsc, hsc_extremes, kappa_floor,
                         ricci_from_derivatives, sweep_hsc_extremes)
 from .errors import DimensionMismatch
 from .fields import ChartMetricField, TorusMetricField
@@ -43,25 +43,13 @@ class Fact:
     tol: float
     oracle: float
     measure: object  # (field) -> float
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    name: str
-    kind: str
-    params: dict
-    description: str
-    facts: tuple
-    warnings: tuple = ()
-    metadata: dict = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Example:
-    geometry: object
     field: object
-    spec: ExampleSpec
+    facts: tuple
+    warnings: tuple = ()
 
 
 def verify_fact(fact: Fact, metric_field) -> dict:
@@ -91,7 +79,7 @@ def verify_fact(fact: Fact, metric_field) -> dict:
 
 
 def verify_example_facts(example: Example) -> list:
-    return [verify_fact(f, example.field) for f in example.spec.facts]
+    return [verify_fact(f, example.field) for f in example.facts]
 
 
 # -- chart terms ---------------------------------------------------------------
@@ -188,6 +176,13 @@ def _sweep_hsc_range(metric_field):
     return min(e.h_min for e in exts), max(e.h_max for e in exts)
 
 
+def _sup_curvature(metric_field):
+    """max |R| over every grid index of a torus field, each jet read by jet_at."""
+    grid = metric_field.grid
+    points = np.indices(grid.shape).reshape(2 * grid.n, -1).T
+    return float(np.max(np.abs(curvature_from_derivatives(*metric_field.jet_at(points)))))
+
+
 def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
     grid = TorusGrid(n, resolution)
     mf = TorusMetricField(grid, np.zeros(grid.shape))
@@ -197,8 +192,7 @@ def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
             provenance="flat metric: constant coefficients, all derivatives zero",
             mode="equal", tol=1e-12,
             oracle=0.0,
-            measure=lambda f: float(np.max(np.abs(curvature_field(f)))),
-            description="full curvature tensor is identically zero",
+            measure=_sup_curvature,
         ),
         Fact(
             name="volume-unit",
@@ -208,13 +202,7 @@ def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
             measure=lambda f: float(f.grid.mean(f.det_g)),
         ),
     )
-    spec = ExampleSpec(
-        name="flat-torus", kind=grid.kind,
-        params={"n": n, "resolution": resolution},
-        description="the flat product torus; every curvature quantity vanishes",
-        facts=facts,
-    )
-    return Example(grid, mf, spec)
+    return Example(mf, facts)
 
 
 def _build_perturbed_torus(n: int = 1, resolution: int = 32,
@@ -229,14 +217,12 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="lt", tol=0.0,
             oracle=0.0, measure=lambda f: hsc_range(f)[0],
-            description="the perturbation bends some directions negatively",
         ),
         Fact(
             name="hsc-attains-positive",
             provenance="grid sweep of sectional values (band-limited metric)",
             mode="gt", tol=0.0,
             oracle=0.0, measure=lambda f: hsc_range(f)[1],
-            description="...and others positively: no uniform sign on a torus",
         ),
         Fact(
             name="volume-unit",
@@ -246,13 +232,7 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
             measure=lambda f: float(f.grid.mean(f.det_g)),
         ),
     )
-    spec = ExampleSpec(
-        name="perturbed-torus", kind=grid.kind,
-        params={"n": n, "resolution": resolution, "amplitude": amplitude},
-        description="flat torus plus a fixed band-limited potential bump",
-        facts=facts,
-    )
-    return Example(grid, mf, spec)
+    return Example(mf, facts)
 
 
 # the sample points of the chart facts; n = 3 takes the third coordinate
@@ -280,7 +260,6 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
             mode="equal", tol=1e-8,
             oracle=-2.0 / scale,
             measure=lambda f: hsc(f, zpt, np.array([1.0 + 0j])),
-            description=f"H is constant -2/scale = {-2.0 / scale}",
         ),
         Fact(
             name="einstein-ratio",
@@ -288,16 +267,9 @@ def _build_poincare_disk(scale: float = 1.0) -> Example:
             mode="equal", tol=1e-8,
             oracle=-2.0 / scale,
             measure=measure_einstein_ratio,
-            description=f"Einstein: Ric = -(2/scale) g, ratio {-2.0 / scale}",
         ),
     )
-    spec = ExampleSpec(
-        name="poincare-disk", kind=geom.kind,
-        params={"scale": scale},
-        description="hyperbolic disk metric -scale*log(1-|z|^2)",
-        facts=facts,
-    )
-    return Example(geom, mf, spec)
+    return Example(mf, facts)
 
 
 def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
@@ -315,7 +287,6 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             mode="equal", tol=1e-8,
             oracle=-2.0 / scale,
             measure=lambda f: hsc(f, zpt, e1),
-            description=f"factor directions see the disk value -2/scale = {-2.0 / scale}",
         ),
         Fact(
             name="hsc-max-diagonal",
@@ -325,7 +296,6 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             mode="equal", tol=1e-6,
             oracle=-2.0 / (scale * n),
             measure=lambda f: hsc_extremes(f, zpt).h_max,
-            description="the extremizer spreads evenly across the factors",
         ),
         Fact(
             name="kappa-floor-positive",
@@ -333,22 +303,9 @@ def _build_poincare_polydisk(n: int = 2, scale: float = 1.0) -> Example:
             mode="equal", tol=1e-6,
             oracle=2.0 / (scale * n),
             measure=lambda f: kappa_floor(f, points=f.geometry.sample_points(per_axis=2)),
-            description="uniform negativity floor kappa_0 = 2/(scale*n)",
         ),
     )
-    spec = ExampleSpec(
-        name="poincare-polydisk", kind=geom.kind,
-        params={"n": n, "scale": scale},
-        description="product of hyperbolic disks; H varies with direction "
-                    "between -2/scale and -2/(scale*n)",
-        facts=facts,
-        metadata={
-            "hsc_min": -2.0 / scale,
-            "hsc_max": -2.0 / (scale * n),
-            "kappa_floor": 2.0 / (scale * n),
-        },
-    )
-    return Example(geom, mf, spec)
+    return Example(mf, facts)
 
 
 def _build_fubini_study(n: int = 2) -> Example:
@@ -370,7 +327,6 @@ def _build_fubini_study(n: int = 2) -> Example:
             mode="equal", tol=1e-8,
             oracle=2.0,
             measure=lambda f: hsc(f, zpt, e1),
-            description="H is constant +2 in this normalization",
         ),
         Fact(
             name="ricci-proportional",
@@ -378,16 +334,9 @@ def _build_fubini_study(n: int = 2) -> Example:
             mode="equal", tol=1e-8,
             oracle=0.0,
             measure=measure_ricci_proportionality,
-            description="max |Ric - (n+1) g| at the sample point",
         ),
     )
-    spec = ExampleSpec(
-        name="fubini-study", kind=geom.kind,
-        params={"n": n},
-        description="projective-space metric on an affine chart",
-        facts=facts,
-    )
-    return Example(geom, mf, spec)
+    return Example(mf, facts)
 
 
 def _build_fermat_chart(degree: int = 5) -> Example:
@@ -415,7 +364,6 @@ def _build_fermat_chart(degree: int = 5) -> Example:
             mode="ge", tol=1e-6,
             oracle=2.0,
             measure=lambda f: hsc(f, origin, eta_line),
-            description="H along the contained-line direction is >= 2 > 0",
         ),
         Fact(
             name="hsc-at-most-projective",
@@ -425,20 +373,9 @@ def _build_fermat_chart(degree: int = 5) -> Example:
             mode="le", tol=1e-9,
             oracle=2.0,
             measure=lambda f: max(e.h_max for e in sweep_hsc_extremes(f)),
-            description="sup H over the chart's 81 sample points is <= 2",
         ),
     )
-    spec = ExampleSpec(
-        name="fermat-chart", kind=geom.kind,
-        params={"degree": d},
-        description="graph chart of the Fermat surface with the induced "
-                    "projective metric; a standard line lies on the surface "
-                    "and forces positive H along its direction",
-        facts=facts,
-        warnings=warnings,
-        metadata={"line_direction": (1.0, beta)},
-    )
-    return Example(geom, mf, spec)
+    return Example(mf, facts, warnings)
 
 
 EXAMPLES = {

@@ -77,6 +77,8 @@ def test_load_config_rejects_unknown_keys_and_bad_types(tmp_path):
                               "verify_inequalities:\n  directions: 2000\n",
                               "tolerances:\n  algebraic: 1.0\n",
                               "integrals:\n  tol: 1.0\n",
+                              "solve_ma:\n  tol: 1.0\n",
+                              "continuity_path:\n  tol: 1.0e-6\n",
                               "solve_ma:\n  max_steps: 5\n")):
         removed_key = tmp_path / f"removed_key_{i}.yaml"
         removed_key.write_text(text)

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from kahlerbench import zoo
+from kahlerbench.curvature import curvature_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -118,12 +119,17 @@ def test_flat_torus_facts_are_exact():
     assert by_name["volume-unit"]["measured"] == 1.0
 
 
-def test_polydisk_metadata_records_the_curvature_range():
-    spec = make_example("poincare-polydisk", n=2, scale=2.0).spec
-    assert spec.metadata["hsc_min"] == pytest.approx(-1.0)
-    assert spec.metadata["hsc_max"] == pytest.approx(-0.5)
-    assert spec.metadata["kappa_floor"] == pytest.approx(0.5)
-    assert spec.params == {"n": 2, "scale": 2.0}
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+def test_flat_curvature_fact_reads_every_grid_point(n, N):
+    # on a curved field the fact's measure, R from jet_at at every grid
+    # index, is max|R| of the full-grid jets, so a route reading zeros fails
+    grid = TorusGrid(n, N)
+    field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
+    fact, = (f for f in make_example("flat-torus", n=n, resolution=N).facts
+             if f.name == "curvature-vanishes")
+    R = curvature_from_derivatives(field.g, *grid.hessian_jets(field.psi))
+    assert fact.measure(field) == pytest.approx(np.max(np.abs(R)), rel=1e-14, abs=0.0)
+    assert not verify_fact(fact, field)["ok"]
 
 
 def test_scale_must_be_positive():
@@ -134,10 +140,10 @@ def test_scale_must_be_positive():
 
 
 def test_fermat_low_degree_carries_a_warning():
-    assert make_example("fermat-chart").spec.warnings == ()
+    assert make_example("fermat-chart").warnings == ()
     warned = make_example("fermat-chart", degree=3)
-    assert len(warned.spec.warnings) == 1
-    assert "degree 3" in warned.spec.warnings[0]
+    assert len(warned.warnings) == 1
+    assert "degree 3" in warned.warnings[0]
     with pytest.raises(ValueError, match="degree"):
         make_example("fermat-chart", degree=0)
 
@@ -249,7 +255,7 @@ def test_closed_form_oracles_equal_the_exact_route(name, params):
     example = make_example(name, **params)
     base, exact = CLOSED_FORM_FACTS[name]
     point = np.array(base[:example.field.n])
-    oracles = {fact.name: fact.oracle for fact in example.spec.facts}
+    oracles = {fact.name: fact.oracle for fact in example.facts}
     for fact, value in exact.items():
         assert abs(oracles[fact] - value(example.field, point)) <= 1e-12, fact
     rows = verify_example_facts(example)
