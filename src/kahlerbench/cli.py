@@ -23,13 +23,16 @@ timestamps (timings live in meta.json only).
 
 Every summary row takes its status from its reports (_row): fail if any
 applicable report fails, not-applicable if none applies, pass otherwise.
-Rows with no number to compare keep their own verdict: the
-continuity-path solve failure, normalized-limit-drift (not-applicable on
-a one-state path, which has no drift), the zoo fact rows
-(zoo.verify_fact decides them) and schwarz-hypothesis-screen (which
-passes when its report is not-applicable).  An example's warning row has
-no report and so reads not-applicable.  Exit status is 0 exactly when no
-row fails; not-applicable rows never fail a run.
+Rows with no number to compare keep their own verdict: a pipeline's
+failing solve row, normalized-limit-drift (not-applicable on a one-state
+path, which has no drift), the zoo fact rows (zoo.verify_fact decides
+them) and schwarz-hypothesis-screen (which passes when its report is
+not-applicable).  A runner that raises PositivityLoss or NonConvergence
+leaves its pipeline that one solve row, its note the error and the eps it
+carries; main writes the pipeline's files as usual and runs the rest.  An
+example's warning row has no report and so reads not-applicable.  A
+non-finite config number is a config error (exit 2).  Exit status is 0
+exactly when no row fails; not-applicable rows never fail a run.
 
 verify-inequalities makes one call per check, or one per dimension for
 its random trials: every pointwise check takes a stack of points.
@@ -41,6 +44,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
@@ -150,7 +154,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def validate_config(cfg: dict) -> None:
     """Raise jsonschema.ValidationError unless cfg matches the shipped schema.
 
-    One rule spans two keys, so the schema cannot state it: the integrals
+    Two rules the schema cannot state: every number is finite (its number
+    type admits NaN and infinities), and, spanning two keys, the integrals
     schedule needs integrals.steps >= integrals.n + 2 states for its
     degree-n expansion fit and cross-check.
     """
@@ -158,6 +163,11 @@ def validate_config(cfg: dict) -> None:
         resources.files("kahlerbench").joinpath("schema/config.schema.json").read_text()
     )
     jsonschema.validate(cfg, schema)
+    for section, c in cfg.items():
+        for key, value in c.items() if isinstance(c, dict) else ():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise jsonschema.ValidationError(f"{value} is not a finite number",
+                                                 path=(section, key))
     c = cfg.get("integrals", {})
     if "steps" in c and "n" in c and c["steps"] < c["n"] + 2:
         raise jsonschema.ValidationError(
@@ -236,25 +246,14 @@ def run_continuity_path(cfg, out_dir, seed):
         psi = perturbed_torus_potential(grid, c["amplitude"])
     omega = TorusMetricField(grid, psi)
     eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
-    try:
-        states = continuity_path(omega, eps, tol=SOLVER_TOL)
-    except (NonConvergence, PositivityLoss) as err:
-        e_at = getattr(err, "epsilon", None)
-        note = f"{err}" + (f" at eps={e_at:.6g}" if e_at is not None else "")
-        return [_row("continuity-path", "solve", [], note) | {"status": "fail"}], []
-
+    states = continuity_path(omega, eps, tol=SOLVER_TOL)
     ceilings = [make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, SUP_U_TOL,
                             note=f"eps={s.epsilon:.6g}") for s in states]
     residuals = [make_report("ricci-identity-residual", s.ricci_residual_sup, 0.0,
                              RICCI_RESIDUAL_TOL, two_sided=True,
                              note=f"eps={s.epsilon:.6g}") for s in states]
-    series = [{
-        "epsilon": s.epsilon, "sup_u": s.sup_u, "log_c_bound": s.log_c_bound,
-        "ricci_residual": s.ricci_residual_sup,
-        "rel_eig_min": s.rel_eig_min, "rel_eig_max": s.rel_eig_max,
-        "s_max": s.s_max, "newton_steps": s.newton_steps,
-        "krylov_matvecs": s.krylov_matvecs,
-    } for s in states]
+    series = [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
+               if np.isscalar(getattr(s, f.name))} for s in states]
     probe = limit_probe(states)
     rows = [
         _row("continuity-path", "sup-u-ceiling", ceilings,
@@ -550,7 +549,11 @@ def main(argv=None) -> int:
         if out_dir.exists():  # no artifact of an earlier run may survive
             shutil.rmtree(out_dir)
         out_dir.mkdir(parents=True)
-        rows, reports = RUNNERS[name](cfg, out_dir, cfg["seed"])
+        try:
+            rows, reports = RUNNERS[name](cfg, out_dir, cfg["seed"])
+        except (NonConvergence, PositivityLoss) as err:
+            note = f"{err}" + ("" if err.epsilon is None else f" at eps={err.epsilon:.6g}")
+            rows, reports = [_row(name, "solve", [], note) | {"status": "fail"}], []
         write_reports_jsonl(out_dir / "reports.jsonl", reports)
         write_json(out_dir / "summary.json", {
             "pipeline": name, "seed": cfg["seed"], "rows": rows,

@@ -41,9 +41,9 @@ from functools import cache, cached_property
 import numpy as np
 import sympy as sp
 
-from .errors import DimensionMismatch, PositivityLoss
+from .errors import DimensionMismatch
 from .grids import ChartGeometry, TorusGrid
-from .linalg import component_det, component_positivity, hermitian, positivity
+from .linalg import component_det, components, hermitian, require_positive
 
 
 class TorusMetricField:
@@ -58,12 +58,7 @@ class TorusMetricField:
         self.psi = psi - psi.mean()  # zero-mean gauge
         c = grid.hessian_components(self.psi)  # of g, once the identity is added
         c[:: self.n + 1] += 1.0
-        ok, worst, w = component_positivity(c)
-        if not ok:
-            raise PositivityLoss(
-                f"metric loses positivity at point {worst}: eigenvalues {w}",
-                point=worst, min_eigenvalue=float(w[0]),
-            )
+        require_positive(c, "metric")
         self.g = hermitian(c)
         self.det_g = component_det(c)
         self._folds = {}  # stride -> (T, Q) on its sublattice
@@ -201,12 +196,7 @@ class ChartMetricField:
         if not z.size:  # an empty stack: empty jets, as on a torus
             return tuple(np.zeros(z.shape[:-1] + (self.n,) * m, dtype=complex) for m in (2, 3, 4))
         g, dg, ddg = self._eval(z)
-        ok, worst, w = positivity(g)
-        if not ok:
-            raise PositivityLoss(
-                f"metric loses positivity at {z[worst]}: eigenvalues {w}",
-                point=tuple(z[worst]), min_eigenvalue=float(w[0]),
-            )
+        require_positive(components(g), "metric", points=z)
         return g, dg, ddg
 
     def metric_matrix_at(self, point) -> np.ndarray:

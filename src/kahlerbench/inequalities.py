@@ -40,9 +40,9 @@ import numpy as np
 
 from .curvature import (_extremes, _frames, _jet_extremes, _ricci, constant_hsc_tensor,
                         curvature_from_derivatives)
-from .errors import DimensionMismatch, PositivityLoss
+from .errors import DimensionMismatch
 from .fields import TorusMetricField
-from .linalg import component_inverse, component_positivity, components, eigvalsh, hermitian, inv
+from .linalg import component_inverse, components, eigvalsh, hermitian, inv, require_positive
 
 MARGIN_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
@@ -162,20 +162,18 @@ def royden_margin(R, g, g_prime, kappa):
     g'^{i jbar} = conj(A)[i, j], so the left side is
     -Re sum R[i,j,k,l] conj(A)[i,j] conj(A)[k,l]: in a frame with g = I and
     g' = diag(d) it is -sum_{ik} R_{ii kk} / (d_i d_k), and S = sum 1/d_i.
-    Both metrics are held to linalg.positivity; a pair that fails it raises
-    PositivityLoss.  kappa must be a certified nonnegative floor for
-    -H(omega); the bound is vacuous (and rejected) for kappa < 0.
+    g, then g', is held to linalg.require_positive, which raises
+    PositivityLoss for one that fails the policy.  kappa must be a certified
+    nonnegative floor for -H(omega); the bound is vacuous (and rejected) for
+    kappa < 0.
     """
-    pair = np.array([g, g_prime] if np.shape(g) == np.shape(g_prime)
-                    else np.broadcast_arrays(g, g_prime), dtype=complex)
-    c = components(pair)
-    ok, worst, w = component_positivity(c)
-    if not ok:
-        raise PositivityLoss(f"{('g', 'g_prime')[worst[0]]} not positive definite: "
-                             f"eigenvalues {w}", min_eigenvalue=float(w[0]))
-    n, A = pair.shape[-1], hermitian(component_inverse(c[:, 1]))
+    g, g_prime = np.array(np.broadcast_arrays(g, g_prime), dtype=complex)
+    require_positive(components(g), "g")
+    c = components(g_prime)
+    require_positive(c, "g_prime")
+    n, A = g.shape[-1], hermitian(component_inverse(c))
     curvature = np.einsum("...ijkl,...ji,...lk->...", R, A, A).real  # conj(A)[i, j] = A[j, i]
-    S = np.einsum("...ij,...ji->...", A, pair[0]).real
+    S = np.einsum("...ij,...ji->...", A, g).real
 
     def report(c, s, k):
         if k < 0.0:
@@ -204,17 +202,14 @@ def ricci_term_margin(ric_prime, g_prime, lam, mu):
 
     Inputs are expressed in an ambient-orthonormal frame (g = identity); in
     an eigenframe of g' = diag(d) the left side is sum_i R'_{ii} / d_i^2.
-    g' is held to linalg.positivity, as in royden_margin; one that fails it
-    raises PositivityLoss.  The Ricci hypothesis Ric' + lam g' - mu g >= 0
-    is verified next, to RICCI_HYPOTHESIS_RTOL; data violating it yields a
-    not-applicable report, not a failure.
+    g' is held to linalg.require_positive, as in royden_margin.  The Ricci
+    hypothesis Ric' + lam g' - mu g >= 0 is verified next, to
+    RICCI_HYPOTHESIS_RTOL; data violating it yields a not-applicable report,
+    not a failure.
     """
     ric_prime, g_prime = np.asarray(ric_prime, dtype=complex), np.asarray(g_prime, dtype=complex)
     c = components(g_prime)
-    ok, _, w = component_positivity(c)
-    if not ok:
-        raise PositivityLoss(f"g_prime not positive definite: eigenvalues {w}",
-                             min_eigenvalue=float(w[0]))
+    require_positive(c, "g_prime")
     n, A = g_prime.shape[-1], hermitian(component_inverse(c))
     screen = _ricci_hypothesis(ric_prime, g_prime, np.eye(n), lam, mu)
 

@@ -9,16 +9,17 @@ Binary scalar-field layout (little-endian throughout):
     bytes 7..10  grid resolution N (uint32)
     rest         float64 payload, C order, shape (N,)*(2n)
 
-The format stores real scalar fields on torus grids, such as potentials
-and solved potentials v.  A continuity state is saved as its v and a JSON
-diagnostics sidecar; everything else is rebuilt from v and the reference
-metric.  The kind codes of the u and datum fields that earlier state
-directories hold stay registered, so those files still load.
+The format stores real scalar fields on torus grids: potentials, solved
+potentials v and other scalars.  A continuity state is saved as its v and
+a JSON sidecar holding every other field of solver.ContinuityState;
+loading rebuilds the state from v, the reference metric and make_state's
+inputs in the sidecar, and checks the rest of the sidecar against it.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -30,13 +31,7 @@ from .grids import TorusGrid
 MAGIC = b"KWB1"
 VERSION = 1
 
-KIND_CODES = {
-    "potential": 0,
-    "solution-u": 1,
-    "solution-v": 2,
-    "datum": 3,
-    "scalar": 255,
-}
+KIND_CODES = {"potential": 0, "solution-v": 2, "scalar": 255}
 CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 
 _HEADER = struct.Struct("<4sBBBI")
@@ -102,49 +97,50 @@ def rows_to_csv(path, rows, columns) -> None:
             writer.writerow(row)
 
 
+# the sidecar's fields that make_state takes, in its order after omega and v
+STATE_INPUTS = ("epsilon", "log_c_bound", "newton_steps", "krylov_matvecs")
+
+
 def save_state(directory, state, grid: TorusGrid) -> None:
-    """Persist a continuity state: v.kwb plus a diagnostics.json sidecar."""
+    """Persist a continuity state: v.kwb plus a diagnostics.json sidecar with
+    every other field of the state."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_scalar_field(directory / "v.kwb", grid, state.v, "solution-v")
     write_json(directory / "diagnostics.json", {
-        "epsilon": state.epsilon,
-        "sup_u": state.sup_u,
-        "log_c_bound": state.log_c_bound,
-        "ricci_residual_sup": state.ricci_residual_sup,
-        "rel_eig_min": state.rel_eig_min,
-        "rel_eig_max": state.rel_eig_max,
-        "s_max": state.s_max,
-        "newton_steps": state.newton_steps,
-        "krylov_matvecs": state.krylov_matvecs,
-    })
+        f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "v"})
 
 
 def load_state(directory, omega):
     """Rebuild a continuity state saved by save_state.
 
-    Diagnostics and wedge integrals are recomputed from (epsilon, v) and
-    the reference metric by make_state (the same dealiased Ricci residual
-    as the path's), every saved diagnostic is cross-checked against the
-    sidecar, and newton_steps and krylov_matvecs are restored from it (0
-    for a sidecar written before krylov_matvecs was recorded).  Other
-    files in the directory are not read.
+    make_state rebuilds it from v, the reference metric and STATE_INPUTS
+    read from the sidecar (ValueError if one is missing), with the same
+    dealiased Ricci residual as the path's.  Every other field the sidecar
+    holds is cross-checked against the rebuilt state, to a relative 1e-12;
+    sidecars written before wedge_integrals was saved hold no wedge
+    integrals to check.  Other files in the directory are not read.
     """
     from .solver import make_state
 
     directory = Path(directory)
     diag = read_json(directory / "diagnostics.json")
+    missing = [name for name in STATE_INPUTS if name not in diag]
+    if missing:
+        raise ValueError(f"{directory}: sidecar lacks {', '.join(missing)}")
     grid_v, v, kind_v = load_scalar_field(directory / "v.kwb")
     if kind_v != "solution-v":
         raise ValueError(f"{directory}: expected a solution-v field, got {kind_v}")
     if grid_v.shape != omega.grid.shape:
         raise ValueError(f"{directory}: grid mismatch with reference metric")
-    state = make_state(omega, diag["epsilon"], v, diag["log_c_bound"],
-                       newton_steps=diag["newton_steps"],
-                       krylov_matvecs=diag.get("krylov_matvecs", 0))
-    for name in ("sup_u", "ricci_residual_sup", "rel_eig_min", "rel_eig_max", "s_max"):
-        saved, rebuilt = diag[name], getattr(state, name)
-        if abs(rebuilt - saved) > 1e-12 * max(1.0, abs(saved)):
-            raise ValueError(f"{directory}: sidecar {name} {saved!r} disagrees "
+    epsilon, log_c, steps, matvecs = (diag[name] for name in STATE_INPUTS)
+    state = make_state(omega, epsilon, v, log_c, newton_steps=steps, krylov_matvecs=matvecs)
+    for f in dataclasses.fields(state):
+        if f.name not in diag or f.name in STATE_INPUTS:
+            continue
+        saved, rebuilt = diag[f.name], getattr(state, f.name)
+        a, b = np.asarray(saved, dtype=float), np.asarray(rebuilt, dtype=float)
+        if a.shape != b.shape or not np.all(np.abs(b - a) <= 1e-12 * np.maximum(1.0, np.abs(a))):
+            raise ValueError(f"{directory}: sidecar {f.name} {saved!r} disagrees "
                              f"with rebuilt state ({rebuilt!r})")
     return state

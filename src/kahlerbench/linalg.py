@@ -12,12 +12,14 @@ trace_weights and integrals' mixed_determinants read; trace_pairing) on the
 real components (n*n, ...) of a Hermitian field, with row i*n + i its
 diagonal entry i and, for i < j, rows i*n + j and j*n + i the real and
 imaginary parts of entry (i, j) (TorusGrid.hessian_components' layout).
-`components` and `hermitian` convert; det, inv and trace_s_field adapt the
+`components` and `hermitian` convert; inv and trace_s_field adapt the
 kernels to Hermitian (..., n, n) fields.  The one positive-definiteness
-policy (PD_RTOL) is component_positivity; positivity applies it to a
-Hermitian field.  At n <= 2 it reads only the trace and the determinant,
-and eigenvalues are taken at the worst point alone, for the report.
-Dimensions are capped at n = 3 (MAX_DIM), which the closed forms rely on.
+policy (PD_RTOL) is component_positivity, on components; at n <= 2 it
+reads only the trace and the determinant, and eigenvalues are taken at the
+worst point alone, for the report.  require_positive is the one place that
+raises PositivityLoss for it: every metric the program holds to the policy
+goes through it.  Dimensions are capped at n = 3 (MAX_DIM), which the
+closed forms rely on.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PositivityLoss
 
 MAX_DIM = 3
 
@@ -45,11 +47,6 @@ def _order(a: np.ndarray) -> int:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected (..., n, n) matrices, got shape {a.shape}")
     return a.shape[-1]
-
-
-def det(a: np.ndarray) -> np.ndarray:
-    """Determinants (a real field) of Hermitian (..., n, n) matrices."""
-    return component_det(components(a))
 
 
 def inv(a: np.ndarray) -> np.ndarray:
@@ -84,12 +81,6 @@ def _eigvalsh2(p, q, b):
     np.minimum(far, near, out=w[..., 0])
     np.maximum(far, near, out=w[..., 1])
     return w
-
-
-def positivity(g: np.ndarray):
-    """Positive-definiteness check of a Hermitian matrix or field (..., n, n):
-    component_positivity of its components."""
-    return component_positivity(components(g))
 
 
 # -- the real component layout and its kernels -----------------------------------
@@ -247,6 +238,19 @@ def component_positivity(c: np.ndarray):
     w_worst = (at.copy() if n == 1
                else _eigvalsh2(at[0], at[3], np.hypot(at[1], at[2])))
     return bool(margin[worst] > 0.0), worst, w_worst
+
+
+def require_positive(c: np.ndarray, what: str, points=None) -> None:
+    """Hold the Hermitian matrix or field with components c (n*n, ...) to
+    component_positivity, or raise PositivityLoss naming `what`, with its
+    worst point and that point's smallest eigenvalue.  The point is the
+    worst index as plain ints (() for a single matrix), or points[worst]
+    as a tuple when the stack of points the field was taken at is given."""
+    ok, worst, w = component_positivity(c)
+    if not ok:
+        point = tuple(int(i) for i in worst) if points is None else tuple(points[worst].tolist())
+        raise PositivityLoss(f"{what} not positive definite at {point}: eigenvalues {w}",
+                             point=point, min_eigenvalue=float(w[0]))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from .fields import TorusMetricField
 from .grids import TorusGrid
 from .integrals import wedge_integrals
 from .linalg import (component_det, components, hermitian, relative_eigenvalues_field,
-                     trace_s_field, trace_weights)
+                     require_positive, trace_s_field, trace_weights)
 from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
@@ -73,9 +73,10 @@ MAX_SERIES_ORDER = 16
 class MAProblem:
     """One Monge-Ampère problem instance on a torus grid.
 
-    alpha is held once, as its n*n real components (n*n,) + grid shape in
-    linalg's layout, which the Newton loop reads as they are.  It is given
-    either so or as a Hermitian (..., n, n) field, converted once here.
+    alpha is given and held as its n*n real components, (n*n,) + grid shape
+    in linalg's layout (linalg.components of a Hermitian field), which the
+    Newton loop reads as they are.  Any other shape, or a complex array,
+    raises DimensionMismatch before anything is cast.
     """
 
     grid: TorusGrid
@@ -83,13 +84,10 @@ class MAProblem:
     datum: np.ndarray
 
     def __post_init__(self):
-        n, shape = self.grid.n, self.grid.shape
-        alpha = np.asarray(self.alpha)
-        if alpha.shape == shape + (n, n):
-            alpha = components(alpha)
-        elif alpha.shape != (n * n,) + shape:
-            raise DimensionMismatch(f"alpha shape {alpha.shape} is neither "
-                                    f"{shape + (n, n)} nor {(n * n,) + shape}")
+        alpha, want = np.asarray(self.alpha), (self.grid.n**2,) + self.grid.shape
+        if alpha.shape != want or np.iscomplexobj(alpha):
+            raise DimensionMismatch(f"alpha must be real components of shape {want}, "
+                                    f"got {alpha.dtype} {alpha.shape}")
         self.alpha = np.asarray(alpha, dtype=float)
         self.datum = np.asarray(self.datum, dtype=float)
         if self.datum.shape != self.grid.shape:
@@ -223,12 +221,7 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
     alpha = problem.alpha
     M = grid.hessian_components(v)
     M += alpha
-    ok, worst, w = _positivity(M)
-    if not ok:
-        raise PositivityLoss(
-            f"initial candidate not positive at grid index {worst}",
-            point=worst, min_eigenvalue=float(w[0]),
-        )
+    require_positive(M, "initial candidate")
     v, r = _volume_normalized(problem, v, M)
     res = float(np.max(np.abs(r)))
     history.append(res)
@@ -305,15 +298,15 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
 
     Sets alpha = identity, held as a read-only broadcast of its components,
     and F = log det(I + Hess v*) - v*, so the solve must recover v* up to
-    solver tolerance.  det is the solver's own component_det, so a test that
-    must catch a fault in the kernels forms F by another route.
+    solver tolerance.  I + Hess v* is held to linalg.require_positive.  det
+    is the solver's own component_det, so a test that must catch a fault in
+    the kernels forms F by another route.
     """
     n = grid.n
     M = grid.hessian_components(v_star)
     M[:: n + 1] += 1.0
+    require_positive(M, "manufactured metric I + Hess v*")
     d = component_det(M)
-    if np.any(d <= 0.0):
-        raise PositivityLoss("manufactured potential leaves the positive cone")
     eye = np.broadcast_to(np.eye(n).reshape((n * n,) + (1,) * (2 * n)), (n * n,) + grid.shape)
     return MAProblem(grid, eye, np.log(d) - v_star)
 
@@ -323,7 +316,11 @@ def manufactured_problem(grid: TorusGrid, v_star: np.ndarray) -> MAProblem:
 
 @dataclass
 class ContinuityState:
-    """A solved state of det(eps g + Hess v) = e^v: v, scalars, W_k for k = 0..n."""
+    """A solved state of det(eps g + Hess v) = e^v: v, scalars, W_k for k = 0..n.
+
+    The one list of a state's fields: io's sidecar holds every field but v,
+    and the CLI's series.csv every scalar one.
+    """
 
     epsilon: float
     v: np.ndarray
@@ -470,7 +467,8 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
     """Solve the family along a strictly decreasing positive eps schedule,
     then diagnose every state.
 
-    Starts each solve from the path's eps-series, built once:
+    Non-finite eps raise ValueError.  Starts each solve from the path's
+    eps-series, built once:
     v0 = n log eps + eps (u_K(eps) - psi) with u_K = sum_k eps^k u_k from
     path_series, so Newton verifies and polishes.  Each solve keeps only
     (eps, v, Newton steps, matvecs); make_state runs once per state after
@@ -479,8 +477,8 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
     the offending eps; no states are returned partially.
     """
     eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("eps schedule must be positive")
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise ValueError("eps schedule must be positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
 

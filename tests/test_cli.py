@@ -2,6 +2,7 @@
 determinism, and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -23,7 +24,9 @@ from kahlerbench.cli import (
 )
 from kahlerbench.inequalities import make_report, not_applicable, royden_margin
 from kahlerbench.integrals import BIGNESS_TOL, BignessReport
+from kahlerbench.errors import NonConvergence, PositivityLoss
 from kahlerbench.io import read_json
+from kahlerbench.solver import ContinuityState
 
 
 def run_cli(argv):
@@ -135,6 +138,22 @@ def test_bad_flags_exit_2_with_message(tmp_path, argv, where):
     rc, out, err = run_cli(argv + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert re.match(f"config error: {where}: ", err)
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("continuity_path: {eps0: .inf}", "continuity_path/eps0"),
+    ("continuity_path: {eps0: .nan}", "continuity_path/eps0"),
+    ("integrals: {amplitude: .nan}", "integrals/amplitude"),
+    ("solve_ma: {amplitude: -.inf}", "solve_ma/amplitude"),
+])
+def test_non_finite_numbers_exit_2(tmp_path, text, where):
+    cfg = tmp_path / "nonfinite.yaml"
+    cfg.write_text(text + "\n")
+    rc, out, err = run_cli(["all", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert err.startswith(f"config error: {where}: ")
+    assert "not a finite number" in err
     assert out == "" and not (tmp_path / "o").exists()
 
 
@@ -424,6 +443,9 @@ def test_continuity_path_replaces_earlier_states(tmp_path):
     with open(pdir / "series.csv", newline="") as fh:
         series = list(csv.DictReader(fh))
     assert len(series) == 4
+    # one column per scalar field of a state, in the state's order
+    assert list(series[0]) == [f.name for f in dataclasses.fields(ContinuityState)
+                               if f.type in ("float", "int")]
     # the flat torus's series starts are exact: no Newton step, no matvec
     assert all(r["newton_steps"] == r["krylov_matvecs"] == "0" for r in series)
 
@@ -460,3 +482,47 @@ def test_failure_rows_print_their_cause(tmp_path, monkeypatch):
     assert line.split()[1] == "fail"
     assert line.endswith(note)
     assert list(read_json(tmp_path / "meta.json")["pipeline_seconds"]) == ["continuity-path"]
+
+
+@pytest.mark.parametrize("pipeline, text, note", [
+    # the line-search stall at eps = 2^-8 of the perturbed integrals path
+    ("integrals", "integrals: {ratio: 0.25, steps: 10}",
+     r"^line search stalled at residual \S+ at eps=0\.00390625$"),
+    ("continuity-path", "continuity_path: {example: perturbed-torus, amplitude: 1.0}",
+     r"^metric not positive definite at \(\d+, \d+\): eigenvalues "),
+])
+def test_a_typed_failure_is_its_pipelines_one_failing_row(tmp_path, pipeline, text, note):
+    cfg = tmp_path / "failing.yaml"
+    cfg.write_text(text + "\n")
+    rc, printed, _ = run_cli([pipeline, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    (row,) = read_json(tmp_path / pipeline / "summary.json")["rows"]
+    assert (row["pipeline"], row["check"], row["status"]) == (pipeline, "solve", "fail")
+    assert re.match(note, row["note"])
+    assert (tmp_path / pipeline / "reports.jsonl").read_text() == ""
+    assert (tmp_path / pipeline / "summary.csv").exists()
+    assert list(read_json(tmp_path / "meta.json")["pipeline_seconds"]) == [pipeline]
+    assert row["note"] in printed
+
+
+def test_all_runs_every_pipeline_past_a_failure(tmp_path, monkeypatch):
+    def raising(err):
+        def runner(cfg, out_dir, seed):
+            raise err
+        return runner
+
+    def passing(cfg, out_dir, seed):
+        return [_row("x", "check", [make_report("check", 1.0, 0.0, 0.0)])], []
+
+    for name in RUNNERS:
+        monkeypatch.setitem(RUNNERS, name, passing)
+    monkeypatch.setitem(RUNNERS, "solve-ma", raising(PositivityLoss("lost")))
+    monkeypatch.setitem(RUNNERS, "integrals",
+                        raising(NonConvergence("stalled", epsilon=0.25)))
+    rc, _, _ = run_cli(["all", "--out", str(tmp_path)])
+    assert rc == 1
+    assert read_json(tmp_path / "meta.json")["pipelines"] == list(RUNNERS)
+    notes = {name: [r["note"] for r in read_json(tmp_path / name / "summary.json")["rows"]]
+             for name in RUNNERS}
+    assert notes["solve-ma"] == ["lost"] and notes["integrals"] == ["stalled at eps=0.25"]
+    assert all(notes[name] == [""] for name in RUNNERS if name not in ("solve-ma", "integrals"))

@@ -1,7 +1,9 @@
 """Round trips and failure modes of the persistence layer."""
 
 import csv
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -22,7 +24,9 @@ from kahlerbench.io import (
     write_json,
     write_reports_jsonl,
 )
-from kahlerbench.solver import MAProblem, make_state, solve_ma, volume_ratio_ceiling
+from kahlerbench.linalg import components
+from kahlerbench.solver import (ContinuityState, MAProblem, make_state, solve_ma,
+                               volume_ratio_ceiling)
 
 
 def read_reports_jsonl(path) -> list:
@@ -107,11 +111,11 @@ def test_load_rejects_corrupted_files(tmp_path, grid, field):
 
 def test_header_layout_is_stable(tmp_path, grid, field):
     path = tmp_path / "h.kwb"
-    save_scalar_field(path, grid, field, kind="datum")
+    save_scalar_field(path, grid, field, kind="solution-v")
     blob = path.read_bytes()
     magic, version, kind_code, n, N = struct.unpack_from("<4sBBBI", blob)
     assert magic == b"KWB1"
-    assert (version, kind_code, n, N) == (1, KIND_CODES["datum"], 1, 8)
+    assert (version, kind_code, n, N) == (1, KIND_CODES["solution-v"], 1, 8)
     assert len(blob) == 11 + 8 * grid.num_points
 
 
@@ -184,7 +188,7 @@ def solved():
     # the eps = 1 state solved from v0 = 0 rather than from the path's series
     # start, which is already converged, so the Newton and Krylov counts
     # that round-trip are not zero
-    problem = MAProblem(grid, omega.g, np.zeros(grid.shape))
+    problem = MAProblem(grid, components(omega.g), np.zeros(grid.shape))
     v, info = solve_ma(problem, tol=1e-11, return_info=True)
     state = make_state(omega, 1.0, v, volume_ratio_ceiling(omega, 1.0),
                        newton_steps=info["newton_steps"],
@@ -223,25 +227,48 @@ def test_save_state_writes_v_and_the_sidecar_only(tmp_path, solved):
         "diagnostics.json", "v.kwb"]
 
 
-def test_load_state_reads_the_earlier_layout(tmp_path, solved):
-    # Earlier state directories also hold u.kwb and the datum
-    # f.kwb = -log det g; both are left unread.  Their sidecars have no
-    # krylov_matvecs, which loads as 0.
+def test_sidecar_holds_every_state_field_but_v(tmp_path, solved):
+    omega, state = solved
+    save_state(tmp_path / "state", state, omega.grid)
+    diag = read_json(tmp_path / "state" / "diagnostics.json")
+    assert set(diag) == {f.name for f in dataclasses.fields(ContinuityState)} - {"v"}
+    assert diag["wedge_integrals"] == list(state.wedge_integrals)
+
+
+def test_load_state_detects_a_faulty_wedge_integral(tmp_path, solved):
     omega, state = solved
     target = tmp_path / "state"
     save_state(target, state, omega.grid)
-    save_scalar_field(target / "u.kwb", omega.grid, state.v - omega.log_det_g,
-                      kind="solution-u")
-    save_scalar_field(target / "f.kwb", omega.grid, -omega.log_det_g, kind="datum")
     diag = read_json(target / "diagnostics.json")
-    del diag["krylov_matvecs"]
+    diag["wedge_integrals"][-1] *= 1.001
     write_json(target / "diagnostics.json", diag)
-    rebuilt = load_state(target, omega)  # raises if the sidecar disagrees
-    assert np.array_equal(rebuilt.v, state.v)
-    assert rebuilt.sup_u == state.sup_u
-    assert rebuilt.s_max == state.s_max
-    assert rebuilt.newton_steps == state.newton_steps
-    assert rebuilt.krylov_matvecs == 0
+    with pytest.raises(ValueError, match="wedge_integrals"):
+        load_state(target, omega)
+
+
+@pytest.mark.parametrize("name", ["epsilon", "log_c_bound", "newton_steps", "krylov_matvecs"])
+def test_load_state_needs_the_inputs_of_make_state(tmp_path, solved, name):
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    diag = read_json(target / "diagnostics.json")
+    del diag[name]
+    write_json(target / "diagnostics.json", diag)
+    with pytest.raises(ValueError, match=re.escape(f"{target}: sidecar lacks {name}")):
+        load_state(target, omega)
+
+
+def test_load_state_reads_a_sidecar_without_wedge_integrals(tmp_path, solved):
+    # sidecars written before every field was saved hold no wedge integrals
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    diag = read_json(target / "diagnostics.json")
+    del diag["wedge_integrals"]
+    write_json(target / "diagnostics.json", diag)
+    rebuilt = load_state(target, omega)
+    assert rebuilt.wedge_integrals == state.wedge_integrals
+    assert rebuilt.krylov_matvecs == state.krylov_matvecs
 
 
 def test_load_state_rejects_grid_mismatch(tmp_path, solved):

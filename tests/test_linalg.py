@@ -4,12 +4,18 @@ Every function is batched over (..., n, n) fields or (..., n) tuples; the
 oracles are library routines applied one point at a time.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
 
-from kahlerbench import linalg
-from kahlerbench.errors import DimensionMismatch
+from kahlerbench import linalg, solver
+from kahlerbench.errors import DimensionMismatch, PositivityLoss
+from kahlerbench.fields import ChartMetricField, TorusMetricField
+from kahlerbench.grids import ChartGeometry, TorusGrid
+from kahlerbench.inequalities import ricci_term_margin, royden_margin
 from kahlerbench.integrals import mixed_determinants, wedge_integrals
 from kahlerbench.linalg import (
     PD_RTOL,
@@ -18,13 +24,11 @@ from kahlerbench.linalg import (
     component_det,
     component_positivity,
     components,
-    det,
     eigvalsh,
     hermitian,
     elementary_symmetric_field,
     inv,
     newton_maclaurin_margin_field,
-    positivity,
     relative_eigenvalues_field,
     trace_pairing,
     trace_s_field,
@@ -39,6 +43,16 @@ def random_pd(rng, n, scale=1.0):
 
 def eigh_oracle(gA, gB):
     return scipy.linalg.eigh(gB, gA, eigvals_only=True)
+
+
+def det(a):
+    """det of Hermitian (..., n, n) matrices by the component kernel."""
+    return component_det(components(a))
+
+
+def positivity(a):
+    """The policy on Hermitian (..., n, n) matrices, by their components."""
+    return component_positivity(components(a))
 
 
 # -- batched kernels: det and inv are the component closed forms ------------------
@@ -133,7 +147,7 @@ def test_det_inverse_and_mixed_determinants_call_no_lapack(n, monkeypatch):
 
 
 def test_kernels_reject_non_square_input():
-    for fn in (det, inv, eigvalsh):
+    for fn in (components, inv, eigvalsh):
         with pytest.raises(DimensionMismatch):
             fn(np.zeros((4, 2, 3)))
 
@@ -163,6 +177,86 @@ def test_positivity_threshold_single_and_batched():
     assert not ok
     assert tuple(int(i) for i in worst) == (2, 3)
     assert np.allclose(w, np.linalg.eigvalsh(bad))
+
+
+def _torus_cosine(n, amplitude):
+    """amplitude * cos(2 pi x_1) on the (n, 8) torus, whose I + Hess has the
+    eigenvalue 1 - amplitude pi^2 cos(2 pi x_1), least at index 0."""
+    grid = TorusGrid(n, 8)
+    x = grid._axis_view(grid.axis_coords, 0)
+    return grid, amplitude * np.broadcast_to(np.cos(2.0 * np.pi * x), grid.shape).copy()
+
+
+def _torus_site():
+    TorusMetricField(*_torus_cosine(1, 2.0 / np.pi**2))
+
+
+def _chart_site():
+    # g = 1 - 8|z|^2, negative at the second point only
+    z, x = sp.symbols("z x")
+    field = ChartMetricField(ChartGeometry(n=1, radii=(1.0,), margin=0.2),
+                             [(x, (z,)), (-2.0, x, (z**2,))], (z,))
+    field.jet_at([[0.1], [0.5j], [0.3]])
+
+
+def _solve_site():
+    grid, psi = _torus_cosine(1, 2.0 / np.pi**2)
+    solver.solve_ma(solver.MAProblem(grid, 1.0 + grid.hessian_components(psi),
+                                     np.zeros(grid.shape)))
+
+
+def _manufactured_site():
+    solver.manufactured_problem(*_torus_cosine(2, 2.0 / np.pi**2))
+
+
+def _metric_stack(bad_at, bad):
+    g = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+    g[bad_at] = np.diag(bad)
+    return g
+
+
+def _royden_g_site():
+    eye = np.eye(2, dtype=complex)
+    R = -np.einsum("ij,kl->ijkl", eye, eye)
+    royden_margin(R, _metric_stack(1, [1.0, -1.0]), eye, 1.0)
+
+
+def _royden_single_site():
+    eye = np.eye(2, dtype=complex)
+    royden_margin(-np.einsum("ij,kl->ijkl", eye, eye), np.diag([1.0, -1.0]), eye, 1.0)
+
+
+def _royden_g_prime_site():
+    eye = np.eye(2, dtype=complex)
+    R = -np.einsum("ij,kl->ijkl", eye, eye)
+    royden_margin(R, eye, _metric_stack(2, [1.0, -1.0]), 1.0)
+
+
+def _ricci_site():
+    gp = _metric_stack(3, [1.0, -1.0])
+    ricci_term_margin(-0.5 * gp, gp, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("site, what, point", [
+    (_torus_site, "metric", (0, 0)),
+    (_chart_site, "metric", (0.5j,)),
+    (_solve_site, "initial candidate", (0, 0)),
+    (_manufactured_site, "manufactured metric I + Hess v*", (0, 0, 0, 0)),
+    (_royden_g_site, "g", (1,)),
+    (_royden_single_site, "g", ()),
+    (_royden_g_prime_site, "g_prime", (2,)),
+    (_ricci_site, "g_prime", (3,)),
+], ids=["torus", "chart", "solve", "manufactured", "royden-g", "royden-single", "royden-g-prime",
+        "ricci"])
+def test_every_policy_site_raises_with_its_point(site, what, point):
+    # each site holds its metric to linalg.require_positive: the message
+    # names what failed, the point is plain ints (an index, () for a single
+    # matrix) or a chart's coordinates, and the least eigenvalue there is -1
+    with pytest.raises(PositivityLoss, match=f"^{re.escape(what)} not positive definite at ") as err:
+        site()
+    assert err.value.point == point
+    assert [type(x) for x in err.value.point] == [type(x) for x in point]
+    assert err.value.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
 # -- the component layout and its kernels ----------------------------------------

@@ -1,6 +1,7 @@
 """Monge-Ampère solves, the shrinking-coefficient path, and its diagnostics."""
 
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
 from kahlerbench.integrals import wedge_integral
 from kahlerbench.io import load_state, save_state
-from kahlerbench.linalg import components, hermitian, trace_weights
+from kahlerbench.linalg import component_det, components, hermitian, trace_weights
 from kahlerbench import solver
 from kahlerbench.solver import (
     MAProblem,
@@ -115,7 +116,7 @@ def lapack_manufactured(grid, v_star):
     in those shows as a wrong solution."""
     eye = np.broadcast_to(np.eye(grid.n), grid.shape + (grid.n, grid.n))
     d = np.linalg.det(eye + grid.complex_hessian(v_star)).real
-    return MAProblem(grid, eye, np.log(d) - v_star)
+    return MAProblem(grid, components(eye), np.log(d) - v_star)
 
 
 def test_manufactured_solution_is_recovered():
@@ -286,18 +287,30 @@ def test_problem_holds_alpha_as_components():
     grid = TorusGrid(2, 8)
     g = TorusMetricField(grid, seeded_cosine_potential(grid, 3, hessian_sup=0.3)).g
     zero = np.zeros(grid.shape)
-    problem = MAProblem(grid, g, zero)
-    assert problem.alpha.shape == (4,) + grid.shape
-    assert problem.alpha.dtype == np.float64
-    assert np.array_equal(problem.alpha, components(g))
-    # given as components, alpha is kept as it is
-    assert MAProblem(grid, problem.alpha, zero).alpha is problem.alpha
+    alpha = components(g)
+    problem = MAProblem(grid, alpha, zero)
+    # given as real components, alpha is kept as it is
+    assert problem.alpha is alpha
+    assert problem.alpha.shape == (4,) + grid.shape and problem.alpha.dtype == np.float64
     eye = manufactured_problem(grid, seeded_cosine_potential(grid, 3)).alpha
     assert np.array_equal(eye, components(np.broadcast_to(np.eye(2), grid.shape + (2, 2))))
-    for shape in [grid.shape + (2, 3), grid.shape + (1, 1), (3,) + grid.shape,
-                  (4,) + grid.shape[1:], (4,) + grid.shape + (1,)]:
+    for shape in [grid.shape + (2, 2), grid.shape + (2, 3), grid.shape + (1, 1),
+                  (3,) + grid.shape, (4,) + grid.shape[1:], (4,) + grid.shape + (1,)]:
         with pytest.raises(DimensionMismatch):
             MAProblem(grid, np.zeros(shape), zero)
+
+
+def test_problem_rejects_a_hermitian_alpha_before_any_cast():
+    # a complex alpha, Hermitian or in the component shape, is refused before
+    # it is cast to float, which would warn and drop its imaginary part
+    grid = TorusGrid(2, 8)
+    g = TorusMetricField(grid, seeded_cosine_potential(grid, 3, hessian_sup=0.3)).g
+    zero = np.zeros(grid.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (g, components(g).astype(complex)):
+            with pytest.raises(DimensionMismatch, match="real components"):
+                MAProblem(grid, alpha, zero)
 
 
 def test_manufactured_solve_working_set():
@@ -318,7 +331,7 @@ def test_manufactured_solve_working_set():
 
 def test_zero_datum_has_zero_solution():
     grid = TorusGrid(1, 16)
-    eye = np.broadcast_to(np.eye(1, dtype=complex), grid.shape + (1, 1)).copy()
+    eye = np.ones((1,) + grid.shape)
     problem = MAProblem(grid, eye, np.zeros(grid.shape))
     v, info = solve_ma(problem, return_info=True)
     assert np.max(np.abs(v)) == 0.0
@@ -327,9 +340,9 @@ def test_zero_datum_has_zero_solution():
 
 def test_solver_guards():
     grid = TorusGrid(1, 16)
-    eye = np.broadcast_to(np.eye(1, dtype=complex), grid.shape + (1, 1)).copy()
+    eye = np.ones((1,) + grid.shape)
 
-    indefinite = eye + grid.complex_hessian(cosine_potential(grid, 0.2))
+    indefinite = eye + grid.hessian_components(cosine_potential(grid, 0.2))
     with pytest.raises(PositivityLoss):
         solve_ma(MAProblem(grid, indefinite, np.zeros(grid.shape)))
 
@@ -338,7 +351,7 @@ def test_solver_guards():
         solve_ma(problem, v0=np.zeros((8, 8)))
 
     with pytest.raises(DimensionMismatch):
-        MAProblem(grid, eye[..., :1, :1].reshape(grid.shape + (1,)), np.zeros(grid.shape))
+        MAProblem(grid, eye.reshape(grid.shape + (1,)), np.zeros(grid.shape))
     with pytest.raises(DimensionMismatch):
         MAProblem(grid, eye, np.zeros((8, 8)))
 
@@ -347,6 +360,20 @@ def test_manufactured_problem_rejects_nonpositive_potential():
     grid = TorusGrid(1, 16)
     with pytest.raises(PositivityLoss):
         manufactured_problem(grid, cosine_potential(grid, 0.2))
+
+
+def test_manufactured_problem_holds_the_metric_to_the_policy():
+    # I + Hess v* has eigenvalues (5e-11, 1) at x_1 = 0: det > 0 everywhere,
+    # but the least eigenvalue is below PD_RTOL times the largest
+    grid = TorusGrid(2, 8)
+    v_star = cosine_potential(grid, (1.0 - 5e-11) / np.pi**2)
+    M = grid.hessian_components(v_star)
+    M[::3] += 1.0
+    assert component_det(M).min() > 0.0
+    with pytest.raises(PositivityLoss, match="^manufactured metric") as err:
+        manufactured_problem(grid, v_star)
+    assert err.value.point[0] == 0
+    assert err.value.min_eigenvalue == pytest.approx(5e-11, rel=1e-3)
 
 
 def test_nonconvergence_carries_diagnostics(monkeypatch):
@@ -413,6 +440,9 @@ def test_schedule_validation():
         continuity_path(omega, [0.5, 0.5])
     with pytest.raises(ValueError):
         continuity_path(omega, [0.5, 1.0])
+    for bad in ([np.inf, 0.5], [np.nan], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            continuity_path(omega, bad)
 
 
 def test_path_failures_name_the_epsilon():
@@ -452,7 +482,7 @@ def test_stalled_line_search_stops_once_the_step_rounds_away(monkeypatch):
     with pytest.raises(NonConvergence, match="line search stalled at residual") as err:
         for e in eps:
             v0 = grid.n * np.log(e) + w_prev * (e / e_prev)
-            v = solve_ma(MAProblem(grid, e * omega.g, zero), tol=1e-10, v0=v0)
+            v = solve_ma(MAProblem(grid, e * components(omega.g), zero), tol=1e-10, v0=v0)
             w_prev, e_prev = v - grid.n * np.log(e), e
     # the same stall as with every trial evaluated
     assert e == 2.0**-6
@@ -582,7 +612,8 @@ def _series_start_residuals(omega, epsilons, series):
     grid, out = omega.grid, []
     for e in epsilons:
         u = sum(e**k * c for k, c in enumerate(series))
-        problem = MAProblem(grid, e * omega.g, np.full(grid.shape, grid.n * np.log(e)))
+        problem = MAProblem(grid, e * components(omega.g),
+                            np.full(grid.shape, grid.n * np.log(e)))
         out.append(float(np.abs(ma_log_residual(problem, e * (u - omega.psi))).max()))
     return out
 
