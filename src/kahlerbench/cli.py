@@ -24,13 +24,15 @@ timestamps (timings live in meta.json only).
 Every summary row takes its status from its reports (_row): fail if any
 applicable report fails, not-applicable if none applies, pass otherwise.
 Rows with no number to compare keep their own verdict: a pipeline's
-failing solve row, normalized-limit-drift (not-applicable on a one-state
-path, which has no drift), the zoo fact rows (zoo.verify_fact decides
-them) and schwarz-hypothesis-screen (which passes when its report is
-not-applicable).  A runner that raises PositivityLoss or NonConvergence
-leaves its pipeline that one solve row, its note the error and the eps it
-carries; main writes the pipeline's files as usual and runs the rest.  An
-example's warning row has no report and so reads not-applicable.  A
+failing input-metric or solve row, normalized-limit-drift (not-applicable
+on a one-state path, which has no drift), the zoo fact rows
+(zoo.verify_fact decides them) and schwarz-hypothesis-screen (which passes
+when its report is not-applicable).  A runner that raises PositivityLoss
+or NonConvergence leaves its pipeline one failing row, its note the error
+and the eps it carries: input-metric when the metric the pipeline starts
+from is not positive definite, solve for a failed solve or path-state
+diagnosis; main writes the pipeline's files as usual and runs the rest.
+An example's warning row has no report and so reads not-applicable.  A
 non-finite config number is a config error (exit 2).  Exit status is 0
 exactly when no row fails; not-applicable rows never fail a run.
 
@@ -207,6 +209,16 @@ def _row(pipeline, check, reports, note=""):
             "value": value, "margin": margin, "tol": tol, "note": note}
 
 
+def _input_metric(build, *args):
+    """build(*args), a pipeline's input metric: a PositivityLoss it raises
+    names the input-metric stage, which main makes the failing row's check."""
+    try:
+        return build(*args)
+    except PositivityLoss as err:
+        err.stage = "input-metric"
+        raise
+
+
 # --------------------------------------------------------------------------
 # pipelines
 # --------------------------------------------------------------------------
@@ -216,7 +228,7 @@ def run_solve_ma(cfg, out_dir, seed):
     c = cfg["solve_ma"]
     grid = TorusGrid(c["n"], c["grid"])
     v_star = perturbed_torus_potential(grid, c["amplitude"])
-    problem = manufactured_problem(grid, v_star)
+    problem = _input_metric(manufactured_problem, grid, v_star)
     v, info = solve_ma(problem, tol=SOLVER_TOL, return_info=True)
     err = float(np.max(np.abs(v - v_star)))
     reports = [
@@ -244,7 +256,7 @@ def run_continuity_path(cfg, out_dir, seed):
         psi = np.zeros(grid.shape)
     else:
         psi = perturbed_torus_potential(grid, c["amplitude"])
-    omega = TorusMetricField(grid, psi)
+    omega = _input_metric(TorusMetricField, grid, psi)
     eps = [c["eps0"] * c["ratio"] ** j for j in range(c["steps"])]
     states = continuity_path(omega, eps, tol=SOLVER_TOL)
     ceilings = [make_report("sup-u-ceiling", s.log_c_bound, s.sup_u, SUP_U_TOL,
@@ -407,14 +419,15 @@ def run_integrals(cfg, out_dir, seed):
     rows = []
     n, N = c["n"], c["grid"]
     grid = TorusGrid(n, N)
-    omega = TorusMetricField(grid, perturbed_torus_potential(grid, c["amplitude"]))
+    omega = _input_metric(TorusMetricField, grid,
+                          perturbed_torus_potential(grid, c["amplitude"]))
 
     # dd^c-shift invariance of every wedge pairing
     other = perturbed_torus_potential(
         grid, c["amplitude"] / 2.0,
         modes=[(m, ph + 0.9, w) for (m, ph, w) in _TORUS_MODES[n]],
     )
-    A_field = TorusMetricField(grid, other)
+    A_field = _input_metric(TorusMetricField, grid, other)
     shift = grid.complex_hessian(perturbed_torus_potential(grid, c["amplitude"] / 3.0))
     base = wedge_integrals(A_field.g, omega.g)
     shifted = (wedge_integrals(A_field.g + shift, omega.g)
@@ -553,7 +566,8 @@ def main(argv=None) -> int:
             rows, reports = RUNNERS[name](cfg, out_dir, cfg["seed"])
         except (NonConvergence, PositivityLoss) as err:
             note = f"{err}" + ("" if err.epsilon is None else f" at eps={err.epsilon:.6g}")
-            rows, reports = [_row(name, "solve", [], note) | {"status": "fail"}], []
+            stage = getattr(err, "stage", "solve")
+            rows, reports = [_row(name, stage, [], note) | {"status": "fail"}], []
         write_reports_jsonl(out_dir / "reports.jsonl", reports)
         write_json(out_dir / "summary.json", {
             "pipeline": name, "seed": cfg["seed"], "rows": rows,

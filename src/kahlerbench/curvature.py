@@ -140,9 +140,8 @@ def _check_symmetries(R: np.ndarray) -> None:
 def hsc_value(R: np.ndarray, g: np.ndarray, eta: np.ndarray) -> float:
     """H(eta) for a single tensor/metric/direction triple."""
     eta = np.asarray(eta, dtype=complex).reshape(-1)
-    q = np.einsum("ijkl,i,j,k,l", R, eta, np.conj(eta), eta, np.conj(eta)).real
     norm2 = np.einsum("ij,i,j", g, eta, np.conj(eta)).real
-    return float(q / norm2**2)
+    return float(_q_value(R, eta) / norm2**2)
 
 
 def hsc(field, point, eta) -> float:

@@ -12,14 +12,15 @@ trace_weights and integrals' mixed_determinants read; trace_pairing) on the
 real components (n*n, ...) of a Hermitian field, with row i*n + i its
 diagonal entry i and, for i < j, rows i*n + j and j*n + i the real and
 imaginary parts of entry (i, j) (TorusGrid.hessian_components' layout).
-`components` and `hermitian` convert; inv and trace_s_field adapt the
-kernels to Hermitian (..., n, n) fields.  The one positive-definiteness
-policy (PD_RTOL) is component_positivity, on components; at n <= 2 it
-reads only the trace and the determinant, and eigenvalues are taken at the
-worst point alone, for the report.  require_positive is the one place that
-raises PositivityLoss for it: every metric the program holds to the policy
-goes through it.  Dimensions are capped at n = 3 (MAX_DIM), which the
-closed forms rely on.
+`components` and `hermitian` convert; inv, eigvalsh and trace_s_field
+adapt the kernels to Hermitian (..., n, n) fields.  component_eigvalsh
+takes every Hermitian eigenvalue, by LAPACK at n = 3 only.  The one
+positive-definiteness policy (PD_RTOL) is component_positivity, on
+components; at n <= 2 it reads only the trace and the determinant, and
+eigenvalues are taken at the worst point alone, for the report.
+require_positive is the one place that raises PositivityLoss for it: every
+metric the program holds to the policy goes through it.  Dimensions are
+capped at n = 3 (MAX_DIM), which the closed forms rely on.
 """
 
 from __future__ import annotations
@@ -58,29 +59,9 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (..., n) of Hermitian (..., n, n) matrices.
 
     Reads the diagonal and the lower triangle, as numpy.linalg.eigvalsh
-    does.  For n = 2 with diagonal (a, d) and off-diagonal b, the
-    eigenvalue of larger magnitude is (tr + s sqrt((a - d)^2 + 4|b|^2))/2
-    with s the sign of the trace, a sum without cancellation, and the other
-    is det divided by it, so a small eigenvalue keeps its accuracy.
+    does; component_eigvalsh of components(a).
     """
-    a = np.asarray(a)
-    n = _order(a)
-    if n == 1:
-        return a[..., :, 0].real.copy()
-    if n == 2:
-        return _eigvalsh2(a[..., 0, 0].real, a[..., 1, 1].real, np.abs(a[..., 1, 0]))
-    return np.linalg.eigvalsh(a)
-
-
-def _eigvalsh2(p, q, b):
-    """Ascending eigenvalues (..., 2) of [[p, b], [b, q]], b = |off-diagonal|."""
-    tr = p + q
-    far = np.copysign(0.5 * (abs(tr) + np.hypot(p - q, 2.0 * b)), tr)
-    near = (p * q - b * b) / (far + (far == 0.0))  # far = 0 only where p = q = b = 0
-    w = np.empty(far.shape + (2,))
-    np.minimum(far, near, out=w[..., 0])
-    np.maximum(far, near, out=w[..., 1])
-    return w
+    return component_eigvalsh(components(a))
 
 
 # -- the real component layout and its kernels -----------------------------------
@@ -200,6 +181,36 @@ def trace_weights(c: np.ndarray) -> np.ndarray:
     return _doubled(component_inverse(c))
 
 
+def component_eigvalsh(c: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of the Hermitian matrix or field with
+    components c (n*n, ...), the one route to a Hermitian eigenvalue.
+
+    For n = 2, diagonal (p, q) and off-diagonal b (|b| numpy's complex
+    abs), the eigenvalue of larger magnitude is (tr + s sqrt((p - q)^2 +
+    4|b|^2))/2, s the sign of the trace, a sum without cancellation, and the
+    other is det divided by it, so a small eigenvalue keeps its accuracy.
+    For n = 3 they are LAPACK's, on one slab of SLAB_POINTS assembled
+    matrices at a time, so no complex field is built.
+    """
+    c = np.asarray(c, dtype=float)
+    n = _component_order(c)
+    w = np.empty(c.shape[1:] + (n,))
+    if n == 1:
+        w[..., 0] = c[0]
+    elif n == 2:
+        p, q, b = c[0], c[3], np.abs(c[1] + 1j * c[2])
+        tr = p + q
+        far = np.copysign(0.5 * (abs(tr) + np.hypot(p - q, 2.0 * b)), tr)
+        near = (p * q - b * b) / (far + (far == 0.0))  # far = 0 only where p = q = b = 0
+        np.minimum(far, near, out=w[..., 0])
+        np.maximum(far, near, out=w[..., 1])
+    else:
+        flat, rows = c.reshape(n * n, -1), w.reshape(-1, n)
+        for s in range(0, flat.shape[1], SLAB_POINTS):
+            rows[s:s + SLAB_POINTS] = np.linalg.eigvalsh(hermitian(flat[:, s:s + SLAB_POINTS]))
+    return w
+
+
 def component_positivity(c: np.ndarray):
     """The positive-definiteness policy on a Hermitian matrix or field given by
     its components c (n*n, ...): at every point the smallest eigenvalue must
@@ -207,36 +218,25 @@ def component_positivity(c: np.ndarray):
 
     Returns (ok, worst, w): whether every point passes, the index of the point
     with the smallest margin (() for a single matrix), and its ascending
-    eigenvalues.  For n = 1 the margin is the entry itself.  For n = 2, with
-    r = PD_RTOL, it is det (1 + r)^2 - r tr^2 = (l_min - r l_max)(l_max - r l_min)
-    where tr > 0 and -inf elsewhere, so no eigenvalue is taken but the worst
-    point's.  For n = 3 it is l_min - r max(l_max, 0), the eigenvalues by
-    LAPACK on Hermitian matrices assembled one slab of SLAB_POINTS points at
-    a time (a matrix's eigenvalues do not depend on its batch), so no
-    complex field is built.
+    eigenvalues (component_eigvalsh).  For n = 1 the margin is the entry
+    itself.  For n = 2, with r = PD_RTOL, it is det (1 + r)^2 - r tr^2 =
+    (l_min - r l_max)(l_max - r l_min) where tr > 0 and -inf elsewhere, so
+    no eigenvalue is taken but the worst point's.  For n = 3 it is
+    l_min - r max(l_max, 0): where it is positive, l_max >= l_min > 0 too.
     """
     c = np.asarray(c, dtype=float)
     n = _component_order(c)
     if n == 3:
-        flat = c.reshape(n * n, -1)
-        w = np.empty((flat.shape[1], n))
-        for s in range(0, flat.shape[1], SLAB_POINTS):
-            w[s:s + SLAB_POINTS] = np.linalg.eigvalsh(hermitian(flat[:, s:s + SLAB_POINTS]))
-        w = w.reshape(c.shape[1:] + (n,))
+        w = component_eigvalsh(c)
         margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
-        worst = np.unravel_index(margin.argmin(), margin.shape)
-        w_worst = w[worst]
-        return bool(margin[worst] > 0.0 and w_worst[-1] > 0.0), worst, w_worst
-    if n == 1:
+    elif n == 1:
         margin = c[0]
     else:
         tr = c[0] + c[3]
         margin = component_det(c) * (1.0 + PD_RTOL) ** 2 - PD_RTOL * (tr * tr)
         margin = np.where(tr > 0.0, margin, -np.inf)
     worst = np.unravel_index(margin.argmin(), margin.shape)
-    at = c[(slice(None),) + worst]
-    w_worst = (at.copy() if n == 1
-               else _eigvalsh2(at[0], at[3], np.hypot(at[1], at[2])))
+    w_worst = w[worst] if n == 3 else component_eigvalsh(c[(slice(None),) + worst])
     return bool(margin[worst] > 0.0), worst, w_worst
 
 
@@ -327,25 +327,26 @@ def inverse_cholesky(g: np.ndarray) -> np.ndarray:
 def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
     """Eigenvalues of gA^{-1} gB, ascending, for fields of shape (..., n, n).
 
-    All positive for a positive-definite pair.  The Hermitian eigenvalues
-    of C = L^{-1} gB L^{-*} with L^{-1} = inverse_cholesky(gA); for n <= 2
-    C is formed entry by entry from L^{-1} = [[p, 0], [m, q]].
+    All positive for a positive-definite pair.  component_eigvalsh of the
+    components of C = L^{-1} gB L^{-*} with L^{-1} = inverse_cholesky(gA);
+    for n <= 2 they are formed entry by entry from L^{-1} = [[p, 0], [m, q]].
     """
     gB = np.asarray(gB, dtype=complex)
     if np.shape(gA) != gB.shape:
         raise DimensionMismatch(f"field shapes differ: {np.shape(gA)} vs {gB.shape}")
-    Li = inverse_cholesky(gA)
-    if gB.shape[-1] == 3:
-        return np.linalg.eigvalsh(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2)))
+    Li, n = inverse_cholesky(gA), gB.shape[-1]
+    if n == 3:
+        return component_eigvalsh(components(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2))))
     p = Li[..., 0, 0].real
-    C = np.empty(gB.shape, dtype=complex)
-    C[..., 0, 0] = p * p * gB[..., 0, 0].real
-    if gB.shape[-1] == 2:
+    C = np.empty((n * n,) + gB.shape[:-2])
+    C[0] = p * p * gB[..., 0, 0].real
+    if n == 2:
         m, q = Li[..., 1, 0], Li[..., 1, 1].real
-        C[..., 1, 0] = p * (m * gB[..., 0, 0].real + q * gB[..., 1, 0])
-        C[..., 1, 1] = ((m.real**2 + m.imag**2) * gB[..., 0, 0].real
-                        + 2.0 * q * (m * gB[..., 0, 1]).real + q * q * gB[..., 1, 1].real)
-    return eigvalsh(C)
+        C10 = p * (m * gB[..., 0, 0].real + q * gB[..., 1, 0])
+        C[1], C[2] = C10.real, -C10.imag
+        C[3] = ((m.real**2 + m.imag**2) * gB[..., 0, 0].real
+                + 2.0 * q * (m * gB[..., 0, 1]).real + q * q * gB[..., 1, 1].real)
+    return component_eigvalsh(C)
 
 
 def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:

@@ -23,9 +23,10 @@ layout (the rows of TorusGrid.hessian_components), and det M, the
 positivity check and the trace weights of M^{-1} are linalg's closed forms
 on them, so no step or line-search trial inverts a Hermitian matrix, and at
 n <= 2 none assembles one (at n = 3 the positivity check does, a slab of
-points at a time, for LAPACK's eigenvalues).  The Krylov matvec adds up
-sum_k w_k Hess_k f one Hessian row at a time (TorusGrid.hessian_rows), so
-no n*n-row Hessian of a Krylov vector is built.
+points at a time, for LAPACK's eigenvalues).  The Krylov solve holds the
+trace weights w of M, not M, and its matvec adds up sum_k w_k Hess_k f one
+Hessian row at a time (TorusGrid.hessian_rows), so no n*n-row Hessian of a
+Krylov vector is built.
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -42,9 +43,9 @@ state, its eps and v with scalar diagnostics: the sup of
 v - log det g = log sigma_n against the volume-ratio ceiling, the Ricci
 identity residual, relative eigenvalue range, the top of the trace field
 S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.  A path
-that fails diagnoses nothing.  The diagnostics form the Hermitian g_eps,
-with linalg's component closed forms behind every det, trace and mixed
-determinant.
+that fails diagnoses nothing.  The Ricci residual is Hess(v - log det g_eps),
+from (eps, v); the other diagnostics form the Hermitian g_eps, with linalg's
+component closed forms behind every det, trace and mixed determinant.
 """
 
 from __future__ import annotations
@@ -234,7 +235,10 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
                 residual=res, steps=steps,
             )
         rtol = max(1e-10, min(0.5, res))
-        delta, step_matvecs = _solve_linearized(grid, trace_weights(M), -r, rtol)
+        weights = trace_weights(M)
+        M = M_try = None  # the Krylov solve reads only the weights
+        delta, step_matvecs = _solve_linearized(grid, weights, -r, rtol)
+        del weights
 
         t, accepted, any_positive = 1.0, False, False
         worst_pt, worst_eig = None, None
@@ -355,9 +359,9 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
                krylov_matvecs: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    g_eps is formed once, shared by every diagnostic and not kept; sup u
-    is taken from u = v - log det g.  The Ricci residual is that of
-    ricci_residual_dealiased; no fine metric field is built.
+    g_eps is formed once for the eigenvalue, trace and wedge diagnostics
+    and not kept; sup u is taken from u = v - log det g, and the Ricci
+    residual from (eps, v) by ricci_residual_dealiased.
     """
     g_eps = epsilon * omega.g + omega.grid.complex_hessian(v)
     lam = relative_eigenvalues_field(omega.g, g_eps)
@@ -366,7 +370,7 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
         v=v,
         sup_u=float((v - omega.log_det_g).max()),
         log_c_bound=log_c,
-        ricci_residual_sup=ricci_residual_dealiased(omega, epsilon, v, g_eps),
+        ricci_residual_sup=ricci_residual_dealiased(omega, epsilon, v),
         rel_eig_min=float(lam.min()),
         rel_eig_max=float(lam.max()),
         s_max=float(trace_s_field(omega.g, g_eps).max()),
@@ -512,20 +516,21 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
     return states
 
 
-def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
-                             v: np.ndarray, g_eps: np.ndarray) -> float:
-    """Ricci identity residual with the determinant evaluated dealiased.
+def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndarray) -> float:
+    """Ricci identity residual with the determinant evaluated dealiased:
+    sup |Hess(v - log det omega_eps)| = sup |Ric(omega_eps) + omega_eps -
+    eps*omega|, omega_eps = eps*g + Hess v, one Hessian of the difference
+    of the half spectra of v - mean v and of log det omega_eps.
 
     On the solve grid the raw residual is the spectral Hessian of the
     Newton stopping residual — it reflects the solver, not the
     discretization.  For n <= 2, log det(omega_eps) is instead evaluated on
-    a twice finer grid and truncated back to the solve band before the
-    Ricci Hessian is taken (the padding rule of Orszag, J. Atmos. Sci. 28,
-    1971).  That removes the fold-back of product terms the solve grid
-    cannot represent, so the value measures genuine discretization error
-    and decays at the spectral rate under grid refinement.  For n = 3 a
-    finer grid costs 64 times the points, and the value is the raw
-    residual of the solve grid.
+    a twice finer grid and truncated back to the solve band (the padding
+    rule of Orszag, J. Atmos. Sci. 28, 1971).  That removes the fold-back
+    of product terms the solve grid cannot represent, so the value measures
+    genuine discretization error and decays at the spectral rate under grid
+    refinement.  For n = 3 a finer grid costs 64 times the points, and the
+    value is the raw residual of the solve grid.
 
     Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
     potential, log det(eps*I + H) is streamed from the fine Hessian
@@ -533,10 +538,9 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
     det, its positivity test and log slab by slab, and cropped back less its
     mean (restricted_spectrum), both pruned to the solve band: log det is
     the one fine field built, written once, and no n log eps constant enters
-    a fine transform (at n = 3, H on the solve grid).  g_eps =
-    eps*omega.g + Hess v is the state's metric.
+    a fine transform (at n = 3, H on the solve grid).
     """
-    grid, v = omega.grid, np.asarray(v, dtype=float)
+    grid, v = omega.grid, np.asarray(v, dtype=float) - np.mean(v)
 
     def log_det_plus(c):  # log det(eps*I + H) on (a slab of) the components c of H
         c[:: grid.n + 1] += epsilon
@@ -545,15 +549,14 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float,
             raise PositivityLoss("state metric degenerate on the dealiasing grid")
         return np.log(d, out=d)
 
-    potential = epsilon * omega.psi + (v - np.mean(v))
+    potential = epsilon * omega.psi + v
     if grid.n == 3:
         ldg = log_det_plus(grid.hessian_components(potential))
         spectrum = grid.rfft(ldg - np.mean(ldg))  # mean out for round-off
     else:
         spectrum = grid.restricted_spectrum(
             grid.prolonged_hessian(grid.rfft(potential), log_det_plus))
-    ric = -hermitian(grid.hessian_of_spectrum(spectrum))
-    resid = ric + g_eps - epsilon * omega.g
+    resid = hermitian(grid.hessian_of_spectrum(grid.rfft(v) - spectrum))
     return float(np.max(np.abs(resid)))
 
 

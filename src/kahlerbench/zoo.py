@@ -26,6 +26,7 @@ from .curvature import (curvature_from_derivatives, hsc, hsc_extremes, kappa_flo
 from .errors import DimensionMismatch
 from .fields import ChartMetricField, TorusMetricField
 from .grids import ChartGeometry, TorusGrid
+from .integrals import volume
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _build_flat_torus(n: int = 1, resolution: int = 16) -> Example:
             provenance="normalization: flat torus has unit volume by construction",
             mode="equal", tol=1e-14,
             oracle=1.0,
-            measure=lambda f: float(f.grid.mean(f.det_g)),
+            measure=volume,
         ),
     )
     return Example(mf, facts)
@@ -229,7 +230,7 @@ def _build_perturbed_torus(n: int = 1, resolution: int = 32,
             provenance="dd^c-exactness: perturbation wedge powers integrate to zero",
             mode="equal", tol=1e-12,
             oracle=1.0,
-            measure=lambda f: float(f.grid.mean(f.det_g)),
+            measure=volume,
         ),
     )
     return Example(mf, facts)

@@ -484,20 +484,25 @@ def test_failure_rows_print_their_cause(tmp_path, monkeypatch):
     assert list(read_json(tmp_path / "meta.json")["pipeline_seconds"]) == ["continuity-path"]
 
 
-@pytest.mark.parametrize("pipeline, text, note", [
+@pytest.mark.parametrize("pipeline, text, check, note", [
     # the line-search stall at eps = 2^-8 of the perturbed integrals path
-    ("integrals", "integrals: {ratio: 0.25, steps: 10}",
+    ("integrals", "integrals: {ratio: 0.25, steps: 10}", "solve",
      r"^line search stalled at residual \S+ at eps=0\.00390625$"),
+    # an input metric that is not positive definite fails before any solve
     ("continuity-path", "continuity_path: {example: perturbed-torus, amplitude: 1.0}",
-     r"^metric not positive definite at \(\d+, \d+\): eigenvalues "),
+     "input-metric", r"^metric not positive definite at \(\d+, \d+\): eigenvalues "),
+    ("solve-ma", "solve_ma: {amplitude: 1.0}", "input-metric",
+     r"^manufactured metric I \+ Hess v\* not positive definite at \(\d+, \d+\): "),
+    ("integrals", "integrals: {amplitude: 1.0}", "input-metric",
+     r"^metric not positive definite at \(\d+, \d+, \d+, \d+\): eigenvalues "),
 ])
-def test_a_typed_failure_is_its_pipelines_one_failing_row(tmp_path, pipeline, text, note):
+def test_a_typed_failure_is_its_pipelines_one_failing_row(tmp_path, pipeline, text, check, note):
     cfg = tmp_path / "failing.yaml"
     cfg.write_text(text + "\n")
     rc, printed, _ = run_cli([pipeline, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     (row,) = read_json(tmp_path / pipeline / "summary.json")["rows"]
-    assert (row["pipeline"], row["check"], row["status"]) == (pipeline, "solve", "fail")
+    assert (row["pipeline"], row["check"], row["status"]) == (pipeline, check, "fail")
     assert re.match(note, row["note"])
     assert (tmp_path / pipeline / "reports.jsonl").read_text() == ""
     assert (tmp_path / pipeline / "summary.csv").exists()

@@ -5,6 +5,7 @@ oracles are library routines applied one point at a time.
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from kahlerbench.linalg import (
     Direction,
     adjugate,
     component_det,
+    component_eigvalsh,
     component_positivity,
     components,
     eigvalsh,
     hermitian,
+    inverse_cholesky,
     elementary_symmetric_field,
     inv,
     newton_maclaurin_margin_field,
@@ -144,6 +147,56 @@ def test_det_inverse_and_mixed_determinants_call_no_lapack(n, monkeypatch):
         trace_s_field(x, y)
         mixed_determinants(x, y)
     wedge_integrals(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_in_slabs_are_the_whole_field_bit_for_bit(n, monkeypatch):
+    # 77 points in slabs of 10, the last one partial: at n = 3 against one
+    # LAPACK call on the whole assembled field (the congruence's for the
+    # relative eigenvalues); eigvalsh is component_eigvalsh at every n
+    rng = np.random.default_rng(150 + n)
+    a = hermitian_field(rng, (7, 11), n)
+    gA = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
+    gB = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
+    monkeypatch.setattr(linalg, "SLAB_POINTS", 10)
+    w = component_eigvalsh(components(a))
+    assert w.shape == (7, 11, n)
+    assert eigvalsh(a).tobytes() == w.tobytes()
+    assert eigvalsh(a[2, 3]).tobytes() == w[2, 3].tobytes()
+    if n == 3:
+        assert w.tobytes() == np.linalg.eigvalsh(hermitian(components(a))).tobytes()
+        Li = inverse_cholesky(gA)
+        want = np.linalg.eigvalsh(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2)))
+        assert relative_eigenvalues_field(gA, gB).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_eigenvalue_call_is_component_eigvalsh_in_slabs(n, monkeypatch):
+    # at n <= 2 no LAPACK eigenvalue is taken; at n = 3 each call comes from
+    # component_eigvalsh and sees at most SLAB_POINTS matrices
+    rng = np.random.default_rng(160 + n)
+    a = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
+    b = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
+    lapack, batches = np.linalg.eigvalsh, []
+
+    def counted(x, *args, **kwargs):
+        assert n == 3, "a LAPACK eigenvalue call at n <= 2"
+        assert sys._getframe(1).f_code.co_name == "component_eigvalsh"
+        batches.append(x.shape[0])
+        return lapack(x, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    monkeypatch.setattr(linalg, "SLAB_POINTS", 10)
+    monkeypatch.setattr("numpy.linalg.eigvalsh", counted)
+    monkeypatch.setattr("numpy.linalg.eigh", refused)
+    for x, y in ((a, b), (a[1, 2], b[1, 2])):
+        eigvalsh(x)
+        component_positivity(components(x))
+        relative_eigenvalues_field(x, y)
+    assert max(batches, default=0) <= 10
+    assert len(batches) == (3 * 8 + 3 if n == 3 else 0)
 
 
 def test_kernels_reject_non_square_input():

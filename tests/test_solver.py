@@ -541,7 +541,7 @@ def test_dealiased_residual_rejects_a_degenerate_state(n, N):
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     v = cosine_potential(grid, 0.1)
     with pytest.raises(PositivityLoss, match="dealiasing grid"):
-        ricci_residual_dealiased(omega, 0.01, v, 0.01 * omega.g + grid.complex_hessian(v))
+        ricci_residual_dealiased(omega, 0.01, v)
 
 
 def test_diagnosis_failures_name_the_epsilon(monkeypatch):
@@ -549,10 +549,10 @@ def test_diagnosis_failures_name_the_epsilon(monkeypatch):
     omega = TorusMetricField(grid, cosine_potential(grid, 0.05))
     dealiased = solver.ricci_residual_dealiased
 
-    def degenerate_at_half(omega, epsilon, v, g_eps):
+    def degenerate_at_half(omega, epsilon, v):
         if epsilon == 0.5:
             raise PositivityLoss("state metric degenerate on the dealiasing grid")
-        return dealiased(omega, epsilon, v, g_eps)
+        return dealiased(omega, epsilon, v)
 
     monkeypatch.setattr(solver, "ricci_residual_dealiased", degenerate_at_half)
     with pytest.raises(PositivityLoss, match="dealiasing grid") as err:
@@ -719,7 +719,7 @@ def test_ricci_residual_flat_is_zero():
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     state = continuity_path(omega, [0.5])[0]
     assert _raw_residual(omega, state) < 1e-12
-    assert ricci_residual_dealiased(omega, 0.5, state.v, _g_eps(omega, state)) < 1e-12
+    assert ricci_residual_dealiased(omega, 0.5, state.v) < 1e-12
 
 
 def test_ricci_residual_detects_corruption():
@@ -727,9 +727,8 @@ def test_ricci_residual_detects_corruption():
     omega = TorusMetricField(grid, np.zeros(grid.shape))
     state = continuity_path(omega, [1.0])[0]
     v_bad = state.v + cosine_potential(grid, 1e-3, k=3)
-    g_bad = 1.0 * omega.g + grid.complex_hessian(v_bad)
     assert _raw_residual(omega, replace(state, v=v_bad)) >= 1e-4
-    assert ricci_residual_dealiased(omega, 1.0, v_bad, g_bad) >= 1e-4
+    assert ricci_residual_dealiased(omega, 1.0, v_bad) >= 1e-4
 
 
 def test_ricci_residual_refines_at_spectral_rate():
@@ -886,13 +885,14 @@ def _band_route_cases():
 
 
 def test_band_residual_matches_full_grid_route():
-    # The band transforms keep irfftn's and rfftn's axis order and scaling:
-    # all 14 values here measured equal bit for bit (residuals 1.6e-12 to 5.9e-7).
+    # The band transforms keep irfftn's and rfftn's axis order and scaling;
+    # the full-grid route reassembles Ric + g_eps - eps*g where the band
+    # route takes Hess(v - log det g_eps) once, so the 14 values here
+    # (residuals 5.8e-11 to 6.3e-7) measured apart by at most 7.0e-7 relative.
     for omega, states in _band_route_cases():
         for s in states:
-            g_eps = _g_eps(omega, s)
-            want = _full_grid_dealiased(omega, s.epsilon, s.v, g_eps)
-            got = ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)
+            want = _full_grid_dealiased(omega, s.epsilon, s.v, _g_eps(omega, s))
+            got = ricci_residual_dealiased(omega, s.epsilon, s.v)
             assert s.ricci_residual_sup == got
             assert abs(got - want) <= 1e-5 * want, (omega.grid, s.epsilon, got, want)
 
@@ -903,11 +903,10 @@ def test_band_residual_working_set():
     grid = TorusGrid(2, 12)
     omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     s = continuity_path(omega, [1.0], tol=1e-10)[0]
-    g_eps = _g_eps(omega, s)
-    ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)  # build the cached tables
+    ricci_residual_dealiased(omega, s.epsilon, s.v)  # build the cached tables
     tracemalloc.start()
     try:
-        ricci_residual_dealiased(omega, s.epsilon, s.v, g_eps)
+        ricci_residual_dealiased(omega, s.epsilon, s.v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
