@@ -187,9 +187,11 @@ class TorusGrid:
     def hessian_rows(self, F: np.ndarray):
         """The Hessian components of the real field whose half spectrum is F,
         one row at a time in hessian_multipliers' order: each is one inverse
-        real transform of F times its multiplier row."""
+        real transform of F times its multiplier row, written into one
+        spectrum buffer that every row reuses (irfft may overwrite it)."""
+        buf = np.empty(F.shape, dtype=complex)
         for m in self.hessian_multipliers:
-            yield self.irfft(F * m)
+            yield self.irfft(np.multiply(F, m, out=buf))
 
     def complex_hessian(self, f: np.ndarray) -> np.ndarray:
         """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""

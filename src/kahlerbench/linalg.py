@@ -329,14 +329,22 @@ def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
 
     All positive for a positive-definite pair.  component_eigvalsh of the
     components of C = L^{-1} gB L^{-*} with L^{-1} = inverse_cholesky(gA);
-    for n <= 2 they are formed entry by entry from L^{-1} = [[p, 0], [m, q]].
+    for n <= 2 they are formed entry by entry from L^{-1} = [[p, 0], [m, q]],
+    and for n = 3 one slab of SLAB_POINTS points at a time, L^{-1}, C and its
+    eigenvalues, so no complex field is built.
     """
     gB = np.asarray(gB, dtype=complex)
     if np.shape(gA) != gB.shape:
         raise DimensionMismatch(f"field shapes differ: {np.shape(gA)} vs {gB.shape}")
-    Li, n = inverse_cholesky(gA), gB.shape[-1]
+    n = gB.shape[-1]
     if n == 3:
-        return component_eigvalsh(components(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2))))
+        A, B, w = np.reshape(gA, (-1, 3, 3)), gB.reshape(-1, 3, 3), np.empty(gB.shape[:-1])
+        for s in range(0, len(B), SLAB_POINTS):
+            Li, slab = inverse_cholesky(A[s:s + SLAB_POINTS]), slice(s, s + SLAB_POINTS)
+            C = Li @ B[slab] @ np.conj(np.swapaxes(Li, -1, -2))
+            w.reshape(-1, 3)[slab] = component_eigvalsh(components(C))
+        return w
+    Li = inverse_cholesky(gA)
     p = Li[..., 0, 0].real
     C = np.empty((n * n,) + gB.shape[:-2])
     C[0] = p * p * gB[..., 0, 0].real

@@ -7,10 +7,11 @@ The discrete problem on a torus grid is
 for a real potential v, where alpha is a positive coefficient form, Hess is
 the spectral complex Hessian and F is the datum.  Newton's method
 linearizes to (Delta_M - 1) delta = -residual with
-Delta_M = trace(M^{-1} Hess .), solved by BiCGSTAB with a trace-scaled
-flat preconditioner: with s = tr(M^{-1})/n, Delta_M - 1 is close to
-s (Delta - 1/s) for the flat Laplacian Delta, so f -> (Delta - sigma)^{-1}(f/s),
-sigma = mean(1/s), undoes the pointwise variation of tr M^{-1} and costs one
+Delta_M = trace(M^{-1} Hess .), solved by _bicgstab (scipy's BiCGSTAB
+iteration on grid-shaped fields; nothing of scipy.sparse is imported) with
+a trace-scaled flat preconditioner: with s = tr(M^{-1})/n, Delta_M - 1 is
+close to s (Delta - 1/s) for the flat Laplacian Delta, so
+f -> (Delta - sigma)^{-1}(f/s), sigma = mean(1/s), undoes the pointwise variation of tr M^{-1} and costs one
 Fourier-diagonal solve.  The Krylov forcing is residual-scaled,
 rtol = max(1e-10, min(0.5, |r|_inf)), which keeps the Newton tail
 q-quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
@@ -55,7 +56,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
@@ -146,26 +146,76 @@ def _flat_preconditioner(grid: TorusGrid, s: np.ndarray):
     return lambda f: grid.irfft(grid.rfft(f * inv_s) * mult)
 
 
+def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
+    """(x, info) for A x = b by BiCGSTAB (van der Vorst, SIAM J. Sci. Stat.
+    Comput. 13, 1992), A given by matvec and right-preconditioned by psolve,
+    both on grid-shaped fields: scipy 1.17's bicgstab operation for operation,
+    so bit for bit.  x starts at 0, the shadow residual is b, rho and omega
+    break down below eps^2, and the stop is |r| < rtol |b|; info is 0, maxiter
+    when the iterations run out, -10 or -11 on a rho or an omega breakdown.
+    Updates run in place through one scratch field; r doubles as scipy's s,
+    which is r's copy until after s's last use.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b.copy(), 0
+    atol, tiny = float(rtol) * float(bnorm), np.finfo(float).eps ** 2
+    x, r, tmp = np.zeros(b.shape), b.copy(), np.empty(b.shape)
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.vdot(b, r)
+        if np.abs(rho) < tiny:
+            return x, -10
+        if iteration == 0:
+            p = r.copy()
+        else:
+            if np.abs(omega) < tiny:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= np.multiply(omega, v, out=tmp)
+            p *= beta
+            p += r
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = np.vdot(b, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= np.multiply(alpha, v, out=tmp)
+        x += np.multiply(alpha, phat, out=tmp)
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = np.vdot(t, r) / np.vdot(t, t)
+        x += np.multiply(omega, shat, out=tmp)
+        r -= np.multiply(omega, t, out=tmp)
+        rho_prev = rho
+    return x, maxiter
+
+
 def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
                       rtol: float) -> tuple:
-    """Solve (Delta_M - 1) delta = rhs by BiCGSTAB, right-preconditioned by
+    """Solve (Delta_M - 1) delta = rhs (read, not written) by _bicgstab to
+    rtol in at most 500 iterations, right-preconditioned by
     _flat_preconditioner with s = tr(M^{-1})/n.
 
     w are the trace weights of M (linalg.trace_weights), so that
     Delta_M f = sum_k w[k] * (Hessian component k of f), added up one
     Hessian row at a time in k's order (TorusGrid.hessian_rows), bit for bit
-    einsum's sum over the rows of hessian_components(f).  Returns
-    (delta, matvecs), matvecs the number of applications of Delta_M - 1.
+    einsum's sum over the rows of hessian_components(f).  A nonzero info is
+    accepted when the iterate's true relative residual is at most 1e-6
+    (breakdown near the floating-point floor leaves a usable one), else
+    NonConvergence names both.  Returns (delta, matvecs), matvecs the number
+    of applications of Delta_M - 1.
     """
-    shape = grid.shape
-    size = rhs.size
     pre = _flat_preconditioner(grid, w[:: grid.n + 1].sum(axis=0) / grid.n)
     matvecs = 0
 
-    def matvec(x):
+    def matvec(f):
         nonlocal matvecs
         matvecs += 1
-        f = x.reshape(shape)
         # the spectrum hessian_components takes, mean out for round-off
         rows = zip(w, grid.hessian_rows(grid.rfft(f - np.mean(f))))
         wk, lap = next(rows)
@@ -174,22 +224,16 @@ def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
             row *= wk
             lap += row
         lap -= f
-        return lap.reshape(size)
+        return lap
 
-    A = scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec, dtype=float)
-    P = scipy.sparse.linalg.LinearOperator(
-        (size, size), matvec=lambda x: pre(x.reshape(shape)).reshape(size), dtype=float)
-    b = rhs.reshape(size)
-    delta, info = scipy.sparse.linalg.bicgstab(A, b, M=P, rtol=rtol, atol=0.0, maxiter=500)
+    delta, info = _bicgstab(matvec, pre, rhs, rtol, maxiter=500)
     if info != 0:
-        # Breakdown near the attainable floating-point floor still returns a
-        # usable iterate; accept it when the true relative residual is small.
-        achieved = np.linalg.norm(matvec(delta) - b) / max(np.linalg.norm(b), 1e-300)
+        achieved = np.linalg.norm(matvec(delta) - rhs) / max(np.linalg.norm(rhs), 1e-300)
         if achieved > 1e-6:
             raise NonConvergence(
                 f"Krylov solve failed (info={info}, rel residual {achieved:.2e})"
             )
-    return delta.reshape(shape), matvecs
+    return delta, matvecs
 
 
 def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
@@ -237,7 +281,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
         rtol = max(1e-10, min(0.5, res))
         weights = trace_weights(M)
         M = M_try = None  # the Krylov solve reads only the weights
-        delta, step_matvecs = _solve_linearized(grid, weights, -r, rtol)
+        # r is not read again before the line search replaces it
+        delta, step_matvecs = _solve_linearized(grid, weights, np.negative(r, out=r), rtol)
         del weights
 
         t, accepted, any_positive = 1.0, False, False

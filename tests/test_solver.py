@@ -1,8 +1,12 @@
 """Monge-Ampère solves, the shrinking-coefficient path, and its diagnostics."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,26 +265,87 @@ def test_trace_weights_reproduce_the_full_trace(n, N):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _linearized_system(n, N, rng):
+    """The grid, trace weights and a right-hand side drawn from rng of a
+    seeded Newton linearization: M = I + Hess v, v a seeded cosine potential."""
+    grid = TorusGrid(n, N)
+    M = grid.hessian_components(seeded_cosine_potential(grid, n))
+    M[:: n + 1] += 1.0
+    return grid, trace_weights(M), rng.standard_normal(grid.shape)
+
+
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
 def test_krylov_operator_is_the_einsum_bit_for_bit(n, N, monkeypatch):
     # the matvec adds the weighted Hessian rows one at a time; it must equal
     # the weighted sum over the whole component stack, bit for bit
-    grid = TorusGrid(n, N)
     rng = np.random.default_rng(140 + n)
-    M = grid.hessian_components(seeded_cosine_potential(grid, n))
-    M[:: n + 1] += 1.0
-    w = trace_weights(M)
+    grid, w, rhs = _linearized_system(n, N, rng)
     operators = []
 
-    def capture(A, b, **kwargs):
-        operators.append(A)
+    def capture(matvec, psolve, b, rtol, maxiter):
+        operators.append(matvec)
         return np.zeros_like(b), 0
 
-    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", capture)
-    _solve_linearized(grid, w, rng.standard_normal(grid.shape), 0.5)
+    monkeypatch.setattr(solver, "_bicgstab", capture)
+    _solve_linearized(grid, w, rhs, 0.5)
     f = 3.0 + rng.standard_normal(grid.shape)
     want = np.einsum("c...,c...->...", w, grid.hessian_components(f)) - f
-    assert operators[0].matvec(f.reshape(-1)).tobytes() == want.reshape(-1).tobytes()
+    assert operators[0](f).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rtol", [0.5, 1e-3, 1e-10])
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+def test_package_bicgstab_is_scipys_bit_for_bit(n, N, rtol, monkeypatch):
+    # scipy's bicgstab, with the same matvec and preconditioner wrapped in
+    # LinearOperators, is the oracle: the same iterate bytes and info
+    grid, w, rhs = _linearized_system(n, N, np.random.default_rng(170 + n))
+    package, runs = solver._bicgstab, []
+
+    def both(matvec, psolve, b, rtol, maxiter):
+        size, shape = b.size, b.shape
+        A, P = (scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=lambda x, op=op: op(x.reshape(shape)).reshape(size),
+            dtype=float) for op in (matvec, psolve))
+        runs.append(scipy.sparse.linalg.bicgstab(A, b.reshape(size), M=P, rtol=rtol,
+                                                 atol=0.0, maxiter=maxiter))
+        runs.append(package(matvec, psolve, b, rtol, maxiter))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_bicgstab", both)
+    kept = rhs.copy()
+    delta, matvecs = _solve_linearized(grid, w, rhs, rtol)
+    (want, want_info), (got, info) = runs
+    assert info == want_info and got.shape == grid.shape
+    assert got.tobytes() == want.tobytes() and delta is got
+    assert rhs.tobytes() == kept.tobytes()
+    assert 0 < matvecs and matvecs % 2 == 0  # both runs' matvecs
+
+
+@pytest.mark.parametrize("info", [7, -10, -11])
+def test_a_failed_krylov_solve_is_accepted_only_near_the_floor(info, monkeypatch):
+    # a nonzero info with a converged iterate is accepted as it is; with the
+    # zero iterate (relative residual 1) it raises, naming info and residual
+    grid, w, rhs = _linearized_system(2, 8, np.random.default_rng(180))
+    package = solver._bicgstab
+    want, want_matvecs = _solve_linearized(grid, w, rhs, 1e-10)
+    monkeypatch.setattr(solver, "_bicgstab",
+                        lambda *args, **kwargs: (package(*args, **kwargs)[0], info))
+    delta, matvecs = _solve_linearized(grid, w, rhs, 1e-10)
+    assert delta.tobytes() == want.tobytes() and matvecs == want_matvecs + 1
+    monkeypatch.setattr(solver, "_bicgstab", lambda matvec, psolve, b, rtol, maxiter:
+                        (np.zeros_like(b), info))
+    with pytest.raises(NonConvergence, match=rf"info={info}, rel residual 1\.00e\+00"):
+        _solve_linearized(grid, w, rhs, 1e-10)
+
+
+def test_importing_the_package_loads_no_scipy_sparse():
+    # the Krylov loop is the solver's own: nothing of scipy.sparse is loaded
+    src = str(Path(solver.__file__).parents[1])
+    code = ("import sys, kahlerbench\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_problem_holds_alpha_as_components():
