@@ -167,10 +167,10 @@ def royden_margin(R, g, g_prime, kappa):
     nonnegative floor for -H(omega); the bound is vacuous (and rejected) for
     kappa < 0.
     """
-    g, g_prime = np.array(np.broadcast_arrays(g, g_prime), dtype=complex)
-    require_positive(components(g), "g")
-    c = components(g_prime)
-    require_positive(c, "g_prime")
+    pair = np.array(np.broadcast_arrays(g, g_prime), dtype=complex)
+    g, both = pair[0], components(pair)  # one conversion for the pair
+    require_positive(both[:, 0], "g")
+    require_positive(c := both[:, 1], "g_prime")
     n, A = g.shape[-1], hermitian(component_inverse(c))
     curvature = np.einsum("...ijkl,...ji,...lk->...", R, A, A).real  # conj(A)[i, j] = A[j, i]
     S = np.einsum("...ij,...ji->...", A, g).real

@@ -76,22 +76,24 @@ def _component_order(c: np.ndarray) -> int:
 
 
 @cache
-def _selection(n: int) -> tuple:
-    """Signed selection tables, components = to @ floats and floats = components
-    @ from, for the floats (Re, Im per entry) of a Hermitian n x n matrix: exact
-    for finite entries, as each product picks one entry; NaN for a whole matrix
-    with a non-finite entry."""
-    to, frm = np.zeros((2, n * n, 2 * n * n))
-    for i, j in itertools.product(range(n), repeat=2):
-        re, lo, hi = 2 * (i * n + j), min(i, j), max(i, j)
-        frm[lo * n + hi, re] = 1.0
-        if i != j:
-            frm[hi * n + lo, re + 1] = 1.0 if i < j else -1.0
-        if i >= j:  # components read the diagonal and the lower triangle
-            to[lo * n + hi, re] = 1.0
-        if i > j:
-            to[hi * n + lo, re + 1] = -1.0
-    return to, frm
+def _layout(n: int) -> tuple:
+    """(source, sign) rows of the strided copies: the components among a
+    matrix's floats (Re, Im per entry), and the floats among its components."""
+    pairs = list(itertools.product(range(n), repeat=2))
+    to = [(2 * max(i * n + j, j * n + i) + (i > j), -1.0 if i > j else 1.0) for i, j in pairs]
+    frm = [(k, sign) for i, j in pairs for k, sign in
+           ((min(i, j) * n + max(i, j), 1.0), (max(i, j) * n + min(i, j), np.sign(j - i)))]
+    return tuple((np.array(src), np.array(sign)[:, None]) for src, sign in (zip(*to), zip(*frm)))
+
+
+def _signed(rows: np.ndarray, sign: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """rows (k, P) times their signs (k, 1) plus 0.0, so every zero is +0.0,
+    with column p all NaN where column p of source (one matrix) is not finite."""
+    rows *= sign
+    rows += 0.0
+    if not math.isfinite(source.sum()):
+        rows[:, ~np.isfinite(source).all(axis=0)] = np.nan
+    return rows
 
 
 def components(a: np.ndarray) -> np.ndarray:
@@ -99,19 +101,25 @@ def components(a: np.ndarray) -> np.ndarray:
 
     Reads the diagonal and the lower triangle, as eigvalsh does: row
     i*n + i is Re a_ii, and for i < j row i*n + j is Re a_ji and row
-    j*n + i is -Im a_ji, the real and imaginary parts of a_ij.
+    j*n + i is -Im a_ji, the real and imaginary parts of a_ij.  A strided
+    copy, no matrix product: zeros are +0.0, and a matrix with a non-finite
+    entry anywhere, the upper triangle too, has NaN components.
     """
     a = np.ascontiguousarray(a, dtype=complex)
     n = _order(a)
-    c = _selection(n)[0] @ a.reshape(-1, n * n).view(float).T
-    return c.reshape((n * n,) + a.shape[:-2])
+    floats = a.reshape(-1, n * n).view(float).T
+    (source, sign), _ = _layout(n)
+    return _signed(floats[source], sign, floats).reshape((n * n,) + a.shape[:-2])
 
 
 def hermitian(c: np.ndarray) -> np.ndarray:
-    """The Hermitian (..., n, n) field with components c (n*n, ...)."""
+    """The Hermitian (..., n, n) field with components c (n*n, ...), by strided
+    copies as in components: zeros +0.0, NaN where a component is not finite."""
     c = np.asarray(c, dtype=float)
     n = _component_order(c)
-    H = c.reshape(n * n, -1).T @ _selection(n)[1]
+    flat = c.reshape(n * n, -1)
+    _, (source, sign) = _layout(n)
+    H = np.ascontiguousarray(_signed(flat[source], sign, flat).T)
     return H.view(complex).reshape(c.shape[1:] + (n, n))
 
 

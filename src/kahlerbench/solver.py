@@ -8,26 +8,26 @@ for a real potential v, where alpha is a positive coefficient form, Hess is
 the spectral complex Hessian and F is the datum.  Newton's method
 linearizes to (Delta_M - 1) delta = -residual with
 Delta_M = trace(M^{-1} Hess .), solved by _bicgstab (scipy's BiCGSTAB
-iteration on grid-shaped fields; nothing of scipy.sparse is imported) with
+iteration on grid-shaped fields, with einsum's reductions, not BLAS) with
 a trace-scaled flat preconditioner: with s = tr(M^{-1})/n, Delta_M - 1 is
 close to s (Delta - 1/s) for the flat Laplacian Delta, so
-f -> (Delta - sigma)^{-1}(f/s), sigma = mean(1/s), undoes the pointwise variation of tr M^{-1} and costs one
-Fourier-diagonal solve.  The Krylov forcing is residual-scaled,
-rtol = max(1e-10, min(0.5, |r|_inf)), which keeps the Newton tail
-q-quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
-Steps are safeguarded by a backtracking line search that never leaves the
-positive cone, and every iterate is volume-normalized: shifted by the one
-constant that makes mean det(alpha + Hess v) = mean e^{v+F}.  The Newton
-loop runs on real components: alpha (held so by MAProblem) and each
-candidate M = alpha + Hess v are (n*n, ...) fields in linalg's component
-layout (the rows of TorusGrid.hessian_components), and det M, the
-positivity check and the trace weights of M^{-1} are linalg's closed forms
-on them, so no step or line-search trial inverts a Hermitian matrix, and at
-n <= 2 none assembles one (at n = 3 the positivity check does, a slab of
-points at a time, for LAPACK's eigenvalues).  The Krylov solve holds the
-trace weights w of M, not M, and its matvec adds up sum_k w_k Hess_k f one
-Hessian row at a time (TorusGrid.hessian_rows), so no n*n-row Hessian of a
-Krylov vector is built.
+f -> (Delta - sigma)^{-1}(f/s), sigma = mean(1/s), undoes the pointwise
+variation of tr M^{-1} and costs one Fourier-diagonal solve.  The Krylov
+forcing is residual-scaled, rtol = max(1e-10, min(0.5, |r|_inf)), which
+keeps the Newton tail q-quadratic (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982).  Steps are safeguarded by a backtracking line
+search that never leaves the positive cone, and every iterate is
+volume-normalized: shifted by the one constant that makes
+mean det(alpha + Hess v) = mean e^{v+F}.  The Newton loop runs on real
+components: alpha (held so by MAProblem) and each candidate
+M = alpha + Hess v are (n*n, ...) fields in linalg's component layout (the
+rows of TorusGrid.hessian_components), and det M, the positivity check and
+the trace weights of M^{-1} are linalg's closed forms on them, so no step
+or line-search trial inverts a Hermitian matrix, and at n <= 2 none
+assembles one (at n = 3 the positivity check does, a slab of points at a
+time, for LAPACK's eigenvalues).  The Krylov solve holds the trace weights
+w of M, not M, and takes P q and its image in one call, from P's half
+spectrum one traceless Hessian row at a time (_solve_linearized).
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -132,39 +132,43 @@ def _volume_normalized(problem: MAProblem, v: np.ndarray, M: np.ndarray) -> tupl
     return v + c, np.log(d) - v - problem.datum - c
 
 
-def _flat_preconditioner(grid: TorusGrid, s: np.ndarray):
-    """f -> (Delta - sigma)^{-1} (f / s), sigma = mean(1/s), for a positive field s.
-
-    Delta is the flat Laplacian, diagonal on the half spectrum.  With
-    s = tr(M^{-1})/n this inverts s (Delta - 1/s), the flat part of
-    Delta_M - 1 with its pointwise trace kept (a diagonal scaling in front of
-    a constant-coefficient solve, Concus & Golub 1973); for constant s it is
-    (s Delta - 1)^{-1} exactly.
-    """
-    inv_s = 1.0 / s
-    mult = 1.0 / (grid.flat_laplacian_multiplier - float(inv_s.mean()))
-    return lambda f: grid.irfft(grid.rfft(f * inv_s) * mult)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a*b over two fields of one shape by einsum's own loop, not BLAS: no
+    thread pool wakes, and the sum does not depend on the host's thread count."""
+    return np.einsum("i,i->", a.ravel(), b.ravel())
 
 
-def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
+def _norm(a: np.ndarray) -> float:
+    return np.sqrt(_dot(a, a))  # numpy.linalg.norm's formula
+
+
+def _operator(grid: TorusGrid, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(Delta_M - 1) f by the direct route, w the trace weights of M: the
+    Hessian rows of f weighted and summed in row order, less f, bit for bit
+    einsum's sum over hessian_components(f)."""
+    rows = grid.hessian_rows(grid.rfft(f - np.mean(f)))  # mean out for round-off
+    return sum(wk * row for wk, row in zip(w, rows)) - f
+
+
+def _bicgstab(apply, b: np.ndarray, rtol: float, maxiter: int) -> tuple:
     """(x, info) for A x = b by BiCGSTAB (van der Vorst, SIAM J. Sci. Stat.
-    Comput. 13, 1992), A given by matvec and right-preconditioned by psolve,
-    both on grid-shaped fields: scipy 1.17's bicgstab operation for operation,
-    so bit for bit.  x starts at 0, the shadow residual is b, rho and omega
-    break down below eps^2, and the stop is |r| < rtol |b|; info is 0, maxiter
-    when the iterations run out, -10 or -11 on a rho or an omega breakdown.
-    Updates run in place through one scratch field; r doubles as scipy's s,
-    which is r's copy until after s's last use.
+    Comput. 13, 1992), right-preconditioned by P on grid-shaped fields, with
+    apply(q) = (P q, A P q): scipy 1.17's bicgstab operation for operation,
+    its np.dot and np.linalg.norm read as _dot and _norm.  x starts at 0, the
+    shadow residual is b, rho and omega break down below eps^2, and the stop
+    is |r| < rtol |b|; info is 0, maxiter when the iterations run out, -10 or
+    -11 on a rho or an omega breakdown.  Updates run in place through one
+    scratch field; r doubles as scipy's s, its copy until s's last use.
     """
-    bnorm = np.linalg.norm(b)
+    bnorm = _norm(b)
     if bnorm == 0:
         return b.copy(), 0
     atol, tiny = float(rtol) * float(bnorm), np.finfo(float).eps ** 2
     x, r, tmp = np.zeros(b.shape), b.copy(), np.empty(b.shape)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, 0
-        rho = np.vdot(b, r)
+        rho = _dot(b, r)
         if np.abs(rho) < tiny:
             return x, -10
         if iteration == 0:
@@ -176,21 +180,22 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int) -> tuple
             p -= np.multiply(omega, v, out=tmp)
             p *= beta
             p += r
-        phat = psolve(p)
-        v = matvec(phat)
-        rv = np.vdot(b, v)
+            del v  # read last by p's update: no dead vector outlives an apply
+        phat, v = apply(p)
+        rv = _dot(b, v)
         if rv == 0:
             return x, -11
         alpha = rho / rv
         r -= np.multiply(alpha, v, out=tmp)
         x += np.multiply(alpha, phat, out=tmp)
-        if np.linalg.norm(r) < atol:
+        del phat
+        if _norm(r) < atol:
             return x, 0
-        shat = psolve(r)
-        t = matvec(shat)
-        omega = np.vdot(t, r) / np.vdot(t, t)
+        shat, t = apply(r)
+        omega = _dot(t, r) / _dot(t, t)
         x += np.multiply(omega, shat, out=tmp)
         r -= np.multiply(omega, t, out=tmp)
+        del shat, t
         rho_prev = rho
     return x, maxiter
 
@@ -198,37 +203,50 @@ def _bicgstab(matvec, psolve, b: np.ndarray, rtol: float, maxiter: int) -> tuple
 def _solve_linearized(grid: TorusGrid, w: np.ndarray, rhs: np.ndarray,
                       rtol: float) -> tuple:
     """Solve (Delta_M - 1) delta = rhs (read, not written) by _bicgstab to
-    rtol in at most 500 iterations, right-preconditioned by
-    _flat_preconditioner with s = tr(M^{-1})/n.
+    rtol in at most 500 iterations, w the trace weights of M.
 
-    w are the trace weights of M (linalg.trace_weights), so that
-    Delta_M f = sum_k w[k] * (Hessian component k of f), added up one
-    Hessian row at a time in k's order (TorusGrid.hessian_rows), bit for bit
-    einsum's sum over the rows of hessian_components(f).  A nonzero info is
-    accepted when the iterate's true relative residual is at most 1e-6
-    (breakdown near the floating-point floor leaves a usable one), else
-    NonConvergence names both.  Returns (delta, matvecs), matvecs the number
-    of applications of Delta_M - 1.
+    The right preconditioner P q = (Delta - sigma)^{-1} (q / s), with
+    s = tr(M^{-1})/n and sigma = mean(1/s), inverts s (Delta - 1/s), the flat
+    part of Delta_M - 1 with its pointwise trace kept (Concus & Golub 1973),
+    exactly for constant s.  As s Delta q^ = q + s sigma q^ on every bin for
+    q^ = P q, M^{-1} = s I + A with A traceless gives
+    (Delta_M - 1) q^ = q + (s sigma - 1) q^ + tr(A Hess q^): apply(q) takes
+    q^ and the n*n - 1 traceless rows (H_ii - H_nn, weight w_ii - s, and the
+    off-diagonal rows) from P's half spectrum, one rfft and n*n irffts.  A
+    nonzero info is accepted when the true relative residual, by _operator,
+    is at most 1e-6 (breakdown near the rounding floor), else NonConvergence
+    names both.  Returns (delta, matvecs), matvecs the applications of
+    Delta_M - 1.
     """
-    pre = _flat_preconditioner(grid, w[:: grid.n + 1].sum(axis=0) / grid.n)
-    matvecs = 0
+    n, m = grid.n, grid.hessian_multipliers
+    s = w[:: n + 1].sum(axis=0) / n
+    inv_s = 1.0 / s
+    sigma = float(inv_s.mean())
+    mult, shift = 1.0 / (grid.flat_laplacian_multiplier - sigma), s * sigma - 1.0
+    traceless = [(m[k] - m[-1], w[k] - s) for k in range(0, n * n - 1, n + 1)]
+    traceless += [(m[k], w[k]) for k in range(n * n) if k % (n + 1)]
+    spectrum, matvecs = np.empty(mult.shape, dtype=complex), 0
+    del s
 
-    def matvec(f):
+    def apply(q):
         nonlocal matvecs
         matvecs += 1
-        # the spectrum hessian_components takes, mean out for round-off
-        rows = zip(w, grid.hessian_rows(grid.rfft(f - np.mean(f))))
-        wk, lap = next(rows)
-        lap *= wk
-        for wk, row in rows:
+        Q = grid.rfft(q * inv_s)
+        Q *= mult
+        out = q.copy()
+        for mk, wk in traceless:  # before irfft(Q), which may overwrite Q
+            row = grid.irfft(np.multiply(Q, mk, out=spectrum))
             row *= wk
-            lap += row
-        lap -= f
-        return lap
+            out += row
+        qhat = grid.irfft(Q)
+        del Q
+        out += np.multiply(shift, qhat)
+        return qhat, out
 
-    delta, info = _bicgstab(matvec, pre, rhs, rtol, maxiter=500)
+    delta, info = _bicgstab(apply, rhs, rtol, maxiter=500)
     if info != 0:
-        achieved = np.linalg.norm(matvec(delta) - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        matvecs += 1
+        achieved = _norm(_operator(grid, w, delta) - rhs) / max(_norm(rhs), 1e-300)
         if achieved > 1e-6:
             raise NonConvergence(
                 f"Krylov solve failed (info={info}, rel residual {achieved:.2e})"
@@ -246,7 +264,8 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
     _volume_normalized, so the returned v satisfies the discrete volume
     identity to rounding.  alpha is read as the problem holds it, as real
     components (linalg's layout), and each candidate M = alpha + Hess v is
-    carried so too; no complex alpha or second copy of it is made.
+    carried so too; no complex alpha is made.  A cold start (v0 None) takes
+    M = alpha, copied, with no transform.
 
     Returns the potential v, and with return_info also an info dict: the
     residual history, and per Newton step (aligned with residual_history[1:])
@@ -264,8 +283,11 @@ def solve_ma(problem: MAProblem, tol: float = 1e-10, v0: np.ndarray = None,
     t0 = time.perf_counter()
     history, forcing, matvecs = [], [], []
     alpha = problem.alpha
-    M = grid.hessian_components(v)
-    M += alpha
+    if v0 is None:  # Hess 0 is +0.0, so M = alpha bit for bit
+        M = np.array(alpha)
+    else:
+        M = grid.hessian_components(v)
+        M += alpha
     require_positive(M, "initial candidate")
     v, r = _volume_normalized(problem, v, M)
     res = float(np.max(np.abs(r)))

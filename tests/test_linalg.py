@@ -4,6 +4,7 @@ Every function is batched over (..., n, n) fields or (..., n) tuples; the
 oracles are library routines applied one point at a time.
 """
 
+import itertools
 import re
 import sys
 
@@ -336,6 +337,63 @@ def test_components_round_trip(n):
     assert np.array_equal(components(a[2, 3]), c[:, 2, 3])
     with pytest.raises(DimensionMismatch):
         hermitian(np.zeros((5, 3)))
+
+
+def _selection_product(n):
+    """The former layout conversions, each one matrix product with a signed
+    selection table over the floats (Re, Im per entry) of a Hermitian n x n
+    matrix: (components, hermitian)."""
+    to, frm = np.zeros((2, n * n, 2 * n * n))
+    for i, j in itertools.product(range(n), repeat=2):
+        re, lo, hi = 2 * (i * n + j), min(i, j), max(i, j)
+        frm[lo * n + hi, re] = 1.0
+        if i != j:
+            frm[hi * n + lo, re + 1] = 1.0 if i < j else -1.0
+        if i >= j:
+            to[lo * n + hi, re] = 1.0
+        if i > j:
+            to[hi * n + lo, re + 1] = -1.0
+
+    def to_components(a):
+        a = np.ascontiguousarray(a, dtype=complex)
+        c = to @ a.reshape(-1, n * n).view(float).T
+        return c.reshape((n * n,) + a.shape[:-2])
+
+    def to_hermitian(c):
+        H = c.reshape(n * n, -1).T @ frm
+        return H.view(complex).reshape(c.shape[1:] + (n, n))
+
+    return to_components, to_hermitian
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layout_conversions_are_the_selection_product_bit_for_bit(n):
+    # strided copies, signed zeros included (the product's zeros are +0.0),
+    # and a NaN anywhere, the upper triangle too, makes the whole matrix NaN
+    rng = np.random.default_rng(60 + n)
+    to_components, to_hermitian = _selection_product(n)
+    a = hermitian_field(rng, (7, 6), n)
+    floats = a.view(float)
+    floats[rng.uniform(size=floats.shape) < 0.2] = 0.0
+    floats[rng.uniform(size=floats.shape) < 0.2] = -0.0
+    a[1, 2, 0, n - 1] = complex(np.nan, 0.0)  # upper triangle (diagonal at n = 1)
+    a[3, 4, n - 1, 0] = complex(0.5, np.nan)  # lower triangle
+    c = components(a)
+    with np.errstate(invalid="ignore"):
+        assert c.tobytes() == to_components(a).tobytes()
+        assert components(a[5, 5]).tobytes() == to_components(a[5, 5]).tobytes()
+    assert np.isnan(c[:, 1, 2]).all() and np.isnan(c[:, 3, 4]).all()
+    assert np.isfinite(np.delete(c.reshape(n * n, -1), [8, 22], axis=1)).all()
+    if n < 3:  # at n = 3 LAPACK refuses a NaN matrix outright
+        assert not component_positivity(c[:, 1, 2])[0]
+    c = rng.standard_normal((n * n, 7, 6))
+    c[rng.uniform(size=c.shape) < 0.2] = 0.0
+    c[rng.uniform(size=c.shape) < 0.2] = -0.0
+    c[0, 2, 3] = c[-1, 4, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert hermitian(c).tobytes() == to_hermitian(c).tobytes()
+        assert hermitian(c[:, 0, 0]).tobytes() == to_hermitian(c[:, 0, 0]).tobytes()
+    assert np.isnan(hermitian(c)[2, 3].view(float)).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from kahlerbench import solver
 from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
-    _flat_preconditioner,
     _solve_linearized,
     continuity_path,
     limit_probe,
@@ -191,16 +191,34 @@ def flat_laplacian_full_spectrum(n, N):
     return -np.pi**2 * sum(kk**2 for kk in ks)
 
 
+def _capture_apply(monkeypatch, grid, w, rhs):
+    """The apply that _solve_linearized hands to _bicgstab for (w, rhs)."""
+    applies = []
+
+    def capture(apply, b, rtol, maxiter):
+        applies.append(apply)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(solver, "_bicgstab", capture)
+    _solve_linearized(grid, w, rhs, 0.5)
+    monkeypatch.undo()
+    return applies[0]
+
+
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N):
-    """(Delta - sigma)^{-1} (f / s), sigma = mean(1/s), for a random positive s."""
+def test_flat_preconditioner_matches_full_spectrum_multiplier(n, N, monkeypatch):
+    """(Delta - sigma)^{-1} (f / s), sigma = mean(1/s), for a random positive
+    s = tr(M^{-1})/n: the q^ of the Krylov apply, read from trace weights
+    whose diagonal rows are s and whose off-diagonal rows are 0."""
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(N)
     s = rng.uniform(0.3, 3.0, grid.shape)
     f = rng.standard_normal(grid.shape)
+    w = np.zeros((n * n,) + grid.shape)
+    w[:: n + 1] = s
     mult = 1.0 / (flat_laplacian_full_spectrum(n, N) - np.mean(1.0 / s))
     expected = np.fft.ifftn(np.fft.fftn(f / s) * mult).real
-    got = _flat_preconditioner(grid, s)(f)
+    got, _ = _capture_apply(monkeypatch, grid, w, f)(f)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
@@ -275,40 +293,61 @@ def _linearized_system(n, N, rng):
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
-def test_krylov_operator_is_the_einsum_bit_for_bit(n, N, monkeypatch):
-    # the matvec adds the weighted Hessian rows one at a time; it must equal
-    # the weighted sum over the whole component stack, bit for bit
+def test_krylov_apply_is_the_direct_operator(n, N, monkeypatch):
+    # apply(q) is (q^, (Delta_M - 1) q^) for q^ = P q, by the identity
+    # s Delta q^ = q + s sigma q^: the image is the direct operator's to
+    # rounding; the direct operator adds the weighted Hessian rows one at a
+    # time, bit for bit the weighted sum over the whole component stack
     rng = np.random.default_rng(140 + n)
     grid, w, rhs = _linearized_system(n, N, rng)
-    operators = []
-
-    def capture(matvec, psolve, b, rtol, maxiter):
-        operators.append(matvec)
-        return np.zeros_like(b), 0
-
-    monkeypatch.setattr(solver, "_bicgstab", capture)
-    _solve_linearized(grid, w, rhs, 0.5)
+    apply = _capture_apply(monkeypatch, grid, w, rhs)
     f = 3.0 + rng.standard_normal(grid.shape)
-    want = np.einsum("c...,c...->...", w, grid.hessian_components(f)) - f
-    assert operators[0](f).tobytes() == want.tobytes()
+    qhat, image = apply(f)
+    want = solver._operator(grid, w, qhat)
+    assert np.max(np.abs(image - want)) <= 1e-13 * np.max(np.abs(want))
+    einsum = np.einsum("c...,c...->...", w, grid.hessian_components(f)) - f
+    assert solver._operator(grid, w, f).tobytes() == einsum.tobytes()
+
+
+class _PackageReductions:
+    """numpy as scipy's bicgstab module reads it, with np.dot and
+    np.linalg.norm the solver's reductions."""
+
+    dot = staticmethod(solver._dot)
+    linalg = SimpleNamespace(norm=solver._norm)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 @pytest.mark.parametrize("rtol", [0.5, 1e-3, 1e-10])
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
 def test_package_bicgstab_is_scipys_bit_for_bit(n, N, rtol, monkeypatch):
-    # scipy's bicgstab, with the same matvec and preconditioner wrapped in
-    # LinearOperators, is the oracle: the same iterate bytes and info
+    # scipy's bicgstab, with apply split into a psolve and a matvec that
+    # returns the image apply made with it, and with the package's
+    # reductions for its np.dot and np.linalg.norm, is the oracle: the same
+    # iterate bytes and info
     grid, w, rhs = _linearized_system(n, N, np.random.default_rng(170 + n))
     package, runs = solver._bicgstab, []
+    monkeypatch.setattr(sys.modules[scipy.sparse.linalg.bicgstab.__module__], "np",
+                        _PackageReductions())
 
-    def both(matvec, psolve, b, rtol, maxiter):
-        size, shape = b.size, b.shape
-        A, P = (scipy.sparse.linalg.LinearOperator(
-            (size, size), matvec=lambda x, op=op: op(x.reshape(shape)).reshape(size),
-            dtype=float) for op in (matvec, psolve))
+    def both(apply, b, rtol, maxiter):
+        size, shape, made = b.size, b.shape, []
+
+        def psolve(p):
+            made.append(apply(p.reshape(shape)))
+            return made[-1][0].reshape(size)
+
+        def matvec(qhat):
+            assert qhat.tobytes() == made[-1][0].tobytes()
+            return made[-1][1].reshape(size)
+
+        A, P = (scipy.sparse.linalg.LinearOperator((size, size), matvec=op, dtype=float)
+                for op in (matvec, psolve))
         runs.append(scipy.sparse.linalg.bicgstab(A, b.reshape(size), M=P, rtol=rtol,
                                                  atol=0.0, maxiter=maxiter))
-        runs.append(package(matvec, psolve, b, rtol, maxiter))
+        runs.append(package(apply, b, rtol, maxiter))
         return runs[-1]
 
     monkeypatch.setattr(solver, "_bicgstab", both)
@@ -318,13 +357,14 @@ def test_package_bicgstab_is_scipys_bit_for_bit(n, N, rtol, monkeypatch):
     assert info == want_info and got.shape == grid.shape
     assert got.tobytes() == want.tobytes() and delta is got
     assert rhs.tobytes() == kept.tobytes()
-    assert 0 < matvecs and matvecs % 2 == 0  # both runs' matvecs
+    assert 0 < matvecs and matvecs % 2 == 0  # both runs' applications
 
 
 @pytest.mark.parametrize("info", [7, -10, -11])
 def test_a_failed_krylov_solve_is_accepted_only_near_the_floor(info, monkeypatch):
-    # a nonzero info with a converged iterate is accepted as it is; with the
-    # zero iterate (relative residual 1) it raises, naming info and residual
+    # a nonzero info with a converged iterate is accepted as it is, after one
+    # application of the direct operator; with the zero iterate (relative
+    # residual 1) it raises, naming info and residual
     grid, w, rhs = _linearized_system(2, 8, np.random.default_rng(180))
     package = solver._bicgstab
     want, want_matvecs = _solve_linearized(grid, w, rhs, 1e-10)
@@ -332,10 +372,30 @@ def test_a_failed_krylov_solve_is_accepted_only_near_the_floor(info, monkeypatch
                         lambda *args, **kwargs: (package(*args, **kwargs)[0], info))
     delta, matvecs = _solve_linearized(grid, w, rhs, 1e-10)
     assert delta.tobytes() == want.tobytes() and matvecs == want_matvecs + 1
-    monkeypatch.setattr(solver, "_bicgstab", lambda matvec, psolve, b, rtol, maxiter:
+    monkeypatch.setattr(solver, "_bicgstab", lambda apply, b, rtol, maxiter:
                         (np.zeros_like(b), info))
     with pytest.raises(NonConvergence, match=rf"info={info}, rel residual 1\.00e\+00"):
         _solve_linearized(grid, w, rhs, 1e-10)
+
+
+def test_iterates_do_not_depend_on_the_blas_thread_count():
+    # the Krylov reductions are einsum's own loops, not BLAS: a seeded (2, 16)
+    # solve gives the same bytes with one OpenBLAS thread and with two
+    src = str(Path(solver.__file__).parents[1])
+    code = ("import hashlib, numpy as np\n"
+            "from kahlerbench.grids import TorusGrid\n"
+            "from kahlerbench.solver import manufactured_problem, solve_ma\n"
+            "grid = TorusGrid(2, 16)\n"
+            "x = np.meshgrid(*[grid.axis_coords] * 4, indexing='ij', sparse=True)\n"
+            "v = 0.004 * np.cos(2 * np.pi * (x[0] + 2 * x[1] - x[3])) "
+            "+ 0.003 * np.sin(2 * np.pi * (x[2] - x[1]))\n"
+            "v = solve_ma(manufactured_problem(grid, v), tol=1e-10)\n"
+            "print(hashlib.sha256(v.tobytes()).hexdigest())")
+    digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src,
+                                               "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 def test_importing_the_package_loads_no_scipy_sparse():
@@ -551,10 +611,13 @@ def test_stalled_line_search_stops_once_the_step_rounds_away(monkeypatch):
             w_prev, e_prev = v - grid.n * np.log(e), e
     # the same stall as with every trial evaluated
     assert e == 2.0**-6
-    assert err.value.residual == 3.5185018017625663e-10
-    assert err.value.steps == 2
+    # 3.5185018017625663e-10 after 2 steps with BLAS reductions in the Krylov
+    # loop: their rounding moves the floor, at the same eps, and one more
+    # step (3.96e-10, then 3.54e-10) is accepted before the stall
+    assert err.value.residual == 3.5358064458083927e-10
+    assert err.value.steps == 3
     # the Hessian transforms of the solves' candidates (the first, each
-    # line-search trial, the final check): 31 here, and evaluating all
+    # line-search trial, the final check): 32 here, and evaluating all
     # LINE_SEARCH_HALVINGS + 1 trials made 61
     assert len(calls) <= 48
     monkeypatch.undo()
