@@ -91,6 +91,7 @@ from .io import (
     write_reports_jsonl,
 )
 from .linalg import (
+    components,
     elementary_symmetric_field,
     newton_maclaurin_margin_field,
     relative_eigenvalues_field,
@@ -368,7 +369,8 @@ def run_verify_inequalities(cfg, out_dir, seed):
         gp = np.exp(rng.normal(0.0, 0.7, (m, n)))[..., None] * np.eye(n)
         raw = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         ric = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
-        lam = np.maximum(0.0, -relative_eigenvalues_field(gp, ric)[..., 0]) + 0.1
+        lam_min = relative_eigenvalues_field(components(gp), components(ric))[..., 0]
+        lam = np.maximum(0.0, -lam_min) + 0.1
         ricci += ricci_term_margin(ric, gp, lam, 0.0)
     bad = ricci_term_margin(-3.0 * np.eye(2), np.eye(2), 1.0, 0.0)
     reports.extend(ricci + [bad])
@@ -428,7 +430,7 @@ def run_integrals(cfg, out_dir, seed):
         modes=[(m, ph + 0.9, w) for (m, ph, w) in _TORUS_MODES[n]],
     )
     A_field = _input_metric(TorusMetricField, grid, other)
-    shift = grid.complex_hessian(perturbed_torus_potential(grid, c["amplitude"] / 3.0))
+    shift = grid.hessian_components(perturbed_torus_potential(grid, c["amplitude"] / 3.0))
     base = wedge_integrals(A_field.g, omega.g)
     shifted = (wedge_integrals(A_field.g + shift, omega.g)
                + wedge_integrals(A_field.g, omega.g + shift))
@@ -439,7 +441,7 @@ def run_integrals(cfg, out_dir, seed):
 
     # pointwise sigma consistency: mixed determinants vs relative eigenvalues
     idx = tuple(rng.integers(0, N, size=(5, 2 * n)).T)
-    ga, gb = omega.g[idx], A_field.g[idx]
+    ga, gb = omega.g[(slice(None),) + idx], A_field.g[(slice(None),) + idx]
     D = mixed_determinants(gb, ga)
     D = D / D[:, :1]  # D_0 = det ga
     e = elementary_symmetric_field(relative_eigenvalues_field(ga, gb))

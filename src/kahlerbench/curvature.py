@@ -27,9 +27,10 @@ from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .linalg import Direction, inv, inverse_cholesky
 
-# numpy.linalg.eigh's batched kernel without its wrapper, whose error-state
-# context costs a single-point query more than the LAPACK call does
+# numpy.linalg's eigh and lstsq kernels without their wrappers, whose
+# error-state context costs a single-point query more than LAPACK does
 _eigh = partial(np.linalg._umath_linalg.eigh_lo, signature="d->dd")
+_lstsq = partial(np.linalg._umath_linalg.lstsq, signature="DDd->Ddid")
 
 SYMMETRY_RTOL = 1e-10
 # The n = 3 extremizer policy (n <= 2 is exact): pencil lines, best lines
@@ -339,12 +340,15 @@ def _refine_direction(R: np.ndarray, u: np.ndarray, sign: float, steps: int) -> 
     u = u / np.linalg.norm(u)
     val = _q_value(R, u)
     for _ in range(steps):
-        F = np.linalg.qr(np.column_stack([u, np.eye(n)]))[0]
+        p = u[0] / abs(u[0]) if u[0] else 1.0  # F: p times the reflection of e_1 to u/p
+        v = u + p * np.eye(n)[0]
+        F = p * (np.outer(v, v.conj()) / (1.0 + abs(u[0])) - np.eye(n))  # F e_1 = u
         S = transform_tensor(R, F)
         q, s, A, B = S[0, 0, 0, 0].real, S[1:, 0, 0, 0], S[1:, 1:, 0, 0], S[1:, 0, 1:, 0]
         Ac = 2.0 * np.conj(A) - q * np.eye(n - 1)
         M = np.concatenate([np.hstack([Ac, np.conj(B)]), np.hstack([B, np.conj(Ac)])])
-        c = np.linalg.lstsq(M, -np.concatenate([np.conj(s), s]), rcond=None)[0][: n - 1]
+        rhs = -np.concatenate([np.conj(s), s])[:, None]
+        c = _lstsq(M, rhs, np.finfo(float).eps * len(M))[0][: n - 1, 0]  # lstsq's rcond
         x = F @ np.concatenate([[1.0], c])
         x /= np.linalg.norm(x)
         xval = _q_value(R, x)

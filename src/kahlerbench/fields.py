@@ -13,7 +13,8 @@ or field.geometry (chart).
 On the periodic torus the metric is flat + complex Hessian of a real
 potential sampled on the grid.  A point is a grid multi-index of 2n
 integers (taken modulo N), or a stack of them (..., 2n); real coordinates
-are not accepted.  g comes from the spectral Hessian over the whole grid.
+are not accepted.  g, the spectral Hessian over the whole grid, is held as
+linalg components (n*n,) + grid shape, and made Hermitian at queried points.
 (dg, ddg) at a point of stride s = gcd(N, its 2n indices) come from the
 grid's hessian_jets on the stride-s sublattice, computed once per stride
 and kept on the field; stride 1 is the full-grid jets.  So a sweep of a
@@ -56,11 +57,10 @@ class TorusMetricField:
         self.grid = grid
         self.n = grid.n
         self.psi = psi - psi.mean()  # zero-mean gauge
-        c = grid.hessian_components(self.psi)  # of g, once the identity is added
-        c[:: self.n + 1] += 1.0
-        require_positive(c, "metric")
-        self.g = hermitian(c)
-        self.det_g = component_det(c)
+        self.g = grid.hessian_components(self.psi)  # of g, once the identity is added
+        self.g[:: self.n + 1] += 1.0
+        require_positive(self.g, "metric")
+        self.det_g = component_det(self.g)
         self._folds = {}  # stride -> (T, Q) on its sublattice
 
     @cached_property
@@ -78,11 +78,11 @@ class TorusMetricField:
 
     def jet_at(self, index):
         """(g, dg, ddg) at a grid multi-index, or stacked over a stack of them
-        (..., 2n).  g is read from the grid array; dg and ddg at a point of
-        stride s = gcd(N, its 2n indices) from the jets of the stride-s
-        sublattice (the grid's hessian_jets), made once per distinct stride
-        and kept on the field, stride 1 being the full-grid jets.  So a
-        point's jets depend on the field and the point only."""
+        (..., 2n).  g is assembled from the components at the points; dg and
+        ddg at a point of stride s = gcd(N, its 2n indices) from the jets of
+        the stride-s sublattice (the grid's hessian_jets), made once per
+        distinct stride and kept on the field, stride 1 being the full-grid
+        jets.  So a point's jets depend on the field and the point only."""
         idx = self.grid.index(index)
         strides = np.gcd.reduce(np.stack(idx), axis=0, initial=self.grid.N)
         dg = np.empty(strides.shape + (self.n,) * 3, dtype=complex)
@@ -92,10 +92,10 @@ class TorusMetricField:
             T, Q = self._jets(s)
             sub = tuple(i[at] // s for i in idx)
             dg[at], ddg[at] = T[sub], Q[sub]
-        return self.g[idx], dg, ddg
+        return hermitian(self.g[(slice(None),) + idx]), dg, ddg
 
     def metric_matrix_at(self, index) -> np.ndarray:
-        return self.g[self.grid.index(index)]
+        return hermitian(self.g[(slice(None),) + self.grid.index(index)])
 
 
 class ChartMetricField:

@@ -194,7 +194,7 @@ class TorusGrid:
             yield self.irfft(np.multiply(F, m, out=buf))
 
     def complex_hessian(self, f: np.ndarray) -> np.ndarray:
-        """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field; Hermitian, real diagonal."""
+        """H[..., i, j] = d^2 f / dz^i dzbar^j of a real field: hessian_components as Hermitian."""
         return hermitian(self.hessian_components(f))
 
     def _fold(self, P: np.ndarray, stride: int) -> np.ndarray:

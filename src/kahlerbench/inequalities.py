@@ -42,7 +42,8 @@ from .curvature import (_extremes, _frames, _jet_extremes, _ricci, constant_hsc_
                         curvature_from_derivatives)
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
-from .linalg import component_inverse, components, eigvalsh, hermitian, inv, require_positive
+from .linalg import (component_eigvalsh, component_inverse, components, hermitian, inv,
+                     require_positive)
 
 MARGIN_TOL = 1e-9
 IDENTITY_RTOL = 1e-10
@@ -187,7 +188,8 @@ def royden_margin(R, g, g_prime, kappa):
 def _ricci_hypothesis(ric_prime, g_prime, g, lam, mu) -> tuple:
     """Per point: the least eigenvalue w of Ric' + lam g' - mu g, max|Ric'| and max|g'|."""
     lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    w = eigvalsh(ric_prime + lam[..., None, None] * g_prime - mu[..., None, None] * g)[..., 0]
+    pencil = ric_prime + lam[..., None, None] * g_prime - mu[..., None, None] * g
+    w = component_eigvalsh(components(pencil))[..., 0]
     return w, np.abs(ric_prime).max(axis=(-2, -1)), np.abs(g_prime).max(axis=(-2, -1))
 
 

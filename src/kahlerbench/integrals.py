@@ -27,44 +27,44 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
-from .linalg import adjugate, component_det, components, trace_pairing
+from .linalg import adjugate, component_det, trace_pairing
 
 INTEGRAL_TOL = 1e-8
 BIGNESS_TOL = 1e-9
 COND_LIMIT = 1e8
 
 
-def mixed_determinants(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def mixed_determinants(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All mixed coefficients D_k(A; B), k = 0..n, the coefficients of t^k in
-    det(t A + B), of Hermitian (..., n, n) fields, batched over leading axes:
-    for n <= 3, det B, tr(adj B A), tr(adj A B) and det A, cut to n + 1."""
-    if np.shape(A) != np.shape(B):
-        raise DimensionMismatch(f"shapes differ: {np.shape(A)} vs {np.shape(B)}")
-    a, b = components(A), components(B)
+    det(t A + B), of the Hermitian fields A, B with components a, b (n*n, ...),
+    as the last axis: for n <= 3, det B, tr(adj B A), tr(adj A B) and det A,
+    cut to n + 1."""
+    if np.shape(a) != np.shape(b):
+        raise DimensionMismatch(f"shapes differ: {np.shape(a)} vs {np.shape(b)}")
     pairs = [(b, a), (a, b)][: math.isqrt(len(a)) - 1]  # tr(adj B A), tr(adj A B)
     traces = [trace_pairing(adjugate(p), q) for p, q in pairs]
     return np.stack([component_det(b), *traces, component_det(a)], axis=-1)
 
 
-def wedge_integrals(A: np.ndarray, B: np.ndarray) -> tuple:
+def wedge_integrals(a: np.ndarray, b: np.ndarray) -> tuple:
     """Normalized integrals W_k of A^k wedge B^{n-k} over a torus grid, k = 0..n.
 
-    A and B are (grid + (n, n)) metric arrays on one grid, such as two
-    fields' .g; each integral is the grid mean of its integrand, and all
-    n + 1 come from one mixed_determinants pass.  Arrays of different
-    shapes raise DimensionMismatch.
+    a and b are the components (n*n,) + grid shape of two metric fields on
+    one grid, such as two fields' .g; each integral is the grid mean of its
+    integrand, and all n + 1 come from one mixed_determinants pass.  Arrays
+    of different shapes raise DimensionMismatch.
     """
-    D = mixed_determinants(A, B)
+    D = mixed_determinants(a, b)
     n = D.shape[-1] - 1
     return tuple(float(np.mean(D[..., k] / math.comb(n, k))) for k in range(n + 1))
 
 
-def wedge_integral(A: np.ndarray, B: np.ndarray, k: int) -> float:
-    """W_k of wedge_integrals(A, B): the normalized integral of A^k wedge B^{n-k}."""
-    n = np.shape(A)[-1]
+def wedge_integral(a: np.ndarray, b: np.ndarray, k: int) -> float:
+    """W_k of wedge_integrals(a, b): the normalized integral of A^k wedge B^{n-k}."""
+    n = math.isqrt(len(a))
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return wedge_integrals(A, B)[k]
+    return wedge_integrals(a, b)[k]
 
 
 def volume(field: TorusMetricField) -> float:

@@ -4,16 +4,16 @@ Every (1,1)-form is represented by its Hermitian coefficient matrix in a
 fixed holomorphic frame; the flat form is the identity.  All comparisons
 between two metrics g, g' reduce to the relative eigenvalues of g^{-1}g',
 their elementary symmetric functions sigma_k, and the reverse trace
-S = tr_{g'} g.  Each function takes fields of shape (..., n, n) or
-eigenvalue tuples (..., n); a single matrix or tuple is a batch of one.
-Determinants, inverses and traces have one implementation: closed-form
-kernels through n = 3 (component_det; adjugate, which component_inverse,
-trace_weights and integrals' mixed_determinants read; trace_pairing) on the
-real components (n*n, ...) of a Hermitian field, with row i*n + i its
+S = tr_{g'} g.  A grid field is its real components (n*n, ...), row i*n + i
 diagonal entry i and, for i < j, rows i*n + j and j*n + i the real and
-imaginary parts of entry (i, j) (TorusGrid.hessian_components' layout).
-`components` and `hermitian` convert; inv, eigvalsh and trace_s_field
-adapt the kernels to Hermitian (..., n, n) fields.  component_eigvalsh
+imaginary parts of entry (i, j) (TorusGrid.hessian_components' layout), and
+every function over fields takes them; Hermitian (..., n, n) matrices are
+the layout of point queries (jets, frames), which inv and inverse_cholesky
+take.  A single matrix or tuple is a batch of one.  Determinants, inverses
+and traces have one implementation, closed-form kernels through n = 3 on
+components (component_det; adjugate, which component_inverse, trace_weights
+and integrals' mixed_determinants read; trace_pairing); `components` and
+`hermitian` convert.  component_eigvalsh
 takes every Hermitian eigenvalue, by LAPACK at n = 3 only.  The one
 positive-definiteness policy (PD_RTOL) is component_positivity, on
 components; at n <= 2 it reads only the trace and the determinant, and
@@ -44,24 +44,9 @@ PD_RTOL = 1e-10
 SLAB_POINTS = 2**14  # points per slab of a field streamed through a transform or LAPACK
 
 
-def _order(a: np.ndarray) -> int:
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected (..., n, n) matrices, got shape {a.shape}")
-    return a.shape[-1]
-
-
 def inv(a: np.ndarray) -> np.ndarray:
     """Inverses of nonsingular Hermitian (..., n, n) matrices."""
     return hermitian(component_inverse(components(a)))
-
-
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (..., n) of Hermitian (..., n, n) matrices.
-
-    Reads the diagonal and the lower triangle, as numpy.linalg.eigvalsh
-    does; component_eigvalsh of components(a).
-    """
-    return component_eigvalsh(components(a))
 
 
 # -- the real component layout and its kernels -----------------------------------
@@ -99,14 +84,16 @@ def _signed(rows: np.ndarray, sign: np.ndarray, source: np.ndarray) -> np.ndarra
 def components(a: np.ndarray) -> np.ndarray:
     """The real components (n*n, ...) of Hermitian (..., n, n) matrices.
 
-    Reads the diagonal and the lower triangle, as eigvalsh does: row
+    Reads the diagonal and the lower triangle, as LAPACK's eigvalsh does: row
     i*n + i is Re a_ii, and for i < j row i*n + j is Re a_ji and row
     j*n + i is -Im a_ji, the real and imaginary parts of a_ij.  A strided
     copy, no matrix product: zeros are +0.0, and a matrix with a non-finite
     entry anywhere, the upper triangle too, has NaN components.
     """
     a = np.ascontiguousarray(a, dtype=complex)
-    n = _order(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected (..., n, n) matrices, got shape {a.shape}")
+    n = a.shape[-1]
     floats = a.reshape(-1, n * n).view(float).T
     (source, sign), _ = _layout(n)
     return _signed(floats[source], sign, floats).reshape((n * n,) + a.shape[:-2])
@@ -170,23 +157,25 @@ def component_inverse(c: np.ndarray) -> np.ndarray:
     return adjugate(c) / component_det(c)
 
 
-def _doubled(p: np.ndarray) -> np.ndarray:
-    """p (n*n, ...) with its off-diagonal rows doubled: the weights w with
+def _doubled(w: np.ndarray) -> np.ndarray:
+    """P's components w (n*n, ...) with the off-diagonal rows doubled in place:
     sum_k w[k] q[k] = tr(P Q), as tr(P Q) sums P_ij Q_ji over both triangles."""
-    w, d = p * 2.0, _component_order(p) + 1
-    w[::d] = p[::d]
+    n = _component_order(w)
+    for r in set(range(n * n)) - set(range(0, n * n, n + 1)):  # off-diagonal rows
+        w[r] *= 2.0
     return w
 
 
 def trace_pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """tr(P Q) of Hermitian fields P, Q given by their components (n*n, ...)."""
-    return np.einsum("k...,k...->...", _doubled(np.asarray(p, dtype=float)), q)
+    return np.einsum("k...,k...->...", _doubled(np.array(p, dtype=float)), q)
 
 
 def trace_weights(c: np.ndarray) -> np.ndarray:
-    """Real weights w (n*n, ...) with sum_k w[k] h[k] = tr(M^{-1} H), M the
-    Hermitian field with components c and H any, with components h."""
-    return _doubled(component_inverse(c))
+    """Real weights w (n*n, ...) with sum_k w[k] h[k] = tr(M^{-1} H), M, H the Hermitian
+    fields with components c, h: adj M / det M, off-diagonal rows doubled, in one array."""
+    w = adjugate(c)
+    return _doubled(np.divide(w, component_det(c), out=w))
 
 
 def component_eigvalsh(c: np.ndarray) -> np.ndarray:
@@ -304,64 +293,69 @@ def elementary_symmetric_field(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cholesky_entries(a: np.ndarray, g10=None, g11=None) -> tuple:
+    """(p, m, q), L^{-1} = [[p, 0], [m, q]] for g = L L^*, from g00 = a and, at n = 2, g10
+    (complex) and g11 (m = q = None at n = 1): p = 1/sqrt(a), q = a / sqrt(a d) = 1/sqrt(d/a)
+    with d = det g, m = -g10 / sqrt(a d); numpy.linalg.LinAlgError unless a, d > 0."""
+    d = a if g10 is None else a * g11 - (g10 * g10.conj()).real
+    if not (np.minimum(a, d) > 0.0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    if g10 is None:
+        return 1.0 / np.sqrt(a), None, None
+    root = np.sqrt(a * d)
+    return 1.0 / np.sqrt(a), -g10 / root, a / root
+
+
 def inverse_cholesky(g: np.ndarray) -> np.ndarray:
-    """L^{-1} for g = L L^* (Cholesky) over (..., n, n); numpy.linalg.LinAlgError
-    if g is not positive definite.  For n <= 2 the closed form [[p, 0], [m, q]],
-    a = g00, d = det g: p = 1/sqrt(a), q = a / sqrt(a d) = 1/sqrt(d/a), the Schur
-    complement's, m = -g10 / sqrt(a d); for n = 3 LAPACK's L, inverted by
-    forward substitution."""
+    """L^{-1} for g = L L^* (Cholesky) over Hermitian (..., n, n) matrices, LinAlgError
+    if g is not positive definite: _cholesky_entries for n <= 2, and for n = 3
+    LAPACK's L, inverted by forward substitution."""
     g = np.asarray(g, dtype=complex)
-    n = _order(g)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise DimensionMismatch(f"expected (..., n, n) matrices, got shape {g.shape}")
+    n, Li = g.shape[-1], np.zeros(g.shape, dtype=complex)
     if n == 3:
-        L, Li = np.linalg.cholesky(g), np.zeros(g.shape, dtype=complex)
+        L = np.linalg.cholesky(g)
         for i in range(3):
             Li[..., i, i] = 1.0 / L[..., i, i].real
             for j in range(i):
                 Li[..., i, j] = -(L[..., i, j:i] * Li[..., j:i, j]).sum(-1) * Li[..., i, i]
         return Li
-    a, g10 = g[..., 0, 0].real, g[..., n - 1, 0]
-    d = a * g[..., 1, 1].real - (g10 * g10.conj()).real if n == 2 else a
-    if not (np.minimum(a, d) > 0.0).all():
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    Li = np.zeros(g.shape, dtype=complex)
-    Li[..., 0, 0] = 1.0 / np.sqrt(a)
+    lower = (g[..., 1, 0], g[..., 1, 1].real) if n == 2 else ()
+    Li[..., 0, 0], m, q = _cholesky_entries(g[..., 0, 0].real, *lower)
     if n == 2:
-        root = np.sqrt(a * d)
-        Li[..., 1, 1] = a / root
-        Li[..., 1, 0] = -g10 / root
+        Li[..., 1, 0], Li[..., 1, 1] = m, q
     return Li
 
 
-def relative_eigenvalues_field(gA: np.ndarray, gB: np.ndarray) -> np.ndarray:
-    """Eigenvalues of gA^{-1} gB, ascending, for fields of shape (..., n, n).
-
-    All positive for a positive-definite pair.  component_eigvalsh of the
-    components of C = L^{-1} gB L^{-*} with L^{-1} = inverse_cholesky(gA);
-    for n <= 2 they are formed entry by entry from L^{-1} = [[p, 0], [m, q]],
-    and for n = 3 one slab of SLAB_POINTS points at a time, L^{-1}, C and its
-    eigenvalues, so no complex field is built.
+def relative_eigenvalues_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., n) of A^{-1} B, ascending, A, B the Hermitian fields
+    with components a, b (n*n, ...); all positive for a positive-definite pair:
+    component_eigvalsh of the components of C = L^{-1} B L^{-*} with
+    A = L L^*; for n <= 2 formed entry by entry from L^{-1} = [[p, 0], [m, q]]
+    (_cholesky_entries of a), and for n = 3 one slab of SLAB_POINTS points at a
+    time, inverse_cholesky, C and its eigenvalues, so no complex field is built.
     """
-    gB = np.asarray(gB, dtype=complex)
-    if np.shape(gA) != gB.shape:
-        raise DimensionMismatch(f"field shapes differ: {np.shape(gA)} vs {gB.shape}")
-    n = gB.shape[-1]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"field shapes differ: {a.shape} vs {b.shape}")
+    n = _component_order(b)
     if n == 3:
-        A, B, w = np.reshape(gA, (-1, 3, 3)), gB.reshape(-1, 3, 3), np.empty(gB.shape[:-1])
-        for s in range(0, len(B), SLAB_POINTS):
-            Li, slab = inverse_cholesky(A[s:s + SLAB_POINTS]), slice(s, s + SLAB_POINTS)
-            C = Li @ B[slab] @ np.conj(np.swapaxes(Li, -1, -2))
+        A, B, w = a.reshape(9, -1), b.reshape(9, -1), np.empty(b.shape[1:] + (3,))
+        for s in range(0, A.shape[1], SLAB_POINTS):
+            slab = slice(s, s + SLAB_POINTS)
+            Li = inverse_cholesky(hermitian(A[:, slab]))
+            C = Li @ hermitian(B[:, slab]) @ np.conj(np.swapaxes(Li, -1, -2))
             w.reshape(-1, 3)[slab] = component_eigvalsh(components(C))
         return w
-    Li = inverse_cholesky(gA)
-    p = Li[..., 0, 0].real
-    C = np.empty((n * n,) + gB.shape[:-2])
-    C[0] = p * p * gB[..., 0, 0].real
+    p, m, q = _cholesky_entries(a[0], *((a[1] - 1j * a[2], a[3]) if n == 2 else ()))
+    C = np.empty(b.shape)
+    C[0] = p * p * b[0]
     if n == 2:
-        m, q = Li[..., 1, 0], Li[..., 1, 1].real
-        C10 = p * (m * gB[..., 0, 0].real + q * gB[..., 1, 0])
+        b01 = b[1] + 1j * b[2]
+        C10 = p * (m * b[0] + q * b01.conj())
         C[1], C[2] = C10.real, -C10.imag
-        C[3] = ((m.real**2 + m.imag**2) * gB[..., 0, 0].real
-                + 2.0 * q * (m * gB[..., 0, 1]).real + q * q * gB[..., 1, 1].real)
+        C[3] = (m.real**2 + m.imag**2) * b[0] + 2.0 * q * (m * b01).real + q * q * b[3]
     return component_eigvalsh(C)
 
 
@@ -382,12 +376,10 @@ def newton_maclaurin_margin_field(lam: np.ndarray, k: int) -> np.ndarray:
     return lhs - rhs
 
 
-def trace_s_field(g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
-    """Reverse trace S = tr_{g'} g for fields of shape (..., n, n).
-
-    Equals the sum of 1/lambda over the relative eigenvalues lambda of
-    (g, g'), i.e. sigma_{n-1}/sigma_n.
-    """
-    if np.shape(g) != np.shape(g_prime):
-        raise DimensionMismatch(f"field shapes differ: {np.shape(g)} vs {np.shape(g_prime)}")
-    return trace_pairing(component_inverse(components(g_prime)), components(g))
+def trace_s_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reverse trace S = tr_B A = tr(B^{-1} A) of the Hermitian fields A, B with
+    components a, b (n*n, ...): the sum of 1/lambda over the relative
+    eigenvalues lambda of (A, B), i.e. sigma_{n-1}/sigma_n."""
+    if np.shape(a) != np.shape(b):
+        raise DimensionMismatch(f"field shapes differ: {np.shape(a)} vs {np.shape(b)}")
+    return trace_pairing(component_inverse(b), a)

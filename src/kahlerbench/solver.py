@@ -45,8 +45,8 @@ v - log det g = log sigma_n against the volume-ratio ceiling, the Ricci
 identity residual, relative eigenvalue range, the top of the trace field
 S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.  A path
 that fails diagnoses nothing.  The Ricci residual is Hess(v - log det g_eps),
-from (eps, v); the other diagnostics form the Hermitian g_eps, with linalg's
-component closed forms behind every det, trace and mixed determinant.
+from (eps, v); the others read g_eps = eps g + Hess v as components, formed
+once, with linalg's closed forms behind every det, trace and mixed determinant.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
 from .integrals import wedge_integrals
-from .linalg import (component_det, components, hermitian, relative_eigenvalues_field,
-                     require_positive, trace_s_field, trace_weights)
+from .linalg import (component_det, relative_eigenvalues_field, require_positive,
+                     trace_s_field, trace_weights)
 from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
@@ -426,11 +426,11 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
                krylov_matvecs: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    g_eps is formed once for the eigenvalue, trace and wedge diagnostics
-    and not kept; sup u is taken from u = v - log det g, and the Ricci
-    residual from (eps, v) by ricci_residual_dealiased.
+    The components of g_eps are formed once for the eigenvalue, trace and
+    wedge diagnostics and not kept; sup u is taken from u = v - log det g,
+    and the Ricci residual from (eps, v) by ricci_residual_dealiased.
     """
-    g_eps = epsilon * omega.g + omega.grid.complex_hessian(v)
+    g_eps = epsilon * omega.g + omega.grid.hessian_components(v)
     lam = relative_eigenvalues_field(omega.g, g_eps)
     return ContinuityState(
         epsilon=float(epsilon),
@@ -555,7 +555,6 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
 
     grid = omega.grid
     zero = np.zeros(grid.shape)
-    g = components(omega.g)  # each alpha = eps g is made from these
     series = path_series(omega, eps[0], tol)
     solved = []
     for e in eps:
@@ -563,7 +562,7 @@ def continuity_path(omega: TorusMetricField, epsilons, tol: float = 1e-10) -> li
         for c in reversed(series[:-1]):
             u = c + e * u
         v0 = grid.n * np.log(e) + e * (u - omega.psi)
-        problem = MAProblem(grid, e * g, zero)
+        problem = MAProblem(grid, e * omega.g, zero)
         try:
             v, info = solve_ma(problem, tol=tol, v0=v0, return_info=True)
         except (PositivityLoss, NonConvergence) as err:
@@ -623,8 +622,9 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
     else:
         spectrum = grid.restricted_spectrum(
             grid.prolonged_hessian(grid.rfft(potential), log_det_plus))
-    resid = hermitian(grid.hessian_of_spectrum(grid.rfft(v) - spectrum))
-    return float(np.max(np.abs(resid)))
+    r, n = grid.hessian_of_spectrum(grid.rfft(v) - spectrum), grid.n  # |r_ij| = hypot(Re, Im)
+    return float(np.max([np.hypot(r[i * n + j], r[j * n + i] * (i < j)).max()
+                         for i, j in itertools.combinations_with_replacement(range(n), 2)]))
 
 
 @dataclass

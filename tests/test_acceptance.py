@@ -34,7 +34,7 @@ from kahlerbench.integrals import (
     volume,
     wedge_integral,
 )
-from kahlerbench.linalg import newton_maclaurin_margin_field
+from kahlerbench.linalg import hermitian, newton_maclaurin_margin_field
 from kahlerbench.solver import continuity_path, manufactured_problem, solve_ma
 from kahlerbench.zoo import (
     _TORUS_MODES,
@@ -261,7 +261,7 @@ def test_criterion_08_wedge_integral_exactness(perturbed_path):
     n = grid.n
     other = TorusMetricField(grid, perturbed_torus_potential(
         grid, 0.004, modes=[(m, ph + 0.9, w) for (m, ph, w) in _TORUS_MODES[n]]))
-    shift = grid.complex_hessian(perturbed_torus_potential(grid, 0.003))
+    shift = grid.hessian_components(perturbed_torus_potential(grid, 0.003))
     worst_shift = 0.0
     for k in range(n + 1):
         base = wedge_integral(other.g, omega.g, k)
@@ -271,7 +271,7 @@ def test_criterion_08_wedge_integral_exactness(perturbed_path):
             abs(wedge_integral(other.g, omega.g + shift, k) - base))
 
     vref = volume(omega)
-    law_err = max(abs(grid.mean(np.linalg.det(s.epsilon * omega.g
+    law_err = max(abs(grid.mean(np.linalg.det(s.epsilon * hermitian(omega.g)
                                               + grid.complex_hessian(s.v)))
                       - s.epsilon**n * vref) for s in states)
     expansion = epsilon_expansion_check(states, omega)

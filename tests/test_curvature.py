@@ -32,7 +32,7 @@ from kahlerbench.errors import DimensionMismatch
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import conditioned_negative_tensor, random_kahler_tensor
-from kahlerbench.linalg import Direction, inv, inverse_cholesky
+from kahlerbench.linalg import Direction, hermitian, inv, inverse_cholesky
 from kahlerbench.zoo import (make_example, perturbed_torus_potential, poincare_polydisk_terms,
                              verify_example_facts)
 
@@ -114,7 +114,7 @@ def test_ricci_contraction_matches_matrix_calculus():
     field = TorusMetricField(grid, psi)
     idx = (1, 6, 3, 2)
     T, Q = grid.hessian_jets(field.psi)
-    g, dg, ddg = field.g[idx], T[idx], Q[idx]
+    g, dg, ddg = hermitian(field.g)[idx], T[idx], Q[idx]
     R = curvature_from_derivatives(g, dg, ddg)
     via_trace = ricci_from_curvature(g, R)
     via_matrix = ricci_from_derivatives(g, dg, ddg)
@@ -141,7 +141,7 @@ def test_curvature_field_matches_pointwise():
     x = grid._axis_view(grid.axis_coords, 0)
     psi = 0.01 * np.broadcast_to(np.cos(2.0 * np.pi * x), grid.shape).copy()
     field = TorusMetricField(grid, psi)
-    R = curvature_from_derivatives(field.g, *grid.hessian_jets(field.psi))
+    R = curvature_from_derivatives(hermitian(field.g), *grid.hessian_jets(field.psi))
     assert R.shape == grid.shape + (1, 1, 1, 1)
     idx = (4, 11)
     pointwise = curvature_from_derivatives(*field.jet_at(idx))
@@ -613,7 +613,7 @@ def test_n3_torus_kappa_floor_reads_its_sublattices_only():
     assert peak < 64 * 2**20, peak
     idx = grid.index(list(default_sweep_points(field)))
     T, Q = grid.hessian_jets(field.psi)
-    full = -max(e.h_max for e in _jet_extremes(field.g[idx], T[idx], Q[idx]))
+    full = -max(e.h_max for e in _jet_extremes(hermitian(field.g)[idx], T[idx], Q[idx]))
     assert swept == pytest.approx(full, rel=1e-12, abs=0.0)
 
 

@@ -12,6 +12,7 @@ from kahlerbench.curvature import hsc, kappa_floor, ricci_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField, _component, _faa_di_bruno
 from kahlerbench.grids import ChartGeometry, TorusGrid
+from kahlerbench.linalg import hermitian
 from kahlerbench.inequalities import (SchwarzHypotheses, laplacian_identity_check,
                                       schwarz_conclusion_check)
 from kahlerbench.zoo import make_example, poincare_polydisk_terms
@@ -30,7 +31,8 @@ def single_mode_potential(grid, amplitude):
 def test_flat_torus_field():
     grid = TorusGrid(2, 8)
     field = TorusMetricField(grid, np.zeros(grid.shape))
-    eye = np.broadcast_to(np.eye(2), grid.shape + (2, 2))
+    eye = np.broadcast_to(np.eye(2).reshape((4,) + (1,) * 4), (4,) + grid.shape)
+    assert field.g.shape == (4,) + grid.shape  # linalg's components
     assert np.max(np.abs(field.g - eye)) == 0.0
     assert np.max(np.abs(field.det_g - 1.0)) == 0.0
     assert np.max(np.abs(field.log_det_g)) == 0.0
@@ -45,9 +47,9 @@ def test_metric_matches_manual_hessian():
     field = TorusMetricField(grid, single_mode_potential(grid, a))
     x = grid._axis_view(grid.axis_coords, 0)
     want = 1.0 - np.pi**2 * a * np.broadcast_to(np.cos(2.0 * np.pi * x), grid.shape)
-    assert np.max(np.abs(field.g[..., 0, 0] - want)) < 1e-13
+    assert np.max(np.abs(field.g[0] - want)) < 1e-13
     assert np.max(np.abs(field.det_g - want)) < 1e-13
-    assert np.max(np.abs(np.linalg.inv(field.g)[..., 0, 0] - 1.0 / want)) < 1e-13
+    assert np.max(np.abs(np.linalg.inv(hermitian(field.g))[..., 0, 0] - 1.0 / want)) < 1e-13
 
 
 def test_potential_mean_is_gauge():
@@ -70,10 +72,10 @@ def test_point_queries_match_grid_fields_on_lattice():
     idx = (2, 5, 1, 7)
     g, dg, ddg = field.jet_at(idx)
     T, Q = grid.hessian_jets(field.psi)
-    assert np.array_equal(g, field.g[idx])
+    assert np.array_equal(g, hermitian(field.g)[idx])
     assert np.array_equal(dg, T[idx])
     assert np.array_equal(ddg, Q[idx])
-    assert np.array_equal(field.metric_matrix_at(np.array(idx)), field.g[idx])
+    assert np.array_equal(field.metric_matrix_at(np.array(idx)), hermitian(field.g)[idx])
     # indices are periodic, as are grid.coords
     wrapped = (2 + 8, 5 - 8, 1, 7 + 16)
     assert np.array_equal(field.jet_at(wrapped)[2], ddg)
@@ -121,7 +123,7 @@ def test_torus_point_queries_take_stacks():
         single = field.jet_at(tuple(int(a) for a in stack[k]))
         assert all(np.array_equal(a[k], b) for a, b in zip((g, dg, ddg), single))
         wrapped = tuple(int(a) % 8 for a in stack[k])
-        assert np.array_equal(single[0], field.g[wrapped])
+        assert np.array_equal(single[0], hermitian(field.g)[wrapped])
         assert np.array_equal(grid.coords(stack)[k], np.array(wrapped) / 8)
 
 

@@ -36,7 +36,7 @@ from kahlerbench.inequalities import (
     royden_margin,
     schwarz_conclusion_check,
 )
-from kahlerbench.linalg import PD_RTOL, inv
+from kahlerbench.linalg import PD_RTOL, hermitian, inv
 from kahlerbench.zoo import _TORUS_MODES, perturbed_torus_potential, poincare_polydisk_terms
 
 
@@ -91,7 +91,7 @@ def trace_function(omega, omega_prime):
         if isinstance(field, ChartMetricField):
             return lambda x: field.metric_matrix_at(x[0::2] + 1j * x[1::2])
         grid, n = field.grid, field.n
-        spectra = [[np.fft.fftn(field.g[..., i, j]) for j in range(n)] for i in range(n)]
+        spectra = [[np.fft.fftn(hermitian(field.g)[..., i, j]) for j in range(n)] for i in range(n)]
         return lambda x: np.array([[grid.eval_spectral(F, x)[0] for F in row]
                                    for row in spectra])
 

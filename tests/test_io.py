@@ -24,7 +24,6 @@ from kahlerbench.io import (
     write_json,
     write_reports_jsonl,
 )
-from kahlerbench.linalg import components
 from kahlerbench.solver import (ContinuityState, MAProblem, make_state, solve_ma,
                                volume_ratio_ceiling)
 
@@ -188,7 +187,7 @@ def solved():
     # the eps = 1 state solved from v0 = 0 rather than from the path's series
     # start, which is already converged, so the Newton and Krylov counts
     # that round-trip are not zero
-    problem = MAProblem(grid, components(omega.g), np.zeros(grid.shape))
+    problem = MAProblem(grid, omega.g, np.zeros(grid.shape))
     v, info = solve_ma(problem, tol=1e-11, return_info=True)
     state = make_state(omega, 1.0, v, volume_ratio_ceiling(omega, 1.0),
                        newton_steps=info["newton_steps"],

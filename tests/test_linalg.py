@@ -1,7 +1,8 @@
 """Pointwise Hermitian algebra: kernels, positivity, eigenvalues, sigma vectors, traces.
 
-Every function is batched over (..., n, n) fields or (..., n) tuples; the
-oracles are library routines applied one point at a time.
+Every function is batched over fields, given by their components (n*n, ...)
+or, for the point-query helpers, as Hermitian (..., n, n) matrices, or over
+(..., n) tuples; the oracles are library routines applied one point at a time.
 """
 
 import itertools
@@ -27,7 +28,6 @@ from kahlerbench.linalg import (
     component_eigvalsh,
     component_positivity,
     components,
-    eigvalsh,
     hermitian,
     inverse_cholesky,
     elementary_symmetric_field,
@@ -57,6 +57,11 @@ def det(a):
 def positivity(a):
     """The policy on Hermitian (..., n, n) matrices, by their components."""
     return component_positivity(components(a))
+
+
+def eigvalsh(a):
+    """Ascending eigenvalues of Hermitian (..., n, n) matrices, by their components."""
+    return component_eigvalsh(components(a))
 
 
 # -- batched kernels: det and inv are the component closed forms ------------------
@@ -145,9 +150,9 @@ def test_det_inverse_and_mixed_determinants_call_no_lapack(n, monkeypatch):
     for x, y in ((a, b), (a[1, 2], b[1, 2])):
         det(x)
         inv(x)
-        trace_s_field(x, y)
-        mixed_determinants(x, y)
-    wedge_integrals(a, b)
+        trace_s_field(components(x), components(y))
+        mixed_determinants(components(x), components(y))
+    wedge_integrals(components(a), components(b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -162,13 +167,13 @@ def test_eigenvalues_in_slabs_are_the_whole_field_bit_for_bit(n, monkeypatch):
     monkeypatch.setattr(linalg, "SLAB_POINTS", 10)
     w = component_eigvalsh(components(a))
     assert w.shape == (7, 11, n)
-    assert eigvalsh(a).tobytes() == w.tobytes()
     assert eigvalsh(a[2, 3]).tobytes() == w[2, 3].tobytes()
     if n == 3:
         assert w.tobytes() == np.linalg.eigvalsh(hermitian(components(a))).tobytes()
-        Li = inverse_cholesky(gA)
-        want = np.linalg.eigvalsh(Li @ gB @ np.conj(np.swapaxes(Li, -1, -2)))
-        assert relative_eigenvalues_field(gA, gB).tobytes() == want.tobytes()
+        cA, cB = components(gA), components(gB)  # the pair the components describe:
+        Li, B = inverse_cholesky(hermitian(cA)), hermitian(cB)  # upper = conj(lower)
+        want = np.linalg.eigvalsh(Li @ B @ np.conj(np.swapaxes(Li, -1, -2)))
+        assert relative_eigenvalues_field(cA, cB).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -195,13 +200,13 @@ def test_every_eigenvalue_call_is_component_eigvalsh_in_slabs(n, monkeypatch):
     for x, y in ((a, b), (a[1, 2], b[1, 2])):
         eigvalsh(x)
         component_positivity(components(x))
-        relative_eigenvalues_field(x, y)
+        relative_eigenvalues_field(components(x), components(y))
     assert max(batches, default=0) <= 10
     assert len(batches) == (3 * 8 + 3 if n == 3 else 0)
 
 
 def test_kernels_reject_non_square_input():
-    for fn in (components, inv, eigvalsh):
+    for fn in (components, inv):
         with pytest.raises(DimensionMismatch):
             fn(np.zeros((4, 2, 3)))
 
@@ -518,7 +523,7 @@ def test_elementary_symmetric_field_rejects_dimension_4():
 
 
 def test_relative_eigenvalues_diagonal_oracle():
-    lam = relative_eigenvalues_field(np.eye(2), np.diag([2.0, 8.0]))
+    lam = relative_eigenvalues_field(components(np.eye(2)), components(np.diag([2.0, 8.0])))
     assert np.allclose(lam, [2.0, 8.0], atol=1e-14)
 
 
@@ -526,9 +531,10 @@ def test_relative_eigenvalues_congruence_invariant():
     rng = np.random.default_rng(3)
     gA = random_pd(rng, 3)
     gB = random_pd(rng, 3)
-    lam0 = relative_eigenvalues_field(gA, gB)
+    lam0 = relative_eigenvalues_field(components(gA), components(gB))
     T = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lam1 = relative_eigenvalues_field(T.conj().T @ gA @ T, T.conj().T @ gB @ T)
+    lam1 = relative_eigenvalues_field(components(T.conj().T @ gA @ T),
+                                      components(T.conj().T @ gB @ T))
     assert np.allclose(lam0, lam1, rtol=1e-10)
 
 
@@ -538,7 +544,7 @@ def test_relative_eigenvalues_field_matches_scalar():
     for n in (1, 2, 3):
         gA = np.stack([random_pd(rng, n) for _ in range(6)])
         gB = np.stack([random_pd(rng, n) for _ in range(6)])
-        lam = relative_eigenvalues_field(gA, gB)
+        lam = relative_eigenvalues_field(components(gA), components(gB))
         for i in range(6):
             assert np.allclose(lam[i], eigh_oracle(gA[i], gB[i]), rtol=1e-12, atol=0.0)
 
@@ -560,7 +566,7 @@ def test_closed_form_relative_eigenvalues_match_generalized_eigh(n):
         lam = [1.0, 1e-8][:n] if n == 2 else [10.0 ** rng.uniform(-8, 0)]
         pairs.append((random_pd(rng, n), hermitian_with_eigenvalues(rng, lam)))
     gA, gB = (np.stack(side) for side in zip(*pairs))
-    lam = relative_eigenvalues_field(gA, gB)
+    lam = relative_eigenvalues_field(components(gA), components(gB))
     for i in range(len(pairs)):
         want = eigh_oracle(gA[i], gB[i])
         assert np.all(np.abs(lam[i] - want) <= 1e-13 * np.max(np.abs(want))), i
@@ -570,19 +576,19 @@ def test_closed_form_relative_eigenvalues_match_generalized_eigh(n):
 def test_relative_eigenvalues_reject_indefinite_first_metric(n):
     gA = np.stack([np.eye(n), np.diag([1.0, -1.0, 1.0][:n] if n > 1 else [-1.0])])
     with pytest.raises(np.linalg.LinAlgError):
-        relative_eigenvalues_field(gA, np.stack([np.eye(n)] * 2))
+        relative_eigenvalues_field(components(gA), components(np.stack([np.eye(n)] * 2)))
 
 
 def test_relative_eigenvalues_field_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        relative_eigenvalues_field(np.eye(2), np.stack([np.eye(2)] * 2))
+        relative_eigenvalues_field(components(np.eye(2)), components(np.stack([np.eye(2)] * 2)))
 
 
 # -- sigma ratios and Newton-MacLaurin ----------------------------------------
 
 
 def test_sigma_ratios_diagonal_oracle():
-    lam = relative_eigenvalues_field(np.eye(2), np.diag([1.0, 4.0]))
+    lam = relative_eigenvalues_field(components(np.eye(2)), components(np.diag([1.0, 4.0])))
     assert np.allclose(elementary_symmetric_field(lam), [1.0, 5.0, 4.0], atol=1e-13)
 
 
@@ -629,7 +635,7 @@ def test_newton_maclaurin_margin_rejects_bad_level():
 
 
 def test_trace_s_diagonal_oracle():
-    s = trace_s_field(np.eye(2), np.diag([2.0, 4.0]))
+    s = trace_s_field(components(np.eye(2)), components(np.diag([2.0, 4.0])))
     assert s == pytest.approx(0.75, abs=1e-14)
 
 
@@ -637,8 +643,8 @@ def test_trace_s_equals_sigma_ratio():
     rng = np.random.default_rng(7)
     g = random_pd(rng, 3)
     gp = random_pd(rng, 3)
-    e = elementary_symmetric_field(relative_eigenvalues_field(g, gp))
-    assert trace_s_field(g, gp) == pytest.approx(e[2] / e[3], rel=1e-11)
+    e = elementary_symmetric_field(relative_eigenvalues_field(components(g), components(gp)))
+    assert trace_s_field(components(g), components(gp)) == pytest.approx(e[2] / e[3], rel=1e-11)
 
 
 def test_trace_s_field_matches_scalar():
@@ -647,7 +653,7 @@ def test_trace_s_field_matches_scalar():
     for n in (1, 2, 3):
         g = np.stack([random_pd(rng, n) for _ in range(5)])
         gp = np.stack([random_pd(rng, n) for _ in range(5)])
-        batch = trace_s_field(g, gp)
+        batch = trace_s_field(components(g), components(gp))
         for i in range(5):
             want = float(np.sum(1.0 / eigh_oracle(g[i], gp[i])))
             assert batch[i] == pytest.approx(want, rel=1e-12)

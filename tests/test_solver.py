@@ -1,5 +1,6 @@
 """Monge-Ampère solves, the shrinking-coefficient path, and its diagnostics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
 from kahlerbench.integrals import wedge_integral
 from kahlerbench.io import load_state, save_state
-from kahlerbench.linalg import component_det, components, hermitian, trace_weights
-from kahlerbench import solver
+from kahlerbench.linalg import (adjugate, component_det, component_eigvalsh, component_inverse,
+                                components, hermitian, inverse_cholesky, trace_pairing,
+                                trace_weights)
+from kahlerbench import linalg, solver
 from kahlerbench.solver import (
     MAProblem,
     ContinuityState,
@@ -97,8 +100,8 @@ def seeded_cosine_potential(grid, seed, modes=6, kmax=2, hessian_sup=0.6):
 
 
 def _g_eps(omega, state):
-    """A state's metric eps*g + Hess v, rebuilt from v as make_state forms it."""
-    return state.epsilon * omega.g + omega.grid.complex_hessian(state.v)
+    """A state's Hermitian metric eps*g + Hess v, rebuilt from v."""
+    return state.epsilon * hermitian(omega.g) + omega.grid.complex_hessian(state.v)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +166,7 @@ def test_newton_loop_assembles_no_hermitian_field(n, N, monkeypatch):
         raise AssertionError("the Newton loop assembled or inverted a Hermitian field")
 
     for target in ("kahlerbench.linalg.hermitian", "kahlerbench.grids.hermitian",
-                   "kahlerbench.solver.hermitian", "numpy.linalg.inv"):
+                   "numpy.linalg.inv"):
         monkeypatch.setattr(target, refused)
     monkeypatch.setattr(TorusGrid, "complex_hessian", refused)
     _, info = solve_ma(problem, tol=1e-10, return_info=True)
@@ -410,9 +413,8 @@ def test_importing_the_package_loads_no_scipy_sparse():
 
 def test_problem_holds_alpha_as_components():
     grid = TorusGrid(2, 8)
-    g = TorusMetricField(grid, seeded_cosine_potential(grid, 3, hessian_sup=0.3)).g
+    alpha = TorusMetricField(grid, seeded_cosine_potential(grid, 3, hessian_sup=0.3)).g
     zero = np.zeros(grid.shape)
-    alpha = components(g)
     problem = MAProblem(grid, alpha, zero)
     # given as real components, alpha is kept as it is
     assert problem.alpha is alpha
@@ -433,7 +435,7 @@ def test_problem_rejects_a_hermitian_alpha_before_any_cast():
     zero = np.zeros(grid.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha in (g, components(g).astype(complex)):
+        for alpha in (hermitian(g), g.astype(complex)):
             with pytest.raises(DimensionMismatch, match="real components"):
                 MAProblem(grid, alpha, zero)
 
@@ -541,7 +543,7 @@ def test_state_wedge_integrals_are_the_wedge_pass():
     omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     for s in continuity_path(omega, [1.0, 0.5, 0.25], tol=1e-10):
         g_eps = _g_eps(omega, s)
-        assert s.wedge_integrals == tuple(wedge_integral(g_eps, omega.g, k)
+        assert s.wedge_integrals == tuple(wedge_integral(components(g_eps), omega.g, k)
                                           for k in range(grid.n + 1))
 
 
@@ -552,6 +554,96 @@ def test_state_keeps_v_as_its_only_array():
     arrays = [f.name for f in fields(state)
               if isinstance(getattr(state, f.name), np.ndarray)]
     assert arrays == ["v"]
+
+
+def _hermitian_route_diagnostics(omega, epsilon, v, ricci_components):
+    """make_state's diagnostics by the Hermitian route, the oracle of the
+    component route: g and g_eps assembled as (..., n, n) fields, the
+    relative eigenvalues of the congruence L^{-1} g_eps L^{-*} (L^{-1} in
+    closed form at n <= 2, from the entries of g), S and the mixed
+    determinants from the components of the assembled fields, and the Ricci
+    sup as numpy's complex abs of the assembled residual, whose components
+    are ricci_components."""
+    grid, n = omega.grid, omega.n
+    g = hermitian(omega.g)
+    g_eps = epsilon * g + grid.complex_hessian(v)
+    if n == 3:
+        Li = inverse_cholesky(g)
+        C = components(Li @ g_eps @ np.conj(np.swapaxes(Li, -1, -2)))
+    else:
+        a, g10 = g[..., 0, 0].real, g[..., n - 1, 0]
+        p, C = 1.0 / np.sqrt(a), np.empty((n * n,) + grid.shape)
+        C[0] = p * p * g_eps[..., 0, 0].real
+        if n == 2:
+            root = np.sqrt(a * (a * g[..., 1, 1].real - (g10 * g10.conj()).real))
+            m, q = -g10 / root, a / root
+            C10 = p * (m * g_eps[..., 0, 0].real + q * g_eps[..., 1, 0])
+            C[1], C[2] = C10.real, -C10.imag
+            C[3] = ((m.real**2 + m.imag**2) * g_eps[..., 0, 0].real
+                    + 2.0 * q * (m * g_eps[..., 0, 1]).real + q * q * g_eps[..., 1, 1].real)
+    lam = component_eigvalsh(C)
+    a, b = components(g_eps), components(g)
+    D = np.stack([component_det(b)] + [trace_pairing(adjugate(x), y)
+                                       for x, y in [(b, a), (a, b)][: n - 1]]
+                 + [component_det(a)], axis=-1)
+    return dict(sup_u=float((v - omega.log_det_g).max()),
+                ricci_residual_sup=float(np.max(np.abs(hermitian(ricci_components)))),
+                rel_eig_min=float(lam.min()), rel_eig_max=float(lam.max()),
+                s_max=float(trace_pairing(component_inverse(a), b).max()),
+                wedge_integrals=tuple(float(np.mean(D[..., k] / math.comb(n, k)))
+                                      for k in range(n + 1)))
+
+
+@pytest.mark.parametrize("n, N, epsilons", [(1, 16, [1.0, 0.5, 0.25]), (2, 12, [1.0, 0.5, 0.25]),
+                                            (3, 8, [1.0, 0.6])])
+def test_state_diagnostics_are_the_hermitian_routes(n, N, epsilons, monkeypatch):
+    # every field of make_state on components is the Hermitian route's bit
+    # for bit; the relative eigenvalues may differ by 2 ulp (0 measured)
+    grid = TorusGrid(n, N)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
+    states = continuity_path(omega, epsilons, tol=1e-10)
+    residuals, hessian_of_spectrum = [], TorusGrid.hessian_of_spectrum
+
+    def kept(self, F):  # the Ricci residual's components are its last Hessian
+        residuals.append(hessian_of_spectrum(self, F))
+        return residuals[-1]
+
+    monkeypatch.setattr(TorusGrid, "hessian_of_spectrum", kept)
+    for s in states:
+        state = make_state(omega, s.epsilon, s.v, s.log_c_bound)
+        want = _hermitian_route_diagnostics(omega, s.epsilon, s.v, residuals[-1])
+        for name, value in want.items():
+            got = getattr(state, name)
+            if name.startswith("rel_eig"):
+                ulps = abs(np.float64(got).view(np.int64) - np.float64(value).view(np.int64))
+                assert ulps <= 2, (s.epsilon, name, got, value)
+            else:
+                assert got == value and np.asarray(got).tobytes() == np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+def test_path_converts_no_field_between_layouts(n, N, monkeypatch):
+    # at n <= 2 the metric field, the path and every state's diagnostics stay
+    # on components: hermitian and components each see at most one matrix
+    seen = []
+    for name in ("hermitian", "components"):
+        original = getattr(linalg, name)
+
+        def counted(x, _name=name, _original=original):
+            x = np.asarray(x)
+            seen.append((_name, x[0].size if _name == "hermitian" else x[..., 0, 0].size))
+            return _original(x)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("kahlerbench")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    grid = TorusGrid(n, N)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.008))
+    (state,) = continuity_path(omega, [0.5], tol=1e-10)
+    make_state(omega, state.epsilon, state.v, state.log_c_bound)
+    assert all(size <= 1 for _, size in seen), seen
+    omega.jet_at(np.zeros((3, 2 * n), dtype=int))  # a point query assembles its points
+    assert seen[-1] == ("hermitian", 3)
 
 
 def test_schedule_validation():
@@ -607,7 +699,7 @@ def test_stalled_line_search_stops_once_the_step_rounds_away(monkeypatch):
     with pytest.raises(NonConvergence, match="line search stalled at residual") as err:
         for e in eps:
             v0 = grid.n * np.log(e) + w_prev * (e / e_prev)
-            v = solve_ma(MAProblem(grid, e * components(omega.g), zero), tol=1e-10, v0=v0)
+            v = solve_ma(MAProblem(grid, e * omega.g, zero), tol=1e-10, v0=v0)
             w_prev, e_prev = v - grid.n * np.log(e), e
     # the same stall as with every trial evaluated
     assert e == 2.0**-6
@@ -740,7 +832,7 @@ def _series_start_residuals(omega, epsilons, series):
     grid, out = omega.grid, []
     for e in epsilons:
         u = sum(e**k * c for k, c in enumerate(series))
-        problem = MAProblem(grid, e * components(omega.g),
+        problem = MAProblem(grid, e * omega.g,
                             np.full(grid.shape, grid.n * np.log(e)))
         out.append(float(np.abs(ma_log_residual(problem, e * (u - omega.psi))).max()))
     return out
@@ -875,7 +967,7 @@ def _raw_residual(omega, state):
     taken spectrally on the solve grid itself."""
     g_eps = _g_eps(omega, state)
     ric = -omega.grid.complex_hessian(np.log(np.linalg.det(g_eps).real))
-    return float(np.max(np.abs(ric + g_eps - state.epsilon * omega.g)))
+    return float(np.max(np.abs(ric + g_eps - state.epsilon * hermitian(omega.g))))
 
 
 @pytest.mark.parametrize("n, N", [(1, 32), (2, 8), (3, 8)])
@@ -997,7 +1089,7 @@ def _full_grid_dealiased(omega, epsilon, v, g_eps):
     ldg = np.log(d)
     spectrum = _crop_spectrum(fine, fine.rfft(ldg - np.mean(ldg)), grid)
     ric = -hermitian(grid.hessian_of_spectrum(spectrum))
-    return float(np.max(np.abs(ric + g_eps - epsilon * omega.g)))
+    return float(np.max(np.abs(ric + g_eps - epsilon * hermitian(omega.g))))
 
 
 def _band_route_cases():

@@ -9,6 +9,7 @@ from kahlerbench.curvature import curvature_from_derivatives
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
+from kahlerbench.linalg import hermitian
 from kahlerbench.zoo import (
     Fact,
     chart_symbols,
@@ -127,7 +128,7 @@ def test_flat_curvature_fact_reads_every_grid_point(n, N):
     field = TorusMetricField(grid, perturbed_torus_potential(grid, 0.01))
     fact, = (f for f in make_example("flat-torus", n=n, resolution=N).facts
              if f.name == "curvature-vanishes")
-    R = curvature_from_derivatives(field.g, *grid.hessian_jets(field.psi))
+    R = curvature_from_derivatives(hermitian(field.g), *grid.hessian_jets(field.psi))
     assert fact.measure(field) == pytest.approx(np.max(np.abs(R)), rel=1e-14, abs=0.0)
     assert not verify_fact(fact, field)["ok"]
 
