@@ -28,9 +28,11 @@ from .fields import TorusMetricField
 from .linalg import Direction, inv, inverse_cholesky
 
 # numpy.linalg's eigh and lstsq kernels without their wrappers, whose
-# error-state context costs a single-point query more than LAPACK does
+# error-state context costs a single-point query more than LAPACK does;
+# numpy 1.x splits the lstsq kernel in two, so there the wrapper is called
 _eigh = partial(np.linalg._umath_linalg.eigh_lo, signature="d->dd")
-_lstsq = partial(np.linalg._umath_linalg.lstsq, signature="DDd->Ddid")
+_lstsq = (partial(np.linalg._umath_linalg.lstsq, signature="DDd->Ddid")
+          if hasattr(np.linalg._umath_linalg, "lstsq") else np.linalg.lstsq)
 
 SYMMETRY_RTOL = 1e-10
 # The n = 3 extremizer policy (n <= 2 is exact): pencil lines, best lines

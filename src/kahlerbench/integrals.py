@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
 from .inequalities import InequalityReport, make_report, not_applicable
-from .linalg import adjugate, component_det, trace_pairing
+from .linalg import adjugate, component_det, component_pair, trace_pairing
 
 INTEGRAL_TOL = 1e-8
 BIGNESS_TOL = 1e-9
@@ -39,9 +39,8 @@ def mixed_determinants(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     det(t A + B), of the Hermitian fields A, B with components a, b (n*n, ...),
     as the last axis: for n <= 3, det B, tr(adj B A), tr(adj A B) and det A,
     cut to n + 1."""
-    if np.shape(a) != np.shape(b):
-        raise DimensionMismatch(f"shapes differ: {np.shape(a)} vs {np.shape(b)}")
-    pairs = [(b, a), (a, b)][: math.isqrt(len(a)) - 1]  # tr(adj B A), tr(adj A B)
+    a, b, n = component_pair(a, b)
+    pairs = [(b, a), (a, b)][: n - 1]  # tr(adj B A), tr(adj A B)
     traces = [trace_pairing(adjugate(p), q) for p, q in pairs]
     return np.stack([component_det(b), *traces, component_det(a)], axis=-1)
 
@@ -52,7 +51,7 @@ def wedge_integrals(a: np.ndarray, b: np.ndarray) -> tuple:
     a and b are the components (n*n,) + grid shape of two metric fields on
     one grid, such as two fields' .g; each integral is the grid mean of its
     integrand, and all n + 1 come from one mixed_determinants pass.  Arrays
-    of different shapes raise DimensionMismatch.
+    of different shapes, or complex arrays, raise DimensionMismatch.
     """
     D = mixed_determinants(a, b)
     n = D.shape[-1] - 1

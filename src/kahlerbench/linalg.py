@@ -157,12 +157,23 @@ def component_inverse(c: np.ndarray) -> np.ndarray:
     return adjugate(c) / component_det(c)
 
 
+def component_pair(a, b) -> tuple:
+    """(a, b, n) for two fields' components (n*n, ...) of one shape, as floats;
+    complex input (Hermitian matrices, a point query's layout) raises DimensionMismatch."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise DimensionMismatch("fields are real components (n*n, ...), got a complex array")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"field shapes differ: {a.shape} vs {b.shape}")
+    return a, b, _component_order(b)
+
+
 def _doubled(w: np.ndarray) -> np.ndarray:
     """P's components w (n*n, ...) with the off-diagonal rows doubled in place:
     sum_k w[k] q[k] = tr(P Q), as tr(P Q) sums P_ij Q_ji over both triangles."""
     n = _component_order(w)
-    for r in set(range(n * n)) - set(range(0, n * n, n + 1)):  # off-diagonal rows
-        w[r] *= 2.0
+    for k in range(0, n * n - 1, n + 1):  # the n rows between diagonal rows k and k + n + 1
+        w[k + 1:k + n + 1] *= 2.0
     return w
 
 
@@ -336,10 +347,7 @@ def relative_eigenvalues_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (_cholesky_entries of a), and for n = 3 one slab of SLAB_POINTS points at a
     time, inverse_cholesky, C and its eigenvalues, so no complex field is built.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"field shapes differ: {a.shape} vs {b.shape}")
-    n = _component_order(b)
+    a, b, n = component_pair(a, b)
     if n == 3:
         A, B, w = a.reshape(9, -1), b.reshape(9, -1), np.empty(b.shape[1:] + (3,))
         for s in range(0, A.shape[1], SLAB_POINTS):
@@ -380,6 +388,5 @@ def trace_s_field(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reverse trace S = tr_B A = tr(B^{-1} A) of the Hermitian fields A, B with
     components a, b (n*n, ...): the sum of 1/lambda over the relative
     eigenvalues lambda of (A, B), i.e. sigma_{n-1}/sigma_n."""
-    if np.shape(a) != np.shape(b):
-        raise DimensionMismatch(f"field shapes differ: {np.shape(a)} vs {np.shape(b)}")
+    a, b, _ = component_pair(a, b)
     return trace_pairing(component_inverse(b), a)

@@ -622,9 +622,10 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
     else:
         spectrum = grid.restricted_spectrum(
             grid.prolonged_hessian(grid.rfft(potential), log_det_plus))
-    r, n = grid.hessian_of_spectrum(grid.rfft(v) - spectrum), grid.n  # |r_ij| = hypot(Re, Im)
-    return float(np.max([np.hypot(r[i * n + j], r[j * n + i] * (i < j)).max()
-                         for i, j in itertools.combinations_with_replacement(range(n), 2)]))
+    r, n = grid.hessian_of_spectrum(grid.rfft(v) - spectrum), grid.n
+    off = [np.hypot(r[i * n + j], r[j * n + i]).max()  # |r_ij| of its (Re, Im) rows
+           for i, j in itertools.combinations(range(n), 2)]
+    return float(np.max([np.abs(r[:: n + 1]).max(), *off]))
 
 
 @dataclass

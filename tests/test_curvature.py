@@ -1,11 +1,17 @@
 """Curvature tensors, holomorphic sectional curvature, and extremal sweeps."""
 
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from kahlerbench import curvature
 from kahlerbench.curvature import (
     HSC_PENCIL_LINES,
     HSC_REFINE_STEPS,
@@ -438,6 +444,31 @@ def test_n3_extremes_match_a_denser_reference():
         assert ext.h_min <= ref_min + 1e-12 * scale
         assert abs(hsc_value(R, eye, ext.eta_max) - ext.h_max) <= 1e-12 * scale
         assert abs(hsc_value(R, eye, ext.eta_min) - ext.h_min) <= 1e-12 * scale
+
+
+def test_n3_polish_without_the_lstsq_kernel_finds_the_same_extremes():
+    """numpy 1.x has no single lstsq kernel; curvature then binds numpy.linalg.lstsq,
+    and the n = 3 extremes are the kernel's, bit for bit."""
+    code = "\n".join([
+        "import json, sys",
+        "import numpy as np",
+        "kernel = vars(np.linalg._umath_linalg).pop('lstsq', None)",
+        "from kahlerbench import curvature",
+        "assert curvature._lstsq is np.linalg.lstsq",
+        "if kernel is not None:",
+        "    np.linalg._umath_linalg.lstsq = kernel",
+        "from kahlerbench.inequalities import random_kahler_tensor",
+        "rng = np.random.default_rng(2028)",
+        "ext = [curvature.hsc_extremes_from_tensor(random_kahler_tensor(3, rng), np.eye(3))",
+        "       for _ in range(3)]",
+        "print(json.dumps([[e.h_min, e.h_max] for e in ext]))",
+    ])
+    src = str(pathlib.Path(curvature.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    rng = np.random.default_rng(2028)
+    ext = [hsc_extremes_from_tensor(random_kahler_tensor(3, rng), np.eye(3)) for _ in range(3)]
+    assert json.loads(out) == [[e.h_min, e.h_max] for e in ext]
 
 
 def test_conditioned_n3_tensors_have_the_stated_gap():

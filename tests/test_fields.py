@@ -33,6 +33,7 @@ def test_flat_torus_field():
     field = TorusMetricField(grid, np.zeros(grid.shape))
     eye = np.broadcast_to(np.eye(2).reshape((4,) + (1,) * 4), (4,) + grid.shape)
     assert field.g.shape == (4,) + grid.shape  # linalg's components
+    assert field.g.nbytes == 8 * 4 * grid.num_points  # real, half a Hermitian field's bytes
     assert np.max(np.abs(field.g - eye)) == 0.0
     assert np.max(np.abs(field.det_g - 1.0)) == 0.0
     assert np.max(np.abs(field.log_det_g)) == 0.0

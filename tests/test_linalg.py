@@ -19,7 +19,7 @@ from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
 from kahlerbench.inequalities import ricci_term_margin, royden_margin
-from kahlerbench.integrals import mixed_determinants, wedge_integrals
+from kahlerbench.integrals import mixed_determinants, wedge_integral, wedge_integrals
 from kahlerbench.linalg import (
     PD_RTOL,
     Direction,
@@ -582,6 +582,19 @@ def test_relative_eigenvalues_reject_indefinite_first_metric(n):
 def test_relative_eigenvalues_field_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         relative_eigenvalues_field(components(np.eye(2)), components(np.stack([np.eye(2)] * 2)))
+
+
+@pytest.mark.parametrize("call", [
+    relative_eigenvalues_field, trace_s_field, mixed_determinants, wedge_integrals,
+    lambda a, b: wedge_integral(a, b, 1)])
+def test_field_functions_reject_hermitian_fields(call):
+    """A Hermitian (4, 4) patch of an n = 1 field, shape (4, 4, 1, 1), has the
+    shape of n = 2 components; it is rejected, not read as real numbers."""
+    field = TorusMetricField(TorusGrid(1, 8), np.zeros((8, 8)))
+    g = hermitian(field.g[:, :4, :4])
+    assert g.shape == (4, 4, 1, 1)
+    with pytest.raises(DimensionMismatch, match="real components"):
+        call(g, g)
 
 
 # -- sigma ratios and Newton-MacLaurin ----------------------------------------
