@@ -11,10 +11,11 @@ The package is organized around four activities:
 * evaluating wedge-type integrals along the family
   (:mod:`kahlerbench.integrals`).
 
-All (1,1)-forms are represented by their Hermitian coefficient matrices in
-standard coordinates; the complex Hessian of a real potential is the matrix
-of mixed second derivatives with no extra constant, so the flat form on the
-unit torus is the identity and the torus has volume one.
+A (1,1)-form is its Hermitian coefficient matrix in standard coordinates at
+a point and, over a torus grid, the real components (n*n, ...) of those
+matrices (:mod:`kahlerbench.linalg`); the complex Hessian of a real potential
+is the matrix of mixed second derivatives with no extra constant, so the
+flat form on the unit torus is the identity and the torus has volume one.
 """
 
 from .curvature import (
@@ -42,6 +43,7 @@ from .integrals import (
     fit_epsilon_expansion,
     mixed_determinants,
     nef_lower_bound_check,
+    trace_collapse_check,
     volume,
     wedge_integral,
     wedge_integrals,
@@ -51,7 +53,6 @@ from .solver import (
     ContinuityState,
     MAProblem,
     continuity_path,
-    limit_probe,
     manufactured_problem,
     solve_ma,
 )
@@ -82,7 +83,6 @@ __all__ = [
     "hsc_extremes",
     "kappa_floor",
     "laplacian_identity_check",
-    "limit_probe",
     "list_examples",
     "make_example",
     "manufactured_problem",
@@ -93,6 +93,7 @@ __all__ = [
     "royden_margin",
     "schwarz_conclusion_check",
     "solve_ma",
+    "trace_collapse_check",
     "verify_example_facts",
     "volume",
     "wedge_integral",

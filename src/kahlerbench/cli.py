@@ -24,14 +24,13 @@ timestamps (timings live in meta.json only).
 Every summary row takes its status from its reports (_row): fail if any
 applicable report fails, not-applicable if none applies, pass otherwise.
 Rows with no number to compare keep their own verdict: a pipeline's
-failing input-metric or solve row, normalized-limit-drift (not-applicable
-on a one-state path, which has no drift), the zoo fact rows
-(zoo.verify_fact decides them) and schwarz-hypothesis-screen (which passes
-when its report is not-applicable).  A runner that raises PositivityLoss
-or NonConvergence leaves its pipeline one failing row, its note the error
-and the eps it carries: input-metric when the metric the pipeline starts
-from is not positive definite, solve for a failed solve or path-state
-diagnosis; main writes the pipeline's files as usual and runs the rest.
+failing input-metric or solve row, the zoo fact rows (zoo.verify_fact
+decides them) and schwarz-hypothesis-screen (which passes when its report
+is not-applicable).  A runner that raises PositivityLoss or NonConvergence
+leaves its pipeline one failing row, its note the error and the eps it
+carries: input-metric when the metric the pipeline starts from is not
+positive definite, solve for a failed solve or path-state diagnosis; main
+writes the pipeline's files as usual and runs the rest.
 An example's warning row has no report and so reads not-applicable.  A
 non-finite config number is a config error (exit 2).  Exit status is 0
 exactly when no row fails; not-applicable rows never fail a run.
@@ -80,6 +79,7 @@ from .integrals import (
     epsilon_expansion_check,
     mixed_determinants,
     nef_lower_bound_check,
+    trace_collapse_check,
     volume,
     wedge_integrals,
 )
@@ -95,13 +95,9 @@ from .linalg import (
     elementary_symmetric_field,
     newton_maclaurin_margin_field,
     relative_eigenvalues_field,
+    trace_s_field,
 )
-from .solver import (
-    continuity_path,
-    limit_probe,
-    manufactured_problem,
-    solve_ma,
-)
+from .solver import continuity_path, manufactured_problem, solve_ma
 from .zoo import (
     _TORUS_MODES,
     make_example,
@@ -267,20 +263,18 @@ def run_continuity_path(cfg, out_dir, seed):
                              note=f"eps={s.epsilon:.6g}") for s in states]
     series = [{f.name: getattr(s, f.name) for f in dataclasses.fields(s)
                if np.isscalar(getattr(s, f.name))} for s in states]
-    probe = limit_probe(states)
+    collapse = trace_collapse_check(states, omega)
     rows = [
         _row("continuity-path", "sup-u-ceiling", ceilings,
              f"{len(states)} states, eps {eps[0]:.3g}..{eps[-1]:.3g}"),
         _row("continuity-path", "ricci-identity-residual", residuals, "worst state"),
-        _row("continuity-path", "normalized-limit-drift", [], probe.note) | ({
-            "status": "pass" if probe.converging else "fail",
-            "value": probe.drifts[-1]} if probe.drifts else {}),
+        _row("continuity-path", "trace-collapse-rate", collapse,
+             f"{len(collapse)} consecutive state pairs"),
     ]
     for i, s in enumerate(states):
         save_state(out_dir / "states" / f"state-{i:02d}", s, grid)
     rows_to_csv(out_dir / "series.csv", series, list(series[0].keys()))
-    write_json(out_dir / "limit_probe.json", dataclasses.asdict(probe))
-    return rows, ceilings + residuals
+    return rows, ceilings + residuals + collapse
 
 
 _EXAMPLE_CLI_PARAMS = {"poincare-polydisk": {"scale": 2.0}}
@@ -403,12 +397,13 @@ def run_verify_inequalities(cfg, out_dir, seed):
                      "overclaimed kappa must be screened out as not-applicable")
                 | {"status": "pass" if not too_strong.applicable else "fail"})
 
-    # max-principle ceiling: applicable on the polydisk, vacuous on the torus
+    # max-principle ceiling on S = tr_{omega'} omega with omega' = omega, read
+    # from the fields: applicable on the polydisk, vacuous on the torus
     kappa0 = kappa_floor(polydisk, points=polydisk.geometry.sample_points(per_axis=2))
-    mp = max_principle_s_bound(kappa0, [2.0], 2)
-    torus_field = TorusMetricField(TorusGrid(1, 16),
-                                   perturbed_torus_potential(TorusGrid(1, 16), 0.01))
-    mp_torus = max_principle_s_bound(kappa_floor(torus_field), [1.0], 1)
+    g = components(polydisk.jet_at(points)[0])
+    mp = max_principle_s_bound(kappa0, trace_s_field(g, g), 2)
+    torus = TorusMetricField(TorusGrid(1, 16), perturbed_torus_potential(TorusGrid(1, 16), 0.01))
+    mp_torus = max_principle_s_bound(kappa_floor(torus), trace_s_field(torus.g, torus.g), 1)
     reports.extend((mp, mp_torus))
     rows.append(_row("verify-inequalities", "max-principle-polydisk", [mp], mp.note))
     rows.append(_row("verify-inequalities", "max-principle-torus", [mp_torus], mp_torus.note))
@@ -472,6 +467,9 @@ def run_integrals(cfg, out_dir, seed):
     nef_reports = nef_lower_bound_check(states, omega)
     rows.append(_row("integrals", "nef-wedge-lower-bound", nef_reports,
                      f"{len(nef_reports)} (state, k) rows"))
+    collapse = trace_collapse_check(states, omega)
+    rows.append(_row("integrals", "trace-collapse-rate", collapse,
+                     f"{len(collapse)} consecutive state pairs"))
     kappa0 = kappa_floor(omega)
     bigness = bigness_bound_report(kappa0, omega, states)
     # a floor that does not apply is one report, shared by states and limit
@@ -479,7 +477,7 @@ def run_integrals(cfg, out_dir, seed):
              else bigness.per_state)
     rows.append(_row("integrals", "bigness-volume-floor", floor,
                      f"kappa0={kappa0:.6g}; the floor needs kappa0 > 0"))
-    reports = shift_reports + sigma_reports + low + [top] + law + nef_reports + floor
+    reports = shift_reports + sigma_reports + low + [top] + law + nef_reports + collapse + floor
     write_json(out_dir / "expansion.json", dataclasses.asdict(expansion))
     return rows, reports
 

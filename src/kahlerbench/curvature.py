@@ -28,11 +28,9 @@ from .fields import TorusMetricField
 from .linalg import Direction, inv, inverse_cholesky
 
 # numpy.linalg's eigh and lstsq kernels without their wrappers, whose
-# error-state context costs a single-point query more than LAPACK does;
-# numpy 1.x splits the lstsq kernel in two, so there the wrapper is called
+# error-state context costs a single-point query more than LAPACK does
 _eigh = partial(np.linalg._umath_linalg.eigh_lo, signature="d->dd")
-_lstsq = (partial(np.linalg._umath_linalg.lstsq, signature="DDd->Ddid")
-          if hasattr(np.linalg._umath_linalg, "lstsq") else np.linalg.lstsq)
+_lstsq = partial(np.linalg._umath_linalg.lstsq, signature="DDd->Ddid")
 
 SYMMETRY_RTOL = 1e-10
 # The n = 3 extremizer policy (n <= 2 is exact): pencil lines, best lines
@@ -212,9 +210,8 @@ _E3 = np.array([0.0, 0.0, 1.0])
 _TINY = np.finfo(float).tiny
 
 
-# sum_i a_i b_i over the last axis, for stacks of short real vectors: the
-# numpy.vecdot gufunc (numpy >= 2), else einsum (the package supports numpy >= 1.24)
-_dot = getattr(np, "vecdot", partial(np.einsum, "...i,...i->..."))
+# sum_i a_i b_i over the last axis, for stacks of short real vectors
+_dot = np.vecdot
 
 
 def _inverse_hopf(x: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ the nef lower bounds -- is a statement about these normalized quantities
 and is invariant under the normalization choice.
 
 Module constants: INTEGRAL_TOL = 1e-8 is the absolute verdict threshold of
-the nef wedge floors (and of the CLI's expansion and volume-law rows),
-BIGNESS_TOL = 1e-9 that of the bigness volume floor, and COND_LIMIT = 1e8
-the largest Vandermonde condition number an eps-expansion fit accepts.
+the nef wedge floors, the trace collapse rate and the CLI's expansion and
+volume-law rows, BIGNESS_TOL = 1e-9 that of the bigness volume floor,
+COND_LIMIT = 1e8 the largest Vandermonde condition number an eps-expansion
+fit accepts, and COLLAPSE_ORDER = 0.9 the trace collapse's least local order.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .linalg import adjugate, component_det, component_pair, trace_pairing
 INTEGRAL_TOL = 1e-8
 BIGNESS_TOL = 1e-9
 COND_LIMIT = 1e8
+COLLAPSE_ORDER = 0.9
 
 
 def mixed_determinants(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,3 +228,20 @@ def nef_lower_bound_check(path, omega: TorusMetricField) -> list:
                 note=f"eps={s.epsilon:.6g} k={k} ceiling={c_state:.6g}",
             ))
     return reports
+
+
+def trace_collapse_check(path, omega: TorusMetricField) -> list:
+    """Check that e(eps) = |eps * s_max - max tr g| falls at a local order of at
+    least COLLAPSE_ORDER, e(eps') <= e(eps) * (eps'/eps)^COLLAPSE_ORDER, with one
+    report per consecutive pair of states (none on a one-state path).
+
+    On a torus omega_eps / eps = I + Hess u tends to the flat metric, so
+    eps * S_eps, S_eps = tr_{omega_eps} omega, tends to tr g pointwise with an
+    O(eps) error; e compares two grid sups, each state's s_max and omega's.
+    """
+    limit = float(omega.g[:: omega.n + 1].sum(axis=0).max())
+    errors = [abs(s.epsilon * s.s_max - limit) for s in path]
+    return [make_report(
+        "trace-collapse-rate", e * (t.epsilon / s.epsilon) ** COLLAPSE_ORDER, e_next,
+        INTEGRAL_TOL, note=f"eps={t.epsilon:.6g} limit={limit:.12g}",
+    ) for s, t, e, e_next in zip(path, path[1:], errors, errors[1:])]

@@ -626,37 +626,3 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
     off = [np.hypot(r[i * n + j], r[j * n + i]).max()  # |r_ij| of its (Re, Im) rows
            for i, j in itertools.combinations(range(n), 2)]
     return float(np.max([np.abs(r[:: n + 1]).max(), *off]))
-
-
-@dataclass
-class LimitProbeReport:
-    """Drift of the normalized potentials w = u - n log eps along the path.
-
-    On a torus the family collapses (u ~ n log eps, volume eps^n -> 0);
-    bounded, shrinking drifts certify the normalized limit, while the raw
-    u's diverge.  The drifts are taken from v - n log eps: u - v = -log det g
-    does not depend on eps and cancels in every difference.  A single-state
-    path has nothing to compare: empty report.
-    """
-
-    epsilons: list
-    drifts: list
-    converging: bool
-    note: str = ""
-
-
-def limit_probe(path) -> LimitProbeReport:
-    eps = [s.epsilon for s in path]
-    if len(path) < 2:
-        return LimitProbeReport(eps, [], converging=False,
-                                note="single-state path: no drift to measure")
-    n = path[0].v.ndim // 2
-    ws = [s.v - n * np.log(s.epsilon) for s in path]
-    drifts = [float(np.max(np.abs(b - a))) for a, b in zip(ws, ws[1:])]
-    # "converging" = drifts stop growing and the tail drift is small in
-    # absolute terms; loose by design, this is a probe rather than a proof.
-    tail_shrinks = all(d2 <= d1 * 1.5 + 1e-14 for d1, d2 in zip(drifts, drifts[1:]))
-    converging = bool(tail_shrinks and drifts[-1] < 1.0)
-    note = ("normalized potentials u - n log eps settle; raw u diverges like "
-            "n log eps (torus volume collapse)")
-    return LimitProbeReport(eps, drifts, converging, note)

@@ -227,7 +227,7 @@ ALL_ROWS = [
     ("solve-ma", "manufactured-recovery", "pass"),
     ("continuity-path", "sup-u-ceiling", "pass"),
     ("continuity-path", "ricci-identity-residual", "pass"),
-    ("continuity-path", "normalized-limit-drift", "pass"),
+    ("continuity-path", "trace-collapse-rate", "pass"),
     ("hsc-extremes", "poincare-disk:hsc-constant", "pass"),
     ("hsc-extremes", "poincare-disk:einstein-ratio", "pass"),
     ("hsc-extremes", "poincare-polydisk:hsc-factor-direction", "pass"),
@@ -257,6 +257,7 @@ ALL_ROWS = [
     ("integrals", "expansion-top-coefficient-volume", "pass"),
     ("integrals", "volume-power-law", "pass"),
     ("integrals", "nef-wedge-lower-bound", "pass"),
+    ("integrals", "trace-collapse-rate", "pass"),
     ("integrals", "bigness-volume-floor", "not-applicable"),
 ]
 
@@ -270,8 +271,8 @@ def test_all_pipelines_keep_their_rows(tmp_path):
     assert rows == ALL_ROWS
     assert set(read_json(tmp_path / "integrals" / "expansion.json")) >= {
         "coefficients", "condition_number", "note"}
-    assert set(read_json(tmp_path / "continuity-path" / "limit_probe.json")) == {
-        "epsilons", "drifts", "converging", "note"}
+    assert sorted(p.name for p in (tmp_path / "continuity-path").iterdir()) == [
+        "reports.jsonl", "series.csv", "states", "summary.csv", "summary.json"]
 
 
 def test_verify_inequalities_is_deterministic_for_fixed_seed(tmp_path):
@@ -314,6 +315,10 @@ def test_not_applicable_rows_do_not_fail_the_run(tmp_path):
     statuses = {r["check"]: r["status"] for r in summary["rows"]}
     assert statuses["max-principle-torus"] == "not-applicable"
     assert statuses["max-principle-polydisk"] == "pass"
+    # S = tr_{omega'} omega = 2 is read at the 16 Schwarz points, under the
+    # ceiling 2n / ((n + 1) kappa0) = 8/3
+    (mp,) = [r for r in summary["rows"] if r["check"] == "max-principle-polydisk"]
+    assert mp["note"] == "samples=16 kappa0=0.5" and mp["margin"] == pytest.approx(2.0 / 3.0)
     assert statuses["laplacian-trace-identity"] == "pass"
     assert "laplacian-identity-h2-rate" not in statuses
     assert "fail" not in statuses.values()
@@ -418,17 +423,17 @@ def test_equality_cases_fail_on_either_side(tmp_path, monkeypatch):
     assert row["margin"] > EQUALITY_TOL
 
 
-def test_one_state_path_has_no_drift_to_judge(tmp_path):
-    # A one-state path is allowed by the schema; with no drift to measure the
-    # drift row reads not-applicable, and the run passes.
+def test_one_state_path_has_no_collapse_rate_to_judge(tmp_path):
+    # A one-state path is allowed by the schema; with no pair of states the
+    # collapse-rate row has no report, reads not-applicable, and the run passes.
     cfg = tmp_path / "one.yaml"
     cfg.write_text("continuity_path: {steps: 1}\n")
     rc, _, _ = run_cli(["continuity-path", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     rows = read_json(tmp_path / "continuity-path" / "summary.json")["rows"]
-    (row,) = [r for r in rows if r["check"] == "normalized-limit-drift"]
+    (row,) = [r for r in rows if r["check"] == "trace-collapse-rate"]
     assert row["status"] == "not-applicable" and row["value"] is None
-    assert row["note"] == "single-state path: no drift to measure"
+    assert row["note"] == "0 consecutive state pairs"
     assert all(r["status"] == "pass" for r in rows if r is not row)
 
 

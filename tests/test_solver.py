@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from kahlerbench.errors import DimensionMismatch, NonConvergence, PositivityLoss
 from kahlerbench.fields import TorusMetricField
 from kahlerbench.grids import TorusGrid
-from kahlerbench.integrals import wedge_integral
+from kahlerbench.integrals import trace_collapse_check, wedge_integral
 from kahlerbench.io import load_state, save_state
 from kahlerbench.linalg import (adjugate, component_det, component_eigvalsh, component_inverse,
                                 components, hermitian, inverse_cholesky, trace_pairing,
@@ -29,7 +29,6 @@ from kahlerbench.solver import (
     ContinuityState,
     _solve_linearized,
     continuity_path,
-    limit_probe,
     make_state,
     ma_log_residual,
     manufactured_problem,
@@ -902,14 +901,41 @@ def test_deep_path_stalls_where_the_benchmark_expects(monkeypatch):
     assert diagnosed == []
 
 
-def test_deep_path_normalized_limit(deep_path):
-    _, states = deep_path
-    probe = limit_probe(states)
-    assert probe.converging
-    assert all(b < a for a, b in zip(probe.drifts, probe.drifts[1:]))
-    assert probe.drifts[-1] < 1e-3
-    d = asdict(probe)
-    assert d["epsilons"][0] == 1.0 and len(d["drifts"]) == len(states) - 1
+# -- trace collapse: eps * sup S_eps -> sup tr g -------------------------------------
+
+
+def test_flat_path_collapses_exactly():
+    # S_eps = n / eps on the flat torus, so eps * s_max is n with no error
+    grid = TorusGrid(1, 64)
+    omega = TorusMetricField(grid, np.zeros(grid.shape))
+    reports = trace_collapse_check(continuity_path(omega, [2.0**-k for k in range(11)]), omega)
+    assert len(reports) == 10
+    assert all(r.status == "pass" and r.lhs == r.rhs == 0.0 for r in reports)
+
+
+def test_deep_path_trace_collapse(deep_path):
+    omega, states = deep_path
+    reports = trace_collapse_check(states, omega)
+    assert len(reports) == len(states) - 1
+    assert all(r.status == "pass" for r in reports), [r.note for r in reports if r.slack < 0]
+    assert 0.0 < reports[-1].rhs < 1e-4  # e(2^-10)
+
+
+def test_perturbed_path_trace_collapse():
+    grid = TorusGrid(2, 12)
+    omega = TorusMetricField(grid, perturbed_torus_potential(grid, 0.03))
+    states = continuity_path(omega, [2.0**-k for k in range(7)], tol=1e-10)
+    reports = trace_collapse_check(states, omega)
+    assert len(reports) == 6
+    assert all(r.status == "pass" for r in reports), [r.note for r in reports if r.slack < 0]
+
+
+def test_trace_collapse_fails_a_biased_trace(deep_path):
+    # a relative bias of 1e-3 in every s_max adds about 1e-3 * sup tr g to
+    # eps * s_max, a floor under e(eps) that the rate cannot hold
+    omega, states = deep_path
+    biased = [replace(s, s_max=s.s_max * (1.0 + 1e-3)) for s in states]
+    assert any(r.status == "fail" for r in trace_collapse_check(biased, omega))
 
 
 def test_path_is_deterministic():
@@ -920,15 +946,6 @@ def test_path_is_deterministic():
     for s, t in zip(a, b):
         assert np.max(np.abs(s.v - t.v)) <= 1e-14  # and so u = v - log det g
         assert s.ricci_residual_sup == t.ricci_residual_sup
-
-
-def test_limit_probe_single_state():
-    grid = TorusGrid(1, 16)
-    omega = TorusMetricField(grid, np.zeros(grid.shape))
-    probe = limit_probe(continuity_path(omega, [1.0]))
-    assert probe.drifts == []
-    assert not probe.converging
-    assert "single-state" in probe.note
 
 
 # -- Ricci residual instruments ------------------------------------------------------
