@@ -423,9 +423,10 @@ def test_equality_cases_fail_on_either_side(tmp_path, monkeypatch):
     assert row["margin"] > EQUALITY_TOL
 
 
-def test_one_state_path_has_no_collapse_rate_to_judge(tmp_path):
-    # A one-state path is allowed by the schema; with no pair of states the
-    # collapse-rate row has no report, reads not-applicable, and the run passes.
+def test_one_state_path_has_no_drift_to_judge(tmp_path):
+    # A one-state path is allowed by the schema; with no pair of states there is
+    # no drift of the trace-collapse error to measure, so the collapse-rate row
+    # has no report, reads not-applicable, and the run passes.
     cfg = tmp_path / "one.yaml"
     cfg.write_text("continuity_path: {steps: 1}\n")
     rc, _, _ = run_cli(["continuity-path", "--config", str(cfg), "--out", str(tmp_path)])

@@ -930,6 +930,14 @@ def test_perturbed_path_trace_collapse():
     assert all(r.status == "pass" for r in reports), [r.note for r in reports if r.slack < 0]
 
 
+def test_single_state_path_trace_collapse():
+    # the rate is judged on consecutive pairs of states, so a one-state path
+    # gives no report
+    grid = TorusGrid(1, 16)
+    omega = TorusMetricField(grid, np.zeros(grid.shape))
+    assert trace_collapse_check(continuity_path(omega, [1.0]), omega) == []
+
+
 def test_trace_collapse_fails_a_biased_trace(deep_path):
     # a relative bias of 1e-3 in every s_max adds about 1e-3 * sup tr g to
     # eps * s_max, a floor under e(eps) that the rate cannot hold
