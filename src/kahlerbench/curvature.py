@@ -449,9 +449,11 @@ def default_sweep_points(field, max_points: int = 256):
     """Deterministic point sweep of a field.
 
     A torus field is swept at the grid multi-indices of its stride-2^k
-    sublattice, the smallest power of two leaving at most max_points
+    sublattice, the smallest power of two leaving at most max_points >= 1
     points; a chart field at a lattice of its trusted region.
     """
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     if isinstance(field, TorusMetricField):
         grid = field.grid
         stride = 1

@@ -318,11 +318,11 @@ class TorusGrid:
         return coarse.irfft(coarse.restricted_spectrum(f)) + np.mean(f)
 
     def prolonged_hessian(self, F: np.ndarray, combine) -> np.ndarray:
-        """combine(c) on the twice finer grid, c the Hessian components (as in
-        hessian_components) of the interpolant with half spectrum F; combine
-        maps each slab of c, shape (n*n, rows, 2N, ...), to that slab of one
-        real field, so no fine component field is built."""
-        return self._prolonged(F, 2 * self.N, self._band_multipliers, combine)
+        """combine(c) on the 3N/2 grid (odd when N/2 is), c the Hessian
+        components (as in hessian_components) of the interpolant with half
+        spectrum F; combine maps each slab of c, shape (n*n, rows, 3N/2, ...),
+        to that slab of one real field, so no fine component field is built."""
+        return self._prolonged(F, 3 * self.N // 2, self._band_multipliers, combine)
 
     @cached_property
     def _band_multipliers(self) -> np.ndarray:
@@ -358,11 +358,12 @@ class TorusGrid:
         B = B * multipliers
         lead, bins = B.ndim - d, np.r_[0:h + 1, M - h:M]  # the band's bins of M
         X = _band_ifft(B, lead, bins)
+        del B, half  # the slabs read X only
         out = np.empty((M,) * d)
         rows = max(1, SLAB_POINTS // M ** (d - 1))
         for r in range(0, M, rows):
             Y = X[(slice(None),) * lead + (slice(r, r + rows),)]
-            for axis in range(lead + 1, B.ndim - 1):
+            for axis in range(lead + 1, X.ndim - 1):
                 Y = _band_ifft(Y, axis, bins)
             Y = scipy.fft.irfft(Y, n=M, axis=-1, norm="forward") * (1.0 / M**d)
             out[r:r + rows] = combine(Y) if combine else Y

@@ -116,10 +116,11 @@ def load_state(directory, omega):
 
     make_state rebuilds it from v, the reference metric and STATE_INPUTS
     read from the sidecar (ValueError if one is missing), with the same
-    dealiased Ricci residual as the path's.  Every other field the sidecar
-    holds is cross-checked against the rebuilt state, to a relative 1e-12;
-    sidecars written before wedge_integrals was saved hold no wedge
-    integrals to check.  Other files in the directory are not read.
+    dealiased Ricci residual as the path's.  Every other field of the state
+    in the sidecar is cross-checked against it, to 1e-12 max(1, |saved|);
+    keys that name no field, like the relative-eigenvalue range of older
+    sidecars, are not read, and their residuals (not on the 3N/2 grid) fail
+    the check at n = 3.  Other files in the directory are not read.
     """
     from .solver import make_state
 

@@ -42,11 +42,11 @@ Pure Appl. Math. 31, 1978).  It solves first and diagnoses after: only
 once every state has converged does make_state turn each (eps, v) into a
 state, its eps and v with scalar diagnostics: the sup of
 v - log det g = log sigma_n against the volume-ratio ceiling, the Ricci
-identity residual, relative eigenvalue range, the top of the trace field
-S_eps, and the wedge integrals of omega_eps^k wedge omega^{n-k}.  A path
-that fails diagnoses nothing.  The Ricci residual is Hess(v - log det g_eps),
-from (eps, v); the others read g_eps = eps g + Hess v as components, formed
-once, with linalg's closed forms behind every det, trace and mixed determinant.
+identity residual, the top of the trace field S_eps, and the wedge integrals
+of omega_eps^k wedge omega^{n-k}.  A path that fails diagnoses nothing.  The
+Ricci residual is Hess(v - log det g_eps), from (eps, v), log det on the 3N/2
+grid; the others read g_eps = eps g + Hess v as components, formed once, with
+linalg's closed forms behind every det, trace and mixed determinant.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from .errors import DimensionMismatch, NonConvergence, PositivityLoss
 from .fields import TorusMetricField
 from .grids import TorusGrid
 from .integrals import wedge_integrals
-from .linalg import (component_det, relative_eigenvalues_field, require_positive,
-                     trace_s_field, trace_weights)
+from .linalg import component_det, require_positive, trace_s_field, trace_weights
 from .linalg import component_positivity as _positivity
 
 LINE_SEARCH_HALVINGS = 30
@@ -398,8 +397,6 @@ class ContinuityState:
     sup_u: float
     log_c_bound: float
     ricci_residual_sup: float
-    rel_eig_min: float
-    rel_eig_max: float
     s_max: float
     wedge_integrals: tuple
     newton_steps: int = 0
@@ -426,20 +423,17 @@ def make_state(omega: TorusMetricField, epsilon: float, v: np.ndarray,
                krylov_matvecs: int = 0) -> ContinuityState:
     """Diagnose one solved state of the path from (epsilon, v).
 
-    The components of g_eps are formed once for the eigenvalue, trace and
-    wedge diagnostics and not kept; sup u is taken from u = v - log det g,
-    and the Ricci residual from (eps, v) by ricci_residual_dealiased.
+    The components of g_eps are formed once for the trace and wedge
+    diagnostics and not kept; sup u is taken from u = v - log det g, and the
+    Ricci residual from (eps, v) by ricci_residual_dealiased.
     """
     g_eps = epsilon * omega.g + omega.grid.hessian_components(v)
-    lam = relative_eigenvalues_field(omega.g, g_eps)
     return ContinuityState(
         epsilon=float(epsilon),
         v=v,
         sup_u=float((v - omega.log_det_g).max()),
         log_c_bound=log_c,
         ricci_residual_sup=ricci_residual_dealiased(omega, epsilon, v),
-        rel_eig_min=float(lam.min()),
-        rel_eig_max=float(lam.max()),
         s_max=float(trace_s_field(omega.g, g_eps).max()),
         wedge_integrals=wedge_integrals(g_eps, omega.g),
         newton_steps=newton_steps,
@@ -590,13 +584,13 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
 
     On the solve grid the raw residual is the spectral Hessian of the
     Newton stopping residual — it reflects the solver, not the
-    discretization.  For n <= 2, log det(omega_eps) is instead evaluated on
-    a twice finer grid and truncated back to the solve band (the padding
-    rule of Orszag, J. Atmos. Sci. 28, 1971).  That removes the fold-back
-    of product terms the solve grid cannot represent, so the value measures
-    genuine discretization error and decays at the spectral rate under grid
-    refinement.  For n = 3 a finer grid costs 64 times the points, and the
-    value is the raw residual of the solve grid.
+    discretization.  So log det(omega_eps) is instead evaluated on the grid
+    of resolution 3N/2 and truncated back to the solve band (the 3/2 rule of
+    Orszag, J. Atmos. Sci. 28, 1971), at every n.  That removes the
+    fold-back of product terms the solve grid cannot represent, so the value
+    measures discretization error and decays at the spectral rate under grid
+    refinement.  The fine grid and its positivity test hold (3/2)^(2n) times
+    the solve grid's points (11.4 at n = 3, where 2N would hold 64).
 
     Since eps*g + Hess v = eps*I + Hess(eps*psi + v), with psi omega's
     potential, log det(eps*I + H) is streamed from the fine Hessian
@@ -604,7 +598,7 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
     det, its positivity test and log slab by slab, and cropped back less its
     mean (restricted_spectrum), both pruned to the solve band: log det is
     the one fine field built, written once, and no n log eps constant enters
-    a fine transform (at n = 3, H on the solve grid).
+    a fine transform.
     """
     grid, v = omega.grid, np.asarray(v, dtype=float) - np.mean(v)
 
@@ -615,13 +609,8 @@ def ricci_residual_dealiased(omega: TorusMetricField, epsilon: float, v: np.ndar
             raise PositivityLoss("state metric degenerate on the dealiasing grid")
         return np.log(d, out=d)
 
-    potential = epsilon * omega.psi + v
-    if grid.n == 3:
-        ldg = log_det_plus(grid.hessian_components(potential))
-        spectrum = grid.rfft(ldg - np.mean(ldg))  # mean out for round-off
-    else:
-        spectrum = grid.restricted_spectrum(
-            grid.prolonged_hessian(grid.rfft(potential), log_det_plus))
+    spectrum = grid.restricted_spectrum(
+        grid.prolonged_hessian(grid.rfft(epsilon * omega.psi + v), log_det_plus))
     r, n = grid.hessian_of_spectrum(grid.rfft(v) - spectrum), grid.n
     off = [np.hypot(r[i * n + j], r[j * n + i]).max()  # |r_ij| of its (Re, Im) rows
            for i, j in itertools.combinations(range(n), 2)]

@@ -561,6 +561,21 @@ def test_default_sweep_stays_within_its_cap(n, N, max_points, count):
     assert len(set(points)) == count
 
 
+@pytest.mark.parametrize("substrate", ["torus", "chart"])
+@pytest.mark.parametrize("max_points", [0, -1])
+def test_sweep_rejects_a_cap_below_one_point(substrate, max_points):
+    # every torus stride keeps a point, so no stride meets such a cap
+    if substrate == "torus":
+        grid = TorusGrid(1, 8)
+        field = TorusMetricField(grid, np.zeros(grid.shape))
+    else:
+        field = polydisk_field(n=2, scale=1.5)
+    with pytest.raises(ValueError, match="max_points"):
+        default_sweep_points(field, max_points)
+    with pytest.raises(ValueError, match="max_points"):
+        sweep_hsc_extremes(field, max_points=max_points)
+
+
 @pytest.mark.parametrize("N", [64, 128])
 def test_fine_torus_kappa_floor_keeps_curvature_symmetries(N):
     # Per-entry FFT round-off would break ddg[i,j,k,l] = conj(ddg[j,i,l,k])

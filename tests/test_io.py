@@ -270,6 +270,22 @@ def test_load_state_reads_a_sidecar_without_wedge_integrals(tmp_path, solved):
     assert rebuilt.krylov_matvecs == state.krylov_matvecs
 
 
+def test_load_state_reads_a_sidecar_with_relative_eigenvalues(tmp_path, solved):
+    # the fixture's sidecar as states with a relative-eigenvalue range saved
+    # it: those two keys are not read, and its Ricci residual, from a twice
+    # finer grid, is 7.8e-15 from the 3N/2 grid's
+    omega, state = solved
+    target = tmp_path / "state"
+    save_state(target, state, omega.grid)
+    diag = read_json(target / "diagnostics.json")
+    diag.update(rel_eig_min=0.9184524259630251, rel_eig_max=1.0994516897503046,
+                ricci_residual_sup=1.3258328951855996e-09)
+    write_json(target / "diagnostics.json", diag)
+    rebuilt = load_state(target, omega)
+    for f in dataclasses.fields(ContinuityState):
+        assert np.array_equal(getattr(rebuilt, f.name), getattr(state, f.name)), f.name
+
+
 def test_load_state_rejects_grid_mismatch(tmp_path, solved):
     omega, state = solved
     target = tmp_path / "state"
