@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fields import TorusMetricField
-from .linalg import Direction, inv, inverse_cholesky
+from .linalg import Direction, components, inv, inverse_cholesky, require_positive
 
 # numpy.linalg's eigh and lstsq kernels without their wrappers, whose
 # error-state context costs a single-point query more than LAPACK does
@@ -433,8 +433,9 @@ def hsc_extremes_from_tensor(R: np.ndarray, g: np.ndarray, num_directions: int =
     direction; n = 2 is exact, Q being a quadratic on S^2 through the Hopf
     map (_cp1_extremes); n = 3 polishes the best of these exact extremes on
     the lines of a pencil (_pencil_extremes): exact per line, but a scan
-    over lines, not a certificate.  num_directions and refine_steps are not
-    read."""
+    over lines, not a certificate.  g is held to linalg.require_positive;
+    num_directions and refine_steps are not read."""
+    require_positive(components(g), "g")
     return _extremes(np.asarray(R)[None], _frames(np.asarray(g)[None]))[0]
 
 

@@ -13,14 +13,14 @@ take.  A single matrix or tuple is a batch of one.  Determinants, inverses
 and traces have one implementation, closed-form kernels through n = 3 on
 components (component_det; adjugate, which component_inverse, trace_weights
 and integrals' mixed_determinants read; trace_pairing); `components` and
-`hermitian` convert.  component_eigvalsh
-takes every Hermitian eigenvalue, by LAPACK at n = 3 only.  The one
-positive-definiteness policy (PD_RTOL) is component_positivity, on
-components; at n <= 2 it reads only the trace and the determinant, and
-eigenvalues are taken at the worst point alone, for the report.
-require_positive is the one place that raises PositivityLoss for it: every
-metric the program holds to the policy goes through it.  Dimensions are
-capped at n = 3 (MAX_DIM), which the closed forms rely on.
+`hermitian` convert.  component_eigvalsh takes every Hermitian eigenvalue,
+by LAPACK at n = 3 only.  The one positive-definiteness policy (PD_RTOL) is
+component_positivity, on components: Sylvester's criterion on
+A - PD_RTOL tr(A) I, from component_det of its leading blocks at every n,
+with eigenvalues taken only at the worst point of a field that fails, for
+the report.  require_positive is the one place that raises PositivityLoss
+for it: every metric the program holds to the policy goes through it.
+Dimensions are capped at n = 3 (MAX_DIM), which the closed forms rely on.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import DimensionMismatch, PositivityLoss
 MAX_DIM = 3
 
 # Relative positive-definiteness threshold: at every point the smallest
-# eigenvalue must exceed this multiple of the largest.  Scale-invariant, so
+# eigenvalue must exceed this multiple of the trace.  Scale-invariant, so
 # metrics of any overall size are treated alike.
 PD_RTOL = 1e-10
 
@@ -52,11 +52,12 @@ def inv(a: np.ndarray) -> np.ndarray:
 # -- the real component layout and its kernels -----------------------------------
 
 
-def _component_order(c: np.ndarray) -> int:
-    n = math.isqrt(c.shape[0]) if c.ndim else 0
-    if not 1 <= n <= MAX_DIM or n * n != c.shape[0]:
+def _component_order(c) -> int:
+    shape = (len(c),) if isinstance(c, list) else c.shape  # a list of rows, or an array
+    n = math.isqrt(shape[0]) if shape else 0
+    if not 1 <= n <= MAX_DIM or n * n != shape[0]:
         raise DimensionMismatch(f"expected (n*n, ...) components, n <= {MAX_DIM}, "
-                                f"got shape {c.shape}")
+                                f"got shape {shape}")
     return n
 
 
@@ -110,9 +111,10 @@ def hermitian(c: np.ndarray) -> np.ndarray:
     return H.view(complex).reshape(c.shape[1:] + (n, n))
 
 
-def component_det(c: np.ndarray) -> np.ndarray:
-    """det M of the Hermitian field M with components c, a real field."""
-    c = np.asarray(c)
+def component_det(c) -> np.ndarray:
+    """det M of the Hermitian field M with components c, a real field; a list
+    of the n*n component rows (fields, or series) is read as it is, unstacked."""
+    c = c if isinstance(c, list) else np.asarray(c)
     n = _component_order(c)
     if n == 1:
         return c[0]
@@ -220,32 +222,27 @@ def component_eigvalsh(c: np.ndarray) -> np.ndarray:
 
 
 def component_positivity(c: np.ndarray):
-    """The positive-definiteness policy on a Hermitian matrix or field given by
-    its components c (n*n, ...): at every point the smallest eigenvalue must
-    exceed PD_RTOL times the largest, and the largest must be positive.
-
-    Returns (ok, worst, w): whether every point passes, the index of the point
-    with the smallest margin (() for a single matrix), and its ascending
-    eigenvalues (component_eigvalsh).  For n = 1 the margin is the entry
-    itself.  For n = 2, with r = PD_RTOL, it is det (1 + r)^2 - r tr^2 =
-    (l_min - r l_max)(l_max - r l_min) where tr > 0 and -inf elsewhere, so
-    no eigenvalue is taken but the worst point's.  For n = 3 it is
-    l_min - r max(l_max, 0): where it is positive, l_max >= l_min > 0 too.
+    """The positive-definiteness policy on a Hermitian matrix or field A given
+    by its components c (n*n, ...): at every point the smallest eigenvalue
+    must exceed PD_RTOL times the trace (so it is positive), that is,
+    S = A - PD_RTOL tr(A) I must be positive definite: by Sylvester's
+    criterion, the component_det of each leading k x k block of S must be
+    positive, and the margin is the least of them.  Returns (ok, worst, w):
+    whether every point passes, the point with the smallest margin (() for a
+    single matrix), and that point's ascending eigenvalues
+    (component_eigvalsh) for a field that fails, None for one that passes.
     """
     c = np.asarray(c, dtype=float)
     n = _component_order(c)
-    if n == 3:
-        w = component_eigvalsh(c)
-        margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
-    elif n == 1:
-        margin = c[0]
-    else:
-        tr = c[0] + c[3]
-        margin = component_det(c) * (1.0 + PD_RTOL) ** 2 - PD_RTOL * (tr * tr)
-        margin = np.where(tr > 0.0, margin, -np.inf)
+    shift = PD_RTOL * c[:: n + 1].sum(axis=0)
+    s = [c[r] - shift if r % (n + 1) == 0 else c[r] for r in range(n * n)]  # S's rows
+    margin = component_det(s)
+    for k in range(1, n):  # the leading k x k block: rows i*n + j of S, i, j < k
+        block = [s[i * n + j] for i in range(k) for j in range(k)]
+        margin = np.minimum(margin, component_det(block))
     worst = np.unravel_index(margin.argmin(), margin.shape)
-    w_worst = w[worst] if n == 3 else component_eigvalsh(c[(slice(None),) + worst])
-    return bool(margin[worst] > 0.0), worst, w_worst
+    ok = bool(margin[worst] > 0.0)
+    return ok, worst, None if ok else component_eigvalsh(c[(slice(None),) + worst])
 
 
 def require_positive(c: np.ndarray, what: str, points=None) -> None:

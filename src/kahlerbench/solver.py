@@ -23,11 +23,11 @@ components: alpha (held so by MAProblem) and each candidate
 M = alpha + Hess v are (n*n, ...) fields in linalg's component layout (the
 rows of TorusGrid.hessian_components), and det M, the positivity check and
 the trace weights of M^{-1} are linalg's closed forms on them, so no step
-or line-search trial inverts a Hermitian matrix, and at n <= 2 none
-assembles one (at n = 3 the positivity check does, a slab of points at a
-time, for LAPACK's eigenvalues).  The Krylov solve holds the trace weights
-w of M, not M, and takes P q and its image in one call, from P's half
-spectrum one traceless Hessian row at a time (_solve_linearized).
+or line-search trial inverts a Hermitian matrix or takes an eigenvalue,
+but at the worst point of a trial that fails the check, for its report.
+The Krylov solve holds the trace weights w of M, not M, and takes P q and
+its image in one call, from P's half spectrum one traceless Hessian row at
+a time (_solve_linearized).
 
 The continuity path solves the family (alpha = eps g, F = 0)
 
@@ -117,14 +117,15 @@ def ma_log_residual(problem: MAProblem, v: np.ndarray) -> np.ndarray:
 
 def _volume_normalized(problem: MAProblem, v: np.ndarray, M: np.ndarray) -> tuple:
     """(v + c, r - c), r the residual at v and c = log(mean det M / mean e^(v+F)),
-    M = alpha + Hess v given by its components.
+    M = alpha + Hess v given by its components, which has passed the
+    positivity policy, so det M > 0.
 
     mean det(alpha + Hess v) does not depend on v (it is the discrete
     cohomology volume), so c sets the one constant the equation fixes: after
     the shift the discrete volume identity mean det M = mean e^(v+F) holds to
     rounding.  The exponential is taken after subtracting max(v + F).
     """
-    d = _positive_det(M)
+    d = component_det(M)
     vf = v + problem.datum
     top = vf.max()
     c = np.log(np.mean(d)) - top - np.log(np.mean(np.exp(vf - top)))

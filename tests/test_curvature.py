@@ -28,10 +28,11 @@ from kahlerbench.curvature import (
     sweep_hsc_extremes,
     transform_tensor,
 )
-from kahlerbench.errors import DimensionMismatch
+from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
-from kahlerbench.inequalities import conditioned_negative_tensor, random_kahler_tensor
+from kahlerbench.inequalities import (conditioned_negative_tensor, random_kahler_tensor,
+                                      royden_margin)
 from kahlerbench.linalg import Direction, hermitian, inv, inverse_cholesky
 from kahlerbench.zoo import (make_example, perturbed_torus_potential, poincare_polydisk_terms,
                              verify_example_facts)
@@ -202,6 +203,22 @@ def test_hsc_rejects_a_stack_of_points(substrate):
     with pytest.raises(DimensionMismatch, match=r"stack of shape \(2, "):
         hsc(field, stack, [1.0])
     assert len(sweep_hsc_extremes(field, stack)) == 2
+
+
+def test_tensor_entry_point_holds_g_to_the_policy_as_royden_margin_does():
+    # an indefinite g raises PositivityLoss at both entry points, with the
+    # same point and least eigenvalue, not LAPACK's or the closed
+    # Cholesky's LinAlgError
+    rng = np.random.default_rng(6)
+    for n in (2, 3):
+        R, g = random_kahler_tensor(n, rng), np.diag([1.0] * (n - 1) + [-0.5])
+        errors = []
+        for call in (lambda: hsc_extremes_from_tensor(R, g),
+                     lambda: royden_margin(R, g, np.eye(n), 1.0)):
+            with pytest.raises(PositivityLoss, match=r"^g not positive definite at \(\)") as err:
+                call()
+            errors.append((err.value.point, err.value.min_eigenvalue))
+        assert errors == [((), -0.5)] * 2
 
 
 def test_extremizer_defaults_are_the_policy_constants():

@@ -15,6 +15,7 @@ import scipy.linalg
 import sympy as sp
 
 from kahlerbench import linalg, solver
+from kahlerbench.curvature import hsc_extremes_from_tensor
 from kahlerbench.errors import DimensionMismatch, PositivityLoss
 from kahlerbench.fields import ChartMetricField, TorusMetricField
 from kahlerbench.grids import ChartGeometry, TorusGrid
@@ -120,20 +121,42 @@ def test_closed_form_eigenvalues_of_identity_and_diagonal_are_exact():
     assert np.array_equal(eigvalsh(np.zeros((2, 2))), [0.0, 0.0])
 
 
+def with_trace_ratio(rng, n, ratio):
+    """A Hermitian n x n matrix on the policy's edge: for n >= 2 its least
+    eigenvalue is ratio times its trace (the others 2, ..., 4); for n = 1,
+    where that ratio is 1, its entry is 4 (ratio - PD_RTOL), as far above or
+    below the threshold 0."""
+    if n == 1:
+        return np.array([[4.0 * (ratio - PD_RTOL)]], dtype=complex)
+    rest = [2.0] * (n - 2) + [4.0]
+    return hermitian_with_eigenvalues(rng, [ratio * sum(rest) / (1.0 - ratio)] + rest)
+
+
+def policy_oracle(a):
+    """The policy by LAPACK's eigenvalues: l_min > PD_RTOL tr, pointwise."""
+    w = np.linalg.eigvalsh(a)
+    return w[..., 0] > PD_RTOL * w.sum(axis=-1)
+
+
 @pytest.mark.parametrize("ratio", [0.5 * PD_RTOL, 2.0 * PD_RTOL])
 def test_closed_form_positivity_at_the_threshold_matches_eigvalsh(ratio):
+    # a field whose one point on the edge passes with it, at every n; a
+    # failing field reports that point and its eigenvalues, a passing one none
     rng = np.random.default_rng(70)
-    edge = hermitian_with_eigenvalues(rng, [ratio * 4.0, 4.0])
-    field = np.stack([random_pd(rng, 2) for _ in range(20)]).reshape(4, 5, 2, 2)
-    field[1, 3] = edge
-    w = np.linalg.eigvalsh(field)
-    margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
-    oracle_worst = np.unravel_index(np.argmin(margin), margin.shape)
-    ok, worst, w_worst = positivity(field)
-    assert ok == bool(margin[oracle_worst] > 0.0) == (ratio > PD_RTOL)
-    assert tuple(int(i) for i in worst) == tuple(int(i) for i in oracle_worst) == (1, 3)
-    assert np.all(np.abs(w_worst - w[oracle_worst]) <= KERNEL_RTOL * 4.0)
-    assert positivity(edge)[0] == ok
+    for n in (1, 2, 3):
+        edge = with_trace_ratio(rng, n, ratio)
+        field = np.stack([random_pd(rng, n) for _ in range(20)]).reshape(4, 5, n, n)
+        field[1, 3] = edge
+        oracle = policy_oracle(field)
+        assert oracle.sum() == 19 + (ratio > PD_RTOL)
+        ok, worst, w_worst = positivity(field)
+        assert ok == bool(oracle.all())
+        assert tuple(int(i) for i in worst) == (1, 3)
+        if ok:
+            assert w_worst is None
+        else:
+            assert np.all(np.abs(w_worst - np.linalg.eigvalsh(edge)) <= KERNEL_RTOL * 4.0)
+        assert positivity(edge)[0] == ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -179,7 +202,8 @@ def test_eigenvalues_in_slabs_are_the_whole_field_bit_for_bit(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_eigenvalue_call_is_component_eigvalsh_in_slabs(n, monkeypatch):
     # at n <= 2 no LAPACK eigenvalue is taken; at n = 3 each call comes from
-    # component_eigvalsh and sees at most SLAB_POINTS matrices
+    # component_eigvalsh and sees at most SLAB_POINTS matrices, and the
+    # policy passes a positive-definite field with none
     rng = np.random.default_rng(160 + n)
     a = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
     b = np.stack([random_pd(rng, n) for _ in range(77)]).reshape(7, 11, n, n)
@@ -202,7 +226,7 @@ def test_every_eigenvalue_call_is_component_eigvalsh_in_slabs(n, monkeypatch):
         component_positivity(components(x))
         relative_eigenvalues_field(components(x), components(y))
     assert max(batches, default=0) <= 10
-    assert len(batches) == (3 * 8 + 3 if n == 3 else 0)
+    assert len(batches) == (2 * 8 + 2 if n == 3 else 0)
 
 
 def test_kernels_reject_non_square_input():
@@ -291,6 +315,11 @@ def _royden_g_prime_site():
     royden_margin(R, eye, _metric_stack(2, [1.0, -1.0]), 1.0)
 
 
+def _hsc_tensor_site():
+    eye = np.eye(2, dtype=complex)
+    hsc_extremes_from_tensor(-np.einsum("ij,kl->ijkl", eye, eye), np.diag([1.0, -1.0]))
+
+
 def _ricci_site():
     gp = _metric_stack(3, [1.0, -1.0])
     ricci_term_margin(-0.5 * gp, gp, 1.0, 0.0)
@@ -305,8 +334,9 @@ def _ricci_site():
     (_royden_single_site, "g", ()),
     (_royden_g_prime_site, "g_prime", (2,)),
     (_ricci_site, "g_prime", (3,)),
+    (_hsc_tensor_site, "g", ()),
 ], ids=["torus", "chart", "solve", "manufactured", "royden-g", "royden-single", "royden-g-prime",
-        "ricci"])
+        "ricci", "hsc-tensor"])
 def test_every_policy_site_raises_with_its_point(site, what, point):
     # each site holds its metric to linalg.require_positive: the message
     # names what failed, the point is plain ints (an index, () for a single
@@ -438,56 +468,39 @@ def test_adjugate_is_the_cofactor_matrix_and_trace_pairing_the_trace(n):
                   <= KERNEL_RTOL * np.abs(b).max())
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("ratio", [PD_RTOL * (1.0 - 1e-4), PD_RTOL * (1.0 + 1e-4)])
 def test_component_positivity_at_the_threshold_matches_the_eigenvalue_ratio(n, ratio):
+    # one part in 10^4 either side of l_min = PD_RTOL tr decides the verdict
     rng = np.random.default_rng(110 + n)
     field = np.stack([random_pd(rng, n) for _ in range(20)]).reshape(4, 5, n, n)
-    field[1, 3] = hermitian_with_eigenvalues(rng, [ratio * 4.0] + [2.0] * (n - 2) + [4.0])
-    w = np.linalg.eigvalsh(field)
-    oracle = bool(np.all(w[..., 0] > PD_RTOL * w[..., -1]))
+    field[1, 3] = with_trace_ratio(rng, n, ratio)
+    oracle = bool(policy_oracle(field).all())
     assert oracle == (ratio > PD_RTOL)
     ok, worst, w_worst = component_positivity(components(field))
     assert ok == oracle
     assert tuple(int(i) for i in worst) == (1, 3)
-    assert np.all(np.abs(w_worst - w[1, 3]) <= KERNEL_RTOL * 4.0)
+    if not ok:
+        assert np.all(np.abs(w_worst - np.linalg.eigvalsh(field[1, 3])) <= KERNEL_RTOL * 4.0)
     assert positivity(field)[0] == ok
     assert component_positivity(components(field[1, 3]))[0] == ok
-
-
-def test_n3_positivity_in_slabs_is_the_whole_field_bit_for_bit(monkeypatch):
-    # 77 points in slabs of 10, the last one partial, against one LAPACK
-    # call on the whole assembled field
-    rng = np.random.default_rng(130)
-    definite = np.stack([random_pd(rng, 3) for _ in range(77)]).reshape(7, 11, 3, 3)
-    monkeypatch.setattr(linalg, "SLAB_POINTS", 10)
-    for field in (definite, hermitian_field(rng, (7, 11), 3)):
-        w = np.linalg.eigvalsh(hermitian(components(field)))
-        margin = w[..., 0] - PD_RTOL * np.maximum(w[..., -1], 0.0)
-        worst = np.unravel_index(margin.argmin(), margin.shape)
-        ok, got, w_worst = component_positivity(components(field))
-        assert got == worst
-        assert w_worst.tobytes() == w[worst].tobytes()
-        assert ok == bool(margin[worst] > 0.0 and w[worst][-1] > 0.0)
-    assert component_positivity(components(definite))[0]
-    assert not ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_component_positivity_matches_eigenvalues_on_random_fields(n):
     rng = np.random.default_rng(120 + n)
     definite = np.stack([random_pd(rng, n) for _ in range(30)]).reshape(5, 6, n, n)
-    ok, worst, w_worst = component_positivity(components(definite))
-    assert ok
-    assert np.all(np.abs(w_worst - np.linalg.eigvalsh(definite[worst])) <= KERNEL_RTOL * 1e2)
+    assert component_positivity(components(definite))[::2] == (True, None)
     indefinite = hermitian_field(rng, (5, 6), n)
-    w = np.linalg.eigvalsh(indefinite)
-    assert not np.all(w[..., 0] > PD_RTOL * w[..., -1])
+    oracle = policy_oracle(indefinite)
+    assert 0 < oracle.sum() < 30
+    for i, j in np.ndindex(5, 6):  # the verdict point by point
+        assert component_positivity(components(indefinite[i, j]))[0] == oracle[i, j]
     ok, worst, w_worst = component_positivity(components(indefinite))
     assert not ok
     # the reported point fails the policy, and its eigenvalues are reported
-    assert not w[worst][0] > PD_RTOL * w[worst][-1]
-    assert np.all(np.abs(w_worst - w[worst]) <= KERNEL_RTOL * 1e2)
+    assert not oracle[worst]
+    assert np.all(np.abs(w_worst - np.linalg.eigvalsh(indefinite[worst])) <= KERNEL_RTOL * 1e2)
 
 
 def test_direction_rejects_zero_vector():
